@@ -23,7 +23,6 @@ import numpy as np
 from . import qmath
 from .entropy import (
     ProbabilityDist,
-    classicality_deviation,
     entanglement_measure,
     shannon_entropy,
     von_neumann,
@@ -36,7 +35,6 @@ from .qmath import (
     UnitaryOp,
     apply_gate,
     compose_circuit,
-    haar_ket,
     matrix_from_json,
     matrix_to_json,
     max_abs,
@@ -46,6 +44,8 @@ from .qmath import (
 
 #: largest dilated simulation load (key count times register dimension)
 DESK_SCALE_LIMIT = 4096
+#: probes multiplied through an isometry block at a time; bounds peak memory
+PROBE_CHUNK = 256
 
 RESOURCE_NONE = "none"
 RESOURCE_CLASSICAL_KEY = "classical_key"
@@ -258,13 +258,24 @@ class InputEnsemble:
                     probes.append(Ket(layout, v / math.sqrt(2)))
         return cls("quantum_full", n, tuple(probes), random_probes, seed)
 
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The probes as columns, at most PROBE_CHUNK at a time."""
+        det = self.deterministic_probes
+        for start in range(0, len(det), PROBE_CHUNK):
+            yield np.column_stack([k.amplitudes for k in det[start:start + PROBE_CHUNK]])
+        rng = np.random.default_rng(self.seed)
+        d = 2 ** self.n
+        for start in range(0, self.random_probes, PROBE_CHUNK):
+            # per probe d real parts, then d imaginary parts, as haar_ket draws them
+            v = rng.standard_normal((min(PROBE_CHUNK, self.random_probes - start), 2, d))
+            cols = (v[:, 0] + 1j * v[:, 1]).T
+            yield cols / np.linalg.norm(cols, axis=0)
+
     def probes(self) -> Iterator[Ket]:
-        yield from self.deterministic_probes
-        if self.random_probes:
-            rng = np.random.default_rng(self.seed)
-            layout = SystemLayout.qubits(self.n)
-            for _ in range(self.random_probes):
-                yield haar_ket(layout, rng)
+        layout = SystemLayout.qubits(self.n)
+        for block in self.blocks():
+            for column in block.T:
+                yield Ket(layout, column)
 
     def __len__(self) -> int:
         return len(self.deterministic_probes) + self.random_probes
@@ -279,87 +290,104 @@ def canonical_ensemble(protocol: ChannelProtocol, random_probes: int = 50,
 
 # ---------------------------------------------------------------------------
 # simulation engine
+#
+# Each check runs a key's stage once on the block of all input basis columns.
+# The result is an isometry block (global dim x input dim); a probe's global
+# state is that block times the probe's amplitudes, so every probe, matrix
+# unit and factorization sample is read from one simulation per key.
 
 
-def _zero_tail(vec: np.ndarray, qubits: int) -> np.ndarray:
-    if qubits == 0:
-        return vec
-    tail = np.zeros(2 ** qubits, dtype=complex)
+def _zero_tail(block: np.ndarray, qubits: int) -> np.ndarray:
+    tail = np.zeros((2 ** qubits, 1), dtype=complex)
     tail[0] = 1.0
-    return np.kron(vec, tail)
+    return np.kron(block, tail)
 
 
-def _alice_stage_vector(p: ChannelProtocol, input_ket: Ket, key_index: int) -> tuple[np.ndarray, list[int]]:
-    """Global pure state on [input, alice-ancilla, alice-half, bob-half], plus
-    one trailing environment copy per message wire when the message is
-    classical (sending a classical value means the channel records it, which
-    is exactly the deferred measurement of those wires)."""
-    if input_ket.dim != 2 ** p.input_qubits:
+def _stage(p: ChannelProtocol, inputs: np.ndarray, key_index: int,
+           receiver: bool = False) -> tuple[np.ndarray, list[int], list[int]]:
+    """Run key ``key_index``'s sender stage, then its receiver stage when
+    ``receiver`` is set, on every column of ``inputs`` (input dim x columns).
+
+    Returns the global block (one column per input), its qubit dims, and the
+    wires to keep: the message after the sender stage, the output after the
+    receiver stage.  The global register is [input, alice-ancilla,
+    alice-half, bob-half], then one environment copy per message wire when
+    the message is classical (sending a classical value means the channel
+    records it, which is exactly the deferred measurement of those wires),
+    then the receiver's ancillas.
+    """
+    if inputs.shape[0] != 2 ** p.input_qubits:
         raise ValueError(
-            f"input dimension {input_ket.dim} does not match {p.input_qubits} qubits")
-    vec = _zero_tail(input_ket.amplitudes, p.alice_ancillas)
+            f"input dimension {inputs.shape[0]} does not match {p.input_qubits} qubits")
+    block = _zero_tail(inputs, p.alice_ancillas)
     if p.resource.psi_ab is not None:
-        vec = np.kron(vec, p.resource.psi_ab.amplitudes)
+        block = np.kron(block, p.resource.psi_ab.amplitudes[:, None])
     a_reg = p.input_qubits + p.alice_ancillas + p.resource.alice_qubits
     total = a_reg + p.resource.bob_qubits
     dims = [2] * total
-    vec = apply_gate(vec, dims, p.alice_ops[key_index].matrix, list(range(a_reg)))
+    block = apply_gate(block, dims, p.alice_ops[key_index].matrix, list(range(a_reg)))
     if p.message_kind == INPUT_CLASSICAL:
-        vec = _zero_tail(vec, p.message_qubits)
+        block = _zero_tail(block, p.message_qubits)
         dims = dims + [2] * p.message_qubits
         for i, wire in enumerate(p.message_subsystems):
-            vec = apply_gate(vec, dims, CNOT, [wire, total + i])
-    return vec, dims
+            block = apply_gate(block, dims, CNOT, [wire, total + i])
+    if not receiver:
+        return block, dims, list(p.message_subsystems)
+
+    block = _zero_tail(block, p.bob_ancillas)
+    dims = dims + [2] * p.bob_ancillas
+    receiver_wires = (list(p.message_subsystems)
+                      + list(range(len(dims) - p.bob_ancillas, len(dims)))
+                      + list(range(a_reg, total)))
+    block = apply_gate(block, dims, p.bob_ops[key_index].matrix, receiver_wires)
+    return block, dims, [receiver_wires[o] for o in p.output_subsystems]
+
+
+def _isometries(p: ChannelProtocol, receiver: bool = False) -> list[tuple]:
+    """Per key, the stage run on the input basis: (block, dims, keep)."""
+    basis = np.eye(2 ** p.input_qubits, dtype=complex)
+    return [_stage(p, basis, k, receiver) for k in range(p.key_count)]
+
+
+def _message_states(p: ChannelProtocol, isometries: list[tuple],
+                    inputs: np.ndarray) -> np.ndarray:
+    """Key-averaged wire state of every input column, stacked."""
+    acc = 0.0
+    for prob, (block, dims, keep) in zip(p.key_probs, isometries):
+        acc = acc + prob * reduced_from_vector(block @ inputs, dims, keep)
+    return acc
+
+
+def _channel_table(p: ChannelProtocol, isometries: list[tuple]) -> np.ndarray:
+    """E(|a><b|) over all matrix units, read off the Choi vectors Σ_a V|a>|a>."""
+    d = 2 ** p.input_qubits
+    dm = 2 ** p.message_qubits
+    choi = 0.0
+    for prob, (block, dims, keep) in zip(p.key_probs, isometries):
+        choi = choi + prob * reduced_from_vector(
+            block.reshape(-1), dims + [d], [len(dims)] + keep)
+    return choi.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)
 
 
 def alice_stage(p: ChannelProtocol, input_ket: Ket, key_index: int = 0) -> Ket:
     """Joint state right after the sender's operation (message not yet split off)."""
-    vec, dims = _alice_stage_vector(p, input_ket, key_index)
-    return Ket(SystemLayout(tuple(dims)), vec)
-
-
-def encode_per_key(p: ChannelProtocol, input_ket: Ket, key_index: int) -> DensityOp:
-    vec, dims = _alice_stage_vector(p, input_ket, key_index)
-    reduced = reduced_from_vector(vec, dims, list(p.message_subsystems))
-    return DensityOp(SystemLayout.qubits(p.message_qubits), reduced)
+    block, dims, _ = _stage(p, input_ket.amplitudes[:, None], key_index)
+    return Ket(SystemLayout(tuple(dims)), block[:, 0])
 
 
 def encode(p: ChannelProtocol, input_ket: Ket) -> DensityOp:
     """Message state seen on the wire, averaged over the key distribution."""
-    probs = p.key_probs
-    acc = np.zeros((2 ** p.message_qubits,) * 2, dtype=complex)
-    for k, prob in enumerate(probs):
-        vec, dims = _alice_stage_vector(p, input_ket, k)
-        acc += prob * reduced_from_vector(vec, dims, list(p.message_subsystems))
+    column = input_ket.amplitudes[:, None]
+    acc = 0.0
+    for k, prob in enumerate(p.key_probs):
+        acc = acc + prob * reduced_from_vector(*_stage(p, column, k))[0]
     return DensityOp(SystemLayout.qubits(p.message_qubits), acc)
 
 
-def _decode_vector(p: ChannelProtocol, input_ket: Ket, key_index: int) -> tuple[np.ndarray, list[int], list[int]]:
-    vec, dims = _alice_stage_vector(p, input_ket, key_index)
-    vec = _zero_tail(vec, p.bob_ancillas)
-    dims = dims + [2] * p.bob_ancillas
-    res_start = p.input_qubits + p.alice_ancillas + p.resource.alice_qubits
-    b_res = p.resource.bob_qubits
-    bres_globals = [res_start + j for j in range(b_res)]
-    banc_globals = [len(dims) - p.bob_ancillas + j for j in range(p.bob_ancillas)]
-    targets = list(p.message_subsystems) + banc_globals + bres_globals
-    vec = apply_gate(vec, dims, p.bob_ops[key_index].matrix, targets)
-    out_globals = []
-    m = p.message_qubits
-    for o in p.output_subsystems:
-        if o < m:
-            out_globals.append(p.message_subsystems[o])
-        elif o < m + p.bob_ancillas:
-            out_globals.append(banc_globals[o - m])
-        else:
-            out_globals.append(bres_globals[o - m - p.bob_ancillas])
-    return vec, dims, out_globals
-
-
 def decode_per_key(p: ChannelProtocol, input_ket: Ket, key_index: int) -> DensityOp:
-    vec, dims, out_globals = _decode_vector(p, input_ket, key_index)
-    reduced = reduced_from_vector(vec, dims, out_globals)
-    return DensityOp(SystemLayout.qubits(len(out_globals)), reduced)
+    reduced = reduced_from_vector(
+        *_stage(p, input_ket.amplitudes[:, None], key_index, receiver=True))[0]
+    return DensityOp(SystemLayout.qubits(len(p.output_subsystems)), reduced)
 
 
 def decode(p: ChannelProtocol, input_ket: Ket) -> DensityOp:
@@ -388,71 +416,16 @@ def message_distribution(p: ChannelProtocol, input_ket: Ket) -> ProbabilityDist:
 # the channel as a linear map (for cross-term and factorization checks)
 
 
-def encode_cross_term(p: ChannelProtocol, i: int, j: int) -> np.ndarray:
-    """E(|i><j|) for basis states i != j, recovered by linear extension from
-    the encodings of four pure probes."""
-    if i == j:
-        raise ValueError("cross terms need two distinct basis states")
-    layout = SystemLayout.qubits(p.input_qubits)
-    d = layout.dim
-    e_i = encode(p, Ket.basis(layout, i)).matrix
-    e_j = encode(p, Ket.basis(layout, j)).matrix
-    v = np.zeros(d, dtype=complex)
-    v[i] = 1.0
-    v[j] = 1.0
-    e_plus = encode(p, Ket(layout, v / math.sqrt(2))).matrix
-    v = np.zeros(d, dtype=complex)
-    v[i] = 1.0
-    v[j] = 1.0j
-    e_phase = encode(p, Ket(layout, v / math.sqrt(2))).matrix
-    return e_plus + 1.0j * e_phase - (1.0 + 1.0j) / 2.0 * (e_i + e_j)
-
-
 def channel_on_units(p: ChannelProtocol) -> np.ndarray:
     """Table E(|a><b|) over all matrix units of the input space."""
-    d = 2 ** p.input_qubits
-    dm = 2 ** p.message_qubits
-    layout = SystemLayout.qubits(p.input_qubits)
-    units = np.zeros((d, d, dm, dm), dtype=complex)
-    for a in range(d):
-        units[a, a] = encode(p, Ket.basis(layout, a)).matrix
-    for a in range(d):
-        for b in range(a + 1, d):
-            cross = encode_cross_term(p, a, b)
-            units[a, b] = cross
-            units[b, a] = cross.conj().T
-    return units
+    return _channel_table(p, _isometries(p))
 
 
-def apply_encoder_to_second_factor(p: ChannelProtocol, sigma: DensityOp,
-                                   units: np.ndarray | None = None) -> np.ndarray:
-    """(I ⊗ E) sigma for a bipartite sigma whose second factor feeds the encoder."""
-    d_in = 2 ** p.input_qubits
-    d_ref = sigma.dim // d_in
-    if d_ref * d_in != sigma.dim:
-        raise ValueError("state dimension is not reference x input")
-    if units is None:
-        units = channel_on_units(p)
-    dm = units.shape[-1]
-    blocks = sigma.matrix.reshape(d_ref, d_in, d_ref, d_in)
-    out = np.zeros((d_ref, dm, d_ref, dm), dtype=complex)
-    for c in range(d_ref):
-        for e in range(d_ref):
-            out[c, :, e, :] = np.einsum("ab,abxy->xy", blocks[c, :, e, :], units)
-    return out.reshape(d_ref * dm, d_ref * dm)
-
-
-# ---------------------------------------------------------------------------
-# verification
-
-
-def classical_message_deviation(p: ChannelProtocol, ensemble: InputEnsemble) -> float:
-    """Largest off-diagonal magnitude over all per-input message states."""
-    worst = 0.0
-    for probe in ensemble.probes():
-        rho = encode(p, probe)
-        worst = max(worst, classicality_deviation(rho, range(p.message_qubits)))
-    return worst
+def encode_cross_term(p: ChannelProtocol, i: int, j: int) -> np.ndarray:
+    """E(|i><j|) for basis states i != j."""
+    if i == j:
+        raise ValueError("cross terms need two distinct basis states")
+    return channel_on_units(p)[i, j]
 
 
 def factorization_deviation(p: ChannelProtocol, samples: int = 20, seed: int = 0,
@@ -461,16 +434,16 @@ def factorization_deviation(p: ChannelProtocol, samples: int = 20, seed: int = 0
     bipartite inputs; zero for any input-independent encoder."""
     if units is None:
         units = channel_on_units(p)
-    d_in = 2 ** p.input_qubits
+    d_in, dm = units.shape[0], units.shape[-1]
     rng = np.random.default_rng(seed)
     layout = SystemLayout((d_in, d_in))
-    ref = encode(p, Ket.basis(SystemLayout.qubits(p.input_qubits), 0)).matrix
     worst = 0.0
     for _ in range(samples):
-        sigma = qmath.random_density(layout, rng)
-        mapped = apply_encoder_to_second_factor(p, sigma, units)
-        reduced = qmath.reduced_matrix(sigma.matrix, list(layout.dims), [0])
-        worst = max(worst, trace_distance(mapped, np.kron(reduced, ref)))
+        sigma = qmath.random_density(layout, rng).matrix.reshape(d_in, d_in, d_in, d_in)
+        mapped = np.einsum("caeb,abxy->cxey", sigma, units, optimize=True)
+        reduced = np.einsum("caea->ce", sigma)
+        worst = max(worst, trace_distance(mapped.reshape(d_in * dm, d_in * dm),
+                                          np.kron(reduced, units[0, 0])))
     return worst
 
 
@@ -478,32 +451,31 @@ def max_cross_term_magnitude(p: ChannelProtocol, units: np.ndarray | None = None
     """Largest |entry| of E(|i><j|) over all orthogonal basis pairs."""
     if units is None:
         units = channel_on_units(p)
-    d = units.shape[0]
-    worst = 0.0
-    for a in range(d):
-        for b in range(a + 1, d):
-            worst = max(worst, max_abs(units[a, b]))
-    return worst
+    return max_abs(units[np.triu_indices(units.shape[0], 1)])
+
+
+# ---------------------------------------------------------------------------
+# verification
 
 
 def security_deviations(p: ChannelProtocol, ensemble: InputEnsemble,
                         factorization_samples: int = 20) -> dict[str, float]:
     """All components of the security check, keyed by name."""
-    layout = SystemLayout.qubits(p.input_qubits)
-    ref = encode(p, Ket.basis(layout, 0))
+    isometries = _isometries(p)
+    ref = _message_states(p, isometries, np.eye(2 ** p.input_qubits, 1))[0]
+    offdiag = ~np.eye(2 ** p.message_qubits, dtype=bool)
     state_dev = 0.0
     classical_dev = 0.0
-    for probe in ensemble.probes():
-        rho = encode(p, probe)
-        state_dev = max(state_dev, trace_distance(rho, ref))
+    for probes in ensemble.blocks():
+        rhos = _message_states(p, isometries, probes)
+        state_dev = max(state_dev, float(trace_distance(rhos, ref).max()))
         if p.message_kind == INPUT_CLASSICAL:
-            classical_dev = max(classical_dev,
-                                classicality_deviation(rho, range(p.message_qubits)))
+            classical_dev = max(classical_dev, max_abs(rhos[:, offdiag]))
     parts = {"state": state_dev}
     if p.message_kind == INPUT_CLASSICAL:
         parts["classical_offdiag"] = classical_dev
     if ensemble.kind == "quantum_full":
-        units = channel_on_units(p)
+        units = _channel_table(p, isometries)
         parts["cross_term"] = max_cross_term_magnitude(p, units)
         parts["factorization"] = factorization_deviation(
             p, factorization_samples, ensemble.seed + 1, units)
@@ -517,12 +489,13 @@ def verify_security(p: ChannelProtocol, ensemble: InputEnsemble) -> float:
 
 def verify_correctness(p: ChannelProtocol, ensemble: InputEnsemble) -> float:
     """Worst per-key trace distance between the decoded output and the input."""
+    isometries = _isometries(p, receiver=True)
     worst = 0.0
-    for probe in ensemble.probes():
-        target = probe.density().matrix
-        for k in range(p.key_count):
-            out = decode_per_key(p, probe, k)
-            worst = max(worst, trace_distance(out.matrix, target))
+    for probes in ensemble.blocks():
+        targets = np.einsum("aj,bj->jab", probes, probes.conj())
+        for block, dims, keep in isometries:
+            outs = reduced_from_vector(block @ probes, dims, keep)
+            worst = max(worst, float(trace_distance(outs, targets).max()))
     return worst
 
 
@@ -693,6 +666,9 @@ def build_epr_keyed_otp(n: int) -> ChannelProtocol:
 
 def build_identity_protocol(n: int = 1) -> ChannelProtocol:
     """Negative fixture: send the input in the clear (correct, insecure)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    _check_desk_scale(2 ** (2 * n), "identity-leaky")
     eye = UnitaryOp(np.eye(2 ** n, dtype=complex))
     wires = tuple(range(n))
     return ChannelProtocol(

@@ -46,14 +46,6 @@ def max_abs(m) -> float:
     return 0.0 if m.size == 0 else float(np.max(np.abs(m)))
 
 
-def mat_close(a, b, tol: float = ALGEBRA_TOL) -> bool:
-    """Max-abs-entry comparison of two equally shaped arrays."""
-    a, b = as_complex(a), as_complex(b)
-    if a.shape != b.shape:
-        return False
-    return max_abs(a - b) <= tol
-
-
 @dataclass(frozen=True)
 class SystemLayout:
     """Ordered list of subsystem dimensions; index 0 is the outermost factor."""
@@ -264,15 +256,17 @@ def reduced_matrix(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int])
 
 
 def reduced_from_vector(vec: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Reduced density matrix of a pure state, keeping subsystems in the order given."""
+    """Reduced density matrix of a pure state, keeping subsystems in the order
+    given; for a matrix of column vectors, the stack of every column's."""
     dims = list(dims)
     n = len(dims)
     keep = list(keep)
     rest = [i for i in range(n) if i not in keep]
-    t = vec.reshape(dims).transpose(keep + rest)
+    cols = list(vec.shape[1:])
+    t = vec.reshape(dims + cols).transpose([n] * len(cols) + keep + rest)
     dk = int(np.prod([dims[i] for i in keep]))
-    m = t.reshape(dk, -1)
-    return m @ m.conj().T
+    m = t.reshape(cols + [dk, -1])
+    return m @ m.conj().swapaxes(-1, -2)
 
 
 def partial_trace(state: DensityOp, keep: Iterable[int]) -> DensityOp:
@@ -450,13 +444,18 @@ def pauli_string(symbols: str) -> UnitaryOp:
     return UnitaryOp(out)
 
 
-def trace_distance(a, b) -> float:
-    """(1/2) Σ |eigenvalues of a - b|; accepts DensityOp or raw matrices."""
+def trace_distance(a, b) -> float | np.ndarray:
+    """(1/2) Σ |eigenvalues of a - b|; accepts DensityOp or raw matrices.
+
+    Stacks of matrices broadcast against each other and give one distance
+    per stacked pair, from a single batched eigensolve.
+    """
     am = a.matrix if isinstance(a, DensityOp) else as_complex(a)
     bm = b.matrix if isinstance(b, DensityOp) else as_complex(b)
-    if am.shape != bm.shape:
+    if am.shape[-2:] != bm.shape[-2:]:
         raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(am - bm))))
+    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(am - bm)), axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def ray_deviation(a: Ket, b: Ket) -> float:

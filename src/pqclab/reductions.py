@@ -34,6 +34,7 @@ from .qmath import (
 )
 from .protocols import (
     CNOT,
+    DESK_SCALE_LIMIT,
     HADAMARD,
     INPUT_CLASSICAL,
     INPUT_QUANTUM,
@@ -449,7 +450,7 @@ def teleportation_rsp(n: int) -> ObliviousRsp:
     on input ⊗ sender halves, Pauli corrections, uniform message statistics."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if 2 ** (3 * n) > 4096:
+    if 2 ** (3 * n) > DESK_SCALE_LIMIT:
         raise ValueError("teleportation RSP beyond desk scale")
     labels = ["".join(t) for t in itertools.product("0123", repeat=n)]
     measurements = []

@@ -142,3 +142,10 @@ def test_config_echo_and_flags(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["config"] == {"seed": 3, "algebra_tol": 1e-8, "entropy_tol": 1e-6,
                                 "random_probes": 7, "samples": 10}
+
+
+@pytest.mark.parametrize("n", ["-1", "0", "13"])
+def test_verify_identity_leaky_bad_size_refused(n, capsys):
+    code = main(["verify", "identity-leaky", "--n", n])
+    assert code == 2
+    assert capsys.readouterr().out == ""

@@ -1,0 +1,189 @@
+"""The isometry-block checks against a per-probe, per-key reference loop.
+
+``security_deviations`` and ``verify_correctness`` read every probe, matrix
+unit and factorization sample from one simulation per key.  The reference
+here re-simulates the protocol for each probe and key through ``encode`` and
+``decode_per_key``, and rebuilds the matrix-unit table by polarization.
+"""
+
+import itertools
+import math
+import tracemalloc
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pqclab.entropy import ProbabilityDist, classicality_deviation
+from pqclab.protocols import (
+    INPUT_CLASSICAL,
+    INPUT_QUANTUM,
+    PROBE_CHUNK,
+    ChannelProtocol,
+    InputEnsemble,
+    SharedResource,
+    build_named,
+    build_quantum_otp,
+    canonical_ensemble,
+    decode_per_key,
+    encode,
+    security_deviations,
+    verify_correctness,
+)
+from pqclab.qmath import (
+    Ket,
+    SystemLayout,
+    max_abs,
+    partial_trace,
+    pauli_string,
+    random_density,
+    trace_distance,
+)
+
+TOL = 1e-12
+
+BUILDERS = [
+    ("classical-otp", 2),
+    ("quantum-otp", 1),
+    ("quantum-otp", 2),
+    ("superdense", 2),
+    ("teleportation", 1),
+    ("epr-otp", 2),
+    ("identity-leaky", 2),
+    ("broken-otp", 1),
+    ("broken-teleportation", 1),
+]
+# more random probes than two chunks hold
+LONG = 2 * PROBE_CHUNK + 3
+
+
+def reference_units(p):
+    """E(|a><b|) by polarization from the encodings of four pure probes."""
+    layout = SystemLayout.qubits(p.input_qubits)
+    d = layout.dim
+    basis = np.eye(d, dtype=complex)
+
+    def enc(v):
+        return encode(p, Ket(layout, v)).matrix
+
+    dm = 2 ** p.message_qubits
+    units = np.zeros((d, d, dm, dm), dtype=complex)
+    for a in range(d):
+        units[a, a] = enc(basis[a])
+    for a, b in itertools.permutations(range(d), 2):
+        plus = enc((basis[a] + basis[b]) / math.sqrt(2))
+        phase = enc((basis[a] + 1j * basis[b]) / math.sqrt(2))
+        units[a, b] = plus + 1j * phase - (1 + 1j) / 2 * (units[a, a] + units[b, b])
+    return units
+
+
+def reference_factorization(units, samples, seed):
+    d, dm = units.shape[0], units.shape[-1]
+    rng = np.random.default_rng(seed)
+    layout = SystemLayout((d, d))
+    worst = 0.0
+    for _ in range(samples):
+        sigma = random_density(layout, rng)
+        blocks = sigma.matrix.reshape(d, d, d, d)
+        mapped = np.zeros((d, dm, d, dm), dtype=complex)
+        for c in range(d):
+            for e in range(d):
+                mapped[c, :, e, :] = np.einsum("ab,abxy->xy", blocks[c, :, e, :], units)
+        product = np.kron(partial_trace(sigma, [0]).matrix, units[0, 0])
+        worst = max(worst, trace_distance(mapped.reshape(d * dm, d * dm), product))
+    return worst
+
+
+def reference_security(p, ensemble, factorization_samples=20):
+    ref = encode(p, Ket.basis(SystemLayout.qubits(p.input_qubits), 0))
+    states = [encode(p, probe) for probe in ensemble.probes()]
+    parts = {"state": max(trace_distance(rho, ref) for rho in states)}
+    if p.message_kind == INPUT_CLASSICAL:
+        parts["classical_offdiag"] = max(
+            classicality_deviation(rho, range(p.message_qubits)) for rho in states)
+    if ensemble.kind == "quantum_full":
+        units = reference_units(p)
+        d = units.shape[0]
+        parts["cross_term"] = max(max_abs(units[a, b])
+                                  for a in range(d) for b in range(a + 1, d))
+        parts["factorization"] = reference_factorization(
+            units, factorization_samples, ensemble.seed + 1)
+    return parts
+
+
+def reference_correctness(p, ensemble):
+    return max(trace_distance(decode_per_key(p, probe, k).matrix, probe.density().matrix)
+               for probe in ensemble.probes() for k in range(p.key_count))
+
+
+def assert_matches_reference(p, ensemble):
+    parts = security_deviations(p, ensemble)
+    expected = reference_security(p, ensemble)
+    assert parts.keys() == expected.keys()
+    for name, value in expected.items():
+        assert abs(parts[name] - value) <= TOL, (name, parts[name], value)
+    assert abs(verify_correctness(p, ensemble) - reference_correctness(p, ensemble)) <= TOL
+
+
+@st.composite
+def pauli_keyed(draw):
+    """Keyed Pauli encoder on a random key subset with random probabilities;
+    the receiver's Paulis are either the sender's or drawn independently."""
+    n = draw(st.integers(1, 2))
+    strings = ["".join(t) for t in itertools.product("0123", repeat=n)]
+    keys = draw(st.lists(st.sampled_from(strings), min_size=1, max_size=len(strings),
+                         unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(keys), max_size=len(keys)))
+    undo = draw(st.one_of(st.just(keys), st.lists(st.sampled_from(strings),
+                                                  min_size=len(keys), max_size=len(keys))))
+    kinds = st.sampled_from((INPUT_QUANTUM, INPUT_CLASSICAL))
+    wires = tuple(range(n))
+    return ChannelProtocol(
+        name="pauli-subset", input_kind=draw(kinds), input_qubits=n,
+        message_kind=draw(kinds),
+        resource=SharedResource.classical_key(
+            ProbabilityDist(tuple(keys), np.array(weights) / sum(weights))),
+        alice_ancillas=0, bob_ancillas=0,
+        alice_ops=tuple(pauli_string(k) for k in keys),
+        bob_ops=tuple(pauli_string(k) for k in undo),
+        message_subsystems=wires, output_subsystems=wires)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(BUILDERS), st.integers(0, 12), st.integers(0, 2 ** 16))
+@example(("quantum-otp", 1), LONG, 0)
+@example(("broken-otp", 1), LONG, 1)
+@example(("broken-teleportation", 1), LONG, 2)
+def test_builders_match_reference(builder, random_probes, seed):
+    p = build_named(*builder)
+    assert_matches_reference(p, canonical_ensemble(p, random_probes, seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(pauli_keyed(), st.integers(0, 12), st.integers(0, 2 ** 16))
+def test_pauli_keyed_encoders_match_reference(p, random_probes, seed):
+    assert_matches_reference(p, canonical_ensemble(p, random_probes, seed))
+
+
+def test_classical_message_ensembles_match_reference():
+    # a classical message over a long ensemble, and a classical-input
+    # protocol probed with superpositions (its canonical ensemble is the basis)
+    assert_matches_reference(build_named("teleportation", 1),
+                             InputEnsemble.quantum_full(1, LONG, 4))
+    assert_matches_reference(build_named("epr-otp", 1), InputEnsemble.quantum_full(1, 5, 4))
+
+
+def _peak_bytes(random_probes):
+    p = build_quantum_otp(1)
+    ensemble = InputEnsemble.quantum_full(1, random_probes, seed=0)
+    tracemalloc.start()
+    try:
+        security_deviations(p, ensemble)
+        verify_correctness(p, ensemble)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_flat_in_probe_count():
+    assert _peak_bytes(20_000) <= 2 * _peak_bytes(1_000)
