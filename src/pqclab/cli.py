@@ -42,8 +42,8 @@ from .qmath import (
     ENTROPY_TOL,
     DensityOp,
     SystemLayout,
-    partial_trace,
     random_density,
+    reduced_matrix,
 )
 
 REPORT_SCHEMA = 1
@@ -62,8 +62,8 @@ class RunConfig:
     samples: int = 500
 
     def __post_init__(self):
-        if self.algebra_tol <= 0 or self.entropy_tol <= 0:
-            raise UsageError("tolerances must be positive")
+        if not all(0 < tol < math.inf for tol in (self.algebra_tol, self.entropy_tol)):
+            raise UsageError("tolerances must be positive and finite")
         if self.random_probes < 0 or self.samples < 0:
             raise UsageError("counts must be nonnegative")
         if self.seed < 0:
@@ -94,7 +94,9 @@ def _load(name_or_path: str, n: int) -> ChannelProtocol:
             raise UsageError(
                 f"{name_or_path!r} is neither a known protocol name nor a file; "
                 f"known names: {sorted(PROTOCOL_BUILDERS)}") from exc
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        except OSError as exc:
+            raise UsageError(f"cannot read protocol file {name_or_path!r}: {exc}") from exc
+        except (ValueError, KeyError, TypeError) as exc:
             raise UsageError(f"malformed protocol file {name_or_path!r}: {exc}") from exc
     try:
         require_desk_scale(protocol)
@@ -201,8 +203,8 @@ def cmd_inequalities(args) -> tuple[dict, int]:
     cross_dev = 0.0
     for _ in range(cross_samples):
         rho = random_density(pair_layout, rng)
-        product = np.kron(partial_trace(rho, [0]).matrix,
-                          partial_trace(rho, [1]).matrix)
+        product = np.kron(reduced_matrix(rho.matrix, pair_layout.dims, [0]),
+                          reduced_matrix(rho.matrix, pair_layout.dims, [1]))
         mi = mutual_information(rho, (0,), (1,))
         re_val = relative_entropy(rho, DensityOp(pair_layout, product))
         cross_dev = max(cross_dev, abs(mi - re_val))

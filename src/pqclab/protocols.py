@@ -436,10 +436,9 @@ def factorization_deviation(p: ChannelProtocol, samples: int = 20, seed: int = 0
         units = channel_on_units(p)
     d_in, dm = units.shape[0], units.shape[-1]
     rng = np.random.default_rng(seed)
-    layout = SystemLayout((d_in, d_in))
     worst = 0.0
     for _ in range(samples):
-        sigma = qmath.random_density(layout, rng).matrix.reshape(d_in, d_in, d_in, d_in)
+        sigma = qmath.random_density_matrix(d_in * d_in, rng).reshape(d_in, d_in, d_in, d_in)
         mapped = np.einsum("caeb,abxy->cxey", sigma, units, optimize=True)
         reduced = np.einsum("caea->ce", sigma)
         worst = max(worst, trace_distance(mapped.reshape(d_in * dm, d_in * dm),
@@ -756,7 +755,7 @@ def protocol_to_dict(p: ChannelProtocol) -> dict:
 
 
 def protocol_from_dict(data: dict) -> ChannelProtocol:
-    if data.get("format") != "pqclab-protocol":
+    if not isinstance(data, dict) or data.get("format") != "pqclab-protocol":
         raise ValueError("not a protocol descriptor")
     res = data["resource"]
     kind = res["kind"]

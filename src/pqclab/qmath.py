@@ -162,13 +162,6 @@ class DensityOp:
     def dim(self) -> int:
         return self.layout.dim
 
-    def eigenvalues(self) -> np.ndarray:
-        """Real spectrum in descending order."""
-        return np.linalg.eigvalsh(self.matrix)[::-1]
-
-    def reduce(self, keep: Iterable[int]) -> "DensityOp":
-        return partial_trace(self, keep)
-
 
 @dataclass(frozen=True, eq=False)
 class UnitaryOp:
@@ -479,16 +472,21 @@ def haar_ket(layout: SystemLayout, rng: np.random.Generator) -> Ket:
     return Ket(layout, v / np.linalg.norm(v))
 
 
+def random_density_matrix(dim: int, rng: np.random.Generator,
+                          rank: int | None = None) -> np.ndarray:
+    """Random mixed-state matrix: partial trace of a Haar pure state on a doubled system."""
+    r = dim if rank is None else int(rank)
+    if not 1 <= r <= dim:
+        raise ValueError(f"rank must be in [1, {dim}]")
+    v = rng.standard_normal(dim * r) + 1j * rng.standard_normal(dim * r)
+    m = (v / np.linalg.norm(v)).reshape(dim, r)
+    return m @ m.conj().T
+
+
 def random_density(layout: SystemLayout, rng: np.random.Generator,
                    rank: int | None = None) -> DensityOp:
-    """Random mixed state: partial trace of a Haar pure state on a doubled system."""
-    d = layout.dim
-    r = d if rank is None else int(rank)
-    if not 1 <= r <= d:
-        raise ValueError(f"rank must be in [1, {d}]")
-    v = rng.standard_normal(d * r) + 1j * rng.standard_normal(d * r)
-    m = (v / np.linalg.norm(v)).reshape(d, r)
-    return DensityOp(layout, m @ m.conj().T)
+    """:func:`random_density_matrix` on the layout, as a validated state."""
+    return DensityOp(layout, random_density_matrix(layout.dim, rng, rank))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryOp:
@@ -500,13 +498,12 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryOp:
 def matrix_to_json(m: np.ndarray) -> list:
     """Nested lists of [re, im] pairs (debug serialization for reports)."""
     m = as_complex(m)
-    if m.ndim == 1:
-        return [[float(x.real), float(x.imag)] for x in m]
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def matrix_from_json(data: list) -> np.ndarray:
+    """Inverse of :func:`matrix_to_json` for a vector or a matrix."""
     arr = np.asarray(data, dtype=float)
-    if arr.ndim == 2:  # vector
-        return arr[:, 0] + 1j * arr[:, 1]
-    return arr[:, :, 0] + 1j * arr[:, :, 1]
+    if arr.ndim not in (2, 3) or arr.shape[-1] != 2:
+        raise ValueError(f"expected a vector or matrix of [re, im] pairs, got shape {arr.shape}")
+    return arr[..., 0] + 1j * arr[..., 1]

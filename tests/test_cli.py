@@ -149,3 +149,50 @@ def test_verify_identity_leaky_bad_size_refused(n, capsys):
     code = main(["verify", "identity-leaky", "--n", n])
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+def _descriptor(tmp_path, edit):
+    path = tmp_path / "qotp.json"
+    save_protocol(build_quantum_otp(1), str(path))
+    data = json.loads(path.read_text())
+    path.write_text(json.dumps(edit(data)))
+    return path
+
+
+def _set(key, value):
+    return lambda data: {**data, key: value}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: [],
+    _set("input_qubits", None),
+    _set("resource", 5),
+    lambda data: {**data, "alice_ops": [
+        [x for row in op for pair in row for x in pair] for op in data["alice_ops"]]},
+], ids=["list", "null-input-qubits", "int-resource", "flat-op"])
+def test_verify_malformed_descriptor_refused(tmp_path, capsys, edit):
+    code = main(["verify", str(_descriptor(tmp_path, edit))])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+def test_verify_directory_refused(tmp_path, capsys):
+    code = main(["verify", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "broken-otp"], ["verify", "quantum-otp"], ["inequalities", "--samples", "5"]])
+@pytest.mark.parametrize("flag", ["--tol-algebra", "--tol-entropy"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_non_finite_tolerance_refused(argv, flag, value, capsys):
+    code = main([*argv, f"{flag}={value}"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "finite" in err

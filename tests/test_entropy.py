@@ -296,3 +296,106 @@ def test_report_serialization():
     data = report.to_dict()
     assert data["name"] == "subadditivity"
     assert data["slack"] == 0.25
+
+
+# ---------------------------------------------------------------------------
+# one entropy per subsystem set, read from the validated state
+
+
+def _reference_entropy(rho, *groups):
+    group = tuple(i for g in groups for i in g)
+    return von_neumann(partial_trace(rho, group)) if group else 0.0
+
+
+def _reference_inequalities(rho, a, b, c=(), a_classical=False):
+    s = lambda *gs: _reference_entropy(rho, *gs)
+    other = b + c
+    ref = {"subadditivity": s(a) + s(other) - s(a, other),
+           "araki_lieb": s(a, other) - abs(s(a) - s(other))}
+    if c:
+        ref["strong_subadditivity"] = s(a, b) + s(a, c) - s(a, b, c) - s(a)
+        i_a_bc = s(a) + s(b, c) - s(a, b, c)
+        i_a_b = s(a) + s(b) - s(a, b)
+        i_ab_c = s(a, b) + s(c) - s(a, b, c)
+        i_b_c = s(b) + s(c) - s(b, c)
+        ref["chain_rule"] = abs(i_a_bc - i_a_b - i_ab_c + i_b_c)
+    if a_classical:
+        ref["classical_marginal"] = s(a, other) - max(s(a), s(other))
+    return ref
+
+
+def _reference_correlations(rho, a, b, x=(), ax_classical=False):
+    s = lambda *gs: _reference_entropy(rho, *gs)
+    cond_mi = s(a, x) + s(b, x) - s(a, b, x) - s(x)
+    cap = min(2 * s(a), 2 * s(b))
+    ref = {"cond_mutual_info_vs_marginals": cap - cond_mi,
+           "mutual_info_vs_marginals": cap - (s(a) + s(b) - s(a, b))}
+    if ax_classical:
+        ref["cond_mutual_info_vs_marginals_classical"] = min(s(a), s(b)) - cond_mi
+    return ref
+
+
+def _dephase(rho, group):
+    """Zero every entry that couples different basis states of ``group``."""
+    labels = np.indices(rho.layout.dims).reshape(len(rho.layout), -1)[list(group)].T
+    same = (labels[:, None, :] == labels[None, :, :]).all(axis=-1)
+    return DensityOp(rho.layout, np.where(same, rho.matrix, 0.0))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_checker_slacks_equal_per_term_reference(seed):
+    rho = random_density(Q3, np.random.default_rng(seed))
+    three = _slacks(check_entropy_inequalities(rho, {"A": (0,), "B": (1,), "C": (2,)}))
+    assert three == _reference_inequalities(rho, (0,), (1,), (2,))
+    two = _slacks(check_entropy_inequalities(rho, {"A": (2,), "B": (0, 1)}))
+    assert two == _reference_inequalities(rho, (2,), (0, 1))
+    corr = _slacks(check_correlation_bounds(rho, (0,), (1,), (2,)))
+    assert corr == _reference_correlations(rho, (0,), (1,), (2,))
+    no_x = _slacks(check_correlation_bounds(rho, (1,), (2,)))
+    assert no_x == _reference_correlations(rho, (1,), (2,))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_classical_branch_slacks_equal_per_term_reference(seed):
+    rho = random_density(Q3, np.random.default_rng(100 + seed))
+    cq = _dephase(rho, (0,))
+    got = _slacks(check_entropy_inequalities(cq, {"A": (0,), "B": (1,), "C": (2,)},
+                                             a_classical=True))
+    assert got == _reference_inequalities(cq, (0,), (1,), (2,), a_classical=True)
+    cqc = _dephase(rho, (0, 2))
+    got = _slacks(check_correlation_bounds(cqc, (0,), (1,), (2,), ax_classical=True))
+    assert got == _reference_correlations(cqc, (0,), (1,), (2,), ax_classical=True)
+
+
+def test_checkers_and_mutual_information_build_no_density_op(monkeypatch):
+    rng = np.random.default_rng(5)
+    rho = random_density(Q3, rng)
+    cq = _dephase(rho, (0, 2))
+    built = []
+    validate = DensityOp.__post_init__
+
+    def counting(self):
+        built.append(self.layout.dims)
+        validate(self)
+
+    monkeypatch.setattr(DensityOp, "__post_init__", counting)
+    check_entropy_inequalities(cq, {"A": (0,), "B": (1,), "C": (2,)}, a_classical=True)
+    check_entropy_inequalities(cq, {"A": (0,), "B": (1, 2)})
+    check_correlation_bounds(cq, (0,), (1,), (2,), ax_classical=True)
+    check_correlation_bounds(cq, (0,), (1,))
+    mutual_information(rho, (0,), (2,))
+    mutual_information(rho, (0, 1), (2,))
+    assert built == []
+
+
+def test_mutual_information_on_subset_matches_reduce_first():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        rho = random_density(SystemLayout.qubits(4), rng)
+        for a, b in (((0,), (2,)), ((3,), (1,)), ((0, 2), (3,))):
+            joint = tuple(sorted(a + b))
+            reduced = partial_trace(rho, joint)
+            remap = {old: new for new, old in enumerate(joint)}
+            expected = mutual_information(reduced, tuple(remap[i] for i in a),
+                                          tuple(remap[i] for i in b))
+            assert mutual_information(rho, a, b) == pytest.approx(expected, abs=1e-12)

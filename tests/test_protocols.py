@@ -5,6 +5,7 @@ import pytest
 
 from pqclab.entropy import check_correlation_bounds, shannon_entropy
 from pqclab.protocols import (
+    PROTOCOL_BUILDERS,
     InputEnsemble,
     ProbabilityDist,
     SharedResource,
@@ -336,3 +337,29 @@ def test_descriptor_round_trip(name, n, tmp_path):
 def test_malformed_descriptor_rejected():
     with pytest.raises(ValueError):
         protocol_from_dict({"format": "something-else"})
+
+
+def _smallest_protocol(builder):
+    for n in range(1, 5):
+        try:
+            return builder(n)
+        except ValueError:
+            continue
+    raise AssertionError(f"{builder.__name__} accepts no n in 1..4")
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_BUILDERS))
+def test_digest_matches_per_entry_serialization(name, monkeypatch):
+    import pqclab.protocols as protocols
+
+    p = _smallest_protocol(PROTOCOL_BUILDERS[name])
+    digest = protocol_digest(p)
+
+    def per_entry(m):
+        m = np.asarray(m, dtype=complex)
+        if m.ndim == 1:
+            return [[float(x.real), float(x.imag)] for x in m]
+        return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+    monkeypatch.setattr(protocols, "matrix_to_json", per_entry)
+    assert protocol_digest(p) == digest
