@@ -30,6 +30,7 @@ from .entropy import (
 )
 from .protocols import (
     ChannelProtocol,
+    GateList,
     InputEnsemble,
     ProtocolVerificationError,
     ResourceReport,

@@ -33,6 +33,7 @@ from .protocols import (
     load_protocol,
     protocol_digest,
     require_desk_scale,
+    require_lift_scale,
     resource_report,
     security_deviations,
     verify_correctness,
@@ -145,6 +146,11 @@ def cmd_verify(args) -> tuple[dict, int]:
 def cmd_audit(args) -> tuple[dict, int]:
     cfg = _config(args)
     protocol = _load(args.protocol, args.n)
+    if protocol.input_kind != INPUT_CLASSICAL:
+        try:
+            require_lift_scale(protocol)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     report = _base_report("audit", cfg)
     block, verified = _verification_block(protocol, cfg)
     report.update(block)

@@ -142,9 +142,67 @@ class ResourceReport:
 
 
 @dataclass(frozen=True, eq=False)
+class GateList:
+    """A unitary on ``qubits`` wires kept as its gates, the first listed acting
+    first; each gate acts on its listed wires in the given order.  A gate
+    given as a raw matrix is validated into a :class:`UnitaryOp`.
+
+    Simulation applies the gates one at a time, so the dense matrix exists
+    only when ``matrix`` is read.  A dense operator is the one-gate list on
+    every wire in order, whose ``matrix`` is that operator's own matrix.
+    """
+
+    qubits: int
+    gates: tuple[tuple[UnitaryOp, tuple[int, ...]], ...]
+
+    def __post_init__(self):
+        gates = tuple((g if isinstance(g, UnitaryOp) else UnitaryOp(g),
+                       tuple(int(t) for t in targets)) for g, targets in self.gates)
+        for g, targets in gates:
+            if (g.dim != 2 ** len(targets) or len(set(targets)) != len(targets)
+                    or any(not 0 <= t < self.qubits for t in targets)):
+                raise ValueError(f"gate of dimension {g.dim} does not fit wires {targets} "
+                                 f"of a {self.qubits}-qubit register")
+        object.__setattr__(self, "gates", gates)
+
+    @property
+    def dim(self) -> int:
+        return 2 ** self.qubits
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if len(self.gates) == 1 and self.gates[0][1] == tuple(range(self.qubits)):
+            return self.gates[0][0].matrix
+        return compose_circuit([2] * self.qubits, ((g.matrix, t) for g, t in self.gates))
+
+    def apply(self, block: np.ndarray, dims: Sequence[int], wires: Sequence[int],
+              start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Apply gates ``start:stop`` to a block whose wire ``wires[i]`` is
+        this register's wire i."""
+        for g, targets in self.gates[start:stop]:
+            block = apply_gate(block, dims, g.matrix, [wires[t] for t in targets])
+        return block
+
+
+def _shared_prefix(ops: Sequence[GateList]) -> int:
+    """How many leading gates (the same gate object on the same wires) every
+    operator in ``ops`` has in common."""
+    first = ops[0].gates
+    count = 0
+    for i, (g, targets) in enumerate(first):
+        if not all(len(op.gates) > i and op.gates[i][0] is g and op.gates[i][1] == targets
+                   for op in ops[1:]):
+            break
+        count += 1
+    return count
+
+
+@dataclass(frozen=True, eq=False)
 class ChannelProtocol:
     """One-way private channel: per-key (or global) unitaries for the sender
-    and receiver plus the wiring of message and output registers.
+    and receiver plus the wiring of message and output registers.  Each
+    unitary is a :class:`GateList`; a dense :class:`UnitaryOp` given in its
+    place becomes the one-gate list.
 
     Register conventions: the sender's unitaries act on
     input ⊗ ancilla ⊗ sender-resource-half, the receiver's on
@@ -160,8 +218,8 @@ class ChannelProtocol:
     resource: SharedResource
     alice_ancillas: int
     bob_ancillas: int
-    alice_ops: tuple[UnitaryOp, ...]
-    bob_ops: tuple[UnitaryOp, ...]
+    alice_ops: tuple[GateList, ...]
+    bob_ops: tuple[GateList, ...]
     message_subsystems: tuple[int, ...]
     output_subsystems: tuple[int, ...]
 
@@ -172,8 +230,6 @@ class ChannelProtocol:
             raise ValueError(f"bad message_kind {self.message_kind!r}")
         if self.input_qubits < 1 or self.alice_ancillas < 0 or self.bob_ancillas < 0:
             raise ValueError("bad register sizes")
-        object.__setattr__(self, "alice_ops", tuple(self.alice_ops))
-        object.__setattr__(self, "bob_ops", tuple(self.bob_ops))
         object.__setattr__(self, "message_subsystems", tuple(int(i) for i in self.message_subsystems))
         object.__setattr__(self, "output_subsystems", tuple(int(i) for i in self.output_subsystems))
 
@@ -183,19 +239,14 @@ class ChannelProtocol:
 
         alice_reg = self.input_qubits + self.alice_ancillas + self.resource.alice_qubits
         bob_reg = len(self.message_subsystems) + self.bob_ancillas + self.resource.bob_qubits
-        total = alice_reg + self.resource.bob_qubits + self.bob_ancillas
-        if self.message_kind == INPUT_CLASSICAL:
-            total += len(self.message_subsystems)  # dephasing environment
-        if 2 ** total > DESK_SCALE_LIMIT:
-            raise ValueError(
-                f"register of {total} qubits exceeds the supported total dimension "
-                f"{DESK_SCALE_LIMIT}")
-        for op in self.alice_ops:
-            if op.dim != 2 ** alice_reg:
-                raise ValueError("sender operation dimension does not match its register")
-        for op in self.bob_ops:
-            if op.dim != 2 ** bob_reg:
-                raise ValueError("receiver operation dimension does not match its register")
+        for attr, reg, who in (("alice_ops", alice_reg, "sender"),
+                               ("bob_ops", bob_reg, "receiver")):
+            ops = getattr(self, attr)
+            if any(op.dim != 2 ** reg for op in ops):
+                raise ValueError(f"{who} operation dimension does not match its register")
+            object.__setattr__(self, attr, tuple(
+                op if isinstance(op, GateList) else GateList(reg, ((op, range(reg)),))
+                for op in ops))
         if not self.message_subsystems:
             raise ValueError("protocol sends no message")
         if len(set(self.message_subsystems)) != len(self.message_subsystems):
@@ -291,10 +342,12 @@ def canonical_ensemble(protocol: ChannelProtocol, random_probes: int = 50,
 # ---------------------------------------------------------------------------
 # simulation engine
 #
-# Each check runs a key's stage once on the block of all input basis columns.
-# The result is an isometry block (global dim x input dim); a probe's global
-# state is that block times the probe's amplitudes, so every probe, matrix
-# unit and factorization sample is read from one simulation per key.
+# A check runs each key's stage on the block of all input basis columns, one
+# key at a time.  The result is that key's isometry block (global dim x input
+# dim); a probe's global state is the block times the probe's amplitudes.
+# Security keeps only the key average of the blocks' wire states, the channel
+# table; correctness checks each key's receiver block against every probe
+# before it moves on to the next key.
 
 
 def _zero_tail(block: np.ndarray, qubits: int) -> np.ndarray:
@@ -303,10 +356,26 @@ def _zero_tail(block: np.ndarray, qubits: int) -> np.ndarray:
     return np.kron(block, tail)
 
 
-def _stage(p: ChannelProtocol, inputs: np.ndarray, key_index: int,
-           receiver: bool = False) -> tuple[np.ndarray, list[int], list[int]]:
-    """Run key ``key_index``'s sender stage, then its receiver stage when
-    ``receiver`` is set, on every column of ``inputs`` (input dim x columns).
+def _sender_head(p: ChannelProtocol, inputs: np.ndarray, gates: int = 0) -> np.ndarray:
+    """Every column of ``inputs`` (input dim x columns) with the sender's
+    ancillas and the shared state attached, then the first ``gates`` gates of
+    the sender's operation applied (those every key shares)."""
+    if inputs.shape[0] != 2 ** p.input_qubits:
+        raise ValueError(
+            f"input dimension {inputs.shape[0]} does not match {p.input_qubits} qubits")
+    block = _zero_tail(inputs, p.alice_ancillas)
+    if p.resource.psi_ab is not None:
+        block = np.kron(block, p.resource.psi_ab.amplitudes[:, None])
+    a_reg = p.input_qubits + p.alice_ancillas + p.resource.alice_qubits
+    dims = [2] * (a_reg + p.resource.bob_qubits)
+    return p.alice_ops[0].apply(block, dims, range(a_reg), stop=gates)
+
+
+def _stage(p: ChannelProtocol, head: np.ndarray, key_index: int, receiver: bool = False,
+           start: int = 0) -> tuple[np.ndarray, list[int], list[int]]:
+    """Run key ``key_index``'s sender gates from gate ``start`` on, on a
+    block from :func:`_sender_head`, then its receiver stage when
+    ``receiver`` is set.
 
     Returns the global block (one column per input), its qubit dims, and the
     wires to keep: the message after the sender stage, the output after the
@@ -316,16 +385,10 @@ def _stage(p: ChannelProtocol, inputs: np.ndarray, key_index: int,
     records it, which is exactly the deferred measurement of those wires),
     then the receiver's ancillas.
     """
-    if inputs.shape[0] != 2 ** p.input_qubits:
-        raise ValueError(
-            f"input dimension {inputs.shape[0]} does not match {p.input_qubits} qubits")
-    block = _zero_tail(inputs, p.alice_ancillas)
-    if p.resource.psi_ab is not None:
-        block = np.kron(block, p.resource.psi_ab.amplitudes[:, None])
     a_reg = p.input_qubits + p.alice_ancillas + p.resource.alice_qubits
     total = a_reg + p.resource.bob_qubits
     dims = [2] * total
-    block = apply_gate(block, dims, p.alice_ops[key_index].matrix, list(range(a_reg)))
+    block = p.alice_ops[key_index].apply(head, dims, range(a_reg), start=start)
     if p.message_kind == INPUT_CLASSICAL:
         block = _zero_tail(block, p.message_qubits)
         dims = dims + [2] * p.message_qubits
@@ -339,54 +402,65 @@ def _stage(p: ChannelProtocol, inputs: np.ndarray, key_index: int,
     receiver_wires = (list(p.message_subsystems)
                       + list(range(len(dims) - p.bob_ancillas, len(dims)))
                       + list(range(a_reg, total)))
-    block = apply_gate(block, dims, p.bob_ops[key_index].matrix, receiver_wires)
+    block = p.bob_ops[key_index].apply(block, dims, receiver_wires)
     return block, dims, [receiver_wires[o] for o in p.output_subsystems]
 
 
-def _isometries(p: ChannelProtocol, receiver: bool = False) -> list[tuple]:
-    """Per key, the stage run on the input basis: (block, dims, keep)."""
-    basis = np.eye(2 ** p.input_qubits, dtype=complex)
-    return [_stage(p, basis, k, receiver) for k in range(p.key_count)]
+def _key_stages(p: ChannelProtocol, inputs: np.ndarray,
+                receiver: bool = False) -> Iterator[tuple[np.ndarray, list[int], list[int]]]:
+    """Key by key, :func:`_stage` on the columns of ``inputs``; the sender
+    gates that every key's operation starts with run once."""
+    shared = _shared_prefix(p.alice_ops)
+    head = _sender_head(p, inputs, shared)
+    for k in range(p.key_count):
+        yield _stage(p, head, k, receiver, shared)
 
 
-def _message_states(p: ChannelProtocol, isometries: list[tuple],
-                    inputs: np.ndarray) -> np.ndarray:
-    """Key-averaged wire state of every input column, stacked."""
-    acc = 0.0
-    for prob, (block, dims, keep) in zip(p.key_probs, isometries):
-        acc = acc + prob * reduced_from_vector(block @ inputs, dims, keep)
-    return acc
-
-
-def _channel_table(p: ChannelProtocol, isometries: list[tuple]) -> np.ndarray:
-    """E(|a><b|) over all matrix units, read off the Choi vectors Σ_a V|a>|a>."""
+def _channel_table(p: ChannelProtocol, diagonal: bool = False) -> np.ndarray:
+    """Key-averaged E(|a><b|) over all matrix units, indexed [a, b, x, y], read
+    off the Choi vectors Σ_a V|a>|a>; with ``diagonal`` only E(|a><a|),
+    indexed [a, x, y], read off the columns V|a>."""
     d = 2 ** p.input_qubits
     dm = 2 ** p.message_qubits
-    choi = 0.0
-    for prob, (block, dims, keep) in zip(p.key_probs, isometries):
-        choi = choi + prob * reduced_from_vector(
-            block.reshape(-1), dims + [d], [len(dims)] + keep)
-    return choi.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)
+    acc = 0.0
+    for prob, (block, dims, keep) in zip(p.key_probs,
+                                         _key_stages(p, np.eye(d, dtype=complex))):
+        if diagonal:
+            acc = acc + prob * reduced_from_vector(block, dims, keep)
+        else:
+            acc = acc + prob * reduced_from_vector(
+                block.reshape(-1), dims + [d], [len(dims)] + keep)
+    return acc if diagonal else acc.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)
+
+
+def _wire_states(table: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Key-averaged wire state of every probe column, stacked, from the
+    channel table; a diagonal table serves computational-basis probes."""
+    if table.ndim == 3:
+        weights = np.abs(probes.T) ** 2
+    else:
+        weights = np.einsum("aj,bj->jab", probes, probes.conj())
+    dm = table.shape[-1]
+    return (weights.reshape(len(weights), -1) @ table.reshape(-1, dm * dm)).reshape(-1, dm, dm)
 
 
 def alice_stage(p: ChannelProtocol, input_ket: Ket, key_index: int = 0) -> Ket:
     """Joint state right after the sender's operation (message not yet split off)."""
-    block, dims, _ = _stage(p, input_ket.amplitudes[:, None], key_index)
+    block, dims, _ = _stage(p, _sender_head(p, input_ket.amplitudes[:, None]), key_index)
     return Ket(SystemLayout(tuple(dims)), block[:, 0])
 
 
 def encode(p: ChannelProtocol, input_ket: Ket) -> DensityOp:
     """Message state seen on the wire, averaged over the key distribution."""
-    column = input_ket.amplitudes[:, None]
     acc = 0.0
-    for k, prob in enumerate(p.key_probs):
-        acc = acc + prob * reduced_from_vector(*_stage(p, column, k))[0]
+    for prob, stage in zip(p.key_probs, _key_stages(p, input_ket.amplitudes[:, None])):
+        acc = acc + prob * reduced_from_vector(*stage)[0]
     return DensityOp(SystemLayout.qubits(p.message_qubits), acc)
 
 
 def decode_per_key(p: ChannelProtocol, input_ket: Ket, key_index: int) -> DensityOp:
-    reduced = reduced_from_vector(
-        *_stage(p, input_ket.amplitudes[:, None], key_index, receiver=True))[0]
+    head = _sender_head(p, input_ket.amplitudes[:, None])
+    reduced = reduced_from_vector(*_stage(p, head, key_index, receiver=True))[0]
     return DensityOp(SystemLayout.qubits(len(p.output_subsystems)), reduced)
 
 
@@ -418,7 +492,7 @@ def message_distribution(p: ChannelProtocol, input_ket: Ket) -> ProbabilityDist:
 
 def channel_on_units(p: ChannelProtocol) -> np.ndarray:
     """Table E(|a><b|) over all matrix units of the input space."""
-    return _channel_table(p, _isometries(p))
+    return _channel_table(p)
 
 
 def encode_cross_term(p: ChannelProtocol, i: int, j: int) -> np.ndarray:
@@ -460,24 +534,24 @@ def max_cross_term_magnitude(p: ChannelProtocol, units: np.ndarray | None = None
 def security_deviations(p: ChannelProtocol, ensemble: InputEnsemble,
                         factorization_samples: int = 20) -> dict[str, float]:
     """All components of the security check, keyed by name."""
-    isometries = _isometries(p)
-    ref = _message_states(p, isometries, np.eye(2 ** p.input_qubits, 1))[0]
+    basis = ensemble.kind == "classical_basis"
+    table = _channel_table(p, diagonal=basis)
+    ref = table[0] if basis else table[0, 0]
     offdiag = ~np.eye(2 ** p.message_qubits, dtype=bool)
     state_dev = 0.0
     classical_dev = 0.0
     for probes in ensemble.blocks():
-        rhos = _message_states(p, isometries, probes)
+        rhos = _wire_states(table, probes)
         state_dev = max(state_dev, float(trace_distance(rhos, ref).max()))
         if p.message_kind == INPUT_CLASSICAL:
             classical_dev = max(classical_dev, max_abs(rhos[:, offdiag]))
     parts = {"state": state_dev}
     if p.message_kind == INPUT_CLASSICAL:
         parts["classical_offdiag"] = classical_dev
-    if ensemble.kind == "quantum_full":
-        units = _channel_table(p, isometries)
-        parts["cross_term"] = max_cross_term_magnitude(p, units)
+    if not basis:
+        parts["cross_term"] = max_cross_term_magnitude(p, table)
         parts["factorization"] = factorization_deviation(
-            p, factorization_samples, ensemble.seed + 1, units)
+            p, factorization_samples, ensemble.seed + 1, table)
     return parts
 
 
@@ -488,12 +562,14 @@ def verify_security(p: ChannelProtocol, ensemble: InputEnsemble) -> float:
 
 def verify_correctness(p: ChannelProtocol, ensemble: InputEnsemble) -> float:
     """Worst per-key trace distance between the decoded output and the input."""
-    isometries = _isometries(p, receiver=True)
+    basis = np.eye(2 ** p.input_qubits, dtype=complex)
     worst = 0.0
     for probes in ensemble.blocks():
         targets = np.einsum("aj,bj->jab", probes, probes.conj())
-        for block, dims, keep in isometries:
-            outs = reduced_from_vector(block @ probes, dims, keep)
+        # a chunk no wider than the basis is cheaper to simulate directly
+        direct = probes.shape[1] <= len(basis)
+        for block, dims, keep in _key_stages(p, probes if direct else basis, receiver=True):
+            outs = reduced_from_vector(block if direct else block @ probes, dims, keep)
             worst = max(worst, float(trace_distance(outs, targets).max()))
     return worst
 
@@ -526,13 +602,33 @@ def _check_desk_scale(sim_dim: int, context: str):
             f"{context}: total simulation dimension {sim_dim} exceeds {DESK_SCALE_LIMIT}")
 
 
-def require_desk_scale(p: ChannelProtocol):
-    """Reject protocols whose dilated simulation load is beyond desk scale."""
+def _register_qubits(p: ChannelProtocol) -> int:
+    """Wires of the global register the simulation engine runs on."""
     total = (p.input_qubits + p.alice_ancillas + p.resource.alice_qubits
              + p.resource.bob_qubits + p.bob_ancillas)
     if p.message_kind == INPUT_CLASSICAL:
         total += p.message_qubits
-    _check_desk_scale(p.key_count * 2 ** total, p.name)
+    return total
+
+
+def require_desk_scale(p: ChannelProtocol):
+    """Reject protocols whose dilated simulation load (key count times
+    global register dimension) is beyond desk scale."""
+    _check_desk_scale(p.key_count * 2 ** _register_qubits(p), p.name)
+
+
+def require_lift_scale(p: ChannelProtocol):
+    """Reject quantum-input protocols whose audit lifts are beyond desk scale.
+
+    Each lift carries 2n classical bits on 3n more wires than ``p``; checking
+    it on its 2^(2n) basis inputs puts keys x 2^(lifted register) x 2^(2n)
+    amplitudes through the engine, which must stay within DESK_SCALE_LIMIT^2.
+    """
+    n = p.input_qubits
+    load = p.key_count * 2 ** (_register_qubits(p) + 3 * n) * 2 ** (2 * n)
+    if load > DESK_SCALE_LIMIT ** 2:
+        raise ValueError(
+            f"{p.name}: audit lift load of {load} amplitudes exceeds {DESK_SCALE_LIMIT}^2")
 
 
 def controlled_by_value(gates: Sequence[np.ndarray]) -> np.ndarray:

@@ -197,8 +197,21 @@ def apply_gate(block: np.ndarray, dims: Sequence[int], gate: np.ndarray,
     """Apply ``gate`` to the listed subsystems (in the given order) of a
     state vector or to the row index of a matrix of column vectors."""
     dims = list(dims)
-    n = len(dims)
     targets = list(targets)
+    t0 = targets[0] if targets else 0
+    if targets == list(range(t0, t0 + len(targets))):
+        # one ascending run of wires is the middle index of a 3-way reshape
+        lead = math.prod(dims[:t0])
+        d_t = math.prod(dims[t0:t0 + len(targets)])
+        return (gate @ block.reshape(lead, d_t, -1)).reshape(block.shape)
+    return _apply_gate_transposed(block, dims, gate, targets)
+
+
+def _apply_gate_transposed(block: np.ndarray, dims: list[int], gate: np.ndarray,
+                           targets: list[int]) -> np.ndarray:
+    """:func:`apply_gate` for any target order: move the targets outermost,
+    multiply, move them back."""
+    n = len(dims)
     rest = [i for i in range(n) if i not in targets]
     perm = targets + rest
     cols = 0 if block.ndim == 1 else block.shape[1]

@@ -25,7 +25,6 @@ from .qmath import (
     UnitaryOp,
     apply_gate,
     complete_orthonormal_basis,
-    compose_circuit,
     max_abs,
     purify,
     reduced_from_vector,
@@ -41,6 +40,7 @@ from .protocols import (
     RESOURCE_CLASSICAL_KEY,
     RESOURCE_ENTANGLED,
     ChannelProtocol,
+    GateList,
     InputEnsemble,
     ProtocolVerificationError,
     SharedResource,
@@ -103,20 +103,25 @@ def _verify_or_raise(p: ChannelProtocol, ensemble: InputEnsemble, tol: float,
     return sec, corr
 
 
+# two-qubit gates on a (first, second) pair: the preparation (H on the first
+# wire, then CNOT) turns |00> into a Bell state, and the readout (CNOT, H on
+# the first wire, CNOT) turns Bell state s into the bits of s
+_BELL_PREP = UnitaryOp(CNOT @ np.kron(HADAMARD, np.eye(2)))
+_BELL_READOUT = UnitaryOp(CNOT @ np.kron(HADAMARD, np.eye(2)) @ CNOT)
+# controlled Pauli: control bit pair (b1, b2) selects sigma with index 2*b1 + b2
+_PAULI_BY_PAIR = UnitaryOp(controlled_by_value(list(SIGMA)))
+_CNOT = UnitaryOp(CNOT)
+
+
 def _pauli_injection(input_offset: int, targets: Sequence[int]) -> list:
-    """Controlled Pauli per pair of input bits; bit pair (b1, b2) selects
-    sigma with index 2*b1 + b2 on the matching target wire."""
-    pair_gate = controlled_by_value(list(SIGMA))
-    return [(pair_gate, (input_offset + 2 * i, input_offset + 2 * i + 1, t))
+    """One controlled Pauli per pair of input bits, on the matching target wire."""
+    return [(_PAULI_BY_PAIR, (input_offset + 2 * i, input_offset + 2 * i + 1, t))
             for i, t in enumerate(targets)]
 
 
-def _bell_readout(pairs: Sequence[tuple[int, int]]) -> list:
-    """Bell-basis change plus index-to-bit relabel on each (first, second) pair."""
-    gates = []
-    for a, b in pairs:
-        gates += [(CNOT, (a, b)), (HADAMARD, (a,)), (CNOT, (a, b))]
-    return gates
+def _retarget(op: GateList, wires: Sequence[int]) -> list:
+    """The gates of ``op`` with its wire i moved to ``wires[i]``."""
+    return [(g, tuple(wires[t] for t in targets)) for g, targets in op.gates]
 
 
 def _map_alice_index(p: ChannelProtocol, idx: int, input_map: Sequence[int],
@@ -168,11 +173,10 @@ def lift_extra_comm(p: ChannelProtocol, check_input: bool = True,
     env0 = 4 * n + a
     res0 = env0 + n_env
     a_reg = res0 + p.resource.alice_qubits
-    dims = [2] * a_reg
 
-    prep = []
-    for i in range(n):
-        prep += [(HADAMARD, (f0 + i,)), (CNOT, (f0 + i, g0 + i))]
+    # every key's operation starts with these same gate objects, which lets
+    # the engine run them once for all keys
+    prep = [(_BELL_PREP, (f0 + i, g0 + i)) for i in range(n)]
     prep += _pauli_injection(0, [f0 + i for i in range(n)])
     inner_alice_targets = tuple(
         list(range(g0, g0 + n)) + list(range(anc0, anc0 + a))
@@ -180,16 +184,14 @@ def lift_extra_comm(p: ChannelProtocol, check_input: bool = True,
     inner_msg_map = [
         _map_alice_index(p, i, list(range(g0, g0 + n)), anc0, res0)
         for i in p.message_subsystems]
-    measure = [(CNOT, (inner_msg_map[i], env0 + i)) for i in range(n_env)]
-    alice_ops = tuple(
-        UnitaryOp(compose_circuit(dims, prep + [(op.matrix, inner_alice_targets)] + measure))
-        for op in p.alice_ops)
+    measure = [(_CNOT, (inner_msg_map[i], env0 + i)) for i in range(n_env)]
+    alice_ops = tuple(GateList(a_reg, prep + _retarget(op, inner_alice_targets) + measure)
+                      for op in p.alice_ops)
 
     message = tuple(range(f0, f0 + n)) + tuple(inner_msg_map)
 
     b = p.bob_ancillas
     b_reg = (n + m_inner) + b + p.resource.bob_qubits
-    bob_dims = [2] * b_reg
     banc0, bres0 = n + m_inner, n + m_inner + b
     inner_bob_targets = tuple(
         list(range(n, n + m_inner)) + list(range(banc0, banc0 + b))
@@ -197,10 +199,9 @@ def lift_extra_comm(p: ChannelProtocol, check_input: bool = True,
     decoded = [
         _map_bob_index(p, o, list(range(n, n + m_inner)), banc0, bres0)
         for o in p.output_subsystems]
-    readout = _bell_readout([(i, decoded[i]) for i in range(n)])
-    bob_ops = tuple(
-        UnitaryOp(compose_circuit(bob_dims, [(op.matrix, inner_bob_targets)] + readout))
-        for op in p.bob_ops)
+    readout = [(_BELL_READOUT, (i, decoded[i])) for i in range(n)]
+    bob_ops = tuple(GateList(b_reg, _retarget(op, inner_bob_targets) + readout)
+                    for op in p.bob_ops)
     out = tuple(x for i in range(n) for x in (i, decoded[i]))
 
     return ChannelProtocol(
@@ -248,14 +249,12 @@ def lift_extra_epr(p: ChannelProtocol, check_input: bool = True,
     ares0 = 2 * n + a
     e0 = ares0 + ra
     a_reg = e0 + n
-    dims = [2] * a_reg
     prep = _pauli_injection(0, [e0 + i for i in range(n)])
     inner_alice_targets = tuple(
         list(range(e0, e0 + n)) + list(range(anc0, anc0 + a))
         + list(range(ares0, ares0 + ra)))
-    alice_ops = tuple(
-        UnitaryOp(compose_circuit(dims, prep + [(op.matrix, inner_alice_targets)]))
-        for op in p.alice_ops)
+    alice_ops = tuple(GateList(a_reg, prep + _retarget(op, inner_alice_targets))
+                      for op in p.alice_ops)
 
     message = tuple(
         _map_alice_index(p, i, list(range(e0, e0 + n)), anc0, ares0)
@@ -266,17 +265,15 @@ def lift_extra_epr(p: ChannelProtocol, check_input: bool = True,
     banc0, bres0 = m_inner, m_inner + b
     h0 = bres0 + rb
     b_reg = h0 + n
-    bob_dims = [2] * b_reg
     inner_bob_targets = tuple(
         list(range(m_inner)) + list(range(banc0, banc0 + b))
         + list(range(bres0, bres0 + rb)))
     decoded = [
         _map_bob_index(p, o, list(range(m_inner)), banc0, bres0)
         for o in p.output_subsystems]
-    readout = _bell_readout([(decoded[i], h0 + i) for i in range(n)])
-    bob_ops = tuple(
-        UnitaryOp(compose_circuit(bob_dims, [(op.matrix, inner_bob_targets)] + readout))
-        for op in p.bob_ops)
+    readout = [(_BELL_READOUT, (decoded[i], h0 + i)) for i in range(n)]
+    bob_ops = tuple(GateList(b_reg, _retarget(op, inner_bob_targets) + readout)
+                    for op in p.bob_ops)
     out = tuple(x for i in range(n) for x in (decoded[i], h0 + i))
 
     return ChannelProtocol(
@@ -478,7 +475,8 @@ def non_oblivious_rsp(n: int = 1) -> ObliviousRsp:
 
 
 def _rsp_branches(rsp: ObliviousRsp, probe: Ket):
-    """Yield (m, probability, post-correction receiver state) per message."""
+    """Yield (m, probability, post-correction receiver density matrix) per
+    message; the matrix is None for a message of probability zero."""
     ra, rb = rsp.alice_subsystems, rsp.bob_qubits
     dims = [2] * (rsp.n + ra + rb)
     vec = np.kron(probe.amplitudes, rsp.psi_ab.amplitudes)
@@ -497,7 +495,7 @@ def _rsp_branches(rsp: ObliviousRsp, probe: Ket):
             bob = np.kron(bob, anc)
         u = rsp.corrections[m].matrix
         bob = u @ bob @ u.conj().T
-        yield m, prob, DensityOp(SystemLayout.qubits(rb + rsp.bob_ancillas), bob)
+        yield m, prob, bob
 
 
 def rsp_message_probs(rsp: ObliviousRsp, probe: Ket) -> np.ndarray:
@@ -531,17 +529,17 @@ def check_obliviousness(rsp: ObliviousRsp, random_probes: int = 20,
             probs.append(prob)
             if post is None:
                 continue
-            out = reduced_matrix(post.matrix, [2] * bob_reg, list(rsp.output_subsystems))
+            out = reduced_matrix(post, [2] * bob_reg, list(rsp.output_subsystems))
             bump("output_state", trace_distance(out, target), idx)
             if residue:
-                res = reduced_matrix(post.matrix, [2] * bob_reg, residue)
+                res = reduced_matrix(post, [2] * bob_reg, residue)
                 if idx == 0:
                     ref_residues[m] = res
                 else:
                     bump("residue_drift", trace_distance(res, ref_residues[m]), idx)
                 # output wires first, residue after: compare against the product
                 perm = list(rsp.output_subsystems) + residue
-                reordered = reduced_matrix(post.matrix, [2] * bob_reg, perm)
+                reordered = reduced_matrix(post, [2] * bob_reg, perm)
                 bump("factorization", trace_distance(reordered, np.kron(target, res)), idx)
         probs = np.array(probs)
         if ref_probs is None:
@@ -581,14 +579,12 @@ def rsp_to_pqc(rsp: ObliviousRsp, tol: float = 1e-9, random_probes: int = 20,
         if post is not None:
             keep_keys.append(m)
             if q_r:
-                residues.append(reduced_matrix(post.matrix, [2] * bob_reg,
-                                               residue_positions))
+                residues.append(reduced_matrix(post, [2] * bob_reg, residue_positions))
             else:
                 residues.append(None)
     probs = np.array(probs)
 
     a_reg = n + 2 * q_r
-    dims = [2] * a_reg
     pos_to_wire = {}
     for i, pos in enumerate(rsp.output_subsystems):
         pos_to_wire[pos] = i
@@ -609,7 +605,7 @@ def rsp_to_pqc(rsp: ObliviousRsp, tol: float = 1e-9, random_probes: int = 20,
             gates.append((prep, tuple(range(n, n + 2 * q_r))))
         correction_wires = tuple(pos_to_wire[pos] for pos in range(bob_reg))
         gates.append((rsp.corrections[m].matrix.conj().T, correction_wires))
-        alice_ops.append(UnitaryOp(compose_circuit(dims, gates)))
+        alice_ops.append(GateList(a_reg, gates))
         bob_ops.append(rsp.corrections[m])
         outcomes.append(str(m))
 

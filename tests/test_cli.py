@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from pqclab.cli import main
-from pqclab.protocols import build_quantum_otp, save_protocol
+from pqclab.protocols import build_named, build_quantum_otp, require_lift_scale, save_protocol
 
 
 def run_cli(*args):
@@ -196,3 +197,47 @@ def test_non_finite_tolerance_refused(argv, flag, value, capsys):
     assert code == 2
     assert out == ""
     assert "error:" in err and "finite" in err
+
+
+def test_audit_lift_beyond_desk_scale_refused(capsys):
+    # quantum-otp 4: 256 keys x 2^16 lifted register x 2^8 inputs = 2^32 > 4096^2
+    code = main(["audit", "quantum-otp", "--n", "4"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "4096^2" in err
+
+
+@pytest.mark.parametrize("builder,n", [("quantum-otp", 3), ("teleportation", 2),
+                                       ("broken-teleportation", 2)])
+def test_audit_lift_at_desk_scale_admitted(builder, n):
+    require_lift_scale(build_named(builder, n))  # 2^24, 2^20 and 2^20 amplitudes
+
+
+# caps its own address space at 1 GiB, then runs the CLI; one BLAS thread, so
+# that per-thread BLAS buffers do not count against the cap on many-core hosts
+CAPPED_CLI = """import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from pqclab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("builder,n,resources", [
+    ("quantum-otp", 3, {"comm": 3.0, "key_entropy": 6.0, "entanglement": None}),
+    ("teleportation", 2, {"comm": 4.0, "key_entropy": None, "entanglement": 2.0}),
+])
+def test_audit_finishes_under_1gib_address_space(builder, n, resources):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", CAPPED_CLI, "audit", builder, "--n", str(n)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["pass"] is True
+    assert report["audits"]
+    for audit in report["audits"]:
+        assert audit["satisfied"] and abs(audit["slack"]) <= 1e-7, audit
+    for key, value in resources.items():
+        want = None if value is None else pytest.approx(value, abs=1e-7)
+        assert report["resources"][key] == want

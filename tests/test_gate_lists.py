@@ -1,0 +1,200 @@
+"""Gate-list operators against the dense matrices they stand for.
+
+Protocol operators are lists of gates that the engine applies one at a time.
+The checks here: ``apply_gate``'s reshape path for a run of wires equals its
+transpose path; every lifted operator's ``matrix`` equals the dense product
+the lifts used to build gate by gate with ``compose_circuit``, and both give
+the same verification values; builder digests are those of the dense
+descriptors.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pqclab.protocols import (
+    CNOT,
+    HADAMARD,
+    GateList,
+    InputEnsemble,
+    _shared_prefix,
+    build_named,
+    controlled_by_value,
+    protocol_digest,
+    security_deviations,
+    verify_correctness,
+)
+from pqclab.qmath import (
+    SIGMA,
+    UnitaryOp,
+    _apply_gate_transposed,
+    apply_gate,
+    compose_circuit,
+    haar_unitary,
+    max_abs,
+    pauli_string,
+)
+from pqclab.reductions import lift_extra_comm, lift_extra_epr
+
+TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# apply_gate on a run of wires
+
+
+@st.composite
+def gate_on_run(draw):
+    dims = draw(st.lists(st.integers(2, 3), min_size=1, max_size=5))
+    start = draw(st.integers(0, len(dims) - 1))
+    stop = draw(st.integers(start + 1, len(dims)))
+    cols = draw(st.one_of(st.none(), st.integers(1, 4)))
+    seed = draw(st.integers(0, 2 ** 16))
+    return dims, list(range(start, stop)), cols, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_on_run())
+def test_run_fast_path_equals_transpose_path(case):
+    dims, targets, cols, seed = case
+    rng = np.random.default_rng(seed)
+    d = int(np.prod(dims))
+    d_t = int(np.prod([dims[t] for t in targets]))
+    shape = (d,) if cols is None else (d, cols)
+    # unit-norm columns and a unitary gate, as the engine applies them, so the
+    # two summation orders differ by a few ulps of numbers at most 1
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    block /= np.linalg.norm(block, axis=0)
+    gate = haar_unitary(d_t, rng).matrix
+    fast = apply_gate(block, dims, gate, targets)
+    assert fast.shape == block.shape
+    assert max_abs(fast - _apply_gate_transposed(block, dims, gate, targets)) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# operators
+
+
+def test_dense_operator_is_a_one_gate_list():
+    op = pauli_string("13")
+    p = dataclasses.replace(build_named("quantum-otp", 2), alice_ops=(op,) * 16)
+    assert all(isinstance(g, GateList) for g in p.alice_ops + p.bob_ops)
+    assert p.alice_ops[0].gates == ((op, (0, 1)),)
+    assert p.alice_ops[0].matrix is op.matrix
+
+
+def test_gate_list_rejects_misfit_gates():
+    with pytest.raises(ValueError):
+        GateList(2, ((CNOT, (0,)),))
+    with pytest.raises(ValueError):
+        GateList(2, ((CNOT, (1, 1)),))
+    with pytest.raises(ValueError):
+        GateList(2, ((CNOT, (1, 2)),))
+    with pytest.raises(ValueError):
+        GateList(2, ((2 * CNOT, (0, 1)),))
+
+
+def _dense_lift_comm(p):
+    """The extra-communication lift's operators, composed densely from the
+    gate sequence the lift was first written with."""
+    n, a, m, b = p.input_qubits, p.alice_ancillas, p.message_qubits, p.bob_ancillas
+    ra, rb = p.resource.alice_qubits, p.resource.bob_qubits
+    n_env = m if p.message_kind == "classical" else 0
+    f0, g0, anc0 = 2 * n, 3 * n, 4 * n
+    env0 = anc0 + a
+    res0 = env0 + n_env
+    pair_gate = controlled_by_value(list(SIGMA))
+    prep = []
+    for i in range(n):
+        prep += [(HADAMARD, (f0 + i,)), (CNOT, (f0 + i, g0 + i))]
+    prep += [(pair_gate, (2 * i, 2 * i + 1, f0 + i)) for i in range(n)]
+    inner = (list(range(g0, g0 + n)) + list(range(anc0, anc0 + a))
+             + list(range(res0, res0 + ra)))
+    msg = [inner[i] for i in p.message_subsystems]
+    measure = [(CNOT, (msg[i], env0 + i)) for i in range(n_env)]
+    alice = [compose_circuit([2] * (res0 + ra), prep + [(op.matrix, inner)] + measure)
+             for op in p.alice_ops]
+    bob_inner = list(range(n, n + m + b + rb))
+    decoded = [bob_inner[o] for o in p.output_subsystems]
+    readout = []
+    for i in range(n):
+        readout += [(CNOT, (i, decoded[i])), (HADAMARD, (i,)), (CNOT, (i, decoded[i]))]
+    bob = [compose_circuit([2] * (n + m + b + rb), [(op.matrix, bob_inner)] + readout)
+           for op in p.bob_ops]
+    return alice, bob
+
+
+def _dense_lift_epr(p):
+    """The extra-entanglement lift's operators, composed densely as above."""
+    n, a, m, b = p.input_qubits, p.alice_ancillas, p.message_qubits, p.bob_ancillas
+    ra, rb = p.resource.alice_qubits, p.resource.bob_qubits
+    e0 = 2 * n + a + ra
+    pair_gate = controlled_by_value(list(SIGMA))
+    prep = [(pair_gate, (2 * i, 2 * i + 1, e0 + i)) for i in range(n)]
+    inner = list(range(e0, e0 + n)) + list(range(2 * n, e0))
+    alice = [compose_circuit([2] * (e0 + n), prep + [(op.matrix, inner)])
+             for op in p.alice_ops]
+    h0 = m + b + rb
+    decoded = list(p.output_subsystems)
+    readout = []
+    for i in range(n):
+        readout += [(CNOT, (decoded[i], h0 + i)), (HADAMARD, (decoded[i],)),
+                    (CNOT, (decoded[i], h0 + i))]
+    bob = [compose_circuit([2] * (h0 + n), [(op.matrix, range(h0))] + readout)
+           for op in p.bob_ops]
+    return alice, bob
+
+
+@pytest.mark.parametrize("lift,dense", [(lift_extra_comm, _dense_lift_comm),
+                                        (lift_extra_epr, _dense_lift_epr)])
+@pytest.mark.parametrize("builder,n", [("quantum-otp", 1), ("quantum-otp", 2),
+                                       ("teleportation", 1)])
+def test_lifted_operators_equal_dense_construction(lift, dense, builder, n):
+    p = build_named(builder, n)
+    lifted = lift(p, check_input=False)
+    alice, bob = dense(p)
+    for op, want in zip(lifted.alice_ops + lifted.bob_ops, alice + bob):
+        assert max_abs(op.matrix - want) <= TOL
+
+    reference = dataclasses.replace(lifted, alice_ops=tuple(map(UnitaryOp, alice)),
+                                    bob_ops=tuple(map(UnitaryOp, bob)))
+    basis = InputEnsemble.classical_basis(2 * n)
+    got, want = security_deviations(lifted, basis), security_deviations(reference, basis)
+    assert got.keys() == want.keys()
+    assert all(abs(got[k] - want[k]) <= TOL for k in want)
+    assert abs(verify_correctness(lifted, basis) - verify_correctness(reference, basis)) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# descriptors
+
+# sha256 prefixes of the dense descriptors, for every builder at every n the
+# admission check accepts
+DIGESTS = {
+    "classical-otp": {1: "6205f831a33d1d1e", 2: "97cf165ae5d27776", 3: "ae9526f64e8f407e",
+                      4: "ce95697d06667e16"},
+    "quantum-otp": {1: "fff5608ee863aad3", 2: "19a9c05dd86f3e4b", 3: "7c7522fa635d5316",
+                    4: "529af8bfc77b3dc5"},
+    "superdense": {2: "c9c100347331a637", 4: "9799c800314a425a", 6: "fac6283c14b1c961"},
+    "teleportation": {1: "f88f03c52e1b8e93", 2: "4010117092d61808"},
+    "epr-otp": {1: "d6f026597f76e89b", 2: "4dd1175c34e13ac5", 3: "64691b1718c8e08d"},
+    "identity-leaky": {1: "0a22f91bfd07890a", 2: "e8cb7c6e271608cb", 3: "492df7b0b91f6757",
+                       4: "c3d865bd35c886ba", 5: "7c8d7f76969f8e43", 6: "9a7fac79817c8fa6"},
+    "broken-otp": {1: "75fc7c332422e88d"},
+    "broken-teleportation": {1: "68adadca1e3d2797", 2: "aee170a5ddbb44da"},
+}
+
+
+@pytest.mark.parametrize("builder,n,digest", [(b, n, d) for b, by_n in DIGESTS.items()
+                                              for n, d in by_n.items()])
+def test_builder_digests_unchanged(builder, n, digest):
+    assert protocol_digest(build_named(builder, n)).startswith(digest)
+
+
+def test_lift_sender_gates_are_shared_by_every_key():
+    # two Bell preparations and two Pauli injections head every key's operation
+    lifted = lift_extra_comm(build_named("quantum-otp", 2), check_input=False)
+    assert _shared_prefix(lifted.alice_ops) == 4
