@@ -83,23 +83,20 @@ def _config(args) -> RunConfig:
 
 
 def _load(name_or_path: str, n: int) -> ChannelProtocol:
-    if name_or_path in PROTOCOL_BUILDERS:
-        try:
-            protocol = build_named(name_or_path, n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    else:
-        try:
-            protocol = load_protocol(name_or_path)
-        except FileNotFoundError as exc:
-            raise UsageError(
-                f"{name_or_path!r} is neither a known protocol name nor a file; "
-                f"known names: {sorted(PROTOCOL_BUILDERS)}") from exc
-        except OSError as exc:
-            raise UsageError(f"cannot read protocol file {name_or_path!r}: {exc}") from exc
-        except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"malformed protocol file {name_or_path!r}: {exc}") from exc
     try:
+        if name_or_path in PROTOCOL_BUILDERS:
+            protocol = build_named(name_or_path, n)
+        else:
+            try:
+                protocol = load_protocol(name_or_path)
+            except FileNotFoundError as exc:
+                raise UsageError(
+                    f"{name_or_path!r} is neither a known protocol name nor a file; "
+                    f"known names: {sorted(PROTOCOL_BUILDERS)}") from exc
+            except OSError as exc:
+                raise UsageError(f"cannot read protocol file {name_or_path!r}: {exc}") from exc
+            except (ValueError, KeyError, TypeError) as exc:
+                raise UsageError(f"malformed protocol file {name_or_path!r}: {exc}") from exc
         require_desk_scale(protocol)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -278,11 +275,15 @@ def _finite(value):
 
 
 def _emit(report: dict, json_path: str | None):
+    # the file first, so a report that cannot be written never reaches stdout
     text = json.dumps(_finite(report), sort_keys=True, indent=2)
-    print(text)
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(json_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write report to {json_path!r}: {exc}") from exc
+    print(text)
 
 
 def main(argv=None) -> int:
@@ -290,10 +291,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.handler(args)
+        _emit(report, args.json)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.json)
     return code
 
 

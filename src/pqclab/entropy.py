@@ -37,6 +37,8 @@ class ProbabilityDist:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size != len(outcomes):
             raise ValueError("need one probability per outcome")
+        if not np.isfinite(probs).all():
+            raise ValueError("probabilities must be finite")
         if probs.min(initial=0.0) < -1e-12:
             raise ValueError("probabilities must be nonnegative")
         if abs(float(probs.sum()) - 1.0) > 1e-9:

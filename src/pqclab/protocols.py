@@ -42,7 +42,7 @@ from .qmath import (
     trace_distance,
 )
 
-#: largest dilated simulation load (key count times register dimension)
+#: largest simulation load, key count times engine register dimension
 DESK_SCALE_LIMIT = 4096
 #: probes multiplied through an isometry block at a time; bounds peak memory
 PROBE_CHUNK = 256
@@ -237,10 +237,8 @@ class ChannelProtocol:
         if len(self.alice_ops) != keys or len(self.bob_ops) != keys:
             raise ValueError(f"need exactly {keys} sender and receiver operations")
 
-        alice_reg = self.input_qubits + self.alice_ancillas + self.resource.alice_qubits
-        bob_reg = len(self.message_subsystems) + self.bob_ancillas + self.resource.bob_qubits
-        for attr, reg, who in (("alice_ops", alice_reg, "sender"),
-                               ("bob_ops", bob_reg, "receiver")):
+        for attr, reg, who in (("alice_ops", self.sender_qubits, "sender"),
+                               ("bob_ops", self.receiver_qubits, "receiver")):
             ops = getattr(self, attr)
             if any(op.dim != 2 ** reg for op in ops):
                 raise ValueError(f"{who} operation dimension does not match its register")
@@ -251,11 +249,11 @@ class ChannelProtocol:
             raise ValueError("protocol sends no message")
         if len(set(self.message_subsystems)) != len(self.message_subsystems):
             raise ValueError("duplicate message subsystems")
-        if any(not 0 <= i < alice_reg for i in self.message_subsystems):
+        if any(not 0 <= i < self.sender_qubits for i in self.message_subsystems):
             raise ValueError("message subsystems outside the sender register")
         if len(set(self.output_subsystems)) != len(self.output_subsystems) or not self.output_subsystems:
             raise ValueError("bad output subsystems")
-        if any(not 0 <= i < bob_reg for i in self.output_subsystems):
+        if any(not 0 <= i < self.receiver_qubits for i in self.output_subsystems):
             raise ValueError("output subsystems outside the receiver register")
 
     @property
@@ -271,6 +269,24 @@ class ChannelProtocol:
     @property
     def message_qubits(self) -> int:
         return len(self.message_subsystems)
+
+    @property
+    def sender_qubits(self) -> int:
+        """Wires of the sender register: input, ancillas, resource half."""
+        return self.input_qubits + self.alice_ancillas + self.resource.alice_qubits
+
+    @property
+    def receiver_qubits(self) -> int:
+        """Wires of the receiver register: message, ancillas, resource half."""
+        return self.message_qubits + self.bob_ancillas + self.resource.bob_qubits
+
+    @property
+    def engine_qubits(self) -> int:
+        """Wires of the global register the simulation engine runs on: the
+        sender register, the receiver's resource half, one environment copy
+        per wire of a classical message, then the receiver's ancillas."""
+        copies = self.message_qubits if self.message_kind == INPUT_CLASSICAL else 0
+        return self.sender_qubits + self.resource.bob_qubits + copies + self.bob_ancillas
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,9 +382,8 @@ def _sender_head(p: ChannelProtocol, inputs: np.ndarray, gates: int = 0) -> np.n
     block = _zero_tail(inputs, p.alice_ancillas)
     if p.resource.psi_ab is not None:
         block = np.kron(block, p.resource.psi_ab.amplitudes[:, None])
-    a_reg = p.input_qubits + p.alice_ancillas + p.resource.alice_qubits
-    dims = [2] * (a_reg + p.resource.bob_qubits)
-    return p.alice_ops[0].apply(block, dims, range(a_reg), stop=gates)
+    dims = [2] * (p.sender_qubits + p.resource.bob_qubits)
+    return p.alice_ops[0].apply(block, dims, range(p.sender_qubits), stop=gates)
 
 
 def _stage(p: ChannelProtocol, head: np.ndarray, key_index: int, receiver: bool = False,
@@ -379,29 +394,28 @@ def _stage(p: ChannelProtocol, head: np.ndarray, key_index: int, receiver: bool 
 
     Returns the global block (one column per input), its qubit dims, and the
     wires to keep: the message after the sender stage, the output after the
-    receiver stage.  The global register is [input, alice-ancilla,
-    alice-half, bob-half], then one environment copy per message wire when
-    the message is classical (sending a classical value means the channel
-    records it, which is exactly the deferred measurement of those wires),
-    then the receiver's ancillas.
+    receiver stage.  The block runs on the engine register
+    (:attr:`ChannelProtocol.engine_qubits`); its environment copies of a
+    classical message are there because sending a classical value means the
+    channel records it, which is exactly the deferred measurement of those
+    wires.
     """
-    a_reg = p.input_qubits + p.alice_ancillas + p.resource.alice_qubits
-    total = a_reg + p.resource.bob_qubits
-    dims = [2] * total
-    block = p.alice_ops[key_index].apply(head, dims, range(a_reg), start=start)
+    bob_half = range(p.sender_qubits, p.sender_qubits + p.resource.bob_qubits)
+    dims = [2] * bob_half.stop
+    block = p.alice_ops[key_index].apply(head, dims, range(p.sender_qubits), start=start)
     if p.message_kind == INPUT_CLASSICAL:
         block = _zero_tail(block, p.message_qubits)
         dims = dims + [2] * p.message_qubits
         for i, wire in enumerate(p.message_subsystems):
-            block = apply_gate(block, dims, CNOT, [wire, total + i])
+            block = apply_gate(block, dims, CNOT, [wire, bob_half.stop + i])
     if not receiver:
         return block, dims, list(p.message_subsystems)
 
     block = _zero_tail(block, p.bob_ancillas)
     dims = dims + [2] * p.bob_ancillas
     receiver_wires = (list(p.message_subsystems)
-                      + list(range(len(dims) - p.bob_ancillas, len(dims)))
-                      + list(range(a_reg, total)))
+                      + list(range(p.engine_qubits - p.bob_ancillas, p.engine_qubits))
+                      + list(bob_half))
     block = p.bob_ops[key_index].apply(block, dims, receiver_wires)
     return block, dims, [receiver_wires[o] for o in p.output_subsystems]
 
@@ -531,8 +545,7 @@ def max_cross_term_magnitude(p: ChannelProtocol, units: np.ndarray | None = None
 # verification
 
 
-def security_deviations(p: ChannelProtocol, ensemble: InputEnsemble,
-                        factorization_samples: int = 20) -> dict[str, float]:
+def security_deviations(p: ChannelProtocol, ensemble: InputEnsemble) -> dict[str, float]:
     """All components of the security check, keyed by name."""
     basis = ensemble.kind == "classical_basis"
     table = _channel_table(p, diagonal=basis)
@@ -550,8 +563,8 @@ def security_deviations(p: ChannelProtocol, ensemble: InputEnsemble,
         parts["classical_offdiag"] = classical_dev
     if not basis:
         parts["cross_term"] = max_cross_term_magnitude(p, table)
-        parts["factorization"] = factorization_deviation(
-            p, factorization_samples, ensemble.seed + 1, table)
+        parts["factorization"] = factorization_deviation(p, seed=ensemble.seed + 1,
+                                                         units=table)
     return parts
 
 
@@ -596,39 +609,32 @@ def resource_report(p: ChannelProtocol) -> ResourceReport:
 # builders
 
 
-def _check_desk_scale(sim_dim: int, context: str):
-    if sim_dim > DESK_SCALE_LIMIT:
-        raise ValueError(
-            f"{context}: total simulation dimension {sim_dim} exceeds {DESK_SCALE_LIMIT}")
-
-
-def _register_qubits(p: ChannelProtocol) -> int:
-    """Wires of the global register the simulation engine runs on."""
-    total = (p.input_qubits + p.alice_ancillas + p.resource.alice_qubits
-             + p.resource.bob_qubits + p.bob_ancillas)
-    if p.message_kind == INPUT_CLASSICAL:
-        total += p.message_qubits
-    return total
+def require_load(context: str, keys: int, qubits: int, scale: int = 1):
+    """The one admission rule: simulating ``keys`` keys on a ``qubits``-wire
+    register is a load of keys x 2^qubits, which must stay within
+    DESK_SCALE_LIMIT^scale; a register needs at least one wire."""
+    if qubits < 1:
+        raise ValueError(f"{context}: size must be >= 1")
+    # keys x 2^qubits > limit, without building 2^qubits for a huge register
+    if keys > (DESK_SCALE_LIMIT ** scale) >> qubits:
+        limit = f"{DESK_SCALE_LIMIT}^{scale}" if scale > 1 else f"{DESK_SCALE_LIMIT}"
+        raise ValueError(f"{context}: load 2^{math.log2(keys) + qubits:g} exceeds {limit}")
 
 
 def require_desk_scale(p: ChannelProtocol):
-    """Reject protocols whose dilated simulation load (key count times
-    global register dimension) is beyond desk scale."""
-    _check_desk_scale(p.key_count * 2 ** _register_qubits(p), p.name)
+    """Reject protocols whose load on the engine register is beyond desk scale."""
+    require_load(p.name, p.key_count, p.engine_qubits)
 
 
 def require_lift_scale(p: ChannelProtocol):
     """Reject quantum-input protocols whose audit lifts are beyond desk scale.
 
-    Each lift carries 2n classical bits on 3n more wires than ``p``; checking
-    it on its 2^(2n) basis inputs puts keys x 2^(lifted register) x 2^(2n)
-    amplitudes through the engine, which must stay within DESK_SCALE_LIMIT^2.
+    Each lift carries 2n classical bits on 3n more wires than ``p``, and it
+    is checked on its 2^(2n) basis inputs: keys x 2^(engine register + 5n)
+    amplitudes, which must stay within DESK_SCALE_LIMIT^2.
     """
-    n = p.input_qubits
-    load = p.key_count * 2 ** (_register_qubits(p) + 3 * n) * 2 ** (2 * n)
-    if load > DESK_SCALE_LIMIT ** 2:
-        raise ValueError(
-            f"{p.name}: audit lift load of {load} amplitudes exceeds {DESK_SCALE_LIMIT}^2")
+    require_load(f"{p.name} audit lift", p.key_count,
+                 p.engine_qubits + 5 * p.input_qubits, scale=2)
 
 
 def controlled_by_value(gates: Sequence[np.ndarray]) -> np.ndarray:
@@ -659,9 +665,7 @@ def _pauli_key_table(n: int, alphabet: str) -> tuple[list[str], list[UnitaryOp]]
 
 def build_classical_otp(n: int) -> ChannelProtocol:
     """Bitwise XOR pad: n classical bits under a uniform n-bit key."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_desk_scale(2 ** n * 2 ** n, "classical-otp")
+    require_load("classical-otp", 2 ** n, 2 * n)
     keys, ops = _pauli_key_table(n, "01")
     wires = tuple(range(n))
     return ChannelProtocol(
@@ -676,9 +680,7 @@ def build_classical_otp(n: int) -> ChannelProtocol:
 def build_quantum_otp(n: int) -> ChannelProtocol:
     """Uniform Pauli twirl on n qubits: key alphabet {0,1,2,3}^n, per-key
     conjugation by the matching Pauli string."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_desk_scale(2 ** n * 4 ** n, "quantum-otp")
+    require_load("quantum-otp", 4 ** n, n)
     keys, ops = _pauli_key_table(n, "0123")
     wires = tuple(range(n))
     return ChannelProtocol(
@@ -695,8 +697,8 @@ def build_superdense(n_bits: int) -> ChannelProtocol:
     n_bits/2 EPR pairs; the wire state is maximally mixed for every input."""
     if n_bits < 2 or n_bits % 2:
         raise ValueError("n_bits must be even and >= 2")
+    require_load("superdense", 1, 2 * n_bits)
     m = n_bits // 2
-    _check_desk_scale(2 ** (n_bits + 2 * m), "superdense")
     # controlled sigma_s, the two control bits selecting s = 2*b1 + b2
     pair_gate = controlled_by_value(list(SIGMA))
     alice_gates = [(pair_gate, (2 * i, 2 * i + 1, n_bits + i)) for i in range(m)]
@@ -719,9 +721,7 @@ def build_superdense(n_bits: int) -> ChannelProtocol:
 def build_teleportation(n: int) -> ChannelProtocol:
     """Teleport n qubits: Bell readout on (input_i, A_i) produces 2n uniformly
     distributed classical bits; the receiver applies the matching Pauli."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_desk_scale(2 ** (3 * n), "teleportation")
+    require_load("teleportation", 1, 5 * n)
     alice_gates = []
     for i in range(n):
         alice_gates += [(CNOT, (i, n + i)), (HADAMARD, (i,))]
@@ -744,9 +744,7 @@ def build_epr_keyed_otp(n: int) -> ChannelProtocol:
     """Classical pad whose key is drawn from EPR halves, realized unitarily:
     CNOTs from the sender's halves into the message register, undone by the
     receiver from the matching halves."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_desk_scale(2 ** (3 * n), "epr-otp")
+    require_load("epr-otp", 1, 4 * n)
     alice = compose_circuit([2] * (2 * n), [(CNOT, (n + i, i)) for i in range(n)])
     bob = compose_circuit([2] * (2 * n), [(CNOT, (n + i, i)) for i in range(n)])
     wires = tuple(range(n))
@@ -761,9 +759,7 @@ def build_epr_keyed_otp(n: int) -> ChannelProtocol:
 
 def build_identity_protocol(n: int = 1) -> ChannelProtocol:
     """Negative fixture: send the input in the clear (correct, insecure)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_desk_scale(2 ** (2 * n), "identity-leaky")
+    require_load("identity-leaky", 1, 2 * n)
     eye = UnitaryOp(np.eye(2 ** n, dtype=complex))
     wires = tuple(range(n))
     return ChannelProtocol(
@@ -792,7 +788,7 @@ def build_broken_otp(n: int = 1) -> ChannelProtocol:
 def build_broken_teleportation(n: int = 1) -> ChannelProtocol:
     """Negative fixture: teleportation whose receiver skips the Pauli correction."""
     good = build_teleportation(n)
-    eye = UnitaryOp(np.eye(2 ** (3 * n), dtype=complex))
+    eye = UnitaryOp(np.eye(2 ** good.receiver_qubits, dtype=complex))
     return ChannelProtocol(
         name="broken-teleportation", input_kind=good.input_kind,
         input_qubits=good.input_qubits, message_kind=good.message_kind,

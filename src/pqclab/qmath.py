@@ -87,6 +87,8 @@ def _frozen_array(values, shape=None) -> np.ndarray:
     arr = np.array(values, dtype=complex)
     if shape is not None and arr.shape != shape:
         raise ValueError(f"expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("entries must be finite")
     arr.setflags(write=False)
     return arr
 

@@ -33,7 +33,6 @@ from .qmath import (
 )
 from .protocols import (
     CNOT,
-    DESK_SCALE_LIMIT,
     HADAMARD,
     INPUT_CLASSICAL,
     INPUT_QUANTUM,
@@ -46,6 +45,7 @@ from .protocols import (
     SharedResource,
     controlled_by_value,
     epr_block,
+    require_load,
     resource_report,
     verify_correctness,
     verify_security,
@@ -89,6 +89,10 @@ class ObliviousnessError(ValueError):
 
 # ---------------------------------------------------------------------------
 # verified lifts
+
+#: Haar-random probes, and their seed, of the input check a lift runs first
+LIFT_CHECK_PROBES = 12
+LIFT_CHECK_SEED = 7
 
 
 def _verify_or_raise(p: ChannelProtocol, ensemble: InputEnsemble, tol: float,
@@ -145,8 +149,7 @@ def _map_bob_index(p: ChannelProtocol, idx: int, msg_map: Sequence[int],
     return res_start + (idx - m - b)
 
 
-def lift_extra_comm(p: ChannelProtocol, check_input: bool = True,
-                    random_probes: int = 12, seed: int = 7) -> ChannelProtocol:
+def lift_extra_comm(p: ChannelProtocol, check_input: bool = True) -> ChannelProtocol:
     """Convert a quantum-input channel into one for twice as many classical
     bits, spending n extra qubits of communication.
 
@@ -160,7 +163,7 @@ def lift_extra_comm(p: ChannelProtocol, check_input: bool = True,
         raise ValueError("extra-communication lift needs a quantum-input protocol")
     n = p.input_qubits
     if check_input:
-        _verify_or_raise(p, InputEnsemble.quantum_full(n, random_probes, seed),
+        _verify_or_raise(p, InputEnsemble.quantum_full(n, LIFT_CHECK_PROBES, LIFT_CHECK_SEED),
                          1e-9, "lift_extra_comm")
 
     a = p.alice_ancillas
@@ -212,8 +215,7 @@ def lift_extra_comm(p: ChannelProtocol, check_input: bool = True,
         message_subsystems=message, output_subsystems=out)
 
 
-def lift_extra_epr(p: ChannelProtocol, check_input: bool = True,
-                   random_probes: int = 12, seed: int = 7) -> ChannelProtocol:
+def lift_extra_epr(p: ChannelProtocol, check_input: bool = True) -> ChannelProtocol:
     """Convert a quantum-input channel into one for twice as many classical
     bits, spending n extra EPR pairs and no extra communication.
 
@@ -226,7 +228,7 @@ def lift_extra_epr(p: ChannelProtocol, check_input: bool = True,
         raise ValueError("extra-entanglement lift needs a quantum-input protocol")
     n = p.input_qubits
     if check_input:
-        _verify_or_raise(p, InputEnsemble.quantum_full(n, random_probes, seed),
+        _verify_or_raise(p, InputEnsemble.quantum_full(n, LIFT_CHECK_PROBES, LIFT_CHECK_SEED),
                          1e-9, "lift_extra_epr")
 
     ra, rb = p.resource.alice_qubits, p.resource.bob_qubits
@@ -445,10 +447,7 @@ def _bell_basis_state(labels: str) -> Ket:
 def teleportation_rsp(n: int) -> ObliviousRsp:
     """Teleportation as remote state preparation: Bell-projective measurement
     on input ⊗ sender halves, Pauli corrections, uniform message statistics."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if 2 ** (3 * n) > DESK_SCALE_LIMIT:
-        raise ValueError("teleportation RSP beyond desk scale")
+    require_load("teleportation RSP", 1, 3 * n)
     labels = ["".join(t) for t in itertools.product("0123", repeat=n)]
     measurements = []
     corrections = []
@@ -549,8 +548,7 @@ def check_obliviousness(rsp: ObliviousRsp, random_probes: int = 20,
     return worst
 
 
-def rsp_to_pqc(rsp: ObliviousRsp, tol: float = 1e-9, random_probes: int = 20,
-               seed: int = 0) -> ChannelProtocol:
+def rsp_to_pqc(rsp: ObliviousRsp, tol: float = 1e-9) -> ChannelProtocol:
     """Turn a verified oblivious RSP into a keyed private channel.
 
     The message label m becomes the shared key with its (input-independent)
@@ -558,7 +556,7 @@ def rsp_to_pqc(rsp: ObliviousRsp, tol: float = 1e-9, random_probes: int = 20,
     purification, applies the inverse correction and ships the receiver-half
     wires; the receiver re-applies the correction and keeps the output wires.
     """
-    checks = check_obliviousness(rsp, random_probes, seed)
+    checks = check_obliviousness(rsp)
     for invariant, (deviation, probe_index) in checks.items():
         if deviation > tol:
             raise ObliviousnessError(invariant, deviation, probe_index)

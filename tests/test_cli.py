@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +7,13 @@ import sys
 import pytest
 
 from pqclab.cli import main
-from pqclab.protocols import build_named, build_quantum_otp, require_lift_scale, save_protocol
+from pqclab.protocols import (
+    build_named,
+    build_quantum_otp,
+    build_teleportation,
+    require_lift_scale,
+    save_protocol,
+)
 
 
 def run_cli(*args):
@@ -152,9 +159,9 @@ def test_verify_identity_leaky_bad_size_refused(n, capsys):
     assert capsys.readouterr().out == ""
 
 
-def _descriptor(tmp_path, edit):
-    path = tmp_path / "qotp.json"
-    save_protocol(build_quantum_otp(1), str(path))
+def _descriptor(tmp_path, edit, build=build_quantum_otp):
+    path = tmp_path / "protocol.json"
+    save_protocol(build(1), str(path))
     data = json.loads(path.read_text())
     path.write_text(json.dumps(edit(data)))
     return path
@@ -177,6 +184,42 @@ def test_verify_malformed_descriptor_refused(tmp_path, capsys, edit):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+def _nan_first(key, *path):
+    """Set the real part of the first [re, im] pair under data[key][path...] to NaN."""
+    def edit(data):
+        entry = data[key]
+        for step in path:
+            entry = entry[step]
+        while isinstance(entry[0], list):
+            entry = entry[0]
+        entry[0] = math.nan
+        return data
+    return edit
+
+
+@pytest.mark.parametrize("build,edit", [
+    (build_quantum_otp, _nan_first("resource", "key_probs")),
+    (build_quantum_otp, _nan_first("alice_ops")),
+    (build_teleportation, _nan_first("resource", "state_amplitudes")),
+], ids=["nan-key-prob", "nan-op-entry", "nan-state-amplitude"])
+def test_verify_non_finite_descriptor_refused(tmp_path, capsys, build, edit):
+    code = main(["verify", str(_descriptor(tmp_path, edit, build))])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error: malformed protocol file" in err
+
+
+def test_json_path_unwritable_refused(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code = main(["verify", "classical-otp", "--n", "1", "--json", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "report.json" in err
+    assert not path.exists()
 
 
 def test_verify_directory_refused(tmp_path, capsys):
@@ -221,6 +264,22 @@ resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from pqclab.cli import main
 sys.exit(main(sys.argv[1:]))
 """
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "teleportation", "4"), ("audit", "teleportation", "4"),
+    ("verify", "broken-teleportation", "4"), ("verify", "teleportation", "1000000000")])
+def test_builder_refuses_beyond_desk_scale_under_1gib_address_space(argv):
+    # 1 key on 5n wires; refused in the builder, before its 2^(3n)-dimensional
+    # receiver operator is allocated, and without computing 2^(5n)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    command, builder, n = argv
+    proc = subprocess.run([sys.executable, "-c", CAPPED_CLI, command, builder, "--n", n],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr and "4096" in proc.stderr
 
 
 @pytest.mark.parametrize("builder,n,resources", [

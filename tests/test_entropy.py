@@ -49,6 +49,12 @@ def test_shannon_values():
     assert shannon_entropy(skew) == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_probability_dist_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ProbabilityDist(("a", "b"), np.array([1.0, bad]))
+
+
 def test_probability_dist_validation():
     with pytest.raises(ValueError):
         ProbabilityDist(("a", "b"), np.array([0.7, 0.7]))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from pqclab.protocols import (
     protocol_digest,
     protocol_from_dict,
     protocol_to_dict,
+    require_desk_scale,
+    require_load,
     resource_report,
     save_protocol,
     load_protocol,
@@ -283,6 +286,54 @@ def test_dimension_guard_on_builders():
         build_quantum_otp(12)
     with pytest.raises(ValueError, match="exceeds"):
         build_teleportation(8)
+
+
+def test_load_rule_matches_its_formula():
+    for scale in (1, 2):
+        for qubits in range(1, 12 * scale + 3):
+            for keys in (1, 2, 3, 5, 255, 256, 257, 4095, 4096, 4097):
+                if keys * 2 ** qubits > 4096 ** scale:
+                    with pytest.raises(ValueError, match="exceeds 4096"):
+                        require_load("rule", keys, qubits, scale)
+                else:
+                    require_load("rule", keys, qubits, scale)
+    for qubits in (0, -3):
+        with pytest.raises(ValueError, match=">= 1"):
+            require_load("rule", 1, qubits)
+
+
+# every n each builder admits: its load (keys x 2^engine register) is at most 4096
+ADMITTED = {
+    "classical-otp": (1, 2, 3, 4),
+    "quantum-otp": (1, 2, 3, 4),
+    "superdense": (2, 4, 6),
+    "teleportation": (1, 2),
+    "epr-otp": (1, 2, 3),
+    "identity-leaky": (1, 2, 3, 4, 5, 6),
+    "broken-otp": (1,),
+    "broken-teleportation": (1, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADMITTED))
+def test_builders_refuse_by_the_engine_load_before_allocating(name):
+    """Up to two sizes past the first refused one, a builder returns a
+    protocol that require_desk_scale admits or refuses the size itself,
+    without allocating: nothing is built and then refused."""
+    assert sorted(ADMITTED) == sorted(PROTOCOL_BUILDERS)
+    admitted = []
+    for n in range(1, max(ADMITTED[name]) + 4):
+        tracemalloc.start()
+        try:
+            protocol = build_named(name, n)
+        except ValueError:
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20, n
+            continue
+        finally:
+            tracemalloc.stop()
+        require_desk_scale(protocol)
+        admitted.append(n)
+    assert tuple(admitted) == ADMITTED[name]
 
 
 def test_superdense_requires_even_bits():

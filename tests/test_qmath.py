@@ -391,6 +391,17 @@ def test_unitary_validation():
         UnitaryOp(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)],
+                         ids=["nan", "inf", "-inf", "imag-nan"])
+def test_value_types_reject_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Ket(SystemLayout.qubits(1), np.array([1.0, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        DensityOp(SystemLayout.qubits(1), np.diag([1.0, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        UnitaryOp(np.diag([1.0, bad]))
+
+
 def test_layout_validation():
     with pytest.raises(ValueError):
         SystemLayout((2, 1))

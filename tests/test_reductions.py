@@ -248,6 +248,14 @@ def test_rsp_to_pqc_audit_chain():
     assert audits["comm_entropy"].bound == 1.0
 
 
+def test_teleportation_rsp_size_rule():
+    # one key on 3n wires: n = 4 is the largest size within 4096
+    with pytest.raises(ValueError, match="exceeds 4096"):
+        teleportation_rsp(5)
+    with pytest.raises(ValueError, match=">= 1"):
+        teleportation_rsp(0)
+
+
 def test_non_oblivious_rsp_rejected():
     with pytest.raises(ObliviousnessError) as err:
         rsp_to_pqc(non_oblivious_rsp(1))
