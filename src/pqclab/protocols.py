@@ -240,7 +240,8 @@ class ChannelProtocol:
         for attr, reg, who in (("alice_ops", self.sender_qubits, "sender"),
                                ("bob_ops", self.receiver_qubits, "receiver")):
             ops = getattr(self, attr)
-            if any(op.dim != 2 ** reg for op in ops):
+            # dim == 2^reg, without building 2^reg from an untrusted count
+            if any(op.dim.bit_length() != reg + 1 or op.dim != 2 ** reg for op in ops):
                 raise ValueError(f"{who} operation dimension does not match its register")
             object.__setattr__(self, attr, tuple(
                 op if isinstance(op, GateList) else GateList(reg, ((op, range(reg)),))
@@ -665,7 +666,8 @@ def _pauli_key_table(n: int, alphabet: str) -> tuple[list[str], list[UnitaryOp]]
 
 def build_classical_otp(n: int) -> ChannelProtocol:
     """Bitwise XOR pad: n classical bits under a uniform n-bit key."""
-    require_load("classical-otp", 2 ** n, 2 * n)
+    # 2^n keys on 2n wires, stated as one key on 3n without building 2^n
+    require_load("classical-otp", 1, 3 * n)
     keys, ops = _pauli_key_table(n, "01")
     wires = tuple(range(n))
     return ChannelProtocol(
@@ -680,7 +682,8 @@ def build_classical_otp(n: int) -> ChannelProtocol:
 def build_quantum_otp(n: int) -> ChannelProtocol:
     """Uniform Pauli twirl on n qubits: key alphabet {0,1,2,3}^n, per-key
     conjugation by the matching Pauli string."""
-    require_load("quantum-otp", 4 ** n, n)
+    # 4^n keys on n wires, stated as one key on 3n without building 4^n
+    require_load("quantum-otp", 1, 3 * n)
     keys, ops = _pauli_key_table(n, "0123")
     wires = tuple(range(n))
     return ChannelProtocol(

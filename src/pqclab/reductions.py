@@ -8,7 +8,6 @@ measured on a protocol that was actually constructed and re-verified.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,12 +22,9 @@ from .qmath import (
     Ket,
     SystemLayout,
     UnitaryOp,
-    apply_gate,
     complete_orthonormal_basis,
-    max_abs,
     purify,
     reduced_from_vector,
-    reduced_matrix,
     trace_distance,
 )
 from .protocols import (
@@ -43,6 +39,7 @@ from .protocols import (
     InputEnsemble,
     ProtocolVerificationError,
     SharedResource,
+    _zero_tail,
     controlled_by_value,
     epr_block,
     require_load,
@@ -377,21 +374,28 @@ def audit_quantum_input(p: ChannelProtocol, verify_tol: float = 1e-9,
 # oblivious remote state preparation
 
 
+#: messages below this probability on a probe carry no receiver state
+RSP_PROB_FLOOR = 1e-14
+
+
 @dataclass(frozen=True, eq=False)
 class ObliviousRsp:
     """One-way remote state preparation with verified obliviousness.
 
-    The sender measures input ⊗ her half of the shared state with the
-    (projective) operators ``measurements``; on message m the receiver
-    attaches ancillas and applies ``corrections[m]`` to his half ⊗ ancilla,
-    after which the wires in ``output_subsystems`` hold the input and the
-    rest is an input-independent residue.
+    The sender applies the gate list ``measurement`` to input ⊗ her half of
+    the shared state (input wires first), then reads those wires out in the
+    computational basis: the readout value m is the message, so a unitary
+    followed by the full readout is a complete rank-1 measurement by
+    construction.  On message m the receiver attaches ancillas and applies
+    ``corrections[m]`` to his half ⊗ ancilla, after which the wires in
+    ``output_subsystems`` hold the input and the rest is an input-independent
+    residue.
     """
 
     n: int
     psi_ab: Ket
     alice_subsystems: int
-    measurements: tuple[np.ndarray, ...]
+    measurement: GateList
     corrections: tuple[UnitaryOp, ...]
     bob_ancillas: int
     output_subsystems: tuple[int, ...]
@@ -401,17 +405,10 @@ class ObliviousRsp:
             raise ValueError("shared state must be a qubit register")
         if not 0 < self.alice_subsystems < len(self.psi_ab.layout):
             raise ValueError("alice_subsystems must split the shared state")
-        measurements = tuple(qmath.as_complex(m) for m in self.measurements)
-        d = 2 ** (self.n + self.alice_subsystems)
-        total = np.zeros((d, d), dtype=complex)
-        for m in measurements:
-            if m.shape != (d, d):
-                raise ValueError("measurement operator has the wrong dimension")
-            total += m.conj().T @ m
-        if max_abs(total - np.eye(d)) > 1e-10:
-            raise ValueError("measurement operators are not complete")
-        if len(self.corrections) != len(measurements):
-            raise ValueError("need one correction per message")
+        if self.measurement.qubits != self.n + self.alice_subsystems:
+            raise ValueError("measurement must act on the input and sender wires")
+        if len(self.corrections) != self.message_count:
+            raise ValueError("need one correction per readout value")
         bob_reg = self.bob_qubits + self.bob_ancillas
         for u in self.corrections:
             if u.dim != 2 ** bob_reg:
@@ -419,7 +416,6 @@ class ObliviousRsp:
         out = tuple(int(i) for i in self.output_subsystems)
         if len(out) != self.n or any(not 0 <= i < bob_reg for i in out):
             raise ValueError("output subsystems must name n receiver wires")
-        object.__setattr__(self, "measurements", measurements)
         object.__setattr__(self, "output_subsystems", out)
 
     @property
@@ -428,37 +424,21 @@ class ObliviousRsp:
 
     @property
     def message_count(self) -> int:
-        return len(self.measurements)
-
-
-def _bell_basis_state(labels: str) -> Ket:
-    """Bell product state on interleaved pairs, regrouped to [firsts | seconds]."""
-    n = len(labels)
-    pair_layout = SystemLayout.qubits(2)
-    state = None
-    for c in labels:
-        amps = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
-        pair = Ket(pair_layout, apply_gate(amps, [2, 2], SIGMA[int(c)], [0]))
-        state = pair if state is None else state.tensor(pair)
-    order = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
-    return state.permute(order)
+        return 2 ** self.measurement.qubits
 
 
 def teleportation_rsp(n: int) -> ObliviousRsp:
-    """Teleportation as remote state preparation: Bell-projective measurement
-    on input ⊗ sender halves, Pauli corrections, uniform message statistics."""
+    """Teleportation as remote state preparation: Bell readout of each
+    (input_i, A_i) pair, Pauli corrections, uniform message statistics."""
     require_load("teleportation RSP", 1, 3 * n)
-    labels = ["".join(t) for t in itertools.product("0123", repeat=n)]
-    measurements = []
-    corrections = []
-    for s in labels:
-        bell = _bell_basis_state(s)
-        measurements.append(np.outer(bell.amplitudes, bell.amplitudes.conj()))
-        corrections.append(qmath.pauli_string(s))
+    measurement = GateList(2 * n, [(_BELL_READOUT, (i, n + i)) for i in range(n)])
+    # readout bits (x, a) of the input and sender wires: pair i read Bell state 2 x_i + a_i
+    corrections = tuple(
+        qmath.pauli_string("".join(str(2 * x + a) for x, a in zip(bits[:n], bits[n:])))
+        for bits in itertools.product((0, 1), repeat=2 * n))
     return ObliviousRsp(
-        n=n, psi_ab=epr_block(n), alice_subsystems=n,
-        measurements=tuple(measurements), corrections=tuple(corrections),
-        bob_ancillas=0, output_subsystems=tuple(range(n)))
+        n=n, psi_ab=epr_block(n), alice_subsystems=n, measurement=measurement,
+        corrections=corrections, bob_ancillas=0, output_subsystems=tuple(range(n)))
 
 
 def non_oblivious_rsp(n: int = 1) -> ObliviousRsp:
@@ -468,83 +448,89 @@ def non_oblivious_rsp(n: int = 1) -> ObliviousRsp:
     eye = UnitaryOp(np.eye(2 ** n, dtype=complex))
     return ObliviousRsp(
         n=good.n, psi_ab=good.psi_ab, alice_subsystems=good.alice_subsystems,
-        measurements=good.measurements,
+        measurement=good.measurement,
         corrections=tuple(eye for _ in good.corrections),
         bob_ancillas=good.bob_ancillas, output_subsystems=good.output_subsystems)
 
 
-def _rsp_branches(rsp: ObliviousRsp, probe: Ket):
-    """Yield (m, probability, post-correction receiver density matrix) per
-    message; the matrix is None for a message of probability zero."""
-    ra, rb = rsp.alice_subsystems, rsp.bob_qubits
-    dims = [2] * (rsp.n + ra + rb)
-    vec = np.kron(probe.amplitudes, rsp.psi_ab.amplitudes)
-    meas_targets = list(range(rsp.n + ra))
-    for m, op in enumerate(rsp.measurements):
-        w = apply_gate(vec, dims, op, meas_targets)
-        prob = float(np.real(np.vdot(w, w)))
-        if prob < 1e-14:
-            yield m, prob, None
-            continue
-        bob = reduced_from_vector(w / math.sqrt(prob), dims,
-                                  list(range(rsp.n + ra, rsp.n + ra + rb)))
-        if rsp.bob_ancillas:
-            anc = np.zeros((2 ** rsp.bob_ancillas,) * 2, dtype=complex)
-            anc[0, 0] = 1.0
-            bob = np.kron(bob, anc)
-        u = rsp.corrections[m].matrix
-        bob = u @ bob @ u.conj().T
-        yield m, prob, bob
+def _receiver_blocks(rsp: ObliviousRsp) -> np.ndarray:
+    """Every message's receiver isometry block W_m, indexed [m, receiver
+    register, input].  The measurement runs once on the basis block
+    I ⊗ psi_ab and the readout value is read as the leading block axis; the
+    receiver's ancillas and ``corrections[m]`` follow.  On a probe, message
+    m's unnormalized receiver state is W_m @ probe."""
+    d = 2 ** rsp.n
+    block = np.kron(np.eye(d, dtype=complex), rsp.psi_ab.amplitudes[:, None])
+    dims = [2] * (rsp.n + len(rsp.psi_ab.layout))
+    block = rsp.measurement.apply(block, dims, range(rsp.measurement.qubits))
+    block = _zero_tail(block.reshape(rsp.message_count, 2 ** rsp.bob_qubits, d),
+                       rsp.bob_ancillas)
+    return np.stack([u.matrix for u in rsp.corrections]) @ block
+
+
+def _branches(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Squared norms of the columns of ``states``, which of them reach
+    RSP_PROB_FLOOR, and those columns normalized."""
+    probs = np.sum(np.abs(states) ** 2, axis=0)
+    live = probs >= RSP_PROB_FLOOR
+    return probs, live, states[:, live] / np.sqrt(probs[live])
 
 
 def rsp_message_probs(rsp: ObliviousRsp, probe: Ket) -> np.ndarray:
-    return np.array([prob for _, prob, _ in _rsp_branches(rsp, probe)])
+    """Every message's probability on ``probe``."""
+    return np.sum(np.abs(_receiver_blocks(rsp) @ probe.amplitudes) ** 2, axis=1)
 
 
-def check_obliviousness(rsp: ObliviousRsp, random_probes: int = 20,
-                        seed: int = 0) -> dict[str, tuple[float, int]]:
-    """Max deviation (and witness probe index) per obliviousness invariant.
+def check_obliviousness(rsp: ObliviousRsp, random_probes: int = 20, seed: int = 0,
+                        blocks: np.ndarray | None = None) -> dict[str, tuple[float, int]]:
+    """Max deviation (and the first probe attaining it) per obliviousness
+    invariant, over the ``quantum_full`` ensemble; ``blocks`` are the
+    receiver blocks of ``rsp`` when the caller has them already.
 
     Invariants: message probabilities independent of the input; the output
     wires carry exactly the input; the residue is input-independent; output
-    and residue factorize.
+    and residue factorize.  Probe 0, |0...0>, is the reference.  A message
+    that is impossible on the reference but not on a later probe counts
+    against ``message_probs`` only.
     """
-    ensemble = InputEnsemble.quantum_full(rsp.n, random_probes, seed)
-    bob_reg = rsp.bob_qubits + rsp.bob_ancillas
-    residue = [i for i in range(bob_reg) if i not in rsp.output_subsystems]
-    ref_probs = None
-    ref_residues: dict[int, np.ndarray] = {}
+    if blocks is None:
+        blocks = _receiver_blocks(rsp)
+    dims = [2] * (rsp.bob_qubits + rsp.bob_ancillas)
+    out = list(rsp.output_subsystems)
+    residue = [i for i in range(len(dims)) if i not in out]
+    ref_probs, ref_live, ref_states = _branches(blocks[:, :, 0].T)
+    if residue:
+        ref_residues = np.zeros((len(blocks), 2 ** len(residue), 2 ** len(residue)), complex)
+        ref_residues[ref_live] = reduced_from_vector(ref_states, dims, residue)
     worst = {"message_probs": (0.0, 0), "output_state": (0.0, 0),
              "residue_drift": (0.0, 0), "factorization": (0.0, 0)}
-
-    def bump(name: str, value: float, probe_index: int):
-        if value > worst[name][0]:
-            worst[name] = (value, probe_index)
-
-    for idx, probe in enumerate(ensemble.probes()):
-        target = probe.density().matrix
-        probs = []
-        for m, prob, post in _rsp_branches(rsp, probe):
-            probs.append(prob)
-            if post is None:
+    start = 0
+    for probes in InputEnsemble.quantum_full(rsp.n, random_probes, seed).blocks():
+        targets = np.einsum("aj,bj->jab", probes, probes.conj())
+        per_probe = {name: np.zeros(probes.shape[1]) for name in worst}
+        for m, w in enumerate(blocks):
+            probs, live, states = _branches(w @ probes)
+            np.maximum(per_probe["message_probs"], np.abs(probs - ref_probs[m]),
+                       out=per_probe["message_probs"])
+            if not live.any():
                 continue
-            out = reduced_matrix(post, [2] * bob_reg, list(rsp.output_subsystems))
-            bump("output_state", trace_distance(out, target), idx)
+            devs = {"output_state": trace_distance(
+                reduced_from_vector(states, dims, out), targets[live])}
             if residue:
-                res = reduced_matrix(post, [2] * bob_reg, residue)
-                if idx == 0:
-                    ref_residues[m] = res
-                else:
-                    bump("residue_drift", trace_distance(res, ref_residues[m]), idx)
+                res = reduced_from_vector(states, dims, residue)
+                if ref_live[m]:
+                    devs["residue_drift"] = trace_distance(res, ref_residues[m])
                 # output wires first, residue after: compare against the product
-                perm = list(rsp.output_subsystems) + residue
-                reordered = reduced_matrix(post, [2] * bob_reg, perm)
-                bump("factorization", trace_distance(reordered, np.kron(target, res)), idx)
-        probs = np.array(probs)
-        if ref_probs is None:
-            ref_probs = probs
-        else:
-            bump("message_probs", float(np.max(np.abs(probs - ref_probs))), idx)
+                joint = reduced_from_vector(states, dims, out + residue)
+                product = np.einsum("jab,jcd->jacbd", targets[live], res)
+                devs["factorization"] = trace_distance(joint, product.reshape(joint.shape))
+            for name, values in devs.items():
+                per_probe[name][live] = np.maximum(per_probe[name][live], values)
+        for name, values in per_probe.items():
+            i = int(np.argmax(values))
+            if values[i] > worst[name][0]:
+                worst[name] = (float(values[i]), start + i)
+        start += probes.shape[1]
     return worst
 
 
@@ -556,7 +542,8 @@ def rsp_to_pqc(rsp: ObliviousRsp, tol: float = 1e-9) -> ChannelProtocol:
     purification, applies the inverse correction and ships the receiver-half
     wires; the receiver re-applies the correction and keeps the output wires.
     """
-    checks = check_obliviousness(rsp)
+    blocks = _receiver_blocks(rsp)
+    checks = check_obliviousness(rsp, blocks=blocks)
     for invariant, (deviation, probe_index) in checks.items():
         if deviation > tol:
             raise ObliviousnessError(invariant, deviation, probe_index)
@@ -567,20 +554,12 @@ def rsp_to_pqc(rsp: ObliviousRsp, tol: float = 1e-9) -> ChannelProtocol:
     residue_positions = [i for i in range(bob_reg) if i not in rsp.output_subsystems]
     q_r = len(residue_positions)
 
-    # residue states from the reference probe (input-independent by the checks)
-    ref = Ket.basis(SystemLayout.qubits(n), 0)
-    probs = []
-    residues = []
-    keep_keys = []
-    for m, prob, post in _rsp_branches(rsp, ref):
-        probs.append(prob)
-        if post is not None:
-            keep_keys.append(m)
-            if q_r:
-                residues.append(reduced_matrix(post, [2] * bob_reg, residue_positions))
-            else:
-                residues.append(None)
-    probs = np.array(probs)
+    # message probabilities and residue states on the reference probe
+    # |0...0> (input-independent by the checks)
+    probs, live, states = _branches(blocks[:, :, 0].T)
+    keep_keys = np.flatnonzero(live)
+    if q_r:
+        residues = reduced_from_vector(states, [2] * bob_reg, residue_positions)
 
     a_reg = n + 2 * q_r
     pos_to_wire = {}
@@ -608,7 +587,7 @@ def rsp_to_pqc(rsp: ObliviousRsp, tol: float = 1e-9) -> ChannelProtocol:
         outcomes.append(str(m))
 
     message = tuple(pos_to_wire[pos] for pos in range(rb))
-    dist = ProbabilityDist(tuple(outcomes), probs[keep_keys] / probs[keep_keys].sum())
+    dist = ProbabilityDist(tuple(outcomes), probs[live] / probs[live].sum())
     return ChannelProtocol(
         name="rsp-derived-pqc", input_kind=INPUT_QUANTUM, input_qubits=n,
         message_kind=INPUT_QUANTUM,

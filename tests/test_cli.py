@@ -268,10 +268,12 @@ sys.exit(main(sys.argv[1:]))
 
 @pytest.mark.parametrize("argv", [
     ("verify", "teleportation", "4"), ("audit", "teleportation", "4"),
-    ("verify", "broken-teleportation", "4"), ("verify", "teleportation", "1000000000")])
+    ("verify", "broken-teleportation", "4"), ("verify", "teleportation", "1000000000"),
+    ("verify", "quantum-otp", "1000000000"), ("verify", "classical-otp", "1000000000")])
 def test_builder_refuses_beyond_desk_scale_under_1gib_address_space(argv):
-    # 1 key on 5n wires; refused in the builder, before its 2^(3n)-dimensional
-    # receiver operator is allocated, and without computing 2^(5n)
+    # teleportation: 1 key on 5n wires; refused in the builder, before its
+    # 2^(3n)-dimensional receiver operator is allocated, and without computing
+    # 2^(5n); the pads are refused without computing their 4^n or 2^n keys
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1"}
     command, builder, n = argv
@@ -280,6 +282,19 @@ def test_builder_refuses_beyond_desk_scale_under_1gib_address_space(argv):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "error:" in proc.stderr and "4096" in proc.stderr
+
+
+@pytest.mark.parametrize("field", ["input_qubits", "alice_ancillas", "bob_ancillas"])
+def test_descriptor_with_huge_register_refused_under_1gib_address_space(tmp_path, field):
+    # the register size is compared with each operator's without building 2^size
+    path = _descriptor(tmp_path, _set(field, 10 ** 10))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", CAPPED_CLI, "verify", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "error: malformed protocol file" in proc.stderr
 
 
 @pytest.mark.parametrize("builder,n,resources", [

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pqclab.entropy import ProbabilityDist, shannon_entropy
+from pqclab.entropy import ProbabilityDist, entanglement_measure, shannon_entropy
 from pqclab.protocols import (
+    GateList,
     InputEnsemble,
     ProtocolVerificationError,
     build_classical_otp,
@@ -18,10 +20,19 @@ from pqclab.protocols import (
     verify_correctness,
     verify_security,
 )
-from pqclab.qmath import Ket, SystemLayout, haar_ket, trace_distance
+from pqclab.qmath import (
+    Ket,
+    SystemLayout,
+    UnitaryOp,
+    haar_ket,
+    reduced_from_vector,
+    reduced_matrix,
+    trace_distance,
+)
 from pqclab.reductions import (
     BoundAudit,
     ObliviousnessError,
+    ObliviousRsp,
     audit_classical_input,
     audit_quantum_input,
     check_obliviousness,
@@ -264,10 +275,11 @@ def test_non_oblivious_rsp_rejected():
 
 
 def test_rsp_completeness_enforced():
+    # a 2-wire readout has 4 values, so 3 corrections leave one message uncorrected
     good = teleportation_rsp(1)
-    with pytest.raises(ValueError, match="complete"):
+    with pytest.raises(ValueError, match="one correction per readout value"):
         type(good)(n=1, psi_ab=good.psi_ab, alice_subsystems=1,
-                   measurements=good.measurements[:3],
+                   measurement=good.measurement,
                    corrections=good.corrections[:3],
                    bob_ancillas=0, output_subsystems=(0,))
 
@@ -279,3 +291,127 @@ def test_teleportation_rsp_two_qubits():
     checks = check_obliviousness(rsp, random_probes=3)
     for name, (deviation, _) in checks.items():
         assert deviation <= 1e-9, name
+
+
+def computational_readout_rsp(bob_ancillas: int = 1) -> ObliviousRsp:
+    """Negative fixture: (input, A) read out in the computational basis, no
+    correction.  Messages with input bit 1 are impossible on |0> but not on
+    |1>, and the receiver's ancilla is a residue wire."""
+    good = teleportation_rsp(1)
+    eye = UnitaryOp(np.eye(2 ** (1 + bob_ancillas), dtype=complex))
+    return ObliviousRsp(
+        n=1, psi_ab=good.psi_ab, alice_subsystems=1, measurement=GateList(2, ()),
+        corrections=(eye,) * 4, bob_ancillas=bob_ancillas, output_subsystems=(0,))
+
+
+def test_message_impossible_on_the_reference_is_a_probability_violation():
+    checks = check_obliviousness(computational_readout_rsp(), random_probes=3)
+    # probe 1 is |1>: messages (1, a) get 1/2 each, after 0 on |0>
+    assert checks["message_probs"][0] == pytest.approx(0.5)
+    assert checks["message_probs"][1] == 1
+    with pytest.raises(ObliviousnessError) as err:
+        rsp_to_pqc(computational_readout_rsp())
+    assert err.value.invariant == "message_probs"
+    assert err.value.probe_index == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rsp_derived_channel_meets_the_paper_bounds(n):
+    # oblivious RSP of n qubits: communication 2n bits, entanglement n ebits
+    rsp = teleportation_rsp(n)
+    pqc = rsp_to_pqc(rsp)
+    audits = audit_quantum_input(pqc)
+    assert audits and all(a.satisfied for a in audits)
+    assert audits_by_name(audits)["key_entropy"].measured == pytest.approx(2 * n, abs=1e-9)
+    assert shannon_entropy(pqc.resource.key_source) == pytest.approx(2 * n, abs=1e-9)
+    assert entanglement_measure(rsp.psi_ab, range(n)) == pytest.approx(n, abs=1e-9)
+
+
+def test_rsp_to_pqc_at_four_qubits_stays_small():
+    tracemalloc.start()
+    try:
+        pqc = rsp_to_pqc(teleportation_rsp(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pqc.key_count == 256
+    assert peak < 64 << 20
+
+
+# ---------------------------------------------------------------------------
+# dense-projector oracle: the measurement as rank-1 projectors onto the rows
+# of its unitary, applied to one probe and one message at a time
+
+
+def dense_branches(rsp, probe):
+    """(probability, post-correction receiver density matrix or None) per message."""
+    u = rsp.measurement.matrix
+    ra, rb = rsp.alice_subsystems, rsp.bob_qubits
+    vec = np.kron(probe.amplitudes, rsp.psi_ab.amplitudes)
+    for m, row in enumerate(u):
+        projector = np.kron(np.outer(row.conj(), row), np.eye(2 ** rb))
+        w = projector @ vec
+        prob = float(np.real(np.vdot(w, w)))
+        if prob < 1e-14:
+            yield prob, None
+            continue
+        bob = reduced_from_vector(w / math.sqrt(prob), [2] * (rsp.n + ra + rb),
+                                  list(range(rsp.n + ra, rsp.n + ra + rb)))
+        anc = np.zeros((2 ** rsp.bob_ancillas,) * 2)
+        anc[0, 0] = 1.0
+        c = rsp.corrections[m].matrix
+        yield prob, c @ np.kron(bob, anc) @ c.conj().T
+
+
+def dense_obliviousness(rsp, random_probes):
+    bob_dims = [2] * (rsp.bob_qubits + rsp.bob_ancillas)
+    out = list(rsp.output_subsystems)
+    residue = [i for i in range(len(bob_dims)) if i not in out]
+    worst = dict.fromkeys(("message_probs", "output_state", "residue_drift", "factorization"), 0.0)
+    ref_probs, ref_residues = None, {}
+    for idx, probe in enumerate(InputEnsemble.quantum_full(rsp.n, random_probes, 0).probes()):
+        target = probe.density().matrix
+        probs = []
+        for m, (prob, post) in enumerate(dense_branches(rsp, probe)):
+            probs.append(prob)
+            if post is None:
+                continue
+            worst["output_state"] = max(worst["output_state"], trace_distance(
+                reduced_matrix(post, bob_dims, out), target))
+            if residue:
+                res = reduced_matrix(post, bob_dims, residue)
+                if idx == 0:
+                    ref_residues[m] = res
+                elif m in ref_residues:
+                    worst["residue_drift"] = max(worst["residue_drift"],
+                                                 trace_distance(res, ref_residues[m]))
+                worst["factorization"] = max(worst["factorization"], trace_distance(
+                    reduced_matrix(post, bob_dims, out + residue), np.kron(target, res)))
+        probs = np.array(probs)
+        if ref_probs is None:
+            ref_probs = probs
+        worst["message_probs"] = max(worst["message_probs"], np.max(np.abs(probs - ref_probs)))
+    return worst
+
+
+@pytest.mark.parametrize("build,n", [
+    (teleportation_rsp, 1), (teleportation_rsp, 2), (non_oblivious_rsp, 1),
+    (non_oblivious_rsp, 2), (lambda n: computational_readout_rsp(), 1)],
+    ids=["teleportation-1", "teleportation-2", "non-oblivious-1", "non-oblivious-2",
+         "computational-readout"])
+def test_obliviousness_matches_dense_projector_oracle(build, n):
+    rsp = build(n)
+    checks = check_obliviousness(rsp, random_probes=5)
+    for name, value in dense_obliviousness(rsp, random_probes=5).items():
+        assert checks[name][0] == pytest.approx(value, abs=1e-12), name
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_message_probs_and_key_match_dense_projector_oracle(n):
+    rsp = teleportation_rsp(n)
+    rng = np.random.default_rng(n)
+    for probe in (Ket.basis(SystemLayout.qubits(n), 0), haar_ket(SystemLayout.qubits(n), rng)):
+        dense = [prob for prob, _ in dense_branches(rsp, probe)]
+        assert np.allclose(rsp_message_probs(rsp, probe), dense, atol=1e-12)
+    ref = [prob for prob, _ in dense_branches(rsp, Ket.basis(SystemLayout.qubits(n), 0))]
+    assert np.allclose(rsp_to_pqc(rsp).key_probs, ref, atol=1e-12)
