@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reductions
-from .entropy import (
-    check_correlation_bounds,
-    check_entropy_inequalities,
-    mutual_information,
-    relative_entropy,
-)
+from .entropy import mutual_information, relative_entropy, stack_slacks
 from .protocols import (
     PROTOCOL_BUILDERS,
     ChannelProtocol,
@@ -43,11 +38,15 @@ from .qmath import (
     ENTROPY_TOL,
     DensityOp,
     SystemLayout,
+    matrix_to_json,
     random_density,
+    random_density_matrix,
     reduced_matrix,
 )
 
 REPORT_SCHEMA = 1
+#: samples per stacked chunk of the inequality sweep: its memory bound
+SWEEP_CHUNK = 128
 
 
 class UsageError(Exception):
@@ -177,29 +176,32 @@ def cmd_audit(args) -> tuple[dict, int]:
     return report, 0 if passed else 1
 
 
+def _worst_samples(chunks) -> dict[str, tuple[float, int, np.ndarray]]:
+    """Per inequality, the worst slack (the largest chain-rule residual) over
+    the stacked 3-qubit chunks, and the first sample index and matrix with it."""
+    worst: dict[str, tuple[float, int, np.ndarray]] = {}
+    start = 0
+    for stack in chunks:
+        for name, slacks in stack_slacks(stack, [2, 2, 2], (0,), (1,), (2,)).items():
+            residual = name == "chain_rule"
+            i = int(np.argmax(slacks) if residual else np.argmin(slacks))
+            entry = worst.get(name)
+            if entry is None or (slacks[i] > entry[0] if residual else slacks[i] < entry[0]):
+                worst[name] = (float(slacks[i]), start + i, stack[i].copy())
+        start += len(stack)
+    return worst
+
+
 def cmd_inequalities(args) -> tuple[dict, int]:
     cfg = _config(args)
     if cfg.samples < 1:
         raise UsageError("--samples must be >= 1")
     report = _base_report("inequalities", cfg)
     rng = np.random.default_rng(cfg.seed)
-    layout = SystemLayout.qubits(3)
-    groups = {"A": (0,), "B": (1,), "C": (2,)}
-
-    summary: dict[str, dict] = {}
-    for _ in range(cfg.samples):
-        rho = random_density(layout, rng)
-        found = check_entropy_inequalities(rho, groups)
-        found += check_correlation_bounds(rho, (0,), (1,), (2,))
-        for item in found:
-            entry = summary.get(item.name)
-            # chain_rule reports a residual: track the max, others the min slack
-            if item.name == "chain_rule":
-                worse = entry is None or item.slack > entry["slack"]
-            else:
-                worse = entry is None or item.slack < entry["slack"]
-            if worse:
-                summary[item.name] = item.to_dict()
+    worst = _worst_samples(
+        np.stack([random_density_matrix(8, rng)
+                  for _ in range(min(SWEEP_CHUNK, cfg.samples - start))])
+        for start in range(0, cfg.samples, SWEEP_CHUNK))
 
     cross_samples = min(cfg.samples, 200)
     pair_layout = SystemLayout.qubits(2)
@@ -212,20 +214,18 @@ def cmd_inequalities(args) -> tuple[dict, int]:
         re_val = relative_entropy(rho, DensityOp(pair_layout, product))
         cross_dev = max(cross_dev, abs(mi - re_val))
 
-    ordered = sorted(summary)
     report["inequalities"] = [
-        {("max_residual" if name == "chain_rule" else "min_slack"): summary[name]["slack"],
-         "name": name, "witness": summary[name]["witness"]}
-        for name in ordered]
+        {("max_residual" if name == "chain_rule" else "min_slack"): slack, "name": name,
+         "witness": {"dims": [2, 2, 2], "matrix": matrix_to_json(matrix)}}
+        for name, (slack, _, matrix) in sorted(worst.items())]
     report["cross_check"] = {
         "name": "mutual_info_equals_relative_entropy_to_marginals",
         "samples": cross_samples,
         "max_deviation": cross_dev,
     }
     passed = all(
-        (summary[name]["slack"] <= cfg.entropy_tol if name == "chain_rule"
-         else summary[name]["slack"] >= -cfg.entropy_tol)
-        for name in ordered) and cross_dev <= cfg.entropy_tol
+        (slack <= cfg.entropy_tol if name == "chain_rule" else slack >= -cfg.entropy_tol)
+        for name, (slack, _, _) in worst.items()) and cross_dev <= cfg.entropy_tol
     report["pass"] = passed
     return report, 0 if passed else 1
 

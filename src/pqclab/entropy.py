@@ -19,7 +19,6 @@ from .qmath import (
     DensityOp,
     Ket,
     matrix_to_json,
-    max_abs,
     reduced_matrix,
     schmidt_decompose,
 )
@@ -77,10 +76,12 @@ class InequalityReport:
         return {"name": self.name, "slack": self.slack, "witness": self.witness}
 
 
-def _entropy_of_probs(p: np.ndarray, clip: float = EIGENVALUE_CLIP) -> float:
-    p = np.asarray(p, dtype=float)
-    p = p[p > clip]
-    return 0.0 if p.size == 0 else float(-np.sum(p * np.log2(p)))
+def _entropy_of_probs(p: np.ndarray, clip: float = EIGENVALUE_CLIP) -> float | np.ndarray:
+    """-Σ p log2 p over the last axis: a float for one spectrum, the same value
+    per row for a stack.  A clipped entry counts as 1, adding an exact 0.0."""
+    q = np.where(np.asarray(p, dtype=float) > clip, p, 1.0)
+    h = -np.add.reduce(q * np.log2(q), axis=-1)
+    return float(h) if h.ndim == 0 else h
 
 
 def shannon_entropy(dist: ProbabilityDist) -> float:
@@ -108,31 +109,39 @@ def relative_entropy(rho: DensityOp, sigma: DensityOp,
     return -_entropy_of_probs(np.linalg.eigvalsh(rho.matrix), clip) - cross
 
 
-def entropy_of_group(rho: DensityOp, group: Sequence[int],
-                     clip: float = EIGENVALUE_CLIP) -> float:
-    """Entropy of the reduction to ``group``; the empty group has entropy 0."""
-    group = rho.layout.check_subsystems(group)
+def _set_entropy(matrix: np.ndarray, dims: Sequence[int], group: Sequence[int],
+                 clip: float = EIGENVALUE_CLIP) -> float | np.ndarray:
+    """Entropy of the reduction to ``group`` of a matrix, or of each matrix
+    of a stack (k, d, d) by one batched eigensolve."""
     if not group:
         return 0.0
-    if len(group) == len(rho.layout):
-        return von_neumann(rho, clip)
-    reduced = reduced_matrix(rho.matrix, rho.layout.dims, sorted(group))
+    reduced = matrix if len(group) == len(dims) else reduced_matrix(matrix, dims, sorted(group))
     return _entropy_of_probs(np.linalg.eigvalsh(reduced), clip)
 
 
-def _group_entropies(rho: DensityOp):
+def entropy_of_group(rho: DensityOp, group: Sequence[int], clip: float = EIGENVALUE_CLIP) -> float:
+    """Entropy of the reduction to ``group``; the empty group has entropy 0."""
+    return _set_entropy(rho.matrix, rho.layout.dims, rho.layout.check_subsystems(group), clip)
+
+
+def _group_entropies(matrix: np.ndarray, dims: Sequence[int]):
     """``s(*groups)``: entropy of the union of the groups, computed once per set."""
-    entropy = functools.cache(lambda group: entropy_of_group(rho, group))
+    entropy = functools.cache(lambda group: _set_entropy(matrix, dims, group))
     return lambda *groups: entropy(tuple(sorted(i for g in groups for i in g)))
+
+
+def _disjoint_groups(rho: DensityOp, *groups: Sequence[int]) -> list[tuple[int, ...]]:
+    """The groups checked against the state's layout and for overlap."""
+    checked = [rho.layout.check_subsystems(g) for g in groups]
+    if len({i for g in checked for i in g}) != sum(map(len, checked)):
+        raise ValueError(f"groups must be disjoint, got {checked}")
+    return checked
 
 
 def mutual_information(rho: DensityOp, group_a: Sequence[int],
                        group_b: Sequence[int]) -> float:
     """S(A) + S(B) - S(AB), each read from the state's own reduction."""
-    a = rho.layout.check_subsystems(group_a)
-    b = rho.layout.check_subsystems(group_b)
-    if set(a) & set(b):
-        raise ValueError(f"groups overlap: {a} and {b}")
+    a, b = _disjoint_groups(rho, group_a, group_b)
     return (entropy_of_group(rho, a) + entropy_of_group(rho, b)
             - entropy_of_group(rho, a + b))
 
@@ -152,13 +161,8 @@ def classicality_deviation(rho: DensityOp, group: Sequence[int]) -> float:
     group = rho.layout.check_subsystems(group)
     if not group:
         return 0.0
-    dims = rho.layout.dims
-    d = rho.dim
-    idx = np.arange(d)
-    sub = np.zeros(d, dtype=int)
-    for g in group:
-        stride = int(np.prod(dims[g + 1:])) if g + 1 < len(dims) else 1
-        sub = sub * dims[g] + (idx // stride) % dims[g]
+    digits = np.unravel_index(np.arange(rho.dim), rho.layout.dims)
+    sub = np.ravel_multi_index([digits[g] for g in group], [rho.layout.dims[g] for g in group])
     mask = sub[:, None] != sub[None, :]
     return 0.0 if not mask.any() else float(np.max(np.abs(rho.matrix[mask])))
 
@@ -167,8 +171,48 @@ def is_classical_on(rho: DensityOp, group: Sequence[int], tol: float = 1e-10) ->
     return classicality_deviation(rho, group) <= tol
 
 
-def _witness(rho: DensityOp) -> dict:
-    return {"dims": list(rho.layout.dims), "matrix": matrix_to_json(rho.matrix)}
+def _entropy_slacks(s, a, b, c, a_classical: bool) -> dict:
+    """The slacks of :func:`check_entropy_inequalities`, floats or arrays."""
+    other = b + c  # B, or BC when present
+    slacks = {"subadditivity": s(a) + s(other) - s(a, other),
+              "araki_lieb": s(a, other) - abs(s(a) - s(other))}
+    if c:
+        slacks["strong_subadditivity"] = s(a, b) + s(a, c) - s(a, b, c) - s(a)
+        i_a_bc = s(a) + s(b, c) - s(a, b, c)
+        i_a_b = s(a) + s(b) - s(a, b)
+        i_ab_c = s(a, b) + s(c) - s(a, b, c)
+        i_b_c = s(b) + s(c) - s(b, c)
+        slacks["chain_rule"] = abs(i_a_bc - i_a_b - i_ab_c + i_b_c)
+    if a_classical:
+        slacks["classical_marginal"] = s(a, other) - np.maximum(s(a), s(other))
+    return slacks
+
+
+def _correlation_slacks(s, a, b, x, ax_classical: bool) -> dict:
+    """The slacks of :func:`check_correlation_bounds`, floats or arrays."""
+    cond_mi = s(a, x) + s(b, x) - s(a, b, x) - s(x)
+    cap = np.minimum(2 * s(a), 2 * s(b))
+    slacks = {"cond_mutual_info_vs_marginals": cap - cond_mi,
+              "mutual_info_vs_marginals": cap - (s(a) + s(b) - s(a, b))}
+    if ax_classical:
+        slacks["cond_mutual_info_vs_marginals_classical"] = np.minimum(s(a), s(b)) - cond_mi
+    return slacks
+
+
+def stack_slacks(matrices: np.ndarray, dims: Sequence[int], a: Sequence[int],
+                 b: Sequence[int], c: Sequence[int]) -> dict[str, np.ndarray]:
+    """Every slack of ``check_entropy_inequalities`` on groups A, B, C and of
+    ``check_correlation_bounds`` on A, B given X = C, for each matrix of a
+    stack (k, d, d) of states on ``dims``, which are taken as valid."""
+    s = _group_entropies(matrices, dims)
+    return {**_entropy_slacks(s, a, b, c, False), **_correlation_slacks(s, a, b, c, False)}
+
+
+def _reports(rho: DensityOp, slacks, *args) -> list[InequalityReport]:
+    """One report per slack that ``slacks(s, *args)`` gives on the state ``rho``."""
+    s = _group_entropies(rho.matrix, rho.layout.dims)
+    witness = {"dims": list(rho.layout.dims), "matrix": matrix_to_json(rho.matrix)}
+    return [InequalityReport(name, float(v), witness) for name, v in slacks(s, *args).items()]
 
 
 def check_entropy_inequalities(rho: DensityOp, groups: Mapping[str, Sequence[int]],
@@ -184,39 +228,12 @@ def check_entropy_inequalities(rho: DensityOp, groups: Mapping[str, Sequence[int
     labels = set(groups)
     if labels not in ({"A", "B"}, {"A", "B", "C"}):
         raise ValueError(f"groups must be labelled A, B and optionally C, got {sorted(labels)}")
-    a = rho.layout.check_subsystems(groups["A"])
-    b = rho.layout.check_subsystems(groups["B"])
-    c = rho.layout.check_subsystems(groups.get("C", ()))
-    seen: set[int] = set()
-    for g in (a, b, c):
-        if seen & set(g):
-            raise ValueError("groups must be disjoint")
-        seen |= set(g)
-
-    witness = _witness(rho)
-    s = _group_entropies(rho)
-    other = b + c  # B, or BC when present
-    reports = [
-        InequalityReport("subadditivity", s(a) + s(other) - s(a, other), witness),
-        InequalityReport("araki_lieb", s(a, other) - abs(s(a) - s(other)), witness),
-    ]
-    if c:
-        ssa = s(a, b) + s(a, c) - s(a, b, c) - s(a)
-        reports.append(InequalityReport("strong_subadditivity", ssa, witness))
-        i_a_bc = s(a) + s(b, c) - s(a, b, c)
-        i_a_b = s(a) + s(b) - s(a, b)
-        i_ab_c = s(a, b) + s(c) - s(a, b, c)
-        i_b_c = s(b) + s(c) - s(b, c)
-        residual = abs(i_a_bc - i_a_b - i_ab_c + i_b_c)
-        reports.append(InequalityReport("chain_rule", residual, witness))
-    if a_classical:
-        if not is_classical_on(rho, a):
-            raise ValueError(
-                f"group A asserted classical but off-diagonal magnitude is "
-                f"{classicality_deviation(rho, a):.3e}")
-        bound = s(a, other) - max(s(a), s(other))
-        reports.append(InequalityReport("classical_marginal", bound, witness))
-    return reports
+    a, b, c = _disjoint_groups(rho, groups["A"], groups["B"], groups.get("C", ()))
+    if a_classical and not is_classical_on(rho, a):
+        raise ValueError(
+            f"group A asserted classical but off-diagonal magnitude is "
+            f"{classicality_deviation(rho, a):.3e}")
+    return _reports(rho, _entropy_slacks, a, b, c, a_classical)
 
 
 def check_correlation_bounds(rho: DensityOp, group_a: Sequence[int],
@@ -229,27 +246,9 @@ def check_correlation_bounds(rho: DensityOp, group_a: Sequence[int],
     I(A:B|X) <= min(S(A), S(B)).  ``group_x`` may be empty, in which case X
     is the trivial system.
     """
-    a = rho.layout.check_subsystems(group_a)
-    b = rho.layout.check_subsystems(group_b)
-    x = rho.layout.check_subsystems(group_x)
-    if (set(a) & set(b)) or (set(a) & set(x)) or (set(b) & set(x)):
-        raise ValueError("groups must be disjoint")
-
-    witness = _witness(rho)
-    s = _group_entropies(rho)
-    cond_mi = s(a, x) + s(b, x) - s(a, b, x) - s(x)
-    cap = min(2 * s(a), 2 * s(b))
-    reports = [
-        InequalityReport("cond_mutual_info_vs_marginals", cap - cond_mi, witness),
-        InequalityReport("mutual_info_vs_marginals",
-                         cap - (s(a) + s(b) - s(a, b)), witness),
-    ]
-    if ax_classical:
-        if not is_classical_on(rho, a + x):
-            raise ValueError(
-                f"groups A,X asserted classical but off-diagonal magnitude is "
-                f"{classicality_deviation(rho, a + x):.3e}")
-        reports.append(InequalityReport(
-            "cond_mutual_info_vs_marginals_classical",
-            min(s(a), s(b)) - cond_mi, witness))
-    return reports
+    a, b, x = _disjoint_groups(rho, group_a, group_b, group_x)
+    if ax_classical and not is_classical_on(rho, a + x):
+        raise ValueError(
+            f"groups A,X asserted classical but off-diagonal magnitude is "
+            f"{classicality_deviation(rho, a + x):.3e}")
+    return _reports(rho, _correlation_slacks, a, b, x, ax_classical)

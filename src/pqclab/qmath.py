@@ -250,30 +250,31 @@ def compose_circuit(dims: Sequence[int], gates: Iterable[tuple[np.ndarray, Seque
 
 
 def reduced_matrix(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of a square matrix, keeping subsystems in the order given."""
+    """Partial trace of a square matrix, or of each matrix of a stack
+    (..., d, d), keeping subsystems in the order given."""
     dims = list(dims)
     n = len(dims)
     keep = list(keep)
     rest = [i for i in range(n) if i not in keep]
-    t = matrix.reshape(dims + dims)
-    perm = keep + rest + [n + i for i in keep] + [n + i for i in rest]
-    t = np.transpose(t, perm)
+    lead = list(matrix.shape[:-2])
+    perm = [len(lead) + i for i in keep + rest + [n + j for j in keep + rest]]
+    t = np.transpose(matrix.reshape(lead + dims + dims), list(range(len(lead))) + perm)
     dk = int(np.prod([dims[i] for i in keep]))
-    dr = int(np.prod([dims[i] for i in rest])) if rest else 1
-    return np.einsum("arbr->ab", t.reshape(dk, dr, dk, dr))
+    dr = int(np.prod([dims[i] for i in rest]))
+    return np.einsum("...arbr->...ab", t.reshape(lead + [dk, dr, dk, dr]))
 
 
 def reduced_from_vector(vec: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Reduced density matrix of a pure state, keeping subsystems in the order
-    given; for a matrix of column vectors, the stack of every column's."""
+    given; for column axes (dim, ...), the stack (..., dk, dk) of every column's."""
     dims = list(dims)
     n = len(dims)
     keep = list(keep)
     rest = [i for i in range(n) if i not in keep]
     cols = list(vec.shape[1:])
-    t = vec.reshape(dims + cols).transpose([n] * len(cols) + keep + rest)
+    t = vec.reshape(dims + cols).transpose(list(range(n, n + len(cols))) + keep + rest)
     dk = int(np.prod([dims[i] for i in keep]))
-    m = t.reshape(cols + [dk, -1])
+    m = t.reshape(cols + [dk, int(np.prod([dims[i] for i in rest]))])
     return m @ m.conj().swapaxes(-1, -2)
 
 

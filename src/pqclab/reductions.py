@@ -512,8 +512,6 @@ def check_obliviousness(rsp: ObliviousRsp, random_probes: int = 20, seed: int = 
             probs, live, states = _branches(w @ probes)
             np.maximum(per_probe["message_probs"], np.abs(probs - ref_probs[m]),
                        out=per_probe["message_probs"])
-            if not live.any():
-                continue
             devs = {"output_state": trace_distance(
                 reduced_from_vector(states, dims, out), targets[live])}
             if residue:

@@ -3,16 +3,33 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from pqclab.cli import main
+from pqclab.cli import SWEEP_CHUNK, _worst_samples, main
+from pqclab.entropy import (
+    check_correlation_bounds,
+    check_entropy_inequalities,
+    mutual_information,
+    relative_entropy,
+)
 from pqclab.protocols import (
     build_named,
     build_quantum_otp,
     build_teleportation,
     require_lift_scale,
     save_protocol,
+)
+from pqclab.qmath import (
+    ALGEBRA_TOL,
+    ENTROPY_TOL,
+    DensityOp,
+    SystemLayout,
+    random_density,
+    random_density_matrix,
+    reduced_matrix,
 )
 
 
@@ -123,6 +140,94 @@ def test_inequalities_sweep(capsys):
             assert item["min_slack"] >= -1e-8
         assert item["witness"] is not None
     assert report["cross_check"]["max_deviation"] <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the stacked sweep against the one-state-at-a-time loop it replaced
+
+
+def per_sample_inequalities_report(seed, samples):
+    """The inequalities report minus timestamp, from one check per sample."""
+    rng = np.random.default_rng(seed)
+    layout = SystemLayout.qubits(3)
+    summary = {}
+    for _ in range(samples):
+        rho = random_density(layout, rng)
+        found = check_entropy_inequalities(rho, {"A": (0,), "B": (1,), "C": (2,)})
+        found += check_correlation_bounds(rho, (0,), (1,), (2,))
+        for item in found:
+            entry = summary.get(item.name)
+            if item.name == "chain_rule":
+                worse = entry is None or item.slack > entry["slack"]
+            else:
+                worse = entry is None or item.slack < entry["slack"]
+            if worse:
+                summary[item.name] = item.to_dict()
+    cross_samples = min(samples, 200)
+    pair = SystemLayout.qubits(2)
+    cross_dev = 0.0
+    for _ in range(cross_samples):
+        rho = random_density(pair, rng)
+        product = np.kron(reduced_matrix(rho.matrix, pair.dims, [0]),
+                          reduced_matrix(rho.matrix, pair.dims, [1]))
+        mi = mutual_information(rho, (0,), (1,))
+        cross_dev = max(cross_dev, abs(mi - relative_entropy(rho, DensityOp(pair, product))))
+    ordered = sorted(summary)
+    passed = all(
+        (summary[name]["slack"] <= ENTROPY_TOL if name == "chain_rule"
+         else summary[name]["slack"] >= -ENTROPY_TOL)
+        for name in ordered) and cross_dev <= ENTROPY_TOL
+    return {
+        "schema": 1, "command": "inequalities",
+        "config": {"seed": seed, "algebra_tol": ALGEBRA_TOL, "entropy_tol": ENTROPY_TOL,
+                   "random_probes": 50, "samples": samples},
+        "inequalities": [
+            {("max_residual" if name == "chain_rule" else "min_slack"): summary[name]["slack"],
+             "name": name, "witness": summary[name]["witness"]}
+            for name in ordered],
+        "cross_check": {"name": "mutual_info_equals_relative_entropy_to_marginals",
+                        "samples": cross_samples, "max_deviation": cross_dev},
+        "pass": passed,
+    }
+
+
+@pytest.mark.parametrize("samples", [1, SWEEP_CHUNK - 1, SWEEP_CHUNK, SWEEP_CHUNK + 1, 500])
+@pytest.mark.parametrize("seed", [0, 7, 2_087_043_557])
+def test_inequalities_report_matches_per_sample_loop(seed, samples, capsys):
+    code = main(["inequalities", "--samples", str(samples), "--seed", str(seed)])
+    report = json.loads(capsys.readouterr().out)
+    del report["timestamp"]
+    expected = per_sample_inequalities_report(seed, samples)
+    assert code == (0 if expected["pass"] else 1)
+    assert (json.dumps(report, sort_keys=True, indent=2)
+            == json.dumps(expected, sort_keys=True, indent=2))
+
+
+def test_tied_samples_name_the_first_as_witness():
+    rng = np.random.default_rng(5)
+    m, other = random_density_matrix(8, rng), random_density_matrix(8, rng)
+    for chunks in ([np.stack([m, m])], [np.stack([m]), np.stack([m])]):
+        worst = _worst_samples(chunks)
+        assert len(worst) == 6 and all(index == 0 for _, index, _ in worst.values())
+    # m at indices 1 and 2, within one chunk and across two: 2 is never named
+    for chunks in ([np.stack([other, m, m])], [np.stack([other, m]), np.stack([m])]):
+        for _, index, witness in _worst_samples(chunks).values():
+            assert index in (0, 1)
+            assert np.array_equal(witness, (other, m)[index])
+
+
+def test_inequalities_memory_is_bounded_by_the_chunk(capsys):
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            main(["inequalities", "--samples", str(samples), "--seed", "3"])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    peak(2)  # first-call imports and caches are not the sweep's
+    assert peak(8 * SWEEP_CHUNK) <= 2 * peak(SWEEP_CHUNK)
 
 
 def test_reports_deterministic_modulo_timestamp(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from pqclab.entropy import (
     InequalityReport,
+    _entropy_of_probs,
     ProbabilityDist,
     check_correlation_bounds,
     check_entropy_inequalities,
@@ -14,6 +15,7 @@ from pqclab.entropy import (
     mutual_information,
     relative_entropy,
     shannon_entropy,
+    stack_slacks,
     von_neumann,
 )
 from pqclab.qmath import (
@@ -24,6 +26,7 @@ from pqclab.qmath import (
     haar_unitary,
     partial_trace,
     random_density,
+    random_density_matrix,
 )
 
 Q1 = SystemLayout.qubits(1)
@@ -405,3 +408,27 @@ def test_mutual_information_on_subset_matches_reduce_first():
             expected = mutual_information(reduced, tuple(remap[i] for i in a),
                                           tuple(remap[i] for i in b))
             assert mutual_information(rho, a, b) == pytest.approx(expected, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# stacks: one row of a stacked computation is the one-state computation
+
+
+def test_stack_slack_rows_equal_the_one_state_checkers():
+    rng = np.random.default_rng(21)
+    stack = np.stack([random_density_matrix(8, rng) for _ in range(6)])
+    slacks = stack_slacks(stack, Q3.dims, (0,), (1,), (2,))
+    for k, matrix in enumerate(stack):
+        rho = DensityOp(Q3, matrix)
+        one = _slacks(check_entropy_inequalities(rho, {"A": (0,), "B": (1,), "C": (2,)}))
+        one.update(_slacks(check_correlation_bounds(rho, (0,), (1,), (2,))))
+        assert {name: float(values[k]) for name, values in slacks.items()} == one
+
+
+def test_entropy_of_a_stack_row_equals_the_single_spectrum():
+    spectra = np.array([[0.5, 0.0, 0.25, 0.25], [0.25] * 4, [1.0, 1e-13, -1e-17, 0.0],
+                        [0.7, 0.2, 0.1, 1e-12]])
+    stacked = _entropy_of_probs(spectra)
+    assert stacked.shape == (4,)
+    assert [_entropy_of_probs(row) for row in spectra] == stacked.tolist()
+    assert stacked.tolist() == pytest.approx([1.5, 2.0, 0.0, _entropy_of_probs([0.7, 0.2, 0.1])])

@@ -22,7 +22,10 @@ from pqclab.qmath import (
     pauli_string,
     purify,
     random_density,
+    random_density_matrix,
     ray_deviation,
+    reduced_from_vector,
+    reduced_matrix,
     schmidt_decompose,
     tensor,
     trace_distance,
@@ -121,6 +124,34 @@ def test_partial_trace_matches_naive_oracle():
             got = partial_trace(rho, keep).matrix
             want = naive_partial_trace(rho.matrix, list(dims), sorted(keep))
             assert max_abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("cols", [(), (3,), (0,), (2, 3), (0, 3), (2, 0)],
+                         ids=["vector", "one-axis", "one-axis-empty", "two-axes",
+                              "two-axes-empty-first", "two-axes-empty-last"])
+def test_reduced_from_vector_matches_per_column_loop(cols):
+    rng = np.random.default_rng(41)
+    dims = [2, 3, 2]
+    vec = rng.standard_normal((12,) + cols) + 1j * rng.standard_normal((12,) + cols)
+    for keep in ([0], [2, 0], [1, 2], [0, 1, 2]):
+        dk = int(np.prod([dims[i] for i in keep]))
+        got = reduced_from_vector(vec, dims, keep)
+        assert got.shape == cols + (dk, dk)
+        for idx in np.ndindex(*cols):
+            psi = vec[(slice(None),) + idx]
+            want = naive_partial_trace(np.outer(psi, psi.conj()), dims, keep)
+            assert max_abs(got[idx] - want) < 1e-12
+
+
+def test_reduced_matrix_of_a_stack_is_each_matrix_reduced():
+    rng = np.random.default_rng(43)
+    dims = [2, 3, 2]
+    stack = np.stack([random_density_matrix(12, rng) for _ in range(6)]).reshape(2, 3, 12, 12)
+    for keep in ([0], [2, 0], [1, 2], [0, 1, 2]):
+        got = reduced_matrix(stack, dims, keep)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(got[idx], reduced_matrix(stack[idx], dims, keep))
+            assert max_abs(got[idx] - naive_partial_trace(stack[idx], dims, keep)) < 1e-12
 
 
 def test_partial_trace_preserves_trace_and_validity():

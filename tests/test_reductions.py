@@ -415,3 +415,16 @@ def test_message_probs_and_key_match_dense_projector_oracle(n):
         assert np.allclose(rsp_message_probs(rsp, probe), dense, atol=1e-12)
     ref = [prob for prob, _ in dense_branches(rsp, Ket.basis(SystemLayout.qubits(n), 0))]
     assert np.allclose(rsp_to_pqc(rsp).key_probs, ref, atol=1e-12)
+
+
+def test_obliviousness_with_a_message_never_possible_matches_oracle():
+    # A holds |0>, so every readout (x, 1) has probability 0 on every probe:
+    # those messages reach check_obliviousness as blocks with no live column
+    eye = UnitaryOp(np.eye(4, dtype=complex))
+    rsp = ObliviousRsp(
+        n=1, psi_ab=Ket.from_bits("00"), alice_subsystems=1, measurement=GateList(2, ()),
+        corrections=(eye,) * 4, bob_ancillas=1, output_subsystems=(0,))
+    assert not rsp_message_probs(rsp, haar_ket(Q1, np.random.default_rng(3)))[1::2].any()
+    checks = check_obliviousness(rsp, random_probes=5)
+    for name, value in dense_obliviousness(rsp, random_probes=5).items():
+        assert checks[name][0] == pytest.approx(value, abs=1e-12), name
