@@ -44,7 +44,7 @@ from .qmath import (
     reduced_matrix,
 )
 
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 #: samples per stacked chunk of the inequality sweep: its memory bound
 SWEEP_CHUNK = 128
 

@@ -208,7 +208,8 @@ class ChannelProtocol:
     input ⊗ ancilla ⊗ sender-resource-half, the receiver's on
     message ⊗ ancilla ⊗ receiver-resource-half; ancillas start in |0...0>.
     ``message_subsystems`` index the sender register, ``output_subsystems``
-    the receiver register, both in wire order.
+    the receiver register, both in wire order; the output has as many wires
+    as the input.
     """
 
     name: str
@@ -252,8 +253,8 @@ class ChannelProtocol:
             raise ValueError("duplicate message subsystems")
         if any(not 0 <= i < self.sender_qubits for i in self.message_subsystems):
             raise ValueError("message subsystems outside the sender register")
-        if len(set(self.output_subsystems)) != len(self.output_subsystems) or not self.output_subsystems:
-            raise ValueError("bad output subsystems")
+        if not len(set(self.output_subsystems)) == len(self.output_subsystems) == self.input_qubits:
+            raise ValueError(f"need {self.input_qubits} distinct output subsystems")
         if any(not 0 <= i < self.receiver_qubits for i in self.output_subsystems):
             raise ValueError("output subsystems outside the receiver register")
 
@@ -517,10 +518,26 @@ def encode_cross_term(p: ChannelProtocol, i: int, j: int) -> np.ndarray:
     return channel_on_units(p)[i, j]
 
 
+def factorization_certificate(units: np.ndarray) -> float:
+    """½‖Tr_out |C|‖_∞ for C = Σ_ab |a><b| ⊗ (E(|a><b|) − δ_ab E(|0><0|)), the
+    Choi matrix of E minus the replacement channel X ↦ Tr(X) E(|0><0|).
+
+    It bounds their diamond distance from above (Watrous, *The Theory of
+    Quantum Information*, ch. 3), so it bounds the trace distance between
+    (I ⊗ E) sigma and (Tr_input sigma) ⊗ E(|0><0|) for every bipartite sigma.
+    """
+    d, dm = units.shape[0], units.shape[-1]
+    choi = units.transpose(0, 2, 1, 3).reshape(d * dm, d * dm) - np.kron(np.eye(d), units[0, 0])
+    w, v = np.linalg.eigh(choi)
+    # Tr_out |C| = Σ_i |w_i| Tr_out(v_i v_i†), without forming |C|
+    half = (v * np.sqrt(np.abs(w))).reshape(d, -1)
+    return 0.5 * float(np.linalg.eigvalsh(half @ half.conj().T)[-1])
+
+
 def factorization_deviation(p: ChannelProtocol, samples: int = 20, seed: int = 0,
                             units: np.ndarray | None = None) -> float:
     """How far (I ⊗ E) sigma strays from (Tr_input sigma) ⊗ rho_ref on random
-    bipartite inputs; zero for any input-independent encoder."""
+    bipartite inputs; a sampled lower estimate of factorization_certificate."""
     if units is None:
         units = channel_on_units(p)
     d_in, dm = units.shape[0], units.shape[-1]
@@ -564,8 +581,7 @@ def security_deviations(p: ChannelProtocol, ensemble: InputEnsemble) -> dict[str
         parts["classical_offdiag"] = classical_dev
     if not basis:
         parts["cross_term"] = max_cross_term_magnitude(p, table)
-        parts["factorization"] = factorization_deviation(p, seed=ensemble.seed + 1,
-                                                         units=table)
+        parts["factorization"] = factorization_certificate(table)
     return parts
 
 
@@ -623,8 +639,14 @@ def require_load(context: str, keys: int, qubits: int, scale: int = 1):
 
 
 def require_desk_scale(p: ChannelProtocol):
-    """Reject protocols whose load on the engine register is beyond desk scale."""
+    """Reject protocols whose load on the engine register is beyond desk scale;
+    for quantum input, also its d^2 pair probes of d = 2^input amplitudes and
+    the eigensolve of its Choi matrix, of side N = d x message dimension."""
     require_load(p.name, p.key_count, p.engine_qubits)
+    if p.input_kind == INPUT_QUANTUM:
+        require_load(f"{p.name} pair probes", 1, 3 * p.input_qubits)
+        require_load(f"{p.name} channel table", 1,
+                     3 * (p.input_qubits + p.message_qubits), scale=2)
 
 
 def require_lift_scale(p: ChannelProtocol):

@@ -457,13 +457,17 @@ def trace_distance(a, b) -> float | np.ndarray:
     """(1/2) Σ |eigenvalues of a - b|; accepts DensityOp or raw matrices.
 
     Stacks of matrices broadcast against each other and give one distance
-    per stacked pair, from a single batched eigensolve.
+    per stacked pair, from a single batched eigensolve over the pairs that
+    differ; a pair with an exactly zero difference is exactly 0.0.
     """
     am = a.matrix if isinstance(a, DensityOp) else as_complex(a)
     bm = b.matrix if isinstance(b, DensityOp) else as_complex(b)
     if am.shape[-2:] != bm.shape[-2:]:
         raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(am - bm)), axis=-1)
+    diff = am - bm
+    differs = diff.any(axis=(-2, -1))
+    dist = np.zeros(differs.shape)
+    dist[differs] = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff[differs])), axis=-1)
     return float(dist) if dist.ndim == 0 else dist
 
 

@@ -16,6 +16,7 @@ from pqclab.entropy import (
     relative_entropy,
 )
 from pqclab.protocols import (
+    build_classical_otp,
     build_named,
     build_quantum_otp,
     build_teleportation,
@@ -45,7 +46,7 @@ def test_verify_quantum_otp(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["pass"] is True
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["resources"]["comm"] == pytest.approx(1.0)
     assert report["resources"]["key_entropy"] == pytest.approx(2.0)
     assert report["security_deviation"] <= 1e-9
@@ -178,7 +179,7 @@ def per_sample_inequalities_report(seed, samples):
          else summary[name]["slack"] >= -ENTROPY_TOL)
         for name in ordered) and cross_dev <= ENTROPY_TOL
     return {
-        "schema": 1, "command": "inequalities",
+        "schema": 2, "command": "inequalities",
         "config": {"seed": seed, "algebra_tol": ALGEBRA_TOL, "entropy_tol": ENTROPY_TOL,
                    "random_probes": 50, "samples": samples},
         "inequalities": [
@@ -400,6 +401,60 @@ def test_descriptor_with_huge_register_refused_under_1gib_address_space(tmp_path
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "error: malformed protocol file" in proc.stderr
+
+
+# registers a quantum-input identity whose message is all n input wires, kept
+# as a gate list with no gates (a descriptor file at n = 12 would hold a dense
+# 4096 x 4096 operator), then runs the CLI under the 1 GiB cap and reports on
+# stderr how long main took
+CAPPED_WIDE_CLI = """import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from pqclab import protocols
+from pqclab.cli import main
+
+def wide_identity(n):
+    wires = tuple(range(n))
+    return protocols.ChannelProtocol(
+        name="wide-identity", input_kind=protocols.INPUT_QUANTUM, input_qubits=n,
+        message_kind=protocols.INPUT_QUANTUM, resource=protocols.SharedResource.none(),
+        alice_ancillas=0, bob_ancillas=0, alice_ops=(protocols.GateList(n, ()),),
+        bob_ops=(protocols.GateList(n, ()),), message_subsystems=wires, output_subsystems=wires)
+
+protocols.PROTOCOL_BUILDERS["wide-identity"] = wide_identity
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(f"main took {time.perf_counter() - start:.3f} s", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("n", [5, 6, 8, 12])
+def test_wide_quantum_input_refused_under_1gib_address_space(n):
+    # the engine load is 2^n <= 4096, but the d^2 pair probes (d^3 = 2^(3n)
+    # amplitudes) and the 2^(2n)-dimensional Choi matrix are not desk scale
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", CAPPED_WIDE_CLI, "verify", "wide-identity",
+                           "--n", str(n)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "error: wide-identity pair probes: load" in proc.stderr
+    assert float(proc.stderr.split("main took ")[1].split(" s")[0]) < 1.0
+
+
+@pytest.mark.parametrize("build", [build_quantum_otp, build_classical_otp])
+@pytest.mark.parametrize("command", ["verify", "audit"])
+def test_narrow_output_descriptor_refused_under_1gib_address_space(tmp_path, build, command):
+    # two input qubits, one output wire: refused as malformed, not a traceback
+    path = _descriptor(tmp_path, _set("output_subsystems", [0]), build=lambda n: build(2))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", CAPPED_CLI, command, str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "error: malformed protocol file" in proc.stderr
+    assert "need 2 distinct output subsystems" in proc.stderr
 
 
 @pytest.mark.parametrize("builder,n,resources", [

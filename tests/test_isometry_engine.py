@@ -1,9 +1,11 @@
 """The isometry-block checks against a per-probe, per-key reference loop.
 
-``security_deviations`` and ``verify_correctness`` read every probe, matrix
-unit and factorization sample from one simulation per key.  The reference
-here re-simulates the protocol for each probe and key through ``encode`` and
-``decode_per_key``, and rebuilds the matrix-unit table by polarization.
+``security_deviations`` and ``verify_correctness`` read every probe and
+matrix unit from one simulation per key.  The reference here re-simulates the
+protocol for each probe and key through ``encode`` and ``decode_per_key``,
+rebuilds the matrix-unit table by polarization, and computes the
+factorization certificate from that table with |C| formed in full.  The
+sampled factorization check must never exceed the certificate.
 """
 
 import itertools
@@ -11,6 +13,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +36,7 @@ from pqclab.protocols import (
 from pqclab.qmath import (
     Ket,
     SystemLayout,
+    haar_unitary,
     max_abs,
     partial_trace,
     pauli_string,
@@ -94,7 +98,20 @@ def reference_factorization(units, samples, seed):
     return worst
 
 
-def reference_security(p, ensemble, factorization_samples=20):
+def reference_certificate(units):
+    """½‖Tr_out |C|‖_∞, C the Choi matrix of E minus X ↦ Tr(X) E(|0><0|),
+    with |C| built as a full matrix and its output traced out by einsum."""
+    d, dm = units.shape[0], units.shape[-1]
+    choi = np.zeros((d, dm, d, dm), dtype=complex)
+    for a, b in itertools.product(range(d), repeat=2):
+        choi[a, :, b, :] = units[a, b] - (a == b) * units[0, 0]
+    w, v = np.linalg.eigh(choi.reshape(d * dm, d * dm))
+    abs_choi = (v * np.abs(w)) @ v.conj().T
+    reduced = np.einsum("axbx->ab", abs_choi.reshape(d, dm, d, dm))
+    return 0.5 * np.linalg.eigvalsh(reduced)[-1]
+
+
+def reference_security(p, ensemble):
     ref = encode(p, Ket.basis(SystemLayout.qubits(p.input_qubits), 0))
     states = [encode(p, probe) for probe in ensemble.probes()]
     parts = {"state": max(trace_distance(rho, ref) for rho in states)}
@@ -106,8 +123,7 @@ def reference_security(p, ensemble, factorization_samples=20):
         d = units.shape[0]
         parts["cross_term"] = max(max_abs(units[a, b])
                                   for a in range(d) for b in range(a + 1, d))
-        parts["factorization"] = reference_factorization(
-            units, factorization_samples, ensemble.seed + 1)
+        parts["factorization"] = reference_certificate(units)
     return parts
 
 
@@ -163,6 +179,55 @@ def test_builders_match_reference(builder, random_probes, seed):
 @given(pauli_keyed(), st.integers(0, 12), st.integers(0, 2 ** 16))
 def test_pauli_keyed_encoders_match_reference(p, random_probes, seed):
     assert_matches_reference(p, canonical_ensemble(p, random_probes, seed))
+
+
+@st.composite
+def haar_keyed(draw):
+    """Keyed encoder whose per-key sender unitaries are Haar-random on the
+    input and up to two ancillas, with a message of any nonempty subset of
+    those wires; the receiver is padded with ancillas to hold the output."""
+    n = draw(st.integers(1, 2))
+    sender = n + draw(st.integers(0, 2 if n == 1 else 1))
+    message = draw(st.lists(st.integers(0, sender - 1), min_size=1, max_size=sender,
+                            unique=True))
+    keys = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=keys, max_size=keys))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bob_ancillas = max(0, n - len(message))
+    receiver = len(message) + bob_ancillas
+    return ChannelProtocol(
+        name="haar-keyed", input_kind=INPUT_QUANTUM, input_qubits=n,
+        message_kind=draw(st.sampled_from((INPUT_QUANTUM, INPUT_CLASSICAL))),
+        resource=SharedResource.classical_key(ProbabilityDist(
+            tuple(str(k) for k in range(keys)), np.array(weights) / sum(weights))),
+        alice_ancillas=sender - n, bob_ancillas=bob_ancillas,
+        alice_ops=tuple(haar_unitary(2 ** sender, rng) for _ in range(keys)),
+        bob_ops=tuple(haar_unitary(2 ** receiver, rng) for _ in range(keys)),
+        message_subsystems=tuple(message), output_subsystems=tuple(range(n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(haar_keyed(), st.integers(0, 2 ** 16))
+def test_haar_keyed_encoders_match_reference(p, seed):
+    assert_matches_reference(p, canonical_ensemble(p, 3, seed))
+
+
+def assert_certificate_bounds_samples(p, seed, samples=50):
+    units = reference_units(p)
+    certificate = security_deviations(p, canonical_ensemble(p, 0, seed))["factorization"]
+    assert reference_factorization(units, samples, seed) <= certificate + TOL
+
+
+@pytest.mark.parametrize("builder", [b for b in BUILDERS
+                                     if build_named(*b).input_kind == INPUT_QUANTUM])
+def test_builder_certificates_bound_sampled_factorization(builder):
+    assert_certificate_bounds_samples(build_named(*builder), seed=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(haar_keyed(), st.integers(0, 2 ** 16))
+def test_haar_keyed_certificates_bound_sampled_factorization(p, seed):
+    assert_certificate_bounds_samples(p, seed)
 
 
 def test_classical_message_ensembles_match_reference():

@@ -6,7 +6,10 @@ import pytest
 
 from pqclab.entropy import check_correlation_bounds, shannon_entropy
 from pqclab.protocols import (
+    INPUT_QUANTUM,
     PROTOCOL_BUILDERS,
+    ChannelProtocol,
+    GateList,
     InputEnsemble,
     ProbabilityDist,
     SharedResource,
@@ -300,6 +303,29 @@ def test_load_rule_matches_its_formula():
     for qubits in (0, -3):
         with pytest.raises(ValueError, match=">= 1"):
             require_load("rule", 1, qubits)
+
+
+def _quantum_identity(n, message):
+    # the first min(n, message) wires of an n + ancilla sender register, as a
+    # gate list with no gates, sent out as a quantum message of ``message`` wires
+    sender = max(n, message)
+    return ChannelProtocol(
+        name="wide", input_kind=INPUT_QUANTUM, input_qubits=n, message_kind=INPUT_QUANTUM,
+        resource=SharedResource.none(), alice_ancillas=sender - n,
+        bob_ancillas=max(0, n - message), alice_ops=(GateList(sender, ()),),
+        bob_ops=(GateList(max(n, message), ()),), message_subsystems=tuple(range(message)),
+        output_subsystems=tuple(range(n)))
+
+
+def test_quantum_input_admission_counts_pair_probes_and_channel_table():
+    # d^2 probes of d amplitudes: d^3 <= 4096, so at most 4 input qubits
+    require_desk_scale(_quantum_identity(4, 4))
+    with pytest.raises(ValueError, match="wide pair probes: load 2\\^15 exceeds 4096"):
+        require_desk_scale(_quantum_identity(5, 5))
+    # the Choi matrix's eigensolve: (d x message dim)^3 <= 4096^2
+    require_desk_scale(_quantum_identity(1, 7))
+    with pytest.raises(ValueError, match="wide channel table: load 2\\^27 exceeds 4096\\^2"):
+        require_desk_scale(_quantum_identity(1, 8))
 
 
 # every n each builder admits: its load (keys x 2^engine register) is at most 4096

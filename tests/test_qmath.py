@@ -359,6 +359,29 @@ def test_trace_distance_values():
     assert abs(trace_distance(np.eye(2) / 2, rho.matrix) - 0.5) < 1e-12
 
 
+def _full_trace_distance(a, b):
+    # every pair through the eigensolve, equal or not
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(np.asarray(a) - np.asarray(b))), axis=-1)
+
+
+def test_trace_distance_skips_only_exactly_equal_pairs():
+    rng = np.random.default_rng(41)
+    rhos = np.stack([random_density_matrix(4, rng) for _ in range(7)])
+    ref = rhos[2]
+    others = np.stack([random_density_matrix(4, rng) for _ in range(7)])
+    others[[1, 4]] = rhos[[1, 4]]
+    for a, b in ((rhos, ref), (ref, rhos), (rhos, others), (rhos[:1], rhos[:1]),
+                 (rhos[:, None], others[None])):
+        got = trace_distance(a, b)
+        assert got.shape == np.broadcast_shapes(np.shape(a), np.shape(b))[:-2]
+        assert np.array_equal(got, _full_trace_distance(a, b))
+    assert trace_distance(rhos[0], rhos[0]) == 0.0
+    assert trace_distance(rhos[0], rhos[1]) == _full_trace_distance(rhos[0], rhos[1])
+    for a, b in ((rhos[:0], ref), (rhos[:0], rhos[:0]), (np.zeros((3, 0, 4, 4)), ref)):
+        got = trace_distance(a, b)
+        assert got.shape == np.shape(a)[:-2] and got.dtype == np.float64
+
+
 def test_trace_distance_dimension_mismatch():
     with pytest.raises(ValueError):
         trace_distance(np.eye(2) / 2, np.eye(4) / 4)

@@ -16,6 +16,7 @@ from pqclab.protocols import (
     build_teleportation,
     decode_per_key,
     encode,
+    require_desk_scale,
     resource_report,
     verify_correctness,
     verify_security,
@@ -336,6 +337,11 @@ def test_rsp_to_pqc_at_four_qubits_stays_small():
         tracemalloc.stop()
     assert pqc.key_count == 256
     assert peak < 64 << 20
+
+
+def test_rsp_to_pqc_at_four_qubits_is_admitted():
+    # 256 keys on 4 wires, 4 input qubits, a 4-qubit message: every load at its limit
+    require_desk_scale(rsp_to_pqc(teleportation_rsp(4)))
 
 
 # ---------------------------------------------------------------------------
