@@ -291,9 +291,10 @@ class ChannelProtocol:
         return self.sender_qubits + self.resource.bob_qubits + copies + self.bob_ancillas
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class InputEnsemble:
-    """Probe inputs for verification sweeps.
+    """Probe inputs for verification sweeps, as a value: (kind, n,
+    random_probes, seed) fixes every probe, and :meth:`blocks` generates them.
 
     ``classical_basis`` enumerates every computational-basis state.
     ``quantum_full`` adds, for each basis pair (i, j), the probes
@@ -303,37 +304,33 @@ class InputEnsemble:
 
     kind: str
     n: int
-    deterministic_probes: tuple[Ket, ...]
-    random_probes: int
-    seed: int
+    random_probes: int = 0
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.kind != "quantum_full" and (self.kind != "classical_basis" or self.random_probes):
+            raise ValueError(f"not a probe ensemble: {self}")
 
     @classmethod
     def classical_basis(cls, n: int) -> "InputEnsemble":
-        layout = SystemLayout.qubits(n)
-        probes = tuple(Ket.basis(layout, i) for i in range(layout.dim))
-        return cls("classical_basis", n, probes, 0, 0)
+        return cls("classical_basis", n)
 
     @classmethod
     def quantum_full(cls, n: int, random_probes: int = 50, seed: int = 0) -> "InputEnsemble":
-        layout = SystemLayout.qubits(n)
-        d = layout.dim
-        probes = [Ket.basis(layout, i) for i in range(d)]
-        for i in range(d):
-            for j in range(i + 1, d):
-                for phase in (1.0, 1.0j):
-                    v = np.zeros(d, dtype=complex)
-                    v[i] = 1.0
-                    v[j] = phase
-                    probes.append(Ket(layout, v / math.sqrt(2)))
-        return cls("quantum_full", n, tuple(probes), random_probes, seed)
+        return cls("quantum_full", n, random_probes, seed)
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The probes as columns, at most PROBE_CHUNK at a time."""
-        det = self.deterministic_probes
-        for start in range(0, len(det), PROBE_CHUNK):
-            yield np.column_stack([k.amplitudes for k in det[start:start + PROBE_CHUNK]])
-        rng = np.random.default_rng(self.seed)
         d = 2 ** self.n
+        det = np.eye(d, dtype=complex)
+        if self.kind == "quantum_full":
+            i, j = np.triu_indices(d, 1)
+            # per pair, the phase-1 probe then the phase-i probe
+            pairs = np.stack([det[:, i] + det[:, j], det[:, i] + 1j * det[:, j]], axis=2)
+            det = np.hstack([det, pairs.reshape(d, -1) / math.sqrt(2)])
+        for start in range(0, det.shape[1], PROBE_CHUNK):
+            yield det[:, start:start + PROBE_CHUNK]
+        rng = np.random.default_rng(self.seed)
         for start in range(0, self.random_probes, PROBE_CHUNK):
             # per probe d real parts, then d imaginary parts, as haar_ket draws them
             v = rng.standard_normal((min(PROBE_CHUNK, self.random_probes - start), 2, d))
@@ -347,7 +344,7 @@ class InputEnsemble:
                 yield Ket(layout, column)
 
     def __len__(self) -> int:
-        return len(self.deterministic_probes) + self.random_probes
+        return 2 ** (self.n * (2 if self.kind == "quantum_full" else 1)) + self.random_probes
 
 
 def canonical_ensemble(protocol: ChannelProtocol, random_probes: int = 50,
@@ -360,12 +357,11 @@ def canonical_ensemble(protocol: ChannelProtocol, random_probes: int = 50,
 # ---------------------------------------------------------------------------
 # simulation engine
 #
-# A check runs each key's stage on the block of all input basis columns, one
-# key at a time.  The result is that key's isometry block (global dim x input
-# dim); a probe's global state is the block times the probe's amplitudes.
-# Security keeps only the key average of the blocks' wire states, the channel
-# table; correctness checks each key's receiver block against every probe
-# before it moves on to the next key.
+# Every check reads one verification pass (:func:`_verification_pass`): per
+# probe chunk, each key's sender stage runs once on the block of all input
+# basis columns, its message adds to the channel table on the first chunk,
+# and its receiver stage continues from the same block, that key's isometry
+# block; a probe's output is the block times the probe's amplitudes.
 
 
 def _zero_tail(block: np.ndarray, qubits: int) -> np.ndarray:
@@ -388,15 +384,13 @@ def _sender_head(p: ChannelProtocol, inputs: np.ndarray, gates: int = 0) -> np.n
     return p.alice_ops[0].apply(block, dims, range(p.sender_qubits), stop=gates)
 
 
-def _stage(p: ChannelProtocol, head: np.ndarray, key_index: int, receiver: bool = False,
+def _stage(p: ChannelProtocol, head: np.ndarray, key_index: int,
            start: int = 0) -> tuple[np.ndarray, list[int], list[int]]:
     """Run key ``key_index``'s sender gates from gate ``start`` on, on a
-    block from :func:`_sender_head`, then its receiver stage when
-    ``receiver`` is set.
+    block from :func:`_sender_head`.
 
     Returns the global block (one column per input), its qubit dims, and the
-    wires to keep: the message after the sender stage, the output after the
-    receiver stage.  The block runs on the engine register
+    message wires.  The block runs on the engine register
     (:attr:`ChannelProtocol.engine_qubits`); its environment copies of a
     classical message are there because sending a classical value means the
     channel records it, which is exactly the deferred measurement of those
@@ -410,54 +404,84 @@ def _stage(p: ChannelProtocol, head: np.ndarray, key_index: int, receiver: bool 
         dims = dims + [2] * p.message_qubits
         for i, wire in enumerate(p.message_subsystems):
             block = apply_gate(block, dims, CNOT, [wire, bob_half.stop + i])
-    if not receiver:
-        return block, dims, list(p.message_subsystems)
+    return block, dims, list(p.message_subsystems)
 
+
+def _receiver_stage(p: ChannelProtocol, block: np.ndarray, dims: list[int],
+                    key_index: int) -> tuple[np.ndarray, list[int], list[int]]:
+    """Key ``key_index``'s receiver stage on a block from :func:`_stage`;
+    returns the block, its dims and the output wires."""
     block = _zero_tail(block, p.bob_ancillas)
     dims = dims + [2] * p.bob_ancillas
     receiver_wires = (list(p.message_subsystems)
                       + list(range(p.engine_qubits - p.bob_ancillas, p.engine_qubits))
-                      + list(bob_half))
+                      + list(range(p.sender_qubits, p.sender_qubits + p.resource.bob_qubits)))
     block = p.bob_ops[key_index].apply(block, dims, receiver_wires)
     return block, dims, [receiver_wires[o] for o in p.output_subsystems]
 
 
-def _key_stages(p: ChannelProtocol, inputs: np.ndarray,
-                receiver: bool = False) -> Iterator[tuple[np.ndarray, list[int], list[int]]]:
-    """Key by key, :func:`_stage` on the columns of ``inputs``; the sender
-    gates that every key's operation starts with run once."""
+def _verification_pass(p: ChannelProtocol, ensemble: InputEnsemble
+                       ) -> tuple[np.ndarray, dict[str, float], float]:
+    """The channel table, the security parts, and the worst per-key trace
+    distance between a decoded probe and the probe.  The table is the
+    key-averaged E(|a><b|), indexed [a, b, x, y] and read off the Choi vectors
+    Σ_a V|a>|a>; for a basis ensemble only E(|a><a|), indexed [a, x, y] and
+    read off the columns V|a>, so its rows are the probes' wire states."""
+    if ensemble.n != p.input_qubits:
+        raise ValueError(f"{ensemble.n}-qubit ensemble for {p.input_qubits} input qubits")
+    basis = ensemble.kind == "classical_basis"
+    d, dm = 2 ** p.input_qubits, 2 ** p.message_qubits
     shared = _shared_prefix(p.alice_ops)
-    head = _sender_head(p, inputs, shared)
-    for k in range(p.key_count):
-        yield _stage(p, head, k, receiver, shared)
+    head = _sender_head(p, np.eye(d, dtype=complex), shared)
+    table, start, state_dev, classical_dev, correctness = None, 0, 0.0, 0.0, 0.0
+    for probes in ensemble.blocks():
+        width = probes.shape[1]
+        targets = np.einsum("aj,bj->jab", probes, probes.conj())
+        acc = 0.0
+        for k, prob in enumerate(p.key_probs):
+            block, dims, keep = _stage(p, head, k, shared)
+            if table is None:
+                columns = (block, dims, keep) if basis else (
+                    block.reshape(-1), dims + [d], [len(dims)] + keep)
+                acc = acc + prob * reduced_from_vector(*columns)
+            block, dims, keep = _receiver_stage(p, block, dims, k)
+            outs = block[:, start:start + width] if basis else block @ probes
+            correctness = max(correctness, float(
+                trace_distance(reduced_from_vector(outs, dims, keep), targets).max()))
+        if table is None:
+            table = acc if basis else acc.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)
+            table.flags.writeable = False
+        rhos = table[start:start + width] if basis else (
+            targets.reshape(width, -1) @ table.reshape(-1, dm * dm)).reshape(-1, dm, dm)
+        ref = table[0] if basis else table[0, 0]
+        state_dev = max(state_dev, float(trace_distance(rhos, ref).max()))
+        if p.message_kind == INPUT_CLASSICAL:
+            classical_dev = max(classical_dev, max_abs(rhos[:, ~np.eye(dm, dtype=bool)]))
+        start += width
+    parts = {"state": state_dev}
+    if p.message_kind == INPUT_CLASSICAL:
+        parts["classical_offdiag"] = classical_dev
+    if not basis:
+        parts["cross_term"] = max_cross_term_magnitude(p, table)
+        parts["factorization"] = factorization_certificate(table)
+    return table, parts, correctness
 
 
-def _channel_table(p: ChannelProtocol, diagonal: bool = False) -> np.ndarray:
-    """Key-averaged E(|a><b|) over all matrix units, indexed [a, b, x, y], read
-    off the Choi vectors Σ_a V|a>|a>; with ``diagonal`` only E(|a><a|),
-    indexed [a, x, y], read off the columns V|a>."""
-    d = 2 ** p.input_qubits
-    dm = 2 ** p.message_qubits
-    acc = 0.0
-    for prob, (block, dims, keep) in zip(p.key_probs,
-                                         _key_stages(p, np.eye(d, dtype=complex))):
-        if diagonal:
-            acc = acc + prob * reduced_from_vector(block, dims, keep)
-        else:
-            acc = acc + prob * reduced_from_vector(
-                block.reshape(-1), dims + [d], [len(dims)] + keep)
-    return acc if diagonal else acc.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)
+#: the last verification pass, as [protocol, ensemble, pass result]
+_last_pass: list = []
 
 
-def _wire_states(table: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """Key-averaged wire state of every probe column, stacked, from the
-    channel table; a diagonal table serves computational-basis probes."""
-    if table.ndim == 3:
-        weights = np.abs(probes.T) ** 2
-    else:
-        weights = np.einsum("aj,bj->jab", probes, probes.conj())
-    dm = table.shape[-1]
-    return (weights.reshape(len(weights), -1) @ table.reshape(-1, dm * dm)).reshape(-1, dm, dm)
+def _verified(p: ChannelProtocol, ensemble: InputEnsemble
+              ) -> tuple[np.ndarray, dict[str, float], float]:
+    """:func:`_verification_pass` through a one-slot memo keyed by the
+    protocol object and the ensemble's value.  The slot is emptied before a
+    new pass runs, so two passes' arrays are never held at once."""
+    if _last_pass and _last_pass[0] is p and _last_pass[1] == ensemble:
+        return _last_pass[2]
+    _last_pass.clear()
+    result = _verification_pass(p, ensemble)
+    _last_pass.extend((p, ensemble, result))
+    return result
 
 
 def alice_stage(p: ChannelProtocol, input_ket: Ket, key_index: int = 0) -> Ket:
@@ -468,15 +492,17 @@ def alice_stage(p: ChannelProtocol, input_ket: Ket, key_index: int = 0) -> Ket:
 
 def encode(p: ChannelProtocol, input_ket: Ket) -> DensityOp:
     """Message state seen on the wire, averaged over the key distribution."""
+    shared = _shared_prefix(p.alice_ops)
+    head = _sender_head(p, input_ket.amplitudes[:, None], shared)
     acc = 0.0
-    for prob, stage in zip(p.key_probs, _key_stages(p, input_ket.amplitudes[:, None])):
-        acc = acc + prob * reduced_from_vector(*stage)[0]
+    for k, prob in enumerate(p.key_probs):
+        acc = acc + prob * reduced_from_vector(*_stage(p, head, k, shared))[0]
     return DensityOp(SystemLayout.qubits(p.message_qubits), acc)
 
 
 def decode_per_key(p: ChannelProtocol, input_ket: Ket, key_index: int) -> DensityOp:
-    head = _sender_head(p, input_ket.amplitudes[:, None])
-    reduced = reduced_from_vector(*_stage(p, head, key_index, receiver=True))[0]
+    block, dims, _ = _stage(p, _sender_head(p, input_ket.amplitudes[:, None]), key_index)
+    reduced = reduced_from_vector(*_receiver_stage(p, block, dims, key_index))[0]
     return DensityOp(SystemLayout.qubits(len(p.output_subsystems)), reduced)
 
 
@@ -507,8 +533,8 @@ def message_distribution(p: ChannelProtocol, input_ket: Ket) -> ProbabilityDist:
 
 
 def channel_on_units(p: ChannelProtocol) -> np.ndarray:
-    """Table E(|a><b|) over all matrix units of the input space."""
-    return _channel_table(p)
+    """Table E(|a><b|) over all matrix units of the input space (read-only)."""
+    return _verified(p, InputEnsemble.quantum_full(p.input_qubits, 0))[0]
 
 
 def encode_cross_term(p: ChannelProtocol, i: int, j: int) -> np.ndarray:
@@ -565,24 +591,7 @@ def max_cross_term_magnitude(p: ChannelProtocol, units: np.ndarray | None = None
 
 def security_deviations(p: ChannelProtocol, ensemble: InputEnsemble) -> dict[str, float]:
     """All components of the security check, keyed by name."""
-    basis = ensemble.kind == "classical_basis"
-    table = _channel_table(p, diagonal=basis)
-    ref = table[0] if basis else table[0, 0]
-    offdiag = ~np.eye(2 ** p.message_qubits, dtype=bool)
-    state_dev = 0.0
-    classical_dev = 0.0
-    for probes in ensemble.blocks():
-        rhos = _wire_states(table, probes)
-        state_dev = max(state_dev, float(trace_distance(rhos, ref).max()))
-        if p.message_kind == INPUT_CLASSICAL:
-            classical_dev = max(classical_dev, max_abs(rhos[:, offdiag]))
-    parts = {"state": state_dev}
-    if p.message_kind == INPUT_CLASSICAL:
-        parts["classical_offdiag"] = classical_dev
-    if not basis:
-        parts["cross_term"] = max_cross_term_magnitude(p, table)
-        parts["factorization"] = factorization_certificate(table)
-    return parts
+    return dict(_verified(p, ensemble)[1])
 
 
 def verify_security(p: ChannelProtocol, ensemble: InputEnsemble) -> float:
@@ -592,16 +601,7 @@ def verify_security(p: ChannelProtocol, ensemble: InputEnsemble) -> float:
 
 def verify_correctness(p: ChannelProtocol, ensemble: InputEnsemble) -> float:
     """Worst per-key trace distance between the decoded output and the input."""
-    basis = np.eye(2 ** p.input_qubits, dtype=complex)
-    worst = 0.0
-    for probes in ensemble.blocks():
-        targets = np.einsum("aj,bj->jab", probes, probes.conj())
-        # a chunk no wider than the basis is cheaper to simulate directly
-        direct = probes.shape[1] <= len(basis)
-        for block, dims, keep in _key_stages(p, probes if direct else basis, receiver=True):
-            outs = reduced_from_vector(block if direct else block @ probes, dims, keep)
-            worst = max(worst, float(trace_distance(outs, targets).max()))
-    return worst
+    return _verified(p, ensemble)[2]
 
 
 def resource_report(p: ChannelProtocol) -> ResourceReport:
@@ -626,27 +626,32 @@ def resource_report(p: ChannelProtocol) -> ResourceReport:
 # builders
 
 
-def require_load(context: str, keys: int, qubits: int, scale: int = 1):
+def require_load(context: str, keys: int, qubits: int, scale: float = 1):
     """The one admission rule: simulating ``keys`` keys on a ``qubits``-wire
     register is a load of keys x 2^qubits, which must stay within
     DESK_SCALE_LIMIT^scale; a register needs at least one wire."""
     if qubits < 1:
         raise ValueError(f"{context}: size must be >= 1")
     # keys x 2^qubits > limit, without building 2^qubits for a huge register
-    if keys > (DESK_SCALE_LIMIT ** scale) >> qubits:
-        limit = f"{DESK_SCALE_LIMIT}^{scale}" if scale > 1 else f"{DESK_SCALE_LIMIT}"
+    if keys > int(DESK_SCALE_LIMIT ** scale) >> qubits:
+        limit = f"{DESK_SCALE_LIMIT}^{scale:g}" if scale != 1 else f"{DESK_SCALE_LIMIT}"
         raise ValueError(f"{context}: load 2^{math.log2(keys) + qubits:g} exceeds {limit}")
 
 
 def require_desk_scale(p: ChannelProtocol):
     """Reject protocols whose load on the engine register is beyond desk scale;
     for quantum input, also its d^2 pair probes of d = 2^input amplitudes and
-    the eigensolve of its Choi matrix, of side N = d x message dimension."""
+    the eigensolve of its Choi matrix, of side N = d x message dimension; for
+    classical input, its d basis wire states of dm^2 amplitudes (dm the message
+    dimension) and their d decoded outputs of d^2 amplitudes."""
     require_load(p.name, p.key_count, p.engine_qubits)
+    n, m = p.input_qubits, p.message_qubits
     if p.input_kind == INPUT_QUANTUM:
-        require_load(f"{p.name} pair probes", 1, 3 * p.input_qubits)
-        require_load(f"{p.name} channel table", 1,
-                     3 * (p.input_qubits + p.message_qubits), scale=2)
+        require_load(f"{p.name} pair probes", 1, 3 * n)
+        require_load(f"{p.name} channel table", 1, 3 * (n + m), scale=2)
+    else:
+        require_load(f"{p.name} basis wire states", 1, n + 2 * m, scale=1.5)
+        require_load(f"{p.name} basis outputs", 1, 3 * n, scale=1.5)
 
 
 def require_lift_scale(p: ChannelProtocol):

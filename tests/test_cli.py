@@ -17,6 +17,7 @@ from pqclab.entropy import (
 )
 from pqclab.protocols import (
     build_classical_otp,
+    build_identity_protocol,
     build_named,
     build_quantum_otp,
     build_teleportation,
@@ -28,6 +29,7 @@ from pqclab.qmath import (
     ENTROPY_TOL,
     DensityOp,
     SystemLayout,
+    matrix_to_json,
     random_density,
     random_density_matrix,
     reduced_matrix,
@@ -363,13 +365,21 @@ def test_audit_lift_at_desk_scale_admitted(builder, n):
     require_lift_scale(build_named(builder, n))  # 2^24, 2^20 and 2^20 amplitudes
 
 
-# caps its own address space at 1 GiB, then runs the CLI; one BLAS thread, so
-# that per-thread BLAS buffers do not count against the cap on many-core hosts
+# caps its own address space at 1 GiB, then runs the CLI
 CAPPED_CLI = """import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from pqclab.cli import main
 sys.exit(main(sys.argv[1:]))
 """
+
+
+def run_capped(script, *argv):
+    """Run ``script`` with ``argv`` in a child with one BLAS thread, so that
+    per-thread BLAS buffers do not count against its cap on many-core hosts."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.mark.parametrize("argv", [
@@ -380,11 +390,8 @@ def test_builder_refuses_beyond_desk_scale_under_1gib_address_space(argv):
     # teleportation: 1 key on 5n wires; refused in the builder, before its
     # 2^(3n)-dimensional receiver operator is allocated, and without computing
     # 2^(5n); the pads are refused without computing their 4^n or 2^n keys
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
     command, builder, n = argv
-    proc = subprocess.run([sys.executable, "-c", CAPPED_CLI, command, builder, "--n", n],
-                          capture_output=True, text=True, env=env)
+    proc = run_capped(CAPPED_CLI, command, builder, "--n", n)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "error:" in proc.stderr and "4096" in proc.stderr
@@ -394,33 +401,34 @@ def test_builder_refuses_beyond_desk_scale_under_1gib_address_space(argv):
 def test_descriptor_with_huge_register_refused_under_1gib_address_space(tmp_path, field):
     # the register size is compared with each operator's without building 2^size
     path = _descriptor(tmp_path, _set(field, 10 ** 10))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", CAPPED_CLI, "verify", str(path)],
-                          capture_output=True, text=True, env=env)
+    proc = run_capped(CAPPED_CLI, "verify", str(path))
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "error: malformed protocol file" in proc.stderr
 
 
-# registers a quantum-input identity whose message is all n input wires, kept
-# as a gate list with no gates (a descriptor file at n = 12 would hold a dense
-# 4096 x 4096 operator), then runs the CLI under the 1 GiB cap and reports on
-# stderr how long main took
+# registers identities kept as gate lists with no gates (a descriptor file at
+# n = 12 would hold a dense 4096 x 4096 operator): wide-identity and
+# wide-classical send all n wires of a quantum or a classical input as a
+# quantum message, wide-message sends 1 input bit on --n message wires.  Then
+# runs the CLI under the 1 GiB cap and reports on stderr how long main took
 CAPPED_WIDE_CLI = """import resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from pqclab import protocols
 from pqclab.cli import main
 
-def wide_identity(n):
-    wires = tuple(range(n))
+def wide(name, input_kind, n, message):
     return protocols.ChannelProtocol(
-        name="wide-identity", input_kind=protocols.INPUT_QUANTUM, input_qubits=n,
+        name=name, input_kind=input_kind, input_qubits=n,
         message_kind=protocols.INPUT_QUANTUM, resource=protocols.SharedResource.none(),
-        alice_ancillas=0, bob_ancillas=0, alice_ops=(protocols.GateList(n, ()),),
-        bob_ops=(protocols.GateList(n, ()),), message_subsystems=wires, output_subsystems=wires)
+        alice_ancillas=message - n, bob_ancillas=0, alice_ops=(protocols.GateList(message, ()),),
+        bob_ops=(protocols.GateList(message, ()),), message_subsystems=tuple(range(message)),
+        output_subsystems=tuple(range(n)))
 
-protocols.PROTOCOL_BUILDERS["wide-identity"] = wide_identity
+protocols.PROTOCOL_BUILDERS.update({
+    "wide-identity": lambda n: wide("wide-identity", protocols.INPUT_QUANTUM, n, n),
+    "wide-classical": lambda n: wide("wide-classical", protocols.INPUT_CLASSICAL, n, n),
+    "wide-message": lambda m: wide("wide-message", protocols.INPUT_CLASSICAL, 1, m)})
 start = time.perf_counter()
 code = main(sys.argv[1:])
 print(f"main took {time.perf_counter() - start:.3f} s", file=sys.stderr)
@@ -432,14 +440,50 @@ sys.exit(code)
 def test_wide_quantum_input_refused_under_1gib_address_space(n):
     # the engine load is 2^n <= 4096, but the d^2 pair probes (d^3 = 2^(3n)
     # amplitudes) and the 2^(2n)-dimensional Choi matrix are not desk scale
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", CAPPED_WIDE_CLI, "verify", "wide-identity",
-                           "--n", str(n)], capture_output=True, text=True, env=env)
+    proc = run_capped(CAPPED_WIDE_CLI, "verify", "wide-identity", "--n", str(n))
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "error: wide-identity pair probes: load" in proc.stderr
     assert float(proc.stderr.split("main took ")[1].split(" s")[0]) < 1.0
+
+
+@pytest.mark.parametrize("builder,n", [("wide-classical", 8), ("wide-classical", 9),
+                                       ("wide-classical", 10), ("wide-classical", 12),
+                                       ("wide-message", 11), ("wide-message", 12)])
+def test_wide_classical_input_refused_under_1gib_address_space(builder, n):
+    # the engine load is at most 4096, but the basis wire states (d x dm^2
+    # amplitudes) and decoded outputs (d x d^2) are beyond 4096^1.5
+    proc = run_capped(CAPPED_WIDE_CLI, "verify", builder, "--n", str(n))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert f"error: {builder} basis wire states: load" in proc.stderr
+    assert float(proc.stderr.split("main took ")[1].split(" s")[0]) < 1.0
+
+
+@pytest.mark.parametrize("builder,n", [("wide-classical", 6), ("wide-message", 8)])
+def test_wide_classical_input_within_the_limit_finishes_under_1gib_address_space(builder, n):
+    # 2^18 and 2^17 amplitudes of basis wire states; the identities are correct
+    # and send their input in the clear
+    proc = run_capped(CAPPED_WIDE_CLI, "verify", builder, "--n", str(n))
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["correctness_deviation"] <= 1e-9 < report["security_deviation"]
+
+
+def _wide_classical(data):
+    eye = matrix_to_json(np.eye(256, dtype=complex))
+    return {**data, "name": "wide-classical", "input_qubits": 8, "message_kind": "quantum",
+            "alice_ops": [eye], "bob_ops": [eye], "message_subsystems": list(range(8)),
+            "output_subsystems": list(range(8))}
+
+
+def test_wide_classical_input_descriptor_refused_under_1gib_address_space(tmp_path):
+    # the 8-wire classical-input identity as a file of two dense 256 x 256 operators
+    path = _descriptor(tmp_path, _wide_classical, build=build_identity_protocol)
+    proc = run_capped(CAPPED_CLI, "verify", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "error: wide-classical basis wire states: load 2^24 exceeds 4096^1.5" in proc.stderr
 
 
 @pytest.mark.parametrize("build", [build_quantum_otp, build_classical_otp])
@@ -447,10 +491,7 @@ def test_wide_quantum_input_refused_under_1gib_address_space(n):
 def test_narrow_output_descriptor_refused_under_1gib_address_space(tmp_path, build, command):
     # two input qubits, one output wire: refused as malformed, not a traceback
     path = _descriptor(tmp_path, _set("output_subsystems", [0]), build=lambda n: build(2))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", CAPPED_CLI, command, str(path)],
-                          capture_output=True, text=True, env=env)
+    proc = run_capped(CAPPED_CLI, command, str(path))
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "error: malformed protocol file" in proc.stderr
@@ -462,10 +503,7 @@ def test_narrow_output_descriptor_refused_under_1gib_address_space(tmp_path, bui
     ("teleportation", 2, {"comm": 4.0, "key_entropy": None, "entanglement": 2.0}),
 ])
 def test_audit_finishes_under_1gib_address_space(builder, n, resources):
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", CAPPED_CLI, "audit", builder, "--n", str(n)],
-                          capture_output=True, text=True, env=env)
+    proc = run_capped(CAPPED_CLI, "audit", builder, "--n", str(n))
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["pass"] is True

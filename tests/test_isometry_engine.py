@@ -1,13 +1,16 @@
 """The isometry-block checks against a per-probe, per-key reference loop.
 
 ``security_deviations`` and ``verify_correctness`` read every probe and
-matrix unit from one simulation per key.  The reference here re-simulates the
-protocol for each probe and key through ``encode`` and ``decode_per_key``,
-rebuilds the matrix-unit table by polarization, and computes the
-factorization certificate from that table with |C| formed in full.  The
-sampled factorization check must never exceed the certificate.
+matrix unit from one shared pass, one sender stage per key and probe chunk.
+The reference here re-simulates the protocol for each probe and key through
+``encode`` and ``decode_per_key``, rebuilds the matrix-unit table by
+polarization, and computes the factorization certificate from that table with
+|C| formed in full.  The sampled factorization check must never exceed the
+certificate.
 """
 
+import contextlib
+import io
 import itertools
 import math
 import tracemalloc
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pqclab import cli, protocols
 from pqclab.entropy import ProbabilityDist, classicality_deviation
 from pqclab.protocols import (
     INPUT_CLASSICAL,
@@ -25,9 +29,11 @@ from pqclab.protocols import (
     ChannelProtocol,
     InputEnsemble,
     SharedResource,
+    build_identity_protocol,
     build_named,
     build_quantum_otp,
     canonical_ensemble,
+    channel_on_units,
     decode_per_key,
     encode,
     security_deviations,
@@ -252,3 +258,100 @@ def _peak_bytes(random_probes):
 
 def test_peak_memory_flat_in_probe_count():
     assert _peak_bytes(20_000) <= 2 * _peak_bytes(1_000)
+
+
+# ---------------------------------------------------------------------------
+# the one verification pass behind security and correctness
+
+
+def test_security_and_correctness_run_one_sender_stage_per_key_and_chunk(monkeypatch):
+    stages = []
+    real = protocols._stage
+    monkeypatch.setattr(protocols, "_stage",
+                        lambda *args, **kwargs: stages.append(args[2]) or real(*args, **kwargs))
+    p = build_quantum_otp(1)
+    ensemble = InputEnsemble.quantum_full(1, LONG, seed=0)
+    chunks = len(list(ensemble.blocks()))
+    assert chunks == 4  # the 4 basis and pair probes, then LONG random ones
+    security_deviations(p, ensemble)
+    verify_correctness(p, ensemble)
+    assert sorted(stages) == sorted(list(range(p.key_count)) * chunks)
+
+
+def _haar_protocol():
+    """One key, a Haar-random sender on input and one ancilla, a Haar-random
+    receiver: insecure and incorrect by amounts that depend on the probes."""
+    rng = np.random.default_rng(5)
+    return ChannelProtocol(
+        name="haar", input_kind=INPUT_QUANTUM, input_qubits=1, message_kind=INPUT_QUANTUM,
+        resource=SharedResource.none(), alice_ancillas=1, bob_ancillas=0,
+        alice_ops=(haar_unitary(4, rng),), bob_ops=(haar_unitary(2, rng),),
+        message_subsystems=(0,), output_subsystems=(0,))
+
+
+def _values(p, ensemble):
+    return (security_deviations(p, ensemble), verify_correctness(p, ensemble),
+            channel_on_units(p).tobytes())
+
+
+def test_interleaved_protocols_and_seeds_never_read_a_stale_pass():
+    builders = {"haar": _haar_protocol, "broken-otp": lambda: build_named("broken-otp", 1)}
+    ensembles = {"seed 0": InputEnsemble.quantum_full(1, 7, 0),
+                 "seed 3": InputEnsemble.quantum_full(1, 7, 3),
+                 "basis": InputEnsemble.classical_basis(1)}
+    # each value from a fresh protocol object, which no earlier pass holds
+    fresh = {(b, e): _values(builders[b](), ensembles[e]) for b in builders for e in ensembles}
+    assert fresh[("haar", "seed 0")][:2] != fresh[("haar", "seed 3")][:2]
+    assert fresh[("haar", "seed 0")][:2] != fresh[("broken-otp", "seed 0")][:2]
+    kept = {b: build() for b, build in builders.items()}
+    order = [("haar", "seed 0"), ("haar", "seed 0"), ("broken-otp", "seed 0"),
+             ("haar", "seed 3"), ("haar", "seed 0"), ("haar", "basis"),
+             ("broken-otp", "seed 3"), ("broken-otp", "seed 3"), ("haar", "seed 3")]
+    for b, e in order:
+        p, ensemble = kept[b], ensembles[e]
+        assert security_deviations(p, ensemble) == fresh[(b, e)][0], (b, e)
+        assert verify_correctness(p, ensemble) == fresh[(b, e)][1], (b, e)
+    for b, p in kept.items():
+        assert channel_on_units(p).tobytes() == fresh[(b, "seed 0")][2]
+
+
+def test_pass_tables_are_read_only():
+    table = channel_on_units(build_quantum_otp(1))
+    with pytest.raises(ValueError):
+        table[0, 0, 0, 0] = 1.0
+
+
+def _held_then_peak(first, second):
+    """Traced bytes held after verifying ``first``, and the traced peak of
+    verifying ``second`` after it."""
+    tracemalloc.start()
+    try:
+        verify_correctness(first, canonical_ensemble(first))
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        verify_correctness(second, canonical_ensemble(second))
+        return held, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_new_pass_frees_the_last_one_before_it_allocates():
+    # identity-leaky 6 holds a 64 x 64 x 64 table after its pass; a pass that
+    # kept it while the next one ran would add it to that pass's peak
+    held_small, after_small = _held_then_peak(build_identity_protocol(1),
+                                              build_identity_protocol(6))
+    held_big, after_big = _held_then_peak(build_identity_protocol(6),
+                                          build_identity_protocol(6))
+    assert held_big - held_small > 2 ** 21
+    assert after_big - after_small < (held_big - held_small) / 2
+
+
+def test_audit_reads_the_input_check_from_the_cli_pass(monkeypatch):
+    passes = []
+    real = protocols._verification_pass
+    monkeypatch.setattr(protocols, "_verification_pass",
+                        lambda p, ensemble: passes.append(p.name) or real(p, ensemble))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["audit", "quantum-otp", "--n", "1"]) == 0
+    assert passes.count("quantum-otp") == 1
+    assert passes == ["quantum-otp", "quantum-otp-lift-extra-comm"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 from pqclab.entropy import check_correlation_bounds, shannon_entropy
 from pqclab.protocols import (
+    INPUT_CLASSICAL,
     INPUT_QUANTUM,
     PROTOCOL_BUILDERS,
     ChannelProtocol,
@@ -326,6 +328,22 @@ def test_quantum_input_admission_counts_pair_probes_and_channel_table():
     require_desk_scale(_quantum_identity(1, 7))
     with pytest.raises(ValueError, match="wide channel table: load 2\\^27 exceeds 4096\\^2"):
         require_desk_scale(_quantum_identity(1, 8))
+
+
+def test_classical_input_admission_counts_basis_wire_states_and_outputs():
+    # d basis wire states of dm^2 amplitudes and d outputs of d^2, each within
+    # 4096^1.5 = 2^18, where identity-leaky 6 sits
+    def classical(n, message):
+        return dataclasses.replace(_quantum_identity(n, message), input_kind=INPUT_CLASSICAL)
+    require_desk_scale(build_named("identity-leaky", 6))
+    require_desk_scale(classical(6, 6))
+    require_desk_scale(classical(1, 8))
+    for n, message, load in ((7, 7, 21), (1, 9, 19), (1, 11, 23)):
+        with pytest.raises(ValueError, match=f"wide basis wire states: load 2\\^{load} exceeds "
+                                             "4096\\^1.5"):
+            require_desk_scale(classical(n, message))
+    with pytest.raises(ValueError, match="wide basis outputs: load 2\\^21 exceeds 4096\\^1.5"):
+        require_desk_scale(classical(7, 5))
 
 
 # every n each builder admits: its load (keys x 2^engine register) is at most 4096
