@@ -44,7 +44,7 @@ from .qmath import (
     reduced_matrix,
 )
 
-REPORT_SCHEMA = 2
+REPORT_SCHEMA = 3
 #: samples per stacked chunk of the inequality sweep: its memory bound
 SWEEP_CHUNK = 128
 
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=500,
                        help="sample count for inequality sweeps")
         p.add_argument("--probes", type=int, default=50,
-                       help="Haar-random probe count per ensemble")
+                       help="Haar-random probe count of the security check")
         p.add_argument("--tol-algebra", type=float, default=ALGEBRA_TOL,
                        help="tolerance for algebraic identities")
         p.add_argument("--tol-entropy", type=float, default=ENTROPY_TOL,

@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -44,6 +45,9 @@ from .qmath import (
 
 #: largest simulation load, key count times engine register dimension
 DESK_SCALE_LIMIT = 4096
+#: largest descriptor file read, in bytes: over 10x the largest a builder
+#: writes (superdense 6, 3.2 MB), and small enough to parse under 1 GiB
+DESCRIPTOR_BYTE_LIMIT = 1 << 25
 #: probes multiplied through an isometry block at a time; bounds peak memory
 PROBE_CHUNK = 256
 
@@ -170,8 +174,14 @@ class GateList:
         return 2 ** self.qubits
 
     @property
+    def composes(self) -> bool:
+        """Whether reading ``matrix`` composes gates: true for anything but
+        one gate on every wire in order."""
+        return len(self.gates) != 1 or self.gates[0][1] != tuple(range(self.qubits))
+
+    @property
     def matrix(self) -> np.ndarray:
-        if len(self.gates) == 1 and self.gates[0][1] == tuple(range(self.qubits)):
+        if not self.composes:
             return self.gates[0][0].matrix
         return compose_circuit([2] * self.qubits, ((g.matrix, t) for g, t in self.gates))
 
@@ -293,8 +303,9 @@ class ChannelProtocol:
 
 @dataclass(frozen=True)
 class InputEnsemble:
-    """Probe inputs for verification sweeps, as a value: (kind, n,
+    """Probe inputs for the security sweep, as a value: (kind, n,
     random_probes, seed) fixes every probe, and :meth:`blocks` generates them.
+    Correctness reads only whether the ensemble is the basis.
 
     ``classical_basis`` enumerates every computational-basis state.
     ``quantum_full`` adds, for each basis pair (i, j), the probes
@@ -357,11 +368,11 @@ def canonical_ensemble(protocol: ChannelProtocol, random_probes: int = 50,
 # ---------------------------------------------------------------------------
 # simulation engine
 #
-# Every check reads one verification pass (:func:`_verification_pass`): per
-# probe chunk, each key's sender stage runs once on the block of all input
-# basis columns, its message adds to the channel table on the first chunk,
-# and its receiver stage continues from the same block, that key's isometry
-# block; a probe's output is the block times the probe's amplitudes.
+# Every check reads one verification pass (:func:`_verification_pass`): each
+# key's sender stage runs once on the block of all input basis columns, its
+# message adds to the channel table, and its receiver stage continues from
+# the same block, that key's isometry block, whose correctness bound is read
+# off it.  Probes are read off the table.
 
 
 def _zero_tail(block: np.ndarray, qubits: int) -> np.ndarray:
@@ -420,67 +431,72 @@ def _receiver_stage(p: ChannelProtocol, block: np.ndarray, dims: list[int],
     return block, dims, [receiver_wires[o] for o in p.output_subsystems]
 
 
-def _verification_pass(p: ChannelProtocol, ensemble: InputEnsemble
-                       ) -> tuple[np.ndarray, dict[str, float], float]:
-    """The channel table, the security parts, and the worst per-key trace
-    distance between a decoded probe and the probe.  The table is the
-    key-averaged E(|a><b|), indexed [a, b, x, y] and read off the Choi vectors
-    Σ_a V|a>|a>; for a basis ensemble only E(|a><a|), indexed [a, x, y] and
-    read off the columns V|a>, so its rows are the probes' wire states."""
-    if ensemble.n != p.input_qubits:
-        raise ValueError(f"{ensemble.n}-qubit ensemble for {p.input_qubits} input qubits")
-    basis = ensemble.kind == "classical_basis"
+def _correctness_bound(block: np.ndarray, dims: list[int], outputs: list[int],
+                       basis: bool) -> float:
+    """How far one key's channel is from the identity, in trace-distance
+    units, read off its receiver block W, indexed [output, rest, input a].
+
+    With ``basis``, max_a ‖(I − |a><a| ⊗ I) W|a>‖: the root of the output's
+    weight off |a>, summed as such, never as 1 − <a|Φ(|a><a|)|a>.  It is at
+    least the trace distance (Fuchs and van de Graaf, 1999), and equal for a
+    pure output.  Otherwise min(1, ‖W − I ⊗ j‖_op), j the normalized
+    Σ_a (<a| ⊗ I) W|a> (1.0 if that is 0), which bounds ½‖Φ − id‖_⋄ over
+    every input (Kretschmann, Schlingemann and Werner, 2008).
+    """
+    d = block.shape[1]
+    rest = [i for i in range(len(dims)) if i not in outputs]
+    w = block.reshape(dims + [d]).transpose(outputs + rest + [len(dims)]).reshape(d, -1, d)
+    if basis:
+        weight = np.sum(np.abs(w) ** 2, axis=1)
+        weight[np.diag_indices(d)] = 0.0
+        return math.sqrt(float(weight.sum(axis=0).max()))
+    j = np.einsum("ara->r", w)
+    if not j.any():
+        return 1.0
+    w = w - np.einsum("xa,r->xra", np.eye(d), j / np.linalg.norm(j))
+    return min(1.0, float(np.linalg.norm(w.reshape(-1, d), 2)))
+
+
+def _verification_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, float]:
+    """The channel table and the worst per-key :func:`_correctness_bound`,
+    from one sender stage and one receiver stage per key on the block of all
+    input basis columns.  The table is the key-averaged E(|a><b|), indexed
+    [a, b, x, y] and read off the Choi vectors Σ_a V|a>|a>; with ``basis``
+    only E(|a><a|), indexed [a, x, y] and read off the columns V|a>, so its
+    rows are the basis inputs' wire states."""
     d, dm = 2 ** p.input_qubits, 2 ** p.message_qubits
     shared = _shared_prefix(p.alice_ops)
     head = _sender_head(p, np.eye(d, dtype=complex), shared)
-    table, start, state_dev, classical_dev, correctness = None, 0, 0.0, 0.0, 0.0
-    for probes in ensemble.blocks():
-        width = probes.shape[1]
-        targets = np.einsum("aj,bj->jab", probes, probes.conj())
-        acc = 0.0
-        for k, prob in enumerate(p.key_probs):
-            block, dims, keep = _stage(p, head, k, shared)
-            if table is None:
-                columns = (block, dims, keep) if basis else (
-                    block.reshape(-1), dims + [d], [len(dims)] + keep)
-                acc = acc + prob * reduced_from_vector(*columns)
-            block, dims, keep = _receiver_stage(p, block, dims, k)
-            outs = block[:, start:start + width] if basis else block @ probes
-            correctness = max(correctness, float(
-                trace_distance(reduced_from_vector(outs, dims, keep), targets).max()))
-        if table is None:
-            table = acc if basis else acc.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)
-            table.flags.writeable = False
-        rhos = table[start:start + width] if basis else (
-            targets.reshape(width, -1) @ table.reshape(-1, dm * dm)).reshape(-1, dm, dm)
-        ref = table[0] if basis else table[0, 0]
-        state_dev = max(state_dev, float(trace_distance(rhos, ref).max()))
-        if p.message_kind == INPUT_CLASSICAL:
-            classical_dev = max(classical_dev, max_abs(rhos[:, ~np.eye(dm, dtype=bool)]))
-        start += width
-    parts = {"state": state_dev}
-    if p.message_kind == INPUT_CLASSICAL:
-        parts["classical_offdiag"] = classical_dev
-    if not basis:
-        parts["cross_term"] = max_cross_term_magnitude(p, table)
-        parts["factorization"] = factorization_certificate(table)
-    return table, parts, correctness
+    acc, correctness = 0.0, 0.0
+    for k, prob in enumerate(p.key_probs):
+        block, dims, keep = _stage(p, head, k, shared)
+        columns = (block, dims, keep) if basis else (
+            block.reshape(-1), dims + [d], [len(dims)] + keep)
+        acc = acc + prob * reduced_from_vector(*columns)
+        correctness = max(correctness, _correctness_bound(
+            *_receiver_stage(p, block, dims, k), basis))
+    table = acc if basis else acc.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)
+    table.flags.writeable = False
+    return table, correctness
 
 
-#: the last verification pass, as [protocol, ensemble, pass result]
+#: the last verification pass, as [protocol, basis flag, pass result]
 _last_pass: list = []
 
 
-def _verified(p: ChannelProtocol, ensemble: InputEnsemble
-              ) -> tuple[np.ndarray, dict[str, float], float]:
+def _verified(p: ChannelProtocol, ensemble: InputEnsemble) -> tuple[np.ndarray, float]:
     """:func:`_verification_pass` through a one-slot memo keyed by the
-    protocol object and the ensemble's value.  The slot is emptied before a
-    new pass runs, so two passes' arrays are never held at once."""
-    if _last_pass and _last_pass[0] is p and _last_pass[1] == ensemble:
+    protocol object and whether ``ensemble`` is the basis, the only part of
+    it the pass reads.  The slot is emptied before a new pass runs, so two
+    passes' arrays are never held at once."""
+    if ensemble.n != p.input_qubits:
+        raise ValueError(f"{ensemble.n}-qubit ensemble for {p.input_qubits} input qubits")
+    basis = ensemble.kind == "classical_basis"
+    if _last_pass and _last_pass[0] is p and _last_pass[1] == basis:
         return _last_pass[2]
     _last_pass.clear()
-    result = _verification_pass(p, ensemble)
-    _last_pass.extend((p, ensemble, result))
+    result = _verification_pass(p, basis)
+    _last_pass.extend((p, basis, result))
     return result
 
 
@@ -520,8 +536,12 @@ def message_distribution(p: ChannelProtocol, input_ket: Ket) -> ProbabilityDist:
     """Distribution of a classical message, read off the diagonal."""
     if p.message_kind != INPUT_CLASSICAL:
         raise ValueError("message is not classical")
-    rho = encode(p, input_ket)
-    probs = np.clip(np.real(np.diag(rho.matrix)), 0.0, None)
+    return _diagonal_distribution(p, encode(p, input_ket).matrix)
+
+
+def _diagonal_distribution(p: ChannelProtocol, rho: np.ndarray) -> ProbabilityDist:
+    """The classical message's distribution on the diagonal of its wire state."""
+    probs = np.clip(np.real(np.diag(rho)), 0.0, None)
     probs = probs / probs.sum()
     m = p.message_qubits
     outcomes = tuple(format(i, f"0{m}b") for i in range(2 ** m))
@@ -590,8 +610,28 @@ def max_cross_term_magnitude(p: ChannelProtocol, units: np.ndarray | None = None
 
 
 def security_deviations(p: ChannelProtocol, ensemble: InputEnsemble) -> dict[str, float]:
-    """All components of the security check, keyed by name."""
-    return dict(_verified(p, ensemble)[1])
+    """All components of the security check, keyed by name; each probe's
+    wire state is read off the channel table, a chunk of probes at a time."""
+    table = _verified(p, ensemble)[0]
+    basis, dm = ensemble.kind == "classical_basis", table.shape[-1]
+    ref = table[0] if basis else table[0, 0]
+    start, state_dev, classical_dev = 0, 0.0, 0.0
+    for probes in ensemble.blocks():
+        width = probes.shape[1]
+        rhos = table[start:start + width] if basis else (
+            np.einsum("aj,bj->jab", probes, probes.conj()).reshape(width, -1)
+            @ table.reshape(-1, dm * dm)).reshape(-1, dm, dm)
+        state_dev = max(state_dev, float(trace_distance(rhos, ref).max()))
+        if p.message_kind == INPUT_CLASSICAL:
+            classical_dev = max(classical_dev, max_abs(rhos[:, ~np.eye(dm, dtype=bool)]))
+        start += width
+    parts = {"state": state_dev}
+    if p.message_kind == INPUT_CLASSICAL:
+        parts["classical_offdiag"] = classical_dev
+    if not basis:
+        parts["cross_term"] = max_cross_term_magnitude(p, table)
+        parts["factorization"] = factorization_certificate(table)
+    return parts
 
 
 def verify_security(p: ChannelProtocol, ensemble: InputEnsemble) -> float:
@@ -600,18 +640,21 @@ def verify_security(p: ChannelProtocol, ensemble: InputEnsemble) -> float:
 
 
 def verify_correctness(p: ChannelProtocol, ensemble: InputEnsemble) -> float:
-    """Worst per-key trace distance between the decoded output and the input."""
-    return _verified(p, ensemble)[2]
+    """A bound on every key's trace distance from the identity channel, over
+    the basis inputs or over every input (:func:`_correctness_bound`)."""
+    return _verified(p, ensemble)[1]
 
 
 def resource_report(p: ChannelProtocol) -> ResourceReport:
-    """Communication entropy of the reference message plus key/entanglement
-    entropies of the shared resource."""
-    ref = Ket.basis(SystemLayout.qubits(p.input_qubits), 0)
+    """Communication entropy of the reference message, read off the channel
+    table of the canonical pass, plus key/entanglement entropies of the
+    shared resource."""
+    table = _verified(p, canonical_ensemble(p, 0))[0]
+    ref = table[0] if p.input_kind == INPUT_CLASSICAL else table[0, 0]
     if p.message_kind == INPUT_CLASSICAL:
-        comm = shannon_entropy(message_distribution(p, ref))
+        comm = shannon_entropy(_diagonal_distribution(p, ref))
     else:
-        comm = von_neumann(encode(p, ref))
+        comm = von_neumann(DensityOp(SystemLayout.qubits(p.message_qubits), ref))
     key_entropy = None
     if p.resource.keyed:
         key_entropy = shannon_entropy(p.resource.key_source)
@@ -850,6 +893,14 @@ def build_named(name: str, n: int) -> ChannelProtocol:
 # serialization
 
 
+def _dense_ops(p: ChannelProtocol, ops: tuple[GateList, ...], register: int) -> list:
+    """The operators as dense JSON matrices; a list that must be composed is
+    refused first if its keys x 4^register entries are beyond desk scale."""
+    if any(op.composes for op in ops):
+        require_load(f"{p.name} descriptor", len(ops), 2 * register, scale=2)
+    return [matrix_to_json(op.matrix) for op in ops]
+
+
 def protocol_to_dict(p: ChannelProtocol) -> dict:
     resource: dict = {"kind": p.resource.kind}
     if p.resource.key_source is not None:
@@ -869,8 +920,8 @@ def protocol_to_dict(p: ChannelProtocol) -> dict:
         "alice_ancillas": p.alice_ancillas,
         "bob_ancillas": p.bob_ancillas,
         "resource": resource,
-        "alice_ops": [matrix_to_json(op.matrix) for op in p.alice_ops],
-        "bob_ops": [matrix_to_json(op.matrix) for op in p.bob_ops],
+        "alice_ops": _dense_ops(p, p.alice_ops, p.sender_qubits),
+        "bob_ops": _dense_ops(p, p.bob_ops, p.receiver_qubits),
         "message_subsystems": list(p.message_subsystems),
         "output_subsystems": list(p.output_subsystems),
     }
@@ -907,11 +958,18 @@ def protocol_from_dict(data: dict) -> ChannelProtocol:
 
 
 def save_protocol(p: ChannelProtocol, path: str):
+    data = protocol_to_dict(p)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(protocol_to_dict(p), fh)
+        json.dump(data, fh)
 
 
 def load_protocol(path: str) -> ChannelProtocol:
+    """Read a descriptor file, refusing one above DESCRIPTOR_BYTE_LIMIT bytes
+    before it is parsed."""
+    size = os.stat(path).st_size
+    if size > DESCRIPTOR_BYTE_LIMIT:
+        raise ValueError(f"{size} bytes exceeds the descriptor limit of "
+                         f"{DESCRIPTOR_BYTE_LIMIT} bytes")
     with open(path, encoding="utf-8") as fh:
         return protocol_from_dict(json.load(fh))
 

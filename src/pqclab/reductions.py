@@ -125,27 +125,6 @@ def _retarget(op: GateList, wires: Sequence[int]) -> list:
     return [(g, tuple(wires[t] for t in targets)) for g, targets in op.gates]
 
 
-def _map_alice_index(p: ChannelProtocol, idx: int, input_map: Sequence[int],
-                     anc_start: int, res_start: int) -> int:
-    """Translate an index of the inner sender register into the lifted one."""
-    n, a = p.input_qubits, p.alice_ancillas
-    if idx < n:
-        return input_map[idx]
-    if idx < n + a:
-        return anc_start + (idx - n)
-    return res_start + (idx - n - a)
-
-
-def _map_bob_index(p: ChannelProtocol, idx: int, msg_map: Sequence[int],
-                   anc_start: int, res_start: int) -> int:
-    m, b = p.message_qubits, p.bob_ancillas
-    if idx < m:
-        return msg_map[idx]
-    if idx < m + b:
-        return anc_start + (idx - m)
-    return res_start + (idx - m - b)
-
-
 def lift_extra_comm(p: ChannelProtocol, check_input: bool = True) -> ChannelProtocol:
     """Convert a quantum-input channel into one for twice as many classical
     bits, spending n extra qubits of communication.
@@ -181,24 +160,17 @@ def lift_extra_comm(p: ChannelProtocol, check_input: bool = True) -> ChannelProt
     inner_alice_targets = tuple(
         list(range(g0, g0 + n)) + list(range(anc0, anc0 + a))
         + list(range(res0, res0 + p.resource.alice_qubits)))
-    inner_msg_map = [
-        _map_alice_index(p, i, list(range(g0, g0 + n)), anc0, res0)
-        for i in p.message_subsystems]
+    inner_msg_map = [inner_alice_targets[i] for i in p.message_subsystems]
     measure = [(_CNOT, (inner_msg_map[i], env0 + i)) for i in range(n_env)]
     alice_ops = tuple(GateList(a_reg, prep + _retarget(op, inner_alice_targets) + measure)
                       for op in p.alice_ops)
 
     message = tuple(range(f0, f0 + n)) + tuple(inner_msg_map)
 
-    b = p.bob_ancillas
-    b_reg = (n + m_inner) + b + p.resource.bob_qubits
-    banc0, bres0 = n + m_inner, n + m_inner + b
-    inner_bob_targets = tuple(
-        list(range(n, n + m_inner)) + list(range(banc0, banc0 + b))
-        + list(range(bres0, bres0 + p.resource.bob_qubits)))
-    decoded = [
-        _map_bob_index(p, o, list(range(n, n + m_inner)), banc0, bres0)
-        for o in p.output_subsystems]
+    # the inner receiver register follows the n first halves of the pairs
+    b_reg = n + p.receiver_qubits
+    inner_bob_targets = tuple(range(n, b_reg))
+    decoded = [inner_bob_targets[o] for o in p.output_subsystems]
     readout = [(_BELL_READOUT, (i, decoded[i])) for i in range(n)]
     bob_ops = tuple(GateList(b_reg, _retarget(op, inner_bob_targets) + readout)
                     for op in p.bob_ops)
@@ -207,7 +179,7 @@ def lift_extra_comm(p: ChannelProtocol, check_input: bool = True) -> ChannelProt
     return ChannelProtocol(
         name=f"{p.name}-lift-extra-comm", input_kind=INPUT_CLASSICAL,
         input_qubits=2 * n, message_kind=INPUT_QUANTUM, resource=p.resource,
-        alice_ancillas=2 * n + a + n_env, bob_ancillas=b,
+        alice_ancillas=2 * n + a + n_env, bob_ancillas=p.bob_ancillas,
         alice_ops=alice_ops, bob_ops=bob_ops,
         message_subsystems=message, output_subsystems=out)
 
@@ -244,41 +216,27 @@ def lift_extra_epr(p: ChannelProtocol, check_input: bool = True) -> ChannelProto
         resource = SharedResource.entangled(psi, ra + n)
 
     a = p.alice_ancillas
-    anc0 = 2 * n
-    ares0 = 2 * n + a
-    e0 = ares0 + ra
+    e0 = 2 * n + a + ra
     a_reg = e0 + n
     prep = _pauli_injection(0, [e0 + i for i in range(n)])
-    inner_alice_targets = tuple(
-        list(range(e0, e0 + n)) + list(range(anc0, anc0 + a))
-        + list(range(ares0, ares0 + ra)))
+    # the inner input moves to the new halves; its ancillas and resource half stay
+    inner_alice_targets = tuple(range(e0, e0 + n)) + tuple(range(2 * n, e0))
     alice_ops = tuple(GateList(a_reg, prep + _retarget(op, inner_alice_targets))
                       for op in p.alice_ops)
 
-    message = tuple(
-        _map_alice_index(p, i, list(range(e0, e0 + n)), anc0, ares0)
-        for i in p.message_subsystems)
+    message = tuple(inner_alice_targets[i] for i in p.message_subsystems)
 
-    m_inner = p.message_qubits
-    b = p.bob_ancillas
-    banc0, bres0 = m_inner, m_inner + b
-    h0 = bres0 + rb
-    b_reg = h0 + n
-    inner_bob_targets = tuple(
-        list(range(m_inner)) + list(range(banc0, banc0 + b))
-        + list(range(bres0, bres0 + rb)))
-    decoded = [
-        _map_bob_index(p, o, list(range(m_inner)), banc0, bres0)
-        for o in p.output_subsystems]
+    # the inner receiver register keeps its wires; the new halves follow it
+    h0 = p.receiver_qubits
+    decoded = p.output_subsystems
     readout = [(_BELL_READOUT, (decoded[i], h0 + i)) for i in range(n)]
-    bob_ops = tuple(GateList(b_reg, _retarget(op, inner_bob_targets) + readout)
-                    for op in p.bob_ops)
+    bob_ops = tuple(GateList(h0 + n, list(op.gates) + readout) for op in p.bob_ops)
     out = tuple(x for i in range(n) for x in (decoded[i], h0 + i))
 
     return ChannelProtocol(
         name=f"{p.name}-lift-extra-epr", input_kind=INPUT_CLASSICAL,
         input_qubits=2 * n, message_kind=p.message_kind, resource=resource,
-        alice_ancillas=a, bob_ancillas=b,
+        alice_ancillas=a, bob_ancillas=p.bob_ancillas,
         alice_ops=alice_ops, bob_ops=bob_ops,
         message_subsystems=message, output_subsystems=out)
 

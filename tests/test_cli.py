@@ -16,6 +16,7 @@ from pqclab.entropy import (
     relative_entropy,
 )
 from pqclab.protocols import (
+    DESCRIPTOR_BYTE_LIMIT,
     build_classical_otp,
     build_identity_protocol,
     build_named,
@@ -48,7 +49,7 @@ def test_verify_quantum_otp(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["pass"] is True
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert report["resources"]["comm"] == pytest.approx(1.0)
     assert report["resources"]["key_entropy"] == pytest.approx(2.0)
     assert report["security_deviation"] <= 1e-9
@@ -181,7 +182,7 @@ def per_sample_inequalities_report(seed, samples):
          else summary[name]["slack"] >= -ENTROPY_TOL)
         for name in ordered) and cross_dev <= ENTROPY_TOL
     return {
-        "schema": 2, "command": "inequalities",
+        "schema": 3, "command": "inequalities",
         "config": {"seed": seed, "algebra_tol": ALGEBRA_TOL, "entropy_tol": ENTROPY_TOL,
                    "random_probes": 50, "samples": samples},
         "inequalities": [
@@ -484,6 +485,35 @@ def test_wide_classical_input_descriptor_refused_under_1gib_address_space(tmp_pa
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "error: wide-classical basis wire states: load 2^24 exceeds 4096^1.5" in proc.stderr
+
+
+def test_descriptor_over_the_byte_limit_refused_before_parsing(tmp_path):
+    # a sparse file one byte over the limit: refused from its size, never read
+    path = tmp_path / "huge.json"
+    with open(path, "wb") as fh:
+        fh.truncate(DESCRIPTOR_BYTE_LIMIT + 1)
+    proc = run_capped(CAPPED_CLI, "verify", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert f"{DESCRIPTOR_BYTE_LIMIT + 1} bytes exceeds the descriptor limit" in proc.stderr
+
+
+def test_descriptor_at_the_byte_limit_parses_under_1gib_address_space(tmp_path):
+    # a 10-bit classical-input identity, two dense 1024 x 1024 operators of
+    # [re, im] pairs, padded with whitespace to exactly the limit: parsed, then
+    # refused by the load rule (10 wires and 10 environment copies)
+    eye = matrix_to_json(np.eye(1024, dtype=complex))
+    path = _descriptor(tmp_path, lambda data: {
+        **data, "name": "wide-classical", "input_qubits": 10, "alice_ops": [eye],
+        "bob_ops": [eye], "message_subsystems": list(range(10)),
+        "output_subsystems": list(range(10))}, build=build_identity_protocol)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(" " * (DESCRIPTOR_BYTE_LIMIT - path.stat().st_size))
+    assert path.stat().st_size == DESCRIPTOR_BYTE_LIMIT
+    proc = run_capped(CAPPED_CLI, "verify", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "error: wide-classical: load 2^20 exceeds 4096" in proc.stderr
 
 
 @pytest.mark.parametrize("build", [build_quantum_otp, build_classical_otp])

@@ -9,6 +9,7 @@ descriptors.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from pqclab.protocols import (
     build_named,
     controlled_by_value,
     protocol_digest,
+    protocol_to_dict,
+    save_protocol,
     security_deviations,
     verify_correctness,
 )
@@ -37,7 +40,7 @@ from pqclab.qmath import (
     max_abs,
     pauli_string,
 )
-from pqclab.reductions import lift_extra_comm, lift_extra_epr
+from pqclab.reductions import lift_extra_comm, lift_extra_epr, rsp_to_pqc, teleportation_rsp
 
 TOL = 1e-12
 
@@ -192,6 +195,30 @@ DIGESTS = {
                                               for n, d in by_n.items()])
 def test_builder_digests_unchanged(builder, n, digest):
     assert protocol_digest(build_named(builder, n)).startswith(digest)
+
+
+@pytest.mark.parametrize("build,digest", [
+    (lambda: rsp_to_pqc(teleportation_rsp(4)), "ea142ce3d9ecdffb"),
+    (lambda: lift_extra_epr(build_named("quantum-otp", 1)), "1499f0f5bcab6b2e"),
+], ids=["rsp-teleportation-4", "quantum-otp-1-lift-extra-epr"])
+def test_gate_list_protocols_at_desk_scale_serialize(build, digest):
+    assert protocol_digest(build()).startswith(digest)
+
+
+def test_descriptor_beyond_desk_scale_refused_before_it_composes(tmp_path):
+    # 64 keys of 12-wire sender operators: 64 x 4^12 = 2^30 dense entries > 4096^2
+    lifted = lift_extra_comm(build_named("quantum-otp", 3), check_input=False)
+    path = tmp_path / "lifted.json"
+    tracemalloc.start()
+    try:
+        for serialize in (protocol_to_dict, lambda p: save_protocol(p, str(path))):
+            with pytest.raises(ValueError, match=r"lift-extra-comm descriptor: load 2\^30"):
+                serialize(lifted)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert not path.exists()
 
 
 def test_lift_sender_gates_are_shared_by_every_key():
