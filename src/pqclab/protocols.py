@@ -927,6 +927,14 @@ def protocol_to_dict(p: ChannelProtocol) -> dict:
     }
 
 
+def _integer(value, field: str) -> int:
+    """A descriptor count or wire: a Python or numpy integer, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"descriptor field {field!r} must be an integer, "
+                         f"not {type(value).__name__}")
+    return int(value)
+
+
 def protocol_from_dict(data: dict) -> ChannelProtocol:
     if not isinstance(data, dict) or data.get("format") != "pqclab-protocol":
         raise ValueError("not a protocol descriptor")
@@ -938,23 +946,25 @@ def protocol_from_dict(data: dict) -> ChannelProtocol:
     psi = None
     alice_subsystems = 0
     if "state_amplitudes" in res:
-        layout = SystemLayout(tuple(res["state_dims"]))
+        layout = SystemLayout(tuple(_integer(d, "state_dims") for d in res["state_dims"]))
         psi = Ket(layout, matrix_from_json(res["state_amplitudes"]))
-        alice_subsystems = int(res["alice_subsystems"])
+        alice_subsystems = _integer(res["alice_subsystems"], "alice_subsystems")
     resource = SharedResource(kind, key_source=dist, psi_ab=psi,
                               alice_subsystems=alice_subsystems)
     return ChannelProtocol(
         name=str(data["name"]),
         input_kind=data["input_kind"],
-        input_qubits=int(data["input_qubits"]),
+        input_qubits=_integer(data["input_qubits"], "input_qubits"),
         message_kind=data["message_kind"],
         resource=resource,
-        alice_ancillas=int(data["alice_ancillas"]),
-        bob_ancillas=int(data["bob_ancillas"]),
+        alice_ancillas=_integer(data["alice_ancillas"], "alice_ancillas"),
+        bob_ancillas=_integer(data["bob_ancillas"], "bob_ancillas"),
         alice_ops=tuple(UnitaryOp(matrix_from_json(m)) for m in data["alice_ops"]),
         bob_ops=tuple(UnitaryOp(matrix_from_json(m)) for m in data["bob_ops"]),
-        message_subsystems=tuple(data["message_subsystems"]),
-        output_subsystems=tuple(data["output_subsystems"]))
+        message_subsystems=tuple(_integer(i, "message_subsystems")
+                                 for i in data["message_subsystems"]),
+        output_subsystems=tuple(_integer(i, "output_subsystems")
+                                for i in data["output_subsystems"]))
 
 
 def save_protocol(p: ChannelProtocol, path: str):
@@ -965,13 +975,17 @@ def save_protocol(p: ChannelProtocol, path: str):
 
 def load_protocol(path: str) -> ChannelProtocol:
     """Read a descriptor file, refusing one above DESCRIPTOR_BYTE_LIMIT bytes
-    before it is parsed."""
+    before it is parsed, and one nested too deeply for the parser."""
     size = os.stat(path).st_size
     if size > DESCRIPTOR_BYTE_LIMIT:
         raise ValueError(f"{size} bytes exceeds the descriptor limit of "
                          f"{DESCRIPTOR_BYTE_LIMIT} bytes")
     with open(path, encoding="utf-8") as fh:
-        return protocol_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("descriptor nests too deeply") from None
+    return protocol_from_dict(data)
 
 
 def protocol_digest(p: ChannelProtocol) -> str:

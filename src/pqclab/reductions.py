@@ -25,7 +25,6 @@ from .qmath import (
     complete_orthonormal_basis,
     purify,
     reduced_from_vector,
-    trace_distance,
 )
 from .protocols import (
     CNOT,
@@ -39,6 +38,7 @@ from .protocols import (
     InputEnsemble,
     ProtocolVerificationError,
     SharedResource,
+    _correctness_bound,
     _zero_tail,
     controlled_by_value,
     epr_block,
@@ -74,14 +74,14 @@ class BoundAudit:
 class ObliviousnessError(ValueError):
     """A remote-state-preparation protocol violated an obliviousness invariant."""
 
-    def __init__(self, invariant: str, deviation: float, probe_index: int | None = None):
+    def __init__(self, invariant: str, deviation: float, message: int | None = None):
         super().__init__(
             f"obliviousness invariant {invariant!r} violated "
             f"(deviation {deviation:.3e}"
-            + (f", probe {probe_index}" if probe_index is not None else "") + ")")
+            + (f", message {message}" if message is not None else "") + ")")
         self.invariant = invariant
         self.deviation = deviation
-        self.probe_index = probe_index
+        self.message = message
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,7 @@ def audit_quantum_input(p: ChannelProtocol, verify_tol: float = 1e-9,
 # oblivious remote state preparation
 
 
-#: messages below this probability on a probe carry no receiver state
+#: messages below this probability on an input carry no receiver state
 RSP_PROB_FLOOR = 1e-14
 
 
@@ -439,55 +439,40 @@ def rsp_message_probs(rsp: ObliviousRsp, probe: Ket) -> np.ndarray:
     return np.sum(np.abs(_receiver_blocks(rsp) @ probe.amplitudes) ** 2, axis=1)
 
 
-def check_obliviousness(rsp: ObliviousRsp, random_probes: int = 20, seed: int = 0,
+def check_obliviousness(rsp: ObliviousRsp,
                         blocks: np.ndarray | None = None) -> dict[str, tuple[float, int]]:
-    """Max deviation (and the first probe attaining it) per obliviousness
-    invariant, over the ``quantum_full`` ensemble; ``blocks`` are the
-    receiver blocks of ``rsp`` when the caller has them already.
+    """Per obliviousness invariant, a bound on its deviation over every
+    input and the first message m that reaches it, read off the receiver
+    blocks W_m (``blocks``, if the caller has them).  |0...0> is the reference.
 
-    Invariants: message probabilities independent of the input; the output
-    wires carry exactly the input; the residue is input-independent; output
-    and residue factorize.  Probe 0, |0...0>, is the reference.  A message
-    that is impossible on the reference but not on a later probe counts
-    against ``message_probs`` only.
+    ``message_probs``, the drift of m's probability, is exact: with
+    G_m = W_m†W_m, the widest |<ψ|G_m|ψ> − G_m[0,0]| over unit ψ is
+    max(λ_max − G_m[0,0], G_m[0,0] − λ_min).  The other three are bounded on
+    the messages with λ_max ≥ RSP_PROB_FLOOR; no other reaches the floor on
+    any input.  For those, ε = :func:`_correctness_bound` of W_m/√λ_max, with
+    r̂ its fitted residue, gives ‖(W_m/√λ_max)ψ − ψ⊗r̂‖ ≤ ε for unit ψ.
+    Normalising costs at most another ε, so the post-message state is within
+    2ε of ψ⊗r̂ in norm, hence in trace distance on any wires.  So
+    ``output_state`` (output wires against ψ) ≤ 2ε; ``residue_drift`` (residue
+    against the reference's, both within 2ε of r̂) ≤ 4ε; ``factorization``
+    (joint state against ψ ⊗ residue) ≤ 2ε + 2ε.  Each is capped at 1, and
+    the last two are 0 without residue wires.
     """
     if blocks is None:
         blocks = _receiver_blocks(rsp)
+    gram = np.einsum("mri,mrj->mij", blocks.conj(), blocks)
+    eig = np.linalg.eigvalsh(gram)
+    ref = gram[:, 0, 0].real
     dims = [2] * (rsp.bob_qubits + rsp.bob_ancillas)
-    out = list(rsp.output_subsystems)
-    residue = [i for i in range(len(dims)) if i not in out]
-    ref_probs, ref_live, ref_states = _branches(blocks[:, :, 0].T)
-    if residue:
-        ref_residues = np.zeros((len(blocks), 2 ** len(residue), 2 ** len(residue)), complex)
-        ref_residues[ref_live] = reduced_from_vector(ref_states, dims, residue)
-    worst = {"message_probs": (0.0, 0), "output_state": (0.0, 0),
-             "residue_drift": (0.0, 0), "factorization": (0.0, 0)}
-    start = 0
-    for probes in InputEnsemble.quantum_full(rsp.n, random_probes, seed).blocks():
-        targets = np.einsum("aj,bj->jab", probes, probes.conj())
-        per_probe = {name: np.zeros(probes.shape[1]) for name in worst}
-        for m, w in enumerate(blocks):
-            probs, live, states = _branches(w @ probes)
-            np.maximum(per_probe["message_probs"], np.abs(probs - ref_probs[m]),
-                       out=per_probe["message_probs"])
-            devs = {"output_state": trace_distance(
-                reduced_from_vector(states, dims, out), targets[live])}
-            if residue:
-                res = reduced_from_vector(states, dims, residue)
-                if ref_live[m]:
-                    devs["residue_drift"] = trace_distance(res, ref_residues[m])
-                # output wires first, residue after: compare against the product
-                joint = reduced_from_vector(states, dims, out + residue)
-                product = np.einsum("jab,jcd->jacbd", targets[live], res)
-                devs["factorization"] = trace_distance(joint, product.reshape(joint.shape))
-            for name, values in devs.items():
-                per_probe[name][live] = np.maximum(per_probe[name][live], values)
-        for name, values in per_probe.items():
-            i = int(np.argmax(values))
-            if values[i] > worst[name][0]:
-                worst[name] = (float(values[i]), start + i)
-        start += probes.shape[1]
-    return worst
+    eps = np.zeros(len(blocks))
+    for m in np.flatnonzero(eig[:, -1] >= RSP_PROB_FLOOR):
+        eps[m] = _correctness_bound(blocks[m] / np.sqrt(eig[m, -1]), dims,
+                                    list(rsp.output_subsystems), basis=False)
+    residue_bound = np.minimum(1.0, 4 * eps) if len(dims) > rsp.n else np.zeros_like(eps)
+    values = {"message_probs": np.maximum(eig[:, -1] - ref, ref - eig[:, 0]),
+              "output_state": np.minimum(1.0, 2 * eps),
+              "residue_drift": residue_bound, "factorization": residue_bound}
+    return {name: (float(v.max()), int(np.argmax(v))) for name, v in values.items()}
 
 
 def rsp_to_pqc(rsp: ObliviousRsp, tol: float = 1e-9) -> ChannelProtocol:
@@ -500,9 +485,9 @@ def rsp_to_pqc(rsp: ObliviousRsp, tol: float = 1e-9) -> ChannelProtocol:
     """
     blocks = _receiver_blocks(rsp)
     checks = check_obliviousness(rsp, blocks=blocks)
-    for invariant, (deviation, probe_index) in checks.items():
+    for invariant, (deviation, message) in checks.items():
         if deviation > tol:
-            raise ObliviousnessError(invariant, deviation, probe_index)
+            raise ObliviousnessError(invariant, deviation, message)
 
     n = rsp.n
     rb = rsp.bob_qubits
@@ -510,7 +495,7 @@ def rsp_to_pqc(rsp: ObliviousRsp, tol: float = 1e-9) -> ChannelProtocol:
     residue_positions = [i for i in range(bob_reg) if i not in rsp.output_subsystems]
     q_r = len(residue_positions)
 
-    # message probabilities and residue states on the reference probe
+    # message probabilities and residue states on the reference input
     # |0...0> (input-independent by the checks)
     probs, live, states = _branches(blocks[:, :, 0].T)
     keep_keys = np.flatnonzero(live)

@@ -286,13 +286,30 @@ def _set(key, value):
     _set("resource", 5),
     lambda data: {**data, "alice_ops": [
         [x for row in op for pair in row for x in pair] for op in data["alice_ops"]]},
-], ids=["list", "null-input-qubits", "int-resource", "flat-op"])
+    # counts and wires are never coerced: int() would read each as another protocol
+    _set("message_subsystems", [0.5]),
+    _set("input_qubits", 1.7),
+    _set("input_qubits", True),
+    _set("input_qubits", "1"),
+], ids=["list", "null-input-qubits", "int-resource", "flat-op", "float-wire",
+        "float-count", "bool-count", "string-count"])
 def test_verify_malformed_descriptor_refused(tmp_path, capsys, edit):
     code = main(["verify", str(_descriptor(tmp_path, edit))])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+def test_verify_deeply_nested_descriptor_refused(tmp_path, capsys):
+    # 400 KB, far under the byte limit, but deeper than the JSON parser recurses
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code = main(["verify", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "nests too deeply" in err
 
 
 def _nan_first(key, *path):
