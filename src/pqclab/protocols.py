@@ -46,7 +46,7 @@ from .qmath import (
 #: largest simulation load, key count times engine register dimension
 DESK_SCALE_LIMIT = 4096
 #: largest descriptor file read, in bytes: over 10x the largest a builder
-#: writes (superdense 6, 3.2 MB), and small enough to parse under 1 GiB
+#: writes (superdense 6, 2.7 MB), and small enough to parse under 1 GiB
 DESCRIPTOR_BYTE_LIMIT = 1 << 25
 #: probes multiplied through an isometry block at a time; bounds peak memory
 PROBE_CHUNK = 256
@@ -62,6 +62,13 @@ INPUT_QUANTUM = "quantum"
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 CZ = np.diag([1, 1, 1, -1]).astype(complex)
+
+
+def _integer(value, field: str) -> int:
+    """A count or a wire: a Python or numpy integer, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{field} must be an integer, not {type(value).__name__}")
+    return int(value)
 
 
 class ProtocolVerificationError(RuntimeError):
@@ -85,6 +92,8 @@ class SharedResource:
     alice_subsystems: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "alice_subsystems",
+                           _integer(self.alice_subsystems, "alice_subsystems"))
         needs_key = self.kind in (RESOURCE_CLASSICAL_KEY, RESOURCE_HYBRID)
         needs_state = self.kind in (RESOURCE_ENTANGLED, RESOURCE_HYBRID)
         if self.kind not in (RESOURCE_NONE, RESOURCE_CLASSICAL_KEY,
@@ -160,8 +169,10 @@ class GateList:
     gates: tuple[tuple[UnitaryOp, tuple[int, ...]], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "qubits", _integer(self.qubits, "qubits"))
         gates = tuple((g if isinstance(g, UnitaryOp) else UnitaryOp(g),
-                       tuple(int(t) for t in targets)) for g, targets in self.gates)
+                       tuple(_integer(t, "gate targets") for t in targets))
+                      for g, targets in self.gates)
         for g, targets in gates:
             if (g.dim != 2 ** len(targets) or len(set(targets)) != len(targets)
                     or any(not 0 <= t < self.qubits for t in targets)):
@@ -239,10 +250,12 @@ class ChannelProtocol:
             raise ValueError(f"bad input_kind {self.input_kind!r}")
         if self.message_kind not in (INPUT_CLASSICAL, INPUT_QUANTUM):
             raise ValueError(f"bad message_kind {self.message_kind!r}")
+        for field in ("input_qubits", "alice_ancillas", "bob_ancillas"):
+            object.__setattr__(self, field, _integer(getattr(self, field), field))
+        for field in ("message_subsystems", "output_subsystems"):
+            object.__setattr__(self, field, tuple(_integer(i, field) for i in getattr(self, field)))
         if self.input_qubits < 1 or self.alice_ancillas < 0 or self.bob_ancillas < 0:
             raise ValueError("bad register sizes")
-        object.__setattr__(self, "message_subsystems", tuple(int(i) for i in self.message_subsystems))
-        object.__setattr__(self, "output_subsystems", tuple(int(i) for i in self.output_subsystems))
 
         keys = self.key_count
         if len(self.alice_ops) != keys or len(self.bob_ops) != keys:
@@ -376,9 +389,7 @@ def canonical_ensemble(protocol: ChannelProtocol, random_probes: int = 50,
 
 
 def _zero_tail(block: np.ndarray, qubits: int) -> np.ndarray:
-    tail = np.zeros((2 ** qubits, 1), dtype=complex)
-    tail[0] = 1.0
-    return np.kron(block, tail)
+    return np.kron(block, np.eye(2 ** qubits, 1, dtype=complex))
 
 
 def _sender_head(p: ChannelProtocol, inputs: np.ndarray, gates: int = 0) -> np.ndarray:
@@ -524,11 +535,8 @@ def decode_per_key(p: ChannelProtocol, input_ket: Ket, key_index: int) -> Densit
 
 def decode(p: ChannelProtocol, input_ket: Ket) -> DensityOp:
     """Receiver output averaged over keys (correctness checks stay per key)."""
-    probs = p.key_probs
-    acc = None
-    for k, prob in enumerate(probs):
-        out = decode_per_key(p, input_ket, k)
-        acc = prob * out.matrix if acc is None else acc + prob * out.matrix
+    acc = sum(prob * decode_per_key(p, input_ket, k).matrix
+              for k, prob in enumerate(p.key_probs))
     return DensityOp(SystemLayout.qubits(len(p.output_subsystems)), acc)
 
 
@@ -711,9 +719,8 @@ def require_lift_scale(p: ChannelProtocol):
 def controlled_by_value(gates: Sequence[np.ndarray]) -> np.ndarray:
     """Block-diagonal controlled gate: control wires outermost, one block per
     control value."""
-    k = len(gates)
     d = gates[0].shape[0]
-    out = np.zeros((k * d, k * d), dtype=complex)
+    out = np.zeros((len(gates) * d,) * 2, dtype=complex)
     for v, g in enumerate(gates):
         out[v * d:(v + 1) * d, v * d:(v + 1) * d] = g
     return out
@@ -722,16 +729,12 @@ def controlled_by_value(gates: Sequence[np.ndarray]) -> np.ndarray:
 def epr_block(n: int) -> Ket:
     """n EPR pairs grouped side by side: sum_x |x>|x> / 2^(n/2) on [A | B]."""
     d = 2 ** n
-    amps = np.zeros(d * d, dtype=complex)
-    for x in range(d):
-        amps[x * d + x] = 1.0
-    return Ket(SystemLayout.qubits(2 * n), amps / math.sqrt(d))
+    return Ket(SystemLayout.qubits(2 * n), np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d))
 
 
 def _pauli_key_table(n: int, alphabet: str) -> tuple[list[str], list[UnitaryOp]]:
     keys = ["".join(t) for t in itertools.product(alphabet, repeat=n)]
-    ops = [qmath.pauli_string(k) for k in keys]
-    return keys, ops
+    return keys, [qmath.pauli_string(k) for k in keys]
 
 
 def build_classical_otp(n: int) -> ChannelProtocol:
@@ -893,84 +896,96 @@ def build_named(name: str, n: int) -> ChannelProtocol:
 # serialization
 
 
-def _dense_ops(p: ChannelProtocol, ops: tuple[GateList, ...], register: int) -> list:
-    """The operators as dense JSON matrices; a list that must be composed is
-    refused first if its keys x 4^register entries are beyond desk scale."""
-    if any(op.composes for op in ops):
-        require_load(f"{p.name} descriptor", len(ops), 2 * register, scale=2)
-    return [matrix_to_json(op.matrix) for op in ops]
+def _descriptor_pieces(p: ChannelProtocol) -> Iterator[str]:
+    """The canonical descriptor text, ``json.dumps(protocol_to_dict(p),
+    sort_keys=True, separators=(",", ":"))``, in pieces: each top-level value
+    but the operators dumped whole, each operator a row at a time, and an
+    operator in both lists encoded once.  A list that must be composed is
+    refused before the first piece if its keys x 4^register entries are
+    beyond desk scale."""
+    op_lists = {"alice_ops": (p.alice_ops, p.sender_qubits),
+                "bob_ops": (p.bob_ops, p.receiver_qubits)}
+    for ops, register in op_lists.values():
+        if any(op.composes for op in ops):
+            require_load(f"{p.name} descriptor", len(ops), 2 * register, scale=2)
+    res = p.resource
+    resource = {"kind": res.kind}
+    if res.keyed:
+        resource.update(key_outcomes=list(res.key_source.outcomes),
+                        key_probs=res.key_source.probs.tolist())
+    if res.psi_ab is not None:
+        resource.update(state_dims=list(res.psi_ab.layout.dims),
+                        state_amplitudes=matrix_to_json(res.psi_ab.amplitudes),
+                        alice_subsystems=res.alice_subsystems)
+    fields = {
+        "format": "pqclab-protocol", "schema": 1, "name": p.name, "input_kind": p.input_kind,
+        "input_qubits": p.input_qubits, "message_kind": p.message_kind,
+        "alice_ancillas": p.alice_ancillas, "bob_ancillas": p.bob_ancillas,
+        "resource": resource, "message_subsystems": list(p.message_subsystems),
+        "output_subsystems": list(p.output_subsystems)}
+    # a dense operator is its one gate, which both lists may hold
+    sources = {key: [id(op if op.composes else op.gates[0][0]) for op in ops]
+               for key, (ops, _) in op_lists.items()}
+    shared, texts = set(sources["alice_ops"]) & set(sources["bob_ops"]), {}
+
+    def rows(op: GateList) -> Iterator[str]:
+        m = np.ascontiguousarray(op.matrix, dtype=complex)
+        for i, row in enumerate(m.view(float).reshape(len(m), -1, 2)):
+            yield ("[" if i == 0 else ",") + json.dumps(row.tolist(), separators=(",", ":"))
+        yield "]"
+
+    def pieces() -> Iterator[str]:
+        for i, key in enumerate(sorted([*fields, *op_lists])):
+            yield ("{" if i == 0 else ",") + json.dumps(key) + ":"
+            if key in fields:
+                yield json.dumps(fields[key], sort_keys=True, separators=(",", ":"))
+                continue
+            for j, (op, source) in enumerate(zip(op_lists[key][0], sources[key])):
+                yield "," if j else "["
+                if source in shared and source not in texts:
+                    texts[source] = "".join(rows(op))
+                yield from [texts[source]] if source in shared else rows(op)
+            yield "]"
+        yield "}"
+
+    return pieces()
 
 
 def protocol_to_dict(p: ChannelProtocol) -> dict:
-    resource: dict = {"kind": p.resource.kind}
-    if p.resource.key_source is not None:
-        resource["key_outcomes"] = list(p.resource.key_source.outcomes)
-        resource["key_probs"] = [float(x) for x in p.resource.key_source.probs]
-    if p.resource.psi_ab is not None:
-        resource["state_dims"] = list(p.resource.psi_ab.layout.dims)
-        resource["state_amplitudes"] = matrix_to_json(p.resource.psi_ab.amplitudes)
-        resource["alice_subsystems"] = p.resource.alice_subsystems
-    return {
-        "format": "pqclab-protocol",
-        "schema": 1,
-        "name": p.name,
-        "input_kind": p.input_kind,
-        "input_qubits": p.input_qubits,
-        "message_kind": p.message_kind,
-        "alice_ancillas": p.alice_ancillas,
-        "bob_ancillas": p.bob_ancillas,
-        "resource": resource,
-        "alice_ops": _dense_ops(p, p.alice_ops, p.sender_qubits),
-        "bob_ops": _dense_ops(p, p.bob_ops, p.receiver_qubits),
-        "message_subsystems": list(p.message_subsystems),
-        "output_subsystems": list(p.output_subsystems),
-    }
-
-
-def _integer(value, field: str) -> int:
-    """A descriptor count or wire: a Python or numpy integer, never a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"descriptor field {field!r} must be an integer, "
-                         f"not {type(value).__name__}")
-    return int(value)
+    return json.loads("".join(_descriptor_pieces(p)))
 
 
 def protocol_from_dict(data: dict) -> ChannelProtocol:
     if not isinstance(data, dict) or data.get("format") != "pqclab-protocol":
         raise ValueError("not a protocol descriptor")
     res = data["resource"]
-    kind = res["kind"]
-    dist = None
+    dist = psi = None
     if "key_outcomes" in res:
         dist = ProbabilityDist(tuple(res["key_outcomes"]), np.asarray(res["key_probs"]))
-    psi = None
-    alice_subsystems = 0
     if "state_amplitudes" in res:
         layout = SystemLayout(tuple(_integer(d, "state_dims") for d in res["state_dims"]))
         psi = Ket(layout, matrix_from_json(res["state_amplitudes"]))
-        alice_subsystems = _integer(res["alice_subsystems"], "alice_subsystems")
-    resource = SharedResource(kind, key_source=dist, psi_ab=psi,
-                              alice_subsystems=alice_subsystems)
+    resource = SharedResource(res["kind"], key_source=dist, psi_ab=psi,
+                              alice_subsystems=0 if psi is None else res["alice_subsystems"])
     return ChannelProtocol(
         name=str(data["name"]),
         input_kind=data["input_kind"],
-        input_qubits=_integer(data["input_qubits"], "input_qubits"),
+        input_qubits=data["input_qubits"],
         message_kind=data["message_kind"],
         resource=resource,
-        alice_ancillas=_integer(data["alice_ancillas"], "alice_ancillas"),
-        bob_ancillas=_integer(data["bob_ancillas"], "bob_ancillas"),
+        alice_ancillas=data["alice_ancillas"],
+        bob_ancillas=data["bob_ancillas"],
         alice_ops=tuple(UnitaryOp(matrix_from_json(m)) for m in data["alice_ops"]),
         bob_ops=tuple(UnitaryOp(matrix_from_json(m)) for m in data["bob_ops"]),
-        message_subsystems=tuple(_integer(i, "message_subsystems")
-                                 for i in data["message_subsystems"]),
-        output_subsystems=tuple(_integer(i, "output_subsystems")
-                                for i in data["output_subsystems"]))
+        message_subsystems=tuple(data["message_subsystems"]),
+        output_subsystems=tuple(data["output_subsystems"]))
 
 
 def save_protocol(p: ChannelProtocol, path: str):
-    data = protocol_to_dict(p)
+    """Write the canonical descriptor text, whose sha256 is :func:`protocol_digest`."""
+    pieces = _descriptor_pieces(p)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
+        fh.writelines(pieces)
 
 
 def load_protocol(path: str) -> ChannelProtocol:
@@ -989,6 +1004,8 @@ def load_protocol(path: str) -> ChannelProtocol:
 
 
 def protocol_digest(p: ChannelProtocol) -> str:
-    """Stable sha256 of the canonical descriptor."""
-    blob = json.dumps(protocol_to_dict(p), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """Stable sha256 of the canonical descriptor text."""
+    digest = hashlib.sha256()
+    for piece in _descriptor_pieces(p):
+        digest.update(piece.encode())
+    return digest.hexdigest()

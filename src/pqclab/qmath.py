@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -214,19 +215,12 @@ def _apply_gate_transposed(block: np.ndarray, dims: list[int], gate: np.ndarray,
     """:func:`apply_gate` for any target order: move the targets outermost,
     multiply, move them back."""
     n = len(dims)
-    rest = [i for i in range(n) if i not in targets]
-    perm = targets + rest
-    cols = 0 if block.ndim == 1 else block.shape[1]
-    shape = dims + ([cols] if cols else [])
-    t = block.reshape(shape)
-    axes = perm + ([n] if cols else [])
-    t = np.transpose(t, axes)
-    d_t = int(np.prod([dims[i] for i in targets]))
-    t = gate @ t.reshape(d_t, -1)
-    t = t.reshape([dims[i] for i in perm] + ([cols] if cols else []))
-    inverse = list(np.argsort(perm)) + ([n] if cols else [])
-    t = np.transpose(t, inverse)
-    return t.reshape(-1) if block.ndim == 1 else t.reshape(-1, cols)
+    perm = targets + [i for i in range(n) if i not in targets]
+    # a vector is one column
+    t = block.reshape(dims + [-1]).transpose(perm + [n])
+    t = gate @ t.reshape(math.prod(dims[i] for i in targets), -1)
+    t = t.reshape([dims[i] for i in perm] + [-1])
+    return t.transpose(list(np.argsort(perm)) + [n]).reshape(block.shape)
 
 
 def apply_to_ket(psi: Ket, gate: np.ndarray, targets: Sequence[int]) -> Ket:
@@ -323,8 +317,7 @@ def complete_orthonormal_basis(columns: np.ndarray) -> np.ndarray:
     for i in range(d):
         if len(basis) == d:
             break
-        v = np.zeros(d, dtype=complex)
-        v[i] = 1.0
+        v = np.eye(1, d, i, dtype=complex)[0]
         for b in basis:
             v = v - b * (b.conj() @ v)
         norm = float(np.linalg.norm(v))
@@ -440,17 +433,9 @@ def local_transition(phi1: Ket, phi2: Ket, cut: Iterable[int],
 
 def pauli_string(symbols: str) -> UnitaryOp:
     """Tensor product of single-qubit Paulis named by a {0,1,2,3} string."""
-    if not symbols:
-        raise ValueError("pauli string must have length >= 1")
-    mats = []
-    for c in symbols:
-        if c not in "0123":
-            raise ValueError(f"invalid pauli symbol {c!r}")
-        mats.append(SIGMA[int(c)])
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return UnitaryOp(out)
+    if not symbols or set(symbols) - set("0123"):
+        raise ValueError(f"invalid pauli string {symbols!r}")
+    return UnitaryOp(functools.reduce(np.kron, [SIGMA[int(c)] for c in symbols]))
 
 
 def trace_distance(a, b) -> float | np.ndarray:
@@ -516,14 +501,16 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryOp:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    """Nested lists of [re, im] pairs (debug serialization for reports)."""
+    """Nested lists of [re, im] pairs: the encoding of matrices and vectors in
+    protocol descriptors and of witnesses in reports."""
     m = as_complex(m)
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def matrix_from_json(data: list) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json` for a vector or a matrix."""
+    """Inverse of :func:`matrix_to_json` for a vector or a matrix, bit for bit
+    (a -0.0 stays -0.0)."""
     arr = np.asarray(data, dtype=float)
     if arr.ndim not in (2, 3) or arr.shape[-1] != 2:
         raise ValueError(f"expected a vector or matrix of [re, im] pairs, got shape {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return np.ascontiguousarray(arr).view(complex)[..., 0]

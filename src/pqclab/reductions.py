@@ -39,6 +39,7 @@ from .protocols import (
     ProtocolVerificationError,
     SharedResource,
     _correctness_bound,
+    _integer,
     _zero_tail,
     controlled_by_value,
     epr_block,
@@ -371,7 +372,7 @@ class ObliviousRsp:
         for u in self.corrections:
             if u.dim != 2 ** bob_reg:
                 raise ValueError("correction dimension does not match the receiver register")
-        out = tuple(int(i) for i in self.output_subsystems)
+        out = tuple(_integer(i, "output_subsystems") for i in self.output_subsystems)
         if len(out) != self.n or any(not 0 <= i < bob_reg for i in out):
             raise ValueError("output subsystems must name n receiver wires")
         object.__setattr__(self, "output_subsystems", out)
@@ -503,15 +504,10 @@ def rsp_to_pqc(rsp: ObliviousRsp, tol: float = 1e-9) -> ChannelProtocol:
         residues = reduced_from_vector(states, [2] * bob_reg, residue_positions)
 
     a_reg = n + 2 * q_r
-    pos_to_wire = {}
-    for i, pos in enumerate(rsp.output_subsystems):
-        pos_to_wire[pos] = i
-    for j, pos in enumerate(residue_positions):
-        pos_to_wire[pos] = n + j
+    # the output positions become wires 0..n-1, the residue positions the next q_r
+    pos_to_wire = {pos: i for i, pos in enumerate([*rsp.output_subsystems, *residue_positions])}
 
-    alice_ops = []
-    bob_ops = []
-    outcomes = []
+    alice_ops, bob_ops, outcomes = [], [], []
     for slot, m in enumerate(keep_keys):
         gates = []
         if q_r:

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
@@ -7,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqclab.cli import SWEEP_CHUNK, _worst_samples, main
 from pqclab.entropy import (
@@ -17,6 +22,7 @@ from pqclab.entropy import (
 )
 from pqclab.protocols import (
     DESCRIPTOR_BYTE_LIMIT,
+    PROTOCOL_BUILDERS,
     build_classical_otp,
     build_identity_protocol,
     build_named,
@@ -336,6 +342,111 @@ def test_verify_non_finite_descriptor_refused(tmp_path, capsys, build, edit):
     assert code == 2
     assert out == ""
     assert "error: malformed protocol file" in err
+
+
+# ---------------------------------------------------------------------------
+# descriptor files: the canonical text, and mutations of it
+
+
+def _small_zoo():
+    """Every builder at every n <= 2 it accepts."""
+    for name in sorted(PROTOCOL_BUILDERS):
+        for n in (1, 2):
+            try:
+                yield name, n, build_named(name, n)
+            except ValueError:
+                pass
+
+
+@pytest.fixture(scope="module")
+def saved_descriptors(tmp_path_factory):
+    """(name, n) -> the path and text of that builder's saved descriptor."""
+    saved = {}
+    for name, n, p in _small_zoo():
+        path = tmp_path_factory.mktemp("descriptors") / f"{name}-{n}.json"
+        save_protocol(p, str(path))
+        saved[name, n] = path, path.read_text()
+    return saved
+
+
+def run_main(*argv):
+    """``main(argv)`` in-process: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_verify_report_hash_is_the_sha256_of_the_file(saved_descriptors, tmp_path):
+    # a file in the spaced, unsorted form that save_protocol wrote before
+    # loads to the same protocol, and its report names the canonical text
+    spaced = tmp_path / "spaced.json"
+    for (name, n), (path, text) in saved_descriptors.items():
+        spaced.write_text(json.dumps(dict(reversed(json.loads(text).items()))))
+        for file in (path, spaced):
+            code, out, _ = run_main("verify", str(file))
+            assert code in (0, 1), (name, n)
+            assert json.loads(out)["protocol"]["hash"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+#: a value of another type than the one it replaces
+OTHER_TYPES = (None, True, 0, 1.5, "x", [], {}, {"kind": 0})
+
+
+def _mutate(data, draw):
+    """One mutation of the parsed descriptor ``data[0]``, in place, at a node
+    below the root: each step down is taken with probability 3/4."""
+    parent, key = data, 0
+    while isinstance(parent[key], (dict, list)) and parent[key] and (
+            parent is data or draw(st.sampled_from((True, True, True, False)))):
+        node = parent[key]
+        parent, key = node, draw(st.sampled_from(sorted(node)) if isinstance(node, dict)
+                                  else st.integers(0, len(node) - 1))
+    value = parent[key]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    kind = draw(st.sampled_from(("delete", "retype", "float", "negative", "huge",
+                                 "non-finite", "string", "wrap")))
+    if kind == "delete":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(value)]))
+    elif kind == "float":
+        parent[key] = value + 0.5 if number else 0.5
+    elif kind == "negative":
+        parent[key] = -value - 1 if number else -1
+    elif kind == "huge":
+        parent[key] = draw(st.sampled_from([10 ** 30, 2 ** 63, 1e300]))
+    elif kind == "non-finite":
+        parent[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "string":
+        parent[key] = str(value)
+    elif kind == "wrap":
+        parent[key] = [value] if draw(st.booleans()) else [[value]]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_descriptor_gets_a_report_or_a_usage_error(saved_descriptors, tmp_path_factory,
+                                                          data):
+    # mutation fuzzing of every builder's saved descriptor: whatever the file
+    # says, verify either reports (exit 0 or 1) or refuses it (exit 2, no
+    # report), and no exception escapes
+    key = data.draw(st.sampled_from(sorted(saved_descriptors)))
+    text = saved_descriptors[key][1]
+    doc = [json.loads(text)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data.draw)
+    text = json.dumps(doc[0])
+    if data.draw(st.sampled_from((False, False, False, False, True))):
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(text)
+    code, out, err = run_main("verify", str(path))
+    if code == 2:
+        assert out == "" and err.startswith("error:")
+    else:
+        assert code in (0, 1)
+        assert json.loads(out)["pass"] is (code == 0)
 
 
 def test_json_path_unwritable_refused(tmp_path, capsys):

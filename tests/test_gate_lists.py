@@ -9,6 +9,8 @@ descriptors.
 """
 
 import dataclasses
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -203,6 +205,20 @@ def test_builder_digests_unchanged(builder, n, digest):
 ], ids=["rsp-teleportation-4", "quantum-otp-1-lift-extra-epr"])
 def test_gate_list_protocols_at_desk_scale_serialize(build, digest):
     assert protocol_digest(build()).startswith(digest)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rsp_to_pqc(teleportation_rsp(4)),
+    lambda: lift_extra_epr(build_named("quantum-otp", 1)),
+], ids=["rsp-teleportation-4", "quantum-otp-1-lift-extra-epr"])
+def test_gate_list_protocols_save_the_text_of_their_digest(build, tmp_path):
+    p = build()
+    path = tmp_path / "protocol.json"
+    save_protocol(p, str(path))
+    saved = path.read_bytes()
+    assert hashlib.sha256(saved).hexdigest() == protocol_digest(p)
+    assert saved.decode() == json.dumps(protocol_to_dict(p), sort_keys=True,
+                                        separators=(",", ":"))
 
 
 def test_descriptor_beyond_desk_scale_refused_before_it_composes(tmp_path):

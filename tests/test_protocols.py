@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -443,18 +445,95 @@ def _smallest_protocol(builder):
     raise AssertionError(f"{builder.__name__} accepts no n in 1..4")
 
 
+def per_entry(m):
+    """[re, im] pairs of Python floats, one entry at a time."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim == 1:
+        return [[float(x.real), float(x.imag)] for x in m]
+    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+
 @pytest.mark.parametrize("name", sorted(PROTOCOL_BUILDERS))
-def test_digest_matches_per_entry_serialization(name, monkeypatch):
-    import pqclab.protocols as protocols
-
+def test_digest_matches_per_entry_serialization(name):
+    # the descriptor rebuilt here field by field, independently of the writer
     p = _smallest_protocol(PROTOCOL_BUILDERS[name])
-    digest = protocol_digest(p)
+    resource = {"kind": p.resource.kind}
+    if p.resource.keyed:
+        resource["key_outcomes"] = list(p.resource.key_source.outcomes)
+        resource["key_probs"] = [float(x) for x in p.resource.key_source.probs]
+    if p.resource.psi_ab is not None:
+        resource["state_dims"] = list(p.resource.psi_ab.layout.dims)
+        resource["state_amplitudes"] = per_entry(p.resource.psi_ab.amplitudes)
+        resource["alice_subsystems"] = p.resource.alice_subsystems
+    descriptor = {
+        "format": "pqclab-protocol", "schema": 1, "name": p.name,
+        "input_kind": p.input_kind, "input_qubits": p.input_qubits,
+        "message_kind": p.message_kind, "alice_ancillas": p.alice_ancillas,
+        "bob_ancillas": p.bob_ancillas, "resource": resource,
+        "alice_ops": [per_entry(op.matrix) for op in p.alice_ops],
+        "bob_ops": [per_entry(op.matrix) for op in p.bob_ops],
+        "message_subsystems": list(p.message_subsystems),
+        "output_subsystems": list(p.output_subsystems)}
+    text = json.dumps(descriptor, sort_keys=True, separators=(",", ":"))
+    assert protocol_digest(p) == hashlib.sha256(text.encode()).hexdigest()
 
-    def per_entry(m):
-        m = np.asarray(m, dtype=complex)
-        if m.ndim == 1:
-            return [[float(x.real), float(x.imag)] for x in m]
-        return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
-    monkeypatch.setattr(protocols, "matrix_to_json", per_entry)
-    assert protocol_digest(p) == digest
+def _accepted(name, n):
+    try:
+        build_named(name, n)
+    except ValueError:
+        return False
+    return True
+
+
+#: every builder at every n <= 2 it accepts
+SMALL_ZOO = [(name, n) for name in sorted(PROTOCOL_BUILDERS) for n in (1, 2)
+             if _accepted(name, n)]
+
+
+@pytest.mark.parametrize("name,n", SMALL_ZOO)
+def test_saved_descriptor_is_the_canonical_text_of_the_digest(name, n, tmp_path):
+    p = build_named(name, n)
+    path = tmp_path / "protocol.json"
+    save_protocol(p, str(path))
+    saved = path.read_bytes()
+    assert hashlib.sha256(saved).hexdigest() == protocol_digest(p)
+    assert saved.decode() == json.dumps(protocol_to_dict(p), sort_keys=True,
+                                        separators=(",", ":"))
+
+
+@pytest.mark.parametrize("name,n,limit", [("quantum-otp", 4, 4e6), ("superdense", 6, 16e6)])
+def test_digest_never_holds_the_descriptor(name, n, limit):
+    # the whole text of either is 1.4 and 2.7 MB; as nested lists, many times that
+    p = build_named(name, n)
+    tracemalloc.start()
+    try:
+        protocol_digest(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+
+
+@pytest.mark.parametrize("wire", [0.0, 0.7, False, True])
+def test_gate_list_wires_are_integers(wire):
+    # int() would read each of these as wire 0 or 1
+    with pytest.raises(ValueError, match="gate targets must be an integer"):
+        GateList(2, [(np.eye(2), (wire,))])
+    with pytest.raises(ValueError, match="qubits must be an integer"):
+        GateList(float(2), [(np.eye(2), (0,))])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("message_subsystems", (0.7,)), ("message_subsystems", (False,)),
+    ("output_subsystems", (0.0,)), ("output_subsystems", (True,)),
+    ("input_qubits", 1.0), ("input_qubits", True), ("bob_ancillas", 0.0)])
+def test_channel_protocol_wires_and_counts_are_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        dataclasses.replace(build_quantum_otp(1), **{field: value})
+
+
+@pytest.mark.parametrize("value", [1.0, True])
+def test_shared_resource_split_is_an_integer(value):
+    with pytest.raises(ValueError, match="alice_subsystems must be an integer"):
+        SharedResource.entangled(epr_block(1), value)

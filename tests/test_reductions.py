@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -288,6 +289,13 @@ def test_rsp_completeness_enforced():
                    bob_ancillas=0, output_subsystems=(0,))
 
 
+@pytest.mark.parametrize("wire", [0.0, 0.7, False])
+def test_rsp_output_wires_are_integers(wire):
+    # int() would read each as wire 0, an RSP the fields do not describe
+    with pytest.raises(ValueError, match="output_subsystems must be an integer"):
+        dataclasses.replace(teleportation_rsp(1), output_subsystems=(wire,))
+
+
 def test_teleportation_rsp_two_qubits():
     rsp = teleportation_rsp(2)
     probs = rsp_message_probs(rsp, Ket.from_bits("00"))
@@ -353,23 +361,24 @@ def test_rsp_to_pqc_at_four_qubits_is_admitted():
 
 
 def dense_branches(rsp, probe):
-    """(probability, post-correction receiver density matrix or None) per message."""
+    """Every message's probability, the messages whose probability reaches
+    1e-14, and their post-correction receiver density matrices, stacked."""
     u = rsp.measurement.matrix
     ra, rb = rsp.alice_subsystems, rsp.bob_qubits
     # rows: the input and sender wires; columns: the receiver's half
     vec = np.kron(probe.amplitudes, rsp.psi_ab.amplitudes).reshape(len(u), 2 ** rb)
-    for m, row in enumerate(u):
-        w = (np.outer(row.conj(), row) @ vec).reshape(-1)
-        prob = float(np.real(np.vdot(w, w)))
-        if prob < 1e-14:
-            yield prob, None
-            continue
-        bob = reduced_from_vector(w / math.sqrt(prob), [2] * (rsp.n + ra + rb),
-                                  list(range(rsp.n + ra, rsp.n + ra + rb)))
-        anc = np.zeros((2 ** rsp.bob_ancillas,) * 2)
-        anc[0, 0] = 1.0
-        c = rsp.corrections[m].matrix
-        yield prob, c @ np.kron(bob, anc) @ c.conj().T
+    # message m's branch: the projector onto row m of u, applied to vec
+    w = np.einsum("mi,mk->mik", u.conj(), u) @ vec
+    probs = np.sum(np.abs(w) ** 2, axis=(1, 2))
+    live = np.flatnonzero(probs >= 1e-14)
+    states = (w[live] / np.sqrt(probs[live])[:, None, None]).reshape(len(live), -1).T
+    bob = reduced_from_vector(states, [2] * (rsp.n + ra + rb),
+                              list(range(rsp.n + ra, rsp.n + ra + rb)))
+    anc = np.zeros((2 ** rsp.bob_ancillas,) * 2)
+    anc[0, 0] = 1.0
+    c = np.stack([rsp.corrections[m].matrix for m in live])
+    prepared = np.einsum("lij,ab->liajb", bob, anc).reshape(c.shape)
+    return probs, live, c @ prepared @ c.conj().swapaxes(-1, -2)
 
 
 def dense_obliviousness(rsp, random_probes):
@@ -380,23 +389,20 @@ def dense_obliviousness(rsp, random_probes):
     ref_probs, ref_residues = None, {}
     for idx, probe in enumerate(InputEnsemble.quantum_full(rsp.n, random_probes, 0).probes()):
         target = probe.density().matrix
-        probs = []
-        for m, (prob, post) in enumerate(dense_branches(rsp, probe)):
-            probs.append(prob)
-            if post is None:
-                continue
-            worst["output_state"] = max(worst["output_state"], trace_distance(
-                reduced_matrix(post, bob_dims, out), target))
-            if residue:
-                res = reduced_matrix(post, bob_dims, residue)
-                if idx == 0:
-                    ref_residues[m] = res
-                elif m in ref_residues:
-                    worst["residue_drift"] = max(worst["residue_drift"],
-                                                 trace_distance(res, ref_residues[m]))
-                worst["factorization"] = max(worst["factorization"], trace_distance(
-                    reduced_matrix(post, bob_dims, out + residue), np.kron(target, res)))
-        probs = np.array(probs)
+        probs, live, posts = dense_branches(rsp, probe)
+        worst["output_state"] = max(worst["output_state"], float(np.max(trace_distance(
+            reduced_matrix(posts, bob_dims, out), target))))
+        if residue:
+            res = reduced_matrix(posts, bob_dims, residue)
+            if idx == 0:
+                ref_residues = dict(zip(live, res))
+            drifting = [i for i, m in enumerate(live) if idx and m in ref_residues]
+            if drifting:
+                worst["residue_drift"] = max(worst["residue_drift"], float(np.max(trace_distance(
+                    res[drifting], np.stack([ref_residues[live[i]] for i in drifting])))))
+            joint = np.einsum("ab,lij->laibj", target, res).reshape(posts.shape)
+            worst["factorization"] = max(worst["factorization"], float(np.max(trace_distance(
+                reduced_matrix(posts, bob_dims, out + residue), joint))))
         if ref_probs is None:
             ref_probs = probs
         worst["message_probs"] = max(worst["message_probs"], np.max(np.abs(probs - ref_probs)))
@@ -423,9 +429,9 @@ def test_message_probs_and_key_match_dense_projector_oracle(n):
     rsp = teleportation_rsp(n)
     rng = np.random.default_rng(n)
     for probe in (Ket.basis(SystemLayout.qubits(n), 0), haar_ket(SystemLayout.qubits(n), rng)):
-        dense = [prob for prob, _ in dense_branches(rsp, probe)]
+        dense = dense_branches(rsp, probe)[0]
         assert np.allclose(rsp_message_probs(rsp, probe), dense, atol=1e-12)
-    ref = [prob for prob, _ in dense_branches(rsp, Ket.basis(SystemLayout.qubits(n), 0))]
+    ref = dense_branches(rsp, Ket.basis(SystemLayout.qubits(n), 0))[0]
     assert np.allclose(rsp_to_pqc(rsp).key_probs, ref, atol=1e-12)
 
 
