@@ -32,7 +32,9 @@ class ProbabilityDist:
     probs: np.ndarray
 
     def __post_init__(self):
-        outcomes = tuple(str(o) for o in self.outcomes)
+        outcomes = tuple(self.outcomes)
+        if not all(isinstance(o, str) for o in outcomes):
+            raise ValueError("outcome labels must be strings")
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size != len(outcomes):
             raise ValueError("need one probability per outcome")

@@ -50,6 +50,9 @@ DESK_SCALE_LIMIT = 4096
 DESCRIPTOR_BYTE_LIMIT = 1 << 25
 #: probes multiplied through an isometry block at a time; bounds peak memory
 PROBE_CHUNK = 256
+#: widest run of consecutive gates a gate list applies as one dense gate
+#: (2^8 x 2^8 on qubits)
+FUSION_WIRES = 8
 
 RESOURCE_NONE = "none"
 RESOURCE_CLASSICAL_KEY = "classical_key"
@@ -160,7 +163,9 @@ class GateList:
     first; each gate acts on its listed wires in the given order.  A gate
     given as a raw matrix is validated into a :class:`UnitaryOp`.
 
-    Simulation applies the gates one at a time, so the dense matrix exists
+    Simulation fuses each run of consecutive gates on at most FUSION_WIRES
+    wires into one dense gate of at most 256 x 256, composed per
+    :meth:`apply` call and not kept, so the whole list's dense matrix exists
     only when ``matrix`` is read.  A dense operator is the one-gate list on
     every wire in order, whose ``matrix`` is that operator's own matrix.
     """
@@ -199,9 +204,24 @@ class GateList:
     def apply(self, block: np.ndarray, dims: Sequence[int], wires: Sequence[int],
               start: int = 0, stop: int | None = None) -> np.ndarray:
         """Apply gates ``start:stop`` to a block whose wire ``wires[i]`` is
-        this register's wire i."""
+        this register's wire i.  Consecutive gates whose block wires number
+        at most FUSION_WIRES together run as one gate on those wires in
+        ascending order, composed here and dropped once applied."""
+        groups: list[tuple[set[int], list]] = []
         for g, targets in self.gates[start:stop]:
-            block = apply_gate(block, dims, g.matrix, [wires[t] for t in targets])
+            mapped = [wires[t] for t in targets]
+            if groups and len(groups[-1][0].union(mapped)) <= FUSION_WIRES:
+                groups[-1][0].update(mapped)
+                groups[-1][1].append((g.matrix, mapped))
+            else:
+                groups.append((set(mapped), [(g.matrix, mapped)]))
+        for union, gates in groups:
+            gate, targets = gates[0]
+            if len(gates) > 1:
+                targets = sorted(union)
+                gate = compose_circuit([dims[w] for w in targets],
+                                       ((m, [targets.index(w) for w in t]) for m, t in gates))
+            block = apply_gate(block, dims, gate, targets)
         return block
 
 
@@ -246,6 +266,8 @@ class ChannelProtocol:
     output_subsystems: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, not {type(self.name).__name__}")
         if self.input_kind not in (INPUT_CLASSICAL, INPUT_QUANTUM):
             raise ValueError(f"bad input_kind {self.input_kind!r}")
         if self.message_kind not in (INPUT_CLASSICAL, INPUT_QUANTUM):
@@ -511,12 +533,6 @@ def _verified(p: ChannelProtocol, ensemble: InputEnsemble) -> tuple[np.ndarray, 
     return result
 
 
-def alice_stage(p: ChannelProtocol, input_ket: Ket, key_index: int = 0) -> Ket:
-    """Joint state right after the sender's operation (message not yet split off)."""
-    block, dims, _ = _stage(p, _sender_head(p, input_ket.amplitudes[:, None]), key_index)
-    return Ket(SystemLayout(tuple(dims)), block[:, 0])
-
-
 def encode(p: ChannelProtocol, input_ket: Ket) -> DensityOp:
     """Message state seen on the wire, averaged over the key distribution."""
     shared = _shared_prefix(p.alice_ops)
@@ -540,13 +556,6 @@ def decode(p: ChannelProtocol, input_ket: Ket) -> DensityOp:
     return DensityOp(SystemLayout.qubits(len(p.output_subsystems)), acc)
 
 
-def message_distribution(p: ChannelProtocol, input_ket: Ket) -> ProbabilityDist:
-    """Distribution of a classical message, read off the diagonal."""
-    if p.message_kind != INPUT_CLASSICAL:
-        raise ValueError("message is not classical")
-    return _diagonal_distribution(p, encode(p, input_ket).matrix)
-
-
 def _diagonal_distribution(p: ChannelProtocol, rho: np.ndarray) -> ProbabilityDist:
     """The classical message's distribution on the diagonal of its wire state."""
     probs = np.clip(np.real(np.diag(rho)), 0.0, None)
@@ -563,13 +572,6 @@ def _diagonal_distribution(p: ChannelProtocol, rho: np.ndarray) -> ProbabilityDi
 def channel_on_units(p: ChannelProtocol) -> np.ndarray:
     """Table E(|a><b|) over all matrix units of the input space (read-only)."""
     return _verified(p, InputEnsemble.quantum_full(p.input_qubits, 0))[0]
-
-
-def encode_cross_term(p: ChannelProtocol, i: int, j: int) -> np.ndarray:
-    """E(|i><j|) for basis states i != j."""
-    if i == j:
-        raise ValueError("cross terms need two distinct basis states")
-    return channel_on_units(p)[i, j]
 
 
 def factorization_certificate(units: np.ndarray) -> float:
@@ -968,7 +970,7 @@ def protocol_from_dict(data: dict) -> ChannelProtocol:
     resource = SharedResource(res["kind"], key_source=dist, psi_ab=psi,
                               alice_subsystems=0 if psi is None else res["alice_subsystems"])
     return ChannelProtocol(
-        name=str(data["name"]),
+        name=data["name"],
         input_kind=data["input_kind"],
         input_qubits=data["input_qubits"],
         message_kind=data["message_kind"],

@@ -223,17 +223,6 @@ def _apply_gate_transposed(block: np.ndarray, dims: list[int], gate: np.ndarray,
     return t.transpose(list(np.argsort(perm)) + [n]).reshape(block.shape)
 
 
-def apply_to_ket(psi: Ket, gate: np.ndarray, targets: Sequence[int]) -> Ket:
-    targets = psi.layout.check_subsystems(targets)
-    return Ket(psi.layout, apply_gate(psi.amplitudes, psi.layout.dims, as_complex(gate), targets))
-
-
-def embed_operator(gate: np.ndarray, targets: Sequence[int], dims: Sequence[int]) -> np.ndarray:
-    """Expand a gate on selected subsystems to the full product space."""
-    d = int(np.prod(list(dims)))
-    return apply_gate(np.eye(d, dtype=complex), dims, as_complex(gate), targets)
-
-
 def compose_circuit(dims: Sequence[int], gates: Iterable[tuple[np.ndarray, Sequence[int]]]) -> np.ndarray:
     """Product of embedded gates; the first listed gate acts first."""
     d = int(np.prod(list(dims)))
@@ -454,17 +443,6 @@ def trace_distance(a, b) -> float | np.ndarray:
     dist = np.zeros(differs.shape)
     dist[differs] = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff[differs])), axis=-1)
     return float(dist) if dist.ndim == 0 else dist
-
-
-def ray_deviation(a: Ket, b: Ket) -> float:
-    """Trace distance between the induced projectors (0 iff equal up to phase).
-
-    Computed from the projector difference, not from 1 - |<a|b>|^2, which
-    would square away half the floating-point precision.
-    """
-    pa = np.outer(a.amplitudes, a.amplitudes.conj())
-    pb = np.outer(b.amplitudes, b.amplitudes.conj())
-    return trace_distance(pa, pb)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from pqclab.protocols import (
     channel_on_units,
     encode,
     max_cross_term_magnitude,
-    message_distribution,
     resource_report,
     verify_correctness,
     verify_security,
@@ -40,13 +39,11 @@ from pqclab.qmath import (
     DensityOp,
     Ket,
     SystemLayout,
-    apply_to_ket,
     haar_unitary,
     local_transition,
     partial_trace,
     purify,
     random_density,
-    ray_deviation,
     trace_distance,
 )
 from pqclab.reductions import (
@@ -58,6 +55,8 @@ from pqclab.reductions import (
     non_oblivious_rsp,
     rsp_to_pqc,
 )
+
+from oracles import apply_to_ket, message_distribution, ray_deviation
 
 
 def record(num: int, description: str, ok: bool):

@@ -297,8 +297,13 @@ def _set(key, value):
     _set("input_qubits", 1.7),
     _set("input_qubits", True),
     _set("input_qubits", "1"),
+    # nor are labels: str() would read each as the file it is not
+    lambda data: {**data, "resource": {**data["resource"],
+                                       "key_outcomes": [0, 1.5, [2], None]}},
+    _set("name", ["quantum-otp"]),
 ], ids=["list", "null-input-qubits", "int-resource", "flat-op", "float-wire",
-        "float-count", "bool-count", "string-count"])
+        "float-count", "bool-count", "string-count", "non-string-key-outcomes",
+        "list-name"])
 def test_verify_malformed_descriptor_refused(tmp_path, capsys, edit):
     code = main(["verify", str(_descriptor(tmp_path, edit))])
     out, err = capsys.readouterr()

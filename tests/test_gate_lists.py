@@ -1,11 +1,12 @@
 """Gate-list operators against the dense matrices they stand for.
 
-Protocol operators are lists of gates that the engine applies one at a time.
+Protocol operators are lists of gates that the engine applies in fused runs.
 The checks here: ``apply_gate``'s reshape path for a run of wires equals its
-transpose path; every lifted operator's ``matrix`` equals the dense product
-the lifts used to build gate by gate with ``compose_circuit``, and both give
-the same verification values; builder digests are those of the dense
-descriptors.
+transpose path; a gate list's fused runs equal its gates applied one at a
+time, and a lift's receiver runs as one gate per key; every lifted
+operator's ``matrix`` equals the dense product the lifts used to build gate
+by gate with ``compose_circuit``, and both give the same verification
+values; builder digests are those of the dense descriptors.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqclab import protocols
 from pqclab.protocols import (
     CNOT,
     HADAMARD,
@@ -77,6 +79,91 @@ def test_run_fast_path_equals_transpose_path(case):
     fast = apply_gate(block, dims, gate, targets)
     assert fast.shape == block.shape
     assert max_abs(fast - _apply_gate_transposed(block, dims, gate, targets)) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# fused gate lists
+
+
+def _one_by_one(block, dims, wires, gates):
+    for g, targets in gates:
+        block = apply_gate(block, dims, g.matrix, [wires[t] for t in targets])
+    return block
+
+
+@st.composite
+def fusion_case(draw):
+    wires = draw(st.integers(1, 10))
+    qubits = draw(st.integers(1, wires))
+    # a permutation of the block's wires, or an embedding into some of them
+    wire_map = draw(st.permutations(range(wires)))[:qubits]
+    targets = st.integers(1, min(3, qubits)).flatmap(
+        lambda w: st.permutations(range(qubits)).map(lambda order: tuple(order[:w])))
+    prefix, tail_a, tail_b = (draw(st.lists(targets, min_size=lo, max_size=6))
+                              for lo in (0, 1, 1))
+    cols = draw(st.one_of(st.none(), st.integers(1, 3)))
+    return wires, qubits, wire_map, prefix, tail_a, tail_b, cols, draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(fusion_case(), st.data())
+def test_fused_apply_equals_gate_by_gate(case, data):
+    wires, qubits, wire_map, prefix, tail_a, tail_b, cols, seed = case
+    rng = np.random.default_rng(seed)
+
+    def gates(target_lists):
+        return [(haar_unitary(2 ** len(t), rng), t) for t in target_lists]
+
+    shared = gates(prefix)
+    a = GateList(qubits, shared + gates(tail_a))
+    b = GateList(qubits, shared + gates(tail_b))
+    dims = [2] * wires
+    shape = (2 ** wires,) if cols is None else (2 ** wires, cols)
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    block /= np.linalg.norm(block, axis=0)
+
+    # the shared prefix once, then each list's own tail, as the engine runs keys
+    split = _shared_prefix([a, b])
+    assert split >= len(prefix)
+    head = a.apply(block, dims, wire_map, stop=split)
+    for op in (a, b):
+        fused = op.apply(head, dims, wire_map, start=split)
+        assert fused.shape == block.shape
+        assert max_abs(fused - _one_by_one(block, dims, wire_map, op.gates)) <= TOL
+
+    start = data.draw(st.integers(0, len(a.gates)))
+    stop = data.draw(st.integers(start, len(a.gates)))
+    assert max_abs(a.apply(block, dims, wire_map, start, stop)
+                   - _one_by_one(block, dims, wire_map, a.gates[start:stop])) <= TOL
+
+
+def test_lifted_receiver_runs_one_gate_per_key_on_one_wire_run(monkeypatch):
+    # each key's receiver list (inner Pauli, two Bell readouts) on its 4 wires
+    # runs as one 16 x 16 gate on the block's message wires, and the shared
+    # sender prefix runs once per pass, not once per key
+    lifted = lift_extra_comm(build_named("quantum-otp", 2), check_input=False)
+    shared = _shared_prefix(lifted.alice_ops)
+    calls, real_apply, real_gate = [], GateList.apply, protocols.apply_gate
+
+    def apply(op, block, dims, wires, start=0, stop=None):
+        calls.append((op, start, stop, []))
+        return real_apply(op, block, dims, wires, start, stop)
+
+    def gate(block, dims, matrix, targets):
+        calls[-1][3].append(list(targets))
+        return real_gate(block, dims, matrix, targets)
+
+    monkeypatch.setattr(GateList, "apply", apply)
+    monkeypatch.setattr(protocols, "apply_gate", gate)
+    verify_correctness(lifted, InputEnsemble.classical_basis(4))
+
+    receiver = [targets for op, _, _, targets in calls if op in lifted.bob_ops]
+    assert len(receiver) == lifted.key_count == 16
+    for targets in receiver:
+        assert len(targets) == 1
+        assert targets[0] == list(range(targets[0][0], targets[0][0] + 4))
+    assert sum(c[1:3] == (0, shared) for c in calls) == 1
+    assert sum(c[1:3] == (shared, None) for c in calls) == lifted.key_count
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from pqclab.protocols import (
     InputEnsemble,
     ProbabilityDist,
     SharedResource,
-    alice_stage,
     build_broken_otp,
     build_broken_teleportation,
     build_classical_otp,
@@ -31,9 +30,7 @@ from pqclab.protocols import (
     decode,
     decode_per_key,
     encode,
-    encode_cross_term,
     epr_block,
-    message_distribution,
     protocol_digest,
     protocol_from_dict,
     protocol_to_dict,
@@ -54,6 +51,8 @@ from pqclab.qmath import (
     partial_trace,
     trace_distance,
 )
+
+from oracles import alice_stage, encode_cross_term, message_distribution
 
 Q1 = SystemLayout.qubits(1)
 Q2 = SystemLayout.qubits(2)

@@ -9,9 +9,7 @@ from pqclab.qmath import (
     Ket,
     SystemLayout,
     UnitaryOp,
-    apply_to_ket,
     compose_circuit,
-    embed_operator,
     haar_ket,
     haar_unitary,
     local_transition,
@@ -23,13 +21,14 @@ from pqclab.qmath import (
     purify,
     random_density,
     random_density_matrix,
-    ray_deviation,
     reduced_from_vector,
     reduced_matrix,
     schmidt_decompose,
     tensor,
     trace_distance,
 )
+
+from oracles import apply_to_ket, embed_operator, ray_deviation
 
 EPR = Ket(SystemLayout.qubits(2), np.array([1, 0, 0, 1]) / math.sqrt(2))
 
