@@ -31,7 +31,6 @@ from .entropy import (
 from .protocols import (
     ChannelProtocol,
     GateList,
-    InputEnsemble,
     ProtocolVerificationError,
     ResourceReport,
     SharedResource,

@@ -24,7 +24,6 @@ from .protocols import (
     INPUT_CLASSICAL,
     ProtocolVerificationError,
     build_named,
-    canonical_ensemble,
     load_protocol,
     protocol_digest,
     require_desk_scale,
@@ -44,7 +43,7 @@ from .qmath import (
     reduced_matrix,
 )
 
-REPORT_SCHEMA = 3
+REPORT_SCHEMA = 4
 #: samples per stacked chunk of the inequality sweep: its memory bound
 SWEEP_CHUNK = 128
 
@@ -58,27 +57,24 @@ class RunConfig:
     seed: int = 0
     algebra_tol: float = ALGEBRA_TOL
     entropy_tol: float = ENTROPY_TOL
-    random_probes: int = 50
     samples: int = 500
 
     def __post_init__(self):
         if not all(0 < tol < math.inf for tol in (self.algebra_tol, self.entropy_tol)):
             raise UsageError("tolerances must be positive and finite")
-        if self.random_probes < 0 or self.samples < 0:
+        if self.samples < 0:
             raise UsageError("counts must be nonnegative")
         if self.seed < 0:
             raise UsageError("seed must be nonnegative")
 
     def to_dict(self) -> dict:
         return {"seed": self.seed, "algebra_tol": self.algebra_tol,
-                "entropy_tol": self.entropy_tol,
-                "random_probes": self.random_probes, "samples": self.samples}
+                "entropy_tol": self.entropy_tol, "samples": self.samples}
 
 
 def _config(args) -> RunConfig:
     return RunConfig(seed=args.seed, algebra_tol=args.tol_algebra,
-                     entropy_tol=args.tol_entropy,
-                     random_probes=args.probes, samples=args.samples)
+                     entropy_tol=args.tol_entropy, samples=args.samples)
 
 
 def _load(name_or_path: str, n: int) -> ChannelProtocol:
@@ -112,10 +108,9 @@ def _base_report(command: str, cfg: RunConfig) -> dict:
 
 
 def _verification_block(protocol: ChannelProtocol, cfg: RunConfig) -> tuple[dict, bool]:
-    ensemble = canonical_ensemble(protocol, cfg.random_probes, cfg.seed)
-    parts = security_deviations(protocol, ensemble)
+    parts = security_deviations(protocol)
     security = max(parts.values())
-    correctness = verify_correctness(protocol, ensemble)
+    correctness = verify_correctness(protocol)
     report = resource_report(protocol)
     passed = security <= cfg.algebra_tol and correctness <= cfg.algebra_tol
     block = {
@@ -162,8 +157,7 @@ def cmd_audit(args) -> tuple[dict, int]:
                 protocol, verify_tol=cfg.algebra_tol, bound_tol=cfg.entropy_tol, log=log)
         else:
             audits = reductions.audit_quantum_input(
-                protocol, verify_tol=cfg.algebra_tol, bound_tol=cfg.entropy_tol,
-                random_probes=cfg.random_probes, seed=cfg.seed, log=log)
+                protocol, verify_tol=cfg.algebra_tol, bound_tol=cfg.entropy_tol, log=log)
     except (ProtocolVerificationError, ValueError) as exc:
         report["audits"] = []
         report["audit_log"] = log + [f"audit aborted: {exc}"]
@@ -237,11 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser):
-        p.add_argument("--seed", type=int, default=0, help="seed for random probes/samples")
+        p.add_argument("--seed", type=int, default=0, help="seed for the inequality samples")
         p.add_argument("--samples", type=int, default=500,
                        help="sample count for inequality sweeps")
-        p.add_argument("--probes", type=int, default=50,
-                       help="Haar-random probe count of the security check")
         p.add_argument("--tol-algebra", type=float, default=ALGEBRA_TOL,
                        help="tolerance for algebraic identities")
         p.add_argument("--tol-entropy", type=float, default=ENTROPY_TOL,

@@ -48,8 +48,6 @@ DESK_SCALE_LIMIT = 4096
 #: largest descriptor file read, in bytes: over 10x the largest a builder
 #: writes (superdense 6, 2.7 MB), and small enough to parse under 1 GiB
 DESCRIPTOR_BYTE_LIMIT = 1 << 25
-#: probes multiplied through an isometry block at a time; bounds peak memory
-PROBE_CHUNK = 256
 #: widest run of consecutive gates a gate list applies as one dense gate
 #: (2^8 x 2^8 on qubits)
 FUSION_WIRES = 8
@@ -72,6 +70,14 @@ def _integer(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{field} must be an integer, not {type(value).__name__}")
     return int(value)
+
+
+def _numbers(data, field: str):
+    """``data`` once every entry of it is a JSON number, an int or a float:
+    never a bool or a string, which numpy would read as 0 or 1 or parse."""
+    if not set(map(type, np.asarray(data, dtype=object).ravel())) <= {int, float}:
+        raise ValueError(f"{field} must hold numbers only")
+    return data
 
 
 class ProtocolVerificationError(RuntimeError):
@@ -336,70 +342,6 @@ class ChannelProtocol:
         return self.sender_qubits + self.resource.bob_qubits + copies + self.bob_ancillas
 
 
-@dataclass(frozen=True)
-class InputEnsemble:
-    """Probe inputs for the security sweep, as a value: (kind, n,
-    random_probes, seed) fixes every probe, and :meth:`blocks` generates them.
-    Correctness reads only whether the ensemble is the basis.
-
-    ``classical_basis`` enumerates every computational-basis state.
-    ``quantum_full`` adds, for each basis pair (i, j), the probes
-    (|i> + |j>)/sqrt(2) and (|i> + i|j>)/sqrt(2) — enough to pin the
-    channel on every matrix unit — plus seeded Haar-random states.
-    """
-
-    kind: str
-    n: int
-    random_probes: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind != "quantum_full" and (self.kind != "classical_basis" or self.random_probes):
-            raise ValueError(f"not a probe ensemble: {self}")
-
-    @classmethod
-    def classical_basis(cls, n: int) -> "InputEnsemble":
-        return cls("classical_basis", n)
-
-    @classmethod
-    def quantum_full(cls, n: int, random_probes: int = 50, seed: int = 0) -> "InputEnsemble":
-        return cls("quantum_full", n, random_probes, seed)
-
-    def blocks(self) -> Iterator[np.ndarray]:
-        """The probes as columns, at most PROBE_CHUNK at a time."""
-        d = 2 ** self.n
-        det = np.eye(d, dtype=complex)
-        if self.kind == "quantum_full":
-            i, j = np.triu_indices(d, 1)
-            # per pair, the phase-1 probe then the phase-i probe
-            pairs = np.stack([det[:, i] + det[:, j], det[:, i] + 1j * det[:, j]], axis=2)
-            det = np.hstack([det, pairs.reshape(d, -1) / math.sqrt(2)])
-        for start in range(0, det.shape[1], PROBE_CHUNK):
-            yield det[:, start:start + PROBE_CHUNK]
-        rng = np.random.default_rng(self.seed)
-        for start in range(0, self.random_probes, PROBE_CHUNK):
-            # per probe d real parts, then d imaginary parts, as haar_ket draws them
-            v = rng.standard_normal((min(PROBE_CHUNK, self.random_probes - start), 2, d))
-            cols = (v[:, 0] + 1j * v[:, 1]).T
-            yield cols / np.linalg.norm(cols, axis=0)
-
-    def probes(self) -> Iterator[Ket]:
-        layout = SystemLayout.qubits(self.n)
-        for block in self.blocks():
-            for column in block.T:
-                yield Ket(layout, column)
-
-    def __len__(self) -> int:
-        return 2 ** (self.n * (2 if self.kind == "quantum_full" else 1)) + self.random_probes
-
-
-def canonical_ensemble(protocol: ChannelProtocol, random_probes: int = 50,
-                       seed: int = 0) -> InputEnsemble:
-    if protocol.input_kind == INPUT_CLASSICAL:
-        return InputEnsemble.classical_basis(protocol.input_qubits)
-    return InputEnsemble.quantum_full(protocol.input_qubits, random_probes, seed)
-
-
 # ---------------------------------------------------------------------------
 # simulation engine
 #
@@ -407,7 +349,7 @@ def canonical_ensemble(protocol: ChannelProtocol, random_probes: int = 50,
 # key's sender stage runs once on the block of all input basis columns, its
 # message adds to the channel table, and its receiver stage continues from
 # the same block, that key's isometry block, whose correctness bound is read
-# off it.  Probes are read off the table.
+# off it.  Every security part is read off the table.
 
 
 def _zero_tail(block: np.ndarray, qubits: int) -> np.ndarray:
@@ -517,14 +459,16 @@ def _verification_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, flo
 _last_pass: list = []
 
 
-def _verified(p: ChannelProtocol, ensemble: InputEnsemble) -> tuple[np.ndarray, float]:
-    """:func:`_verification_pass` through a one-slot memo keyed by the
-    protocol object and whether ``ensemble`` is the basis, the only part of
-    it the pass reads.  The slot is emptied before a new pass runs, so two
-    passes' arrays are never held at once."""
-    if ensemble.n != p.input_qubits:
-        raise ValueError(f"{ensemble.n}-qubit ensemble for {p.input_qubits} input qubits")
-    basis = ensemble.kind == "classical_basis"
+def _verified(p: ChannelProtocol, input_kind: str | None) -> tuple[np.ndarray, float]:
+    """:func:`_verification_pass` over the inputs of ``input_kind`` (None:
+    the protocol's own; INPUT_CLASSICAL: the basis states) through a
+    one-slot memo keyed by the protocol object and the basis flag.  The slot
+    is emptied before a new pass runs, so two passes' arrays are never held
+    at once."""
+    kind = p.input_kind if input_kind is None else input_kind
+    if kind not in (INPUT_CLASSICAL, INPUT_QUANTUM):
+        raise ValueError(f"bad input kind {input_kind!r}")
+    basis = kind == INPUT_CLASSICAL
     if _last_pass and _last_pass[0] is p and _last_pass[1] == basis:
         return _last_pass[2]
     _last_pass.clear()
@@ -571,7 +515,7 @@ def _diagonal_distribution(p: ChannelProtocol, rho: np.ndarray) -> ProbabilityDi
 
 def channel_on_units(p: ChannelProtocol) -> np.ndarray:
     """Table E(|a><b|) over all matrix units of the input space (read-only)."""
-    return _verified(p, InputEnsemble.quantum_full(p.input_qubits, 0))[0]
+    return _verified(p, INPUT_QUANTUM)[0]
 
 
 def factorization_certificate(units: np.ndarray) -> float:
@@ -581,13 +525,14 @@ def factorization_certificate(units: np.ndarray) -> float:
     It bounds their diamond distance from above (Watrous, *The Theory of
     Quantum Information*, ch. 3), so it bounds the trace distance between
     (I ⊗ E) sigma and (Tr_input sigma) ⊗ E(|0><0|) for every bipartite sigma.
+    A trace distance is at most 1, and so is the value returned.
     """
     d, dm = units.shape[0], units.shape[-1]
     choi = units.transpose(0, 2, 1, 3).reshape(d * dm, d * dm) - np.kron(np.eye(d), units[0, 0])
     w, v = np.linalg.eigh(choi)
     # Tr_out |C| = Σ_i |w_i| Tr_out(v_i v_i†), without forming |C|
     half = (v * np.sqrt(np.abs(w))).reshape(d, -1)
-    return 0.5 * float(np.linalg.eigvalsh(half @ half.conj().T)[-1])
+    return min(1.0, 0.5 * float(np.linalg.eigvalsh(half @ half.conj().T)[-1]))
 
 
 def factorization_deviation(p: ChannelProtocol, samples: int = 20, seed: int = 0,
@@ -619,47 +564,43 @@ def max_cross_term_magnitude(p: ChannelProtocol, units: np.ndarray | None = None
 # verification
 
 
-def security_deviations(p: ChannelProtocol, ensemble: InputEnsemble) -> dict[str, float]:
-    """All components of the security check, keyed by name; each probe's
-    wire state is read off the channel table, a chunk of probes at a time."""
-    table = _verified(p, ensemble)[0]
-    basis, dm = ensemble.kind == "classical_basis", table.shape[-1]
-    ref = table[0] if basis else table[0, 0]
-    start, state_dev, classical_dev = 0, 0.0, 0.0
-    for probes in ensemble.blocks():
-        width = probes.shape[1]
-        rhos = table[start:start + width] if basis else (
-            np.einsum("aj,bj->jab", probes, probes.conj()).reshape(width, -1)
-            @ table.reshape(-1, dm * dm)).reshape(-1, dm, dm)
-        state_dev = max(state_dev, float(trace_distance(rhos, ref).max()))
-        if p.message_kind == INPUT_CLASSICAL:
-            classical_dev = max(classical_dev, max_abs(rhos[:, ~np.eye(dm, dtype=bool)]))
-        start += width
-    parts = {"state": state_dev}
+def security_deviations(p: ChannelProtocol, input_kind: str | None = None) -> dict[str, float]:
+    """All components of the security check, keyed by name, read off the
+    channel table of the inputs of ``input_kind`` (see :func:`_verified`).
+
+    Over the basis, ``state`` is the largest trace distance from a basis
+    input's wire state to |0...0>'s.  Over every input, ``factorization``
+    bounds that distance for every input, reference-entangled ones included.
+    ``classical_offdiag`` is the largest off-diagonal message entry of the
+    table: by linearity, 0 iff every input's wire state is diagonal."""
+    table = _verified(p, input_kind)[0]
+    dm = table.shape[-1]
+    if table.ndim == 3:  # the basis table, [a, x, y]
+        parts = {"state": float(trace_distance(table, table[0]).max())}
+    else:
+        parts = {"cross_term": max_cross_term_magnitude(p, table),
+                 "factorization": factorization_certificate(table)}
     if p.message_kind == INPUT_CLASSICAL:
-        parts["classical_offdiag"] = classical_dev
-    if not basis:
-        parts["cross_term"] = max_cross_term_magnitude(p, table)
-        parts["factorization"] = factorization_certificate(table)
+        parts["classical_offdiag"] = max_abs(table[..., ~np.eye(dm, dtype=bool)])
     return parts
 
 
-def verify_security(p: ChannelProtocol, ensemble: InputEnsemble) -> float:
+def verify_security(p: ChannelProtocol, input_kind: str | None = None) -> float:
     """Worst deviation of the wire state from input independence."""
-    return max(security_deviations(p, ensemble).values())
+    return max(security_deviations(p, input_kind).values())
 
 
-def verify_correctness(p: ChannelProtocol, ensemble: InputEnsemble) -> float:
+def verify_correctness(p: ChannelProtocol, input_kind: str | None = None) -> float:
     """A bound on every key's trace distance from the identity channel, over
     the basis inputs or over every input (:func:`_correctness_bound`)."""
-    return _verified(p, ensemble)[1]
+    return _verified(p, input_kind)[1]
 
 
 def resource_report(p: ChannelProtocol) -> ResourceReport:
     """Communication entropy of the reference message, read off the channel
-    table of the canonical pass, plus key/entanglement entropies of the
-    shared resource."""
-    table = _verified(p, canonical_ensemble(p, 0))[0]
+    table of the pass over the protocol's own input kind, plus
+    key/entanglement entropies of the shared resource."""
+    table = _verified(p, None)[0]
     ref = table[0] if p.input_kind == INPUT_CLASSICAL else table[0, 0]
     if p.message_kind == INPUT_CLASSICAL:
         comm = shannon_entropy(_diagonal_distribution(p, ref))
@@ -693,14 +634,13 @@ def require_load(context: str, keys: int, qubits: int, scale: float = 1):
 
 def require_desk_scale(p: ChannelProtocol):
     """Reject protocols whose load on the engine register is beyond desk scale;
-    for quantum input, also its d^2 pair probes of d = 2^input amplitudes and
-    the eigensolve of its Choi matrix, of side N = d x message dimension; for
-    classical input, its d basis wire states of dm^2 amplitudes (dm the message
-    dimension) and their d decoded outputs of d^2 amplitudes."""
+    for quantum input, also the eigensolve of its Choi matrix, of side
+    N = d x message dimension (d = 2^input); for classical input, its d basis
+    wire states of dm^2 amplitudes (dm the message dimension) and their d
+    decoded outputs of d^2 amplitudes."""
     require_load(p.name, p.key_count, p.engine_qubits)
     n, m = p.input_qubits, p.message_qubits
     if p.input_kind == INPUT_QUANTUM:
-        require_load(f"{p.name} pair probes", 1, 3 * n)
         require_load(f"{p.name} channel table", 1, 3 * (n + m), scale=2)
     else:
         require_load(f"{p.name} basis wire states", 1, n + 2 * m, scale=1.5)
@@ -963,10 +903,12 @@ def protocol_from_dict(data: dict) -> ChannelProtocol:
     res = data["resource"]
     dist = psi = None
     if "key_outcomes" in res:
-        dist = ProbabilityDist(tuple(res["key_outcomes"]), np.asarray(res["key_probs"]))
+        dist = ProbabilityDist(tuple(res["key_outcomes"]),
+                               np.asarray(_numbers(res["key_probs"], "key_probs")))
     if "state_amplitudes" in res:
         layout = SystemLayout(tuple(_integer(d, "state_dims") for d in res["state_dims"]))
-        psi = Ket(layout, matrix_from_json(res["state_amplitudes"]))
+        psi = Ket(layout, matrix_from_json(_numbers(res["state_amplitudes"],
+                                                    "state_amplitudes")))
     resource = SharedResource(res["kind"], key_source=dist, psi_ab=psi,
                               alice_subsystems=0 if psi is None else res["alice_subsystems"])
     return ChannelProtocol(
@@ -977,8 +919,10 @@ def protocol_from_dict(data: dict) -> ChannelProtocol:
         resource=resource,
         alice_ancillas=data["alice_ancillas"],
         bob_ancillas=data["bob_ancillas"],
-        alice_ops=tuple(UnitaryOp(matrix_from_json(m)) for m in data["alice_ops"]),
-        bob_ops=tuple(UnitaryOp(matrix_from_json(m)) for m in data["bob_ops"]),
+        alice_ops=tuple(UnitaryOp(matrix_from_json(_numbers(m, "alice_ops")))
+                        for m in data["alice_ops"]),
+        bob_ops=tuple(UnitaryOp(matrix_from_json(_numbers(m, "bob_ops")))
+                      for m in data["bob_ops"]),
         message_subsystems=tuple(data["message_subsystems"]),
         output_subsystems=tuple(data["output_subsystems"]))
 

@@ -35,7 +35,6 @@ from .protocols import (
     RESOURCE_ENTANGLED,
     ChannelProtocol,
     GateList,
-    InputEnsemble,
     ProtocolVerificationError,
     SharedResource,
     _correctness_bound,
@@ -88,15 +87,11 @@ class ObliviousnessError(ValueError):
 # ---------------------------------------------------------------------------
 # verified lifts
 
-#: Haar-random probes, and their seed, of the input check a lift runs first
-LIFT_CHECK_PROBES = 12
-LIFT_CHECK_SEED = 7
 
-
-def _verify_or_raise(p: ChannelProtocol, ensemble: InputEnsemble, tol: float,
+def _verify_or_raise(p: ChannelProtocol, input_kind: str, tol: float,
                      context: str) -> tuple[float, float]:
-    sec = verify_security(p, ensemble)
-    corr = verify_correctness(p, ensemble)
+    sec = verify_security(p, input_kind)
+    corr = verify_correctness(p, input_kind)
     if sec > tol or corr > tol:
         raise ProtocolVerificationError(
             f"{context}: protocol {p.name!r} fails verification "
@@ -140,8 +135,7 @@ def lift_extra_comm(p: ChannelProtocol, check_input: bool = True) -> ChannelProt
         raise ValueError("extra-communication lift needs a quantum-input protocol")
     n = p.input_qubits
     if check_input:
-        _verify_or_raise(p, InputEnsemble.quantum_full(n, LIFT_CHECK_PROBES, LIFT_CHECK_SEED),
-                         1e-9, "lift_extra_comm")
+        _verify_or_raise(p, INPUT_QUANTUM, 1e-9, "lift_extra_comm")
 
     a = p.alice_ancillas
     m_inner = p.message_qubits
@@ -198,8 +192,7 @@ def lift_extra_epr(p: ChannelProtocol, check_input: bool = True) -> ChannelProto
         raise ValueError("extra-entanglement lift needs a quantum-input protocol")
     n = p.input_qubits
     if check_input:
-        _verify_or_raise(p, InputEnsemble.quantum_full(n, LIFT_CHECK_PROBES, LIFT_CHECK_SEED),
-                         1e-9, "lift_extra_epr")
+        _verify_or_raise(p, INPUT_QUANTUM, 1e-9, "lift_extra_epr")
 
     ra, rb = p.resource.alice_qubits, p.resource.bob_qubits
     extra = epr_block(n)
@@ -257,8 +250,7 @@ def audit_classical_input(p: ChannelProtocol, verify_tol: float = 1e-9,
     accepted too: it is audited through its restriction to basis states.
     """
     n = p.input_qubits
-    ensemble = InputEnsemble.classical_basis(n)
-    sec, corr = _verify_or_raise(p, ensemble, verify_tol, "audit_classical_input")
+    sec, corr = _verify_or_raise(p, INPUT_CLASSICAL, verify_tol, "audit_classical_input")
     rep = resource_report(p)
     if log is not None:
         log.append(f"verified {p.name} on the {2 ** n}-state classical basis "
@@ -275,8 +267,8 @@ def audit_classical_input(p: ChannelProtocol, verify_tol: float = 1e-9,
 
 
 def audit_quantum_input(p: ChannelProtocol, verify_tol: float = 1e-9,
-                        bound_tol: float = ENTROPY_TOL, random_probes: int = 20,
-                        seed: int = 0, log: list[str] | None = None) -> list[BoundAudit]:
+                        bound_tol: float = ENTROPY_TOL,
+                        log: list[str] | None = None) -> list[BoundAudit]:
     """Audit the resource lower bounds of a verified quantum-input channel.
 
     Each bound is certified by construction: the protocol is converted with
@@ -287,15 +279,14 @@ def audit_quantum_input(p: ChannelProtocol, verify_tol: float = 1e-9,
     if p.input_kind != INPUT_QUANTUM:
         raise ValueError("quantum-input audit needs a quantum-input protocol")
     n = p.input_qubits
-    ensemble = InputEnsemble.quantum_full(n, random_probes, seed)
-    _verify_or_raise(p, ensemble, verify_tol, "audit_quantum_input")
+    _verify_or_raise(p, INPUT_QUANTUM, verify_tol, "audit_quantum_input")
     rep = resource_report(p)
-    basis2n = InputEnsemble.classical_basis(2 * n)
     kind = p.resource.kind
 
     if kind == RESOURCE_CLASSICAL_KEY:
         lifted = lift_extra_comm(p, check_input=False)
-        sec, corr = _verify_or_raise(lifted, basis2n, verify_tol, "audit_quantum_input")
+        sec, corr = _verify_or_raise(lifted, INPUT_CLASSICAL, verify_tol,
+                                     "audit_quantum_input")
         lifted_rep = resource_report(lifted)
         if log is not None:
             log.append(f"constructed {lifted.name} for {2 * n} classical bits; "
@@ -308,10 +299,12 @@ def audit_quantum_input(p: ChannelProtocol, verify_tol: float = 1e-9,
 
     if kind == RESOURCE_ENTANGLED:
         lifted1 = lift_extra_comm(p, check_input=False)
-        sec1, corr1 = _verify_or_raise(lifted1, basis2n, verify_tol, "audit_quantum_input")
+        sec1, corr1 = _verify_or_raise(lifted1, INPUT_CLASSICAL, verify_tol,
+                                       "audit_quantum_input")
         rep1 = resource_report(lifted1)
         lifted2 = lift_extra_epr(p, check_input=False)
-        sec2, corr2 = _verify_or_raise(lifted2, basis2n, verify_tol, "audit_quantum_input")
+        sec2, corr2 = _verify_or_raise(lifted2, INPUT_CLASSICAL, verify_tol,
+                                       "audit_quantum_input")
         rep2 = resource_report(lifted2)
         comm_bound = 2.0 * n if lifted2.message_kind == INPUT_CLASSICAL else float(n)
         if log is not None:

@@ -1,7 +1,8 @@
 """Reference helpers that only the tests use: gates on kets and on the full
-product space, ray comparison, and per-probe views of a protocol's sender
-stage and channel table."""
+product space, ray comparison, the probe inputs of the per-probe reference,
+and per-probe views of a protocol's sender stage and channel table."""
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -9,6 +10,7 @@ import numpy as np
 from pqclab.entropy import ProbabilityDist
 from pqclab.protocols import (
     INPUT_CLASSICAL,
+    INPUT_QUANTUM,
     ChannelProtocol,
     _diagonal_distribution,
     _sender_head,
@@ -59,3 +61,43 @@ def encode_cross_term(p: ChannelProtocol, i: int, j: int) -> np.ndarray:
     if i == j:
         raise ValueError("cross terms need two distinct basis states")
     return channel_on_units(p)[i, j]
+
+
+def probe_columns(n: int, input_kind: str = INPUT_QUANTUM, random_probes: int = 0,
+                  seed: int = 0) -> np.ndarray:
+    """The reference's probe inputs on n qubits, as columns.
+
+    For classical input, every computational-basis state.  For quantum input,
+    those, then for each basis pair (i, j) the probes (|i> + |j>)/sqrt(2) and
+    (|i> + i|j>)/sqrt(2), enough to pin the channel on every matrix unit,
+    then ``random_probes`` Haar-random states drawn from ``seed``.
+    """
+    d = 2 ** n
+    det = np.eye(d, dtype=complex)
+    if input_kind == INPUT_CLASSICAL:
+        if random_probes:
+            raise ValueError("classical input is probed on the basis only")
+        return det
+    i, j = np.triu_indices(d, 1)
+    # per pair, the phase-1 probe then the phase-i probe
+    pairs = np.stack([det[:, i] + det[:, j], det[:, i] + 1j * det[:, j]], axis=2)
+    # per probe d real parts, then d imaginary parts, as haar_ket draws them
+    v = np.random.default_rng(seed).standard_normal((random_probes, 2, d))
+    haar = (v[:, 0] + 1j * v[:, 1]).T
+    return np.hstack([det, pairs.reshape(d, -1) / math.sqrt(2),
+                      haar / np.linalg.norm(haar, axis=0)])
+
+
+def probes(n: int, input_kind: str = INPUT_QUANTUM, random_probes: int = 0,
+           seed: int = 0) -> list[Ket]:
+    """:func:`probe_columns` as kets."""
+    layout = SystemLayout.qubits(n)
+    return [Ket(layout, c) for c in probe_columns(n, input_kind, random_probes, seed).T]
+
+
+def canonical_probes(p: ChannelProtocol, random_probes: int = 0, seed: int = 0) -> list[Ket]:
+    """:func:`probes` for the inputs of ``p``'s own kind; a classical-input
+    protocol gets the basis, whatever ``random_probes`` says."""
+    if p.input_kind == INPUT_CLASSICAL:
+        random_probes = 0
+    return probes(p.input_qubits, p.input_kind, random_probes, seed)

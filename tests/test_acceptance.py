@@ -17,7 +17,7 @@ from pqclab.entropy import (
     shannon_entropy,
 )
 from pqclab.protocols import (
-    InputEnsemble,
+    INPUT_CLASSICAL,
     build_broken_otp,
     build_broken_teleportation,
     build_classical_otp,
@@ -26,7 +26,6 @@ from pqclab.protocols import (
     build_quantum_otp,
     build_superdense,
     build_teleportation,
-    canonical_ensemble,
     channel_on_units,
     encode,
     max_cross_term_magnitude,
@@ -56,7 +55,7 @@ from pqclab.reductions import (
     rsp_to_pqc,
 )
 
-from oracles import apply_to_ket, message_distribution, ray_deviation
+from oracles import apply_to_ket, canonical_probes, message_distribution, ray_deviation
 
 
 def record(num: int, description: str, ok: bool):
@@ -68,10 +67,9 @@ def test_criterion_01_quantum_otp():
     ok = True
     for n in (1, 2):
         p = build_quantum_otp(n)
-        ens = canonical_ensemble(p, random_probes=20, seed=0)
         rep = resource_report(p)
-        ok &= verify_security(p, ens) <= 1e-9
-        ok &= verify_correctness(p, ens) <= 1e-9
+        ok &= verify_security(p) <= 1e-9
+        ok &= verify_correctness(p) <= 1e-9
         ok &= abs(rep.key_entropy - 2 * n) <= 1e-9
         ok &= abs(rep.comm - n) <= 1e-9
     record(1, "quantum one-time pad: secure, correct, key 2n, comm n", ok)
@@ -109,7 +107,7 @@ def test_criterion_04_teleportation():
         ok &= abs(rep.comm - 2 * n) <= 1e-9
         ok &= abs(rep.entanglement - n) <= 1e-9
         uniform = 1.0 / 4 ** n
-        for probe in canonical_ensemble(p, random_probes=20, seed=1).probes():
+        for probe in canonical_probes(p, random_probes=20, seed=1):
             dist = message_distribution(p, probe)
             total_variation = 0.5 * float(np.sum(np.abs(dist.probs - uniform)))
             ok &= total_variation <= 1e-9
@@ -131,9 +129,8 @@ def test_criterion_05_epr_keyed_otp():
 
 def test_criterion_06_lift_extra_comm():
     lifted = lift_extra_comm(build_quantum_otp(1))
-    ens = InputEnsemble.classical_basis(2)
-    ok = verify_security(lifted, ens) <= 1e-9
-    ok &= verify_correctness(lifted, ens) <= 1e-9
+    ok = verify_security(lifted, INPUT_CLASSICAL) <= 1e-9
+    ok &= verify_correctness(lifted, INPUT_CLASSICAL) <= 1e-9
     layout = SystemLayout.qubits(2)
     for i in range(4):
         msg = encode(lifted, Ket.basis(layout, i))
@@ -146,9 +143,8 @@ def test_criterion_06_lift_extra_comm():
 def test_criterion_07_lift_extra_epr():
     base = build_quantum_otp(1)
     lifted = lift_extra_epr(base)
-    ens = InputEnsemble.classical_basis(2)
-    ok = verify_security(lifted, ens) <= 1e-9
-    ok &= verify_correctness(lifted, ens) <= 1e-9
+    ok = verify_security(lifted, INPUT_CLASSICAL) <= 1e-9
+    ok &= verify_correctness(lifted, INPUT_CLASSICAL) <= 1e-9
     rep, base_rep = resource_report(lifted), resource_report(base)
     ok &= abs(rep.comm - 1.0) <= 1e-9
     gained = rep.entanglement - (base_rep.entanglement or 0.0)
@@ -215,9 +211,8 @@ def test_criterion_10_channel_algebra():
 
 
 def test_criterion_11_negative_controls():
-    ens = InputEnsemble.quantum_full(1, random_probes=10, seed=0)
-    ok = verify_security(build_broken_otp(), ens) > 0.2
-    ok &= verify_correctness(build_broken_teleportation(), ens) > 0.4
+    ok = verify_security(build_broken_otp()) > 0.2
+    ok &= verify_correctness(build_broken_teleportation()) > 0.4
     rejected = False
     try:
         rsp_to_pqc(non_oblivious_rsp(1))

@@ -51,11 +51,11 @@ def run_cli(*args):
 
 
 def test_verify_quantum_otp(capsys):
-    code = main(["verify", "quantum-otp", "--n", "1", "--probes", "10"])
+    code = main(["verify", "quantum-otp", "--n", "1"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["pass"] is True
-    assert report["schema"] == 3
+    assert report["schema"] == 4
     assert report["resources"]["comm"] == pytest.approx(1.0)
     assert report["resources"]["key_entropy"] == pytest.approx(2.0)
     assert report["security_deviation"] <= 1e-9
@@ -95,13 +95,13 @@ def test_verify_malformed_file(tmp_path):
 def test_verify_protocol_file(tmp_path, capsys):
     path = tmp_path / "qotp.json"
     save_protocol(build_quantum_otp(1), str(path))
-    code = main(["verify", str(path), "--probes", "5"])
+    code = main(["verify", str(path)])
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["pass"]
 
 
 def test_verify_broken_fixture_exit_code(capsys):
-    code = main(["verify", "broken-otp", "--probes", "5"])
+    code = main(["verify", "broken-otp"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     assert report["pass"] is False
@@ -109,7 +109,7 @@ def test_verify_broken_fixture_exit_code(capsys):
 
 
 def test_audit_quantum_otp(capsys):
-    code = main(["audit", "quantum-otp", "--n", "1", "--probes", "10"])
+    code = main(["audit", "quantum-otp", "--n", "1"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     audits = {a["quantity"]: a for a in report["audits"]}
@@ -120,7 +120,7 @@ def test_audit_quantum_otp(capsys):
 
 
 def test_audit_teleportation(capsys):
-    code = main(["audit", "teleportation", "--n", "1", "--probes", "10"])
+    code = main(["audit", "teleportation", "--n", "1"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     audits = {a["quantity"]: a for a in report["audits"]}
@@ -188,9 +188,9 @@ def per_sample_inequalities_report(seed, samples):
          else summary[name]["slack"] >= -ENTROPY_TOL)
         for name in ordered) and cross_dev <= ENTROPY_TOL
     return {
-        "schema": 3, "command": "inequalities",
+        "schema": 4, "command": "inequalities",
         "config": {"seed": seed, "algebra_tol": ALGEBRA_TOL, "entropy_tol": ENTROPY_TOL,
-                   "random_probes": 50, "samples": samples},
+                   "samples": samples},
         "inequalities": [
             {("max_residual" if name == "chain_rule" else "min_slack"): summary[name]["slack"],
              "name": name, "witness": summary[name]["witness"]}
@@ -242,7 +242,7 @@ def test_inequalities_memory_is_bounded_by_the_chunk(capsys):
 
 def test_reports_deterministic_modulo_timestamp(capsys):
     def run():
-        main(["verify", "quantum-otp", "--n", "1", "--probes", "5", "--seed", "4"])
+        main(["verify", "quantum-otp", "--n", "1", "--seed", "4"])
         report = json.loads(capsys.readouterr().out)
         report.pop("timestamp")
         return json.dumps(report, sort_keys=True)
@@ -260,11 +260,21 @@ def test_json_output_file(tmp_path, capsys):
 
 
 def test_config_echo_and_flags(capsys):
-    main(["verify", "quantum-otp", "--n", "1", "--seed", "3", "--probes", "7",
+    main(["verify", "quantum-otp", "--n", "1", "--seed", "3",
           "--tol-algebra", "1e-8", "--tol-entropy", "1e-6", "--samples", "10"])
     report = json.loads(capsys.readouterr().out)
     assert report["config"] == {"seed": 3, "algebra_tol": 1e-8, "entropy_tol": 1e-6,
-                                "random_probes": 7, "samples": 10}
+                                "samples": 10}
+
+
+def test_probes_flag_is_gone(capsys):
+    # security is read off the channel table; no probe count enters it
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "quantum-otp", "--probes", "5"])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--probes" in err
 
 
 @pytest.mark.parametrize("n", ["-1", "0", "13"])
@@ -286,7 +296,27 @@ def _set(key, value):
     return lambda data: {**data, key: value}
 
 
-@pytest.mark.parametrize("edit", [
+def _strings(key, *path):
+    """Write every number under data[key][path...] as a string."""
+    def edit(data):
+        parent, name = data, key
+        for step in path:
+            parent, name = parent[name], step
+
+        def text(node):
+            return [text(x) for x in node] if isinstance(node, list) else str(node)
+        parent[name] = text(parent[name])
+        return data
+    return edit
+
+
+def _first_prob_true(data):
+    probs = [False] * len(data["resource"]["key_probs"])
+    data["resource"]["key_probs"] = [True] + probs[1:]
+    return data
+
+
+@pytest.mark.parametrize("build,edit", [(build_quantum_otp, edit) for edit in [
     lambda data: [],
     _set("input_qubits", None),
     _set("resource", 5),
@@ -301,11 +331,17 @@ def _set(key, value):
     lambda data: {**data, "resource": {**data["resource"],
                                        "key_outcomes": [0, 1.5, [2], None]}},
     _set("name", ["quantum-otp"]),
-], ids=["list", "null-input-qubits", "int-resource", "flat-op", "float-wire",
-        "float-count", "bool-count", "string-count", "non-string-key-outcomes",
-        "list-name"])
-def test_verify_malformed_descriptor_refused(tmp_path, capsys, edit):
-    code = main(["verify", str(_descriptor(tmp_path, edit))])
+    # nor are numbers: numpy would parse a string and read a bool as 0 or 1
+    _strings("resource", "key_probs"),
+    _first_prob_true,
+    _strings("alice_ops"),
+]] + [(build_teleportation, _strings("resource", "state_amplitudes"))],
+    ids=["list", "null-input-qubits", "int-resource", "flat-op", "float-wire",
+         "float-count", "bool-count", "string-count", "non-string-key-outcomes",
+         "list-name", "string-key-probs", "bool-key-probs", "string-op-entries",
+         "string-state-amplitudes"])
+def test_verify_malformed_descriptor_refused(tmp_path, capsys, build, edit):
+    code = main(["verify", str(_descriptor(tmp_path, edit, build))])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
@@ -544,7 +580,8 @@ def test_descriptor_with_huge_register_refused_under_1gib_address_space(tmp_path
 # registers identities kept as gate lists with no gates (a descriptor file at
 # n = 12 would hold a dense 4096 x 4096 operator): wide-identity and
 # wide-classical send all n wires of a quantum or a classical input as a
-# quantum message, wide-message sends 1 input bit on --n message wires.  Then
+# quantum message, wide-message sends 1 input bit on --n message wires, and
+# narrow-1 and narrow-2 send the first 1 or 2 of --n input qubits.  Then
 # runs the CLI under the 1 GiB cap and reports on stderr how long main took
 CAPPED_WIDE_CLI = """import resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -552,17 +589,21 @@ from pqclab import protocols
 from pqclab.cli import main
 
 def wide(name, input_kind, n, message):
+    register = max(n, message)
     return protocols.ChannelProtocol(
         name=name, input_kind=input_kind, input_qubits=n,
         message_kind=protocols.INPUT_QUANTUM, resource=protocols.SharedResource.none(),
-        alice_ancillas=message - n, bob_ancillas=0, alice_ops=(protocols.GateList(message, ()),),
-        bob_ops=(protocols.GateList(message, ()),), message_subsystems=tuple(range(message)),
+        alice_ancillas=register - n, bob_ancillas=register - message,
+        alice_ops=(protocols.GateList(register, ()),),
+        bob_ops=(protocols.GateList(register, ()),), message_subsystems=tuple(range(message)),
         output_subsystems=tuple(range(n)))
 
 protocols.PROTOCOL_BUILDERS.update({
     "wide-identity": lambda n: wide("wide-identity", protocols.INPUT_QUANTUM, n, n),
     "wide-classical": lambda n: wide("wide-classical", protocols.INPUT_CLASSICAL, n, n),
-    "wide-message": lambda m: wide("wide-message", protocols.INPUT_CLASSICAL, 1, m)})
+    "wide-message": lambda m: wide("wide-message", protocols.INPUT_CLASSICAL, 1, m),
+    "narrow-1": lambda n: wide("narrow-1", protocols.INPUT_QUANTUM, n, 1),
+    "narrow-2": lambda n: wide("narrow-2", protocols.INPUT_QUANTUM, n, 2)})
 start = time.perf_counter()
 code = main(sys.argv[1:])
 print(f"main took {time.perf_counter() - start:.3f} s", file=sys.stderr)
@@ -572,12 +613,26 @@ sys.exit(code)
 
 @pytest.mark.parametrize("n", [5, 6, 8, 12])
 def test_wide_quantum_input_refused_under_1gib_address_space(n):
-    # the engine load is 2^n <= 4096, but the d^2 pair probes (d^3 = 2^(3n)
-    # amplitudes) and the 2^(2n)-dimensional Choi matrix are not desk scale
+    # the engine load is 2^n <= 4096, but the eigensolve of the
+    # 2^(2n)-dimensional Choi matrix is not desk scale
     proc = run_capped(CAPPED_WIDE_CLI, "verify", "wide-identity", "--n", str(n))
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
-    assert "error: wide-identity pair probes: load" in proc.stderr
+    assert "error: wide-identity channel table: load" in proc.stderr
+    assert float(proc.stderr.split("main took ")[1].split(" s")[0]) < 1.0
+
+
+@pytest.mark.parametrize("builder", ["narrow-1", "narrow-2"])
+@pytest.mark.parametrize("n", [5, 6])
+def test_narrow_message_quantum_input_finishes_under_1gib_address_space(builder, n):
+    # 5 or 6 input qubits, 1 or 2 of them sent: a Choi matrix of side at most
+    # 2^8 and a table of 2^16 entries; the rest of the input is lost, so the
+    # channel is neither correct nor secure
+    proc = run_capped(CAPPED_WIDE_CLI, "verify", builder, "--n", str(n))
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["protocol"]["n"] == n
+    assert report["security_deviation"] > 0.1 and report["correctness_deviation"] > 0.1
     assert float(proc.stderr.split("main took ")[1].split(" s")[0]) < 1.0
 
 

@@ -24,7 +24,6 @@ from pqclab.protocols import (
     CNOT,
     HADAMARD,
     GateList,
-    InputEnsemble,
     _shared_prefix,
     build_named,
     controlled_by_value,
@@ -155,7 +154,7 @@ def test_lifted_receiver_runs_one_gate_per_key_on_one_wire_run(monkeypatch):
 
     monkeypatch.setattr(GateList, "apply", apply)
     monkeypatch.setattr(protocols, "apply_gate", gate)
-    verify_correctness(lifted, InputEnsemble.classical_basis(4))
+    verify_correctness(lifted)
 
     receiver = [targets for op, _, _, targets in calls if op in lifted.bob_ops]
     assert len(receiver) == lifted.key_count == 16
@@ -253,11 +252,11 @@ def test_lifted_operators_equal_dense_construction(lift, dense, builder, n):
 
     reference = dataclasses.replace(lifted, alice_ops=tuple(map(UnitaryOp, alice)),
                                     bob_ops=tuple(map(UnitaryOp, bob)))
-    basis = InputEnsemble.classical_basis(2 * n)
-    got, want = security_deviations(lifted, basis), security_deviations(reference, basis)
+    # both are classical-input protocols, checked on their 2n-bit basis
+    got, want = security_deviations(lifted), security_deviations(reference)
     assert got.keys() == want.keys()
     assert all(abs(got[k] - want[k]) <= TOL for k in want)
-    assert abs(verify_correctness(lifted, basis) - verify_correctness(reference, basis)) <= TOL
+    assert abs(verify_correctness(lifted) - verify_correctness(reference)) <= TOL
 
 
 # ---------------------------------------------------------------------------

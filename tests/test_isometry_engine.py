@@ -1,13 +1,15 @@
 """The isometry-block checks against a per-probe, per-key reference loop.
 
-``security_deviations`` reads every probe and matrix unit off the channel
-table of one shared pass, one sender stage per key, and
-``verify_correctness`` is a bound read off each key's receiver block in the
-same pass.  The reference here re-simulates the protocol for each probe and
-key through ``encode`` and ``decode_per_key``, rebuilds the matrix-unit table
-by polarization, and computes the factorization certificate from that table
-with |C| formed in full.  The sampled factorization check must never exceed
-the certificate, and the probed correctness never the correctness bound.
+``security_deviations`` reads every part off the channel table of one shared
+pass, one sender stage per key, and ``verify_correctness`` is a bound read
+off each key's receiver block in the same pass.  The reference here
+re-simulates the protocol for each probe of ``oracles.probe_columns`` (basis,
+pair and Haar-random inputs) and each key through ``encode`` and
+``decode_per_key``, rebuilds the matrix-unit table by polarization, and
+computes the factorization certificate from that table with |C| formed in
+full.  The probes' wire-state deviation and the sampled factorization check
+must never exceed the certificate, and the probed correctness never the
+correctness bound.
 """
 
 import contextlib
@@ -26,14 +28,12 @@ from pqclab.entropy import ProbabilityDist, classicality_deviation
 from pqclab.protocols import (
     INPUT_CLASSICAL,
     INPUT_QUANTUM,
-    PROBE_CHUNK,
     ChannelProtocol,
-    InputEnsemble,
+    GateList,
     SharedResource,
     build_identity_protocol,
     build_named,
     build_quantum_otp,
-    canonical_ensemble,
     channel_on_units,
     decode_per_key,
     encode,
@@ -53,6 +53,8 @@ from pqclab.qmath import (
     trace_distance,
 )
 
+from oracles import probes
+
 TOL = 1e-12
 
 BUILDERS = [
@@ -66,8 +68,8 @@ BUILDERS = [
     ("broken-otp", 1),
     ("broken-teleportation", 1),
 ]
-# more random probes than two chunks hold
-LONG = 2 * PROBE_CHUNK + 3
+# many random probes
+LONG = 515
 
 
 def reference_units(p):
@@ -120,25 +122,30 @@ def reference_certificate(units):
     return 0.5 * np.linalg.eigvalsh(reduced)[-1]
 
 
-def reference_security(p, ensemble):
+def reference_security(p, input_kind, random_probes=0, seed=0):
+    """Every part from the encodings of the probes of ``input_kind``; with
+    quantum input, ``state`` included, which the report does not carry."""
     ref = encode(p, Ket.basis(SystemLayout.qubits(p.input_qubits), 0))
-    states = [encode(p, probe) for probe in ensemble.probes()]
+    states = [encode(p, probe)
+              for probe in probes(p.input_qubits, input_kind, random_probes, seed)]
     parts = {"state": max(trace_distance(rho, ref) for rho in states)}
     if p.message_kind == INPUT_CLASSICAL:
         parts["classical_offdiag"] = max(
             classicality_deviation(rho, range(p.message_qubits)) for rho in states)
-    if ensemble.kind == "quantum_full":
+    if input_kind == INPUT_QUANTUM:
         units = reference_units(p)
         d = units.shape[0]
         parts["cross_term"] = max(max_abs(units[a, b])
                                   for a in range(d) for b in range(a + 1, d))
-        parts["factorization"] = reference_certificate(units)
+        # the trace distance it bounds is at most 1
+        parts["factorization"] = min(1.0, reference_certificate(units))
     return parts
 
 
-def reference_correctness(p, ensemble):
+def reference_correctness(p, input_kind, random_probes=0, seed=0):
     return max(trace_distance(decode_per_key(p, probe, k).matrix, probe.density().matrix)
-               for probe in ensemble.probes() for k in range(p.key_count))
+               for probe in probes(p.input_qubits, input_kind, random_probes, seed)
+               for k in range(p.key_count))
 
 
 def reference_basis_bound(p):
@@ -152,16 +159,24 @@ def reference_basis_bound(p):
     return math.sqrt(worst)
 
 
-def assert_matches_reference(p, ensemble):
-    parts = security_deviations(p, ensemble)
-    expected = reference_security(p, ensemble)
+def assert_matches_reference(p, input_kind=None, random_probes=0, seed=0):
+    """The reported parts and correctness bound of ``p`` over the inputs of
+    ``input_kind`` (None: its own) against the reference's on its probes."""
+    kind = p.input_kind if input_kind is None else input_kind
+    parts = security_deviations(p, input_kind)
+    expected = reference_security(p, kind, random_probes, seed)
+    if kind == INPUT_QUANTUM:
+        # no probe's wire state strays further than the certificate allows
+        state = expected.pop("state")
+        assert state <= parts["factorization"] + TOL, (state, parts["factorization"])
     assert parts.keys() == expected.keys()
     for name, value in expected.items():
         assert abs(parts[name] - value) <= TOL, (name, parts[name], value)
-    bound, probed = verify_correctness(p, ensemble), reference_correctness(p, ensemble)
+    bound = verify_correctness(p, input_kind)
+    probed = reference_correctness(p, kind, random_probes, seed)
     assert bound >= probed - TOL, (bound, probed)
     assert (bound <= 1e-9) == (probed <= 1e-9), (bound, probed)
-    if ensemble.kind == "classical_basis":
+    if kind == INPUT_CLASSICAL:
         assert abs(bound - reference_basis_bound(p)) <= TOL, (bound, reference_basis_bound(p))
 
 
@@ -196,13 +211,17 @@ def pauli_keyed(draw):
 @example(("broken-teleportation", 1), LONG, 2)
 def test_builders_match_reference(builder, random_probes, seed):
     p = build_named(*builder)
-    assert_matches_reference(p, canonical_ensemble(p, random_probes, seed))
+    if p.input_kind == INPUT_CLASSICAL:
+        random_probes = 0
+    assert_matches_reference(p, None, random_probes, seed)
 
 
 @settings(max_examples=30, deadline=None)
 @given(pauli_keyed(), st.integers(0, 12), st.integers(0, 2 ** 16))
 def test_pauli_keyed_encoders_match_reference(p, random_probes, seed):
-    assert_matches_reference(p, canonical_ensemble(p, random_probes, seed))
+    if p.input_kind == INPUT_CLASSICAL:
+        random_probes = 0
+    assert_matches_reference(p, None, random_probes, seed)
 
 
 @st.composite
@@ -233,7 +252,7 @@ def haar_keyed(draw):
 @settings(max_examples=30, deadline=None)
 @given(haar_keyed(), st.integers(0, 2 ** 16))
 def test_haar_keyed_encoders_match_reference(p, seed):
-    assert_matches_reference(p, canonical_ensemble(p, 3, seed))
+    assert_matches_reference(p, None, 3, seed)
 
 
 def test_correctness_bound_covers_an_error_only_superpositions_show():
@@ -247,14 +266,13 @@ def test_correctness_bound_covers_an_error_only_superpositions_show():
         resource=SharedResource.none(), alice_ancillas=0, bob_ancillas=0,
         alice_ops=(phase,), bob_ops=(UnitaryOp(np.eye(4)),), message_subsystems=(0, 1),
         output_subsystems=(0, 1))
-    ensemble = canonical_ensemble(p, 0)
-    assert reference_correctness(p, ensemble) == pytest.approx(math.sin(0.05), rel=1e-9)
-    assert_matches_reference(p, ensemble)
+    assert reference_correctness(p, INPUT_QUANTUM) == pytest.approx(math.sin(0.05), rel=1e-9)
+    assert_matches_reference(p)
 
 
 def assert_certificate_bounds_samples(p, seed, samples=50):
     units = reference_units(p)
-    certificate = security_deviations(p, canonical_ensemble(p, 0, seed))["factorization"]
+    certificate = security_deviations(p)["factorization"]
     assert reference_factorization(units, samples, seed) <= certificate + TOL
 
 
@@ -271,27 +289,54 @@ def test_haar_keyed_certificates_bound_sampled_factorization(p, seed):
 
 
 def test_classical_message_ensembles_match_reference():
-    # a classical message over a long ensemble, and a classical-input
-    # protocol probed with superpositions (its canonical ensemble is the basis)
-    assert_matches_reference(build_named("teleportation", 1),
-                             InputEnsemble.quantum_full(1, LONG, 4))
-    assert_matches_reference(build_named("epr-otp", 1), InputEnsemble.quantum_full(1, 5, 4))
+    # a classical message against many reference probes, and a classical-input
+    # protocol over every input (its own kind is the basis)
+    assert_matches_reference(build_named("teleportation", 1), None, LONG, 4)
+    assert_matches_reference(build_named("epr-otp", 1), INPUT_QUANTUM, 5, 4)
 
 
-def _peak_bytes(random_probes):
-    p = build_quantum_otp(1)
-    ensemble = InputEnsemble.quantum_full(1, random_probes, seed=0)
+def _quantum_identity(n):
+    """The n-qubit quantum-input channel that sends its input in the clear."""
+    return ChannelProtocol(
+        name="identity", input_kind=INPUT_QUANTUM, input_qubits=n, message_kind=INPUT_QUANTUM,
+        resource=SharedResource.none(), alice_ancillas=0, bob_ancillas=0,
+        alice_ops=(GateList(n, ()),), bob_ops=(GateList(n, ()),),
+        message_subsystems=tuple(range(n)), output_subsystems=tuple(range(n)))
+
+
+def test_factorization_is_capped_at_one():
+    # the certificate reads 1.17 on the 1-qubit identity, but the trace
+    # distance it bounds is at most 1; a builder's is left as it was
+    p = _quantum_identity(1)
+    assert reference_certificate(channel_on_units(p)) > 1.1
+    assert security_deviations(p)["factorization"] == 1.0
+    for builder in BUILDERS:
+        p = build_named(*builder)
+        if p.input_kind == INPUT_QUANTUM:
+            raw = reference_certificate(channel_on_units(p))
+            assert raw < 1
+            assert abs(security_deviations(p)["factorization"] - raw) <= TOL, builder
+
+
+def _peak_bytes(p):
+    """Traced peak of reading the security parts and the correctness bound
+    off a pass already run, and the bytes of that pass's table."""
+    table = channel_on_units(p)
     tracemalloc.start()
     try:
-        security_deviations(p, ensemble)
-        verify_correctness(p, ensemble)
-        return tracemalloc.get_traced_memory()[1]
+        security_deviations(p)
+        verify_correctness(p)
+        return tracemalloc.get_traced_memory()[1], table.nbytes
     finally:
         tracemalloc.stop()
 
 
 def test_peak_memory_flat_in_probe_count():
-    assert _peak_bytes(20_000) <= 2 * _peak_bytes(1_000)
+    # no probe count is left: every part is read off the table, so reading
+    # them costs a fixed multiple of the table's bytes, whatever the size
+    for n in (2, 3, 4):
+        peak, table = _peak_bytes(_quantum_identity(n))
+        assert peak <= 8 * table + (1 << 16), (n, peak, table)
 
 
 # ---------------------------------------------------------------------------
@@ -299,27 +344,25 @@ def test_peak_memory_flat_in_probe_count():
 
 
 def test_security_and_correctness_run_one_sender_stage_per_key_and_chunk(monkeypatch):
-    # one sender stage per key, however many probe chunks the ensemble has:
-    # the probes and the resource report read the table
+    # one sender stage per key for every reader of the quantum-input table:
+    # the security parts, the correctness bound and the resource report
     stages = []
     real = protocols._stage
     monkeypatch.setattr(protocols, "_stage",
                         lambda *args, **kwargs: stages.append(args[2]) or real(*args, **kwargs))
     p = build_quantum_otp(1)
-    ensemble = InputEnsemble.quantum_full(1, LONG, seed=0)
-    assert len(list(ensemble.blocks())) == 4  # the 4 basis and pair probes, then LONG random ones
-    security_deviations(p, ensemble)
-    verify_correctness(p, ensemble)
+    security_deviations(p)
+    verify_correctness(p)
     channel_on_units(p)
     resource_report(p)
-    verify_correctness(p, InputEnsemble.quantum_full(1, 3, seed=9))
+    verify_correctness(p, INPUT_QUANTUM)
     assert sorted(stages) == list(range(p.key_count))
 
 
 def _haar_protocol():
     """One key, a Haar-random sender on input and one ancilla, a Haar-random
-    receiver: incorrect, and insecure by a ``state`` deviation that the random
-    probes attain, so it differs between the seeds below."""
+    receiver: incorrect, and insecure, by amounts that differ between its
+    basis pass and its pass over every input."""
     rng = np.random.default_rng(3)
     return ChannelProtocol(
         name="haar", input_kind=INPUT_QUANTUM, input_qubits=1, message_kind=INPUT_QUANTUM,
@@ -328,30 +371,39 @@ def _haar_protocol():
         message_subsystems=(0,), output_subsystems=(0,))
 
 
-def _values(p, ensemble):
-    return (security_deviations(p, ensemble), verify_correctness(p, ensemble),
+def _values(p, input_kind):
+    return (security_deviations(p, input_kind), verify_correctness(p, input_kind),
             channel_on_units(p).tobytes())
 
 
 def test_interleaved_protocols_and_seeds_never_read_a_stale_pass():
+    # interleaved protocols and input kinds: the protocol's own kind and
+    # INPUT_QUANTUM share a pass, the basis has its own
     builders = {"haar": _haar_protocol, "broken-otp": lambda: build_named("broken-otp", 1)}
-    ensembles = {"seed 0": InputEnsemble.quantum_full(1, 7, 0),
-                 "seed 3": InputEnsemble.quantum_full(1, 7, 3),
-                 "basis": InputEnsemble.classical_basis(1)}
+    kinds = {"own": None, "quantum": INPUT_QUANTUM, "basis": INPUT_CLASSICAL}
     # each value from a fresh protocol object, which no earlier pass holds
-    fresh = {(b, e): _values(builders[b](), ensembles[e]) for b in builders for e in ensembles}
-    assert fresh[("haar", "seed 0")][0]["state"] != fresh[("haar", "seed 3")][0]["state"]
-    assert fresh[("haar", "seed 0")][:2] != fresh[("broken-otp", "seed 0")][:2]
+    fresh = {(b, k): _values(builders[b](), kinds[k]) for b in builders for k in kinds}
+    assert fresh[("haar", "quantum")][1] != fresh[("haar", "basis")][1]
+    assert fresh[("haar", "quantum")][:2] != fresh[("broken-otp", "quantum")][:2]
+    assert fresh[("haar", "own")] == fresh[("haar", "quantum")]
     kept = {b: build() for b, build in builders.items()}
-    order = [("haar", "seed 0"), ("haar", "seed 0"), ("broken-otp", "seed 0"),
-             ("haar", "seed 3"), ("haar", "seed 0"), ("haar", "basis"),
-             ("broken-otp", "seed 3"), ("broken-otp", "seed 3"), ("haar", "seed 3")]
-    for b, e in order:
-        p, ensemble = kept[b], ensembles[e]
-        assert security_deviations(p, ensemble) == fresh[(b, e)][0], (b, e)
-        assert verify_correctness(p, ensemble) == fresh[(b, e)][1], (b, e)
+    order = [("haar", "quantum"), ("haar", "quantum"), ("broken-otp", "quantum"),
+             ("haar", "basis"), ("haar", "own"), ("haar", "basis"),
+             ("broken-otp", "basis"), ("broken-otp", "basis"), ("broken-otp", "own"),
+             ("haar", "basis")]
+    for b, k in order:
+        p, kind = kept[b], kinds[k]
+        assert security_deviations(p, kind) == fresh[(b, k)][0], (b, k)
+        assert verify_correctness(p, kind) == fresh[(b, k)][1], (b, k)
     for b, p in kept.items():
-        assert channel_on_units(p).tobytes() == fresh[(b, "seed 0")][2]
+        assert channel_on_units(p).tobytes() == fresh[(b, "quantum")][2]
+
+
+def test_an_unknown_input_kind_is_refused():
+    with pytest.raises(ValueError, match="bad input kind"):
+        security_deviations(build_quantum_otp(1), "quantum_full")
+    with pytest.raises(ValueError, match="bad input kind"):
+        verify_correctness(build_quantum_otp(1), "basis")
 
 
 def test_pass_tables_are_read_only():
@@ -365,10 +417,10 @@ def _held_then_peak(first, second):
     verifying ``second`` after it."""
     tracemalloc.start()
     try:
-        verify_correctness(first, canonical_ensemble(first))
+        verify_correctness(first)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        verify_correctness(second, canonical_ensemble(second))
+        verify_correctness(second)
         return held, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -389,7 +441,7 @@ def test_audit_reads_the_input_check_from_the_cli_pass(monkeypatch):
     passes = []
     real = protocols._verification_pass
     monkeypatch.setattr(protocols, "_verification_pass",
-                        lambda p, ensemble: passes.append(p.name) or real(p, ensemble))
+                        lambda p, basis: passes.append(p.name) or real(p, basis))
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["audit", "quantum-otp", "--n", "1"]) == 0
     assert passes.count("quantum-otp") == 1

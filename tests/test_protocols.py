@@ -14,7 +14,6 @@ from pqclab.protocols import (
     PROTOCOL_BUILDERS,
     ChannelProtocol,
     GateList,
-    InputEnsemble,
     ProbabilityDist,
     SharedResource,
     build_broken_otp,
@@ -25,7 +24,6 @@ from pqclab.protocols import (
     build_quantum_otp,
     build_superdense,
     build_teleportation,
-    canonical_ensemble,
     channel_on_units,
     decode,
     decode_per_key,
@@ -52,7 +50,14 @@ from pqclab.qmath import (
     trace_distance,
 )
 
-from oracles import alice_stage, encode_cross_term, message_distribution
+from oracles import (
+    alice_stage,
+    canonical_probes,
+    encode_cross_term,
+    message_distribution,
+    probe_columns,
+    probes,
+)
 
 Q1 = SystemLayout.qubits(1)
 Q2 = SystemLayout.qubits(2)
@@ -66,10 +71,6 @@ ZOO = [
 ]
 
 
-def small_ensemble(protocol, probes=8, seed=0):
-    return canonical_ensemble(protocol, random_probes=probes, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # builders pass their own verification
 
@@ -77,9 +78,8 @@ def small_ensemble(protocol, probes=8, seed=0):
 @pytest.mark.parametrize("name,n", ZOO)
 def test_zoo_verifies(name, n):
     p = build_named(name, n)
-    ens = small_ensemble(p)
-    assert verify_security(p, ens) <= 1e-9
-    assert verify_correctness(p, ens) <= 1e-9
+    assert verify_security(p) <= 1e-9
+    assert verify_correctness(p) <= 1e-9
 
 
 @pytest.mark.parametrize("name,n", ZOO)
@@ -134,7 +134,7 @@ def test_quantum_otp_decodes_basis_state():
 @pytest.mark.parametrize("name,n", ZOO)
 def test_zoo_decodes_every_probe(name, n):
     p = build_named(name, n)
-    for probe in small_ensemble(p).probes():
+    for probe in canonical_probes(p, random_probes=8):
         target = probe.density().matrix
         for k in range(p.key_count):
             assert trace_distance(decode_per_key(p, probe, k).matrix, target) <= 1e-9
@@ -142,9 +142,8 @@ def test_zoo_decodes_every_probe(name, n):
 
 def test_identity_protocol_correct_but_leaky():
     p = build_named("identity-leaky", 1)
-    ens = InputEnsemble.classical_basis(1)
-    assert verify_correctness(p, ens) == pytest.approx(0.0, abs=1e-12)
-    assert verify_security(p, ens) > 0.9
+    assert verify_correctness(p, INPUT_CLASSICAL) == pytest.approx(0.0, abs=1e-12)
+    assert verify_security(p, INPUT_CLASSICAL) > 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -176,21 +175,28 @@ def test_resource_reports_match_the_table():
 # security sweeps
 
 
+def _probe_state_deviation(p, random_probes, seed):
+    """The largest trace distance from a probe's wire state to |0...0>'s."""
+    states = [encode(p, probe) for probe in probes(p.input_qubits, INPUT_QUANTUM,
+                                                   random_probes, seed)]
+    return max(trace_distance(rho, states[0]) for rho in states)
+
+
 def test_security_random_probes_no_worse_than_structured():
+    # random probes find nothing the basis and pair probes miss, and neither
+    # strays beyond the certificate the report carries
     for name, n in (("quantum-otp", 1), ("teleportation", 1)):
         p = build_named(name, n)
-        structured = InputEnsemble.quantum_full(n, random_probes=0, seed=0)
-        randoms = InputEnsemble.quantum_full(n, random_probes=50, seed=3)
-        dev_structured = security_deviations(p, structured)["state"]
-        dev_full = security_deviations(p, randoms)["state"]
+        dev_structured = _probe_state_deviation(p, 0, 0)
+        dev_full = _probe_state_deviation(p, 50, 3)
         assert dev_full <= dev_structured + 1e-9
+        assert dev_full <= security_deviations(p)["factorization"] + 1e-12
 
 
 def test_classical_message_states_are_diagonal():
     for name, n in (("classical-otp", 2), ("teleportation", 1), ("epr-otp", 2)):
         p = build_named(name, n)
-        ens = small_ensemble(p)
-        parts = security_deviations(p, ens)
+        parts = security_deviations(p)
         assert parts["classical_offdiag"] <= 1e-10
 
 
@@ -244,7 +250,7 @@ def test_superdense_joint_state_correlation_bound_is_tight():
 
 def test_broken_otp_fails_security():
     p = build_broken_otp()
-    dev = verify_security(p, InputEnsemble.quantum_full(1, 10, 0))
+    dev = verify_security(p)
     assert dev > 0.2
     # two-Pauli average: |+> is fixed by the pad, |0> is flattened to I/2
     plus = Ket(Q1, np.array([1, 1]) / math.sqrt(2))
@@ -253,32 +259,32 @@ def test_broken_otp_fails_security():
 
 def test_broken_teleportation_fails_correctness():
     p = build_broken_teleportation()
-    dev = verify_correctness(p, InputEnsemble.quantum_full(1, 10, 0))
+    dev = verify_correctness(p)
     assert dev > 0.4
 
 
 # ---------------------------------------------------------------------------
-# ensembles
+# the reference's probe inputs
 
 
 def test_classical_basis_enumerates_all_states():
-    ens = InputEnsemble.classical_basis(2)
-    probes = list(ens.probes())
-    assert len(probes) == 4
-    assert max_abs(probes[1].amplitudes - Ket.from_bits("01").amplitudes) == 0
+    basis = probes(2, INPUT_CLASSICAL)
+    assert len(basis) == 4
+    assert max_abs(basis[1].amplitudes - Ket.from_bits("01").amplitudes) == 0
 
 
 def test_quantum_full_probe_inventory():
-    ens = InputEnsemble.quantum_full(1, random_probes=5, seed=0)
-    probes = list(ens.probes())
+    quantum = probes(1, INPUT_QUANTUM, random_probes=5, seed=0)
     # 2 basis + 2 pair probes + 5 random
-    assert len(probes) == 9
-    assert len(probes) == len(ens)
+    assert len(quantum) == 9
+    assert len(quantum) == 2 ** (2 * 1) + 5
+    for n in (1, 2, 3):
+        assert probe_columns(n, INPUT_QUANTUM, 7).shape == (2 ** n, 4 ** n + 7)
 
 
 def test_quantum_full_probes_reproducible():
-    a = [k.amplitudes for k in InputEnsemble.quantum_full(1, 5, 42).probes()]
-    b = [k.amplitudes for k in InputEnsemble.quantum_full(1, 5, 42).probes()]
+    a = [k.amplitudes for k in probes(1, INPUT_QUANTUM, 5, 42)]
+    b = [k.amplitudes for k in probes(1, INPUT_QUANTUM, 5, 42)]
     for x, y in zip(a, b):
         assert max_abs(x - y) == 0
 
@@ -320,15 +326,19 @@ def _quantum_identity(n, message):
         output_subsystems=tuple(range(n)))
 
 
-def test_quantum_input_admission_counts_pair_probes_and_channel_table():
-    # d^2 probes of d amplitudes: d^3 <= 4096, so at most 4 input qubits
-    require_desk_scale(_quantum_identity(4, 4))
-    with pytest.raises(ValueError, match="wide pair probes: load 2\\^15 exceeds 4096"):
-        require_desk_scale(_quantum_identity(5, 5))
+def test_quantum_input_admission_counts_the_channel_table():
     # the Choi matrix's eigensolve: (d x message dim)^3 <= 4096^2
+    require_desk_scale(_quantum_identity(4, 4))
+    with pytest.raises(ValueError, match="wide channel table: load 2\\^30 exceeds 4096\\^2"):
+        require_desk_scale(_quantum_identity(5, 5))
     require_desk_scale(_quantum_identity(1, 7))
     with pytest.raises(ValueError, match="wide channel table: load 2\\^27 exceeds 4096\\^2"):
         require_desk_scale(_quantum_identity(1, 8))
+    # no probe set is simulated: 5 and 6 input qubits on a narrow message pass
+    for n, message in ((5, 1), (5, 2), (6, 1), (6, 2)):
+        require_desk_scale(_quantum_identity(n, message))
+    with pytest.raises(ValueError, match="wide channel table: load 2\\^27"):
+        require_desk_scale(_quantum_identity(6, 3))
 
 
 def test_classical_input_admission_counts_basis_wire_states_and_outputs():
@@ -423,9 +433,8 @@ def test_descriptor_round_trip(name, n, tmp_path):
     path = tmp_path / "protocol.json"
     save_protocol(p, str(path))
     loaded = load_protocol(str(path))
-    ens = small_ensemble(loaded, probes=4)
-    assert verify_security(loaded, ens) <= 1e-9
-    assert verify_correctness(loaded, ens) <= 1e-9
+    assert verify_security(loaded) <= 1e-9
+    assert verify_correctness(loaded) <= 1e-9
     rep_orig, rep_loaded = resource_report(p), resource_report(loaded)
     assert rep_orig.comm == pytest.approx(rep_loaded.comm, abs=1e-12)
 

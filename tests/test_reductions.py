@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from pqclab.entropy import ProbabilityDist, entanglement_measure, shannon_entropy
 from pqclab.protocols import (
+    INPUT_CLASSICAL,
+    INPUT_QUANTUM,
     GateList,
-    InputEnsemble,
     ProtocolVerificationError,
     build_classical_otp,
     build_named,
@@ -49,8 +50,9 @@ from pqclab.reductions import (
     teleportation_rsp,
 )
 
+from oracles import probes
+
 Q1 = SystemLayout.qubits(1)
-BASIS2 = InputEnsemble.classical_basis(2)
 
 
 def audits_by_name(audits):
@@ -64,8 +66,8 @@ def audits_by_name(audits):
 def test_lift_extra_comm_of_quantum_otp():
     lifted = lift_extra_comm(build_quantum_otp(1))
     assert lifted.input_qubits == 2
-    assert verify_security(lifted, BASIS2) <= 1e-9
-    assert verify_correctness(lifted, BASIS2) <= 1e-9
+    assert verify_security(lifted, INPUT_CLASSICAL) <= 1e-9
+    assert verify_correctness(lifted, INPUT_CLASSICAL) <= 1e-9
     # the wire state is (I/2) x (I/2) for all four inputs
     for i in range(4):
         msg = encode(lifted, Ket.basis(SystemLayout.qubits(2), i))
@@ -77,8 +79,8 @@ def test_lift_extra_comm_of_quantum_otp():
 
 def test_lift_extra_comm_of_teleportation():
     lifted = lift_extra_comm(build_teleportation(1))
-    assert verify_security(lifted, BASIS2) <= 1e-9
-    assert verify_correctness(lifted, BASIS2) <= 1e-9
+    assert verify_security(lifted, INPUT_CLASSICAL) <= 1e-9
+    assert verify_correctness(lifted, INPUT_CLASSICAL) <= 1e-9
     rep = resource_report(lifted)
     assert rep.entanglement == pytest.approx(1.0, abs=1e-9)
 
@@ -101,8 +103,8 @@ def test_lift_of_insecure_protocol_is_flagged():
         lift_extra_comm(insecure)
     # escape hatch: construct anyway, then the output fails its own check
     lifted = lift_extra_comm(insecure, check_input=False)
-    assert verify_security(lifted, BASIS2) > 0.2
-    assert verify_correctness(lifted, BASIS2) <= 1e-9
+    assert verify_security(lifted, INPUT_CLASSICAL) > 0.2
+    assert verify_correctness(lifted, INPUT_CLASSICAL) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +114,8 @@ def test_lift_of_insecure_protocol_is_flagged():
 def test_lift_extra_epr_of_quantum_otp():
     base = build_quantum_otp(1)
     lifted = lift_extra_epr(base)
-    assert verify_security(lifted, BASIS2) <= 1e-9
-    assert verify_correctness(lifted, BASIS2) <= 1e-9
+    assert verify_security(lifted, INPUT_CLASSICAL) <= 1e-9
+    assert verify_correctness(lifted, INPUT_CLASSICAL) <= 1e-9
     rep = resource_report(lifted)
     base_rep = resource_report(base)
     assert rep.comm == pytest.approx(base_rep.comm, abs=1e-9)  # still one qubit
@@ -127,8 +129,8 @@ def test_lift_extra_epr_of_quantum_otp():
 def test_lift_extra_epr_of_teleportation():
     base = build_teleportation(1)
     lifted = lift_extra_epr(base)
-    assert verify_security(lifted, BASIS2) <= 1e-9
-    assert verify_correctness(lifted, BASIS2) <= 1e-9
+    assert verify_security(lifted, INPUT_CLASSICAL) <= 1e-9
+    assert verify_correctness(lifted, INPUT_CLASSICAL) <= 1e-9
     rep = resource_report(lifted)
     assert rep.comm == pytest.approx(2.0, abs=1e-9)
     # entanglement grows by exactly n over the original resource
@@ -148,8 +150,8 @@ def test_hybrid_resource_round_trip_and_audit_guard():
     lifted = lift_extra_epr(build_quantum_otp(1))
     assert lifted.resource.kind == "hybrid"
     clone = protocol_from_dict(protocol_to_dict(lifted))
-    assert verify_security(clone, BASIS2) <= 1e-9
-    assert verify_correctness(clone, BASIS2) <= 1e-9
+    assert verify_security(clone, INPUT_CLASSICAL) <= 1e-9
+    assert verify_correctness(clone, INPUT_CLASSICAL) <= 1e-9
     with pytest.raises(ValueError, match="hybrid"):
         audit_classical_input(clone)
 
@@ -242,9 +244,8 @@ def test_teleportation_rsp_obliviousness():
 
 def test_rsp_to_pqc_is_secure_and_correct():
     pqc = rsp_to_pqc(teleportation_rsp(1))
-    ens = InputEnsemble.quantum_full(1, 10, 0)
-    assert verify_security(pqc, ens) <= 1e-9
-    assert verify_correctness(pqc, ens) <= 1e-9
+    assert verify_security(pqc) <= 1e-9
+    assert verify_correctness(pqc) <= 1e-9
     assert shannon_entropy(pqc.resource.key_source) == pytest.approx(2.0)
 
 
@@ -387,7 +388,7 @@ def dense_obliviousness(rsp, random_probes):
     residue = [i for i in range(len(bob_dims)) if i not in out]
     worst = dict.fromkeys(("message_probs", "output_state", "residue_drift", "factorization"), 0.0)
     ref_probs, ref_residues = None, {}
-    for idx, probe in enumerate(InputEnsemble.quantum_full(rsp.n, random_probes, 0).probes()):
+    for idx, probe in enumerate(probes(rsp.n, INPUT_QUANTUM, random_probes, 0)):
         target = probe.density().matrix
         probs, live, posts = dense_branches(rsp, probe)
         worst["output_state"] = max(worst["output_state"], float(np.max(trace_distance(
