@@ -36,6 +36,7 @@ from .qmath import (
     UnitaryOp,
     apply_gate,
     compose_circuit,
+    kept_factor,
     matrix_from_json,
     matrix_to_json,
     max_abs,
@@ -51,6 +52,8 @@ DESCRIPTOR_BYTE_LIMIT = 1 << 25
 #: widest run of consecutive gates a gate list applies as one dense gate
 #: (2^8 x 2^8 on qubits)
 FUSION_WIRES = 8
+#: bytes of kept-wire factors a :class:`_KeyAverage` stacks per Gram product
+STACK_BYTES = 1 << 22
 
 RESOURCE_NONE = "none"
 RESOURCE_CLASSICAL_KEY = "classical_key"
@@ -170,10 +173,10 @@ class GateList:
     given as a raw matrix is validated into a :class:`UnitaryOp`.
 
     Simulation fuses each run of consecutive gates on at most FUSION_WIRES
-    wires into one dense gate of at most 256 x 256, composed per
-    :meth:`apply` call and not kept, so the whole list's dense matrix exists
-    only when ``matrix`` is read.  A dense operator is the one-gate list on
-    every wire in order, whose ``matrix`` is that operator's own matrix.
+    wires into one dense gate, no larger than the block it acts on, composed
+    per :meth:`apply` call and not kept: the list's dense matrix exists only
+    when ``matrix`` is read.  A dense operator is the one-gate list on every
+    wire in order, whose ``matrix`` is that operator's own matrix.
     """
 
     qubits: int
@@ -210,13 +213,14 @@ class GateList:
     def apply(self, block: np.ndarray, dims: Sequence[int], wires: Sequence[int],
               start: int = 0, stop: int | None = None) -> np.ndarray:
         """Apply gates ``start:stop`` to a block whose wire ``wires[i]`` is
-        this register's wire i.  Consecutive gates whose block wires number
-        at most FUSION_WIRES together run as one gate on those wires in
-        ascending order, composed here and dropped once applied."""
+        this register's wire i.  Consecutive gates on w block wires together,
+        w ≤ FUSION_WIRES and 4^w ≤ the block's size, run as one gate on those
+        wires in ascending order, composed here and dropped once applied."""
         groups: list[tuple[set[int], list]] = []
         for g, targets in self.gates[start:stop]:
             mapped = [wires[t] for t in targets]
-            if groups and len(groups[-1][0].union(mapped)) <= FUSION_WIRES:
+            union = groups[-1][0].union(mapped) if groups else ()
+            if groups and len(union) <= FUSION_WIRES and 4 ** len(union) <= block.size:
                 groups[-1][0].update(mapped)
                 groups[-1][1].append((g.matrix, mapped))
             else:
@@ -432,25 +436,58 @@ def _correctness_bound(block: np.ndarray, dims: list[int], outputs: list[int],
     return min(1.0, float(np.linalg.norm(w.reshape(-1, d), 2)))
 
 
+class _KeyAverage:
+    """Σ_k p_k m_k m_k† over keys' kept-wire factors m_k (..., dk, dr), copied
+    side by side into a stack F of at most STACK_BYTES, with p_k for each of
+    a key's dr columns in weights w: each full stack and :meth:`result` add
+    F (w conj F)ᵀ.  A factor over half the budget adds p_k m_k m_k† alone."""
+
+    def __init__(self, keys: int):
+        self.keys, self.total, self.stack, self.used = keys, 0.0, None, 0
+
+    def add(self, prob: float, m: np.ndarray) -> None:
+        per_stack = min(self.keys, STACK_BYTES // m.nbytes)
+        if per_stack < 2:
+            self.total = self.total + prob * (m @ m.conj().swapaxes(-1, -2))
+            return
+        if self.stack is None:
+            self.stack = np.empty(m.shape[:-1] + (per_stack * m.shape[-1],), dtype=complex)
+            self.weights = np.empty(self.stack.shape[-1])
+        end = self.used + m.shape[-1]
+        self.stack[..., self.used:end], self.weights[self.used:end], self.used = m, prob, end
+        if end == self.stack.shape[-1]:
+            self.result()
+
+    def result(self) -> np.ndarray:
+        if self.used:
+            f = self.stack[..., :self.used]
+            weighted = f.conj()
+            weighted *= self.weights[:self.used]
+            product = f @ weighted.swapaxes(-1, -2)
+            self.total, self.used = np.add(self.total, product, out=product), 0
+        return self.total
+
+
 def _verification_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, float]:
     """The channel table and the worst per-key :func:`_correctness_bound`,
     from one sender stage and one receiver stage per key on the block of all
     input basis columns.  The table is the key-averaged E(|a><b|), indexed
     [a, b, x, y] and read off the Choi vectors Σ_a V|a>|a>; with ``basis``
     only E(|a><a|), indexed [a, x, y] and read off the columns V|a>, so its
-    rows are the basis inputs' wire states."""
+    rows are the basis inputs' wire states.  Keys add up in a :class:`_KeyAverage`."""
     d, dm = 2 ** p.input_qubits, 2 ** p.message_qubits
     shared = _shared_prefix(p.alice_ops)
     head = _sender_head(p, np.eye(d, dtype=complex), shared)
-    acc, correctness = 0.0, 0.0
+    average, correctness = _KeyAverage(p.key_count), 0.0
     for k, prob in enumerate(p.key_probs):
         block, dims, keep = _stage(p, head, k, shared)
         columns = (block, dims, keep) if basis else (
             block.reshape(-1), dims + [d], [len(dims)] + keep)
-        acc = acc + prob * reduced_from_vector(*columns)
+        average.add(prob, kept_factor(*columns))
         correctness = max(correctness, _correctness_bound(
             *_receiver_stage(p, block, dims, k), basis))
-    table = acc if basis else acc.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)
+    table = average.result()
+    table = table if basis else table.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)
     table.flags.writeable = False
     return table, correctness
 
@@ -481,10 +518,10 @@ def encode(p: ChannelProtocol, input_ket: Ket) -> DensityOp:
     """Message state seen on the wire, averaged over the key distribution."""
     shared = _shared_prefix(p.alice_ops)
     head = _sender_head(p, input_ket.amplitudes[:, None], shared)
-    acc = 0.0
+    average = _KeyAverage(p.key_count)
     for k, prob in enumerate(p.key_probs):
-        acc = acc + prob * reduced_from_vector(*_stage(p, head, k, shared))[0]
-    return DensityOp(SystemLayout.qubits(p.message_qubits), acc)
+        average.add(prob, kept_factor(*_stage(p, head, k, shared)))
+    return DensityOp(SystemLayout.qubits(p.message_qubits), average.result()[0])
 
 
 def decode_per_key(p: ChannelProtocol, input_ket: Ket, key_index: int) -> DensityOp:

@@ -247,17 +247,20 @@ def reduced_matrix(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int])
     return np.einsum("...arbr->...ab", t.reshape(lead + [dk, dr, dk, dr]))
 
 
-def reduced_from_vector(vec: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Reduced density matrix of a pure state, keeping subsystems in the order
-    given; for column axes (dim, ...), the stack (..., dk, dk) of every column's."""
-    dims = list(dims)
+def kept_factor(vec: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """The pure state as a kept-wire factor m (..., dk, dr), kept subsystems in
+    the order given, so that m m† is their reduced density matrix; for
+    column axes (dim, ...), the factor of every column, column axes first."""
+    dims, keep, cols = list(dims), list(keep), list(vec.shape[1:])
     n = len(dims)
-    keep = list(keep)
     rest = [i for i in range(n) if i not in keep]
-    cols = list(vec.shape[1:])
     t = vec.reshape(dims + cols).transpose(list(range(n, n + len(cols))) + keep + rest)
-    dk = int(np.prod([dims[i] for i in keep]))
-    m = t.reshape(cols + [dk, int(np.prod([dims[i] for i in rest]))])
+    return t.reshape(cols + [math.prod(dims[i] for i in keep), math.prod(dims[i] for i in rest)])
+
+
+def reduced_from_vector(vec: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """Reduced density matrix m m† of each column's :func:`kept_factor` m."""
+    m = kept_factor(vec, dims, keep)
     return m @ m.conj().swapaxes(-1, -2)
 
 

@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use: gates on kets and on the full
 product space, ray comparison, the probe inputs of the per-probe reference,
-and per-probe views of a protocol's sender stage and channel table."""
+per-probe views of a protocol's sender stage and channel table, and the key
+average summed key by key."""
 
 import math
 from typing import Sequence
@@ -12,13 +13,24 @@ from pqclab.protocols import (
     INPUT_CLASSICAL,
     INPUT_QUANTUM,
     ChannelProtocol,
+    _correctness_bound,
     _diagonal_distribution,
+    _receiver_stage,
     _sender_head,
+    _shared_prefix,
     _stage,
     channel_on_units,
     encode,
 )
-from pqclab.qmath import Ket, SystemLayout, apply_gate, as_complex, trace_distance
+from pqclab.qmath import (
+    DensityOp,
+    Ket,
+    SystemLayout,
+    apply_gate,
+    as_complex,
+    reduced_from_vector,
+    trace_distance,
+)
 
 
 def apply_to_ket(psi: Ket, gate: np.ndarray, targets: Sequence[int]) -> Ket:
@@ -101,3 +113,34 @@ def canonical_probes(p: ChannelProtocol, random_probes: int = 0, seed: int = 0) 
     if p.input_kind == INPUT_CLASSICAL:
         random_probes = 0
     return probes(p.input_qubits, p.input_kind, random_probes, seed)
+
+
+# ---------------------------------------------------------------------------
+# the key average, one reduced state per key
+
+
+def per_key_encode(p: ChannelProtocol, input_ket: Ket) -> DensityOp:
+    """``encode`` as a sum over keys: each key's whole sender stage, its
+    wire state from ``reduced_from_vector``, weighted and added on."""
+    head = _sender_head(p, input_ket.amplitudes[:, None])
+    acc = sum(prob * reduced_from_vector(*_stage(p, head, k))[0]
+              for k, prob in enumerate(p.key_probs))
+    return DensityOp(SystemLayout.qubits(p.message_qubits), acc)
+
+
+def per_key_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, float]:
+    """The channel table and correctness bound of the verification pass,
+    with each key's reduced state from ``reduced_from_vector`` weighted and
+    added to the table one key at a time, never stacked with other keys."""
+    d, dm = 2 ** p.input_qubits, 2 ** p.message_qubits
+    shared = _shared_prefix(p.alice_ops)
+    head = _sender_head(p, np.eye(d, dtype=complex), shared)
+    acc, correctness = 0.0, 0.0
+    for k, prob in enumerate(p.key_probs):
+        block, dims, keep = _stage(p, head, k, shared)
+        columns = (block, dims, keep) if basis else (
+            block.reshape(-1), dims + [d], [len(dims)] + keep)
+        acc = acc + prob * reduced_from_vector(*columns)
+        correctness = max(correctness, _correctness_bound(
+            *_receiver_stage(p, block, dims, k), basis))
+    return (acc if basis else acc.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)), correctness

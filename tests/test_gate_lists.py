@@ -3,7 +3,8 @@
 Protocol operators are lists of gates that the engine applies in fused runs.
 The checks here: ``apply_gate``'s reshape path for a run of wires equals its
 transpose path; a gate list's fused runs equal its gates applied one at a
-time, and a lift's receiver runs as one gate per key; every lifted
+time, no fused gate has more entries than the block it acts on, and a lift's
+receiver runs as one gate per key; every lifted
 operator's ``matrix`` equals the dense product the lifts used to build gate
 by gate with ``compose_circuit``, and both give the same verification
 values; builder digests are those of the dense descriptors.
@@ -163,6 +164,30 @@ def test_lifted_receiver_runs_one_gate_per_key_on_one_wire_run(monkeypatch):
         assert targets[0] == list(range(targets[0][0], targets[0][0] + 4))
     assert sum(c[1:3] == (0, shared) for c in calls) == 1
     assert sum(c[1:3] == (shared, None) for c in calls) == lifted.key_count
+
+
+def test_fused_gates_never_outsize_their_block(monkeypatch):
+    # the quantum-otp 2 lift's shared sender prefix, gates on wires (4, 6),
+    # (5, 7), (0, 1, 4) and (2, 3, 5), runs on a 256 x 16 block: its first
+    # three gates fuse into one 64 x 64 gate, as many entries as the block,
+    # and the fourth runs alone: all four would make a 256 x 256 gate
+    lifted = lift_extra_comm(build_named("quantum-otp", 2), check_input=False)
+    shared = _shared_prefix(lifted.alice_ops)
+    assert [t for _, t in lifted.alice_ops[0].gates[:shared]] == [
+        (4, 6), (5, 7), (0, 1, 4), (2, 3, 5)]
+    applied, real_gate = [], protocols.apply_gate
+
+    def gate(block, dims, matrix, targets):
+        applied.append((block.size, matrix.size, list(targets)))
+        return real_gate(block, dims, matrix, targets)
+
+    monkeypatch.setattr(protocols, "apply_gate", gate)
+    head = protocols._sender_head(lifted, np.eye(16, dtype=complex), shared)
+    assert head.shape == (256, 16)
+    assert applied == [(4096, 4096, [0, 1, 4, 5, 6, 7]), (4096, 64, [2, 3, 5])]
+    applied.clear()
+    verify_correctness(lifted)
+    assert applied and all(entries <= size for size, entries, _ in applied)
 
 
 # ---------------------------------------------------------------------------

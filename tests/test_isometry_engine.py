@@ -4,19 +4,22 @@
 pass, one sender stage per key, and ``verify_correctness`` is a bound read
 off each key's receiver block in the same pass.  The reference here
 re-simulates the protocol for each probe of ``oracles.probe_columns`` (basis,
-pair and Haar-random inputs) and each key through ``encode`` and
-``decode_per_key``, rebuilds the matrix-unit table by polarization, and
+pair and Haar-random inputs) and each key through ``oracles.per_key_encode``
+and ``decode_per_key``, rebuilds the matrix-unit table by polarization, and
 computes the factorization certificate from that table with |C| formed in
 full.  The probes' wire-state deviation and the sampled factorization check
 must never exceed the certificate, and the probed correctness never the
-correctness bound.
+correctness bound.  The pass's key-stacked table is also checked against
+the same pass summed one key at a time, ``oracles.per_key_pass``.
 """
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,8 +55,9 @@ from pqclab.qmath import (
     random_density,
     trace_distance,
 )
+from pqclab.reductions import lift_extra_comm, lift_extra_epr
 
-from oracles import probes
+from oracles import per_key_encode, per_key_pass, probes
 
 TOL = 1e-12
 
@@ -79,7 +83,7 @@ def reference_units(p):
     basis = np.eye(d, dtype=complex)
 
     def enc(v):
-        return encode(p, Ket(layout, v)).matrix
+        return per_key_encode(p, Ket(layout, v)).matrix
 
     dm = 2 ** p.message_qubits
     units = np.zeros((d, d, dm, dm), dtype=complex)
@@ -125,8 +129,8 @@ def reference_certificate(units):
 def reference_security(p, input_kind, random_probes=0, seed=0):
     """Every part from the encodings of the probes of ``input_kind``; with
     quantum input, ``state`` included, which the report does not carry."""
-    ref = encode(p, Ket.basis(SystemLayout.qubits(p.input_qubits), 0))
-    states = [encode(p, probe)
+    ref = per_key_encode(p, Ket.basis(SystemLayout.qubits(p.input_qubits), 0))
+    states = [per_key_encode(p, probe)
               for probe in probes(p.input_qubits, input_kind, random_probes, seed)]
     parts = {"state": max(trace_distance(rho, ref) for rho in states)}
     if p.message_kind == INPUT_CLASSICAL:
@@ -446,3 +450,84 @@ def test_audit_reads_the_input_check_from_the_cli_pass(monkeypatch):
         assert cli.main(["audit", "quantum-otp", "--n", "1"]) == 0
     assert passes.count("quantum-otp") == 1
     assert passes == ["quantum-otp", "quantum-otp-lift-extra-comm"]
+
+
+# ---------------------------------------------------------------------------
+# the key-stacked channel table
+
+
+def _factor_bytes(p, columns):
+    """Bytes of one key's kept-wire factor on ``columns`` input columns: an
+    amplitude per column and entry of the block its sender stage leaves."""
+    head = protocols._sender_head(p, np.eye(2 ** p.input_qubits, columns, dtype=complex))
+    return protocols._stage(p, head, 0)[0].nbytes
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(pauli_keyed(), haar_keyed()), st.integers(0, 2 ** 16))
+def test_stacked_table_equals_the_per_key_sum(p, seed):
+    # stacks of one key (each key's own product), of keys − 1 keys (which
+    # does not divide the key count from 3 keys on) and of every key
+    keys, d = p.key_count, 2 ** p.input_qubits
+    ket = probes(p.input_qubits, INPUT_QUANTUM, 1, seed)[-1]
+    for per_stack in sorted({1, max(1, keys - 1), keys}):
+        with mock.patch.object(protocols, "STACK_BYTES", per_stack * _factor_bytes(p, d)):
+            for basis in (True, False):
+                table, correctness = protocols._verification_pass(p, basis)
+                reference, ref_correctness = per_key_pass(p, basis)
+                assert max_abs(table - reference) <= TOL, (per_stack, basis)
+                assert abs(correctness - ref_correctness) <= TOL, (per_stack, basis)
+        with mock.patch.object(protocols, "STACK_BYTES", per_stack * _factor_bytes(p, 1)):
+            rho = encode(p, ket).matrix
+        assert max_abs(rho - per_key_encode(p, ket).matrix) <= TOL, per_stack
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build, basis, stacked", [
+    (lambda: lift_extra_comm(build_quantum_otp(3), check_input=False), True, False),
+    (lambda: lift_extra_comm(build_named("teleportation", 2), check_input=False), True, False),
+    (lambda: lift_extra_epr(build_named("teleportation", 2), check_input=False), True, False),
+    (lambda: lift_extra_comm(build_quantum_otp(2), check_input=False), True, True),
+    (lambda: build_quantum_otp(4), False, True),
+], ids=["lift-comm-quantum-otp-3", "lift-comm-teleportation-2",
+        "lift-epr-teleportation-2", "lift-comm-quantum-otp-2", "quantum-otp-4"])
+def test_stacked_pass_peak_is_the_per_key_sums_plus_two_stacks(monkeypatch, build, basis,
+                                                               stacked):
+    # a factor over half of STACK_BYTES (the 12–16-wire lifts) adds its own
+    # product, with no stack; smaller ones stack, and the stack and its
+    # weighted conjugate are the only extra arrays
+    averages = []
+
+    class Recorded(protocols._KeyAverage):
+        def __init__(self, keys):
+            super().__init__(keys)
+            averages.append(self)
+
+    monkeypatch.setattr(protocols, "_KeyAverage", Recorded)
+    p = build()
+    reference = _traced_peak(lambda: per_key_pass(p, basis))
+    peak = _traced_peak(lambda: protocols._verification_pass(p, basis))
+    assert peak <= reference + 2 * protocols.STACK_BYTES, (peak, reference)
+    assert len(averages) == 1
+    assert (averages[0].stack is not None) == stacked
+    factor = _factor_bytes(p, 2 ** p.input_qubits)
+    assert (2 * factor <= protocols.STACK_BYTES) == stacked, factor
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.one_of(pauli_keyed(), haar_keyed()),
+       st.sampled_from((None, INPUT_CLASSICAL, INPUT_QUANTUM)))
+def test_classical_offdiag_is_exactly_zero(p, input_kind):
+    # every classical message wire is copied into an environment wire, so
+    # each off-diagonal message entry of the table sums products with an
+    # exact 0.0 amplitude, and the stacked product keeps them exact
+    p = dataclasses.replace(p, message_kind=INPUT_CLASSICAL)
+    assert security_deviations(p, input_kind)["classical_offdiag"] == 0.0
