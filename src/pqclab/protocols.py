@@ -353,11 +353,12 @@ class ChannelProtocol:
 # key's sender stage runs once on the block of all input basis columns, its
 # message adds to the channel table, and its receiver stage continues from
 # the same block, that key's isometry block, whose correctness bound is read
-# off it.  Every security part is read off the table.
+# off it.  Every security part is read off the table.  Over the basis, the
+# keys run without the wires only the shared prefix touches (:func:`_fold`).
 
 
 def _zero_tail(block: np.ndarray, qubits: int) -> np.ndarray:
-    return np.kron(block, np.eye(2 ** qubits, 1, dtype=complex))
+    return np.kron(block, np.eye(2 ** qubits, 1, dtype=complex)) if qubits else block
 
 
 def _sender_head(p: ChannelProtocol, inputs: np.ndarray, gates: int = 0) -> np.ndarray:
@@ -374,38 +375,39 @@ def _sender_head(p: ChannelProtocol, inputs: np.ndarray, gates: int = 0) -> np.n
     return p.alice_ops[0].apply(block, dims, range(p.sender_qubits), stop=gates)
 
 
-def _stage(p: ChannelProtocol, head: np.ndarray, key_index: int,
-           start: int = 0) -> tuple[np.ndarray, list[int], list[int]]:
+def _stage(p: ChannelProtocol, head: np.ndarray, key_index: int, start: int = 0,
+           wires: Sequence[int] | None = None) -> tuple[np.ndarray, list[int], list[int]]:
     """Run key ``key_index``'s sender gates from gate ``start`` on, on a
     block from :func:`_sender_head`.
 
     Returns the global block (one column per input), its qubit dims, and the
     message wires.  The block runs on the engine register
-    (:attr:`ChannelProtocol.engine_qubits`); its environment copies of a
-    classical message are there because sending a classical value means the
-    channel records it, which is exactly the deferred measurement of those
-    wires.
+    (:attr:`ChannelProtocol.engine_qubits`), wire w on row ``wires[w]``
+    (:func:`_fold`; by default w).  Its environment copies of a classical
+    message record the sent value: the deferred measurement of those wires.
     """
-    bob_half = range(p.sender_qubits, p.sender_qubits + p.resource.bob_qubits)
-    dims = [2] * bob_half.stop
-    block = p.alice_ops[key_index].apply(head, dims, range(p.sender_qubits), start=start)
+    wires = range(p.engine_qubits) if wires is None else wires
+    dims = [2] * (head.shape[0].bit_length() - 1)
+    block = p.alice_ops[key_index].apply(head, dims, wires, start=start)
+    keep = [wires[w] for w in p.message_subsystems]
     if p.message_kind == INPUT_CLASSICAL:
         block = _zero_tail(block, p.message_qubits)
         dims = dims + [2] * p.message_qubits
-        for i, wire in enumerate(p.message_subsystems):
-            block = apply_gate(block, dims, CNOT, [wire, bob_half.stop + i])
-    return block, dims, list(p.message_subsystems)
+        for wire, copy in zip(keep, wires[p.sender_qubits + p.resource.bob_qubits:]):
+            block = apply_gate(block, dims, CNOT, [wire, copy])
+    return block, dims, keep
 
 
-def _receiver_stage(p: ChannelProtocol, block: np.ndarray, dims: list[int],
-                    key_index: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """Key ``key_index``'s receiver stage on a block from :func:`_stage`;
-    returns the block, its dims and the output wires."""
+def _receiver_stage(p: ChannelProtocol, block: np.ndarray, dims: list[int], key_index: int,
+                    wires: Sequence[int] | None = None) -> tuple[np.ndarray, list[int], list[int]]:
+    """Key ``key_index``'s receiver stage on a block and wire map from
+    :func:`_stage`; returns the block, its dims and the output wires."""
+    wires = range(p.engine_qubits) if wires is None else wires
     block = _zero_tail(block, p.bob_ancillas)
     dims = dims + [2] * p.bob_ancillas
-    receiver_wires = (list(p.message_subsystems)
-                      + list(range(p.engine_qubits - p.bob_ancillas, p.engine_qubits))
-                      + list(range(p.sender_qubits, p.sender_qubits + p.resource.bob_qubits)))
+    receiver_wires = [wires[w] for w in itertools.chain(
+        p.message_subsystems, range(p.engine_qubits - p.bob_ancillas, p.engine_qubits),
+        range(p.sender_qubits, p.sender_qubits + p.resource.bob_qubits))]
     block = p.bob_ops[key_index].apply(block, dims, receiver_wires)
     return block, dims, [receiver_wires[o] for o in p.output_subsystems]
 
@@ -468,24 +470,52 @@ class _KeyAverage:
         return self.total
 
 
+def _fold(p: ChannelProtocol, head: np.ndarray,
+          shared: int) -> tuple[np.ndarray, list[int], int]:
+    """The basis block ``head`` with the sender wires that are no message
+    wire and that no gate after the ``shared`` prefix (nor the receiver)
+    touches moved into its columns, as pairs (u, a), u major; each input
+    keeps its nonzero pairs, padded with zero columns to s.  Such wires are
+    rest wires, so R rows and s·d columns are R·s rows, the last a rest wire
+    of dimension s, and d columns.  Also the map of each engine wire to its
+    row, one up per folded wire below it: with none folded, w to w."""
+    touched = set(p.message_subsystems).union(*(t for op in p.alice_ops
+                                                for _, t in op.gates[shared:]))
+    folded = [w for w in range(p.sender_qubits) if w not in touched]
+    wires = [w - sum(f < w for f in folded) for w in range(p.engine_qubits)]
+    if not folded:
+        return head, wires, 1
+    n, d = head.shape[0].bit_length() - 1, head.shape[1]
+    axes = sorted(range(n), key=folded.__contains__) + [n]  # rows, folded wires, inputs
+    t = head.reshape([2] * n + [d]).transpose(axes).reshape(-1, 2 ** len(folded), d)
+    live = t.any(axis=0)
+    s = int(live.sum(axis=0).max())
+    order = np.argsort(~live, axis=0, kind="stable")[:s]  # nonzero pairs first
+    return np.take_along_axis(t, order[None], axis=1).reshape(len(t), -1), wires, s
+
+
 def _verification_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, float]:
     """The channel table and the worst per-key :func:`_correctness_bound`,
     from one sender stage and one receiver stage per key on the block of all
     input basis columns.  The table is the key-averaged E(|a><b|), indexed
     [a, b, x, y] and read off the Choi vectors Σ_a V|a>|a>; with ``basis``
     only E(|a><a|), indexed [a, x, y] and read off the columns V|a>, so its
-    rows are the basis inputs' wire states.  Keys add up in a :class:`_KeyAverage`."""
+    rows are the basis inputs' wire states, run on the block :func:`_fold`
+    leaves.  Keys add up in a :class:`_KeyAverage`; their shared block is read-only."""
     d, dm = 2 ** p.input_qubits, 2 ** p.message_qubits
     shared = _shared_prefix(p.alice_ops)
     head = _sender_head(p, np.eye(d, dtype=complex), shared)
+    head, wires, s = _fold(p, head, shared) if basis else (head, None, 1)
+    head.flags.writeable = False
     average, correctness = _KeyAverage(p.key_count), 0.0
     for k, prob in enumerate(p.key_probs):
-        block, dims, keep = _stage(p, head, k, shared)
-        columns = (block, dims, keep) if basis else (
+        block, dims, keep = _stage(p, head, k, shared, wires)
+        columns = (block.reshape(-1, d), dims + [s], keep) if basis else (
             block.reshape(-1), dims + [d], [len(dims)] + keep)
         average.add(prob, kept_factor(*columns))
+        block, dims, outputs = _receiver_stage(p, block, dims, k, wires)
         correctness = max(correctness, _correctness_bound(
-            *_receiver_stage(p, block, dims, k), basis))
+            block.reshape(-1, d), dims + [s], outputs, basis))
     table = average.result()
     table = table if basis else table.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)
     table.flags.writeable = False
@@ -685,12 +715,12 @@ def require_desk_scale(p: ChannelProtocol):
 
 
 def require_lift_scale(p: ChannelProtocol):
-    """Reject quantum-input protocols whose audit lifts are beyond desk scale.
-
-    Each lift carries 2n classical bits on 3n more wires than ``p``, and it
-    is checked on its 2^(2n) basis inputs: keys x 2^(engine register + 5n)
-    amplitudes, which must stay within DESK_SCALE_LIMIT^2.
-    """
+    """Reject quantum-input protocols whose audit lifts are beyond desk scale:
+    each carries 2n classical bits on 3n more wires than ``p``, on its 2^(2n)
+    basis inputs, keys x 2^(engine register + 5n) amplitudes, which must stay
+    within DESK_SCALE_LIMIT^2.  That is the load before the pass folds the
+    2n input wires out (:func:`_fold`); the rule is kept as it is, so the
+    protocols it admits and refuses do not change."""
     require_load(f"{p.name} audit lift", p.key_count,
                  p.engine_qubits + 5 * p.input_qubits, scale=2)
 

@@ -131,7 +131,8 @@ def per_key_encode(p: ChannelProtocol, input_ket: Ket) -> DensityOp:
 def per_key_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, float]:
     """The channel table and correctness bound of the verification pass,
     with each key's reduced state from ``reduced_from_vector`` weighted and
-    added to the table one key at a time, never stacked with other keys."""
+    added to the table one key at a time, never stacked with other keys, and
+    every wire kept in the block's rows: no wire is folded into its columns."""
     d, dm = 2 ** p.input_qubits, 2 ** p.message_qubits
     shared = _shared_prefix(p.alice_ops)
     head = _sender_head(p, np.eye(d, dtype=complex), shared)

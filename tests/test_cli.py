@@ -731,3 +731,29 @@ def test_audit_finishes_under_1gib_address_space(builder, n, resources):
     for key, value in resources.items():
         want = None if value is None else pytest.approx(value, abs=1e-7)
         assert report["resources"][key] == want
+
+
+# the lifted audit rows as the pass that folds no wire reports them: exit
+# code, pass, resources and audits
+LIFT_AUDIT_ROWS = {
+    ("quantum-otp", 3): (0, True, {"comm": 3.0, "entanglement": None, "key_entropy": 6.0}, [
+        {"bound": 6.0, "measured": 6.0, "quantity": "key_entropy", "satisfied": True,
+         "slack": 0.0},
+        {"bound": 3.0, "measured": 3.0, "quantity": "comm_entropy", "satisfied": True,
+         "slack": 0.0}]),
+    ("teleportation", 2): (0, True, {"comm": 4.0, "entanglement": 2.0, "key_entropy": None}, [
+        {"bound": 2.0, "measured": 2.0, "quantity": "entanglement", "satisfied": True,
+         "slack": 0.0},
+        {"bound": 4.0, "measured": 4.0, "quantity": "comm_entropy", "satisfied": True,
+         "slack": 0.0}]),
+    ("broken-teleportation", 2): (
+        1, False, {"comm": 4.0, "entanglement": 2.0, "key_entropy": None}, []),
+}
+
+
+@pytest.mark.parametrize("builder,n", list(LIFT_AUDIT_ROWS))
+def test_lift_audit_rows_keep_their_verdicts(builder, n, capsys):
+    code = main(["audit", builder, "--n", str(n)])
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["pass"], report["resources"], report["audits"]) == \
+        LIFT_AUDIT_ROWS[(builder, n)]

@@ -29,6 +29,8 @@ from hypothesis import strategies as st
 from pqclab import cli, protocols
 from pqclab.entropy import ProbabilityDist, classicality_deviation
 from pqclab.protocols import (
+    CNOT,
+    HADAMARD,
     INPUT_CLASSICAL,
     INPUT_QUANTUM,
     ChannelProtocol,
@@ -38,6 +40,7 @@ from pqclab.protocols import (
     build_named,
     build_quantum_otp,
     channel_on_units,
+    controlled_by_value,
     decode_per_key,
     encode,
     resource_report,
@@ -456,30 +459,151 @@ def test_audit_reads_the_input_check_from_the_cli_pass(monkeypatch):
 # the key-stacked channel table
 
 
-def _factor_bytes(p, columns):
-    """Bytes of one key's kept-wire factor on ``columns`` input columns: an
-    amplitude per column and entry of the block its sender stage leaves."""
-    head = protocols._sender_head(p, np.eye(2 ** p.input_qubits, columns, dtype=complex))
-    return protocols._stage(p, head, 0)[0].nbytes
+def _factor_bytes(run):
+    """Bytes of the kept-wire factor each key adds to the key average in
+    ``run``: the factor the pass, or ``encode``, actually stacks."""
+    sizes = []
+    add = protocols._KeyAverage.add
+    with mock.patch.object(protocols._KeyAverage, "add",
+                           lambda self, prob, m: sizes.append(m.nbytes) or add(self, prob, m)):
+        run()
+    assert len(set(sizes)) == 1, sizes
+    return sizes[0]
+
+
+def assert_pass_equals_the_per_key_sum(p, basis):
+    """Stacks of one key (each key's own product), of keys − 1 keys (which
+    does not divide the key count from 3 keys on) and of every key: table
+    and correctness within TOL of ``per_key_pass``, which folds no wire."""
+    keys = p.key_count
+    factor = _factor_bytes(lambda: protocols._verification_pass(p, basis))
+    reference, ref_correctness = per_key_pass(p, basis)
+    for per_stack in sorted({1, max(1, keys - 1), keys}):
+        with mock.patch.object(protocols, "STACK_BYTES", per_stack * factor):
+            table, correctness = protocols._verification_pass(p, basis)
+        assert max_abs(table - reference) <= TOL, (per_stack, basis)
+        assert abs(correctness - ref_correctness) <= TOL, (per_stack, basis)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.one_of(pauli_keyed(), haar_keyed()), st.integers(0, 2 ** 16))
 def test_stacked_table_equals_the_per_key_sum(p, seed):
-    # stacks of one key (each key's own product), of keys − 1 keys (which
-    # does not divide the key count from 3 keys on) and of every key
-    keys, d = p.key_count, 2 ** p.input_qubits
+    for basis in (True, False):
+        assert_pass_equals_the_per_key_sum(p, basis)
     ket = probes(p.input_qubits, INPUT_QUANTUM, 1, seed)[-1]
-    for per_stack in sorted({1, max(1, keys - 1), keys}):
-        with mock.patch.object(protocols, "STACK_BYTES", per_stack * _factor_bytes(p, d)):
-            for basis in (True, False):
-                table, correctness = protocols._verification_pass(p, basis)
-                reference, ref_correctness = per_key_pass(p, basis)
-                assert max_abs(table - reference) <= TOL, (per_stack, basis)
-                assert abs(correctness - ref_correctness) <= TOL, (per_stack, basis)
-        with mock.patch.object(protocols, "STACK_BYTES", per_stack * _factor_bytes(p, 1)):
+    factor = _factor_bytes(lambda: encode(p, ket))
+    for per_stack in sorted({1, max(1, p.key_count - 1), p.key_count}):
+        with mock.patch.object(protocols, "STACK_BYTES", per_stack * factor):
             rho = encode(p, ket).matrix
         assert max_abs(rho - per_key_encode(p, ket).matrix) <= TOL, per_stack
+
+
+# ---------------------------------------------------------------------------
+# the basis pass with its control-only wires folded into the columns
+
+
+@st.composite
+def lifted(draw):
+    """A lift of a random quantum-input protocol: 2n classical input wires
+    that only the shared Pauli injection reads."""
+    p = dataclasses.replace(draw(st.one_of(pauli_keyed(), haar_keyed())),
+                            input_kind=INPUT_QUANTUM)
+    return draw(st.sampled_from((lift_extra_comm, lift_extra_epr)))(p, check_input=False)
+
+
+def _control_prefixed(n, targets, gates, keys, probs, message_kind, bob_ancillas, touch_last):
+    """A classical-input protocol on n input wires and one ancilla per gate:
+    the shared prefix applies each gate to its ancilla, controlled by input
+    wire ``targets[i]``; then each key applies its Pauli string to the
+    input wires, and with ``touch_last`` an X to the last ancilla too.  The
+    input wires are the message; the receiver undoes the Pauli and copies
+    each message wire into one of its ancillas, if it has one."""
+    ancillas = len(gates)
+    prefix = [(UnitaryOp(controlled_by_value([np.eye(2), g])), (t, n + i))
+              for i, (t, g) in enumerate(zip(targets, gates))]
+    tail = [(pauli_string("1"), (n + ancillas - 1,))] if touch_last else []
+    copies = [(CNOT, (i, n + i)) for i in range(min(n, bob_ancillas))]
+    return ChannelProtocol(
+        name="control-prefixed", input_kind=INPUT_CLASSICAL, input_qubits=n,
+        message_kind=message_kind,
+        resource=SharedResource.classical_key(ProbabilityDist(tuple(keys), probs)),
+        alice_ancillas=ancillas, bob_ancillas=bob_ancillas,
+        alice_ops=tuple(GateList(n + ancillas, prefix + [(pauli_string(k), range(n))] + tail)
+                        for k in keys),
+        bob_ops=tuple(GateList(n + bob_ancillas, [(pauli_string(k), range(n))] + copies)
+                      for k in keys),
+        message_subsystems=tuple(range(n)), output_subsystems=tuple(range(n)))
+
+
+@st.composite
+def control_prefixed(draw):
+    """:func:`_control_prefixed` with controlled-H or Haar-random gates:
+    an ancilla holds one value on the inputs whose control bit is 0 and two
+    on the others, so the fold pads the former with a zero column."""
+    n = draw(st.integers(1, 2))
+    ancillas = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gates = [HADAMARD if draw(st.booleans()) else haar_unitary(2, rng).matrix
+             for _ in range(ancillas)]
+    strings = ["".join(t) for t in itertools.product("0123", repeat=n)]
+    keys = draw(st.lists(st.sampled_from(strings), min_size=1, max_size=4, unique=True))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(keys),
+                                     max_size=len(keys))))
+    return _control_prefixed(
+        n, draw(st.lists(st.integers(0, n - 1), min_size=ancillas, max_size=ancillas)),
+        gates, keys, weights / weights.sum(),
+        draw(st.sampled_from((INPUT_QUANTUM, INPUT_CLASSICAL))), draw(st.integers(0, 1)),
+        draw(st.booleans()) and ancillas > 1)
+
+
+def _folded_columns(p):
+    """How many wires the basis pass of ``p`` folds, its s, and how many of
+    each input's s columns are nonzero."""
+    shared = protocols._shared_prefix(p.alice_ops)
+    head = protocols._sender_head(p, np.eye(2 ** p.input_qubits, dtype=complex), shared)
+    folded, _, s = protocols._fold(p, head, shared)
+    live = np.count_nonzero(folded.reshape(len(folded), s, -1).any(axis=0), axis=0)
+    return (len(head) // len(folded)).bit_length() - 1, s, live
+
+
+@pytest.mark.parametrize("family", [lifted, control_prefixed])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_folded_basis_pass_equals_the_per_key_sum(family, data):
+    # the control-only wires leave the rows of every key's block; the
+    # reference keeps every wire in the rows
+    p = data.draw(family())
+    wires, s, live = _folded_columns(p)
+    assert wires >= 1 and live.max() == s
+    if p.name == "control-prefixed":
+        assert live.min() < s
+    assert_pass_equals_the_per_key_sum(p, basis=True)
+
+
+def test_a_controlled_h_onto_an_ancilla_is_folded_with_padding():
+    # input 1 keeps two columns (the ancilla holds |+>), input 0 one and a
+    # zero column of padding
+    p = _control_prefixed(1, [0], [HADAMARD], ["0", "3"], np.array([0.25, 0.75]),
+                          INPUT_CLASSICAL, 1, False)
+    wires, s, live = _folded_columns(p)
+    assert (wires, s, list(live)) == (1, 2, [1, 2])
+    assert_pass_equals_the_per_key_sum(p, basis=True)
+
+
+def test_the_shared_head_is_read_only(monkeypatch):
+    # every key's stage starts from the one head block, so a stage that
+    # wrote into it would change the keys after it
+    heads = []
+    real = protocols._stage
+    monkeypatch.setattr(protocols, "_stage",
+                        lambda p, head, *args: heads.append(head) or real(p, head, *args))
+    for basis in (True, False):
+        protocols._verification_pass(lift_extra_comm(build_quantum_otp(1), False), basis)
+    assert heads and not any(head.flags.writeable for head in heads)
+    with pytest.raises(ValueError):
+        heads[0][0, 0] = 1.0
+    block = np.ones((4, 2), dtype=complex)
+    assert protocols._zero_tail(block, 0) is block
 
 
 def _traced_peak(run):
@@ -492,7 +616,7 @@ def _traced_peak(run):
 
 
 @pytest.mark.parametrize("build, basis, stacked", [
-    (lambda: lift_extra_comm(build_quantum_otp(3), check_input=False), True, False),
+    (lambda: lift_extra_comm(build_quantum_otp(3), check_input=False), True, True),
     (lambda: lift_extra_comm(build_named("teleportation", 2), check_input=False), True, False),
     (lambda: lift_extra_epr(build_named("teleportation", 2), check_input=False), True, False),
     (lambda: lift_extra_comm(build_quantum_otp(2), check_input=False), True, True),
@@ -501,9 +625,11 @@ def _traced_peak(run):
         "lift-epr-teleportation-2", "lift-comm-quantum-otp-2", "quantum-otp-4"])
 def test_stacked_pass_peak_is_the_per_key_sums_plus_two_stacks(monkeypatch, build, basis,
                                                                stacked):
-    # a factor over half of STACK_BYTES (the 12–16-wire lifts) adds its own
-    # product, with no stack; smaller ones stack, and the stack and its
-    # weighted conjugate are the only extra arrays
+    # a key whose factor takes over half of STACK_BYTES, or the only key (the
+    # teleportation-2 lifts), adds its own product, with no stack; smaller
+    # factors of several keys stack (the quantum-otp 3 lift's, 64 x 64 x 1
+    # once its input wires are folded), and the stack and its weighted
+    # conjugate are the only extra arrays
     averages = []
 
     class Recorded(protocols._KeyAverage):
@@ -518,8 +644,8 @@ def test_stacked_pass_peak_is_the_per_key_sums_plus_two_stacks(monkeypatch, buil
     assert peak <= reference + 2 * protocols.STACK_BYTES, (peak, reference)
     assert len(averages) == 1
     assert (averages[0].stack is not None) == stacked
-    factor = _factor_bytes(p, 2 ** p.input_qubits)
-    assert (2 * factor <= protocols.STACK_BYTES) == stacked, factor
+    factor = _factor_bytes(lambda: protocols._verification_pass(p, basis))
+    assert (2 * factor <= protocols.STACK_BYTES and p.key_count > 1) == stacked, factor
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
