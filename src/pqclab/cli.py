@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reductions
-from .entropy import mutual_information, relative_entropy, stack_slacks
+from .entropy import stack_cross_check, stack_slacks
 from .protocols import (
     PROTOCOL_BUILDERS,
     ChannelProtocol,
@@ -32,16 +32,7 @@ from .protocols import (
     security_deviations,
     verify_correctness,
 )
-from .qmath import (
-    ALGEBRA_TOL,
-    ENTROPY_TOL,
-    DensityOp,
-    SystemLayout,
-    matrix_to_json,
-    random_density,
-    random_density_matrix,
-    reduced_matrix,
-)
+from .qmath import ALGEBRA_TOL, ENTROPY_TOL, matrix_to_json, random_density_matrix
 
 REPORT_SCHEMA = 4
 #: samples per stacked chunk of the inequality sweep: its memory bound
@@ -198,15 +189,8 @@ def cmd_inequalities(args) -> tuple[dict, int]:
         for start in range(0, cfg.samples, SWEEP_CHUNK))
 
     cross_samples = min(cfg.samples, 200)
-    pair_layout = SystemLayout.qubits(2)
-    cross_dev = 0.0
-    for _ in range(cross_samples):
-        rho = random_density(pair_layout, rng)
-        product = np.kron(reduced_matrix(rho.matrix, pair_layout.dims, [0]),
-                          reduced_matrix(rho.matrix, pair_layout.dims, [1]))
-        mi = mutual_information(rho, (0,), (1,))
-        re_val = relative_entropy(rho, DensityOp(pair_layout, product))
-        cross_dev = max(cross_dev, abs(mi - re_val))
+    cross_dev = float(stack_cross_check(
+        np.stack([random_density_matrix(4, rng) for _ in range(cross_samples)])).max())
 
     report["inequalities"] = [
         {("max_residual" if name == "chain_rule" else "min_slack"): slack, "name": name,

@@ -96,19 +96,27 @@ def von_neumann(rho: DensityOp, clip: float = EIGENVALUE_CLIP) -> float:
     return _entropy_of_probs(np.linalg.eigvalsh(rho.matrix), clip)
 
 
+def _relative_entropy(rho: np.ndarray, sigma: np.ndarray,
+                      clip: float = EIGENVALUE_CLIP) -> np.ndarray:
+    """Tr rho (log2 rho - log2 sigma) of raw matrices, or of each pair of rows
+    of stacks (..., d, d): +inf where rho leaves sigma's support.  Both sums
+    are masked, a kernel term of the cross sum being diag · log2 1 = 0, so a
+    row sums exact zeros in place of the terms it leaves out."""
+    svals, svecs = np.linalg.eigh(sigma)
+    diag = np.real(np.einsum("...ji,...jk,...ki->...i", svecs.conj(), rho, svecs))
+    support = svals > clip
+    kernel_weight = np.sum(np.where(support, 0.0, diag), axis=-1)
+    cross = np.sum(diag * np.log2(np.where(support, svals, 1.0)), axis=-1)
+    value = -_entropy_of_probs(np.linalg.eigvalsh(rho), clip) - cross
+    return np.where(kernel_weight > clip, math.inf, value)
+
+
 def relative_entropy(rho: DensityOp, sigma: DensityOp,
                      clip: float = EIGENVALUE_CLIP) -> float:
     """Tr rho (log2 rho - log2 sigma); +inf iff rho leaves sigma's support."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    svals, svecs = np.linalg.eigh(sigma.matrix)
-    diag = np.real(np.einsum("ij,jk,ki->i", svecs.conj().T, rho.matrix, svecs))
-    kernel_weight = float(np.sum(diag[svals <= clip]))
-    if kernel_weight > clip:
-        return math.inf
-    support = svals > clip
-    cross = float(np.sum(diag[support] * np.log2(svals[support])))
-    return -_entropy_of_probs(np.linalg.eigvalsh(rho.matrix), clip) - cross
+    return float(_relative_entropy(rho.matrix, sigma.matrix, clip))
 
 
 def _set_entropy(matrix: np.ndarray, dims: Sequence[int], group: Sequence[int],
@@ -208,6 +216,17 @@ def stack_slacks(matrices: np.ndarray, dims: Sequence[int], a: Sequence[int],
     stack (k, d, d) of states on ``dims``, which are taken as valid."""
     s = _group_entropies(matrices, dims)
     return {**_entropy_slacks(s, a, b, c, False), **_correlation_slacks(s, a, b, c, False)}
+
+
+def stack_cross_check(matrices: np.ndarray) -> np.ndarray:
+    """|I(A:B) − S(ρ ‖ ρ_A ⊗ ρ_B)| for each two-qubit state of a stack
+    (k, 4, 4), taken as valid; the relative entropy reads the eigensolve of
+    the product itself, never the additivity of its logarithm."""
+    s = _group_entropies(matrices, [2, 2])
+    rho_a, rho_b = (reduced_matrix(matrices, [2, 2], [i]) for i in (0, 1))
+    product = rho_a[..., :, None, :, None] * rho_b[..., None, :, None, :]
+    return np.abs(s((0,)) + s((1,)) - s((0,), (1,))
+                  - _relative_entropy(matrices, product.reshape(matrices.shape)))
 
 
 def _reports(rho: DensityOp, slacks, *args) -> list[InequalityReport]:

@@ -52,7 +52,7 @@ DESCRIPTOR_BYTE_LIMIT = 1 << 25
 #: widest run of consecutive gates a gate list applies as one dense gate
 #: (2^8 x 2^8 on qubits)
 FUSION_WIRES = 8
-#: bytes of kept-wire factors a :class:`_KeyAverage` stacks per Gram product
+#: bytes of kept-wire factors or receiver blocks stacked per batched product
 STACK_BYTES = 1 << 22
 
 RESOURCE_NONE = "none"
@@ -413,7 +413,7 @@ def _receiver_stage(p: ChannelProtocol, block: np.ndarray, dims: list[int], key_
 
 
 def _correctness_bound(block: np.ndarray, dims: list[int], outputs: list[int],
-                       basis: bool) -> float:
+                       basis: bool) -> float | np.ndarray:
     """How far one key's channel is from the identity, in trace-distance
     units, read off its receiver block W, indexed [output, rest, input a].
 
@@ -422,20 +422,24 @@ def _correctness_bound(block: np.ndarray, dims: list[int], outputs: list[int],
     least the trace distance (Fuchs and van de Graaf, 1999), and equal for a
     pure output.  Otherwise min(1, ‖W − I ⊗ j‖_op), j the normalized
     Σ_a (<a| ⊗ I) W|a> (1.0 if that is 0), which bounds ½‖Φ − id‖_⋄ over
-    every input (Kretschmann, Schlingemann and Werner, 2008).
+    every input (Kretschmann, Schlingemann and Werner, 2008); for each block
+    of a stack (..., rows, d), by one batched norm.
     """
-    d = block.shape[1]
+    d, shape = block.shape[-1], block.shape[:-2]
     rest = [i for i in range(len(dims)) if i not in outputs]
-    w = block.reshape(dims + [d]).transpose(outputs + rest + [len(dims)]).reshape(d, -1, d)
+    axes = list(range(len(shape))) + [len(shape) + i for i in outputs + rest + [len(dims)]]
+    w = block.reshape(shape + (*dims, d)).transpose(axes).reshape(shape + (d, -1, d))
     if basis:
         weight = np.sum(np.abs(w) ** 2, axis=1)
         weight[np.diag_indices(d)] = 0.0
         return math.sqrt(float(weight.sum(axis=0).max()))
-    j = np.einsum("ara->r", w)
-    if not j.any():
-        return 1.0
-    w = w - np.einsum("xa,r->xra", np.eye(d), j / np.linalg.norm(j))
-    return min(1.0, float(np.linalg.norm(w.reshape(-1, d), 2)))
+    j = np.einsum("...ara->...r", w)
+    live = j.any(axis=-1)
+    re, im = j.real[..., None, :], j.imag[..., None, :]  # np.linalg.norm's dot products:
+    norm = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+    w = w - np.einsum("xa,...r->...xra", np.eye(d), j / np.where(live[..., None], norm, 1.0))
+    bound = np.minimum(1.0, np.linalg.norm(w.reshape(shape + (-1, d)), 2, axis=(-2, -1)))
+    return np.where(live, bound, 1.0)
 
 
 class _KeyAverage:
@@ -501,25 +505,34 @@ def _verification_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, flo
     [a, b, x, y] and read off the Choi vectors Σ_a V|a>|a>; with ``basis``
     only E(|a><a|), indexed [a, x, y] and read off the columns V|a>, so its
     rows are the basis inputs' wire states, run on the block :func:`_fold`
-    leaves.  Keys add up in a :class:`_KeyAverage`; their shared block is read-only."""
+    leaves.  Keys add up in a :class:`_KeyAverage`, and over every input their
+    receiver blocks stack up to STACK_BYTES; their shared block is read-only."""
     d, dm = 2 ** p.input_qubits, 2 ** p.message_qubits
     shared = _shared_prefix(p.alice_ops)
     head = _sender_head(p, np.eye(d, dtype=complex), shared)
     head, wires, s = _fold(p, head, shared) if basis else (head, None, 1)
     head.flags.writeable = False
-    average, correctness = _KeyAverage(p.key_count), 0.0
+    average, correctness, stack, used = _KeyAverage(p.key_count), 0.0, None, 0
     for k, prob in enumerate(p.key_probs):
         block, dims, keep = _stage(p, head, k, shared, wires)
         columns = (block.reshape(-1, d), dims + [s], keep) if basis else (
             block.reshape(-1), dims + [d], [len(dims)] + keep)
         average.add(prob, kept_factor(*columns))
         block, dims, outputs = _receiver_stage(p, block, dims, k, wires)
-        correctness = max(correctness, _correctness_bound(
-            block.reshape(-1, d), dims + [s], outputs, basis))
+        block, dims = block.reshape(-1, d), dims + [s]
+        if basis or 2 * block.nbytes > STACK_BYTES:
+            correctness = max(correctness, _correctness_bound(block, dims, outputs, basis))
+            continue
+        if stack is None:
+            stack = np.empty((min(p.key_count, STACK_BYTES // block.nbytes), *block.shape), complex)
+        stack[used], used = block, used + 1
+        if used == len(stack) or k == p.key_count - 1:
+            correctness = max(correctness, *_correctness_bound(stack[:used], dims, outputs, False))
+            used = 0
     table = average.result()
     table = table if basis else table.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)
     table.flags.writeable = False
-    return table, correctness
+    return table, float(correctness)
 
 
 #: the last verification pass, as [protocol, basis flag, pass result]

@@ -458,10 +458,9 @@ def check_obliviousness(rsp: ObliviousRsp,
     eig = np.linalg.eigvalsh(gram)
     ref = gram[:, 0, 0].real
     dims = [2] * (rsp.bob_qubits + rsp.bob_ancillas)
-    eps = np.zeros(len(blocks))
-    for m in np.flatnonzero(eig[:, -1] >= RSP_PROB_FLOOR):
-        eps[m] = _correctness_bound(blocks[m] / np.sqrt(eig[m, -1]), dims,
-                                    list(rsp.output_subsystems), basis=False)
+    eps, live = np.zeros(len(blocks)), eig[:, -1] >= RSP_PROB_FLOOR
+    eps[live] = _correctness_bound(blocks[live] / np.sqrt(eig[live, -1])[:, None, None], dims,
+                                   list(rsp.output_subsystems), basis=False)
     residue_bound = np.minimum(1.0, 4 * eps) if len(dims) > rsp.n else np.zeros_like(eps)
     values = {"message_probs": np.maximum(eig[:, -1] - ref, ref - eig[:, 0]),
               "output_state": np.minimum(1.0, 2 * eps),

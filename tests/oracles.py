@@ -1,7 +1,7 @@
 """Reference helpers that only the tests use: gates on kets and on the full
 product space, ray comparison, the probe inputs of the per-probe reference,
-per-probe views of a protocol's sender stage and channel table, and the key
-average summed key by key."""
+per-probe views of a protocol's sender stage and channel table, and the
+verification pass's key average and correctness bound, one key at a time."""
 
 import math
 from typing import Sequence
@@ -128,6 +128,23 @@ def per_key_encode(p: ChannelProtocol, input_ket: Ket) -> DensityOp:
     return DensityOp(SystemLayout.qubits(p.message_qubits), acc)
 
 
+def per_key_bound(block: np.ndarray, dims: list[int], outputs: list[int],
+                  basis: bool) -> float:
+    """``_correctness_bound`` of one key's receiver block, over every input
+    with one operator norm per key: min(1, ‖W − I ⊗ j‖_op), j the normalized
+    Σ_a (<a| ⊗ I) W|a>, 1.0 if that is 0.  Over the basis, the engine's own."""
+    if basis:
+        return _correctness_bound(block, dims, outputs, True)
+    d = block.shape[1]
+    rest = [i for i in range(len(dims)) if i not in outputs]
+    w = block.reshape(dims + [d]).transpose(outputs + rest + [len(dims)]).reshape(d, -1, d)
+    j = np.einsum("ara->r", w)
+    if not j.any():
+        return 1.0
+    w = w - np.einsum("xa,r->xra", np.eye(d), j / np.linalg.norm(j))
+    return min(1.0, float(np.linalg.norm(w.reshape(-1, d), 2)))
+
+
 def per_key_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, float]:
     """The channel table and correctness bound of the verification pass,
     with each key's reduced state from ``reduced_from_vector`` weighted and
@@ -142,6 +159,6 @@ def per_key_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, float]:
         columns = (block, dims, keep) if basis else (
             block.reshape(-1), dims + [d], [len(dims)] + keep)
         acc = acc + prob * reduced_from_vector(*columns)
-        correctness = max(correctness, _correctness_bound(
+        correctness = max(correctness, per_key_bound(
             *_receiver_stage(p, block, dims, k), basis))
     return (acc if basis else acc.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)), correctness

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -224,6 +225,18 @@ def test_tied_samples_name_the_first_as_witness():
         for _, index, witness in _worst_samples(chunks).values():
             assert index in (0, 1)
             assert np.array_equal(witness, (other, m)[index])
+
+
+def test_inequalities_validates_no_state(capsys):
+    # every state is an internal draw: the sweep and the cross-check keep
+    # them as raw matrices, so no DensityOp is built, and none validated
+    init = DensityOp.__post_init__
+    built = []
+    with mock.patch.object(DensityOp, "__post_init__",
+                           lambda self: built.append(self) or init(self)):
+        code = main(["inequalities", "--samples", "500"])
+    assert (code, json.loads(capsys.readouterr().out)["pass"]) == (0, True)
+    assert len(built) == 0
 
 
 def test_inequalities_memory_is_bounded_by_the_chunk(capsys):

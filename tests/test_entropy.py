@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqclab.entropy import (
     InequalityReport,
     _entropy_of_probs,
+    _relative_entropy,
     ProbabilityDist,
     check_correlation_bounds,
     check_entropy_inequalities,
@@ -15,6 +18,7 @@ from pqclab.entropy import (
     mutual_information,
     relative_entropy,
     shannon_entropy,
+    stack_cross_check,
     stack_slacks,
     von_neumann,
 )
@@ -27,6 +31,7 @@ from pqclab.qmath import (
     partial_trace,
     random_density,
     random_density_matrix,
+    reduced_matrix,
 )
 
 Q1 = SystemLayout.qubits(1)
@@ -432,3 +437,48 @@ def test_entropy_of_a_stack_row_equals_the_single_spectrum():
     assert stacked.shape == (4,)
     assert [_entropy_of_probs(row) for row in spectra] == stacked.tolist()
     assert stacked.tolist() == pytest.approx([1.5, 2.0, 0.0, _entropy_of_probs([0.7, 0.2, 0.1])])
+
+
+# ---------------------------------------------------------------------------
+# the stacked cross-check against the one-state identity
+
+
+def one_state_cross_check(rho):
+    product = np.kron(reduced_matrix(rho.matrix, Q2.dims, [0]),
+                      reduced_matrix(rho.matrix, Q2.dims, [1]))
+    return abs(mutual_information(rho, (0,), (1,))
+               - relative_entropy(rho, DensityOp(Q2, product)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=8), st.integers(0, 2 ** 32 - 1))
+def test_stacked_cross_check_equals_the_one_state_identity(ranks, seed):
+    rng = np.random.default_rng(seed)
+    states = [random_density(Q2, rng, rank) for rank in ranks]
+    stacked = stack_cross_check(np.stack([rho.matrix for rho in states]))
+    assert stacked.tolist() == [one_state_cross_check(rho) for rho in states]
+
+
+def test_stacked_cross_check_on_singular_products():
+    # |00>, |0> ⊗ I/2 and the classically correlated (|00><00| + |11><11|)/2:
+    # products of rank 1, 2 and 4
+    states = [np.diag(v).astype(complex) for v in ([1, 0, 0, 0], [0.5, 0.5, 0, 0],
+                                                    [0.5, 0, 0, 0.5])]
+    stacked = stack_cross_check(np.stack(states))
+    assert stacked.tolist() == [one_state_cross_check(DensityOp(Q2, m)) for m in states]
+    assert stacked.tolist() == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
+
+
+def test_stacked_relative_entropy_is_infinite_only_on_the_row_leaving_the_support():
+    rng = np.random.default_rng(8)
+    low = np.diag([0.5, 0.5, 0, 0]).astype(complex)  # support span{|00>, |01>}
+    inside = np.zeros((4, 4), dtype=complex)
+    inside[:2, :2] = random_density_matrix(2, rng)
+    rhos = [random_density_matrix(4, rng), np.diag([1, 0, 0, 0]).astype(complex),
+            np.diag([0.5, 0, 0.5, 0]).astype(complex), inside]
+    sigmas = [random_density_matrix(4, rng), low, low, low]
+    stacked = _relative_entropy(np.stack(rhos), np.stack(sigmas))
+    assert np.isinf(stacked).tolist() == [False, False, True, False]
+    assert stacked.tolist() == [relative_entropy(DensityOp(Q2, r), DensityOp(Q2, s))
+                                for r, s in zip(rhos, sigmas)]
+    assert stacked[1] == pytest.approx(1.0)

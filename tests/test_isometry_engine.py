@@ -498,6 +498,39 @@ def test_stacked_table_equals_the_per_key_sum(p, seed):
         assert max_abs(rho - per_key_encode(p, ket).matrix) <= TOL, per_stack
 
 
+def assert_bound_equals_the_per_key_form(p):
+    """Over every input, stacks of one receiver block, of keys − 1 blocks and
+    of every block: the pass's correctness bound is bit for bit the worst
+    per-key bound of ``per_key_pass``, and the stacks are the ones asked for."""
+    keys, block_bytes = p.key_count, 16 * 2 ** (p.engine_qubits + p.input_qubits)
+    reference = per_key_pass(p, False)[1]
+    bound = protocols._correctness_bound
+    for per_stack in sorted({1, max(1, keys - 1), keys}):
+        sizes = []
+        with mock.patch.object(protocols, "STACK_BYTES", per_stack * block_bytes), \
+                mock.patch.object(protocols, "_correctness_bound", lambda block, *args: sizes.append(
+                    len(block) if block.ndim == 3 else 1) or bound(block, *args)):
+            correctness = protocols._verification_pass(p, False)[1]
+        if per_stack == 1:
+            assert sizes == [1] * keys
+        else:
+            assert sizes == [per_stack] * (keys // per_stack) + [keys % per_stack] * (
+                keys % per_stack > 0), (per_stack, sizes)
+        assert correctness == reference, (per_stack, correctness, reference)
+
+
+@pytest.mark.parametrize("builder", [("quantum-otp", n) for n in (1, 2, 3, 4)]
+                         + [("teleportation", 1), ("broken-otp", 1)])
+def test_stacked_correctness_bound_equals_the_per_key_form_on_builders(builder):
+    assert_bound_equals_the_per_key_form(build_named(*builder))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(pauli_keyed(), haar_keyed()))
+def test_stacked_correctness_bound_equals_the_per_key_form(p):
+    assert_bound_equals_the_per_key_form(p)
+
+
 # ---------------------------------------------------------------------------
 # the basis pass with its control-only wires folded into the columns
 

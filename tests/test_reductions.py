@@ -36,6 +36,7 @@ from pqclab.qmath import (
     trace_distance,
 )
 from pqclab.reductions import (
+    RSP_PROB_FLOOR,
     BoundAudit,
     ObliviousnessError,
     ObliviousRsp,
@@ -47,10 +48,11 @@ from pqclab.reductions import (
     non_oblivious_rsp,
     rsp_message_probs,
     rsp_to_pqc,
+    _receiver_blocks,
     teleportation_rsp,
 )
 
-from oracles import probes
+from oracles import per_key_bound, probes
 
 Q1 = SystemLayout.qubits(1)
 
@@ -489,3 +491,32 @@ def test_obliviousness_certificate_bounds_oracle_on_random_rsps(
         corrections=corrections, bob_ancillas=ancillas,
         output_subsystems=tuple(int(w) for w in perm[:n]))
     assert_certificate_bounds_oracle(rsp, random_probes=0)
+
+
+def perturbed_rsp(n):
+    """teleportation_rsp(n) with each correction followed by exp(i 0.01 H)."""
+    rng = np.random.default_rng(n)
+    good = teleportation_rsp(n)
+    return dataclasses.replace(good, corrections=tuple(
+        UnitaryOp(near_identity(2 ** n, 1e-2, rng) @ c.matrix) for c in good.corrections))
+
+
+@pytest.mark.parametrize("build,n", [(teleportation_rsp, n) for n in (1, 2, 3, 4)]
+                         + [(non_oblivious_rsp, 1), (non_oblivious_rsp, 2),
+                            (perturbed_rsp, 1), (perturbed_rsp, 2)])
+def test_certificate_bounds_every_live_message_as_the_per_key_form(build, n):
+    # the batched bound over the live messages, bit for bit one per-key bound
+    # of W_m/√λ_max per message; the teleportation RSPs' values stay exact 0
+    rsp = build(n)
+    blocks = _receiver_blocks(rsp)
+    top = np.linalg.eigvalsh(np.einsum("mri,mrj->mij", blocks.conj(), blocks))[:, -1]
+    dims = [2] * (rsp.bob_qubits + rsp.bob_ancillas)
+    eps = np.array([per_key_bound(w / np.sqrt(lam), dims, list(rsp.output_subsystems), False)
+                    if lam >= RSP_PROB_FLOOR else 0.0 for w, lam in zip(blocks, top)])
+    checks = check_obliviousness(rsp)
+    output_state = np.minimum(1.0, 2 * eps)
+    assert checks["output_state"] == (float(output_state.max()), int(np.argmax(output_state)))
+    if build is teleportation_rsp:
+        assert all(value == (0.0, 0) for value in checks.values())
+    if build is perturbed_rsp:
+        assert 0.0 < checks["output_state"][0] < 1.0
