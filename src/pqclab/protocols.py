@@ -354,25 +354,33 @@ class ChannelProtocol:
 # message adds to the channel table, and its receiver stage continues from
 # the same block, that key's isometry block, whose correctness bound is read
 # off it.  Every security part is read off the table.  Over the basis, the
-# keys run without the wires only the shared prefix touches (:func:`_fold`).
+# input wires that are only controls of the shared prefix fold out before it
+# runs, and the other wires only the prefix touches after it (:func:`_fold`).
 
 
 def _zero_tail(block: np.ndarray, qubits: int) -> np.ndarray:
     return np.kron(block, np.eye(2 ** qubits, 1, dtype=complex)) if qubits else block
 
 
-def _sender_head(p: ChannelProtocol, inputs: np.ndarray, gates: int = 0) -> np.ndarray:
+def _sender_head(p: ChannelProtocol, inputs: np.ndarray, gates: int = 0,
+                 early: Sequence[int] = ()) -> np.ndarray:
     """Every column of ``inputs`` (input dim x columns) with the sender's
     ancillas and the shared state attached, then the first ``gates`` gates of
-    the sender's operation applied (those every key shares)."""
-    if inputs.shape[0] != 2 ** p.input_qubits:
-        raise ValueError(
-            f"input dimension {inputs.shape[0]} does not match {p.input_qubits} qubits")
-    block = _zero_tail(inputs, p.alice_ancillas)
+    the sender's operation applied (those every key shares).  The input
+    wires ``early`` (:func:`_foldable`) are summed out of the rows of the
+    basis ``inputs``: in column a each is its bit of a, so the gates act on
+    it as on a column axis, which gates block-diagonal in it never mix."""
+    n = p.input_qubits
+    if inputs.shape[0] != 2 ** n:
+        raise ValueError(f"input dimension {inputs.shape[0]} does not match {n} qubits")
+    block = inputs.reshape([2] * n + [-1]).sum(axis=tuple(early)).reshape(-1, inputs.shape[1])
+    block = _zero_tail(block, p.alice_ancillas)
     if p.resource.psi_ab is not None:
         block = np.kron(block, p.resource.psi_ab.amplitudes[:, None])
-    dims = [2] * (p.sender_qubits + p.resource.bob_qubits)
-    return p.alice_ops[0].apply(block, dims, range(p.sender_qubits), stop=gates)
+    rows = p.sender_qubits + p.resource.bob_qubits - len(early)
+    wires = [rows + w if w in early else w - sum(e < w for e in early)
+             for w in range(p.sender_qubits)]
+    return p.alice_ops[0].apply(block, [2] * (rows + n * bool(early)), wires, stop=gates)
 
 
 def _stage(p: ChannelProtocol, head: np.ndarray, key_index: int, start: int = 0,
@@ -474,24 +482,43 @@ class _KeyAverage:
         return self.total
 
 
-def _fold(p: ChannelProtocol, head: np.ndarray,
-          shared: int) -> tuple[np.ndarray, list[int], int]:
-    """The basis block ``head`` with the sender wires that are no message
-    wire and that no gate after the ``shared`` prefix (nor the receiver)
-    touches moved into its columns, as pairs (u, a), u major; each input
-    keeps its nonzero pairs, padded with zero columns to s.  Such wires are
-    rest wires, so R rows and s·d columns are R·s rows, the last a rest wire
-    of dimension s, and d columns.  Also the map of each engine wire to its
-    row, one up per folded wire below it: with none folded, w to w."""
+def _block_diagonal(gate: np.ndarray, i: int) -> bool:
+    """Whether every entry of ``gate`` coupling two values of its wire i is 0.0."""
+    k = gate.shape[0].bit_length() - 1
+    g = gate.reshape(2 ** i, 2, 2 ** (k - i - 1), 2 ** i, 2, 2 ** (k - i - 1))
+    return not (g[:, 0, :, :, 1].any() or g[:, 1, :, :, 0].any())
+
+
+def _foldable(p: ChannelProtocol, shared: int) -> tuple[list[int], list[int]]:
+    """The sender wires that are no message wire and that no gate after the
+    ``shared`` prefix (nor the receiver) touches; and those of them that are
+    input wires that every prefix gate on them is exactly block-diagonal in
+    (:func:`_block_diagonal`), so in basis column a they hold their bit of a."""
     touched = set(p.message_subsystems).union(*(t for op in p.alice_ops
                                                 for _, t in op.gates[shared:]))
     folded = [w for w in range(p.sender_qubits) if w not in touched]
+    early = [w for w in folded if w < p.input_qubits and all(
+        _block_diagonal(g.matrix, t.index(w)) for g, t in p.alice_ops[0].gates[:shared]
+        if w in t)]
+    return folded, early
+
+
+def _fold(p: ChannelProtocol, head: np.ndarray, folded: Sequence[int],
+          early: Sequence[int]) -> tuple[np.ndarray, list[int], int]:
+    """The basis block ``head`` (:func:`_sender_head`, ``early`` summed out)
+    with the other wires ``folded`` (:func:`_foldable`) moved into its
+    columns, as pairs (u, a), u major; each input keeps its nonzero pairs,
+    padded with zero columns to s.  Such wires are rest wires, so R rows and
+    s·d columns are R·s rows, the last a rest wire of dimension s, and d
+    columns.  Also the map of each engine wire to its row, one up per folded
+    wire below it: with none folded, w to w."""
     wires = [w - sum(f < w for f in folded) for w in range(p.engine_qubits)]
-    if not folded:
+    late = [w - sum(e < w for e in early) for w in folded if w not in early]
+    if not late:
         return head, wires, 1
     n, d = head.shape[0].bit_length() - 1, head.shape[1]
-    axes = sorted(range(n), key=folded.__contains__) + [n]  # rows, folded wires, inputs
-    t = head.reshape([2] * n + [d]).transpose(axes).reshape(-1, 2 ** len(folded), d)
+    axes = sorted(range(n), key=late.__contains__) + [n]  # rows, folded wires, inputs
+    t = head.reshape([2] * n + [d]).transpose(axes).reshape(-1, 2 ** len(late), d)
     live = t.any(axis=0)
     s = int(live.sum(axis=0).max())
     order = np.argsort(~live, axis=0, kind="stable")[:s]  # nonzero pairs first
@@ -509,8 +536,9 @@ def _verification_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, flo
     receiver blocks stack up to STACK_BYTES; their shared block is read-only."""
     d, dm = 2 ** p.input_qubits, 2 ** p.message_qubits
     shared = _shared_prefix(p.alice_ops)
-    head = _sender_head(p, np.eye(d, dtype=complex), shared)
-    head, wires, s = _fold(p, head, shared) if basis else (head, None, 1)
+    folded, early = _foldable(p, shared) if basis else ([], [])
+    head = _sender_head(p, np.eye(d, dtype=complex), shared, early)
+    head, wires, s = _fold(p, head, folded, early)
     head.flags.writeable = False
     average, correctness, stack, used = _KeyAverage(p.key_count), 0.0, None, 0
     for k, prob in enumerate(p.key_probs):
@@ -731,9 +759,10 @@ def require_lift_scale(p: ChannelProtocol):
     """Reject quantum-input protocols whose audit lifts are beyond desk scale:
     each carries 2n classical bits on 3n more wires than ``p``, on its 2^(2n)
     basis inputs, keys x 2^(engine register + 5n) amplitudes, which must stay
-    within DESK_SCALE_LIMIT^2.  That is the load before the pass folds the
-    2n input wires out (:func:`_fold`); the rule is kept as it is, so the
-    protocols it admits and refuses do not change."""
+    within DESK_SCALE_LIMIT^2.  That is the unfolded load: the basis pass
+    folds the 2n input wires out before the shared prefix, and the other
+    wires only the prefix touches after it (:func:`_fold`); the rule is kept
+    as it is, so the protocols it admits and refuses do not change."""
     require_load(f"{p.name} audit lift", p.key_count,
                  p.engine_qubits + 5 * p.input_qubits, scale=2)
 

@@ -590,13 +590,19 @@ def control_prefixed(draw):
 
 
 def _folded_columns(p):
-    """How many wires the basis pass of ``p`` folds, its s, and how many of
-    each input's s columns are nonzero."""
-    shared = protocols._shared_prefix(p.alice_ops)
-    head = protocols._sender_head(p, np.eye(2 ** p.input_qubits, dtype=complex), shared)
-    folded, _, s = protocols._fold(p, head, shared)
-    live = np.count_nonzero(folded.reshape(len(folded), s, -1).any(axis=0), axis=0)
-    return (len(head) // len(folded)).bit_length() - 1, s, live
+    """How many input wires the basis pass of ``p`` folds before its shared
+    prefix and how many wires after it, its s, and how many of each input's
+    s columns are nonzero, measured on the blocks that the pass hands to
+    ``protocols._fold`` and gets back from it."""
+    calls = []
+    fold = protocols._fold
+    with mock.patch.object(protocols, "_fold",
+                           lambda *args: calls.append((args[1], fold(*args))) or calls[-1][1]):
+        protocols._verification_pass(p, True)
+    (head, (block, _, s)), = calls
+    early = p.sender_qubits + p.resource.bob_qubits - (len(head).bit_length() - 1)
+    live = np.count_nonzero(block.reshape(len(block), s, -1).any(axis=0), axis=0)
+    return early, (len(head) // len(block)).bit_length() - 1, s, live
 
 
 @pytest.mark.parametrize("family", [lifted, control_prefixed])
@@ -604,12 +610,16 @@ def _folded_columns(p):
 @given(data=st.data())
 def test_folded_basis_pass_equals_the_per_key_sum(family, data):
     # the control-only wires leave the rows of every key's block; the
-    # reference keeps every wire in the rows
+    # reference keeps every wire in the rows.  A lift's input wires are only
+    # controls of its prefix, so they fold before it; the ancillas that
+    # control_prefixed's gates target fold after it
     p = data.draw(family())
-    wires, s, live = _folded_columns(p)
-    assert wires >= 1 and live.max() == s
+    early, late, s, live = _folded_columns(p)
+    assert live.max() == s
     if p.name == "control-prefixed":
-        assert live.min() < s
+        assert (early, late >= 1, live.min() < s) == (0, True, True)
+    else:
+        assert early == p.input_qubits
     assert_pass_equals_the_per_key_sum(p, basis=True)
 
 
@@ -618,8 +628,106 @@ def test_a_controlled_h_onto_an_ancilla_is_folded_with_padding():
     # zero column of padding
     p = _control_prefixed(1, [0], [HADAMARD], ["0", "3"], np.array([0.25, 0.75]),
                           INPUT_CLASSICAL, 1, False)
-    wires, s, live = _folded_columns(p)
-    assert (wires, s, list(live)) == (1, 2, [1, 2])
+    early, late, s, live = _folded_columns(p)
+    assert (early, late, s, list(live)) == (0, 1, 2, [1, 2])
+    assert_pass_equals_the_per_key_sum(p, basis=True)
+
+
+def _lifts(builder, n):
+    return [lambda lift=lift: lift(build_named(builder, n), check_input=False)
+            for lift in (lift_extra_comm, lift_extra_epr)]
+
+
+# each protocol of the benchmark that folds input wires before its prefix,
+# with how many, and some that fold none: their inputs are message wires
+EARLY_FOLDS = [(lambda n=n: build_named("superdense", n), n) for n in (2, 4, 6)] + [
+    (lift, 2 * n) for n in (1, 3) for lift in _lifts("quantum-otp", n)] + [
+    (lift, 4) for builder in ("teleportation", "broken-teleportation")
+    for lift in _lifts(builder, 2)] + [
+    (lambda: build_named("classical-otp", 4), 0), (lambda: build_named("epr-otp", 3), 0),
+    (lambda: build_named("identity-leaky", 6), 0)]
+
+
+@pytest.mark.parametrize("build, early", EARLY_FOLDS, ids=[
+    "superdense-2", "superdense-4", "superdense-6", "lift-comm-quantum-otp-1",
+    "lift-epr-quantum-otp-1", "lift-comm-quantum-otp-3", "lift-epr-quantum-otp-3",
+    "lift-comm-teleportation-2", "lift-epr-teleportation-2",
+    "lift-comm-broken-teleportation-2", "lift-epr-broken-teleportation-2",
+    "classical-otp-4", "epr-otp-3", "identity-leaky-6"])
+def test_builders_fold_their_control_only_inputs_before_the_prefix(build, early):
+    p = build()
+    assert _folded_columns(p)[0] == early
+    assert_pass_equals_the_per_key_sum(p, basis=True)
+
+
+#: what the shared prefix does with an input wire: only "controlled" leaves
+#: it a control that every prefix gate is exactly block-diagonal in
+PREFIX_KINDS = ("controlled", "local", "cnot-target", "tiny", "tail-control")
+
+
+def _input_gated(kinds, gates, keys, probs, message_kind):
+    """A classical-input protocol on one input wire per entry of ``kinds``
+    and as many ancillas, the message.  For input wire i the shared prefix
+    applies ``gates[i]`` to ancilla i controlled by wire i, and before it,
+    by ``kinds[i]``: with "local", ``gates[i]`` to wire i itself; with
+    "cnot-target", H to ancilla i and a CNOT from it onto wire i instead of
+    the controlled gate; with "tiny", nothing, but the controlled gate has
+    one 1e-17 entry that couples wire i's two values.  With "tail-control",
+    each key then applies its own CNOT from wire i onto ancilla i, after the
+    prefix.  Each key ends with its Pauli string on the ancillas, which the
+    receiver undoes."""
+    n = len(kinds)
+    prefix, tail = [], []
+    for i, (kind, g) in enumerate(zip(kinds, gates)):
+        controlled = controlled_by_value([np.eye(2), g])
+        if kind == "tiny":
+            controlled[0, 2] = 1e-17
+        if kind == "local":
+            prefix.append((UnitaryOp(g), (i,)))
+        if kind == "cnot-target":
+            prefix += [(UnitaryOp(HADAMARD), (n + i,)), (UnitaryOp(CNOT), (n + i, i))]
+        else:
+            prefix.append((UnitaryOp(controlled), (i, n + i)))
+        if kind == "tail-control":
+            tail.append(i)
+    ancillas = tuple(range(n, 2 * n))
+    return ChannelProtocol(
+        name="input-gated", input_kind=INPUT_CLASSICAL, input_qubits=n,
+        message_kind=message_kind,
+        resource=SharedResource.classical_key(ProbabilityDist(tuple(keys), probs)),
+        alice_ancillas=n, bob_ancillas=0,
+        alice_ops=tuple(GateList(2 * n, prefix + [(UnitaryOp(CNOT), (i, n + i)) for i in tail]
+                                 + [(pauli_string(k), ancillas)]) for k in keys),
+        bob_ops=tuple(GateList(n, [(pauli_string(k), range(n))]) for k in keys),
+        message_subsystems=ancillas, output_subsystems=tuple(range(n)))
+
+
+@st.composite
+def input_gated(draw):
+    """The kinds drawn and :func:`_input_gated` on one or two input wires,
+    each with a prefix kind, and H or Haar-random gates; "tail-control"
+    needs two keys, or the tail would be part of the prefix."""
+    kinds = draw(st.lists(st.sampled_from(PREFIX_KINDS), min_size=1, max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gates = [HADAMARD if draw(st.booleans()) else haar_unitary(2, rng).matrix for _ in kinds]
+    strings = ["".join(t) for t in itertools.product("0123", repeat=len(kinds))]
+    keys = draw(st.lists(st.sampled_from(strings), max_size=4, unique=True,
+                         min_size=2 if "tail-control" in kinds else 1))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(keys),
+                                     max_size=len(keys))))
+    return kinds, _input_gated(kinds, gates, keys, weights / weights.sum(),
+                               draw(st.sampled_from((INPUT_QUANTUM, INPUT_CLASSICAL))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(input_gated())
+def test_only_exactly_block_diagonal_controls_fold_before_the_prefix(drawn):
+    # a wire folds before the prefix only if it is a control there and in no
+    # later gate; the others that no gate after the prefix touches fold after it
+    kinds, p = drawn
+    early, late, _, _ = _folded_columns(p)
+    assert early == kinds.count("controlled"), kinds
+    assert late == sum(k in ("local", "cnot-target", "tiny") for k in kinds), kinds
     assert_pass_equals_the_per_key_sum(p, basis=True)
 
 
@@ -646,6 +754,17 @@ def _traced_peak(run):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lift_extra_comm(build_named("teleportation", 2), check_input=False),
+    lambda: build_named("superdense", 6),
+], ids=["lift-comm-teleportation-2", "superdense-6"])
+def test_control_only_inputs_fold_before_the_prefix_allocates(build):
+    # their prefix runs on the head without its input wires: 4096 x 16 for
+    # the lift and 64 x 64 for superdense 6, not 65,536 x 16 and 4096 x 64
+    p = build()
+    assert _traced_peak(lambda: protocols._verification_pass(p, True)) <= 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("build, basis, stacked", [
