@@ -34,7 +34,7 @@ from .protocols import (
 )
 from .qmath import ALGEBRA_TOL, ENTROPY_TOL, matrix_to_json, random_density_matrix
 
-REPORT_SCHEMA = 4
+REPORT_SCHEMA = 5
 #: samples per stacked chunk of the inequality sweep: its memory bound
 SWEEP_CHUNK = 128
 

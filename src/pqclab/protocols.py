@@ -46,8 +46,8 @@ from .qmath import (
 
 #: largest simulation load, key count times engine register dimension
 DESK_SCALE_LIMIT = 4096
-#: largest descriptor file read, in bytes: over 10x the largest a builder
-#: writes (superdense 6, 2.7 MB), and small enough to parse under 1 GiB
+#: largest descriptor file read, in bytes: small enough to parse under 1 GiB
+#: with at most one JSON array per 8 bytes of it (see :func:`load_protocol`)
 DESCRIPTOR_BYTE_LIMIT = 1 << 25
 #: widest run of consecutive gates a gate list applies as one dense gate
 #: (2^8 x 2^8 on qubits)
@@ -63,9 +63,25 @@ RESOURCE_HYBRID = "hybrid"
 INPUT_CLASSICAL = "classical"
 INPUT_QUANTUM = "quantum"
 
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-CZ = np.diag([1, 1, 1, -1]).astype(complex)
+
+def controlled_by_value(gates: Sequence[np.ndarray]) -> np.ndarray:
+    """Block-diagonal controlled gate: control wires outermost, one block per
+    control value."""
+    d = gates[0].shape[0]
+    out = np.zeros((len(gates) * d,) * 2, dtype=complex)
+    for v, g in enumerate(gates):
+        out[v * d:(v + 1) * d, v * d:(v + 1) * d] = g
+    return out
+
+
+# the builders' gates, one object each, which every key, protocol and lift
+# that applies the gate shares: the Paulis of SIGMA, H, CNOT, CZ, and the
+# controlled Pauli whose control bit pair (b1, b2) selects sigma 2*b1 + b2
+PAULI = tuple(map(UnitaryOp, SIGMA))
+HADAMARD = UnitaryOp(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
+CNOT = UnitaryOp(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]))
+CZ = UnitaryOp(np.diag([1, 1, 1, -1]))
+PAULI_BY_PAIR = UnitaryOp(controlled_by_value(SIGMA))
 
 
 def _integer(value, field: str) -> int:
@@ -170,13 +186,12 @@ class ResourceReport:
 class GateList:
     """A unitary on ``qubits`` wires kept as its gates, the first listed acting
     first; each gate acts on its listed wires in the given order.  A gate
-    given as a raw matrix is validated into a :class:`UnitaryOp`.
+    given as a raw matrix is validated into a :class:`UnitaryOp`.  Builders,
+    the engine and descriptor files all hold operators in this one form.
 
     Simulation fuses each run of consecutive gates on at most FUSION_WIRES
     wires into one dense gate, no larger than the block it acts on, composed
-    per :meth:`apply` call and not kept: the list's dense matrix exists only
-    when ``matrix`` is read.  A dense operator is the one-gate list on every
-    wire in order, whose ``matrix`` is that operator's own matrix.
+    per :meth:`apply` call and not kept.
     """
 
     qubits: int
@@ -193,22 +208,6 @@ class GateList:
                 raise ValueError(f"gate of dimension {g.dim} does not fit wires {targets} "
                                  f"of a {self.qubits}-qubit register")
         object.__setattr__(self, "gates", gates)
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.qubits
-
-    @property
-    def composes(self) -> bool:
-        """Whether reading ``matrix`` composes gates: true for anything but
-        one gate on every wire in order."""
-        return len(self.gates) != 1 or self.gates[0][1] != tuple(range(self.qubits))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if not self.composes:
-            return self.gates[0][0].matrix
-        return compose_circuit([2] * self.qubits, ((g.matrix, t) for g, t in self.gates))
 
     def apply(self, block: np.ndarray, dims: Sequence[int], wires: Sequence[int],
               start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -253,7 +252,8 @@ class ChannelProtocol:
     """One-way private channel: per-key (or global) unitaries for the sender
     and receiver plus the wiring of message and output registers.  Each
     unitary is a :class:`GateList`; a dense :class:`UnitaryOp` given in its
-    place becomes the one-gate list.
+    place becomes the one-gate list on every wire, and (gate, wires) pairs
+    the gate list on the unitary's register.
 
     Register conventions: the sender's unitaries act on
     input ⊗ ancilla ⊗ sender-resource-half, the receiver's on
@@ -295,13 +295,12 @@ class ChannelProtocol:
 
         for attr, reg, who in (("alice_ops", self.sender_qubits, "sender"),
                                ("bob_ops", self.receiver_qubits, "receiver")):
-            ops = getattr(self, attr)
-            # dim == 2^reg, without building 2^reg from an untrusted count
-            if any(op.dim.bit_length() != reg + 1 or op.dim != 2 ** reg for op in ops):
+            ops = tuple(op if isinstance(op, GateList) else GateList(
+                reg, [(op, range(reg))] if isinstance(op, UnitaryOp) else op)
+                for op in getattr(self, attr))
+            if any(op.qubits != reg for op in ops):
                 raise ValueError(f"{who} operation dimension does not match its register")
-            object.__setattr__(self, attr, tuple(
-                op if isinstance(op, GateList) else GateList(reg, ((op, range(reg)),))
-                for op in ops))
+            object.__setattr__(self, attr, ops)
         if not self.message_subsystems:
             raise ValueError("protocol sends no message")
         if len(set(self.message_subsystems)) != len(self.message_subsystems):
@@ -402,7 +401,7 @@ def _stage(p: ChannelProtocol, head: np.ndarray, key_index: int, start: int = 0,
         block = _zero_tail(block, p.message_qubits)
         dims = dims + [2] * p.message_qubits
         for wire, copy in zip(keep, wires[p.sender_qubits + p.resource.bob_qubits:]):
-            block = apply_gate(block, dims, CNOT, [wire, copy])
+            block = apply_gate(block, dims, CNOT.matrix, [wire, copy])
     return block, dims, keep
 
 
@@ -679,18 +678,13 @@ def security_deviations(p: ChannelProtocol, input_kind: str | None = None) -> di
     Over the basis, ``state`` is the largest trace distance from a basis
     input's wire state to |0...0>'s.  Over every input, ``factorization``
     bounds that distance for every input, reference-entangled ones included.
-    ``classical_offdiag`` is the largest off-diagonal message entry of the
-    table: by linearity, 0 iff every input's wire state is diagonal."""
+    A classical message's wire state is diagonal by construction: the engine
+    copies each of its wires into the environment (:func:`_stage`)."""
     table = _verified(p, input_kind)[0]
-    dm = table.shape[-1]
     if table.ndim == 3:  # the basis table, [a, x, y]
-        parts = {"state": float(trace_distance(table, table[0]).max())}
-    else:
-        parts = {"cross_term": max_cross_term_magnitude(p, table),
-                 "factorization": factorization_certificate(table)}
-    if p.message_kind == INPUT_CLASSICAL:
-        parts["classical_offdiag"] = max_abs(table[..., ~np.eye(dm, dtype=bool)])
-    return parts
+        return {"state": float(trace_distance(table, table[0]).max())}
+    return {"cross_term": max_cross_term_magnitude(p, table),
+            "factorization": factorization_certificate(table)}
 
 
 def verify_security(p: ChannelProtocol, input_kind: str | None = None) -> float:
@@ -767,25 +761,16 @@ def require_lift_scale(p: ChannelProtocol):
                  p.engine_qubits + 5 * p.input_qubits, scale=2)
 
 
-def controlled_by_value(gates: Sequence[np.ndarray]) -> np.ndarray:
-    """Block-diagonal controlled gate: control wires outermost, one block per
-    control value."""
-    d = gates[0].shape[0]
-    out = np.zeros((len(gates) * d,) * 2, dtype=complex)
-    for v, g in enumerate(gates):
-        out[v * d:(v + 1) * d, v * d:(v + 1) * d] = g
-    return out
-
-
 def epr_block(n: int) -> Ket:
     """n EPR pairs grouped side by side: sum_x |x>|x> / 2^(n/2) on [A | B]."""
     d = 2 ** n
     return Ket(SystemLayout.qubits(2 * n), np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d))
 
 
-def _pauli_key_table(n: int, alphabet: str) -> tuple[list[str], list[UnitaryOp]]:
+def _pauli_key_table(n: int, alphabet: str) -> tuple[list[str], list[GateList]]:
+    """Every key over ``alphabet`` (indices into PAULI), one gate per wire."""
     keys = ["".join(t) for t in itertools.product(alphabet, repeat=n)]
-    return keys, [qmath.pauli_string(k) for k in keys]
+    return keys, [GateList(n, [(PAULI[int(c)], (i,)) for i, c in enumerate(k)]) for k in keys]
 
 
 def build_classical_otp(n: int) -> ChannelProtocol:
@@ -826,21 +811,17 @@ def build_superdense(n_bits: int) -> ChannelProtocol:
         raise ValueError("n_bits must be even and >= 2")
     require_load("superdense", 1, 2 * n_bits)
     m = n_bits // 2
-    # controlled sigma_s, the two control bits selecting s = 2*b1 + b2
-    pair_gate = controlled_by_value(list(SIGMA))
-    alice_gates = [(pair_gate, (2 * i, 2 * i + 1, n_bits + i)) for i in range(m)]
-    alice = compose_circuit([2] * (n_bits + m), alice_gates)
+    alice_gates = [(PAULI_BY_PAIR, (2 * i, 2 * i + 1, n_bits + i)) for i in range(m)]
     bob_gates = []
     for i in range(m):
         bob_gates += [(CNOT, (i, m + i)), (HADAMARD, (i,)), (CNOT, (i, m + i))]
-    bob = compose_circuit([2] * (2 * m), bob_gates)
     out = tuple(x for i in range(m) for x in (i, m + i))
     return ChannelProtocol(
         name="superdense", input_kind=INPUT_CLASSICAL, input_qubits=n_bits,
         message_kind=INPUT_QUANTUM,
         resource=SharedResource.entangled(epr_block(m), m),
         alice_ancillas=0, bob_ancillas=0,
-        alice_ops=(UnitaryOp(alice),), bob_ops=(UnitaryOp(bob),),
+        alice_ops=(alice_gates,), bob_ops=(bob_gates,),
         message_subsystems=tuple(n_bits + i for i in range(m)),
         output_subsystems=out)
 
@@ -849,20 +830,16 @@ def build_teleportation(n: int) -> ChannelProtocol:
     """Teleport n qubits: Bell readout on (input_i, A_i) produces 2n uniformly
     distributed classical bits; the receiver applies the matching Pauli."""
     require_load("teleportation", 1, 5 * n)
-    alice_gates = []
+    alice_gates, bob_gates = [], []
     for i in range(n):
         alice_gates += [(CNOT, (i, n + i)), (HADAMARD, (i,))]
-    alice = compose_circuit([2] * (2 * n), alice_gates)
-    bob_gates = []
-    for i in range(n):
         bob_gates += [(CNOT, (n + i, 2 * n + i)), (CZ, (i, 2 * n + i))]
-    bob = compose_circuit([2] * (3 * n), bob_gates)
     return ChannelProtocol(
         name="teleportation", input_kind=INPUT_QUANTUM, input_qubits=n,
         message_kind=INPUT_CLASSICAL,
         resource=SharedResource.entangled(epr_block(n), n),
         alice_ancillas=0, bob_ancillas=0,
-        alice_ops=(UnitaryOp(alice),), bob_ops=(UnitaryOp(bob),),
+        alice_ops=(alice_gates,), bob_ops=(bob_gates,),
         message_subsystems=tuple(range(2 * n)),
         output_subsystems=tuple(2 * n + i for i in range(n)))
 
@@ -872,28 +849,25 @@ def build_epr_keyed_otp(n: int) -> ChannelProtocol:
     CNOTs from the sender's halves into the message register, undone by the
     receiver from the matching halves."""
     require_load("epr-otp", 1, 4 * n)
-    alice = compose_circuit([2] * (2 * n), [(CNOT, (n + i, i)) for i in range(n)])
-    bob = compose_circuit([2] * (2 * n), [(CNOT, (n + i, i)) for i in range(n)])
+    pad = [(CNOT, (n + i, i)) for i in range(n)]
     wires = tuple(range(n))
     return ChannelProtocol(
         name="epr-otp", input_kind=INPUT_CLASSICAL, input_qubits=n,
         message_kind=INPUT_CLASSICAL,
         resource=SharedResource.entangled(epr_block(n), n),
         alice_ancillas=0, bob_ancillas=0,
-        alice_ops=(UnitaryOp(alice),), bob_ops=(UnitaryOp(bob),),
+        alice_ops=(pad,), bob_ops=(pad,),
         message_subsystems=wires, output_subsystems=wires)
 
 
 def build_identity_protocol(n: int = 1) -> ChannelProtocol:
     """Negative fixture: send the input in the clear (correct, insecure)."""
     require_load("identity-leaky", 1, 2 * n)
-    eye = UnitaryOp(np.eye(2 ** n, dtype=complex))
     wires = tuple(range(n))
     return ChannelProtocol(
         name="identity-leaky", input_kind=INPUT_CLASSICAL, input_qubits=n,
         message_kind=INPUT_CLASSICAL, resource=SharedResource.none(),
-        alice_ancillas=0, bob_ancillas=0,
-        alice_ops=(eye,), bob_ops=(eye,),
+        alice_ancillas=0, bob_ancillas=0, alice_ops=((),), bob_ops=((),),
         message_subsystems=wires, output_subsystems=wires)
 
 
@@ -901,12 +875,11 @@ def build_broken_otp(n: int = 1) -> ChannelProtocol:
     """Negative fixture: pad truncated to the keys {00, 01} (identity, bit flip)."""
     if n != 1:
         raise ValueError("the truncated-key fixture is defined for n = 1")
-    keys = ["00", "01"]
-    ops = (qmath.pauli_string("0"), qmath.pauli_string("1"))
+    ops = tuple(_pauli_key_table(1, "01")[1])
     return ChannelProtocol(
         name="broken-otp", input_kind=INPUT_QUANTUM, input_qubits=1,
         message_kind=INPUT_QUANTUM,
-        resource=SharedResource.classical_key(ProbabilityDist.uniform(keys)),
+        resource=SharedResource.classical_key(ProbabilityDist.uniform(["00", "01"])),
         alice_ancillas=0, bob_ancillas=0,
         alice_ops=ops, bob_ops=ops,
         message_subsystems=(0,), output_subsystems=(0,))
@@ -915,12 +888,11 @@ def build_broken_otp(n: int = 1) -> ChannelProtocol:
 def build_broken_teleportation(n: int = 1) -> ChannelProtocol:
     """Negative fixture: teleportation whose receiver skips the Pauli correction."""
     good = build_teleportation(n)
-    eye = UnitaryOp(np.eye(2 ** good.receiver_qubits, dtype=complex))
     return ChannelProtocol(
         name="broken-teleportation", input_kind=good.input_kind,
         input_qubits=good.input_qubits, message_kind=good.message_kind,
         resource=good.resource, alice_ancillas=0, bob_ancillas=0,
-        alice_ops=good.alice_ops, bob_ops=(eye,),
+        alice_ops=good.alice_ops, bob_ops=((),),
         message_subsystems=good.message_subsystems,
         output_subsystems=good.output_subsystems)
 
@@ -950,15 +922,16 @@ def build_named(name: str, n: int) -> ChannelProtocol:
 def _descriptor_pieces(p: ChannelProtocol) -> Iterator[str]:
     """The canonical descriptor text, ``json.dumps(protocol_to_dict(p),
     sort_keys=True, separators=(",", ":"))``, in pieces: each top-level value
-    but the operators dumped whole, each operator a row at a time, and an
-    operator in both lists encoded once.  A list that must be composed is
-    refused before the first piece if its keys x 4^register entries are
-    beyond desk scale."""
-    op_lists = {"alice_ops": (p.alice_ops, p.sender_qubits),
-                "bob_ops": (p.bob_ops, p.receiver_qubits)}
-    for ops, register in op_lists.values():
-        if any(op.composes for op in ops):
-            require_load(f"{p.name} descriptor", len(ops), 2 * register, scale=2)
+    but the gate table dumped whole, and the table a row at a time.  The
+    table lists each distinct gate object once, in first-use order over
+    ``alice_ops`` then ``bob_ops``, whose keys each hold their operator's
+    gates as [table index, wires]."""
+    table: dict[int, tuple[int, UnitaryOp]] = {}
+
+    def refs(op: GateList) -> list:
+        return [[table.setdefault(id(g), (len(table), g))[0], list(targets)]
+                for g, targets in op.gates]
+
     res = p.resource
     resource = {"kind": res.kind}
     if res.keyed:
@@ -969,34 +942,29 @@ def _descriptor_pieces(p: ChannelProtocol) -> Iterator[str]:
                         state_amplitudes=matrix_to_json(res.psi_ab.amplitudes),
                         alice_subsystems=res.alice_subsystems)
     fields = {
-        "format": "pqclab-protocol", "schema": 1, "name": p.name, "input_kind": p.input_kind,
+        "format": "pqclab-protocol", "schema": 2, "name": p.name, "input_kind": p.input_kind,
         "input_qubits": p.input_qubits, "message_kind": p.message_kind,
         "alice_ancillas": p.alice_ancillas, "bob_ancillas": p.bob_ancillas,
         "resource": resource, "message_subsystems": list(p.message_subsystems),
-        "output_subsystems": list(p.output_subsystems)}
-    # a dense operator is its one gate, which both lists may hold
-    sources = {key: [id(op if op.composes else op.gates[0][0]) for op in ops]
-               for key, (ops, _) in op_lists.items()}
-    shared, texts = set(sources["alice_ops"]) & set(sources["bob_ops"]), {}
+        "output_subsystems": list(p.output_subsystems),
+        "alice_ops": [refs(op) for op in p.alice_ops],
+        "bob_ops": [refs(op) for op in p.bob_ops]}
 
-    def rows(op: GateList) -> Iterator[str]:
-        m = np.ascontiguousarray(op.matrix, dtype=complex)
-        for i, row in enumerate(m.view(float).reshape(len(m), -1, 2)):
+    def rows(m: np.ndarray) -> Iterator[str]:
+        for i, row in enumerate(np.ascontiguousarray(m).view(float).reshape(len(m), -1, 2)):
             yield ("[" if i == 0 else ",") + json.dumps(row.tolist(), separators=(",", ":"))
         yield "]"
 
     def pieces() -> Iterator[str]:
-        for i, key in enumerate(sorted([*fields, *op_lists])):
+        for i, key in enumerate(sorted([*fields, "gates"])):
             yield ("{" if i == 0 else ",") + json.dumps(key) + ":"
             if key in fields:
                 yield json.dumps(fields[key], sort_keys=True, separators=(",", ":"))
                 continue
-            for j, (op, source) in enumerate(zip(op_lists[key][0], sources[key])):
+            for j, (_, g) in enumerate(table.values()):
                 yield "," if j else "["
-                if source in shared and source not in texts:
-                    texts[source] = "".join(rows(op))
-                yield from [texts[source]] if source in shared else rows(op)
-            yield "]"
+                yield from rows(g.matrix)
+            yield "]" if table else "[]"
         yield "}"
 
     return pieces()
@@ -1006,9 +974,25 @@ def protocol_to_dict(p: ChannelProtocol) -> dict:
     return json.loads("".join(_descriptor_pieces(p)))
 
 
+def _schema_1_as_2(data: dict) -> dict:
+    """A schema-1 descriptor, each key's operators dense matrices, as schema
+    2: each matrix its own gate on every wire it has."""
+    alice, gates = data["alice_ops"], [*data["alice_ops"], *data["bob_ops"]]
+    ops = [[[i, list(range(len(m).bit_length() - 1))]] for i, m in enumerate(gates)]
+    return {**data, "gates": gates, "alice_ops": ops[:len(alice)], "bob_ops": ops[len(alice):]}
+
+
 def protocol_from_dict(data: dict) -> ChannelProtocol:
+    """The protocol a descriptor holds, of schema 2, or of schema 1 read
+    through :func:`_schema_1_as_2`; no register count is ever raised to a
+    power, so admission can refuse any count the file states."""
     if not isinstance(data, dict) or data.get("format") != "pqclab-protocol":
         raise ValueError("not a protocol descriptor")
+    schema = data.get("schema")
+    if schema is None or _integer(schema, "schema") not in (1, 2):
+        raise ValueError(f"unknown descriptor schema {schema!r}")
+    if schema == 1:
+        data = _schema_1_as_2(data)
     res = data["resource"]
     dist = psi = None
     if "key_outcomes" in res:
@@ -1020,20 +1004,24 @@ def protocol_from_dict(data: dict) -> ChannelProtocol:
                                                     "state_amplitudes")))
     resource = SharedResource(res["kind"], key_source=dist, psi_ab=psi,
                               alice_subsystems=0 if psi is None else res["alice_subsystems"])
-    return ChannelProtocol(
-        name=data["name"],
-        input_kind=data["input_kind"],
-        input_qubits=data["input_qubits"],
-        message_kind=data["message_kind"],
-        resource=resource,
-        alice_ancillas=data["alice_ancillas"],
-        bob_ancillas=data["bob_ancillas"],
-        alice_ops=tuple(UnitaryOp(matrix_from_json(_numbers(m, "alice_ops")))
-                        for m in data["alice_ops"]),
-        bob_ops=tuple(UnitaryOp(matrix_from_json(_numbers(m, "bob_ops")))
-                      for m in data["bob_ops"]),
+    table = [UnitaryOp(matrix_from_json(_numbers(m, "gates"))) for m in data["gates"]]
+
+    def gate(index) -> UnitaryOp:
+        if not 0 <= _integer(index, "gate index") < len(table):
+            raise ValueError(f"gate index {index} outside the table of {len(table)}")
+        return table[index]
+
+    p = ChannelProtocol(
+        name=data["name"], input_kind=data["input_kind"], input_qubits=data["input_qubits"],
+        message_kind=data["message_kind"], resource=resource,
+        alice_ancillas=data["alice_ancillas"], bob_ancillas=data["bob_ancillas"],
+        alice_ops=tuple(((gate(i), wires) for i, wires in op) for op in data["alice_ops"]),
+        bob_ops=tuple(((gate(i), wires) for i, wires in op) for op in data["bob_ops"]),
         message_subsystems=tuple(data["message_subsystems"]),
         output_subsystems=tuple(data["output_subsystems"]))
+    if schema == 1 and any(len(op.gates[0][1]) != op.qubits for op in p.alice_ops + p.bob_ops):
+        raise ValueError("operation dimension does not match its register")
+    return p
 
 
 def save_protocol(p: ChannelProtocol, path: str):
@@ -1044,17 +1032,23 @@ def save_protocol(p: ChannelProtocol, path: str):
 
 
 def load_protocol(path: str) -> ChannelProtocol:
-    """Read a descriptor file, refusing one above DESCRIPTOR_BYTE_LIMIT bytes
-    before it is parsed, and one nested too deeply for the parser."""
+    """Read a descriptor file, refusing before it is parsed one above
+    DESCRIPTOR_BYTE_LIMIT bytes or with more arrays than one per 8 bytes of
+    it (each a list of ~100 bytes once parsed), and one nested too deeply."""
     size = os.stat(path).st_size
     if size > DESCRIPTOR_BYTE_LIMIT:
         raise ValueError(f"{size} bytes exceeds the descriptor limit of "
                          f"{DESCRIPTOR_BYTE_LIMIT} bytes")
     with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise ValueError("descriptor nests too deeply") from None
+        text = fh.read()
+    if text.count("[") > DESCRIPTOR_BYTE_LIMIT // 8:
+        raise ValueError(f"{text.count('[')} arrays exceed the descriptor limit of "
+                         f"{DESCRIPTOR_BYTE_LIMIT // 8}")
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("descriptor nests too deeply") from None
+    del text
     return protocol_from_dict(data)
 
 

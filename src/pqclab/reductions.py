@@ -17,7 +17,6 @@ from . import qmath
 from .entropy import ProbabilityDist
 from .qmath import (
     ENTROPY_TOL,
-    SIGMA,
     DensityOp,
     Ket,
     SystemLayout,
@@ -31,6 +30,7 @@ from .protocols import (
     HADAMARD,
     INPUT_CLASSICAL,
     INPUT_QUANTUM,
+    PAULI_BY_PAIR,
     RESOURCE_CLASSICAL_KEY,
     RESOURCE_ENTANGLED,
     ChannelProtocol,
@@ -40,7 +40,6 @@ from .protocols import (
     _correctness_bound,
     _integer,
     _zero_tail,
-    controlled_by_value,
     epr_block,
     require_load,
     resource_report,
@@ -103,16 +102,13 @@ def _verify_or_raise(p: ChannelProtocol, input_kind: str, tol: float,
 # two-qubit gates on a (first, second) pair: the preparation (H on the first
 # wire, then CNOT) turns |00> into a Bell state, and the readout (CNOT, H on
 # the first wire, CNOT) turns Bell state s into the bits of s
-_BELL_PREP = UnitaryOp(CNOT @ np.kron(HADAMARD, np.eye(2)))
-_BELL_READOUT = UnitaryOp(CNOT @ np.kron(HADAMARD, np.eye(2)) @ CNOT)
-# controlled Pauli: control bit pair (b1, b2) selects sigma with index 2*b1 + b2
-_PAULI_BY_PAIR = UnitaryOp(controlled_by_value(list(SIGMA)))
-_CNOT = UnitaryOp(CNOT)
+_BELL_PREP = UnitaryOp(CNOT.matrix @ np.kron(HADAMARD.matrix, np.eye(2)))
+_BELL_READOUT = UnitaryOp(CNOT.matrix @ np.kron(HADAMARD.matrix, np.eye(2)) @ CNOT.matrix)
 
 
 def _pauli_injection(input_offset: int, targets: Sequence[int]) -> list:
     """One controlled Pauli per pair of input bits, on the matching target wire."""
-    return [(_PAULI_BY_PAIR, (input_offset + 2 * i, input_offset + 2 * i + 1, t))
+    return [(PAULI_BY_PAIR, (input_offset + 2 * i, input_offset + 2 * i + 1, t))
             for i, t in enumerate(targets)]
 
 
@@ -156,7 +152,7 @@ def lift_extra_comm(p: ChannelProtocol, check_input: bool = True) -> ChannelProt
         list(range(g0, g0 + n)) + list(range(anc0, anc0 + a))
         + list(range(res0, res0 + p.resource.alice_qubits)))
     inner_msg_map = [inner_alice_targets[i] for i in p.message_subsystems]
-    measure = [(_CNOT, (inner_msg_map[i], env0 + i)) for i in range(n_env)]
+    measure = [(CNOT, (inner_msg_map[i], env0 + i)) for i in range(n_env)]
     alice_ops = tuple(GateList(a_reg, prep + _retarget(op, inner_alice_targets) + measure)
                       for op in p.alice_ops)
 

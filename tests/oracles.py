@@ -1,5 +1,6 @@
 """Reference helpers that only the tests use: gates on kets and on the full
-product space, ray comparison, the probe inputs of the per-probe reference,
+product space, a gate list's dense matrix, ray comparison, the probe inputs
+of the per-probe reference,
 per-probe views of a protocol's sender stage and channel table, and the
 verification pass's key average and correctness bound, one key at a time."""
 
@@ -13,6 +14,7 @@ from pqclab.protocols import (
     INPUT_CLASSICAL,
     INPUT_QUANTUM,
     ChannelProtocol,
+    GateList,
     _correctness_bound,
     _diagonal_distribution,
     _receiver_stage,
@@ -28,6 +30,7 @@ from pqclab.qmath import (
     SystemLayout,
     apply_gate,
     as_complex,
+    compose_circuit,
     reduced_from_vector,
     trace_distance,
 )
@@ -42,6 +45,11 @@ def embed_operator(gate: np.ndarray, targets: Sequence[int], dims: Sequence[int]
     """Expand a gate on selected subsystems to the full product space."""
     d = int(np.prod(list(dims)))
     return apply_gate(np.eye(d, dtype=complex), dims, as_complex(gate), targets)
+
+
+def dense(op: GateList) -> np.ndarray:
+    """The matrix of a gate list, its gates composed one at a time."""
+    return compose_circuit([2] * op.qubits, ((g.matrix, t) for g, t in op.gates))
 
 
 def ray_deviation(a: Ket, b: Ket) -> float:

@@ -29,6 +29,8 @@ from pqclab.protocols import (
     build_named,
     build_quantum_otp,
     build_teleportation,
+    load_protocol,
+    protocol_to_dict,
     require_lift_scale,
     save_protocol,
 )
@@ -56,7 +58,7 @@ def test_verify_quantum_otp(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["pass"] is True
-    assert report["schema"] == 4
+    assert report["schema"] == 5
     assert report["resources"]["comm"] == pytest.approx(1.0)
     assert report["resources"]["key_entropy"] == pytest.approx(2.0)
     assert report["security_deviation"] <= 1e-9
@@ -189,7 +191,7 @@ def per_sample_inequalities_report(seed, samples):
          else summary[name]["slack"] >= -ENTROPY_TOL)
         for name in ordered) and cross_dev <= ENTROPY_TOL
     return {
-        "schema": 4, "command": "inequalities",
+        "schema": 5, "command": "inequalities",
         "config": {"seed": seed, "algebra_tol": ALGEBRA_TOL, "entropy_tol": ENTROPY_TOL,
                    "samples": samples},
         "inequalities": [
@@ -305,6 +307,24 @@ def _descriptor(tmp_path, edit, build=build_quantum_otp):
     return path
 
 
+#: schema-1 files, each key's operators as dense matrices, as a builder of
+#: the dense format wrote them
+SCHEMA_1 = os.path.join(os.path.dirname(__file__), "schema1")
+
+
+def _schema_1(data):
+    """A schema-1 descriptor of the fields of ``data``, its operators
+    given as dense matrices in place of gate references."""
+    return {**{k: v for k, v in data.items() if k != "gates"}, "schema": 1}
+
+
+def _schema_1_descriptor(tmp_path, edit, name="quantum-otp-1"):
+    path = tmp_path / "protocol.json"
+    with open(os.path.join(SCHEMA_1, f"{name}.json"), encoding="utf-8") as fh:
+        path.write_text(json.dumps(edit(json.load(fh))))
+    return path
+
+
 def _set(key, value):
     return lambda data: {**data, key: value}
 
@@ -333,8 +353,8 @@ def _first_prob_true(data):
     lambda data: [],
     _set("input_qubits", None),
     _set("resource", 5),
-    lambda data: {**data, "alice_ops": [
-        [x for row in op for pair in row for x in pair] for op in data["alice_ops"]]},
+    lambda data: {**data, "gates": [
+        [x for row in g for pair in row for x in pair] for g in data["gates"]]},
     # counts and wires are never coerced: int() would read each as another protocol
     _set("message_subsystems", [0.5]),
     _set("input_qubits", 1.7),
@@ -347,11 +367,19 @@ def _first_prob_true(data):
     # nor are numbers: numpy would parse a string and read a bool as 0 or 1
     _strings("resource", "key_probs"),
     _first_prob_true,
+    _strings("gates"),
+    # nor are gate references
     _strings("alice_ops"),
+    lambda data: {**data, "alice_ops": [[[0, 0]] for _ in data["alice_ops"]]},
+    lambda data: {**data, "bob_ops": [[[0]] for _ in data["bob_ops"]]},
+    lambda data: {**data, "alice_ops": [[[len(data["gates"]), [0]]]
+                                        for _ in data["alice_ops"]]},
+    lambda data: {k: v for k, v in data.items() if k != "gates"},
 ]] + [(build_teleportation, _strings("resource", "state_amplitudes"))],
     ids=["list", "null-input-qubits", "int-resource", "flat-op", "float-wire",
          "float-count", "bool-count", "string-count", "non-string-key-outcomes",
          "list-name", "string-key-probs", "bool-key-probs", "string-op-entries",
+         "string-gate-refs", "int-wires", "short-ref", "ref-past-table", "no-gates",
          "string-state-amplitudes"])
 def test_verify_malformed_descriptor_refused(tmp_path, capsys, build, edit):
     code = main(["verify", str(_descriptor(tmp_path, edit, build))])
@@ -359,6 +387,37 @@ def test_verify_malformed_descriptor_refused(tmp_path, capsys, build, edit):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("edit", [lambda data: {k: v for k, v in data.items() if k != "schema"},
+                                  _set("schema", 99)], ids=["missing", "unknown"])
+def test_verify_descriptor_of_missing_or_unknown_schema_refused(tmp_path, capsys, edit):
+    code = main(["verify", str(_descriptor(tmp_path, edit))])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "error: malformed protocol file" in err and "schema" in err
+
+
+@pytest.mark.parametrize("name", ["quantum-otp-1", "superdense-2", "teleportation-1",
+                                  "epr-otp-1"])
+def test_schema_1_file_verifies_as_its_builder(name):
+    # a schema-1 file is read as the schema-2 structure, each dense operator
+    # one gate on every wire; its hash is that of its canonical schema-2 text
+    path = os.path.join(SCHEMA_1, f"{name}.json")
+    builder, n = name.rsplit("-", 1)
+    reports = []
+    for argv in (["verify", path], ["verify", builder, "--n", n]):
+        code, out, err = run_main(*argv)
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+    got, want = reports
+    for key in ("pass", "security_deviation", "security_parts", "correctness_deviation",
+                "resources"):
+        assert got[key] == want[key], key
+    text = json.dumps(protocol_to_dict(load_protocol(path)), sort_keys=True,
+                      separators=(",", ":"))
+    assert got["protocol"]["hash"] == hashlib.sha256(text.encode()).hexdigest()
+    assert json.loads(text)["schema"] == 2
 
 
 def test_verify_deeply_nested_descriptor_refused(tmp_path, capsys):
@@ -387,7 +446,7 @@ def _nan_first(key, *path):
 
 @pytest.mark.parametrize("build,edit", [
     (build_quantum_otp, _nan_first("resource", "key_probs")),
-    (build_quantum_otp, _nan_first("alice_ops")),
+    (build_quantum_otp, _nan_first("gates")),
     (build_teleportation, _nan_first("resource", "state_amplitudes")),
 ], ids=["nan-key-prob", "nan-op-entry", "nan-state-amplitude"])
 def test_verify_non_finite_descriptor_refused(tmp_path, capsys, build, edit):
@@ -410,6 +469,14 @@ def _small_zoo():
                 yield name, n, build_named(name, n)
             except ValueError:
                 pass
+
+
+def _schema_1_texts():
+    texts = []
+    for name in sorted(os.listdir(SCHEMA_1)):
+        with open(os.path.join(SCHEMA_1, name), encoding="utf-8") as fh:
+            texts.append(fh.read())
+    return texts
 
 
 @pytest.fixture(scope="module")
@@ -482,11 +549,11 @@ def _mutate(data, draw):
 @given(data=st.data())
 def test_mutated_descriptor_gets_a_report_or_a_usage_error(saved_descriptors, tmp_path_factory,
                                                           data):
-    # mutation fuzzing of every builder's saved descriptor: whatever the file
-    # says, verify either reports (exit 0 or 1) or refuses it (exit 2, no
-    # report), and no exception escapes
-    key = data.draw(st.sampled_from(sorted(saved_descriptors)))
-    text = saved_descriptors[key][1]
+    # mutation fuzzing of every builder's saved (schema-2) descriptor and of
+    # the schema-1 files: whatever the file says, verify either reports
+    # (exit 0 or 1) or refuses it (exit 2, no report), and no exception escapes
+    texts = [saved_descriptors[key][1] for key in sorted(saved_descriptors)]
+    text = data.draw(st.sampled_from(texts + _schema_1_texts()))
     doc = [json.loads(text)]
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(doc, data.draw)
@@ -582,12 +649,31 @@ def test_builder_refuses_beyond_desk_scale_under_1gib_address_space(argv):
 
 @pytest.mark.parametrize("field", ["input_qubits", "alice_ancillas", "bob_ancillas"])
 def test_descriptor_with_huge_register_refused_under_1gib_address_space(tmp_path, field):
-    # the register size is compared with each operator's without building 2^size
-    path = _descriptor(tmp_path, _set(field, 10 ** 10))
+    # the register size of a schema-1 file is compared with each dense
+    # operator's without building 2^size
+    path = _schema_1_descriptor(tmp_path, _set(field, 10 ** 10))
     proc = run_capped(CAPPED_CLI, "verify", str(path))
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "error: malformed protocol file" in proc.stderr
+
+
+@pytest.mark.parametrize("count", [10 ** 10, 10 ** 30])
+@pytest.mark.parametrize("field", ["input_qubits", "alice_ancillas", "bob_ancillas"])
+def test_gate_list_descriptor_with_huge_register_refused_under_1gib_address_space(
+        tmp_path, field, count):
+    # a gate list fits a register of any size, and no count is raised to a
+    # power: a huge input count is malformed, as the output wires must
+    # match it, and admission refuses the huge ancilla counts
+    path = _descriptor(tmp_path, _set(field, count))
+    proc = run_capped(CAPPED_CLI, "verify", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    if field == "input_qubits":
+        assert "error: malformed protocol file" in proc.stderr
+        assert f"need {count} distinct output subsystems" in proc.stderr
+    else:
+        assert f"error: quantum-otp: load 2^{float(count):g} exceeds 4096" in proc.stderr
 
 
 # registers identities kept as gate lists with no gates (a descriptor file at
@@ -674,9 +760,9 @@ def test_wide_classical_input_within_the_limit_finishes_under_1gib_address_space
 
 def _wide_classical(data):
     eye = matrix_to_json(np.eye(256, dtype=complex))
-    return {**data, "name": "wide-classical", "input_qubits": 8, "message_kind": "quantum",
-            "alice_ops": [eye], "bob_ops": [eye], "message_subsystems": list(range(8)),
-            "output_subsystems": list(range(8))}
+    return {**_schema_1(data), "name": "wide-classical", "input_qubits": 8,
+            "message_kind": "quantum", "alice_ops": [eye], "bob_ops": [eye],
+            "message_subsystems": list(range(8)), "output_subsystems": list(range(8))}
 
 
 def test_wide_classical_input_descriptor_refused_under_1gib_address_space(tmp_path):
@@ -705,7 +791,7 @@ def test_descriptor_at_the_byte_limit_parses_under_1gib_address_space(tmp_path):
     # refused by the load rule (10 wires and 10 environment copies)
     eye = matrix_to_json(np.eye(1024, dtype=complex))
     path = _descriptor(tmp_path, lambda data: {
-        **data, "name": "wide-classical", "input_qubits": 10, "alice_ops": [eye],
+        **_schema_1(data), "name": "wide-classical", "input_qubits": 10, "alice_ops": [eye],
         "bob_ops": [eye], "message_subsystems": list(range(10)),
         "output_subsystems": list(range(10))}, build=build_identity_protocol)
     with open(path, "a", encoding="utf-8") as fh:
@@ -715,6 +801,24 @@ def test_descriptor_at_the_byte_limit_parses_under_1gib_address_space(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "error: wide-classical: load 2^20 exceeds 4096" in proc.stderr
+
+
+def test_gate_references_at_the_byte_limit_refused_under_1gib_address_space(tmp_path):
+    # quantum-otp 1 whose first key holds 4 million one-wire references [0,[0]],
+    # filling the file to the limit: as parsed lists they would take over
+    # 800 MB, so the file is refused from its count of arrays before parsing
+    path = _descriptor(tmp_path, lambda data: {
+        **data, "alice_ops": [["REFS"]] + data["alice_ops"][1:]})
+    text = path.read_text()
+    refs = (DESCRIPTOR_BYTE_LIMIT - len(text)) // len("[0,[0]],")
+    path.write_text(text.replace('["REFS"]', "[" + ",".join(["[0,[0]]"] * refs) + "]"))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(" " * (DESCRIPTOR_BYTE_LIMIT - path.stat().st_size))
+    assert path.stat().st_size == DESCRIPTOR_BYTE_LIMIT
+    proc = run_capped(CAPPED_CLI, "verify", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert f"arrays exceed the descriptor limit of {DESCRIPTOR_BYTE_LIMIT // 8}" in proc.stderr
 
 
 @pytest.mark.parametrize("build", [build_quantum_otp, build_classical_otp])

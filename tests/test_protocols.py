@@ -16,6 +16,7 @@ from pqclab.protocols import (
     GateList,
     ProbabilityDist,
     SharedResource,
+    _verified,
     build_broken_otp,
     build_broken_teleportation,
     build_classical_otp,
@@ -52,6 +53,7 @@ from pqclab.qmath import (
 
 from oracles import (
     alice_stage,
+    dense,
     canonical_probes,
     encode_cross_term,
     message_distribution,
@@ -86,7 +88,8 @@ def test_zoo_verifies(name, n):
 def test_zoo_operations_unitary(name, n):
     p = build_named(name, n)
     for op in p.alice_ops + p.bob_ops:
-        assert max_abs(op.matrix.conj().T @ op.matrix - np.eye(op.dim)) <= 1e-10
+        u = dense(op)
+        assert max_abs(u.conj().T @ u - np.eye(len(u))) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +197,12 @@ def test_security_random_probes_no_worse_than_structured():
 
 
 def test_classical_message_states_are_diagonal():
+    # every input's classical wire state, read off the channel table
     for name, n in (("classical-otp", 2), ("teleportation", 1), ("epr-otp", 2)):
         p = build_named(name, n)
-        parts = security_deviations(p)
-        assert parts["classical_offdiag"] <= 1e-10
+        table = _verified(p, None)[0]
+        dm = 2 ** p.message_qubits
+        assert max_abs(table[..., ~np.eye(dm, dtype=bool)]) <= 1e-10
 
 
 def test_teleportation_message_distribution_uniform():
@@ -423,8 +428,8 @@ def test_encode_input_dimension_mismatch():
 def test_descriptor_round_trip(name, n, tmp_path):
     p = build_named(name, n)
     clone = protocol_from_dict(protocol_to_dict(p))
-    for a, b in zip(p.alice_ops, clone.alice_ops):
-        assert max_abs(a.matrix - b.matrix) <= 1e-12
+    for a, b in zip(p.alice_ops + p.bob_ops, clone.alice_ops + clone.bob_ops):
+        assert max_abs(dense(a) - dense(b)) <= 1e-12
     if p.resource.psi_ab is not None:
         assert max_abs(p.resource.psi_ab.amplitudes
                        - clone.resource.psi_ab.amplitudes) <= 1e-12
@@ -442,6 +447,27 @@ def test_descriptor_round_trip(name, n, tmp_path):
 def test_malformed_descriptor_rejected():
     with pytest.raises(ValueError):
         protocol_from_dict({"format": "something-else"})
+
+
+@pytest.mark.parametrize("schema", [None, 0, 3, 99, "2", 2.0, True])
+def test_descriptor_of_missing_or_unknown_schema_refused(schema):
+    data = protocol_to_dict(build_quantum_otp(1))
+    if schema is None:
+        del data["schema"]
+    else:
+        data["schema"] = schema
+    with pytest.raises(ValueError, match="schema"):
+        protocol_from_dict(data)
+
+
+@pytest.mark.parametrize("index", [-1, 4, 1.0, True, "0"])
+def test_gate_reference_outside_the_table_refused(index):
+    # quantum-otp 1 holds the four Paulis; a negative index would wrap around
+    data = protocol_to_dict(build_quantum_otp(1))
+    assert len(data["gates"]) == 4
+    data["alice_ops"][0] = [[index, [0]]]
+    with pytest.raises(ValueError, match="gate index"):
+        protocol_from_dict(data)
 
 
 def _smallest_protocol(builder):
@@ -463,7 +489,9 @@ def per_entry(m):
 
 @pytest.mark.parametrize("name", sorted(PROTOCOL_BUILDERS))
 def test_digest_matches_per_entry_serialization(name):
-    # the descriptor rebuilt here field by field, independently of the writer
+    # the descriptor rebuilt here field by field, independently of the writer:
+    # each distinct gate object once, in the order alice_ops then bob_ops
+    # first use it, and each operator as its [table index, wires] pairs
     p = _smallest_protocol(PROTOCOL_BUILDERS[name])
     resource = {"kind": p.resource.kind}
     if p.resource.keyed:
@@ -473,13 +501,23 @@ def test_digest_matches_per_entry_serialization(name):
         resource["state_dims"] = list(p.resource.psi_ab.layout.dims)
         resource["state_amplitudes"] = per_entry(p.resource.psi_ab.amplitudes)
         resource["alice_subsystems"] = p.resource.alice_subsystems
+    gates = []
+    for op in p.alice_ops + p.bob_ops:
+        for g, _ in op.gates:
+            if not any(g is known for known in gates):
+                gates.append(g)
+
+    def refs(op):
+        return [[next(i for i, known in enumerate(gates) if known is g), list(targets)]
+                for g, targets in op.gates]
     descriptor = {
-        "format": "pqclab-protocol", "schema": 1, "name": p.name,
+        "format": "pqclab-protocol", "schema": 2, "name": p.name,
         "input_kind": p.input_kind, "input_qubits": p.input_qubits,
         "message_kind": p.message_kind, "alice_ancillas": p.alice_ancillas,
         "bob_ancillas": p.bob_ancillas, "resource": resource,
-        "alice_ops": [per_entry(op.matrix) for op in p.alice_ops],
-        "bob_ops": [per_entry(op.matrix) for op in p.bob_ops],
+        "gates": [per_entry(g.matrix) for g in gates],
+        "alice_ops": [refs(op) for op in p.alice_ops],
+        "bob_ops": [refs(op) for op in p.bob_ops],
         "message_subsystems": list(p.message_subsystems),
         "output_subsystems": list(p.output_subsystems)}
     text = json.dumps(descriptor, sort_keys=True, separators=(",", ":"))
@@ -512,7 +550,8 @@ def test_saved_descriptor_is_the_canonical_text_of_the_digest(name, n, tmp_path)
 
 @pytest.mark.parametrize("name,n,limit", [("quantum-otp", 4, 4e6), ("superdense", 6, 16e6)])
 def test_digest_never_holds_the_descriptor(name, n, limit):
-    # the whole text of either is 1.4 and 2.7 MB; as nested lists, many times that
+    # the dense schema-1 text of either was 1.4 and 2.7 MB; the gate-list text is
+    # 22 and 2 KB, its gate table streamed a row at a time
     p = build_named(name, n)
     tracemalloc.start()
     try:

@@ -52,7 +52,7 @@ from pqclab.reductions import (
     teleportation_rsp,
 )
 
-from oracles import per_key_bound, probes
+from oracles import dense, per_key_bound, probes
 
 Q1 = SystemLayout.qubits(1)
 
@@ -366,7 +366,7 @@ def test_rsp_to_pqc_at_four_qubits_is_admitted():
 def dense_branches(rsp, probe):
     """Every message's probability, the messages whose probability reaches
     1e-14, and their post-correction receiver density matrices, stacked."""
-    u = rsp.measurement.matrix
+    u = dense(rsp.measurement)
     ra, rb = rsp.alice_subsystems, rsp.bob_qubits
     # rows: the input and sender wires; columns: the receiver's half
     vec = np.kron(probe.amplitudes, rsp.psi_ab.amplitudes).reshape(len(u), 2 ** rb)
