@@ -190,8 +190,9 @@ class GateList:
     the engine and descriptor files all hold operators in this one form.
 
     Simulation fuses each run of consecutive gates on at most FUSION_WIRES
-    wires into one dense gate, no larger than the block it acts on, composed
-    per :meth:`apply` call and not kept.
+    wires into one dense gate, no larger than one key's block it acts on,
+    composed per call (:func:`_apply_run`), once for a run of keys, and not
+    kept.
     """
 
     qubits: int
@@ -212,26 +213,40 @@ class GateList:
     def apply(self, block: np.ndarray, dims: Sequence[int], wires: Sequence[int],
               start: int = 0, stop: int | None = None) -> np.ndarray:
         """Apply gates ``start:stop`` to a block whose wire ``wires[i]`` is
-        this register's wire i.  Consecutive gates on w block wires together,
-        w ≤ FUSION_WIRES and 4^w ≤ the block's size, run as one gate on those
-        wires in ascending order, composed here and dropped once applied."""
-        groups: list[tuple[set[int], list]] = []
-        for g, targets in self.gates[start:stop]:
-            mapped = [wires[t] for t in targets]
-            union = groups[-1][0].union(mapped) if groups else ()
-            if groups and len(union) <= FUSION_WIRES and 4 ** len(union) <= block.size:
-                groups[-1][0].update(mapped)
-                groups[-1][1].append((g.matrix, mapped))
-            else:
-                groups.append((set(mapped), [(g.matrix, mapped)]))
-        for union, gates in groups:
-            gate, targets = gates[0]
-            if len(gates) > 1:
-                targets = sorted(union)
-                gate = compose_circuit([dims[w] for w in targets],
-                                       ((m, [targets.index(w) for w in t]) for m, t in gates))
-            block = apply_gate(block, dims, gate, targets)
-        return block
+        this register's wire i: :func:`_apply_run` on a run of one list."""
+        return _apply_run((self,), block, dims, wires, start, stop)
+
+
+def _apply_run(ops: Sequence[GateList], block: np.ndarray, dims: Sequence[int],
+               wires: Sequence[int], start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Apply gates ``start:stop`` of each of ``ops``, a run of gate lists
+    whose gates sit on the same wires at every position: list k to matrix k
+    of a stack (K, rows, cols), or to the one block given, which then becomes
+    a stack.  At each position the gates act as one stack (K, g, g), or as
+    one matrix where every list holds the same gate object.  Consecutive
+    gates on w block wires together, w ≤ FUSION_WIRES and 4^w ≤ the size of
+    one list's block, run as one gate on those wires in ascending order,
+    composed here once for the run and dropped once applied."""
+    size = block[0].size if block.ndim == 3 else block.size
+    groups: list[tuple[set[int], list]] = []
+    for i, (g, targets) in enumerate(ops[0].gates[start:stop], start):
+        column = [op.gates[i][0] for op in ops]
+        gate = g.matrix if all(h is g for h in column) else np.array([h.matrix for h in column])
+        mapped = [wires[t] for t in targets]
+        union = groups[-1][0].union(mapped) if groups else ()
+        if groups and len(union) <= FUSION_WIRES and 4 ** len(union) <= size:
+            groups[-1][0].update(mapped)
+            groups[-1][1].append((gate, mapped))
+        else:
+            groups.append((set(mapped), [(gate, mapped)]))
+    for union, gates in groups:
+        gate, targets = gates[0]
+        if len(gates) > 1:
+            targets = sorted(union)
+            gate = compose_circuit([dims[w] for w in targets],
+                                   ((m, [targets.index(w) for w in t]) for m, t in gates))
+        block = apply_gate(block, dims, gate, targets)
+    return block
 
 
 def _shared_prefix(ops: Sequence[GateList]) -> int:
@@ -348,13 +363,15 @@ class ChannelProtocol:
 # ---------------------------------------------------------------------------
 # simulation engine
 #
-# Every check reads one verification pass (:func:`_verification_pass`): each
-# key's sender stage runs once on the block of all input basis columns, its
-# message adds to the channel table, and its receiver stage continues from
-# the same block, that key's isometry block, whose correctness bound is read
-# off it.  Every security part is read off the table.  Over the basis, the
-# input wires that are only controls of the shared prefix fold out before it
-# runs, and the other wires only the prefix touches after it (:func:`_fold`).
+# Every check reads one verification pass (:func:`_verification_pass`).  The
+# keys run in runs (:func:`_runs`): consecutive keys whose gates sit on the
+# same wires, simulated as one stack (K, rows, columns) of their blocks on all
+# input basis columns.  A run's sender stage runs once, its messages add to
+# the channel table, and its receiver stage continues from the same stack,
+# the keys' isometry blocks, whose correctness bounds are read off it.  Every
+# security part is read off the table.  Over the basis, the input wires that
+# are only controls of the shared prefix fold out before it runs, and the
+# other wires only the prefix touches after it (:func:`_fold`).
 
 
 def _zero_tail(block: np.ndarray, qubits: int) -> np.ndarray:
@@ -382,40 +399,44 @@ def _sender_head(p: ChannelProtocol, inputs: np.ndarray, gates: int = 0,
     return p.alice_ops[0].apply(block, [2] * (rows + n * bool(early)), wires, stop=gates)
 
 
-def _stage(p: ChannelProtocol, head: np.ndarray, key_index: int, start: int = 0,
+def _stage(p: ChannelProtocol, head: np.ndarray, keys: range, start: int = 0,
            wires: Sequence[int] | None = None) -> tuple[np.ndarray, list[int], list[int]]:
-    """Run key ``key_index``'s sender gates from gate ``start`` on, on a
-    block from :func:`_sender_head`.
+    """Run the sender gates from gate ``start`` on of the run ``keys``
+    (:func:`_runs`) on a block from :func:`_sender_head`.
 
-    Returns the global block (one column per input), its qubit dims, and the
-    message wires.  The block runs on the engine register
-    (:attr:`ChannelProtocol.engine_qubits`), wire w on row ``wires[w]``
-    (:func:`_fold`; by default w).  Its environment copies of a classical
-    message record the sent value: the deferred measurement of those wires.
+    Returns the keys' global blocks as a stack (K, rows, one column per
+    input), their qubit dims, and the message wires.  The blocks run on the
+    engine register (:attr:`ChannelProtocol.engine_qubits`), wire w on row
+    ``wires[w]`` (:func:`_fold`; by default w).  Their environment copies of
+    a classical message record the sent value: the deferred measurement.
     """
     wires = range(p.engine_qubits) if wires is None else wires
     dims = [2] * (head.shape[0].bit_length() - 1)
-    block = p.alice_ops[key_index].apply(head, dims, wires, start=start)
+    block = _apply_run([p.alice_ops[k] for k in keys], head, dims, wires, start)
+    # a read-only view where every key's gates are the head's: no copy
+    block = np.broadcast_to(block, (len(keys), *block.shape[-2:]))
     keep = [wires[w] for w in p.message_subsystems]
     if p.message_kind == INPUT_CLASSICAL:
-        block = _zero_tail(block, p.message_qubits)
-        dims = dims + [2] * p.message_qubits
-        for wire, copy in zip(keep, wires[p.sender_qubits + p.resource.bob_qubits:]):
-            block = apply_gate(block, dims, CNOT.matrix, [wire, copy])
+        # the copies, appended in |0...0>, each take the value of its message
+        # wire, as CNOTs from the message wires would: one write per row
+        sent = np.ravel_multi_index(np.indices(dims)[keep], [2] * len(keep)).ravel()
+        copied = np.zeros((len(keys), len(head), 2 ** len(keep), block.shape[-1]), complex)
+        copied[:, range(len(head)), sent] = block
+        block, dims = copied.reshape(len(keys), -1, block.shape[-1]), dims + [2] * len(keep)
     return block, dims, keep
 
 
-def _receiver_stage(p: ChannelProtocol, block: np.ndarray, dims: list[int], key_index: int,
+def _receiver_stage(p: ChannelProtocol, block: np.ndarray, dims: list[int], keys: range,
                     wires: Sequence[int] | None = None) -> tuple[np.ndarray, list[int], list[int]]:
-    """Key ``key_index``'s receiver stage on a block and wire map from
-    :func:`_stage`; returns the block, its dims and the output wires."""
+    """The run ``keys``'s receiver stage on a stack and wire map from
+    :func:`_stage`; returns the stack, its dims and the output wires."""
     wires = range(p.engine_qubits) if wires is None else wires
     block = _zero_tail(block, p.bob_ancillas)
     dims = dims + [2] * p.bob_ancillas
     receiver_wires = [wires[w] for w in itertools.chain(
         p.message_subsystems, range(p.engine_qubits - p.bob_ancillas, p.engine_qubits),
         range(p.sender_qubits, p.sender_qubits + p.resource.bob_qubits))]
-    block = p.bob_ops[key_index].apply(block, dims, receiver_wires)
+    block = _apply_run([p.bob_ops[k] for k in keys], block, dims, receiver_wires)
     return block, dims, [receiver_wires[o] for o in p.output_subsystems]
 
 
@@ -427,19 +448,20 @@ def _correctness_bound(block: np.ndarray, dims: list[int], outputs: list[int],
     With ``basis``, max_a ‖(I − |a><a| ⊗ I) W|a>‖: the root of the output's
     weight off |a>, summed as such, never as 1 − <a|Φ(|a><a|)|a>.  It is at
     least the trace distance (Fuchs and van de Graaf, 1999), and equal for a
-    pure output.  Otherwise min(1, ‖W − I ⊗ j‖_op), j the normalized
-    Σ_a (<a| ⊗ I) W|a> (1.0 if that is 0), which bounds ½‖Φ − id‖_⋄ over
-    every input (Kretschmann, Schlingemann and Werner, 2008); for each block
-    of a stack (..., rows, d), by one batched norm.
+    pure output; the largest over a stack of blocks (..., rows, d).
+    Otherwise min(1, ‖W − I ⊗ j‖_op), j the normalized Σ_a (<a| ⊗ I) W|a>
+    (1.0 if that is 0), which bounds ½‖Φ − id‖_⋄ over every input
+    (Kretschmann, Schlingemann and Werner, 2008); for each block of a stack,
+    by one batched norm.
     """
     d, shape = block.shape[-1], block.shape[:-2]
     rest = [i for i in range(len(dims)) if i not in outputs]
     axes = list(range(len(shape))) + [len(shape) + i for i in outputs + rest + [len(dims)]]
     w = block.reshape(shape + (*dims, d)).transpose(axes).reshape(shape + (d, -1, d))
     if basis:
-        weight = np.sum(np.abs(w) ** 2, axis=1)
-        weight[np.diag_indices(d)] = 0.0
-        return math.sqrt(float(weight.sum(axis=0).max()))
+        weight = np.sum(np.abs(w) ** 2, axis=-2)
+        weight[..., range(d), range(d)] = 0.0
+        return math.sqrt(float(weight.sum(axis=-2).max()))
     j = np.einsum("...ara->...r", w)
     live = j.any(axis=-1)
     re, im = j.real[..., None, :], j.imag[..., None, :]  # np.linalg.norm's dot products:
@@ -450,35 +472,25 @@ def _correctness_bound(block: np.ndarray, dims: list[int], outputs: list[int],
 
 
 class _KeyAverage:
-    """Σ_k p_k m_k m_k† over keys' kept-wire factors m_k (..., dk, dr), copied
-    side by side into a stack F of at most STACK_BYTES, with p_k for each of
-    a key's dr columns in weights w: each full stack and :meth:`result` add
-    F (w conj F)ᵀ.  A factor over half the budget adds p_k m_k m_k† alone."""
+    """Σ_k p_k m_k m_k† over keys' kept-wire factors m_k (..., dk, dr), added
+    a run at a time as its factor F (..., dk, K·dr), the keys' side by side,
+    with p_k for each of a key's dr columns in weights w: a run adds
+    F (w conj F)ᵀ, the weighted conjugate written into one stack that every
+    run reuses, and a run of one key p_k m_k m_k†.  The sum, of ``shape``,
+    is allocated first, so no run's freed arrays sit under it in memory."""
 
-    def __init__(self, keys: int):
-        self.keys, self.total, self.stack, self.used = keys, 0.0, None, 0
+    def __init__(self, shape: tuple[int, ...]):
+        self.total, self.stack = np.zeros(shape, dtype=complex), None
 
-    def add(self, prob: float, m: np.ndarray) -> None:
-        per_stack = min(self.keys, STACK_BYTES // m.nbytes)
-        if per_stack < 2:
-            self.total = self.total + prob * (m @ m.conj().swapaxes(-1, -2))
+    def add(self, probs: np.ndarray, m: np.ndarray) -> None:
+        if len(probs) == 1:
+            self.total += probs[0] * (m @ m.conj().swapaxes(-1, -2))
             return
-        if self.stack is None:
-            self.stack = np.empty(m.shape[:-1] + (per_stack * m.shape[-1],), dtype=complex)
-            self.weights = np.empty(self.stack.shape[-1])
-        end = self.used + m.shape[-1]
-        self.stack[..., self.used:end], self.weights[self.used:end], self.used = m, prob, end
-        if end == self.stack.shape[-1]:
-            self.result()
-
-    def result(self) -> np.ndarray:
-        if self.used:
-            f = self.stack[..., :self.used]
-            weighted = f.conj()
-            weighted *= self.weights[:self.used]
-            product = f @ weighted.swapaxes(-1, -2)
-            self.total, self.used = np.add(self.total, product, out=product), 0
-        return self.total
+        if self.stack is None or self.stack.size < m.size:
+            self.stack = np.empty(m.size, dtype=complex)
+        weighted = np.conjugate(m, out=self.stack[:m.size].reshape(m.shape))
+        weighted *= np.repeat(probs, m.shape[-1] // len(probs))
+        self.total += m @ weighted.swapaxes(-1, -2)
 
 
 def _block_diagonal(gate: np.ndarray, i: int) -> bool:
@@ -524,42 +536,55 @@ def _fold(p: ChannelProtocol, head: np.ndarray, folded: Sequence[int],
     return np.take_along_axis(t, order[None], axis=1).reshape(len(t), -1), wires, s
 
 
+def _runs(p: ChannelProtocol, shared: int, head: np.ndarray) -> list[range]:
+    """The keys in order, cut into runs: consecutive keys whose sender gates
+    after the ``shared`` prefix, and whose receiver gates, sit on the same
+    wires at every position, at most as many as fit four of their largest
+    blocks (the run, a product's output, a transposed copy and the kept
+    factor) in STACK_BYTES: ``head`` with the environment copies and the
+    receiver's ancillas attached."""
+    grown = p.engine_qubits - p.sender_qubits - p.resource.bob_qubits
+    size = max(1, STACK_BYTES // (4 * head.nbytes << grown))
+    wiring = [([t for _, t in a.gates[shared:]], [t for _, t in b.gates])
+              for a, b in zip(p.alice_ops, p.bob_ops)]
+    runs, start = [], 0
+    for k in range(1, p.key_count + 1):
+        if k == p.key_count or k - start == size or wiring[k] != wiring[start]:
+            runs.append(range(start, k))
+            start = k
+    return runs
+
+
 def _verification_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, float]:
     """The channel table and the worst per-key :func:`_correctness_bound`,
-    from one sender stage and one receiver stage per key on the block of all
-    input basis columns.  The table is the key-averaged E(|a><b|), indexed
-    [a, b, x, y] and read off the Choi vectors Σ_a V|a>|a>; with ``basis``
-    only E(|a><a|), indexed [a, x, y] and read off the columns V|a>, so its
-    rows are the basis inputs' wire states, run on the block :func:`_fold`
-    leaves.  Keys add up in a :class:`_KeyAverage`, and over every input their
-    receiver blocks stack up to STACK_BYTES; their shared block is read-only."""
+    from one sender stage and one receiver stage per run of keys
+    (:func:`_runs`) on the stack of their blocks of all input basis columns.
+    The table is the key-averaged E(|a><b|), indexed [a, b, x, y] and read
+    off the Choi vectors Σ_a V|a>|a>; with ``basis`` only E(|a><a|), indexed
+    [a, x, y] and read off the columns V|a>, so its rows are the basis
+    inputs' wire states, run on the block :func:`_fold` leaves.  Runs add up
+    in a :class:`_KeyAverage`, the run axis a rest wire of their factor, and
+    each run's receiver stack takes one bound; their shared head is read-only."""
     d, dm = 2 ** p.input_qubits, 2 ** p.message_qubits
     shared = _shared_prefix(p.alice_ops)
     folded, early = _foldable(p, shared) if basis else ([], [])
     head = _sender_head(p, np.eye(d, dtype=complex), shared, early)
     head, wires, s = _fold(p, head, folded, early)
     head.flags.writeable = False
-    average, correctness, stack, used = _KeyAverage(p.key_count), 0.0, None, 0
-    for k, prob in enumerate(p.key_probs):
-        block, dims, keep = _stage(p, head, k, shared, wires)
-        columns = (block.reshape(-1, d), dims + [s], keep) if basis else (
-            block.reshape(-1), dims + [d], [len(dims)] + keep)
-        average.add(prob, kept_factor(*columns))
-        block, dims, outputs = _receiver_stage(p, block, dims, k, wires)
-        block, dims = block.reshape(-1, d), dims + [s]
-        if basis or 2 * block.nbytes > STACK_BYTES:
-            correctness = max(correctness, _correctness_bound(block, dims, outputs, basis))
-            continue
-        if stack is None:
-            stack = np.empty((min(p.key_count, STACK_BYTES // block.nbytes), *block.shape), complex)
-        stack[used], used = block, used + 1
-        if used == len(stack) or k == p.key_count - 1:
-            correctness = max(correctness, *_correctness_bound(stack[:used], dims, outputs, False))
-            used = 0
-    table = average.result()
+    average, correctness = _KeyAverage((d, dm, dm) if basis else (d * dm, d * dm)), 0.0
+    for keys in _runs(p, shared, head):
+        block, dims, keep = _stage(p, head, keys, shared, wires)
+        run, keep = [len(keys), *dims], [w + 1 for w in keep]
+        average.add(p.key_probs[keys.start:keys.stop], kept_factor(
+            block.reshape(-1, d), run + [s], keep) if basis else kept_factor(
+            block.reshape(-1), run + [d], [len(run)] + keep))
+        block, dims, outputs = _receiver_stage(p, block, dims, keys, wires)
+        bound = _correctness_bound(block.reshape(len(keys), -1, d), dims + [s], outputs, basis)
+        correctness = max(correctness, float(np.max(bound)))
+    table = average.total
     table = table if basis else table.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)
     table.flags.writeable = False
-    return table, float(correctness)
+    return table, correctness
 
 
 #: the last verification pass, as [protocol, basis flag, pass result]
@@ -588,15 +613,19 @@ def encode(p: ChannelProtocol, input_ket: Ket) -> DensityOp:
     """Message state seen on the wire, averaged over the key distribution."""
     shared = _shared_prefix(p.alice_ops)
     head = _sender_head(p, input_ket.amplitudes[:, None], shared)
-    average = _KeyAverage(p.key_count)
-    for k, prob in enumerate(p.key_probs):
-        average.add(prob, kept_factor(*_stage(p, head, k, shared)))
-    return DensityOp(SystemLayout.qubits(p.message_qubits), average.result()[0])
+    average = _KeyAverage((2 ** p.message_qubits,) * 2)
+    for keys in _runs(p, shared, head):
+        block, dims, keep = _stage(p, head, keys, shared)
+        average.add(p.key_probs[keys.start:keys.stop],
+                    kept_factor(block.reshape(-1), [len(keys), *dims], [w + 1 for w in keep]))
+    return DensityOp(SystemLayout.qubits(p.message_qubits), average.total)
 
 
 def decode_per_key(p: ChannelProtocol, input_ket: Ket, key_index: int) -> DensityOp:
-    block, dims, _ = _stage(p, _sender_head(p, input_ket.amplitudes[:, None]), key_index)
-    reduced = reduced_from_vector(*_receiver_stage(p, block, dims, key_index))[0]
+    key = range(key_index, key_index + 1)
+    block, dims, _ = _stage(p, _sender_head(p, input_ket.amplitudes[:, None]), key)
+    block, dims, outputs = _receiver_stage(p, block, dims, key)
+    reduced = reduced_from_vector(block[0], dims, outputs)[0]
     return DensityOp(SystemLayout.qubits(len(p.output_subsystems)), reduced)
 
 

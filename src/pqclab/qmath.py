@@ -198,7 +198,9 @@ def tensor(a, b) -> np.ndarray:
 def apply_gate(block: np.ndarray, dims: Sequence[int], gate: np.ndarray,
                targets: Sequence[int]) -> np.ndarray:
     """Apply ``gate`` to the listed subsystems (in the given order) of a
-    state vector or to the row index of a matrix of column vectors."""
+    state vector, of the row index of a matrix of column vectors, or of each
+    matrix of a stack (K, rows, cols).  A stack of gates (K, g, g) applies
+    gate k to matrix k, or to the one matrix given, making it a stack."""
     dims = list(dims)
     targets = list(targets)
     t0 = targets[0] if targets else 0
@@ -206,7 +208,10 @@ def apply_gate(block: np.ndarray, dims: Sequence[int], gate: np.ndarray,
         # one ascending run of wires is the middle index of a 3-way reshape
         lead = math.prod(dims[:t0])
         d_t = math.prod(dims[t0:t0 + len(targets)])
-        return (gate @ block.reshape(lead, d_t, -1)).reshape(block.shape)
+        s = block.ndim // 3  # a stack's leading axis
+        t = block.reshape(*block.shape[:s], lead, d_t, -1)
+        t = (gate[:, None] if gate.ndim == 3 else gate) @ t
+        return t.reshape(t.shape[:-3] + block.shape[s:])
     return _apply_gate_transposed(block, dims, gate, targets)
 
 
@@ -214,17 +219,20 @@ def _apply_gate_transposed(block: np.ndarray, dims: list[int], gate: np.ndarray,
                            targets: list[int]) -> np.ndarray:
     """:func:`apply_gate` for any target order: move the targets outermost,
     multiply, move them back."""
-    n = len(dims)
-    perm = targets + [i for i in range(n) if i not in targets]
+    n, s = len(dims), block.ndim // 3  # a stack's leading axis
+    lead, perm = block.shape[:s], targets + [i for i in range(n) if i not in targets]
     # a vector is one column
-    t = block.reshape(dims + [-1]).transpose(perm + [n])
-    t = gate @ t.reshape(math.prod(dims[i] for i in targets), -1)
-    t = t.reshape([dims[i] for i in perm] + [-1])
-    return t.transpose(list(np.argsort(perm)) + [n]).reshape(block.shape)
+    t = np.moveaxis(block.reshape(*lead, *dims, -1), [s + i for i in perm], range(s, s + n))
+    t = gate @ t.reshape(*lead, math.prod(dims[i] for i in targets), -1)
+    t = t.reshape(*t.shape[:-2], *[dims[i] for i in perm], -1)  # a stack of gates makes a stack
+    s = t.ndim - n - 1
+    return np.moveaxis(t, range(s, s + n), [s + i for i in perm]).reshape(
+        t.shape[:s] + block.shape[len(lead):])
 
 
 def compose_circuit(dims: Sequence[int], gates: Iterable[tuple[np.ndarray, Sequence[int]]]) -> np.ndarray:
-    """Product of embedded gates; the first listed gate acts first."""
+    """Product of embedded gates; the first listed gate acts first.  A stack
+    of gates (K, g, g) among them makes the product a stack of K matrices."""
     d = int(np.prod(list(dims)))
     u = np.eye(d, dtype=complex)
     for gate, targets in gates:
@@ -434,17 +442,19 @@ def trace_distance(a, b) -> float | np.ndarray:
     """(1/2) Σ |eigenvalues of a - b|; accepts DensityOp or raw matrices.
 
     Stacks of matrices broadcast against each other and give one distance
-    per stacked pair, from a single batched eigensolve over the pairs that
-    differ; a pair with an exactly zero difference is exactly 0.0.
+    per stacked pair, from one batched eigensolve over the pairs that differ,
+    copied once; a pair with an exactly zero difference is exactly 0.0.
     """
     am = a.matrix if isinstance(a, DensityOp) else as_complex(a)
     bm = b.matrix if isinstance(b, DensityOp) else as_complex(b)
     if am.shape[-2:] != bm.shape[-2:]:
         raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    diff = am - bm
-    differs = diff.any(axis=(-2, -1))
+    differs = (am != bm).any(axis=(-2, -1))
+    shape = differs.shape + am.shape[-2:]
+    diff = np.broadcast_to(am, shape)[differs]
+    diff -= bm if bm.ndim == 2 else np.broadcast_to(bm, shape)[differs]
     dist = np.zeros(differs.shape)
-    dist[differs] = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff[differs])), axis=-1)
+    dist[differs] = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
     return float(dist) if dist.ndim == 0 else dist
 
 

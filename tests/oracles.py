@@ -1,13 +1,17 @@
 """Reference helpers that only the tests use: gates on kets and on the full
 product space, a gate list's dense matrix, ray comparison, the probe inputs
 of the per-probe reference,
-per-probe views of a protocol's sender stage and channel table, and the
-verification pass's key average and correctness bound, one key at a time."""
+per-probe views of a protocol's sender stage and channel table, the
+verification pass's key average and correctness bound, one key at a time,
+and the runs of keys the engine's sender stages take."""
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
+from unittest import mock
 
 import numpy as np
+
+from pqclab import protocols
 
 from pqclab.entropy import ProbabilityDist
 from pqclab.protocols import (
@@ -65,8 +69,9 @@ def ray_deviation(a: Ket, b: Ket) -> float:
 
 def alice_stage(p: ChannelProtocol, input_ket: Ket, key_index: int = 0) -> Ket:
     """Joint state right after the sender's operation (message not yet split off)."""
-    block, dims, _ = _stage(p, _sender_head(p, input_ket.amplitudes[:, None]), key_index)
-    return Ket(SystemLayout(tuple(dims)), block[:, 0])
+    key = range(key_index, key_index + 1)
+    block, dims, _ = _stage(p, _sender_head(p, input_ket.amplitudes[:, None]), key)
+    return Ket(SystemLayout(tuple(dims)), block[0, :, 0])
 
 
 def message_distribution(p: ChannelProtocol, input_ket: Ket) -> ProbabilityDist:
@@ -131,8 +136,10 @@ def per_key_encode(p: ChannelProtocol, input_ket: Ket) -> DensityOp:
     """``encode`` as a sum over keys: each key's whole sender stage, its
     wire state from ``reduced_from_vector``, weighted and added on."""
     head = _sender_head(p, input_ket.amplitudes[:, None])
-    acc = sum(prob * reduced_from_vector(*_stage(p, head, k))[0]
-              for k, prob in enumerate(p.key_probs))
+    acc = 0.0
+    for k, prob in enumerate(p.key_probs):
+        block, dims, keep = _stage(p, head, range(k, k + 1))
+        acc = acc + prob * reduced_from_vector(block[0], dims, keep)[0]
     return DensityOp(SystemLayout.qubits(p.message_qubits), acc)
 
 
@@ -156,17 +163,46 @@ def per_key_bound(block: np.ndarray, dims: list[int], outputs: list[int],
 def per_key_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, float]:
     """The channel table and correctness bound of the verification pass,
     with each key's reduced state from ``reduced_from_vector`` weighted and
-    added to the table one key at a time, never stacked with other keys, and
-    every wire kept in the block's rows: no wire is folded into its columns."""
+    added to the table one key at a time, each key its own run of one, never
+    stacked with other keys, and every wire kept in the block's rows: no wire
+    is folded into its columns."""
     d, dm = 2 ** p.input_qubits, 2 ** p.message_qubits
     shared = _shared_prefix(p.alice_ops)
     head = _sender_head(p, np.eye(d, dtype=complex), shared)
     acc, correctness = 0.0, 0.0
     for k, prob in enumerate(p.key_probs):
-        block, dims, keep = _stage(p, head, k, shared)
+        key = range(k, k + 1)
+        block, dims, keep = _stage(p, head, key, shared)
+        block = block[0]
         columns = (block, dims, keep) if basis else (
             block.reshape(-1), dims + [d], [len(dims)] + keep)
         acc = acc + prob * reduced_from_vector(*columns)
-        correctness = max(correctness, per_key_bound(
-            *_receiver_stage(p, block, dims, k), basis))
+        block, dims, outputs = _receiver_stage(p, block[None], dims, key)
+        correctness = max(correctness, per_key_bound(block[0], dims, outputs, basis))
     return (acc if basis else acc.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)), correctness
+
+
+# ---------------------------------------------------------------------------
+# the engine's runs of keys
+
+
+def stage_runs(run: Callable) -> tuple[object, list[range], int]:
+    """What ``run()`` returns, the key runs of the sender stages it runs, in
+    order, and the bytes of one key's block out of the first stage."""
+    runs, sizes, stage = [], [], protocols._stage
+
+    def spy(p, head, keys, *args):
+        out = stage(p, head, keys, *args)
+        runs.append(keys)
+        sizes.append(out[0][0].nbytes)
+        return out
+    with mock.patch.object(protocols, "_stage", spy):
+        result = run()
+    return result, runs, sizes[0]
+
+
+def run_cut(p: ChannelProtocol, keys: int, run: Callable) -> int:
+    """A STACK_BYTES that cuts the runs of ``run()`` on ``p`` at ``keys``
+    keys: four of a key's largest blocks, its sender block with the
+    receiver's ancillas attached, per key."""
+    return 4 * keys * (stage_runs(run)[2] << p.bob_ancillas)

@@ -2,11 +2,12 @@
 
 Protocol operators are lists of gates that the engine applies in fused runs.
 The checks here: ``apply_gate``'s reshape path for a run of wires equals its
-transpose path; a gate list's fused runs equal its gates applied one at a
-time, no fused gate has more entries than the block it acts on, and a lift's
-receiver runs as one gate per key; every lifted operator's dense matrix
-(``oracles.dense``) equals the dense product the lifts used to build gate
-by gate with ``compose_circuit``, and both give the same verification
+transpose path, and on stacks of gates or blocks it equals each matrix
+alone; a gate list's fused runs equal its gates applied one at a time, no
+fused gate has more entries than one key's block it acts on, and a lift's
+receiver runs as one gate per run of keys; every lifted operator's dense
+matrix (``oracles.dense``) equals the dense product the lifts used to build
+gate by gate with ``compose_circuit``, and both give the same verification
 values; builder digests are those of the gate-list descriptors, and lifted
 protocols save and verify from their files.
 """
@@ -14,6 +15,7 @@ protocols save and verify from their files.
 import dataclasses
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -49,7 +51,7 @@ from pqclab.qmath import (
 )
 from pqclab.reductions import lift_extra_comm, lift_extra_epr, rsp_to_pqc, teleportation_rsp
 
-from oracles import dense
+from oracles import dense, run_cut
 
 TOL = 1e-12
 
@@ -84,6 +86,35 @@ def test_run_fast_path_equals_transpose_path(case):
     fast = apply_gate(block, dims, gate, targets)
     assert fast.shape == block.shape
     assert max_abs(fast - _apply_gate_transposed(block, dims, gate, targets)) <= 1e-14
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gate_on_run(), st.booleans(), st.integers(1, 3),
+       st.sampled_from(["gates", "blocks", "both"]))
+def test_stacked_apply_equals_each_matrix_alone(case, descending, keys, stacked):
+    # a stack of gates, of blocks or of both, on a run of wires or on the
+    # same wires descending (the transpose path): matrix k of the result is
+    # gate k applied to block k alone, bit for bit, and a composed stack is
+    # each gate list composed alone
+    dims, targets, cols, seed = case
+    targets = targets[::-1] if descending else targets
+    rng = np.random.default_rng(seed)
+    d, d_t = math.prod(dims), math.prod(dims[t] for t in targets)
+    gates = np.stack([haar_unitary(d_t, rng).matrix for _ in range(keys)])
+    shape = (keys, d, cols or 1)
+    blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    gate = gates if stacked != "blocks" else gates[0]
+    block = blocks if stacked != "gates" else blocks[0]
+    out = apply_gate(block, dims, gate, targets)
+    assert out.shape == (keys, d, cols or 1)
+    for k in range(keys):
+        alone = apply_gate(blocks[k if stacked != "gates" else 0], dims,
+                           gates[k if stacked != "blocks" else 0], targets)
+        assert np.array_equal(out[k], alone), k
+    composed = compose_circuit(dims, [(gate, targets), (gates[0], targets[::-1])])
+    for k in range(keys):
+        assert np.array_equal(composed[k] if composed.ndim == 3 else composed, compose_circuit(
+            dims, [(gates[k if stacked != "blocks" else 0], targets), (gates[0], targets[::-1])]))
 
 
 # ---------------------------------------------------------------------------
@@ -142,33 +173,41 @@ def test_fused_apply_equals_gate_by_gate(case, data):
                    - _one_by_one(block, dims, wire_map, a.gates[start:stop])) <= TOL
 
 
-def test_lifted_receiver_runs_one_gate_per_key_on_one_wire_run(monkeypatch):
-    # each key's receiver list (inner Pauli, two Bell readouts) on its 4 wires
-    # runs as one 16 x 16 gate on the block's message wires, and the shared
-    # sender prefix runs once per pass, not once per key
+@pytest.mark.parametrize("per_run, runs", [(5, [5, 5, 5, 1]), (16, [16]), (1, [1] * 16)])
+def test_lifted_receiver_runs_one_gate_per_run_on_one_wire_run(monkeypatch, per_run, runs):
+    # each run's receiver lists (inner Pauli, two Bell readouts) on their 4
+    # wires run as one stack of 16 x 16 gates, one per key, on the block's
+    # message wires; the runs partition the keys in order, the shared sender
+    # prefix runs once per pass, and each run's sender tail once
     lifted = lift_extra_comm(build_named("quantum-otp", 2), check_input=False)
     shared = _shared_prefix(lifted.alice_ops)
-    calls, real_apply, real_gate = [], GateList.apply, protocols.apply_gate
+    monkeypatch.setattr(protocols, "STACK_BYTES", run_cut(
+        lifted, per_run, lambda: protocols._verification_pass(lifted, True)))
+    calls, real_run, real_gate = [], protocols._apply_run, protocols.apply_gate
 
-    def apply(op, block, dims, wires, start=0, stop=None):
-        calls.append((op, start, stop, []))
-        return real_apply(op, block, dims, wires, start, stop)
+    def apply_run(ops, block, dims, wires, start=0, stop=None):
+        calls.append((list(ops), start, stop, []))
+        return real_run(ops, block, dims, wires, start, stop)
 
     def gate(block, dims, matrix, targets):
-        calls[-1][3].append(list(targets))
+        calls[-1][3].append((list(targets), matrix.shape))
         return real_gate(block, dims, matrix, targets)
 
-    monkeypatch.setattr(GateList, "apply", apply)
+    monkeypatch.setattr(protocols, "_apply_run", apply_run)
     monkeypatch.setattr(protocols, "apply_gate", gate)
     verify_correctness(lifted)
 
-    receiver = [targets for op, _, _, targets in calls if op in lifted.bob_ops]
-    assert len(receiver) == lifted.key_count == 16
-    for targets in receiver:
-        assert len(targets) == 1
-        assert targets[0] == list(range(targets[0][0], targets[0][0] + 4))
+    receiver = [(ops, applied) for ops, _, _, applied in calls if ops[0] in lifted.bob_ops]
+    assert [len(ops) for ops, _ in receiver] == runs
+    assert [op for ops, _ in receiver for op in ops] == list(lifted.bob_ops)
+    for ops, applied in receiver:
+        (targets, shape), = applied
+        assert targets == list(range(targets[0], targets[0] + 4))
+        assert shape == ((len(ops),) if len(ops) > 1 else ()) + (16, 16)
     assert sum(c[1:3] == (0, shared) for c in calls) == 1
-    assert sum(c[1:3] == (shared, None) for c in calls) == lifted.key_count
+    tails = [ops for ops, start, stop, _ in calls if (start, stop) == (shared, None)]
+    assert [op for ops in tails for op in ops] == list(lifted.alice_ops)
+    assert len(tails) == len(runs)
 
 
 def test_fused_gates_never_outsize_their_block(monkeypatch):
@@ -193,6 +232,13 @@ def test_fused_gates_never_outsize_their_block(monkeypatch):
     applied.clear()
     verify_correctness(lifted)
     assert applied and all(entries <= size for size, entries, _ in applied)
+    # per key: a stack of gates on a stack of blocks, or on the one head
+    stacked = []
+    monkeypatch.setattr(protocols, "apply_gate", lambda block, dims, matrix, targets: (
+        stacked.append((block.shape, matrix.shape)) or real_gate(block, dims, matrix, targets)))
+    protocols._verification_pass(lifted, False)
+    assert any(len(gate) == 3 for _, gate in stacked)
+    assert all(math.prod(gate[-2:]) <= math.prod(block[-2:]) for block, gate in stacked)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The isometry-block checks against a per-probe, per-key reference loop.
 
 ``security_deviations`` reads every part off the channel table of one shared
-pass, one sender stage per key, and ``verify_correctness`` is a bound read
-off each key's receiver block in the same pass.  The reference here
+pass, one sender stage per run of keys, and ``verify_correctness`` is a
+bound read off each key's receiver block in the same pass.  The reference here
 re-simulates the protocol for each probe of ``oracles.probe_columns`` (basis,
 pair and Haar-random inputs) and each key through ``oracles.per_key_encode``
 and ``decode_per_key``, rebuilds the matrix-unit table by polarization, and
@@ -10,7 +10,8 @@ computes the factorization certificate from that table with |C| formed in
 full.  The probes' wire-state deviation and the sampled factorization check
 must never exceed the certificate, and the probed correctness never the
 correctness bound.  The pass's key-stacked table is also checked against
-the same pass summed one key at a time, ``oracles.per_key_pass``.
+the same pass summed one key at a time, ``oracles.per_key_pass``, with its
+keys cut into runs of one, two and three keys and uncut.
 """
 
 import contextlib
@@ -43,6 +44,7 @@ from pqclab.protocols import (
     controlled_by_value,
     decode_per_key,
     encode,
+    epr_block,
     resource_report,
     security_deviations,
     verify_correctness,
@@ -60,7 +62,7 @@ from pqclab.qmath import (
 )
 from pqclab.reductions import lift_extra_comm, lift_extra_epr
 
-from oracles import per_key_encode, per_key_pass, probes
+from oracles import per_key_encode, per_key_pass, probes, run_cut, stage_runs
 
 TOL = 1e-12
 
@@ -347,20 +349,23 @@ def test_peak_memory_flat_in_probe_count():
 # the one verification pass behind security and correctness
 
 
-def test_security_and_correctness_run_one_sender_stage_per_key_and_chunk(monkeypatch):
-    # one sender stage per key for every reader of the quantum-input table:
-    # the security parts, the correctness bound and the resource report
+def test_security_and_correctness_run_one_sender_stage_per_run(monkeypatch):
+    # one sender stage per run of keys for every reader of the quantum-input
+    # table: the security parts, the correctness bound and the resource
+    # report; runs cut at three keys partition the 16 keys in order
+    p = build_quantum_otp(2)
+    monkeypatch.setattr(protocols, "STACK_BYTES",
+                        run_cut(p, 3, lambda: protocols._verification_pass(p, False)))
     stages = []
     real = protocols._stage
     monkeypatch.setattr(protocols, "_stage",
                         lambda *args, **kwargs: stages.append(args[2]) or real(*args, **kwargs))
-    p = build_quantum_otp(1)
     security_deviations(p)
     verify_correctness(p)
     channel_on_units(p)
     resource_report(p)
     verify_correctness(p, INPUT_QUANTUM)
-    assert sorted(stages) == list(range(p.key_count))
+    assert stages == [range(k, min(k + 3, 16)) for k in range(0, 16, 3)]
 
 
 def _haar_protocol():
@@ -458,28 +463,38 @@ def test_audit_reads_the_input_check_from_the_cli_pass(monkeypatch):
 
 def _factor_bytes(run):
     """Bytes of the kept-wire factor each key adds to the key average in
-    ``run``: the factor the pass, or ``encode``, actually stacks."""
+    ``run``: the run factors the pass, or ``encode``, actually adds, over
+    their keys."""
     sizes = []
     add = protocols._KeyAverage.add
-    with mock.patch.object(protocols._KeyAverage, "add",
-                           lambda self, prob, m: sizes.append(m.nbytes) or add(self, prob, m)):
+    with mock.patch.object(protocols._KeyAverage, "add", lambda self, probs, m: sizes.append(
+            m.nbytes // len(probs)) or add(self, probs, m)):
         run()
     assert len(set(sizes)) == 1, sizes
     return sizes[0]
 
 
+def assert_runs_cut(runs, keys, per_run):
+    """The runs partition the keys in order, none longer than ``per_run``."""
+    assert [k for run in runs for k in run] == list(range(keys)), runs
+    assert max(map(len, runs)) <= per_run, (runs, per_run)
+
+
 def assert_pass_equals_the_per_key_sum(p, basis):
-    """Stacks of one key (each key's own product), of keys − 1 keys (which
-    does not divide the key count from 3 keys on) and of every key: table
-    and correctness within TOL of ``per_key_pass``, which folds no wire."""
+    """Runs cut at one key (each key's own product), two and three keys
+    (which divide no key count from 4 keys on, or not both), and every key:
+    table and correctness within TOL of ``per_key_pass``, which folds no
+    wire and runs one key at a time."""
     keys = p.key_count
-    factor = _factor_bytes(lambda: protocols._verification_pass(p, basis))
     reference, ref_correctness = per_key_pass(p, basis)
-    for per_stack in sorted({1, max(1, keys - 1), keys}):
-        with mock.patch.object(protocols, "STACK_BYTES", per_stack * factor):
-            table, correctness = protocols._verification_pass(p, basis)
-        assert max_abs(table - reference) <= TOL, (per_stack, basis)
-        assert abs(correctness - ref_correctness) <= TOL, (per_stack, basis)
+    for per_run in sorted({1, 2, 3, keys}):
+        cut = run_cut(p, per_run, lambda: protocols._verification_pass(p, basis))
+        with mock.patch.object(protocols, "STACK_BYTES", cut):
+            (table, correctness), runs, _ = stage_runs(
+                lambda: protocols._verification_pass(p, basis))
+        assert_runs_cut(runs, keys, per_run)
+        assert max_abs(table - reference) <= TOL, (per_run, basis)
+        assert abs(correctness - ref_correctness) <= TOL, (per_run, basis)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -488,32 +503,32 @@ def test_stacked_table_equals_the_per_key_sum(p, seed):
     for basis in (True, False):
         assert_pass_equals_the_per_key_sum(p, basis)
     ket = probes(p.input_qubits, INPUT_QUANTUM, 1, seed)[-1]
-    factor = _factor_bytes(lambda: encode(p, ket))
-    for per_stack in sorted({1, max(1, p.key_count - 1), p.key_count}):
-        with mock.patch.object(protocols, "STACK_BYTES", per_stack * factor):
-            rho = encode(p, ket).matrix
-        assert max_abs(rho - per_key_encode(p, ket).matrix) <= TOL, per_stack
+    for per_run in sorted({1, 2, 3, p.key_count}):
+        with mock.patch.object(protocols, "STACK_BYTES",
+                               run_cut(p, per_run, lambda: encode(p, ket))):
+            rho, runs, _ = stage_runs(lambda: encode(p, ket).matrix)
+        assert_runs_cut(runs, p.key_count, per_run)
+        assert max_abs(rho - per_key_encode(p, ket).matrix) <= TOL, per_run
 
 
 def assert_bound_equals_the_per_key_form(p):
-    """Over every input, stacks of one receiver block, of keys − 1 blocks and
-    of every block: the pass's correctness bound is bit for bit the worst
-    per-key bound of ``per_key_pass``, and the stacks are the ones asked for."""
+    """Over every input, runs of one key, of keys − 1 keys and of every key,
+    each run's receiver stack bounded at once: the pass's correctness bound
+    is bit for bit the worst per-key bound of ``per_key_pass``, and the
+    stacks are the runs asked for, four receiver blocks per key fitting in
+    STACK_BYTES."""
     keys, block_bytes = p.key_count, 16 * 2 ** (p.engine_qubits + p.input_qubits)
     reference = per_key_pass(p, False)[1]
     bound = protocols._correctness_bound
-    for per_stack in sorted({1, max(1, keys - 1), keys}):
+    for per_run in sorted({1, max(1, keys - 1), keys}):
         sizes = []
-        with mock.patch.object(protocols, "STACK_BYTES", per_stack * block_bytes), \
-                mock.patch.object(protocols, "_correctness_bound", lambda block, *args: sizes.append(
-                    len(block) if block.ndim == 3 else 1) or bound(block, *args)):
+        with mock.patch.object(protocols, "STACK_BYTES", 4 * per_run * block_bytes), \
+                mock.patch.object(protocols, "_correctness_bound", lambda block, *args: (
+                    sizes.append(len(block)) or bound(block, *args))):
             correctness = protocols._verification_pass(p, False)[1]
-        if per_stack == 1:
-            assert sizes == [1] * keys
-        else:
-            assert sizes == [per_stack] * (keys // per_stack) + [keys % per_stack] * (
-                keys % per_stack > 0), (per_stack, sizes)
-        assert correctness == reference, (per_stack, correctness, reference)
+        assert sizes == [per_run] * (keys // per_run) + [keys % per_run] * (
+            keys % per_run > 0), (per_run, sizes)
+        assert correctness == reference, (per_run, correctness, reference)
 
 
 @pytest.mark.parametrize("builder", [("quantum-otp", n) for n in (1, 2, 3, 4)]
@@ -526,6 +541,75 @@ def test_stacked_correctness_bound_equals_the_per_key_form_on_builders(builder):
 @given(st.one_of(pauli_keyed(), haar_keyed()))
 def test_stacked_correctness_bound_equals_the_per_key_form(p):
     assert_bound_equals_the_per_key_form(p)
+
+
+# ---------------------------------------------------------------------------
+# runs of keys: the keys whose gates sit on the same wires, as one stack
+
+
+@st.composite
+def wiring(draw, wires, rng, prefix=False):
+    """Up to three gate lists on ``wires`` register wires, distinct in their
+    wiring; each list may be empty and holds up to three gates on one or two
+    wires in any order (two wires descending take the transposed path).
+    Each gate position is one gate object, which every key wired by the
+    list shares, or None, each key's own Haar gate (never in ``prefix``)."""
+    gate = st.integers(1, min(2, wires)).flatmap(
+        lambda w: st.permutations(range(wires)).map(lambda order: tuple(order[:w])))
+    lists = draw(st.lists(st.lists(gate, max_size=1 if prefix else 3),
+                          min_size=1, max_size=1 if prefix else 3, unique_by=tuple))
+    return [[(haar_unitary(2 ** len(t), rng) if prefix or draw(st.booleans()) else None, t)
+             for t in targets] for targets in lists]
+
+
+@st.composite
+def wired_keys(draw):
+    """A keyed protocol whose keys each draw one sender and one receiver
+    wiring (:func:`wiring`), after a shared prefix of at most one gate, so
+    its runs break wherever a key's wiring pair differs from the last key's;
+    with a quantum or classical message, receiver ancillas, and a classical
+    key alone or with one EPR pair (the hybrid resource).  Returns the
+    protocol and each key's pair of wiring indices."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, alice_ancillas = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    hybrid = draw(st.booleans())
+    sender = n + alice_ancillas + hybrid
+    message = draw(st.lists(st.integers(0, sender - 1), min_size=1, max_size=2, unique=True))
+    bob_ancillas = draw(st.integers(max(0, n - len(message) - hybrid), 1))
+    receiver = len(message) + bob_ancillas + hybrid
+    prefix = draw(wiring(sender, rng, prefix=True))[0]
+    alice, bob = draw(wiring(sender, rng)), draw(wiring(receiver, rng))
+    keys = draw(st.lists(st.tuples(st.integers(0, len(alice) - 1), st.integers(0, len(bob) - 1)),
+                         min_size=1, max_size=6))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(keys),
+                                     max_size=len(keys))))
+    dist = ProbabilityDist(tuple(map(str, range(len(keys)))), weights / weights.sum())
+
+    def ops(gates, qubits, head=()):
+        own = [(haar_unitary(2 ** len(t), rng) if g is None else g, t) for g, t in gates]
+        return GateList(qubits, list(head) + own)
+    return ChannelProtocol(
+        name="wired-keys", input_kind=INPUT_QUANTUM, input_qubits=n,
+        message_kind=draw(st.sampled_from((INPUT_QUANTUM, INPUT_CLASSICAL))),
+        resource=SharedResource.hybrid(dist, epr_block(1), 1) if hybrid
+        else SharedResource.classical_key(dist),
+        alice_ancillas=alice_ancillas, bob_ancillas=bob_ancillas,
+        alice_ops=tuple(ops(alice[a], sender, prefix) for a, _ in keys),
+        bob_ops=tuple(ops(bob[b], receiver) for _, b in keys),
+        message_subsystems=tuple(message), output_subsystems=tuple(range(n))), keys
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(wired_keys())
+def test_run_stacked_pass_equals_the_per_key_pass(drawn):
+    # uncut, the runs are the longest stretches of keys with one wiring pair;
+    # cut at one, two and three keys, both passes still equal the per-key pass
+    p, keys = drawn
+    for basis in (True, False):
+        runs = stage_runs(lambda: protocols._verification_pass(p, basis))[1]
+        assert [[keys[k] for k in run] for run in runs] == [
+            list(group) for _, group in itertools.groupby(keys)]
+        assert_pass_equals_the_per_key_sum(p, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -590,12 +674,15 @@ def _folded_columns(p):
     """How many input wires the basis pass of ``p`` folds before its shared
     prefix and how many wires after it, its s, and how many of each input's
     s columns are nonzero, measured on the blocks that the pass hands to
-    ``protocols._fold`` and gets back from it."""
+    ``protocols._fold`` and gets back from it, once per pass, with its keys
+    in runs of one key."""
     calls = []
     fold = protocols._fold
-    with mock.patch.object(protocols, "_fold",
-                           lambda *args: calls.append((args[1], fold(*args))) or calls[-1][1]):
-        protocols._verification_pass(p, True)
+    cut = run_cut(p, 1, lambda: protocols._verification_pass(p, True))
+    with mock.patch.object(protocols, "STACK_BYTES", cut), mock.patch.object(
+            protocols, "_fold", lambda *args: calls.append((args[1], fold(*args))) or calls[-1][1]):
+        runs = stage_runs(lambda: protocols._verification_pass(p, True))[1]
+    assert len(runs) == p.key_count
     (head, (block, _, s)), = calls
     early = p.sender_qubits + p.resource.bob_qubits - (len(head).bit_length() - 1)
     live = np.count_nonzero(block.reshape(len(block), s, -1).any(axis=0), axis=0)
@@ -733,15 +820,21 @@ def test_only_exactly_block_diagonal_controls_fold_before_the_prefix(drawn):
 
 
 def test_the_shared_head_is_read_only(monkeypatch):
-    # every key's stage starts from the one head block, so a stage that
-    # wrote into it would change the keys after it
+    # every run's stage starts from the one head block, so a stage that
+    # wrote into it would change the runs after it; runs of one key here
+    p = lift_extra_comm(build_quantum_otp(1), False)
+    cuts = {basis: run_cut(p, 1, lambda: protocols._verification_pass(p, basis))
+            for basis in (True, False)}
     heads = []
     real = protocols._stage
     monkeypatch.setattr(protocols, "_stage",
                         lambda p, head, *args: heads.append(head) or real(p, head, *args))
     for basis in (True, False):
-        protocols._verification_pass(lift_extra_comm(build_quantum_otp(1), False), basis)
-    assert heads and not any(head.flags.writeable for head in heads)
+        monkeypatch.setattr(protocols, "STACK_BYTES", cuts[basis])
+        protocols._verification_pass(p, basis)
+    assert len(heads) == 2 * p.key_count
+    assert heads[0] is heads[p.key_count - 1] and heads[p.key_count] is heads[-1]
+    assert not any(head.flags.writeable for head in heads)
     with pytest.raises(ValueError):
         heads[0][0, 0] = 1.0
     block = np.ones((4, 2), dtype=complex)
@@ -799,6 +892,19 @@ def test_stacked_pass_peak_is_the_per_key_sums_plus_two_stacks(monkeypatch, buil
     assert (averages[0].stack is not None) == stacked
     factor = _factor_bytes(lambda: protocols._verification_pass(p, basis))
     assert (2 * factor <= protocols.STACK_BYTES and p.key_count > 1) == stacked, factor
+
+
+@pytest.mark.parametrize("build, basis, mib", [
+    (lambda: build_quantum_otp(4), False, 5.25),
+    (lambda: lift_extra_comm(build_quantum_otp(3), check_input=False), True, 12.25),
+    (lambda: lift_extra_epr(build_quantum_otp(3), check_input=False), True, 8.5),
+], ids=["quantum-otp-4", "lift-comm-quantum-otp-3", "lift-epr-quantum-otp-3"])
+def test_pass_peaks_of_the_benchmark_peak_rows(build, basis, mib):
+    # the passes that set the benchmark's peak RSS, pinned at their traced
+    # peaks when each key ran alone (5.03, 12.13 and 8.27 MiB), rounded up:
+    # runs are cut so that the stage's arrays fit in STACK_BYTES
+    p = build()
+    assert _traced_peak(lambda: protocols._verification_pass(p, basis)) <= mib * 2 ** 20
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

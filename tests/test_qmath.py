@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,6 +380,23 @@ def test_trace_distance_skips_only_exactly_equal_pairs():
     for a, b in ((rhos[:0], ref), (rhos[:0], rhos[:0]), (np.zeros((3, 0, 4, 4)), ref)):
         got = trace_distance(a, b)
         assert got.shape == np.shape(a)[:-2] and got.dtype == np.float64
+
+
+def test_trace_distance_copies_the_differing_pairs_once():
+    # a basis table against its first row, as security_deviations reads it:
+    # the pairs that differ are copied once and their difference taken in
+    # place, not a whole difference stack and then its differing pairs
+    rng = np.random.default_rng(43)
+    table = np.stack([random_density_matrix(32, rng) for _ in range(64)])
+    tracemalloc.start()
+    try:
+        got = trace_distance(table, table[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, _full_trace_distance(table, table[0]))
+    assert got[0] == 0.0
+    assert peak < 1.25 * table.nbytes, (peak, table.nbytes)
 
 
 def test_trace_distance_dimension_mismatch():
