@@ -184,13 +184,11 @@ def cmd_inequalities(args) -> tuple[dict, int]:
     report = _base_report("inequalities", cfg)
     rng = np.random.default_rng(cfg.seed)
     worst = _worst_samples(
-        np.stack([random_density_matrix(8, rng)
-                  for _ in range(min(SWEEP_CHUNK, cfg.samples - start))])
+        random_density_matrix(8, rng, count=min(SWEEP_CHUNK, cfg.samples - start))
         for start in range(0, cfg.samples, SWEEP_CHUNK))
 
     cross_samples = min(cfg.samples, 200)
-    cross_dev = float(stack_cross_check(
-        np.stack([random_density_matrix(4, rng) for _ in range(cross_samples)])).max())
+    cross_dev = float(stack_cross_check(random_density_matrix(4, rng, count=cross_samples)).max())
 
     report["inequalities"] = [
         {("max_residual" if name == "chain_rule" else "min_slack"): slack, "name": name,

@@ -462,33 +462,30 @@ def trace_distance(a, b) -> float | np.ndarray:
 # sampling and serialization
 
 
-def haar_ket(layout: SystemLayout, rng: np.random.Generator) -> Ket:
-    """Haar-random pure state: normalized iid standard complex Gaussians."""
-    v = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
-    return Ket(layout, v / np.linalg.norm(v))
+def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None,
+                          count: int | None = None) -> np.ndarray:
+    """Random mixed-state matrix: partial trace of a Haar pure state on a
+    doubled system, of ``rank`` (full by default).
 
-
-def random_density_matrix(dim: int, rng: np.random.Generator,
-                          rank: int | None = None) -> np.ndarray:
-    """Random mixed-state matrix: partial trace of a Haar pure state on a doubled system."""
+    With ``count`` k, a (k, dim, dim) stack from one draw: bit for bit the k
+    matrices that k calls without ``count`` return, leaving ``rng`` in the
+    same state; without it, one (dim, dim) matrix.
+    """
     r = dim if rank is None else int(rank)
     if not 1 <= r <= dim:
         raise ValueError(f"rank must be in [1, {dim}]")
-    v = rng.standard_normal(dim * r) + 1j * rng.standard_normal(dim * r)
-    m = (v / np.linalg.norm(v)).reshape(dim, r)
-    return m @ m.conj().T
+    z = rng.standard_normal((1 if count is None else count, 2, dim * r))
+    v = (z[:, 0] + 1j * z[:, 1])[:, None, :]
+    re, im = v.real, v.imag  # np.linalg.norm's dot products, one per vector
+    m = (v / np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))).reshape(-1, dim, r)
+    rho = m @ m.conj().swapaxes(-1, -2)
+    return rho[0] if count is None else rho
 
 
 def random_density(layout: SystemLayout, rng: np.random.Generator,
                    rank: int | None = None) -> DensityOp:
     """:func:`random_density_matrix` on the layout, as a validated state."""
     return DensityOp(layout, random_density_matrix(layout.dim, rng, rank))
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryOp:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return UnitaryOp(q * (np.diag(r) / np.abs(np.diag(r))))
 
 
 def matrix_to_json(m: np.ndarray) -> list:

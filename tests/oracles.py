@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use: gates on kets and on the full
 product space, a gate list's dense matrix, ray comparison, the probe inputs
-of the per-probe reference,
+of the per-probe reference, Haar-random kets and unitaries and random
+density matrices one draw at a time,
 per-probe views of a protocol's sender stage and channel table, the
 verification pass's key average and correctness bound, one key at a time,
 and the runs of keys the engine's sender stages take."""
@@ -32,6 +33,7 @@ from pqclab.qmath import (
     DensityOp,
     Ket,
     SystemLayout,
+    UnitaryOp,
     apply_gate,
     as_complex,
     compose_circuit,
@@ -126,6 +128,35 @@ def canonical_probes(p: ChannelProtocol, random_probes: int = 0, seed: int = 0) 
     if p.input_kind == INPUT_CLASSICAL:
         random_probes = 0
     return probes(p.input_qubits, p.input_kind, random_probes, seed)
+
+
+# ---------------------------------------------------------------------------
+# random states and unitaries, one draw per call
+
+
+def haar_ket(layout: SystemLayout, rng: np.random.Generator) -> Ket:
+    """Haar-random pure state: normalized iid standard complex Gaussians."""
+    v = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
+    return Ket(layout, v / np.linalg.norm(v))
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryOp:
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    return UnitaryOp(q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+def per_sample_density_matrix(dim: int, rng: np.random.Generator,
+                              rank: int | None = None) -> np.ndarray:
+    """One random mixed-state matrix, the reference for random_density_matrix
+    and its stacked draw: the partial trace of a Haar pure state on a doubled
+    system, its real then its imaginary parts drawn by two calls."""
+    r = dim if rank is None else int(rank)
+    if not 1 <= r <= dim:
+        raise ValueError(f"rank must be in [1, {dim}]")
+    v = rng.standard_normal(dim * r) + 1j * rng.standard_normal(dim * r)
+    m = (v / np.linalg.norm(v)).reshape(dim, r)
+    return m @ m.conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from pqclab.qmath import (
     DensityOp,
     Ket,
     SystemLayout,
-    haar_unitary,
     local_transition,
     partial_trace,
     purify,
@@ -55,7 +54,13 @@ from pqclab.reductions import (
     rsp_to_pqc,
 )
 
-from oracles import apply_to_ket, canonical_probes, message_distribution, ray_deviation
+from oracles import (
+    apply_to_ket,
+    canonical_probes,
+    haar_unitary,
+    message_distribution,
+    ray_deviation,
+)
 
 
 def record(num: int, description: str, ok: bool):

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -40,10 +42,11 @@ from pqclab.qmath import (
     DensityOp,
     SystemLayout,
     matrix_to_json,
-    random_density,
     random_density_matrix,
     reduced_matrix,
 )
+
+from oracles import per_sample_density_matrix
 
 
 def run_cli(*args):
@@ -165,7 +168,7 @@ def per_sample_inequalities_report(seed, samples):
     layout = SystemLayout.qubits(3)
     summary = {}
     for _ in range(samples):
-        rho = random_density(layout, rng)
+        rho = DensityOp(layout, per_sample_density_matrix(layout.dim, rng))
         found = check_entropy_inequalities(rho, {"A": (0,), "B": (1,), "C": (2,)})
         found += check_correlation_bounds(rho, (0,), (1,), (2,))
         for item in found:
@@ -180,7 +183,7 @@ def per_sample_inequalities_report(seed, samples):
     pair = SystemLayout.qubits(2)
     cross_dev = 0.0
     for _ in range(cross_samples):
-        rho = random_density(pair, rng)
+        rho = DensityOp(pair, per_sample_density_matrix(pair.dim, rng))
         product = np.kron(reduced_matrix(rho.matrix, pair.dims, [0]),
                           reduced_matrix(rho.matrix, pair.dims, [1]))
         mi = mutual_information(rho, (0,), (1,))
@@ -216,6 +219,16 @@ def test_inequalities_report_matches_per_sample_loop(seed, samples, capsys):
             == json.dumps(expected, sort_keys=True, indent=2))
 
 
+@pytest.mark.parametrize("samples", [1, SWEEP_CHUNK - 1, SWEEP_CHUNK, SWEEP_CHUNK + 1, 500])
+def test_inequalities_draws_one_stack_per_chunk(samples, capsys):
+    with mock.patch("pqclab.cli.random_density_matrix", wraps=random_density_matrix) as draw:
+        main(["inequalities", "--samples", str(samples)])
+    capsys.readouterr()
+    sweep = [min(SWEEP_CHUNK, samples - start) for start in range(0, samples, SWEEP_CHUNK)]
+    assert draw.call_count == math.ceil(samples / SWEEP_CHUNK) + 1
+    assert [c.kwargs["count"] for c in draw.call_args_list] == sweep + [min(samples, 200)]
+
+
 def test_tied_samples_name_the_first_as_witness():
     rng = np.random.default_rng(5)
     m, other = random_density_matrix(8, rng), random_density_matrix(8, rng)
@@ -239,6 +252,34 @@ def test_inequalities_validates_no_state(capsys):
         code = main(["inequalities", "--samples", "500"])
     assert (code, json.loads(capsys.readouterr().out)["pass"]) == (0, True)
     assert len(built) == 0
+
+
+def test_importing_the_cli_loads_numpy_random_no_sooner_than_numpy_does():
+    # numpy 2 imports numpy.random on first use, for about 5 ms of CPU: a
+    # module-level reference would charge that to every command, verify and
+    # audit too, which never draw a state
+    script = ("import sys, numpy; plain = 'numpy.random' in sys.modules; import pqclab.cli; "
+              "print(plain, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    plain, cli = proc.stdout.split()
+    assert cli == plain
+
+
+def test_traced_names_resolve_in_their_modules():
+    # the benchmark's tracer reads each traced function and validator by name,
+    # so a name moved out of its module would crash the traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{layer}.{name}" for layer, names in spans.TRACED.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"pqclab.{layer}"), name, None))]
+    qmath = importlib.import_module("pqclab.qmath")
+    missing += [f"qmath.{cls}" for cls, _ in spans.VALIDATORS
+                if "__post_init__" not in vars(getattr(qmath, cls, object))]
+    assert missing == []
 
 
 def test_inequalities_memory_is_bounded_by_the_chunk(capsys):

@@ -26,13 +26,13 @@ from pqclab.qmath import (
     DensityOp,
     Ket,
     SystemLayout,
-    haar_ket,
-    haar_unitary,
     partial_trace,
     random_density,
     random_density_matrix,
     reduced_matrix,
 )
+
+from oracles import haar_ket, haar_unitary
 
 Q1 = SystemLayout.qubits(1)
 Q2 = SystemLayout.qubits(2)

@@ -45,13 +45,12 @@ from pqclab.qmath import (
     _apply_gate_transposed,
     apply_gate,
     compose_circuit,
-    haar_unitary,
     max_abs,
     pauli_string,
 )
 from pqclab.reductions import lift_extra_comm, lift_extra_epr, rsp_to_pqc, teleportation_rsp
 
-from oracles import dense, run_cut
+from oracles import dense, haar_unitary, run_cut
 
 TOL = 1e-12
 

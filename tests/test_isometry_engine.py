@@ -53,7 +53,6 @@ from pqclab.qmath import (
     Ket,
     SystemLayout,
     UnitaryOp,
-    haar_unitary,
     max_abs,
     partial_trace,
     pauli_string,
@@ -62,7 +61,14 @@ from pqclab.qmath import (
 )
 from pqclab.reductions import lift_extra_comm, lift_extra_epr
 
-from oracles import per_key_encode, per_key_pass, probes, run_cut, stage_runs
+from oracles import (
+    haar_unitary,
+    per_key_encode,
+    per_key_pass,
+    probes,
+    run_cut,
+    stage_runs,
+)
 
 TOL = 1e-12
 

@@ -45,7 +45,6 @@ from pqclab.protocols import (
 from pqclab.qmath import (
     Ket,
     SystemLayout,
-    haar_ket,
     max_abs,
     partial_trace,
     trace_distance,
@@ -56,6 +55,7 @@ from oracles import (
     dense,
     canonical_probes,
     encode_cross_term,
+    haar_ket,
     message_distribution,
     probe_columns,
     probes,

@@ -11,8 +11,6 @@ from pqclab.qmath import (
     SystemLayout,
     UnitaryOp,
     compose_circuit,
-    haar_ket,
-    haar_unitary,
     local_transition,
     matrix_from_json,
     matrix_to_json,
@@ -29,7 +27,14 @@ from pqclab.qmath import (
     trace_distance,
 )
 
-from oracles import apply_to_ket, embed_operator, ray_deviation
+from oracles import (
+    apply_to_ket,
+    embed_operator,
+    haar_ket,
+    haar_unitary,
+    per_sample_density_matrix,
+    ray_deviation,
+)
 
 EPR = Ket(SystemLayout.qubits(2), np.array([1, 0, 0, 1]) / math.sqrt(2))
 
@@ -476,6 +481,30 @@ def test_value_types_reject_non_finite_entries(bad):
 def test_layout_validation():
     with pytest.raises(ValueError):
         SystemLayout((2, 1))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 12])
+@pytest.mark.parametrize("rank", [None, 1, "half"])
+def test_stacked_draw_is_the_per_sample_draws_bit_for_bit(dim, rank):
+    rank = max(1, dim // 2) if rank == "half" else rank
+    for seed in range(3):
+        for count in (None, 1, 127, 128, 129):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = random_density_matrix(dim, rng, rank, count=count)
+            want = [per_sample_density_matrix(dim, ref, rank) for _ in range(count or 1)]
+            want = want[0] if count is None else np.stack(want)
+            # tobytes, so that a -0.0 for a 0.0 counts too
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_draw_refuses_a_rank_out_of_range_before_drawing():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for rank in (0, 5):
+        with pytest.raises(ValueError, match="rank"):
+            random_density_matrix(4, rng, rank, count=3)
+    assert rng.bit_generator.state == state
 
 
 def test_matrix_json_round_trip():

@@ -29,8 +29,6 @@ from pqclab.qmath import (
     Ket,
     SystemLayout,
     UnitaryOp,
-    haar_ket,
-    haar_unitary,
     reduced_from_vector,
     reduced_matrix,
     trace_distance,
@@ -52,7 +50,7 @@ from pqclab.reductions import (
     teleportation_rsp,
 )
 
-from oracles import dense, per_key_bound, probes
+from oracles import dense, haar_ket, haar_unitary, per_key_bound, probes
 
 Q1 = SystemLayout.qubits(1)
 
