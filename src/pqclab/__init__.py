@@ -39,7 +39,6 @@ from .protocols import (
     build_quantum_otp,
     build_superdense,
     build_teleportation,
-    decode,
     encode,
     epr_block,
     load_protocol,

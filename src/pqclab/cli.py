@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,10 +58,6 @@ class RunConfig:
         if self.seed < 0:
             raise UsageError("seed must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "algebra_tol": self.algebra_tol,
-                "entropy_tol": self.entropy_tol, "samples": self.samples}
-
 
 def _config(args) -> RunConfig:
     return RunConfig(seed=args.seed, algebra_tol=args.tol_algebra,
@@ -94,7 +90,7 @@ def _base_report(command: str, cfg: RunConfig) -> dict:
         "schema": REPORT_SCHEMA,
         "command": command,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
     }
 
 
@@ -110,7 +106,7 @@ def _verification_block(protocol: ChannelProtocol, cfg: RunConfig) -> tuple[dict
         "security_deviation": security,
         "security_parts": parts,
         "correctness_deviation": correctness,
-        "resources": report.to_dict(),
+        "resources": asdict(report),
     }
     return block, passed
 
@@ -154,7 +150,7 @@ def cmd_audit(args) -> tuple[dict, int]:
         report["audit_log"] = log + [f"audit aborted: {exc}"]
         report["pass"] = False
         return report, 1
-    report["audits"] = [a.to_dict() for a in audits]
+    report["audits"] = [asdict(a) for a in audits]
     report["audit_log"] = log
     passed = all(a.satisfied for a in audits)
     report["pass"] = passed

@@ -74,9 +74,6 @@ class InequalityReport:
     slack: float
     witness: dict | None = None
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "slack": self.slack, "witness": self.witness}
-
 
 def _entropy_of_probs(p: np.ndarray, clip: float = EIGENVALUE_CLIP) -> float | np.ndarray:
     """-Σ p log2 p over the last axis: a float for one spectrum, the same value

@@ -24,9 +24,9 @@ import numpy as np
 from . import qmath
 from .entropy import (
     ProbabilityDist,
+    _entropy_of_probs,
     entanglement_measure,
     shannon_entropy,
-    von_neumann,
 )
 from .qmath import (
     SIGMA,
@@ -177,10 +177,6 @@ class ResourceReport:
     key_entropy: float | None = None
     entanglement: float | None = None
 
-    def to_dict(self) -> dict:
-        return {"comm": self.comm, "key_entropy": self.key_entropy,
-                "entanglement": self.entanglement}
-
 
 @dataclass(frozen=True, eq=False)
 class GateList:
@@ -275,7 +271,7 @@ class ChannelProtocol:
     message ⊗ ancilla ⊗ receiver-resource-half; ancillas start in |0...0>.
     ``message_subsystems`` index the sender register, ``output_subsystems``
     the receiver register, both in wire order; the output has as many wires
-    as the input.
+    as the input.  The ancilla counts default to 0.
     """
 
     name: str
@@ -283,12 +279,12 @@ class ChannelProtocol:
     input_qubits: int
     message_kind: str
     resource: SharedResource
-    alice_ancillas: int
-    bob_ancillas: int
     alice_ops: tuple[GateList, ...]
     bob_ops: tuple[GateList, ...]
     message_subsystems: tuple[int, ...]
     output_subsystems: tuple[int, ...]
+    alice_ancillas: int = 0
+    bob_ancillas: int = 0
 
     def __post_init__(self):
         if not isinstance(self.name, str):
@@ -476,8 +472,10 @@ class _KeyAverage:
     a run at a time as its factor F (..., dk, K·dr), the keys' side by side,
     with p_k for each of a key's dr columns in weights w: a run adds
     F (w conj F)ᵀ, the weighted conjugate written into one stack that every
-    run reuses, and a run of one key p_k m_k m_k†.  The sum, of ``shape``,
-    is allocated first, so no run's freed arrays sit under it in memory."""
+    run reuses.  A run of one key adds p_k m_k m_k† and makes no stack, which
+    would outlive it: the one-key teleportation-2 comm lift's would hold 1 MiB
+    through its receiver stage.  The sum, of ``shape``, is allocated first,
+    so no run's freed arrays sit under it in memory."""
 
     def __init__(self, shape: tuple[int, ...]):
         self.total, self.stack = np.zeros(shape, dtype=complex), None
@@ -629,22 +627,6 @@ def decode_per_key(p: ChannelProtocol, input_ket: Ket, key_index: int) -> Densit
     return DensityOp(SystemLayout.qubits(len(p.output_subsystems)), reduced)
 
 
-def decode(p: ChannelProtocol, input_ket: Ket) -> DensityOp:
-    """Receiver output averaged over keys (correctness checks stay per key)."""
-    acc = sum(prob * decode_per_key(p, input_ket, k).matrix
-              for k, prob in enumerate(p.key_probs))
-    return DensityOp(SystemLayout.qubits(len(p.output_subsystems)), acc)
-
-
-def _diagonal_distribution(p: ChannelProtocol, rho: np.ndarray) -> ProbabilityDist:
-    """The classical message's distribution on the diagonal of its wire state."""
-    probs = np.clip(np.real(np.diag(rho)), 0.0, None)
-    probs = probs / probs.sum()
-    m = p.message_qubits
-    outcomes = tuple(format(i, f"0{m}b") for i in range(2 ** m))
-    return ProbabilityDist(outcomes, probs)
-
-
 # ---------------------------------------------------------------------------
 # the channel as a linear map (for cross-term and factorization checks)
 
@@ -689,13 +671,6 @@ def factorization_deviation(p: ChannelProtocol, samples: int = 20, seed: int = 0
     return worst
 
 
-def max_cross_term_magnitude(p: ChannelProtocol, units: np.ndarray | None = None) -> float:
-    """Largest |entry| of E(|i><j|) over all orthogonal basis pairs."""
-    if units is None:
-        units = channel_on_units(p)
-    return max_abs(units[np.triu_indices(units.shape[0], 1)])
-
-
 # ---------------------------------------------------------------------------
 # verification
 
@@ -705,14 +680,15 @@ def security_deviations(p: ChannelProtocol, input_kind: str | None = None) -> di
     channel table of the inputs of ``input_kind`` (see :func:`_verified`).
 
     Over the basis, ``state`` is the largest trace distance from a basis
-    input's wire state to |0...0>'s.  Over every input, ``factorization``
+    input's wire state to |0...0>'s.  Over every input, ``cross_term`` is
+    the largest |entry| of E(|a><b|) over a < b, and ``factorization``
     bounds that distance for every input, reference-entangled ones included.
     A classical message's wire state is diagonal by construction: the engine
     copies each of its wires into the environment (:func:`_stage`)."""
     table = _verified(p, input_kind)[0]
     if table.ndim == 3:  # the basis table, [a, x, y]
         return {"state": float(trace_distance(table, table[0]).max())}
-    return {"cross_term": max_cross_term_magnitude(p, table),
+    return {"cross_term": max_abs(table[np.triu_indices(len(table), 1)]),
             "factorization": factorization_certificate(table)}
 
 
@@ -729,14 +705,16 @@ def verify_correctness(p: ChannelProtocol, input_kind: str | None = None) -> flo
 
 def resource_report(p: ChannelProtocol) -> ResourceReport:
     """Communication entropy of the reference message, read off the channel
-    table of the pass over the protocol's own input kind, plus
-    key/entanglement entropies of the shared resource."""
+    table of the pass over the protocol's own input kind (a classical
+    message's diagonal clipped at 0 and normalised), plus key/entanglement
+    entropies of the shared resource."""
     table = _verified(p, None)[0]
     ref = table[0] if p.input_kind == INPUT_CLASSICAL else table[0, 0]
     if p.message_kind == INPUT_CLASSICAL:
-        comm = shannon_entropy(_diagonal_distribution(p, ref))
+        probs = np.clip(np.real(np.diag(ref)), 0.0, None)
+        comm = _entropy_of_probs(probs / probs.sum())
     else:
-        comm = von_neumann(DensityOp(SystemLayout.qubits(p.message_qubits), ref))
+        comm = _entropy_of_probs(np.linalg.eigvalsh(ref))
     key_entropy = None
     if p.resource.keyed:
         key_entropy = shannon_entropy(p.resource.key_source)
@@ -802,35 +780,29 @@ def _pauli_key_table(n: int, alphabet: str) -> tuple[list[str], list[GateList]]:
     return keys, [GateList(n, [(PAULI[int(c)], (i,)) for i, c in enumerate(k)]) for k in keys]
 
 
-def build_classical_otp(n: int) -> ChannelProtocol:
-    """Bitwise XOR pad: n classical bits under a uniform n-bit key."""
-    # 2^n keys on 2n wires, stated as one key on 3n without building 2^n
-    require_load("classical-otp", 1, 3 * n)
-    keys, ops = _pauli_key_table(n, "01")
+def _pad(name: str, kind: str, n: int, alphabet: str) -> ChannelProtocol:
+    """A pad on n wires of ``kind``: a uniform key over ``alphabet``, whose
+    Pauli string the sender applies and the receiver undoes."""
+    # 2^n keys on 2n wires or 4^n on n: stated as one key on 3n, unbuilt
+    require_load(name, 1, 3 * n)
+    keys, ops = _pauli_key_table(n, alphabet)
     wires = tuple(range(n))
     return ChannelProtocol(
-        name="classical-otp", input_kind=INPUT_CLASSICAL, input_qubits=n,
-        message_kind=INPUT_CLASSICAL,
+        name=name, input_kind=kind, input_qubits=n, message_kind=kind,
         resource=SharedResource.classical_key(ProbabilityDist.uniform(keys)),
-        alice_ancillas=0, bob_ancillas=0,
         alice_ops=tuple(ops), bob_ops=tuple(ops),
         message_subsystems=wires, output_subsystems=wires)
+
+
+def build_classical_otp(n: int) -> ChannelProtocol:
+    """Bitwise XOR pad: n classical bits under a uniform n-bit key."""
+    return _pad("classical-otp", INPUT_CLASSICAL, n, "01")
 
 
 def build_quantum_otp(n: int) -> ChannelProtocol:
     """Uniform Pauli twirl on n qubits: key alphabet {0,1,2,3}^n, per-key
     conjugation by the matching Pauli string."""
-    # 4^n keys on n wires, stated as one key on 3n without building 4^n
-    require_load("quantum-otp", 1, 3 * n)
-    keys, ops = _pauli_key_table(n, "0123")
-    wires = tuple(range(n))
-    return ChannelProtocol(
-        name="quantum-otp", input_kind=INPUT_QUANTUM, input_qubits=n,
-        message_kind=INPUT_QUANTUM,
-        resource=SharedResource.classical_key(ProbabilityDist.uniform(keys)),
-        alice_ancillas=0, bob_ancillas=0,
-        alice_ops=tuple(ops), bob_ops=tuple(ops),
-        message_subsystems=wires, output_subsystems=wires)
+    return _pad("quantum-otp", INPUT_QUANTUM, n, "0123")
 
 
 def build_superdense(n_bits: int) -> ChannelProtocol:
@@ -849,7 +821,6 @@ def build_superdense(n_bits: int) -> ChannelProtocol:
         name="superdense", input_kind=INPUT_CLASSICAL, input_qubits=n_bits,
         message_kind=INPUT_QUANTUM,
         resource=SharedResource.entangled(epr_block(m), m),
-        alice_ancillas=0, bob_ancillas=0,
         alice_ops=(alice_gates,), bob_ops=(bob_gates,),
         message_subsystems=tuple(n_bits + i for i in range(m)),
         output_subsystems=out)
@@ -867,7 +838,6 @@ def build_teleportation(n: int) -> ChannelProtocol:
         name="teleportation", input_kind=INPUT_QUANTUM, input_qubits=n,
         message_kind=INPUT_CLASSICAL,
         resource=SharedResource.entangled(epr_block(n), n),
-        alice_ancillas=0, bob_ancillas=0,
         alice_ops=(alice_gates,), bob_ops=(bob_gates,),
         message_subsystems=tuple(range(2 * n)),
         output_subsystems=tuple(2 * n + i for i in range(n)))
@@ -884,7 +854,6 @@ def build_epr_keyed_otp(n: int) -> ChannelProtocol:
         name="epr-otp", input_kind=INPUT_CLASSICAL, input_qubits=n,
         message_kind=INPUT_CLASSICAL,
         resource=SharedResource.entangled(epr_block(n), n),
-        alice_ancillas=0, bob_ancillas=0,
         alice_ops=(pad,), bob_ops=(pad,),
         message_subsystems=wires, output_subsystems=wires)
 
@@ -896,7 +865,7 @@ def build_identity_protocol(n: int = 1) -> ChannelProtocol:
     return ChannelProtocol(
         name="identity-leaky", input_kind=INPUT_CLASSICAL, input_qubits=n,
         message_kind=INPUT_CLASSICAL, resource=SharedResource.none(),
-        alice_ancillas=0, bob_ancillas=0, alice_ops=((),), bob_ops=((),),
+        alice_ops=((),), bob_ops=((),),
         message_subsystems=wires, output_subsystems=wires)
 
 
@@ -909,7 +878,6 @@ def build_broken_otp(n: int = 1) -> ChannelProtocol:
         name="broken-otp", input_kind=INPUT_QUANTUM, input_qubits=1,
         message_kind=INPUT_QUANTUM,
         resource=SharedResource.classical_key(ProbabilityDist.uniform(["00", "01"])),
-        alice_ancillas=0, bob_ancillas=0,
         alice_ops=ops, bob_ops=ops,
         message_subsystems=(0,), output_subsystems=(0,))
 
@@ -920,8 +888,7 @@ def build_broken_teleportation(n: int = 1) -> ChannelProtocol:
     return ChannelProtocol(
         name="broken-teleportation", input_kind=good.input_kind,
         input_qubits=good.input_qubits, message_kind=good.message_kind,
-        resource=good.resource, alice_ancillas=0, bob_ancillas=0,
-        alice_ops=good.alice_ops, bob_ops=((),),
+        resource=good.resource, alice_ops=good.alice_ops, bob_ops=((),),
         message_subsystems=good.message_subsystems,
         output_subsystems=good.output_subsystems)
 

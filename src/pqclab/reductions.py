@@ -64,11 +64,6 @@ class BoundAudit:
         slack = measured - bound
         return cls(quantity, measured, bound, slack, slack >= -tol)
 
-    def to_dict(self) -> dict:
-        return {"quantity": self.quantity, "measured": self.measured,
-                "bound": self.bound, "slack": self.slack,
-                "satisfied": self.satisfied}
-
 
 class ObliviousnessError(ValueError):
     """A remote-state-preparation protocol violated an obliviousness invariant."""
@@ -349,10 +344,9 @@ class ObliviousRsp:
     output_subsystems: tuple[int, ...]
 
     def __post_init__(self):
-        if any(d != 2 for d in self.psi_ab.layout.dims):
-            raise ValueError("shared state must be a qubit register")
-        if not 0 < self.alice_subsystems < len(self.psi_ab.layout):
-            raise ValueError("alice_subsystems must split the shared state")
+        SharedResource.entangled(self.psi_ab, self.alice_subsystems)  # the shared-state rule
+        for field in ("n", "bob_ancillas"):
+            object.__setattr__(self, field, _integer(getattr(self, field), field))
         if self.measurement.qubits != self.n + self.alice_subsystems:
             raise ValueError("measurement must act on the input and sender wires")
         if len(self.corrections) != self.message_count:
@@ -389,18 +383,6 @@ def teleportation_rsp(n: int) -> ObliviousRsp:
         corrections=corrections, bob_ancillas=0, output_subsystems=tuple(range(n)))
 
 
-def non_oblivious_rsp(n: int = 1) -> ObliviousRsp:
-    """Negative fixture: teleportation RSP whose receiver never corrects, so
-    his final state leaks the measurement outcome's Pauli frame."""
-    good = teleportation_rsp(n)
-    eye = UnitaryOp(np.eye(2 ** n, dtype=complex))
-    return ObliviousRsp(
-        n=good.n, psi_ab=good.psi_ab, alice_subsystems=good.alice_subsystems,
-        measurement=good.measurement,
-        corrections=tuple(eye for _ in good.corrections),
-        bob_ancillas=good.bob_ancillas, output_subsystems=good.output_subsystems)
-
-
 def _receiver_blocks(rsp: ObliviousRsp) -> np.ndarray:
     """Every message's receiver isometry block W_m, indexed [m, receiver
     register, input].  The measurement runs once on the basis block
@@ -422,11 +404,6 @@ def _branches(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     probs = np.sum(np.abs(states) ** 2, axis=0)
     live = probs >= RSP_PROB_FLOOR
     return probs, live, states[:, live] / np.sqrt(probs[live])
-
-
-def rsp_message_probs(rsp: ObliviousRsp, probe: Ket) -> np.ndarray:
-    """Every message's probability on ``probe``."""
-    return np.sum(np.abs(_receiver_blocks(rsp) @ probe.amplitudes) ** 2, axis=1)
 
 
 def check_obliviousness(rsp: ObliviousRsp,

@@ -2,9 +2,11 @@
 product space, a gate list's dense matrix, ray comparison, the probe inputs
 of the per-probe reference, Haar-random kets and unitaries and random
 density matrices one draw at a time,
-per-probe views of a protocol's sender stage and channel table, the
-verification pass's key average and correctness bound, one key at a time,
-and the runs of keys the engine's sender stages take."""
+per-probe views of a protocol's sender stage, channel table and key-averaged
+output, the resource report's communication entropy through validated
+states, the verification pass's key average and correctness bound, one key
+at a time, the runs of keys the engine's sender stages take, and the RSP
+negative fixture and message probabilities."""
 
 import math
 from typing import Callable, Sequence
@@ -14,19 +16,20 @@ import numpy as np
 
 from pqclab import protocols
 
-from pqclab.entropy import ProbabilityDist
+from pqclab.entropy import ProbabilityDist, shannon_entropy, von_neumann
 from pqclab.protocols import (
     INPUT_CLASSICAL,
     INPUT_QUANTUM,
     ChannelProtocol,
     GateList,
     _correctness_bound,
-    _diagonal_distribution,
     _receiver_stage,
     _sender_head,
     _shared_prefix,
     _stage,
+    _verified,
     channel_on_units,
+    decode_per_key,
     encode,
 )
 from pqclab.qmath import (
@@ -40,6 +43,7 @@ from pqclab.qmath import (
     reduced_from_vector,
     trace_distance,
 )
+from pqclab.reductions import ObliviousRsp, _receiver_blocks, teleportation_rsp
 
 
 def apply_to_ket(psi: Ket, gate: np.ndarray, targets: Sequence[int]) -> Ket:
@@ -76,11 +80,39 @@ def alice_stage(p: ChannelProtocol, input_ket: Ket, key_index: int = 0) -> Ket:
     return Ket(SystemLayout(tuple(dims)), block[0, :, 0])
 
 
+def _diagonal_distribution(p: ChannelProtocol, rho: np.ndarray) -> ProbabilityDist:
+    """The classical message's distribution on the diagonal of its wire state."""
+    probs = np.clip(np.real(np.diag(rho)), 0.0, None)
+    probs = probs / probs.sum()
+    m = p.message_qubits
+    outcomes = tuple(format(i, f"0{m}b") for i in range(2 ** m))
+    return ProbabilityDist(outcomes, probs)
+
+
 def message_distribution(p: ChannelProtocol, input_ket: Ket) -> ProbabilityDist:
     """Distribution of a classical message, read off the diagonal."""
     if p.message_kind != INPUT_CLASSICAL:
         raise ValueError("message is not classical")
     return _diagonal_distribution(p, encode(p, input_ket).matrix)
+
+
+def validated_comm(p: ChannelProtocol) -> float:
+    """``resource_report``'s communication entropy through validated states:
+    the reference message's wire state, off the same channel table, as a
+    :class:`DensityOp` for a quantum message or through
+    :func:`_diagonal_distribution` for a classical one."""
+    table = _verified(p, None)[0]
+    ref = table[0] if p.input_kind == INPUT_CLASSICAL else table[0, 0]
+    if p.message_kind == INPUT_CLASSICAL:
+        return shannon_entropy(_diagonal_distribution(p, ref))
+    return von_neumann(DensityOp(SystemLayout.qubits(p.message_qubits), ref))
+
+
+def decode(p: ChannelProtocol, input_ket: Ket) -> DensityOp:
+    """Receiver output averaged over keys (correctness checks stay per key)."""
+    acc = sum(prob * decode_per_key(p, input_ket, k).matrix
+              for k, prob in enumerate(p.key_probs))
+    return DensityOp(SystemLayout.qubits(len(p.output_subsystems)), acc)
 
 
 def encode_cross_term(p: ChannelProtocol, i: int, j: int) -> np.ndarray:
@@ -237,3 +269,24 @@ def run_cut(p: ChannelProtocol, keys: int, run: Callable) -> int:
     keys: four of a key's largest blocks, its sender block with the
     receiver's ancillas attached, per key."""
     return 4 * keys * (stage_runs(run)[2] << p.bob_ancillas)
+
+
+# ---------------------------------------------------------------------------
+# oblivious remote state preparation
+
+
+def rsp_message_probs(rsp: ObliviousRsp, probe: Ket) -> np.ndarray:
+    """Every message's probability on ``probe``."""
+    return np.sum(np.abs(_receiver_blocks(rsp) @ probe.amplitudes) ** 2, axis=1)
+
+
+def non_oblivious_rsp(n: int = 1) -> ObliviousRsp:
+    """Negative fixture: teleportation RSP whose receiver never corrects, so
+    his final state leaks the measurement outcome's Pauli frame."""
+    good = teleportation_rsp(n)
+    eye = UnitaryOp(np.eye(2 ** n, dtype=complex))
+    return ObliviousRsp(
+        n=good.n, psi_ab=good.psi_ab, alice_subsystems=good.alice_subsystems,
+        measurement=good.measurement,
+        corrections=tuple(eye for _ in good.corrections),
+        bob_ancillas=good.bob_ancillas, output_subsystems=good.output_subsystems)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -178,7 +179,7 @@ def per_sample_inequalities_report(seed, samples):
             else:
                 worse = entry is None or item.slack < entry["slack"]
             if worse:
-                summary[item.name] = item.to_dict()
+                summary[item.name] = dataclasses.asdict(item)
     cross_samples = min(samples, 200)
     pair = SystemLayout.qubits(2)
     cross_dev = 0.0
@@ -915,3 +916,32 @@ def test_lift_audit_rows_keep_their_verdicts(builder, n, capsys):
     report = json.loads(capsys.readouterr().out)
     assert (code, report["pass"], report["resources"], report["audits"]) == \
         LIFT_AUDIT_ROWS[(builder, n)]
+
+
+def _bench_module(name: str):
+    """A module of the benchmark under ``bench/``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _bench_module("workloads")
+# every builder at every n the admission check accepts and at the first it refuses
+ADMISSION_ROWS = [(command, builder, n) for command in ("verify", "audit")
+                  for builder, ns in WORKLOADS.ACCEPTED.items()
+                  for n in (*ns, WORKLOADS.FIRST_REFUSED[builder])]
+
+
+@pytest.mark.parametrize("command,builder,n", ADMISSION_ROWS)
+def test_admission_table_exit_codes(command, builder, n, capsys):
+    # audit quantum-otp 4 is admitted to verify, but its lifts are refused
+    refused = (n == WORKLOADS.FIRST_REFUSED[builder]
+               or (command, builder, n) == ("audit", "quantum-otp", 4))
+    expected = 2 if refused else 1 if builder in WORKLOADS.NEGATIVE else 0
+    code = main([command, builder, "--n", str(n)])
+    out, err = capsys.readouterr()
+    assert code == expected
+    assert (out == "") == refused and ("error:" in err) == refused

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -307,7 +308,7 @@ def test_correlation_bounds_classical_part():
 
 def test_report_serialization():
     report = InequalityReport("subadditivity", 0.25, {"dims": [2], "matrix": []})
-    data = report.to_dict()
+    data = dataclasses.asdict(report)
     assert data["name"] == "subadditivity"
     assert data["slack"] == 0.25
 

@@ -26,7 +26,6 @@ from pqclab.protocols import (
     build_superdense,
     build_teleportation,
     channel_on_units,
-    decode,
     decode_per_key,
     encode,
     epr_block,
@@ -54,6 +53,7 @@ from oracles import (
     alice_stage,
     dense,
     canonical_probes,
+    decode,
     encode_cross_term,
     haar_ket,
     message_distribution,

@@ -11,6 +11,7 @@ from pqclab.entropy import ProbabilityDist, entanglement_measure, shannon_entrop
 from pqclab.protocols import (
     INPUT_CLASSICAL,
     INPUT_QUANTUM,
+    PROTOCOL_BUILDERS,
     GateList,
     ProtocolVerificationError,
     build_classical_otp,
@@ -43,14 +44,21 @@ from pqclab.reductions import (
     check_obliviousness,
     lift_extra_comm,
     lift_extra_epr,
-    non_oblivious_rsp,
-    rsp_message_probs,
     rsp_to_pqc,
     _receiver_blocks,
     teleportation_rsp,
 )
 
-from oracles import dense, haar_ket, haar_unitary, per_key_bound, probes
+from oracles import (
+    dense,
+    haar_ket,
+    haar_unitary,
+    non_oblivious_rsp,
+    per_key_bound,
+    probes,
+    rsp_message_probs,
+    validated_comm,
+)
 
 Q1 = SystemLayout.qubits(1)
 
@@ -218,10 +226,50 @@ def test_audit_classical_input_accepts_quantum_restriction():
     assert all(a.satisfied for a in audits.values())
 
 
+@pytest.mark.parametrize("kind", [bool, float])
+@pytest.mark.parametrize("field", ["n", "alice_subsystems", "bob_ancillas"])
+def test_oblivious_rsp_counts_are_integers(field, kind):
+    rsp = teleportation_rsp(1)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        dataclasses.replace(rsp, **{field: kind(getattr(rsp, field))})
+
+
+def _admitted(up_to: int):
+    """Every builder and n <= ``up_to`` that the admission check accepts."""
+    for name in PROTOCOL_BUILDERS:
+        for n in range(1, up_to + 1):
+            try:
+                require_desk_scale(build_named(name, n))
+            except ValueError:
+                continue
+            yield name, n
+
+
+REPORTED = {
+    **{f"{name}-{n}": (lambda name=name, n=n: build_named(name, n))
+       for name, n in _admitted(3)},
+    "lift-comm-quantum-otp-1": lambda: lift_extra_comm(build_quantum_otp(1)),
+    "lift-epr-quantum-otp-1": lambda: lift_extra_epr(build_quantum_otp(1)),
+    "lift-comm-teleportation-1": lambda: lift_extra_comm(build_teleportation(1)),
+    "lift-epr-teleportation-1": lambda: lift_extra_epr(build_teleportation(1)),
+    "rsp-derived-teleportation-1": lambda: rsp_to_pqc(teleportation_rsp(1)),
+}
+
+
+@pytest.mark.parametrize("label", list(REPORTED))
+def test_resource_report_comm_is_the_validated_route_bit_for_bit(label):
+    p = REPORTED[label]()
+    comm = resource_report(p).comm
+    # float.hex, so that the sign of a zero counts
+    assert comm.hex() == validated_comm(p).hex()
+    if p.name == "identity-leaky":
+        assert comm.hex() == (-0.0).hex()  # the report's "comm": -0.0
+
+
 def test_bound_audit_fields():
     audit = BoundAudit.check("comm_entropy", 2.0, 1.0)
     assert audit.slack == 1.0 and audit.satisfied
-    data = audit.to_dict()
+    data = dataclasses.asdict(audit)
     assert data["quantity"] == "comm_entropy" and data["measured"] == 2.0
 
 
