@@ -35,6 +35,8 @@ class ProbabilityDist:
         outcomes = tuple(self.outcomes)
         if not all(isinstance(o, str) for o in outcomes):
             raise ValueError("outcome labels must be strings")
+        if len(set(outcomes)) != len(outcomes):
+            raise ValueError("outcome labels must be distinct")
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size != len(outcomes):
             raise ValueError("need one probability per outcome")
@@ -75,10 +77,10 @@ class InequalityReport:
     witness: dict | None = None
 
 
-def _entropy_of_probs(p: np.ndarray, clip: float = EIGENVALUE_CLIP) -> float | np.ndarray:
+def _entropy_of_probs(p: np.ndarray) -> float | np.ndarray:
     """-Σ p log2 p over the last axis: a float for one spectrum, the same value
     per row for a stack.  A clipped entry counts as 1, adding an exact 0.0."""
-    q = np.where(np.asarray(p, dtype=float) > clip, p, 1.0)
+    q = np.where(np.asarray(p, dtype=float) > EIGENVALUE_CLIP, p, 1.0)
     h = -np.add.reduce(q * np.log2(q), axis=-1)
     return float(h) if h.ndim == 0 else h
 
@@ -88,47 +90,45 @@ def shannon_entropy(dist: ProbabilityDist) -> float:
     return _entropy_of_probs(dist.probs)
 
 
-def von_neumann(rho: DensityOp, clip: float = EIGENVALUE_CLIP) -> float:
+def von_neumann(rho: DensityOp) -> float:
     """Base-2 entropy of the eigenvalue spectrum."""
-    return _entropy_of_probs(np.linalg.eigvalsh(rho.matrix), clip)
+    return _entropy_of_probs(np.linalg.eigvalsh(rho.matrix))
 
 
-def _relative_entropy(rho: np.ndarray, sigma: np.ndarray,
-                      clip: float = EIGENVALUE_CLIP) -> np.ndarray:
+def _relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Tr rho (log2 rho - log2 sigma) of raw matrices, or of each pair of rows
     of stacks (..., d, d): +inf where rho leaves sigma's support.  Both sums
     are masked, a kernel term of the cross sum being diag · log2 1 = 0, so a
     row sums exact zeros in place of the terms it leaves out."""
     svals, svecs = np.linalg.eigh(sigma)
     diag = np.real(np.einsum("...ji,...jk,...ki->...i", svecs.conj(), rho, svecs))
-    support = svals > clip
+    support = svals > EIGENVALUE_CLIP
     kernel_weight = np.sum(np.where(support, 0.0, diag), axis=-1)
     cross = np.sum(diag * np.log2(np.where(support, svals, 1.0)), axis=-1)
-    value = -_entropy_of_probs(np.linalg.eigvalsh(rho), clip) - cross
-    return np.where(kernel_weight > clip, math.inf, value)
+    value = -_entropy_of_probs(np.linalg.eigvalsh(rho)) - cross
+    return np.where(kernel_weight > EIGENVALUE_CLIP, math.inf, value)
 
 
-def relative_entropy(rho: DensityOp, sigma: DensityOp,
-                     clip: float = EIGENVALUE_CLIP) -> float:
+def relative_entropy(rho: DensityOp, sigma: DensityOp) -> float:
     """Tr rho (log2 rho - log2 sigma); +inf iff rho leaves sigma's support."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    return float(_relative_entropy(rho.matrix, sigma.matrix, clip))
+    return float(_relative_entropy(rho.matrix, sigma.matrix))
 
 
-def _set_entropy(matrix: np.ndarray, dims: Sequence[int], group: Sequence[int],
-                 clip: float = EIGENVALUE_CLIP) -> float | np.ndarray:
+def _set_entropy(matrix: np.ndarray, dims: Sequence[int],
+                 group: Sequence[int]) -> float | np.ndarray:
     """Entropy of the reduction to ``group`` of a matrix, or of each matrix
     of a stack (k, d, d) by one batched eigensolve."""
     if not group:
         return 0.0
     reduced = matrix if len(group) == len(dims) else reduced_matrix(matrix, dims, sorted(group))
-    return _entropy_of_probs(np.linalg.eigvalsh(reduced), clip)
+    return _entropy_of_probs(np.linalg.eigvalsh(reduced))
 
 
-def entropy_of_group(rho: DensityOp, group: Sequence[int], clip: float = EIGENVALUE_CLIP) -> float:
+def entropy_of_group(rho: DensityOp, group: Sequence[int]) -> float:
     """Entropy of the reduction to ``group``; the empty group has entropy 0."""
-    return _set_entropy(rho.matrix, rho.layout.dims, rho.layout.check_subsystems(group), clip)
+    return _set_entropy(rho.matrix, rho.layout.dims, rho.layout.check_subsystems(group))
 
 
 def _group_entropies(matrix: np.ndarray, dims: Sequence[int]):
@@ -174,8 +174,8 @@ def classicality_deviation(rho: DensityOp, group: Sequence[int]) -> float:
     return 0.0 if not mask.any() else float(np.max(np.abs(rho.matrix[mask])))
 
 
-def is_classical_on(rho: DensityOp, group: Sequence[int], tol: float = 1e-10) -> bool:
-    return classicality_deviation(rho, group) <= tol
+def is_classical_on(rho: DensityOp, group: Sequence[int]) -> bool:
+    return classicality_deviation(rho, group) <= 1e-10
 
 
 def _entropy_slacks(s, a, b, c, a_classical: bool) -> dict:

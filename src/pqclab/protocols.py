@@ -16,8 +16,8 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -206,12 +206,6 @@ class GateList:
                                  f"of a {self.qubits}-qubit register")
         object.__setattr__(self, "gates", gates)
 
-    def apply(self, block: np.ndarray, dims: Sequence[int], wires: Sequence[int],
-              start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Apply gates ``start:stop`` to a block whose wire ``wires[i]`` is
-        this register's wire i: :func:`_apply_run` on a run of one list."""
-        return _apply_run((self,), block, dims, wires, start, stop)
-
 
 def _apply_run(ops: Sequence[GateList], block: np.ndarray, dims: Sequence[int],
                wires: Sequence[int], start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -392,7 +386,7 @@ def _sender_head(p: ChannelProtocol, inputs: np.ndarray, gates: int = 0,
     rows = p.sender_qubits + p.resource.bob_qubits - len(early)
     wires = [rows + w if w in early else w - sum(e < w for e in early)
              for w in range(p.sender_qubits)]
-    return p.alice_ops[0].apply(block, [2] * (rows + n * bool(early)), wires, stop=gates)
+    return _apply_run(p.alice_ops[:1], block, [2] * (rows + n * bool(early)), wires, stop=gates)
 
 
 def _stage(p: ChannelProtocol, head: np.ndarray, keys: range, start: int = 0,
@@ -884,13 +878,7 @@ def build_broken_otp(n: int = 1) -> ChannelProtocol:
 
 def build_broken_teleportation(n: int = 1) -> ChannelProtocol:
     """Negative fixture: teleportation whose receiver skips the Pauli correction."""
-    good = build_teleportation(n)
-    return ChannelProtocol(
-        name="broken-teleportation", input_kind=good.input_kind,
-        input_qubits=good.input_qubits, message_kind=good.message_kind,
-        resource=good.resource, alice_ops=good.alice_ops, bob_ops=((),),
-        message_subsystems=good.message_subsystems,
-        output_subsystems=good.output_subsystems)
+    return replace(build_teleportation(n), name="broken-teleportation", bob_ops=((),))
 
 
 PROTOCOL_BUILDERS = {
@@ -915,13 +903,11 @@ def build_named(name: str, n: int) -> ChannelProtocol:
 # serialization
 
 
-def _descriptor_pieces(p: ChannelProtocol) -> Iterator[str]:
-    """The canonical descriptor text, ``json.dumps(protocol_to_dict(p),
-    sort_keys=True, separators=(",", ":"))``, in pieces: each top-level value
-    but the gate table dumped whole, and the table a row at a time.  The
-    table lists each distinct gate object once, in first-use order over
-    ``alice_ops`` then ``bob_ops``, whose keys each hold their operator's
-    gates as [table index, wires]."""
+def protocol_to_dict(p: ChannelProtocol) -> dict:
+    """The schema-2 descriptor of a protocol.  Its gate table lists each
+    distinct gate object once, in first-use order over ``alice_ops`` then
+    ``bob_ops``, whose keys each hold their operator's gates as
+    [table index, wires]."""
     table: dict[int, tuple[int, UnitaryOp]] = {}
 
     def refs(op: GateList) -> list:
@@ -937,7 +923,7 @@ def _descriptor_pieces(p: ChannelProtocol) -> Iterator[str]:
         resource.update(state_dims=list(res.psi_ab.layout.dims),
                         state_amplitudes=matrix_to_json(res.psi_ab.amplitudes),
                         alice_subsystems=res.alice_subsystems)
-    fields = {
+    data = {
         "format": "pqclab-protocol", "schema": 2, "name": p.name, "input_kind": p.input_kind,
         "input_qubits": p.input_qubits, "message_kind": p.message_kind,
         "alice_ancillas": p.alice_ancillas, "bob_ancillas": p.bob_ancillas,
@@ -945,29 +931,13 @@ def _descriptor_pieces(p: ChannelProtocol) -> Iterator[str]:
         "output_subsystems": list(p.output_subsystems),
         "alice_ops": [refs(op) for op in p.alice_ops],
         "bob_ops": [refs(op) for op in p.bob_ops]}
-
-    def rows(m: np.ndarray) -> Iterator[str]:
-        for i, row in enumerate(np.ascontiguousarray(m).view(float).reshape(len(m), -1, 2)):
-            yield ("[" if i == 0 else ",") + json.dumps(row.tolist(), separators=(",", ":"))
-        yield "]"
-
-    def pieces() -> Iterator[str]:
-        for i, key in enumerate(sorted([*fields, "gates"])):
-            yield ("{" if i == 0 else ",") + json.dumps(key) + ":"
-            if key in fields:
-                yield json.dumps(fields[key], sort_keys=True, separators=(",", ":"))
-                continue
-            for j, (_, g) in enumerate(table.values()):
-                yield "," if j else "["
-                yield from rows(g.matrix)
-            yield "]" if table else "[]"
-        yield "}"
-
-    return pieces()
+    data["gates"] = [matrix_to_json(g.matrix) for _, g in table.values()]
+    return data
 
 
-def protocol_to_dict(p: ChannelProtocol) -> dict:
-    return json.loads("".join(_descriptor_pieces(p)))
+def _descriptor_text(p: ChannelProtocol) -> str:
+    """The canonical descriptor text, whose sha256 is :func:`protocol_digest`."""
+    return json.dumps(protocol_to_dict(p), sort_keys=True, separators=(",", ":"))
 
 
 def _schema_1_as_2(data: dict) -> dict:
@@ -992,6 +962,8 @@ def protocol_from_dict(data: dict) -> ChannelProtocol:
     res = data["resource"]
     dist = psi = None
     if "key_outcomes" in res:
+        if not isinstance(res["key_outcomes"], list):
+            raise ValueError("key_outcomes must be an array of strings")
         dist = ProbabilityDist(tuple(res["key_outcomes"]),
                                np.asarray(_numbers(res["key_probs"], "key_probs")))
     if "state_amplitudes" in res:
@@ -1022,9 +994,9 @@ def protocol_from_dict(data: dict) -> ChannelProtocol:
 
 def save_protocol(p: ChannelProtocol, path: str):
     """Write the canonical descriptor text, whose sha256 is :func:`protocol_digest`."""
-    pieces = _descriptor_pieces(p)
+    text = _descriptor_text(p)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(pieces)
+        fh.write(text)
 
 
 def load_protocol(path: str) -> ChannelProtocol:
@@ -1050,7 +1022,4 @@ def load_protocol(path: str) -> ChannelProtocol:
 
 def protocol_digest(p: ChannelProtocol) -> str:
     """Stable sha256 of the canonical descriptor text."""
-    digest = hashlib.sha256()
-    for piece in _descriptor_pieces(p):
-        digest.update(piece.encode())
-    return digest.hexdigest()
+    return hashlib.sha256(_descriptor_text(p).encode()).hexdigest()

@@ -287,12 +287,12 @@ def partial_trace(state: DensityOp, keep: Iterable[int]) -> DensityOp:
 # spectral helpers
 
 
-def phase_fix_columns(mat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Rotate each column so its first entry of magnitude > tol is real positive."""
+def phase_fix_columns(mat: np.ndarray) -> np.ndarray:
+    """Rotate each column so its first entry of magnitude > 1e-8 is real positive."""
     out = np.array(mat, dtype=complex)
     for j in range(out.shape[1]):
         col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > tol)
+        nz = np.flatnonzero(np.abs(col) > 1e-8)
         if nz.size:
             pivot = col[nz[0]]
             out[:, j] = col * (pivot.conj() / abs(pivot))
@@ -388,12 +388,11 @@ def purify(rho: DensityOp) -> Ket:
     return Ket(layout, amps / np.linalg.norm(amps))
 
 
-def local_transition(phi1: Ket, phi2: Ket, cut: Iterable[int],
-                     tol: float = 1e-8) -> UnitaryOp:
+def local_transition(phi1: Ket, phi2: Ket, cut: Iterable[int]) -> UnitaryOp:
     """Local unitary U on the first cut group with (U ⊗ I)|phi1> = |phi2>.
 
-    Both states must reduce to the same operator on the second group
-    (i.e. be purifications of one state); otherwise ValueError is raised.
+    Both states must reduce to the same operator on the second group, to
+    1e-8 entrywise (be purifications of one state); else ValueError is raised.
     Degenerate spectra are handled by expanding both states over one shared
     eigenbasis of that reduction.
     """
@@ -408,7 +407,7 @@ def local_transition(phi1: Ket, phi2: Ket, cut: Iterable[int],
 
     rho1 = reduced_from_vector(phi1.amplitudes, dims, right)
     rho2 = reduced_from_vector(phi2.amplitudes, dims, right)
-    if max_abs(rho1 - rho2) > tol:
+    if max_abs(rho1 - rho2) > 1e-8:
         raise ValueError(
             "reductions over the first group differ; the states do not purify "
             "the same operator")

@@ -16,6 +16,7 @@ import numpy as np
 from . import qmath
 from .entropy import ProbabilityDist
 from .qmath import (
+    ALGEBRA_TOL,
     ENTROPY_TOL,
     DensityOp,
     Ket,
@@ -37,6 +38,7 @@ from .protocols import (
     GateList,
     ProtocolVerificationError,
     SharedResource,
+    _apply_run,
     _correctness_bound,
     _integer,
     _zero_tail,
@@ -392,18 +394,10 @@ def _receiver_blocks(rsp: ObliviousRsp) -> np.ndarray:
     d = 2 ** rsp.n
     block = np.kron(np.eye(d, dtype=complex), rsp.psi_ab.amplitudes[:, None])
     dims = [2] * (rsp.n + len(rsp.psi_ab.layout))
-    block = rsp.measurement.apply(block, dims, range(rsp.measurement.qubits))
+    block = _apply_run((rsp.measurement,), block, dims, range(rsp.measurement.qubits))
     block = _zero_tail(block.reshape(rsp.message_count, 2 ** rsp.bob_qubits, d),
                        rsp.bob_ancillas)
     return np.stack([u.matrix for u in rsp.corrections]) @ block
-
-
-def _branches(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Squared norms of the columns of ``states``, which of them reach
-    RSP_PROB_FLOOR, and those columns normalized."""
-    probs = np.sum(np.abs(states) ** 2, axis=0)
-    live = probs >= RSP_PROB_FLOOR
-    return probs, live, states[:, live] / np.sqrt(probs[live])
 
 
 def check_obliviousness(rsp: ObliviousRsp,
@@ -441,7 +435,7 @@ def check_obliviousness(rsp: ObliviousRsp,
     return {name: (float(v.max()), int(np.argmax(v))) for name, v in values.items()}
 
 
-def rsp_to_pqc(rsp: ObliviousRsp, tol: float = 1e-9) -> ChannelProtocol:
+def rsp_to_pqc(rsp: ObliviousRsp) -> ChannelProtocol:
     """Turn a verified oblivious RSP into a keyed private channel.
 
     The message label m becomes the shared key with its (input-independent)
@@ -452,7 +446,7 @@ def rsp_to_pqc(rsp: ObliviousRsp, tol: float = 1e-9) -> ChannelProtocol:
     blocks = _receiver_blocks(rsp)
     checks = check_obliviousness(rsp, blocks=blocks)
     for invariant, (deviation, message) in checks.items():
-        if deviation > tol:
+        if deviation > ALGEBRA_TOL:
             raise ObliviousnessError(invariant, deviation, message)
 
     n = rsp.n
@@ -463,10 +457,13 @@ def rsp_to_pqc(rsp: ObliviousRsp, tol: float = 1e-9) -> ChannelProtocol:
 
     # message probabilities and residue states on the reference input
     # |0...0> (input-independent by the checks)
-    probs, live, states = _branches(blocks[:, :, 0].T)
+    states = blocks[:, :, 0].T
+    probs = np.sum(np.abs(states) ** 2, axis=0)
+    live = probs >= RSP_PROB_FLOOR
     keep_keys = np.flatnonzero(live)
     if q_r:
-        residues = reduced_from_vector(states, [2] * bob_reg, residue_positions)
+        residues = reduced_from_vector(states[:, live] / np.sqrt(probs[live]), [2] * bob_reg,
+                                       residue_positions)
 
     a_reg = n + 2 * q_r
     # the output positions become wires 0..n-1, the residue positions the next q_r

@@ -1,0 +1,89 @@
+"""Fingerprint the reports the CLI writes on the benchmark's rows.
+
+Usage: python3 tests/report_fingerprint.py
+
+Runs in this one process, with a 1 GiB address-space cap and one BLAS thread:
+
+* ``verify`` and ``audit`` on every builder at every n the admission check
+  accepts and at the first n it refuses (``bench/workloads.py``), at seeds
+  0 and 7: 132 rows;
+* ``inequalities`` at seeds 0-9 and at the row seeds of the benchmark's
+  ``inequalities`` workload for workload seeds 0 and 1, each at
+  ``--samples`` 1, 7, 127, 128, 129, 200 and 500: 140 reports.
+
+Each report's ``timestamp`` field is dropped.  For each set the script prints
+the count of each exit code and one sha256 over every row's argv, exit code,
+stdout and stderr, so two checkouts that print the same lines wrote the same
+reports.  It imports ``pqclab`` from the ``src`` next to this file.
+"""
+
+from __future__ import annotations
+
+import collections
+import contextlib
+import hashlib
+import importlib.util
+import io
+import os
+import re
+import resource
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
+SAMPLES = (1, 7, 127, 128, 129, 200, 500)
+
+
+def _workloads():
+    path = ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def rows() -> dict[str, list[list[str]]]:
+    w = _workloads()
+    verdicts = [[command, builder, "--n", str(n), "--seed", str(seed)]
+                for seed in (0, 7) for command in ("verify", "audit")
+                for builder, ns in w.ACCEPTED.items()
+                for n in (*ns, w.FIRST_REFUSED[builder])]
+    seeds = [*range(10), *(row.seed for s in (0, 1) for row in w.inequalities(s))]
+    reports = [["inequalities", "--samples", str(k), "--seed", str(seed)]
+               for seed in seeds for k in SAMPLES]
+    return {"verify/audit": verdicts, "inequalities": reports}
+
+
+def run(main, argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses an argv with exit 2
+            code = exc.code
+    return code, TIMESTAMP.sub('"timestamp": null', out.getvalue()), err.getvalue()
+
+
+def main() -> None:
+    # before numpy is first imported, through pqclab
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    sys.path.insert(0, str(ROOT / "src"))
+    from pqclab.cli import main as cli_main
+
+    for name, argvs in rows().items():
+        codes, digest = collections.Counter(), hashlib.sha256()
+        for argv in argvs:
+            code, out, err = run(cli_main, argv)
+            codes[code] += 1
+            for part in (" ".join(argv), str(code), out, err):
+                digest.update(part.encode() + b"\0")
+        counts = ", ".join(f"{n} x exit {c}" for c, n in sorted(codes.items()))
+        print(f"{name}: {len(argvs)} rows, {counts}, sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -431,6 +431,22 @@ def test_verify_malformed_descriptor_refused(tmp_path, capsys, build, edit):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("labels,reason", [
+    ("0123", "key_outcomes must be an array"),
+    ({"0": 1, "1": 1, "2": 1, "3": 1}, "key_outcomes must be an array"),
+    (["0"] * 4, "outcome labels must be distinct")], ids=["string", "object", "repeated"])
+def test_verify_key_labels_not_distinct_strings_in_an_array_refused(tmp_path, capsys, labels,
+                                                                     reason):
+    # tuple() reads the string as its four characters and the object as its
+    # four keys; the repeated label reported 2 bits of key entropy for one label
+    def edit(data):
+        return {**data, "resource": {**data["resource"], "key_outcomes": labels}}
+    code = main(["verify", str(_descriptor(tmp_path, edit))])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "error: malformed protocol file" in err and reason in err
+
+
 @pytest.mark.parametrize("edit", [lambda data: {k: v for k, v in data.items() if k != "schema"},
                                   _set("schema", 99)], ids=["missing", "unknown"])
 def test_verify_descriptor_of_missing_or_unknown_schema_refused(tmp_path, capsys, edit):

@@ -29,6 +29,7 @@ from pqclab.protocols import (
     CNOT,
     HADAMARD,
     GateList,
+    _apply_run,
     _shared_prefix,
     build_named,
     controlled_by_value,
@@ -160,15 +161,15 @@ def test_fused_apply_equals_gate_by_gate(case, data):
     # the shared prefix once, then each list's own tail, as the engine runs keys
     split = _shared_prefix([a, b])
     assert split >= len(prefix)
-    head = a.apply(block, dims, wire_map, stop=split)
+    head = _apply_run((a,), block, dims, wire_map, stop=split)
     for op in (a, b):
-        fused = op.apply(head, dims, wire_map, start=split)
+        fused = _apply_run((op,), head, dims, wire_map, start=split)
         assert fused.shape == block.shape
         assert max_abs(fused - _one_by_one(block, dims, wire_map, op.gates)) <= TOL
 
     start = data.draw(st.integers(0, len(a.gates)))
     stop = data.draw(st.integers(start, len(a.gates)))
-    assert max_abs(a.apply(block, dims, wire_map, start, stop)
+    assert max_abs(_apply_run((a,), block, dims, wire_map, start, stop)
                    - _one_by_one(block, dims, wire_map, a.gates[start:stop])) <= TOL
 
 

@@ -56,6 +56,7 @@ from oracles import (
     decode,
     encode_cross_term,
     haar_ket,
+    haar_unitary,
     message_distribution,
     probe_columns,
     probes,
@@ -551,7 +552,7 @@ def test_saved_descriptor_is_the_canonical_text_of_the_digest(name, n, tmp_path)
 @pytest.mark.parametrize("name,n,limit", [("quantum-otp", 4, 4e6), ("superdense", 6, 16e6)])
 def test_digest_never_holds_the_descriptor(name, n, limit):
     # the dense schema-1 text of either was 1.4 and 2.7 MB; the gate-list text is
-    # 22 and 2 KB, its gate table streamed a row at a time
+    # 22 and 2 KB, held whole with its dict while it is hashed
     p = build_named(name, n)
     tracemalloc.start()
     try:
@@ -560,6 +561,31 @@ def test_digest_never_holds_the_descriptor(name, n, limit):
     finally:
         tracemalloc.stop()
     assert peak < limit
+
+
+def test_digest_of_a_dense_gate_peaks_near_its_load(tmp_path):
+    # only a dense gate from a file makes the digest's dict and text large,
+    # and the loader already parses that file whole: a 2.9 MB file of one
+    # 8-qubit gate peaks at about 14 MB in either
+    p = ChannelProtocol(
+        name="dense", input_kind=INPUT_QUANTUM, input_qubits=8, message_kind=INPUT_QUANTUM,
+        resource=SharedResource.none(), alice_ops=(haar_unitary(256, np.random.default_rng(0)),),
+        bob_ops=((),), message_subsystems=tuple(range(8)), output_subsystems=tuple(range(8)))
+    path = tmp_path / "dense.json"
+    save_protocol(p, str(path))
+    assert path.stat().st_size > 2.5e6
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    loaded, load_peak = peak(lambda: load_protocol(str(path)))
+    digest, digest_peak = peak(lambda: protocol_digest(loaded))
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest_peak <= 1.25 * load_peak
 
 
 @pytest.mark.parametrize("wire", [0.0, 0.7, False, True])
