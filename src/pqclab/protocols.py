@@ -35,7 +35,6 @@ from .qmath import (
     SystemLayout,
     UnitaryOp,
     apply_gate,
-    compose_circuit,
     kept_factor,
     matrix_from_json,
     matrix_to_json,
@@ -49,9 +48,6 @@ DESK_SCALE_LIMIT = 4096
 #: largest descriptor file read, in bytes: small enough to parse under 1 GiB
 #: with at most one JSON array per 8 bytes of it (see :func:`load_protocol`)
 DESCRIPTOR_BYTE_LIMIT = 1 << 25
-#: widest run of consecutive gates a gate list applies as one dense gate
-#: (2^8 x 2^8 on qubits)
-FUSION_WIRES = 8
 #: bytes of kept-wire factors or receiver blocks stacked per batched product
 STACK_BYTES = 1 << 22
 
@@ -183,13 +179,7 @@ class GateList:
     """A unitary on ``qubits`` wires kept as its gates, the first listed acting
     first; each gate acts on its listed wires in the given order.  A gate
     given as a raw matrix is validated into a :class:`UnitaryOp`.  Builders,
-    the engine and descriptor files all hold operators in this one form.
-
-    Simulation fuses each run of consecutive gates on at most FUSION_WIRES
-    wires into one dense gate, no larger than one key's block it acts on,
-    composed per call (:func:`_apply_run`), once for a run of keys, and not
-    kept.
-    """
+    the engine and descriptor files all hold operators in this one form."""
 
     qubits: int
     gates: tuple[tuple[UnitaryOp, tuple[int, ...]], ...]
@@ -213,29 +203,12 @@ def _apply_run(ops: Sequence[GateList], block: np.ndarray, dims: Sequence[int],
     whose gates sit on the same wires at every position: list k to matrix k
     of a stack (K, rows, cols), or to the one block given, which then becomes
     a stack.  At each position the gates act as one stack (K, g, g), or as
-    one matrix where every list holds the same gate object.  Consecutive
-    gates on w block wires together, w ≤ FUSION_WIRES and 4^w ≤ the size of
-    one list's block, run as one gate on those wires in ascending order,
-    composed here once for the run and dropped once applied."""
-    size = block[0].size if block.ndim == 3 else block.size
-    groups: list[tuple[set[int], list]] = []
+    one matrix where every list holds the same gate object, on their own
+    mapped wires: one gate position, one :func:`apply_gate`."""
     for i, (g, targets) in enumerate(ops[0].gates[start:stop], start):
         column = [op.gates[i][0] for op in ops]
         gate = g.matrix if all(h is g for h in column) else np.array([h.matrix for h in column])
-        mapped = [wires[t] for t in targets]
-        union = groups[-1][0].union(mapped) if groups else ()
-        if groups and len(union) <= FUSION_WIRES and 4 ** len(union) <= size:
-            groups[-1][0].update(mapped)
-            groups[-1][1].append((gate, mapped))
-        else:
-            groups.append((set(mapped), [(gate, mapped)]))
-    for union, gates in groups:
-        gate, targets = gates[0]
-        if len(gates) > 1:
-            targets = sorted(union)
-            gate = compose_circuit([dims[w] for w in targets],
-                                   ((m, [targets.index(w) for w in t]) for m, t in gates))
-        block = apply_gate(block, dims, gate, targets)
+        block = apply_gate(block, dims, gate, [wires[t] for t in targets])
     return block
 
 

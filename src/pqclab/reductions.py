@@ -128,7 +128,7 @@ def lift_extra_comm(p: ChannelProtocol, check_input: bool = True) -> ChannelProt
         raise ValueError("extra-communication lift needs a quantum-input protocol")
     n = p.input_qubits
     if check_input:
-        _verify_or_raise(p, INPUT_QUANTUM, 1e-9, "lift_extra_comm")
+        _verify_or_raise(p, INPUT_QUANTUM, ALGEBRA_TOL, "lift_extra_comm")
 
     a = p.alice_ancillas
     m_inner = p.message_qubits
@@ -185,7 +185,7 @@ def lift_extra_epr(p: ChannelProtocol, check_input: bool = True) -> ChannelProto
         raise ValueError("extra-entanglement lift needs a quantum-input protocol")
     n = p.input_qubits
     if check_input:
-        _verify_or_raise(p, INPUT_QUANTUM, 1e-9, "lift_extra_epr")
+        _verify_or_raise(p, INPUT_QUANTUM, ALGEBRA_TOL, "lift_extra_epr")
 
     ra, rb = p.resource.alice_qubits, p.resource.bob_qubits
     extra = epr_block(n)
@@ -232,7 +232,7 @@ def lift_extra_epr(p: ChannelProtocol, check_input: bool = True) -> ChannelProto
 # bound audits
 
 
-def audit_classical_input(p: ChannelProtocol, verify_tol: float = 1e-9,
+def audit_classical_input(p: ChannelProtocol, verify_tol: float = ALGEBRA_TOL,
                           bound_tol: float = ENTROPY_TOL,
                           log: list[str] | None = None) -> list[BoundAudit]:
     """Audit the resource lower bounds of a verified classical-input channel.
@@ -259,7 +259,7 @@ def audit_classical_input(p: ChannelProtocol, verify_tol: float = 1e-9,
     raise ValueError(f"no audited bounds for resource kind {kind!r}")
 
 
-def audit_quantum_input(p: ChannelProtocol, verify_tol: float = 1e-9,
+def audit_quantum_input(p: ChannelProtocol, verify_tol: float = ALGEBRA_TOL,
                         bound_tol: float = ENTROPY_TOL,
                         log: list[str] | None = None) -> list[BoundAudit]:
     """Audit the resource lower bounds of a verified quantum-input channel.

@@ -961,3 +961,22 @@ def test_admission_table_exit_codes(command, builder, n, capsys):
     out, err = capsys.readouterr()
     assert code == expected
     assert (out == "") == refused and ("error:" in err) == refused
+
+
+def test_admission_rows_never_compose_a_gate(monkeypatch):
+    # the engine applies each gate on its own: no verify or audit row
+    # composes gates into a dense matrix, through any module's binding
+    qmath = importlib.import_module("pqclab.qmath")
+    composed, real = [], qmath.compose_circuit
+
+    def compose(*args):
+        composed.append(args)
+        return real(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("pqclab")]:
+        for attr, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, attr, compose)
+    for command, builder, n in ADMISSION_ROWS:
+        main([command, builder, "--n", str(n)])
+    assert composed == []

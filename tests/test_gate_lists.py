@@ -1,11 +1,12 @@
 """Gate-list operators against the dense matrices they stand for.
 
-Protocol operators are lists of gates that the engine applies in fused runs.
-The checks here: ``apply_gate``'s reshape path for a run of wires equals its
-transpose path, and on stacks of gates or blocks it equals each matrix
-alone; a gate list's fused runs equal its gates applied one at a time, no
-fused gate has more entries than one key's block it acts on, and a lift's
-receiver runs as one gate per run of keys; every lifted operator's dense
+Protocol operators are lists of gates that the engine applies one gate
+position at a time, for a run of keys at once.  The checks here:
+``apply_gate``'s reshape path for a run of wires equals its transpose path,
+and on stacks of gates or blocks it equals each matrix alone; a run of gate
+lists equals its gates applied one at a time, each applied matrix is the
+size of the list gate it comes from, and a lift's receiver applies one gate,
+or one stack of the run's keys' gates, per position; every lifted operator's dense
 matrix (``oracles.dense``) equals the dense product the lifts used to build
 gate by gate with ``compose_circuit``, and both give the same verification
 values; builder digests are those of the gate-list descriptors, and lifted
@@ -118,7 +119,7 @@ def test_stacked_apply_equals_each_matrix_alone(case, descending, keys, stacked)
 
 
 # ---------------------------------------------------------------------------
-# fused gate lists
+# runs of gate lists
 
 
 def _one_by_one(block, dims, wires, gates):
@@ -173,72 +174,84 @@ def test_fused_apply_equals_gate_by_gate(case, data):
                    - _one_by_one(block, dims, wire_map, a.gates[start:stop])) <= TOL
 
 
+def _record_runs(monkeypatch):
+    """Record each ``_apply_run`` call as (ops, start, stop, wires, applied),
+    applied holding each ``apply_gate`` call's (block shape, targets, matrix
+    shape)."""
+    calls, real_run, real_gate = [], protocols._apply_run, protocols.apply_gate
+
+    def apply_run(ops, block, dims, wires, start=0, stop=None):
+        calls.append((list(ops), start, stop, list(wires), []))
+        return real_run(ops, block, dims, wires, start, stop)
+
+    def gate(block, dims, matrix, targets):
+        calls[-1][4].append((block.shape, list(targets), matrix.shape))
+        return real_gate(block, dims, matrix, targets)
+
+    monkeypatch.setattr(protocols, "_apply_run", apply_run)
+    monkeypatch.setattr(protocols, "apply_gate", gate)
+    return calls
+
+
 @pytest.mark.parametrize("per_run, runs", [(5, [5, 5, 5, 1]), (16, [16]), (1, [1] * 16)])
 def test_lifted_receiver_runs_one_gate_per_run_on_one_wire_run(monkeypatch, per_run, runs):
-    # each run's receiver lists (inner Pauli, two Bell readouts) on their 4
-    # wires run as one stack of 16 x 16 gates, one per key, on the block's
-    # message wires; the runs partition the keys in order, the shared sender
+    # each run's receiver lists (two inner Paulis, two Bell readouts) on the
+    # block's 4 message wires apply one gate per position, of that gate's own
+    # size on its own mapped wires: a stack (K, g, g) of the run's keys'
+    # gates where they differ, as the Paulis do for K > 1, else the one
+    # shared matrix; the runs partition the keys in order, the shared sender
     # prefix runs once per pass, and each run's sender tail once
     lifted = lift_extra_comm(build_named("quantum-otp", 2), check_input=False)
     shared = _shared_prefix(lifted.alice_ops)
     monkeypatch.setattr(protocols, "STACK_BYTES", run_cut(
         lifted, per_run, lambda: protocols._verification_pass(lifted, True)))
-    calls, real_run, real_gate = [], protocols._apply_run, protocols.apply_gate
-
-    def apply_run(ops, block, dims, wires, start=0, stop=None):
-        calls.append((list(ops), start, stop, []))
-        return real_run(ops, block, dims, wires, start, stop)
-
-    def gate(block, dims, matrix, targets):
-        calls[-1][3].append((list(targets), matrix.shape))
-        return real_gate(block, dims, matrix, targets)
-
-    monkeypatch.setattr(protocols, "_apply_run", apply_run)
-    monkeypatch.setattr(protocols, "apply_gate", gate)
+    calls = _record_runs(monkeypatch)
     verify_correctness(lifted)
 
-    receiver = [(ops, applied) for ops, _, _, applied in calls if ops[0] in lifted.bob_ops]
-    assert [len(ops) for ops, _ in receiver] == runs
-    assert [op for ops, _ in receiver for op in ops] == list(lifted.bob_ops)
-    for ops, applied in receiver:
-        (targets, shape), = applied
-        assert targets == list(range(targets[0], targets[0] + 4))
-        assert shape == ((len(ops),) if len(ops) > 1 else ()) + (16, 16)
+    receiver = [(ops, wires, applied) for ops, _, _, wires, applied in calls
+                if ops[0] in lifted.bob_ops]
+    assert [len(ops) for ops, _, _ in receiver] == runs
+    assert [op for ops, _, _ in receiver for op in ops] == list(lifted.bob_ops)
+    for ops, wires, applied in receiver:
+        assert wires == list(range(wires[0], wires[0] + 4))
+        assert len(applied) == len(ops[0].gates) == 4
+        for i, ((g, targets), (_, mapped, shape)) in enumerate(zip(ops[0].gates, applied)):
+            stacked = any(op.gates[i][0] is not g for op in ops)
+            assert mapped == [wires[t] for t in targets]
+            assert shape == ((len(ops),) if stacked else ()) + (g.dim, g.dim)
+        assert [len(shape) for _, _, shape in applied] == [3 if len(ops) > 1 else 2] * 2 + [2, 2]
     assert sum(c[1:3] == (0, shared) for c in calls) == 1
-    tails = [ops for ops, start, stop, _ in calls if (start, stop) == (shared, None)]
+    tails = [ops for ops, start, stop, _, _ in calls if (start, stop) == (shared, None)]
     assert [op for ops in tails for op in ops] == list(lifted.alice_ops)
     assert len(tails) == len(runs)
 
 
 def test_fused_gates_never_outsize_their_block(monkeypatch):
     # the quantum-otp 2 lift's shared sender prefix, gates on wires (4, 6),
-    # (5, 7), (0, 1, 4) and (2, 3, 5), runs on a 256 x 16 block: its first
-    # three gates fuse into one 64 x 64 gate, as many entries as the block,
-    # and the fourth runs alone: all four would make a 256 x 256 gate
+    # (5, 7), (0, 1, 4) and (2, 3, 5), runs on a 256 x 16 block one gate at
+    # a time, each as its own 4 x 4 or 8 x 8 matrix; through whole passes,
+    # every applied matrix is the size of the list gate it comes from, and
+    # no larger than the block it acts on
     lifted = lift_extra_comm(build_named("quantum-otp", 2), check_input=False)
     shared = _shared_prefix(lifted.alice_ops)
     assert [t for _, t in lifted.alice_ops[0].gates[:shared]] == [
         (4, 6), (5, 7), (0, 1, 4), (2, 3, 5)]
-    applied, real_gate = [], protocols.apply_gate
-
-    def gate(block, dims, matrix, targets):
-        applied.append((block.size, matrix.size, list(targets)))
-        return real_gate(block, dims, matrix, targets)
-
-    monkeypatch.setattr(protocols, "apply_gate", gate)
+    calls = _record_runs(monkeypatch)
     head = protocols._sender_head(lifted, np.eye(16, dtype=complex), shared)
     assert head.shape == (256, 16)
-    assert applied == [(4096, 4096, [0, 1, 4, 5, 6, 7]), (4096, 64, [2, 3, 5])]
-    applied.clear()
-    verify_correctness(lifted)
-    assert applied and all(entries <= size for size, entries, _ in applied)
-    # per key: a stack of gates on a stack of blocks, or on the one head
-    stacked = []
-    monkeypatch.setattr(protocols, "apply_gate", lambda block, dims, matrix, targets: (
-        stacked.append((block.shape, matrix.shape)) or real_gate(block, dims, matrix, targets)))
-    protocols._verification_pass(lifted, False)
-    assert any(len(gate) == 3 for _, gate in stacked)
-    assert all(math.prod(gate[-2:]) <= math.prod(block[-2:]) for block, gate in stacked)
+    assert [a for *_, applied in calls for a in applied] == [
+        ((256, 16), [4, 6], (4, 4)), ((256, 16), [5, 7], (4, 4)),
+        ((256, 16), [0, 1, 4], (8, 8)), ((256, 16), [2, 3, 5], (8, 8))]
+    for basis in (True, False):
+        calls.clear()
+        protocols._verification_pass(lifted, basis)
+        assert calls
+        for ops, start, stop, _, applied in calls:
+            gates = ops[0].gates[start:stop]
+            assert [gate[-2:] for _, _, gate in applied] == [(g.dim, g.dim) for g, _ in gates]
+            assert all(math.prod(gate[-2:]) <= math.prod(block[-2:]) for block, _, gate in applied)
+        # per key: a stack of gates on a stack of blocks, or on the one head
+        assert any(len(gate) == 3 for *_, applied in calls for _, _, gate in applied)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqclab import reductions
 from pqclab.entropy import ProbabilityDist, entanglement_measure, shannon_entropy
 from pqclab.protocols import (
     INPUT_CLASSICAL,
@@ -113,6 +114,21 @@ def test_lift_of_insecure_protocol_is_flagged():
     lifted = lift_extra_comm(insecure, check_input=False)
     assert verify_security(lifted, INPUT_CLASSICAL) > 0.2
     assert verify_correctness(lifted, INPUT_CLASSICAL) <= 1e-9
+
+
+@pytest.mark.parametrize("lift", [lift_extra_comm, lift_extra_epr])
+def test_lift_input_check_reads_algebra_tol(monkeypatch, lift):
+    # the lifts check their input against reductions.ALGEBRA_TOL as it is
+    # when called: broken-otp's security deviation of 0.5 passes under a
+    # tolerance of 1, and quantum-otp's 0.0 fails under a negative one
+    broken = build_named("broken-otp", 1)
+    with pytest.raises(ProtocolVerificationError):
+        lift(broken)
+    monkeypatch.setattr(reductions, "ALGEBRA_TOL", 1.0)
+    assert lift(broken).input_qubits == 2
+    monkeypatch.setattr(reductions, "ALGEBRA_TOL", -1.0)
+    with pytest.raises(ProtocolVerificationError):
+        lift(build_quantum_otp(1))
 
 
 # ---------------------------------------------------------------------------
