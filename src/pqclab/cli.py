@@ -7,7 +7,6 @@ apart from the ``timestamp`` field.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -40,7 +39,7 @@ SWEEP_CHUNK = 128
 
 
 class UsageError(Exception):
-    pass
+    """A refused command line or input; an argv fault carries USAGE as a second arg."""
 
 
 @dataclass
@@ -57,11 +56,6 @@ class RunConfig:
             raise UsageError("counts must be nonnegative")
         if self.seed < 0:
             raise UsageError("seed must be nonnegative")
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(seed=args.seed, algebra_tol=args.tol_algebra,
-                     entropy_tol=args.tol_entropy, samples=args.samples)
 
 
 def _load(name_or_path: str, n: int) -> ChannelProtocol:
@@ -111,9 +105,8 @@ def _verification_block(protocol: ChannelProtocol, cfg: RunConfig) -> tuple[dict
     return block, passed
 
 
-def cmd_verify(args) -> tuple[dict, int]:
-    cfg = _config(args)
-    protocol = _load(args.protocol, args.n)
+def cmd_verify(cfg: RunConfig, name_or_path: str, n: int) -> tuple[dict, int]:
+    protocol = _load(name_or_path, n)
     report = _base_report("verify", cfg)
     block, passed = _verification_block(protocol, cfg)
     report.update(block)
@@ -121,9 +114,8 @@ def cmd_verify(args) -> tuple[dict, int]:
     return report, 0 if passed else 1
 
 
-def cmd_audit(args) -> tuple[dict, int]:
-    cfg = _config(args)
-    protocol = _load(args.protocol, args.n)
+def cmd_audit(cfg: RunConfig, name_or_path: str, n: int) -> tuple[dict, int]:
+    protocol = _load(name_or_path, n)
     if protocol.input_kind != INPUT_CLASSICAL:
         try:
             require_lift_scale(protocol)
@@ -173,8 +165,7 @@ def _worst_samples(chunks) -> dict[str, tuple[float, int, np.ndarray]]:
     return worst
 
 
-def cmd_inequalities(args) -> tuple[dict, int]:
-    cfg = _config(args)
+def cmd_inequalities(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.samples < 1:
         raise UsageError("--samples must be >= 1")
     report = _base_report("inequalities", cfg)
@@ -202,35 +193,54 @@ def cmd_inequalities(args) -> tuple[dict, int]:
     return report, 0 if passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pqclab",
-        description="Verify and audit private-channel protocols; emit JSON reports.")
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = f"""usage: pqclab verify|audit PROTOCOL [--n N] [OPTIONS]
+       pqclab inequalities [OPTIONS]
+PROTOCOL is a builder name or a protocol descriptor file.  OPTIONS:
+  --n N              input size in (qu)bits for builder names (default 1)
+  --seed N           seed for the inequality samples (default 0)
+  --samples N        sample count for inequality sweeps (default 500)
+  --tol-algebra X    tolerance for algebraic identities (default {ALGEBRA_TOL:g})
+  --tol-entropy X    tolerance for entropy-valued quantities (default {ENTROPY_TOL:g})
+  --json PATH        also write the report to this path
+  -h, --help         print this text and exit"""
+#: command -> (handler, whether it takes a PROTOCOL and --n)
+COMMANDS = {"verify": (cmd_verify, True), "audit": (cmd_audit, True),
+            "inequalities": (cmd_inequalities, False)}
+#: option -> (RunConfig field or handler argument, type); full names only
+OPTIONS = {"--n": ("n", int), "--seed": ("seed", int), "--samples": ("samples", int),
+           "--tol-algebra": ("algebra_tol", float), "--tol-entropy": ("entropy_tol", float),
+           "--json": ("json", str)}
 
-    def common(p: argparse.ArgumentParser):
-        p.add_argument("--seed", type=int, default=0, help="seed for the inequality samples")
-        p.add_argument("--samples", type=int, default=500,
-                       help="sample count for inequality sweeps")
-        p.add_argument("--tol-algebra", type=float, default=ALGEBRA_TOL,
-                       help="tolerance for algebraic identities")
-        p.add_argument("--tol-entropy", type=float, default=ENTROPY_TOL,
-                       help="tolerance for entropy-valued quantities")
-        p.add_argument("--json", metavar="PATH", default=None,
-                       help="also write the report to this path")
 
-    for name, fn, needs_protocol in (("verify", cmd_verify, True),
-                                     ("audit", cmd_audit, True),
-                                     ("inequalities", cmd_inequalities, False)):
-        p = sub.add_parser(name)
-        if needs_protocol:
-            p.add_argument("protocol",
-                           help="builder name or protocol descriptor file")
-            p.add_argument("--n", type=int, default=1,
-                           help="input size in (qu)bits for builder names")
-        common(p)
-        p.set_defaults(handler=fn)
-    return parser
+def parse_args(argv: list[str]):
+    """The handler, its arguments and the --json path for ``argv``; None for -h."""
+    values, positionals, tokens = {}, [], iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in OPTIONS:
+            raise UsageError(f"unknown option {flag!r}", USAGE)
+        if not eq and (value := next(tokens, None)) is None:
+            raise UsageError(f"{flag} needs a value", USAGE)
+        key, kind = OPTIONS[flag]
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            raise UsageError(f"{flag}: invalid {kind.__name__} value {value!r}", USAGE) from None
+    command, *args = positionals or [""]
+    if command not in COMMANDS:
+        raise UsageError(f"unknown command {command!r}; expected one of {list(COMMANDS)}", USAGE)
+    handler, takes_protocol = COMMANDS[command]
+    if len(args) != takes_protocol:
+        raise UsageError(f"{command} takes {int(takes_protocol)} PROTOCOL, got {args}", USAGE)
+    if "n" in values and not takes_protocol:
+        raise UsageError(f"{command} takes no --n", USAGE)
+    json_path, n = values.pop("json", None), values.pop("n", 1)
+    return handler, RunConfig(**values), args + [n] if takes_protocol else args, json_path
 
 
 def _finite(value):
@@ -247,7 +257,7 @@ def _finite(value):
 def _emit(report: dict, json_path: str | None):
     # the file first, so a report that cannot be written never reaches stdout
     text = json.dumps(_finite(report), sort_keys=True, indent=2)
-    if json_path:
+    if json_path is not None:
         try:
             with open(json_path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
@@ -257,13 +267,16 @@ def _emit(report: dict, json_path: str | None):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        report, code = args.handler(args)
-        _emit(report, args.json)
+        parsed = parse_args(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            print(USAGE)
+            return 0
+        handler, cfg, args, json_path = parsed
+        report, code = handler(cfg, *args)
+        _emit(report, json_path)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print("error:", "\n".join(exc.args), file=sys.stderr)
         return 2
     return code
 

@@ -61,7 +61,7 @@ def run(main, argv: list[str]) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse refuses an argv with exit 2
+        except SystemExit as exc:  # checkouts that parsed argv with argparse exit 2
             code = exc.code
     return code, TIMESTAMP.sub('"timestamp": null', out.getvalue()), err.getvalue()
 

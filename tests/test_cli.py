@@ -326,19 +326,82 @@ def test_config_echo_and_flags(capsys):
 
 def test_probes_flag_is_gone(capsys):
     # security is read off the channel table; no probe count enters it
-    with pytest.raises(SystemExit) as exit_:
-        main(["verify", "quantum-otp", "--probes", "5"])
-    assert exit_.value.code == 2
+    assert main(["verify", "quantum-otp", "--probes", "5"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "--probes" in err
 
 
+@pytest.mark.parametrize("argv,token", [
+    (["verify", "quantum-otp", "--bogus", "1"], "--bogus"),
+    (["verify", "quantum-otp", "--seed"], "--seed"),
+    (["verify", "quantum-otp", "--n", "x"], "'x'"),
+    (["verify", "quantum-otp", "--tol-algebra", "x"], "'x'"),
+    (["inequalities", "--n", "2"], "--n"),
+    (["inequalities", "extra-arg"], "extra-arg"),
+    (["verify"], "PROTOCOL"),
+    (["verify", "quantum-otp", "extra-arg"], "extra-arg"),
+    ([], "command"),
+    (["frobnicate", "quantum-otp"], "frobnicate"),
+    (["verify", "quantum-otp", "--tol-a", "1e-8"], "--tol-a"),
+    (["verify", "quantum-otp", "--tol-a=1e-8"], "--tol-a"),
+])
+def test_argv_fault_refused_with_usage(argv, token, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    first, *rest = err.splitlines()
+    assert first.startswith("error:") and token in first
+    assert rest[0].startswith("usage: pqclab")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_usage_to_stdout(flag, capsys):
+    assert main(["verify", flag]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: pqclab") and "--tol-entropy" in out
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv,same", [
+    (["verify", "quantum-otp", "--seed=3"], ["verify", "quantum-otp", "--seed", "3"]),
+    (["audit", "classical-otp", "--n", "2", "--seed", "3"],
+     ["--n=2", "--seed", "3", "audit", "classical-otp"]),
+    (["inequalities", "--samples", "9", "--seed", "5"],
+     ["--seed", "4", "--samples=9", "inequalities", "--seed=5"]),
+])
+def test_equivalent_argv_spellings_give_one_report(argv, same, capsys):
+    def report(argv):
+        code = main(argv)
+        out = json.loads(capsys.readouterr().out)
+        out.pop("timestamp")
+        return code, json.dumps(out, sort_keys=True)
+
+    assert report(argv) == report(same)
+
+
+def test_cli_imports_no_argument_parser():
+    # building argparse parsers cost about 4 ms a process, most of it its
+    # locale import, against 0.1 ms for a refused row's real work
+    script = ("import contextlib, io, sys; from pqclab import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    codes = (cli.main(['audit', 'classical-otp', '--n', '5']),\n"
+              "             cli.main(['verify', 'quantum-otp', '--n', '1']))\n"
+              "print(codes, 'argparse' in sys.modules, 'locale' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(2, 0) False False"
+
+
 @pytest.mark.parametrize("n", ["-1", "0", "13"])
 def test_verify_identity_leaky_bad_size_refused(n, capsys):
     code = main(["verify", "identity-leaky", "--n", n])
+    out, err = capsys.readouterr()
     assert code == 2
-    assert capsys.readouterr().out == ""
+    assert out == ""
+    # "-1" is read as the value of --n and refused by admission, not by argv
+    assert err.startswith("error:") and "usage:" not in err
 
 
 def _descriptor(tmp_path, edit, build=build_quantum_otp):
@@ -636,6 +699,14 @@ def test_json_path_unwritable_refused(tmp_path, capsys):
     assert out == ""
     assert "error:" in err and "report.json" in err
     assert not path.exists()
+
+
+def test_empty_json_path_refused(capsys):
+    code = main(["verify", "classical-otp", "--n", "1", "--json", ""])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
 
 
 def test_verify_directory_refused(tmp_path, capsys):
