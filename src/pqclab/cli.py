@@ -124,28 +124,20 @@ def cmd_audit(cfg: RunConfig, name_or_path: str, n: int) -> tuple[dict, int]:
     report = _base_report("audit", cfg)
     block, verified = _verification_block(protocol, cfg)
     report.update(block)
+    audits, log = [], []
     if not verified:
-        report["audits"] = []
-        report["audit_log"] = ["verification failed; audit skipped"]
-        report["pass"] = False
-        return report, 1
-    log: list[str] = []
-    try:
-        if protocol.input_kind == INPUT_CLASSICAL:
-            audits = reductions.audit_classical_input(
-                protocol, verify_tol=cfg.algebra_tol, bound_tol=cfg.entropy_tol, log=log)
-        else:
-            audits = reductions.audit_quantum_input(
-                protocol, verify_tol=cfg.algebra_tol, bound_tol=cfg.entropy_tol, log=log)
-    except (ProtocolVerificationError, ValueError) as exc:
-        report["audits"] = []
-        report["audit_log"] = log + [f"audit aborted: {exc}"]
-        report["pass"] = False
-        return report, 1
+        log.append("verification failed; audit skipped")
+    else:
+        audit = (reductions.audit_classical_input if protocol.input_kind == INPUT_CLASSICAL
+                 else reductions.audit_quantum_input)
+        try:
+            audits = audit(protocol, verify_tol=cfg.algebra_tol, bound_tol=cfg.entropy_tol,
+                           log=log)
+        except (ProtocolVerificationError, ValueError) as exc:
+            log.append(f"audit aborted: {exc}")
     report["audits"] = [asdict(a) for a in audits]
     report["audit_log"] = log
-    passed = all(a.satisfied for a in audits)
-    report["pass"] = passed
+    report["pass"] = passed = bool(audits) and all(a.satisfied for a in audits)
     return report, 0 if passed else 1
 
 

@@ -333,8 +333,8 @@ class ChannelProtocol:
 # the channel table, and its receiver stage continues from the same stack,
 # the keys' isometry blocks, whose correctness bounds are read off it.  Every
 # security part is read off the table.  Over the basis, the input wires that
-# are only controls of the shared prefix fold out before it runs, and the
-# other wires only the prefix touches after it (:func:`_fold`).
+# are only controls of the shared prefix fold out before it runs
+# (:func:`_foldable`).
 
 
 def _zero_tail(block: np.ndarray, qubits: int) -> np.ndarray:
@@ -370,8 +370,8 @@ def _stage(p: ChannelProtocol, head: np.ndarray, keys: range, start: int = 0,
     Returns the keys' global blocks as a stack (K, rows, one column per
     input), their qubit dims, and the message wires.  The blocks run on the
     engine register (:attr:`ChannelProtocol.engine_qubits`), wire w on row
-    ``wires[w]`` (:func:`_fold`; by default w).  Their environment copies of
-    a classical message record the sent value: the deferred measurement.
+    ``wires[w]`` (by default w).  Their environment copies of a classical
+    message record the sent value: the deferred measurement.
     """
     wires = range(p.engine_qubits) if wires is None else wires
     dims = [2] * (head.shape[0].bit_length() - 1)
@@ -434,28 +434,13 @@ def _correctness_bound(block: np.ndarray, dims: list[int], outputs: list[int],
     return np.where(live, bound, 1.0)
 
 
-class _KeyAverage:
-    """Σ_k p_k m_k m_k† over keys' kept-wire factors m_k (..., dk, dr), added
-    a run at a time as its factor F (..., dk, K·dr), the keys' side by side,
-    with p_k for each of a key's dr columns in weights w: a run adds
-    F (w conj F)ᵀ, the weighted conjugate written into one stack that every
-    run reuses.  A run of one key adds p_k m_k m_k† and makes no stack, which
-    would outlive it: the one-key teleportation-2 comm lift's would hold 1 MiB
-    through its receiver stage.  The sum, of ``shape``, is allocated first,
-    so no run's freed arrays sit under it in memory."""
-
-    def __init__(self, shape: tuple[int, ...]):
-        self.total, self.stack = np.zeros(shape, dtype=complex), None
-
-    def add(self, probs: np.ndarray, m: np.ndarray) -> None:
-        if len(probs) == 1:
-            self.total += probs[0] * (m @ m.conj().swapaxes(-1, -2))
-            return
-        if self.stack is None or self.stack.size < m.size:
-            self.stack = np.empty(m.size, dtype=complex)
-        weighted = np.conjugate(m, out=self.stack[:m.size].reshape(m.shape))
-        weighted *= np.repeat(probs, m.shape[-1] // len(probs))
-        self.total += m @ weighted.swapaxes(-1, -2)
+def _add_keys(total: np.ndarray, probs: np.ndarray, m: np.ndarray) -> None:
+    """Add Σ_k p_k m_k m_k† to ``total``, over the keys' kept-wire factors
+    m_k (..., dk, dr) of a run, given as its factor m (..., dk, K·dr), the
+    keys' side by side, with p_k for each of a key's dr columns."""
+    weighted = m.conj()
+    weighted *= np.repeat(probs, m.shape[-1] // len(probs))
+    total += m @ weighted.swapaxes(-1, -2)
 
 
 def _block_diagonal(gate: np.ndarray, i: int) -> bool:
@@ -465,40 +450,16 @@ def _block_diagonal(gate: np.ndarray, i: int) -> bool:
     return not (g[:, 0, :, :, 1].any() or g[:, 1, :, :, 0].any())
 
 
-def _foldable(p: ChannelProtocol, shared: int) -> tuple[list[int], list[int]]:
-    """The sender wires that are no message wire and that no gate after the
-    ``shared`` prefix (nor the receiver) touches; and those of them that are
-    input wires that every prefix gate on them is exactly block-diagonal in
-    (:func:`_block_diagonal`), so in basis column a they hold their bit of a."""
+def _foldable(p: ChannelProtocol, shared: int) -> list[int]:
+    """The input wires that are no message wire, that no gate after the
+    ``shared`` prefix (nor the receiver) touches, and that every prefix gate
+    on them is exactly block-diagonal in (:func:`_block_diagonal`), so in
+    basis column a they hold their bit of a."""
     touched = set(p.message_subsystems).union(*(t for op in p.alice_ops
                                                 for _, t in op.gates[shared:]))
-    folded = [w for w in range(p.sender_qubits) if w not in touched]
-    early = [w for w in folded if w < p.input_qubits and all(
+    return [w for w in range(p.input_qubits) if w not in touched and all(
         _block_diagonal(g.matrix, t.index(w)) for g, t in p.alice_ops[0].gates[:shared]
         if w in t)]
-    return folded, early
-
-
-def _fold(p: ChannelProtocol, head: np.ndarray, folded: Sequence[int],
-          early: Sequence[int]) -> tuple[np.ndarray, list[int], int]:
-    """The basis block ``head`` (:func:`_sender_head`, ``early`` summed out)
-    with the other wires ``folded`` (:func:`_foldable`) moved into its
-    columns, as pairs (u, a), u major; each input keeps its nonzero pairs,
-    padded with zero columns to s.  Such wires are rest wires, so R rows and
-    s·d columns are R·s rows, the last a rest wire of dimension s, and d
-    columns.  Also the map of each engine wire to its row, one up per folded
-    wire below it: with none folded, w to w."""
-    wires = [w - sum(f < w for f in folded) for w in range(p.engine_qubits)]
-    late = [w - sum(e < w for e in early) for w in folded if w not in early]
-    if not late:
-        return head, wires, 1
-    n, d = head.shape[0].bit_length() - 1, head.shape[1]
-    axes = sorted(range(n), key=late.__contains__) + [n]  # rows, folded wires, inputs
-    t = head.reshape([2] * n + [d]).transpose(axes).reshape(-1, 2 ** len(late), d)
-    live = t.any(axis=0)
-    s = int(live.sum(axis=0).max())
-    order = np.argsort(~live, axis=0, kind="stable")[:s]  # nonzero pairs first
-    return np.take_along_axis(t, order[None], axis=1).reshape(len(t), -1), wires, s
 
 
 def _runs(p: ChannelProtocol, shared: int, head: np.ndarray) -> list[range]:
@@ -527,26 +488,25 @@ def _verification_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, flo
     The table is the key-averaged E(|a><b|), indexed [a, b, x, y] and read
     off the Choi vectors Σ_a V|a>|a>; with ``basis`` only E(|a><a|), indexed
     [a, x, y] and read off the columns V|a>, so its rows are the basis
-    inputs' wire states, run on the block :func:`_fold` leaves.  Runs add up
-    in a :class:`_KeyAverage`, the run axis a rest wire of their factor, and
-    each run's receiver stack takes one bound; their shared head is read-only."""
+    inputs' wire states, the :func:`_foldable` wires summed out.  Each run
+    adds its keys by :func:`_add_keys`, the run axis a rest wire of their
+    factor, and bounds its receiver stack at once; runs share a read-only head."""
     d, dm = 2 ** p.input_qubits, 2 ** p.message_qubits
     shared = _shared_prefix(p.alice_ops)
-    folded, early = _foldable(p, shared) if basis else ([], [])
+    early = _foldable(p, shared) if basis else []
     head = _sender_head(p, np.eye(d, dtype=complex), shared, early)
-    head, wires, s = _fold(p, head, folded, early)
     head.flags.writeable = False
-    average, correctness = _KeyAverage((d, dm, dm) if basis else (d * dm, d * dm)), 0.0
+    wires = [w - sum(e < w for e in early) for w in range(p.engine_qubits)]
+    table, correctness = np.zeros((d, dm, dm) if basis else (d * dm, d * dm), complex), 0.0
     for keys in _runs(p, shared, head):
         block, dims, keep = _stage(p, head, keys, shared, wires)
         run, keep = [len(keys), *dims], [w + 1 for w in keep]
-        average.add(p.key_probs[keys.start:keys.stop], kept_factor(
-            block.reshape(-1, d), run + [s], keep) if basis else kept_factor(
+        _add_keys(table, p.key_probs[keys.start:keys.stop], kept_factor(
+            block.reshape(-1, d), run, keep) if basis else kept_factor(
             block.reshape(-1), run + [d], [len(run)] + keep))
         block, dims, outputs = _receiver_stage(p, block, dims, keys, wires)
-        bound = _correctness_bound(block.reshape(len(keys), -1, d), dims + [s], outputs, basis)
+        bound = _correctness_bound(block.reshape(len(keys), -1, d), dims, outputs, basis)
         correctness = max(correctness, float(np.max(bound)))
-    table = average.total
     table = table if basis else table.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)
     table.flags.writeable = False
     return table, correctness
@@ -578,12 +538,12 @@ def encode(p: ChannelProtocol, input_ket: Ket) -> DensityOp:
     """Message state seen on the wire, averaged over the key distribution."""
     shared = _shared_prefix(p.alice_ops)
     head = _sender_head(p, input_ket.amplitudes[:, None], shared)
-    average = _KeyAverage((2 ** p.message_qubits,) * 2)
+    total = np.zeros((2 ** p.message_qubits,) * 2, dtype=complex)
     for keys in _runs(p, shared, head):
         block, dims, keep = _stage(p, head, keys, shared)
-        average.add(p.key_probs[keys.start:keys.stop],
-                    kept_factor(block.reshape(-1), [len(keys), *dims], [w + 1 for w in keep]))
-    return DensityOp(SystemLayout.qubits(p.message_qubits), average.total)
+        _add_keys(total, p.key_probs[keys.start:keys.stop],
+                  kept_factor(block.reshape(-1), [len(keys), *dims], [w + 1 for w in keep]))
+    return DensityOp(SystemLayout.qubits(p.message_qubits), total)
 
 
 def decode_per_key(p: ChannelProtocol, input_ket: Ket, key_index: int) -> DensityOp:
@@ -728,9 +688,9 @@ def require_lift_scale(p: ChannelProtocol):
     each carries 2n classical bits on 3n more wires than ``p``, on its 2^(2n)
     basis inputs, keys x 2^(engine register + 5n) amplitudes, which must stay
     within DESK_SCALE_LIMIT^2.  That is the unfolded load: the basis pass
-    folds the 2n input wires out before the shared prefix, and the other
-    wires only the prefix touches after it (:func:`_fold`); the rule is kept
-    as it is, so the protocols it admits and refuses do not change."""
+    folds the 2n input wires out before the shared prefix (:func:`_foldable`);
+    the rule is kept as it is, so the protocols it admits and refuses do not
+    change."""
     require_load(f"{p.name} audit lift", p.key_count,
                  p.engine_qubits + 5 * p.input_qubits, scale=2)
 
@@ -851,6 +811,7 @@ def build_broken_otp(n: int = 1) -> ChannelProtocol:
 
 def build_broken_teleportation(n: int = 1) -> ChannelProtocol:
     """Negative fixture: teleportation whose receiver skips the Pauli correction."""
+    require_load("broken-teleportation", 1, 5 * n)
     return replace(build_teleportation(n), name="broken-teleportation", bob_ops=((),))
 
 
@@ -976,12 +937,14 @@ def load_protocol(path: str) -> ChannelProtocol:
     """Read a descriptor file, refusing before it is parsed one above
     DESCRIPTOR_BYTE_LIMIT bytes or with more arrays than one per 8 bytes of
     it (each a list of ~100 bytes once parsed), and one nested too deeply."""
-    size = os.stat(path).st_size
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size  # 0 for a device or a pipe
+        text = b"" if size > DESCRIPTOR_BYTE_LIMIT else fh.read(DESCRIPTOR_BYTE_LIMIT + 1)
+    size = max(size, len(text))
     if size > DESCRIPTOR_BYTE_LIMIT:
         raise ValueError(f"{size} bytes exceeds the descriptor limit of "
                          f"{DESCRIPTOR_BYTE_LIMIT} bytes")
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = text.decode("utf-8")
     if text.count("[") > DESCRIPTOR_BYTE_LIMIT // 8:
         raise ValueError(f"{text.count('[')} arrays exceed the descriptor limit of "
                          f"{DESCRIPTOR_BYTE_LIMIT // 8}")

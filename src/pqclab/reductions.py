@@ -232,31 +232,44 @@ def lift_extra_epr(p: ChannelProtocol, check_input: bool = True) -> ChannelProto
 # bound audits
 
 
+#: per resource kind and message kind, the resource quantity audited next to
+#: comm_entropy and the share of the input bits that bounds each of them
+_BOUND_TABLE = {(RESOURCE_CLASSICAL_KEY, INPUT_CLASSICAL): ("key_entropy", 1.0),
+                (RESOURCE_CLASSICAL_KEY, INPUT_QUANTUM): ("key_entropy", 1.0),
+                (RESOURCE_ENTANGLED, INPUT_CLASSICAL): ("entanglement", 1.0),
+                (RESOURCE_ENTANGLED, INPUT_QUANTUM): ("entanglement", 0.5)}
+#: each audited quantity as a lift's log line names it
+_MEASURED = {"key_entropy": "key entropy", "entanglement": "entanglement",
+             "comm_entropy": "communication"}
+
+
+def _bounds(p: ChannelProtocol, bits: int, tol: float) -> list[BoundAudit]:
+    """The classical-input lower bounds for ``bits`` bits, checked against
+    the resource figures of ``p``.  Classical key: key and communication
+    entropies are each at least ``bits``.  Entangled resource: at least
+    ``bits`` ebits and bits for a classical message, at least half of each
+    for a quantum message."""
+    kind = p.resource.kind
+    if (kind, p.message_kind) not in _BOUND_TABLE:
+        raise ValueError(f"no audited bounds for resource kind {kind!r}")
+    quantity, share = _BOUND_TABLE[kind, p.message_kind]
+    rep = resource_report(p)
+    return [BoundAudit.check(quantity, getattr(rep, quantity), share * bits, tol),
+            BoundAudit.check("comm_entropy", rep.comm, share * bits, tol)]
+
+
 def audit_classical_input(p: ChannelProtocol, verify_tol: float = ALGEBRA_TOL,
                           bound_tol: float = ENTROPY_TOL,
                           log: list[str] | None = None) -> list[BoundAudit]:
-    """Audit the resource lower bounds of a verified classical-input channel.
-
-    Classical key: key and communication entropies are each at least n bits.
-    Entangled resource: at least n ebits and n bits for a classical message,
-    at least n/2 of each for a quantum message.  A quantum-input protocol is
-    accepted too: it is audited through its restriction to basis states.
-    """
+    """Audit the resource lower bounds (:func:`_bounds`) of a verified
+    classical-input channel.  A quantum-input protocol is accepted too: it
+    is audited through its restriction to basis states."""
     n = p.input_qubits
     sec, corr = _verify_or_raise(p, INPUT_CLASSICAL, verify_tol, "audit_classical_input")
-    rep = resource_report(p)
     if log is not None:
         log.append(f"verified {p.name} on the {2 ** n}-state classical basis "
                    f"(security {sec:.2e}, correctness {corr:.2e})")
-    kind = p.resource.kind
-    if kind == RESOURCE_CLASSICAL_KEY:
-        return [BoundAudit.check("key_entropy", rep.key_entropy, float(n), bound_tol),
-                BoundAudit.check("comm_entropy", rep.comm, float(n), bound_tol)]
-    if kind == RESOURCE_ENTANGLED:
-        factor = 1.0 if p.message_kind == INPUT_CLASSICAL else 0.5
-        return [BoundAudit.check("entanglement", rep.entanglement, factor * n, bound_tol),
-                BoundAudit.check("comm_entropy", rep.comm, factor * n, bound_tol)]
-    raise ValueError(f"no audited bounds for resource kind {kind!r}")
+    return _bounds(p, n, bound_tol)
 
 
 def audit_quantum_input(p: ChannelProtocol, verify_tol: float = ALGEBRA_TOL,
@@ -264,55 +277,29 @@ def audit_quantum_input(p: ChannelProtocol, verify_tol: float = ALGEBRA_TOL,
                         log: list[str] | None = None) -> list[BoundAudit]:
     """Audit the resource lower bounds of a verified quantum-input channel.
 
-    Each bound is certified by construction: the protocol is converted with
-    the appropriate lift, the lifted channel is itself verified on its full
-    classical basis, and the measured resource figures are compared against
-    the classical-input bounds for the doubled bit count.
+    Each bound is certified by construction: the quantum bound is the
+    classical bound of a lift.  Bound i of :func:`_bounds` for n bits is
+    replaced by bound i of lift i for 2n bits, once the lifted channel is
+    itself verified on its full classical basis: :func:`lift_extra_comm`
+    gives the key or entanglement bound, :func:`lift_extra_epr` the
+    communication bound of an entangled resource.
     """
     if p.input_kind != INPUT_QUANTUM:
         raise ValueError("quantum-input audit needs a quantum-input protocol")
     n = p.input_qubits
     _verify_or_raise(p, INPUT_QUANTUM, verify_tol, "audit_quantum_input")
-    rep = resource_report(p)
-    kind = p.resource.kind
-
-    if kind == RESOURCE_CLASSICAL_KEY:
-        lifted = lift_extra_comm(p, check_input=False)
-        sec, corr = _verify_or_raise(lifted, INPUT_CLASSICAL, verify_tol,
-                                     "audit_quantum_input")
-        lifted_rep = resource_report(lifted)
+    audits = _bounds(p, n, bound_tol)
+    lifts = [lift_extra_comm] + [lift_extra_epr] * (p.resource.kind == RESOURCE_ENTANGLED)
+    for i, lift in enumerate(lifts):
+        lifted = lift(p, check_input=False)
+        sec, corr = _verify_or_raise(lifted, INPUT_CLASSICAL, verify_tol, "audit_quantum_input")
+        audits[i] = _bounds(lifted, 2 * n, bound_tol)[i]
         if log is not None:
-            log.append(f"constructed {lifted.name} for {2 * n} classical bits; "
-                       f"verified (security {sec:.2e}, correctness {corr:.2e}); "
-                       f"measured key entropy {lifted_rep.key_entropy:.6f}")
-        return [
-            BoundAudit.check("key_entropy", lifted_rep.key_entropy, 2.0 * n, bound_tol),
-            BoundAudit.check("comm_entropy", rep.comm, float(n), bound_tol),
-        ]
-
-    if kind == RESOURCE_ENTANGLED:
-        lifted1 = lift_extra_comm(p, check_input=False)
-        sec1, corr1 = _verify_or_raise(lifted1, INPUT_CLASSICAL, verify_tol,
-                                       "audit_quantum_input")
-        rep1 = resource_report(lifted1)
-        lifted2 = lift_extra_epr(p, check_input=False)
-        sec2, corr2 = _verify_or_raise(lifted2, INPUT_CLASSICAL, verify_tol,
-                                       "audit_quantum_input")
-        rep2 = resource_report(lifted2)
-        comm_bound = 2.0 * n if lifted2.message_kind == INPUT_CLASSICAL else float(n)
-        if log is not None:
-            log.append(f"constructed {lifted1.name}; verified (security {sec1:.2e}, "
-                       f"correctness {corr1:.2e}); measured entanglement "
-                       f"{rep1.entanglement:.6f}")
-            log.append(f"constructed {lifted2.name}; verified (security {sec2:.2e}, "
-                       f"correctness {corr2:.2e}); measured communication "
-                       f"{rep2.comm:.6f}")
-        return [
-            BoundAudit.check("entanglement", rep1.entanglement, float(n), bound_tol),
-            BoundAudit.check("comm_entropy", rep2.comm, comm_bound, bound_tol),
-        ]
-
-    raise ValueError(f"no audited bounds for resource kind {kind!r}")
+            bits = f" for {2 * n} classical bits" if p.resource.keyed else ""
+            log.append(f"constructed {lifted.name}{bits}; verified (security {sec:.2e}, "
+                       f"correctness {corr:.2e}); measured {_MEASURED[audits[i].quantity]} "
+                       f"{audits[i].measured:.6f}")
+    return audits
 
 
 # ---------------------------------------------------------------------------

@@ -776,6 +776,15 @@ def test_builder_refuses_beyond_desk_scale_under_1gib_address_space(argv):
     assert "error:" in proc.stderr and "4096" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["verify", "audit"])
+def test_broken_teleportation_is_refused_under_its_own_name(command, capsys):
+    # refused in its own builder, not in the teleportation builder it wraps
+    assert main([command, "broken-teleportation", "--n", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: broken-teleportation: load 2^15 exceeds 4096\n"
+
+
 @pytest.mark.parametrize("field", ["input_qubits", "alice_ancillas", "bob_ancillas"])
 def test_descriptor_with_huge_register_refused_under_1gib_address_space(tmp_path, field):
     # the register size of a schema-1 file is compared with each dense
@@ -912,6 +921,16 @@ def test_descriptor_over_the_byte_limit_refused_before_parsing(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert f"{DESCRIPTOR_BYTE_LIMIT + 1} bytes exceeds the descriptor limit" in proc.stderr
+
+
+@pytest.mark.parametrize("device", ["/dev/zero", "/dev/urandom"])
+def test_descriptor_device_without_end_refused_at_the_byte_limit(device, capsys):
+    # a device states size 0: its read stops one byte over the limit
+    assert main(["verify", device]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
+    assert f"{DESCRIPTOR_BYTE_LIMIT + 1} bytes exceeds the descriptor limit" in err
 
 
 def test_descriptor_at_the_byte_limit_parses_under_1gib_address_space(tmp_path):

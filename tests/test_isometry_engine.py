@@ -472,9 +472,9 @@ def _factor_bytes(run):
     ``run``: the run factors the pass, or ``encode``, actually adds, over
     their keys."""
     sizes = []
-    add = protocols._KeyAverage.add
-    with mock.patch.object(protocols._KeyAverage, "add", lambda self, probs, m: sizes.append(
-            m.nbytes // len(probs)) or add(self, probs, m)):
+    add = protocols._add_keys
+    with mock.patch.object(protocols, "_add_keys", lambda total, probs, m: sizes.append(
+            m.nbytes // len(probs)) or add(total, probs, m)):
         run()
     assert len(set(sizes)) == 1, sizes
     return sizes[0]
@@ -659,7 +659,7 @@ def _control_prefixed(n, targets, gates, keys, probs, message_kind, bob_ancillas
 def control_prefixed(draw):
     """:func:`_control_prefixed` with controlled-H or Haar-random gates:
     an ancilla holds one value on the inputs whose control bit is 0 and two
-    on the others, so the fold pads the former with a zero column."""
+    on the others."""
     n = draw(st.integers(1, 2))
     ancillas = draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -677,22 +677,16 @@ def control_prefixed(draw):
 
 
 def _folded_columns(p):
-    """How many input wires the basis pass of ``p`` folds before its shared
-    prefix and how many wires after it, its s, and how many of each input's
-    s columns are nonzero, measured on the blocks that the pass hands to
-    ``protocols._fold`` and gets back from it, once per pass, with its keys
-    in runs of one key."""
+    """How many input wires the basis pass of ``p`` folds into its columns
+    before its shared prefix, as ``protocols._foldable`` names them, once
+    per pass."""
     calls = []
-    fold = protocols._fold
-    cut = run_cut(p, 1, lambda: protocols._verification_pass(p, True))
-    with mock.patch.object(protocols, "STACK_BYTES", cut), mock.patch.object(
-            protocols, "_fold", lambda *args: calls.append((args[1], fold(*args))) or calls[-1][1]):
-        runs = stage_runs(lambda: protocols._verification_pass(p, True))[1]
-    assert len(runs) == p.key_count
-    (head, (block, _, s)), = calls
-    early = p.sender_qubits + p.resource.bob_qubits - (len(head).bit_length() - 1)
-    live = np.count_nonzero(block.reshape(len(block), s, -1).any(axis=0), axis=0)
-    return early, (len(head) // len(block)).bit_length() - 1, s, live
+    foldable = protocols._foldable
+    with mock.patch.object(protocols, "_foldable",
+                           lambda *args: calls.append(foldable(*args)) or calls[-1]):
+        protocols._verification_pass(p, True)
+    early, = calls
+    return len(early)
 
 
 @pytest.mark.parametrize("family", [lifted, control_prefixed])
@@ -701,25 +695,19 @@ def _folded_columns(p):
 def test_folded_basis_pass_equals_the_per_key_sum(family, data):
     # the control-only wires leave the rows of every key's block; the
     # reference keeps every wire in the rows.  A lift's input wires are only
-    # controls of its prefix, so they fold before it; the ancillas that
-    # control_prefixed's gates target fold after it
+    # controls of its prefix, so they fold before it; control_prefixed's
+    # controls are message wires, which never fold
     p = data.draw(family())
-    early, late, s, live = _folded_columns(p)
-    assert live.max() == s
-    if p.name == "control-prefixed":
-        assert (early, late >= 1, live.min() < s) == (0, True, True)
-    else:
-        assert early == p.input_qubits
+    assert _folded_columns(p) == (0 if p.name == "control-prefixed" else p.input_qubits)
     assert_pass_equals_the_per_key_sum(p, basis=True)
 
 
-def test_a_controlled_h_onto_an_ancilla_is_folded_with_padding():
-    # input 1 keeps two columns (the ancilla holds |+>), input 0 one and a
-    # zero column of padding
+def test_a_controlled_h_onto_an_ancilla_pass_equals_the_per_key_sum():
+    # input 1 leaves the ancilla in |+>, input 0 in |0>; the control is the
+    # message wire, so nothing folds
     p = _control_prefixed(1, [0], [HADAMARD.matrix], ["0", "3"], np.array([0.25, 0.75]),
                           INPUT_CLASSICAL, 1, False)
-    early, late, s, live = _folded_columns(p)
-    assert (early, late, s, list(live)) == (0, 1, 2, [1, 2])
+    assert _folded_columns(p) == 0
     assert_pass_equals_the_per_key_sum(p, basis=True)
 
 
@@ -746,7 +734,7 @@ EARLY_FOLDS = [(lambda n=n: build_named("superdense", n), n) for n in (2, 4, 6)]
     "classical-otp-4", "epr-otp-3", "identity-leaky-6"])
 def test_builders_fold_their_control_only_inputs_before_the_prefix(build, early):
     p = build()
-    assert _folded_columns(p)[0] == early
+    assert _folded_columns(p) == early
     assert_pass_equals_the_per_key_sum(p, basis=True)
 
 
@@ -817,11 +805,9 @@ def input_gated(draw):
 @given(input_gated())
 def test_only_exactly_block_diagonal_controls_fold_before_the_prefix(drawn):
     # a wire folds before the prefix only if it is a control there and in no
-    # later gate; the others that no gate after the prefix touches fold after it
+    # later gate; the others stay in the rows
     kinds, p = drawn
-    early, late, _, _ = _folded_columns(p)
-    assert early == kinds.count("controlled"), kinds
-    assert late == sum(k in ("local", "cnot-target", "tiny") for k in kinds), kinds
+    assert _folded_columns(p) == kinds.count("controlled"), kinds
     assert_pass_equals_the_per_key_sum(p, basis=True)
 
 
@@ -875,27 +861,16 @@ def test_control_only_inputs_fold_before_the_prefix_allocates(build):
     (lambda: build_quantum_otp(4), False, True),
 ], ids=["lift-comm-quantum-otp-3", "lift-comm-teleportation-2",
         "lift-epr-teleportation-2", "lift-comm-quantum-otp-2", "quantum-otp-4"])
-def test_stacked_pass_peak_is_the_per_key_sums_plus_two_stacks(monkeypatch, build, basis,
-                                                               stacked):
+def test_stacked_pass_peak_is_the_per_key_sums_plus_two_stacks(build, basis, stacked):
     # a key whose factor takes over half of STACK_BYTES, or the only key (the
-    # teleportation-2 lifts), adds its own product, with no stack; smaller
-    # factors of several keys stack (the quantum-otp 3 lift's, 64 x 64 x 1
-    # once its input wires are folded), and the stack and its weighted
-    # conjugate are the only extra arrays
-    averages = []
-
-    class Recorded(protocols._KeyAverage):
-        def __init__(self, keys):
-            super().__init__(keys)
-            averages.append(self)
-
-    monkeypatch.setattr(protocols, "_KeyAverage", Recorded)
+    # teleportation-2 lifts), runs alone; smaller factors of several keys
+    # stack (the quantum-otp 3 lift's, 64 x 64 x 1 once its input wires are
+    # folded), and a run's factor and its weighted conjugate are the only
+    # extra arrays
     p = build()
     reference = _traced_peak(lambda: per_key_pass(p, basis))
     peak = _traced_peak(lambda: protocols._verification_pass(p, basis))
     assert peak <= reference + 2 * protocols.STACK_BYTES, (peak, reference)
-    assert len(averages) == 1
-    assert (averages[0].stack is not None) == stacked
     factor = _factor_bytes(lambda: protocols._verification_pass(p, basis))
     assert (2 * factor <= protocols.STACK_BYTES and p.key_count > 1) == stacked, factor
 
