@@ -107,10 +107,11 @@ class ProtocolVerificationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SharedResource:
-    """The pre-shared resource: a key distribution, an entangled pure state,
-    both (hybrid, produced by resource-augmenting conversions), or nothing."""
+    """The pre-shared resource: a key distribution, an entangled pure state
+    whose first ``alice_subsystems`` qubits are the sender's, both (hybrid,
+    produced by resource-augmenting conversions), or nothing.  Its ``kind``
+    is read off which of the two payloads it holds."""
 
-    kind: str
     key_source: ProbabilityDist | None = None
     psi_ab: Ket | None = None
     alice_subsystems: int = 0
@@ -118,45 +119,23 @@ class SharedResource:
     def __post_init__(self):
         object.__setattr__(self, "alice_subsystems",
                            _integer(self.alice_subsystems, "alice_subsystems"))
-        needs_key = self.kind in (RESOURCE_CLASSICAL_KEY, RESOURCE_HYBRID)
-        needs_state = self.kind in (RESOURCE_ENTANGLED, RESOURCE_HYBRID)
-        if self.kind not in (RESOURCE_NONE, RESOURCE_CLASSICAL_KEY,
-                             RESOURCE_ENTANGLED, RESOURCE_HYBRID):
-            raise ValueError(f"unknown resource kind {self.kind!r}")
-        if needs_key != (self.key_source is not None):
-            raise ValueError(f"resource kind {self.kind!r} and key payload disagree")
-        if needs_state != (self.psi_ab is not None):
-            raise ValueError(f"resource kind {self.kind!r} and state payload disagree")
-        if self.psi_ab is not None:
-            if any(d != 2 for d in self.psi_ab.layout.dims):
-                raise ValueError("shared states must be qubit registers")
-            if not 0 < self.alice_subsystems < len(self.psi_ab.layout):
-                raise ValueError("alice_subsystems must split the shared state")
-
-    @classmethod
-    def none(cls) -> "SharedResource":
-        return cls(RESOURCE_NONE)
-
-    @classmethod
-    def classical_key(cls, dist: ProbabilityDist) -> "SharedResource":
-        return cls(RESOURCE_CLASSICAL_KEY, key_source=dist)
-
-    @classmethod
-    def entangled(cls, psi: Ket, alice_subsystems: int) -> "SharedResource":
-        return cls(RESOURCE_ENTANGLED, psi_ab=psi, alice_subsystems=alice_subsystems)
-
-    @classmethod
-    def hybrid(cls, dist: ProbabilityDist, psi: Ket, alice_subsystems: int) -> "SharedResource":
-        return cls(RESOURCE_HYBRID, key_source=dist, psi_ab=psi,
-                   alice_subsystems=alice_subsystems)
+        if self.psi_ab is None:
+            if self.alice_subsystems:
+                raise ValueError("alice_subsystems must be 0 without a shared state")
+        elif any(d != 2 for d in self.psi_ab.layout.dims):
+            raise ValueError("shared states must be qubit registers")
+        elif not 0 < self.alice_subsystems < len(self.psi_ab.layout):
+            raise ValueError("alice_subsystems must split the shared state")
 
     @property
     def keyed(self) -> bool:
         return self.key_source is not None
 
     @property
-    def alice_qubits(self) -> int:
-        return self.alice_subsystems if self.psi_ab is not None else 0
+    def kind(self) -> str:
+        if self.psi_ab is None:
+            return RESOURCE_CLASSICAL_KEY if self.keyed else RESOURCE_NONE
+        return RESOURCE_HYBRID if self.keyed else RESOURCE_ENTANGLED
 
     @property
     def bob_qubits(self) -> int:
@@ -307,7 +286,7 @@ class ChannelProtocol:
     @property
     def sender_qubits(self) -> int:
         """Wires of the sender register: input, ancillas, resource half."""
-        return self.input_qubits + self.alice_ancillas + self.resource.alice_qubits
+        return self.input_qubits + self.alice_ancillas + self.resource.alice_subsystems
 
     @property
     def receiver_qubits(self) -> int:
@@ -716,7 +695,7 @@ def _pad(name: str, kind: str, n: int, alphabet: str) -> ChannelProtocol:
     wires = tuple(range(n))
     return ChannelProtocol(
         name=name, input_kind=kind, input_qubits=n, message_kind=kind,
-        resource=SharedResource.classical_key(ProbabilityDist.uniform(keys)),
+        resource=SharedResource(ProbabilityDist.uniform(keys)),
         alice_ops=tuple(ops), bob_ops=tuple(ops),
         message_subsystems=wires, output_subsystems=wires)
 
@@ -747,7 +726,7 @@ def build_superdense(n_bits: int) -> ChannelProtocol:
     return ChannelProtocol(
         name="superdense", input_kind=INPUT_CLASSICAL, input_qubits=n_bits,
         message_kind=INPUT_QUANTUM,
-        resource=SharedResource.entangled(epr_block(m), m),
+        resource=SharedResource(psi_ab=epr_block(m), alice_subsystems=m),
         alice_ops=(alice_gates,), bob_ops=(bob_gates,),
         message_subsystems=tuple(n_bits + i for i in range(m)),
         output_subsystems=out)
@@ -764,7 +743,7 @@ def build_teleportation(n: int) -> ChannelProtocol:
     return ChannelProtocol(
         name="teleportation", input_kind=INPUT_QUANTUM, input_qubits=n,
         message_kind=INPUT_CLASSICAL,
-        resource=SharedResource.entangled(epr_block(n), n),
+        resource=SharedResource(psi_ab=epr_block(n), alice_subsystems=n),
         alice_ops=(alice_gates,), bob_ops=(bob_gates,),
         message_subsystems=tuple(range(2 * n)),
         output_subsystems=tuple(2 * n + i for i in range(n)))
@@ -780,7 +759,7 @@ def build_epr_keyed_otp(n: int) -> ChannelProtocol:
     return ChannelProtocol(
         name="epr-otp", input_kind=INPUT_CLASSICAL, input_qubits=n,
         message_kind=INPUT_CLASSICAL,
-        resource=SharedResource.entangled(epr_block(n), n),
+        resource=SharedResource(psi_ab=epr_block(n), alice_subsystems=n),
         alice_ops=(pad,), bob_ops=(pad,),
         message_subsystems=wires, output_subsystems=wires)
 
@@ -791,7 +770,7 @@ def build_identity_protocol(n: int = 1) -> ChannelProtocol:
     wires = tuple(range(n))
     return ChannelProtocol(
         name="identity-leaky", input_kind=INPUT_CLASSICAL, input_qubits=n,
-        message_kind=INPUT_CLASSICAL, resource=SharedResource.none(),
+        message_kind=INPUT_CLASSICAL, resource=SharedResource(),
         alice_ops=((),), bob_ops=((),),
         message_subsystems=wires, output_subsystems=wires)
 
@@ -804,7 +783,7 @@ def build_broken_otp(n: int = 1) -> ChannelProtocol:
     return ChannelProtocol(
         name="broken-otp", input_kind=INPUT_QUANTUM, input_qubits=1,
         message_kind=INPUT_QUANTUM,
-        resource=SharedResource.classical_key(ProbabilityDist.uniform(["00", "01"])),
+        resource=SharedResource(ProbabilityDist.uniform(["00", "01"])),
         alice_ops=ops, bob_ops=ops,
         message_subsystems=(0,), output_subsystems=(0,))
 
@@ -904,8 +883,9 @@ def protocol_from_dict(data: dict) -> ChannelProtocol:
         layout = SystemLayout(tuple(_integer(d, "state_dims") for d in res["state_dims"]))
         psi = Ket(layout, matrix_from_json(_numbers(res["state_amplitudes"],
                                                     "state_amplitudes")))
-    resource = SharedResource(res["kind"], key_source=dist, psi_ab=psi,
-                              alice_subsystems=0 if psi is None else res["alice_subsystems"])
+    resource = SharedResource(dist, psi, 0 if psi is None else res["alice_subsystems"])
+    if res["kind"] != resource.kind:
+        raise ValueError(f"resource kind {res['kind']!r} does not match its payloads")
     table = [UnitaryOp(matrix_from_json(_numbers(m, "gates"))) for m in data["gates"]]
 
     def gate(index) -> UnitaryOp:
@@ -937,7 +917,9 @@ def load_protocol(path: str) -> ChannelProtocol:
     """Read a descriptor file, refusing before it is parsed one above
     DESCRIPTOR_BYTE_LIMIT bytes or with more arrays than one per 8 bytes of
     it (each a list of ~100 bytes once parsed), and one nested too deeply."""
-    with open(path, "rb") as fh:
+    # O_NONBLOCK: a pipe without a writer opens, and reads as empty
+    with open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK)) as fh:
+        os.set_blocking(fh.fileno(), True)
         size = os.fstat(fh.fileno()).st_size  # 0 for a device or a pipe
         text = b"" if size > DESCRIPTOR_BYTE_LIMIT else fh.read(DESCRIPTOR_BYTE_LIMIT + 1)
     size = max(size, len(text))

@@ -139,7 +139,7 @@ def lift_extra_comm(p: ChannelProtocol, check_input: bool = True) -> ChannelProt
     f0, g0, anc0 = 2 * n, 3 * n, 4 * n
     env0 = 4 * n + a
     res0 = env0 + n_env
-    a_reg = res0 + p.resource.alice_qubits
+    a_reg = res0 + p.resource.alice_subsystems
 
     # every key's operation starts with these same gate objects, which lets
     # the engine run them once for all keys
@@ -147,7 +147,7 @@ def lift_extra_comm(p: ChannelProtocol, check_input: bool = True) -> ChannelProt
     prep += _pauli_injection(0, [f0 + i for i in range(n)])
     inner_alice_targets = tuple(
         list(range(g0, g0 + n)) + list(range(anc0, anc0 + a))
-        + list(range(res0, res0 + p.resource.alice_qubits)))
+        + list(range(res0, res0 + p.resource.alice_subsystems)))
     inner_msg_map = [inner_alice_targets[i] for i in p.message_subsystems]
     measure = [(CNOT, (inner_msg_map[i], env0 + i)) for i in range(n_env)]
     alice_ops = tuple(GateList(a_reg, prep + _retarget(op, inner_alice_targets) + measure)
@@ -187,7 +187,7 @@ def lift_extra_epr(p: ChannelProtocol, check_input: bool = True) -> ChannelProto
     if check_input:
         _verify_or_raise(p, INPUT_QUANTUM, ALGEBRA_TOL, "lift_extra_epr")
 
-    ra, rb = p.resource.alice_qubits, p.resource.bob_qubits
+    ra, rb = p.resource.alice_subsystems, p.resource.bob_qubits
     extra = epr_block(n)
     if p.resource.psi_ab is None:
         psi = extra
@@ -197,10 +197,7 @@ def lift_extra_epr(p: ChannelProtocol, check_input: bool = True) -> ChannelProto
         order = (list(range(ra)) + list(range(ra + rb, ra + rb + n))
                  + list(range(ra, ra + rb)) + list(range(ra + rb + n, ra + rb + 2 * n)))
         psi = joint.permute(order)
-    if p.resource.keyed:
-        resource = SharedResource.hybrid(p.resource.key_source, psi, ra + n)
-    else:
-        resource = SharedResource.entangled(psi, ra + n)
+    resource = SharedResource(p.resource.key_source, psi, ra + n)
 
     a = p.alice_ancillas
     e0 = 2 * n + a + ra
@@ -333,7 +330,8 @@ class ObliviousRsp:
     output_subsystems: tuple[int, ...]
 
     def __post_init__(self):
-        SharedResource.entangled(self.psi_ab, self.alice_subsystems)  # the shared-state rule
+        if SharedResource(None, self.psi_ab, self.alice_subsystems).kind != RESOURCE_ENTANGLED:
+            raise ValueError("remote state preparation needs a shared state")
         for field in ("n", "bob_ancillas"):
             object.__setattr__(self, field, _integer(getattr(self, field), field))
         if self.measurement.qubits != self.n + self.alice_subsystems:
@@ -477,7 +475,7 @@ def rsp_to_pqc(rsp: ObliviousRsp) -> ChannelProtocol:
     return ChannelProtocol(
         name="rsp-derived-pqc", input_kind=INPUT_QUANTUM, input_qubits=n,
         message_kind=INPUT_QUANTUM,
-        resource=SharedResource.classical_key(dist),
+        resource=SharedResource(dist),
         alice_ancillas=2 * q_r, bob_ancillas=rsp.bob_ancillas,
         alice_ops=tuple(alice_ops), bob_ops=tuple(bob_ops),
         message_subsystems=message,

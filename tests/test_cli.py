@@ -46,6 +46,7 @@ from pqclab.qmath import (
     random_density_matrix,
     reduced_matrix,
 )
+from pqclab.reductions import lift_extra_epr
 
 from oracles import per_sample_density_matrix
 
@@ -404,6 +405,17 @@ def test_verify_identity_leaky_bad_size_refused(n, capsys):
     assert err.startswith("error:") and "usage:" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "quantum-otp", "--samples", "-1"], "counts must be nonnegative"),
+    (["inequalities", "--seed", "-3"], "seed must be nonnegative"),
+    (["inequalities", "--samples", "0"], "--samples must be >= 1")])
+def test_config_value_refused_without_usage(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def _descriptor(tmp_path, edit, build=build_quantum_otp):
     path = tmp_path / "protocol.json"
     save_protocol(build(1), str(path))
@@ -448,6 +460,10 @@ def _strings(key, *path):
     return edit
 
 
+def _kind(kind):
+    return lambda data: {**data, "resource": {**data["resource"], "kind": kind}}
+
+
 def _first_prob_true(data):
     probs = [False] * len(data["resource"]["key_probs"])
     data["resource"]["key_probs"] = [True] + probs[1:]
@@ -480,12 +496,17 @@ def _first_prob_true(data):
     lambda data: {**data, "alice_ops": [[[len(data["gates"]), [0]]]
                                         for _ in data["alice_ops"]]},
     lambda data: {k: v for k, v in data.items() if k != "gates"},
-]] + [(build_teleportation, _strings("resource", "state_amplitudes"))],
+    # the resource kind is read off the payloads, and the file must state it
+    _kind("bogus"),
+    _kind("entangled_state"),
+]] + [(build_teleportation, _strings("resource", "state_amplitudes")),
+      (build_teleportation, _kind("hybrid"))],
     ids=["list", "null-input-qubits", "int-resource", "flat-op", "float-wire",
          "float-count", "bool-count", "string-count", "non-string-key-outcomes",
          "list-name", "string-key-probs", "bool-key-probs", "string-op-entries",
          "string-gate-refs", "int-wires", "short-ref", "ref-past-table", "no-gates",
-         "string-state-amplitudes"])
+         "unknown-kind", "state-kind-of-a-key", "string-state-amplitudes",
+         "hybrid-kind-of-a-state"])
 def test_verify_malformed_descriptor_refused(tmp_path, capsys, build, edit):
     code = main(["verify", str(_descriptor(tmp_path, edit, build))])
     out, err = capsys.readouterr()
@@ -714,7 +735,33 @@ def test_verify_directory_refused(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert "error:" in err
+    assert "error:" in err and f"Is a directory: {str(tmp_path)!r}" in err
+
+
+def test_descriptor_pipe_without_writer_refused(tmp_path):
+    # a named pipe that no one writes to opens without waiting and reads as
+    # an empty, malformed file
+    pipe = tmp_path / "pipe.json"
+    os.mkfifo(pipe)
+    proc = subprocess.run([sys.executable, "-m", "pqclab.cli", "verify", str(pipe)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: malformed protocol file")
+
+
+def test_audit_of_a_hybrid_resource_is_aborted(tmp_path, capsys):
+    # a lift's hybrid resource has no audited bounds: the verified channel
+    # gets a report whose log says why it has no audits
+    path = tmp_path / "hybrid.json"
+    save_protocol(lift_extra_epr(build_quantum_otp(1)), str(path))
+    assert main(["audit", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["security_deviation"] <= ALGEBRA_TOL
+    assert report["correctness_deviation"] <= ALGEBRA_TOL
+    assert report["audits"] == [] and report["pass"] is False
+    assert report["audit_log"][-1] == ("audit aborted: no audited bounds for resource kind "
+                                      "'hybrid'")
 
 
 @pytest.mark.parametrize("argv", [
@@ -829,7 +876,7 @@ def wide(name, input_kind, n, message):
     register = max(n, message)
     return protocols.ChannelProtocol(
         name=name, input_kind=input_kind, input_qubits=n,
-        message_kind=protocols.INPUT_QUANTUM, resource=protocols.SharedResource.none(),
+        message_kind=protocols.INPUT_QUANTUM, resource=protocols.SharedResource(),
         alice_ancillas=register - n, bob_ancillas=register - message,
         alice_ops=(protocols.GateList(register, ()),),
         bob_ops=(protocols.GateList(register, ()),), message_subsystems=tuple(range(message)),

@@ -280,7 +280,7 @@ def _dense_lift_comm(p):
     """The extra-communication lift's operators, composed densely from the
     gate sequence the lift was first written with."""
     n, a, m, b = p.input_qubits, p.alice_ancillas, p.message_qubits, p.bob_ancillas
-    ra, rb = p.resource.alice_qubits, p.resource.bob_qubits
+    ra, rb = p.resource.alice_subsystems, p.resource.bob_qubits
     n_env = m if p.message_kind == "classical" else 0
     f0, g0, anc0 = 2 * n, 3 * n, 4 * n
     env0 = anc0 + a
@@ -310,7 +310,7 @@ def _dense_lift_comm(p):
 def _dense_lift_epr(p):
     """The extra-entanglement lift's operators, composed densely as above."""
     n, a, m, b = p.input_qubits, p.alice_ancillas, p.message_qubits, p.bob_ancillas
-    ra, rb = p.resource.alice_qubits, p.resource.bob_qubits
+    ra, rb = p.resource.alice_subsystems, p.resource.bob_qubits
     e0 = 2 * n + a + ra
     pair_gate = controlled_by_value(list(SIGMA))
     prep = [(pair_gate, (2 * i, 2 * i + 1, e0 + i)) for i in range(n)]

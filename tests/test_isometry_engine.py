@@ -208,7 +208,7 @@ def pauli_keyed(draw):
     return ChannelProtocol(
         name="pauli-subset", input_kind=draw(kinds), input_qubits=n,
         message_kind=draw(kinds),
-        resource=SharedResource.classical_key(
+        resource=SharedResource(
             ProbabilityDist(tuple(keys), np.array(weights) / sum(weights))),
         alice_ancillas=0, bob_ancillas=0,
         alice_ops=tuple(pauli_string(k) for k in keys),
@@ -253,7 +253,7 @@ def haar_keyed(draw):
     return ChannelProtocol(
         name="haar-keyed", input_kind=INPUT_QUANTUM, input_qubits=n,
         message_kind=draw(st.sampled_from((INPUT_QUANTUM, INPUT_CLASSICAL))),
-        resource=SharedResource.classical_key(ProbabilityDist(
+        resource=SharedResource(ProbabilityDist(
             tuple(str(k) for k in range(keys)), np.array(weights) / sum(weights))),
         alice_ancillas=sender - n, bob_ancillas=bob_ancillas,
         alice_ops=tuple(haar_unitary(2 ** sender, rng) for _ in range(keys)),
@@ -275,7 +275,7 @@ def test_correctness_bound_covers_an_error_only_superpositions_show():
     phase = UnitaryOp(h2 @ np.diag([1, 1, 1, np.exp(0.1j)]) @ h2)
     p = ChannelProtocol(
         name="phase", input_kind=INPUT_QUANTUM, input_qubits=2, message_kind=INPUT_QUANTUM,
-        resource=SharedResource.none(), alice_ancillas=0, bob_ancillas=0,
+        resource=SharedResource(), alice_ancillas=0, bob_ancillas=0,
         alice_ops=(phase,), bob_ops=(UnitaryOp(np.eye(4)),), message_subsystems=(0, 1),
         output_subsystems=(0, 1))
     assert reference_correctness(p, INPUT_QUANTUM) == pytest.approx(math.sin(0.05), rel=1e-9)
@@ -311,7 +311,7 @@ def _quantum_identity(n):
     """The n-qubit quantum-input channel that sends its input in the clear."""
     return ChannelProtocol(
         name="identity", input_kind=INPUT_QUANTUM, input_qubits=n, message_kind=INPUT_QUANTUM,
-        resource=SharedResource.none(), alice_ancillas=0, bob_ancillas=0,
+        resource=SharedResource(), alice_ancillas=0, bob_ancillas=0,
         alice_ops=(GateList(n, ()),), bob_ops=(GateList(n, ()),),
         message_subsystems=tuple(range(n)), output_subsystems=tuple(range(n)))
 
@@ -381,7 +381,7 @@ def _haar_protocol():
     rng = np.random.default_rng(3)
     return ChannelProtocol(
         name="haar", input_kind=INPUT_QUANTUM, input_qubits=1, message_kind=INPUT_QUANTUM,
-        resource=SharedResource.none(), alice_ancillas=1, bob_ancillas=0,
+        resource=SharedResource(), alice_ancillas=1, bob_ancillas=0,
         alice_ops=(haar_unitary(4, rng),), bob_ops=(haar_unitary(2, rng),),
         message_subsystems=(0,), output_subsystems=(0,))
 
@@ -597,8 +597,7 @@ def wired_keys(draw):
     return ChannelProtocol(
         name="wired-keys", input_kind=INPUT_QUANTUM, input_qubits=n,
         message_kind=draw(st.sampled_from((INPUT_QUANTUM, INPUT_CLASSICAL))),
-        resource=SharedResource.hybrid(dist, epr_block(1), 1) if hybrid
-        else SharedResource.classical_key(dist),
+        resource=SharedResource(dist, epr_block(1), 1) if hybrid else SharedResource(dist),
         alice_ancillas=alice_ancillas, bob_ancillas=bob_ancillas,
         alice_ops=tuple(ops(alice[a], sender, prefix) for a, _ in keys),
         bob_ops=tuple(ops(bob[b], receiver) for _, b in keys),
@@ -646,7 +645,7 @@ def _control_prefixed(n, targets, gates, keys, probs, message_kind, bob_ancillas
     return ChannelProtocol(
         name="control-prefixed", input_kind=INPUT_CLASSICAL, input_qubits=n,
         message_kind=message_kind,
-        resource=SharedResource.classical_key(ProbabilityDist(tuple(keys), probs)),
+        resource=SharedResource(ProbabilityDist(tuple(keys), probs)),
         alice_ancillas=ancillas, bob_ancillas=bob_ancillas,
         alice_ops=tuple(GateList(n + ancillas, prefix + [(pauli_string(k), range(n))] + tail)
                         for k in keys),
@@ -775,7 +774,7 @@ def _input_gated(kinds, gates, keys, probs, message_kind):
     return ChannelProtocol(
         name="input-gated", input_kind=INPUT_CLASSICAL, input_qubits=n,
         message_kind=message_kind,
-        resource=SharedResource.classical_key(ProbabilityDist(tuple(keys), probs)),
+        resource=SharedResource(ProbabilityDist(tuple(keys), probs)),
         alice_ancillas=n, bob_ancillas=0,
         alice_ops=tuple(GateList(2 * n, prefix + own_tail() + [(pauli_string(k), ancillas)])
                         for k in keys),

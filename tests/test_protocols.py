@@ -326,7 +326,7 @@ def _quantum_identity(n, message):
     sender = max(n, message)
     return ChannelProtocol(
         name="wide", input_kind=INPUT_QUANTUM, input_qubits=n, message_kind=INPUT_QUANTUM,
-        resource=SharedResource.none(), alice_ancillas=sender - n,
+        resource=SharedResource(), alice_ancillas=sender - n,
         bob_ancillas=max(0, n - message), alice_ops=(GateList(sender, ()),),
         bob_ops=(GateList(max(n, message), ()),), message_subsystems=tuple(range(message)),
         output_subsystems=tuple(range(n)))
@@ -408,12 +408,32 @@ def test_unknown_builder_name():
 
 
 def test_shared_resource_payload_consistency():
-    with pytest.raises(ValueError):
-        SharedResource("classical_key")
-    with pytest.raises(ValueError):
-        SharedResource("none", key_source=ProbabilityDist.uniform(["0", "1"]))
-    with pytest.raises(ValueError):
-        SharedResource("entangled_state", psi_ab=epr_block(1), alice_subsystems=0)
+    # the kind is read off the payloads, with the tags descriptors carry
+    key = ProbabilityDist.uniform(["0", "1"])
+    assert SharedResource().kind == "none"
+    assert SharedResource(key).kind == "classical_key"
+    assert SharedResource(psi_ab=epr_block(1), alice_subsystems=1).kind == "entangled_state"
+    assert SharedResource(key, epr_block(1), 1).kind == "hybrid"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SharedResource().kind = "hybrid"
+    with pytest.raises(ValueError, match="must split the shared state"):
+        SharedResource(psi_ab=epr_block(1), alice_subsystems=0)
+    with pytest.raises(ValueError, match="must split the shared state"):
+        SharedResource(psi_ab=epr_block(1), alice_subsystems=2)
+    with pytest.raises(ValueError, match="must be 0 without a shared state"):
+        SharedResource(key, alice_subsystems=1)
+    with pytest.raises(TypeError):
+        SharedResource("classical_key", key_source=key)
+
+
+@pytest.mark.parametrize("name,kind", [
+    ("classical-otp", "classical_key"), ("quantum-otp", "classical_key"),
+    ("superdense", "entangled_state"), ("teleportation", "entangled_state"),
+    ("epr-otp", "entangled_state"), ("identity-leaky", "none"),
+    ("broken-otp", "classical_key"), ("broken-teleportation", "entangled_state")])
+def test_builders_hold_the_resource_kind_of_their_scheme(name, kind):
+    p = _smallest_protocol(PROTOCOL_BUILDERS[name])
+    assert p.resource.kind == protocol_to_dict(p)["resource"]["kind"] == kind
 
 
 def test_encode_input_dimension_mismatch():
@@ -569,7 +589,7 @@ def test_digest_of_a_dense_gate_peaks_near_its_load(tmp_path):
     # 8-qubit gate peaks at about 14 MB in either
     p = ChannelProtocol(
         name="dense", input_kind=INPUT_QUANTUM, input_qubits=8, message_kind=INPUT_QUANTUM,
-        resource=SharedResource.none(), alice_ops=(haar_unitary(256, np.random.default_rng(0)),),
+        resource=SharedResource(), alice_ops=(haar_unitary(256, np.random.default_rng(0)),),
         bob_ops=((),), message_subsystems=tuple(range(8)), output_subsystems=tuple(range(8)))
     path = tmp_path / "dense.json"
     save_protocol(p, str(path))
@@ -609,4 +629,4 @@ def test_channel_protocol_wires_and_counts_are_integers(field, value):
 @pytest.mark.parametrize("value", [1.0, True])
 def test_shared_resource_split_is_an_integer(value):
     with pytest.raises(ValueError, match="alice_subsystems must be an integer"):
-        SharedResource.entangled(epr_block(1), value)
+        SharedResource(psi_ab=epr_block(1), alice_subsystems=value)

@@ -24,6 +24,7 @@ from pqclab.protocols import (
     encode,
     require_desk_scale,
     resource_report,
+    security_deviations,
     verify_correctness,
     verify_security,
 )
@@ -402,6 +403,47 @@ def test_rsp_derived_channel_meets_the_paper_bounds(n):
     assert audits_by_name(audits)["key_entropy"].measured == pytest.approx(2 * n, abs=1e-9)
     assert shannon_entropy(pqc.resource.key_source) == pytest.approx(2 * n, abs=1e-9)
     assert entanglement_measure(rsp.psi_ab, range(n)) == pytest.approx(n, abs=1e-9)
+
+
+def residue_rsp(theta: float) -> ObliviousRsp:
+    """teleportation_rsp(1) with a second shared pair cos θ|00> + sin θ|11>
+    that no gate touches: the sender reads her half out with the rest, and
+    the receiver's half is a residue wire holding the bit she read."""
+    good = teleportation_rsp(1)
+    pair = Ket(SystemLayout.qubits(2), np.array([math.cos(theta), 0, 0, math.sin(theta)]))
+    return ObliviousRsp(
+        n=1, psi_ab=good.psi_ab.tensor(pair).permute((0, 2, 1, 3)), alice_subsystems=2,
+        measurement=GateList(3, good.measurement.gates),
+        corrections=tuple(UnitaryOp(np.kron(c.matrix, np.eye(2)))
+                          for c in good.corrections for _ in range(2)),
+        bob_ancillas=0, output_subsystems=(0,))
+
+
+def test_rsp_with_a_residue_wire_gives_a_verified_channel():
+    # the sender prepares each key's residue from its purification; the key
+    # is the 3-bit readout, and its entropy 2 + h(cos^2 θ) is the pad's 2
+    # bits plus the residue's readout bit
+    theta = 0.3
+    c2 = math.cos(theta) ** 2
+    h = -c2 * math.log2(c2) - (1 - c2) * math.log2(1 - c2)
+    rsp = residue_rsp(theta)
+    assert all(deviation <= 1e-9 for deviation, _ in check_obliviousness(rsp).values())
+    pqc = rsp_to_pqc(rsp)
+    assert pqc.key_count == 8
+    assert max(security_deviations(pqc).values()) <= 1e-9
+    assert verify_correctness(pqc) <= 1e-9
+    report = resource_report(pqc)
+    assert report.key_entropy == pytest.approx(2 + h, abs=1e-9)
+    assert report.comm == pytest.approx(1 + h, abs=1e-9)
+    audits = audits_by_name(audit_quantum_input(pqc))
+    assert sorted(audits) == ["comm_entropy", "key_entropy"]
+    for a in audits.values():
+        assert a.satisfied and a.measured - a.bound == pytest.approx(h, abs=1e-9)
+
+
+def test_oblivious_rsp_needs_a_shared_state():
+    with pytest.raises(ValueError, match="needs a shared state"):
+        dataclasses.replace(teleportation_rsp(1), psi_ab=None, alice_subsystems=0)
 
 
 def test_rsp_to_pqc_at_four_qubits_stays_small():
