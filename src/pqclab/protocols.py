@@ -34,6 +34,7 @@ from .qmath import (
     Ket,
     SystemLayout,
     UnitaryOp,
+    _integer,
     apply_gate,
     kept_factor,
     matrix_from_json,
@@ -78,13 +79,6 @@ HADAMARD = UnitaryOp(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 CNOT = UnitaryOp(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]))
 CZ = UnitaryOp(np.diag([1, 1, 1, -1]))
 PAULI_BY_PAIR = UnitaryOp(controlled_by_value(SIGMA))
-
-
-def _integer(value, field: str) -> int:
-    """A count or a wire: a Python or numpy integer, never a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{field} must be an integer, not {type(value).__name__}")
-    return int(value)
 
 
 def _numbers(data, field: str):
@@ -491,25 +485,20 @@ def _verification_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, flo
     return table, correctness
 
 
-#: the last verification pass, as [protocol, basis flag, pass result]
+#: the last verification pass, as [protocol, pass result]
 _last_pass: list = []
 
 
-def _verified(p: ChannelProtocol, input_kind: str | None) -> tuple[np.ndarray, float]:
-    """:func:`_verification_pass` over the inputs of ``input_kind`` (None:
-    the protocol's own; INPUT_CLASSICAL: the basis states) through a
-    one-slot memo keyed by the protocol object and the basis flag.  The slot
-    is emptied before a new pass runs, so two passes' arrays are never held
-    at once."""
-    kind = p.input_kind if input_kind is None else input_kind
-    if kind not in (INPUT_CLASSICAL, INPUT_QUANTUM):
-        raise ValueError(f"bad input kind {input_kind!r}")
-    basis = kind == INPUT_CLASSICAL
-    if _last_pass and _last_pass[0] is p and _last_pass[1] == basis:
-        return _last_pass[2]
+def _verified(p: ChannelProtocol) -> tuple[np.ndarray, float]:
+    """:func:`_verification_pass` over the protocol's own inputs (the basis
+    states for classical input) through a one-slot memo keyed by the
+    protocol object.  The slot is emptied before a new pass runs, so two
+    passes' arrays are never held at once."""
+    if _last_pass and _last_pass[0] is p:
+        return _last_pass[1]
     _last_pass.clear()
-    result = _verification_pass(p, basis)
-    _last_pass.extend((p, basis, result))
+    result = _verification_pass(p, p.input_kind == INPUT_CLASSICAL)
+    _last_pass.extend((p, result))
     return result
 
 
@@ -539,7 +528,9 @@ def decode_per_key(p: ChannelProtocol, input_ket: Ket, key_index: int) -> Densit
 
 def channel_on_units(p: ChannelProtocol) -> np.ndarray:
     """Table E(|a><b|) over all matrix units of the input space (read-only)."""
-    return _verified(p, INPUT_QUANTUM)[0]
+    if p.input_kind == INPUT_CLASSICAL:
+        p = replace(p, input_kind=INPUT_QUANTUM)
+    return _verified(p)[0]
 
 
 def factorization_certificate(units: np.ndarray) -> float:
@@ -581,9 +572,9 @@ def factorization_deviation(p: ChannelProtocol, samples: int = 20, seed: int = 0
 # verification
 
 
-def security_deviations(p: ChannelProtocol, input_kind: str | None = None) -> dict[str, float]:
+def security_deviations(p: ChannelProtocol) -> dict[str, float]:
     """All components of the security check, keyed by name, read off the
-    channel table of the inputs of ``input_kind`` (see :func:`_verified`).
+    channel table of the protocol's own inputs (see :func:`_verified`).
 
     Over the basis, ``state`` is the largest trace distance from a basis
     input's wire state to |0...0>'s.  Over every input, ``cross_term`` is
@@ -591,22 +582,22 @@ def security_deviations(p: ChannelProtocol, input_kind: str | None = None) -> di
     bounds that distance for every input, reference-entangled ones included.
     A classical message's wire state is diagonal by construction: the engine
     copies each of its wires into the environment (:func:`_stage`)."""
-    table = _verified(p, input_kind)[0]
+    table = _verified(p)[0]
     if table.ndim == 3:  # the basis table, [a, x, y]
         return {"state": float(trace_distance(table, table[0]).max())}
     return {"cross_term": max_abs(table[np.triu_indices(len(table), 1)]),
             "factorization": factorization_certificate(table)}
 
 
-def verify_security(p: ChannelProtocol, input_kind: str | None = None) -> float:
+def verify_security(p: ChannelProtocol) -> float:
     """Worst deviation of the wire state from input independence."""
-    return max(security_deviations(p, input_kind).values())
+    return max(security_deviations(p).values())
 
 
-def verify_correctness(p: ChannelProtocol, input_kind: str | None = None) -> float:
+def verify_correctness(p: ChannelProtocol) -> float:
     """A bound on every key's trace distance from the identity channel, over
     the basis inputs or over every input (:func:`_correctness_bound`)."""
-    return _verified(p, input_kind)[1]
+    return _verified(p)[1]
 
 
 def resource_report(p: ChannelProtocol) -> ResourceReport:
@@ -614,7 +605,7 @@ def resource_report(p: ChannelProtocol) -> ResourceReport:
     table of the pass over the protocol's own input kind (a classical
     message's diagonal clipped at 0 and normalised), plus key/entanglement
     entropies of the shared resource."""
-    table = _verified(p, None)[0]
+    table = _verified(p)[0]
     ref = table[0] if p.input_kind == INPUT_CLASSICAL else table[0, 0]
     if p.message_kind == INPUT_CLASSICAL:
         probs = np.clip(np.real(np.diag(ref)), 0.0, None)

@@ -47,6 +47,13 @@ def max_abs(m) -> float:
     return 0.0 if m.size == 0 else float(np.max(np.abs(m)))
 
 
+def _integer(value, field: str) -> int:
+    """A count, a wire or a subsystem index: a Python or numpy integer, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{field} must be an integer, not {type(value).__name__}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SystemLayout:
     """Ordered list of subsystem dimensions; index 0 is the outermost factor."""
@@ -75,7 +82,7 @@ class SystemLayout:
         return len(self.dims)
 
     def check_subsystems(self, indices: Iterable[int]) -> tuple[int, ...]:
-        idx = tuple(int(i) for i in indices)
+        idx = tuple(_integer(i, "subsystem index") for i in indices)
         for i in idx:
             if not 0 <= i < len(self.dims):
                 raise ValueError(f"subsystem index {i} out of range for {self.dims}")

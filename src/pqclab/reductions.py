@@ -8,7 +8,7 @@ measured on a protocol that was actually constructed and re-verified.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -18,13 +18,11 @@ from .entropy import ProbabilityDist
 from .qmath import (
     ALGEBRA_TOL,
     ENTROPY_TOL,
-    DensityOp,
     Ket,
-    SystemLayout,
     UnitaryOp,
+    _integer,
     complete_orthonormal_basis,
-    purify,
-    reduced_from_vector,
+    kept_factor,
 )
 from .protocols import (
     CNOT,
@@ -40,7 +38,6 @@ from .protocols import (
     SharedResource,
     _apply_run,
     _correctness_bound,
-    _integer,
     _zero_tail,
     epr_block,
     require_load,
@@ -84,10 +81,9 @@ class ObliviousnessError(ValueError):
 # verified lifts
 
 
-def _verify_or_raise(p: ChannelProtocol, input_kind: str, tol: float,
-                     context: str) -> tuple[float, float]:
-    sec = verify_security(p, input_kind)
-    corr = verify_correctness(p, input_kind)
+def _verify_or_raise(p: ChannelProtocol, tol: float, context: str) -> tuple[float, float]:
+    sec = verify_security(p)
+    corr = verify_correctness(p)
     if sec > tol or corr > tol:
         raise ProtocolVerificationError(
             f"{context}: protocol {p.name!r} fails verification "
@@ -128,7 +124,7 @@ def lift_extra_comm(p: ChannelProtocol, check_input: bool = True) -> ChannelProt
         raise ValueError("extra-communication lift needs a quantum-input protocol")
     n = p.input_qubits
     if check_input:
-        _verify_or_raise(p, INPUT_QUANTUM, ALGEBRA_TOL, "lift_extra_comm")
+        _verify_or_raise(p, ALGEBRA_TOL, "lift_extra_comm")
 
     a = p.alice_ancillas
     m_inner = p.message_qubits
@@ -185,7 +181,7 @@ def lift_extra_epr(p: ChannelProtocol, check_input: bool = True) -> ChannelProto
         raise ValueError("extra-entanglement lift needs a quantum-input protocol")
     n = p.input_qubits
     if check_input:
-        _verify_or_raise(p, INPUT_QUANTUM, ALGEBRA_TOL, "lift_extra_epr")
+        _verify_or_raise(p, ALGEBRA_TOL, "lift_extra_epr")
 
     ra, rb = p.resource.alice_subsystems, p.resource.bob_qubits
     extra = epr_block(n)
@@ -262,7 +258,9 @@ def audit_classical_input(p: ChannelProtocol, verify_tol: float = ALGEBRA_TOL,
     classical-input channel.  A quantum-input protocol is accepted too: it
     is audited through its restriction to basis states."""
     n = p.input_qubits
-    sec, corr = _verify_or_raise(p, INPUT_CLASSICAL, verify_tol, "audit_classical_input")
+    if p.input_kind == INPUT_QUANTUM:
+        p = replace(p, input_kind=INPUT_CLASSICAL)
+    sec, corr = _verify_or_raise(p, verify_tol, "audit_classical_input")
     if log is not None:
         log.append(f"verified {p.name} on the {2 ** n}-state classical basis "
                    f"(security {sec:.2e}, correctness {corr:.2e})")
@@ -284,12 +282,12 @@ def audit_quantum_input(p: ChannelProtocol, verify_tol: float = ALGEBRA_TOL,
     if p.input_kind != INPUT_QUANTUM:
         raise ValueError("quantum-input audit needs a quantum-input protocol")
     n = p.input_qubits
-    _verify_or_raise(p, INPUT_QUANTUM, verify_tol, "audit_quantum_input")
+    _verify_or_raise(p, verify_tol, "audit_quantum_input")
     audits = _bounds(p, n, bound_tol)
     lifts = [lift_extra_comm] + [lift_extra_epr] * (p.resource.kind == RESOURCE_ENTANGLED)
     for i, lift in enumerate(lifts):
         lifted = lift(p, check_input=False)
-        sec, corr = _verify_or_raise(lifted, INPUT_CLASSICAL, verify_tol, "audit_quantum_input")
+        sec, corr = _verify_or_raise(lifted, verify_tol, "audit_quantum_input")
         audits[i] = _bounds(lifted, 2 * n, bound_tol)[i]
         if log is not None:
             bits = f" for {2 * n} classical bits" if p.resource.keyed else ""
@@ -343,8 +341,8 @@ class ObliviousRsp:
             if u.dim != 2 ** bob_reg:
                 raise ValueError("correction dimension does not match the receiver register")
         out = tuple(_integer(i, "output_subsystems") for i in self.output_subsystems)
-        if len(out) != self.n or any(not 0 <= i < bob_reg for i in out):
-            raise ValueError("output subsystems must name n receiver wires")
+        if not len(set(out)) == len(out) == self.n or any(not 0 <= i < bob_reg for i in out):
+            raise ValueError("output subsystems must name n distinct receiver wires")
         object.__setattr__(self, "output_subsystems", out)
 
     @property
@@ -385,11 +383,10 @@ def _receiver_blocks(rsp: ObliviousRsp) -> np.ndarray:
     return np.stack([u.matrix for u in rsp.corrections]) @ block
 
 
-def check_obliviousness(rsp: ObliviousRsp,
-                        blocks: np.ndarray | None = None) -> dict[str, tuple[float, int]]:
+def check_obliviousness(rsp: ObliviousRsp) -> dict[str, tuple[float, int]]:
     """Per obliviousness invariant, a bound on its deviation over every
     input and the first message m that reaches it, read off the receiver
-    blocks W_m (``blocks``, if the caller has them).  |0...0> is the reference.
+    blocks W_m (:func:`_receiver_blocks`).  |0...0> is the reference.
 
     ``message_probs``, the drift of m's probability, is exact: with
     G_m = W_m†W_m, the widest |<ψ|G_m|ψ> − G_m[0,0]| over unit ψ is
@@ -404,8 +401,7 @@ def check_obliviousness(rsp: ObliviousRsp,
     (joint state against ψ ⊗ residue) ≤ 2ε + 2ε.  Each is capped at 1, and
     the last two are 0 without residue wires.
     """
-    if blocks is None:
-        blocks = _receiver_blocks(rsp)
+    blocks = _receiver_blocks(rsp)
     gram = np.einsum("mri,mrj->mij", blocks.conj(), blocks)
     eig = np.linalg.eigvalsh(gram)
     ref = gram[:, 0, 0].real
@@ -424,12 +420,11 @@ def rsp_to_pqc(rsp: ObliviousRsp) -> ChannelProtocol:
     """Turn a verified oblivious RSP into a keyed private channel.
 
     The message label m becomes the shared key with its (input-independent)
-    probability; on key m the sender prepares the residue sigma_m via its
-    purification, applies the inverse correction and ships the receiver-half
-    wires; the receiver re-applies the correction and keeps the output wires.
+    probability; on key m the sender prepares the pure residue r_m on q_r
+    wires, applies the inverse correction and ships the receiver-half wires;
+    the receiver re-applies the correction and keeps the output wires.
     """
-    blocks = _receiver_blocks(rsp)
-    checks = check_obliviousness(rsp, blocks=blocks)
+    checks = check_obliviousness(rsp)
     for invariant, (deviation, message) in checks.items():
         if deviation > ALGEBRA_TOL:
             raise ObliviousnessError(invariant, deviation, message)
@@ -440,30 +435,25 @@ def rsp_to_pqc(rsp: ObliviousRsp) -> ChannelProtocol:
     residue_positions = [i for i in range(bob_reg) if i not in rsp.output_subsystems]
     q_r = len(residue_positions)
 
-    # message probabilities and residue states on the reference input
-    # |0...0> (input-independent by the checks)
-    states = blocks[:, :, 0].T
+    # message probabilities and residues on the reference input |0...0>
+    # (input-independent by the checks): the complete rank-1 readout leaves
+    # the receiver a pure ψ ⊗ r_m, r_m the factor beside the outputs' |0...0>
+    states = _receiver_blocks(rsp)[:, :, 0].T
     probs = np.sum(np.abs(states) ** 2, axis=0)
     live = probs >= RSP_PROB_FLOOR
     keep_keys = np.flatnonzero(live)
-    if q_r:
-        residues = reduced_from_vector(states[:, live] / np.sqrt(probs[live]), [2] * bob_reg,
-                                       residue_positions)
+    residues = kept_factor(states[:, live], [2] * bob_reg, rsp.output_subsystems)[:, 0]
 
-    a_reg = n + 2 * q_r
+    a_reg = n + q_r
     # the output positions become wires 0..n-1, the residue positions the next q_r
     pos_to_wire = {pos: i for i, pos in enumerate([*rsp.output_subsystems, *residue_positions])}
 
     alice_ops, bob_ops, outcomes = [], [], []
-    for slot, m in enumerate(keep_keys):
+    for r, m in zip(residues, keep_keys):
         gates = []
         if q_r:
-            sigma = DensityOp(SystemLayout.qubits(q_r), residues[slot])
-            pur = purify(sigma)  # [reference, residue...]
-            # wires: residue system first, then its purification reference
-            amps = pur.amplitudes.reshape(2 ** q_r, 2 ** q_r).T.reshape(-1)
-            prep = complete_orthonormal_basis(amps.reshape(-1, 1))
-            gates.append((prep, tuple(range(n, n + 2 * q_r))))
+            prep = complete_orthonormal_basis(r[:, None] / np.linalg.norm(r))
+            gates.append((prep, tuple(range(n, a_reg))))
         correction_wires = tuple(pos_to_wire[pos] for pos in range(bob_reg))
         gates.append((rsp.corrections[m].matrix.conj().T, correction_wires))
         alice_ops.append(GateList(a_reg, gates))
@@ -476,7 +466,7 @@ def rsp_to_pqc(rsp: ObliviousRsp) -> ChannelProtocol:
         name="rsp-derived-pqc", input_kind=INPUT_QUANTUM, input_qubits=n,
         message_kind=INPUT_QUANTUM,
         resource=SharedResource(dist),
-        alice_ancillas=2 * q_r, bob_ancillas=rsp.bob_ancillas,
+        alice_ancillas=q_r, bob_ancillas=rsp.bob_ancillas,
         alice_ops=tuple(alice_ops), bob_ops=tuple(bob_ops),
         message_subsystems=message,
         output_subsystems=rsp.output_subsystems)

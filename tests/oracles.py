@@ -101,7 +101,7 @@ def validated_comm(p: ChannelProtocol) -> float:
     the reference message's wire state, off the same channel table, as a
     :class:`DensityOp` for a quantum message or through
     :func:`_diagonal_distribution` for a classical one."""
-    table = _verified(p, None)[0]
+    table = _verified(p)[0]
     ref = table[0] if p.input_kind == INPUT_CLASSICAL else table[0, 0]
     if p.message_kind == INPUT_CLASSICAL:
         return shannon_entropy(_diagonal_distribution(p, ref))

@@ -17,7 +17,6 @@ from pqclab.entropy import (
     shannon_entropy,
 )
 from pqclab.protocols import (
-    INPUT_CLASSICAL,
     build_broken_otp,
     build_broken_teleportation,
     build_classical_otp,
@@ -134,8 +133,8 @@ def test_criterion_05_epr_keyed_otp():
 
 def test_criterion_06_lift_extra_comm():
     lifted = lift_extra_comm(build_quantum_otp(1))
-    ok = verify_security(lifted, INPUT_CLASSICAL) <= 1e-9
-    ok &= verify_correctness(lifted, INPUT_CLASSICAL) <= 1e-9
+    ok = verify_security(lifted) <= 1e-9
+    ok &= verify_correctness(lifted) <= 1e-9
     layout = SystemLayout.qubits(2)
     for i in range(4):
         msg = encode(lifted, Ket.basis(layout, i))
@@ -148,8 +147,8 @@ def test_criterion_06_lift_extra_comm():
 def test_criterion_07_lift_extra_epr():
     base = build_quantum_otp(1)
     lifted = lift_extra_epr(base)
-    ok = verify_security(lifted, INPUT_CLASSICAL) <= 1e-9
-    ok &= verify_correctness(lifted, INPUT_CLASSICAL) <= 1e-9
+    ok = verify_security(lifted) <= 1e-9
+    ok &= verify_correctness(lifted) <= 1e-9
     rep, base_rep = resource_report(lifted), resource_report(base)
     ok &= abs(rep.comm - 1.0) <= 1e-9
     gained = rep.entanglement - (base_rep.entanglement or 0.0)

@@ -271,10 +271,7 @@ def test_importing_the_cli_loads_numpy_random_no_sooner_than_numpy_does():
 def test_traced_names_resolve_in_their_modules():
     # the benchmark's tracer reads each traced function and validator by name,
     # so a name moved out of its module would crash the traced benchmark run
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _bench_module("spans")
     missing = [f"{layer}.{name}" for layer, names in spans.TRACED.items()
                for name in names
                if not callable(getattr(importlib.import_module(f"pqclab.{layer}"), name, None))]
@@ -496,6 +493,9 @@ def _first_prob_true(data):
     lambda data: {**data, "alice_ops": [[[len(data["gates"]), [0]]]
                                         for _ in data["alice_ops"]]},
     lambda data: {k: v for k, v in data.items() if k != "gates"},
+    # a channel states one of the two kinds of its input and of its message
+    _set("input_kind", "basis"),
+    _set("message_kind", "bogus"),
     # the resource kind is read off the payloads, and the file must state it
     _kind("bogus"),
     _kind("entangled_state"),
@@ -505,8 +505,8 @@ def _first_prob_true(data):
          "float-count", "bool-count", "string-count", "non-string-key-outcomes",
          "list-name", "string-key-probs", "bool-key-probs", "string-op-entries",
          "string-gate-refs", "int-wires", "short-ref", "ref-past-table", "no-gates",
-         "unknown-kind", "state-kind-of-a-key", "string-state-amplitudes",
-         "hybrid-kind-of-a-state"])
+         "basis-input-kind", "bogus-message-kind", "unknown-kind", "state-kind-of-a-key",
+         "string-state-amplitudes", "hybrid-kind-of-a-state"])
 def test_verify_malformed_descriptor_refused(tmp_path, capsys, build, edit):
     code = main(["verify", str(_descriptor(tmp_path, edit, build))])
     out, err = capsys.readouterr()

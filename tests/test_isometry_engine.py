@@ -171,11 +171,11 @@ def reference_basis_bound(p):
     return math.sqrt(worst)
 
 
-def assert_matches_reference(p, input_kind=None, random_probes=0, seed=0):
-    """The reported parts and correctness bound of ``p`` over the inputs of
-    ``input_kind`` (None: its own) against the reference's on its probes."""
-    kind = p.input_kind if input_kind is None else input_kind
-    parts = security_deviations(p, input_kind)
+def assert_matches_reference(p, random_probes=0, seed=0):
+    """The reported parts and correctness bound of ``p`` over its own inputs
+    against the reference's on its probes."""
+    kind = p.input_kind
+    parts = security_deviations(p)
     expected = reference_security(p, kind, random_probes, seed)
     if kind == INPUT_QUANTUM:
         # no probe's wire state strays further than the certificate allows
@@ -184,7 +184,7 @@ def assert_matches_reference(p, input_kind=None, random_probes=0, seed=0):
     assert parts.keys() == expected.keys()
     for name, value in expected.items():
         assert abs(parts[name] - value) <= TOL, (name, parts[name], value)
-    bound = verify_correctness(p, input_kind)
+    bound = verify_correctness(p)
     probed = reference_correctness(p, kind, random_probes, seed)
     assert bound >= probed - TOL, (bound, probed)
     assert (bound <= 1e-9) == (probed <= 1e-9), (bound, probed)
@@ -225,7 +225,7 @@ def test_builders_match_reference(builder, random_probes, seed):
     p = build_named(*builder)
     if p.input_kind == INPUT_CLASSICAL:
         random_probes = 0
-    assert_matches_reference(p, None, random_probes, seed)
+    assert_matches_reference(p, random_probes, seed)
 
 
 @settings(max_examples=30, deadline=None)
@@ -233,7 +233,7 @@ def test_builders_match_reference(builder, random_probes, seed):
 def test_pauli_keyed_encoders_match_reference(p, random_probes, seed):
     if p.input_kind == INPUT_CLASSICAL:
         random_probes = 0
-    assert_matches_reference(p, None, random_probes, seed)
+    assert_matches_reference(p, random_probes, seed)
 
 
 @st.composite
@@ -264,7 +264,7 @@ def haar_keyed(draw):
 @settings(max_examples=30, deadline=None)
 @given(haar_keyed(), st.integers(0, 2 ** 16))
 def test_haar_keyed_encoders_match_reference(p, seed):
-    assert_matches_reference(p, None, 3, seed)
+    assert_matches_reference(p, 3, seed)
 
 
 def test_correctness_bound_covers_an_error_only_superpositions_show():
@@ -303,8 +303,9 @@ def test_haar_keyed_certificates_bound_sampled_factorization(p, seed):
 def test_classical_message_ensembles_match_reference():
     # a classical message against many reference probes, and a classical-input
     # protocol over every input (its own kind is the basis)
-    assert_matches_reference(build_named("teleportation", 1), None, LONG, 4)
-    assert_matches_reference(build_named("epr-otp", 1), INPUT_QUANTUM, 5, 4)
+    assert_matches_reference(build_named("teleportation", 1), LONG, 4)
+    assert_matches_reference(
+        dataclasses.replace(build_named("epr-otp", 1), input_kind=INPUT_QUANTUM), 5, 4)
 
 
 def _quantum_identity(n):
@@ -370,7 +371,6 @@ def test_security_and_correctness_run_one_sender_stage_per_run(monkeypatch):
     verify_correctness(p)
     channel_on_units(p)
     resource_report(p)
-    verify_correctness(p, INPUT_QUANTUM)
     assert stages == [range(k, min(k + 3, 16)) for k in range(0, 16, 3)]
 
 
@@ -386,39 +386,39 @@ def _haar_protocol():
         message_subsystems=(0,), output_subsystems=(0,))
 
 
-def _values(p, input_kind):
-    return (security_deviations(p, input_kind), verify_correctness(p, input_kind),
-            channel_on_units(p).tobytes())
+def _restricted(p, input_kind):
+    """``p`` itself (None), or its restriction to the inputs of ``input_kind``."""
+    return p if input_kind is None else dataclasses.replace(p, input_kind=input_kind)
+
+
+def _values(p):
+    return security_deviations(p), verify_correctness(p), channel_on_units(p).tobytes()
 
 
 def test_interleaved_protocols_and_seeds_never_read_a_stale_pass():
-    # interleaved protocols and input kinds: the protocol's own kind and
-    # INPUT_QUANTUM share a pass, the basis has its own
+    # interleaved protocols and input kinds; each kind is a kept object, the
+    # protocol itself or a restriction that shares its gates, so a memo keyed
+    # by the object must still tell the basis pass from the full one
     builders = {"haar": _haar_protocol, "broken-otp": lambda: build_named("broken-otp", 1)}
     kinds = {"own": None, "quantum": INPUT_QUANTUM, "basis": INPUT_CLASSICAL}
     # each value from a fresh protocol object, which no earlier pass holds
-    fresh = {(b, k): _values(builders[b](), kinds[k]) for b in builders for k in kinds}
+    fresh = {(b, k): _values(_restricted(builders[b](), kinds[k]))
+             for b in builders for k in kinds}
     assert fresh[("haar", "quantum")][1] != fresh[("haar", "basis")][1]
     assert fresh[("haar", "quantum")][:2] != fresh[("broken-otp", "quantum")][:2]
     assert fresh[("haar", "own")] == fresh[("haar", "quantum")]
-    kept = {b: build() for b, build in builders.items()}
+    built = {b: build() for b, build in builders.items()}
+    kept = {(b, k): _restricted(built[b], kinds[k]) for b in builders for k in kinds}
     order = [("haar", "quantum"), ("haar", "quantum"), ("broken-otp", "quantum"),
              ("haar", "basis"), ("haar", "own"), ("haar", "basis"),
              ("broken-otp", "basis"), ("broken-otp", "basis"), ("broken-otp", "own"),
              ("haar", "basis")]
     for b, k in order:
-        p, kind = kept[b], kinds[k]
-        assert security_deviations(p, kind) == fresh[(b, k)][0], (b, k)
-        assert verify_correctness(p, kind) == fresh[(b, k)][1], (b, k)
-    for b, p in kept.items():
+        p = kept[(b, k)]
+        assert security_deviations(p) == fresh[(b, k)][0], (b, k)
+        assert verify_correctness(p) == fresh[(b, k)][1], (b, k)
+    for (b, _), p in kept.items():
         assert channel_on_units(p).tobytes() == fresh[(b, "quantum")][2]
-
-
-def test_an_unknown_input_kind_is_refused():
-    with pytest.raises(ValueError, match="bad input kind"):
-        security_deviations(build_quantum_otp(1), "quantum_full")
-    with pytest.raises(ValueError, match="bad input kind"):
-        verify_correctness(build_quantum_otp(1), "basis")
 
 
 def test_pass_tables_are_read_only():
@@ -895,9 +895,10 @@ def test_classical_offdiag_is_exactly_zero(p, input_kind):
     # each off-diagonal message entry of the table sums products with an
     # exact 0.0 amplitude, and the stacked product keeps them exact: the
     # reason no security part checks a classical message's coherences
-    p = dataclasses.replace(p, message_kind=INPUT_CLASSICAL)
-    table = protocols._verified(p, input_kind)[0]
+    p = dataclasses.replace(p, message_kind=INPUT_CLASSICAL,
+                            input_kind=input_kind or p.input_kind)
+    table = protocols._verified(p)[0]
     dm = 2 ** p.message_qubits
     assert table.shape[-2:] == (dm, dm)
     assert not table[..., ~np.eye(dm, dtype=bool)].any()
-    assert "classical_offdiag" not in security_deviations(p, input_kind)
+    assert "classical_offdiag" not in security_deviations(p)

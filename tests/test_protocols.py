@@ -146,8 +146,8 @@ def test_zoo_decodes_every_probe(name, n):
 
 def test_identity_protocol_correct_but_leaky():
     p = build_named("identity-leaky", 1)
-    assert verify_correctness(p, INPUT_CLASSICAL) == pytest.approx(0.0, abs=1e-12)
-    assert verify_security(p, INPUT_CLASSICAL) > 0.9
+    assert verify_correctness(p) == pytest.approx(0.0, abs=1e-12)
+    assert verify_security(p) > 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def test_classical_message_states_are_diagonal():
     # every input's classical wire state, read off the channel table
     for name, n in (("classical-otp", 2), ("teleportation", 1), ("epr-otp", 2)):
         p = build_named(name, n)
-        table = _verified(p, None)[0]
+        table = _verified(p)[0]
         dm = 2 ** p.message_qubits
         assert max_abs(table[..., ~np.eye(dm, dtype=bool)]) <= 1e-10
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pqclab.entropy import entropy_of_group
 from pqclab.qmath import (
     SIGMA,
     DensityOp,
@@ -129,6 +130,24 @@ def test_partial_trace_matches_naive_oracle():
             got = partial_trace(rho, keep).matrix
             want = naive_partial_trace(rho.matrix, list(dims), sorted(keep))
             assert max_abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("index", [0.7, 1.0, True, "1"])
+def test_subsystem_indices_must_be_integers(index):
+    # int() would read 0.7 as subsystem 0 and True as subsystem 1
+    rho = EPR.density()
+    with pytest.raises(ValueError, match="subsystem index must be an integer"):
+        partial_trace(rho, [index])
+    with pytest.raises(ValueError, match="subsystem index must be an integer"):
+        entropy_of_group(rho, [index])
+
+
+def test_numpy_integer_subsystem_index_is_accepted():
+    rng = np.random.default_rng(2)
+    rho = random_density(SystemLayout((2, 3)), rng)
+    assert np.array_equal(partial_trace(rho, [np.int64(1)]).matrix,
+                          partial_trace(rho, [1]).matrix)
+    assert entropy_of_group(rho, [np.int64(1)]) == entropy_of_group(rho, [1])
 
 
 @pytest.mark.parametrize("cols", [(), (3,), (0,), (2, 3), (0, 3), (2, 0)],

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from pqclab import reductions
 from pqclab.entropy import ProbabilityDist, entanglement_measure, shannon_entropy
 from pqclab.protocols import (
-    INPUT_CLASSICAL,
     INPUT_QUANTUM,
     PROTOCOL_BUILDERS,
     GateList,
@@ -76,8 +75,8 @@ def audits_by_name(audits):
 def test_lift_extra_comm_of_quantum_otp():
     lifted = lift_extra_comm(build_quantum_otp(1))
     assert lifted.input_qubits == 2
-    assert verify_security(lifted, INPUT_CLASSICAL) <= 1e-9
-    assert verify_correctness(lifted, INPUT_CLASSICAL) <= 1e-9
+    assert verify_security(lifted) <= 1e-9
+    assert verify_correctness(lifted) <= 1e-9
     # the wire state is (I/2) x (I/2) for all four inputs
     for i in range(4):
         msg = encode(lifted, Ket.basis(SystemLayout.qubits(2), i))
@@ -89,8 +88,8 @@ def test_lift_extra_comm_of_quantum_otp():
 
 def test_lift_extra_comm_of_teleportation():
     lifted = lift_extra_comm(build_teleportation(1))
-    assert verify_security(lifted, INPUT_CLASSICAL) <= 1e-9
-    assert verify_correctness(lifted, INPUT_CLASSICAL) <= 1e-9
+    assert verify_security(lifted) <= 1e-9
+    assert verify_correctness(lifted) <= 1e-9
     rep = resource_report(lifted)
     assert rep.entanglement == pytest.approx(1.0, abs=1e-9)
 
@@ -113,8 +112,8 @@ def test_lift_of_insecure_protocol_is_flagged():
         lift_extra_comm(insecure)
     # escape hatch: construct anyway, then the output fails its own check
     lifted = lift_extra_comm(insecure, check_input=False)
-    assert verify_security(lifted, INPUT_CLASSICAL) > 0.2
-    assert verify_correctness(lifted, INPUT_CLASSICAL) <= 1e-9
+    assert verify_security(lifted) > 0.2
+    assert verify_correctness(lifted) <= 1e-9
 
 
 @pytest.mark.parametrize("lift", [lift_extra_comm, lift_extra_epr])
@@ -139,8 +138,8 @@ def test_lift_input_check_reads_algebra_tol(monkeypatch, lift):
 def test_lift_extra_epr_of_quantum_otp():
     base = build_quantum_otp(1)
     lifted = lift_extra_epr(base)
-    assert verify_security(lifted, INPUT_CLASSICAL) <= 1e-9
-    assert verify_correctness(lifted, INPUT_CLASSICAL) <= 1e-9
+    assert verify_security(lifted) <= 1e-9
+    assert verify_correctness(lifted) <= 1e-9
     rep = resource_report(lifted)
     base_rep = resource_report(base)
     assert rep.comm == pytest.approx(base_rep.comm, abs=1e-9)  # still one qubit
@@ -154,8 +153,8 @@ def test_lift_extra_epr_of_quantum_otp():
 def test_lift_extra_epr_of_teleportation():
     base = build_teleportation(1)
     lifted = lift_extra_epr(base)
-    assert verify_security(lifted, INPUT_CLASSICAL) <= 1e-9
-    assert verify_correctness(lifted, INPUT_CLASSICAL) <= 1e-9
+    assert verify_security(lifted) <= 1e-9
+    assert verify_correctness(lifted) <= 1e-9
     rep = resource_report(lifted)
     assert rep.comm == pytest.approx(2.0, abs=1e-9)
     # entanglement grows by exactly n over the original resource
@@ -175,8 +174,8 @@ def test_hybrid_resource_round_trip_and_audit_guard():
     lifted = lift_extra_epr(build_quantum_otp(1))
     assert lifted.resource.kind == "hybrid"
     clone = protocol_from_dict(protocol_to_dict(lifted))
-    assert verify_security(clone, INPUT_CLASSICAL) <= 1e-9
-    assert verify_correctness(clone, INPUT_CLASSICAL) <= 1e-9
+    assert verify_security(clone) <= 1e-9
+    assert verify_correctness(clone) <= 1e-9
     with pytest.raises(ValueError, match="hybrid"):
         audit_classical_input(clone)
 
@@ -420,7 +419,7 @@ def residue_rsp(theta: float) -> ObliviousRsp:
 
 
 def test_rsp_with_a_residue_wire_gives_a_verified_channel():
-    # the sender prepares each key's residue from its purification; the key
+    # the sender prepares each key's pure residue; the key
     # is the 3-bit readout, and its entropy 2 + h(cos^2 θ) is the pad's 2
     # bits plus the residue's readout bit
     theta = 0.3
@@ -439,6 +438,18 @@ def test_rsp_with_a_residue_wire_gives_a_verified_channel():
     assert sorted(audits) == ["comm_entropy", "key_entropy"]
     for a in audits.values():
         assert a.satisfied and a.measured - a.bound == pytest.approx(h, abs=1e-9)
+
+
+def test_rsp_residue_is_prepared_on_its_own_wires():
+    # the residue is pure, so the sender prepares it on its one wire, with
+    # no purification reference beside it
+    assert rsp_to_pqc(residue_rsp(0.3)).alice_ancillas == 1
+
+
+def test_rsp_output_wires_are_distinct():
+    # two outputs on one wire would crash the receiver-block transpose
+    with pytest.raises(ValueError, match="distinct receiver wires"):
+        dataclasses.replace(teleportation_rsp(2), output_subsystems=(0, 0))
 
 
 def test_oblivious_rsp_needs_a_shared_state():
