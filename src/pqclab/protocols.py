@@ -416,6 +416,12 @@ def _add_keys(total: np.ndarray, probs: np.ndarray, m: np.ndarray) -> None:
     total += m @ weighted.swapaxes(-1, -2)
 
 
+def _add_diagonals(total: np.ndarray, probs: np.ndarray, m: np.ndarray) -> None:
+    """:func:`_add_keys` where the sum is diagonal: Σ_k p_k Σ_r |m_k[..., x, r]|² to [..., x, x]."""
+    np.einsum("...xx->...x", total)[...] += np.einsum(  # a writable view of the diagonal
+        "...r,r->...", m.real ** 2 + m.imag ** 2, np.repeat(probs, m.shape[-1] // len(probs)))
+
+
 def _block_diagonal(gate: np.ndarray, i: int) -> bool:
     """Whether every entry of ``gate`` coupling two values of its wire i is 0.0."""
     k = gate.shape[0].bit_length() - 1
@@ -462,8 +468,8 @@ def _verification_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, flo
     off the Choi vectors Σ_a V|a>|a>; with ``basis`` only E(|a><a|), indexed
     [a, x, y] and read off the columns V|a>, so its rows are the basis
     inputs' wire states, the :func:`_foldable` wires summed out.  Each run
-    adds its keys by :func:`_add_keys`, the run axis a rest wire of their
-    factor, and bounds its receiver stack at once; runs share a read-only head."""
+    adds its keys by :func:`_add_keys` (or :func:`_add_diagonals`), the run axis a rest wire
+    of their factor, and bounds its receiver stack at once; runs share a read-only head."""
     d, dm = 2 ** p.input_qubits, 2 ** p.message_qubits
     shared = _shared_prefix(p.alice_ops)
     early = _foldable(p, shared) if basis else []
@@ -471,10 +477,11 @@ def _verification_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, flo
     head.flags.writeable = False
     wires = [w - sum(e < w for e in early) for w in range(p.engine_qubits)]
     table, correctness = np.zeros((d, dm, dm) if basis else (d * dm, d * dm), complex), 0.0
+    add = _add_diagonals if basis and p.message_kind == INPUT_CLASSICAL else _add_keys
     for keys in _runs(p, shared, head):
         block, dims, keep = _stage(p, head, keys, shared, wires)
         run, keep = [len(keys), *dims], [w + 1 for w in keep]
-        _add_keys(table, p.key_probs[keys.start:keys.stop], kept_factor(
+        add(table, p.key_probs[keys.start:keys.stop], kept_factor(
             block.reshape(-1, d), run, keep) if basis else kept_factor(
             block.reshape(-1), run + [d], [len(run)] + keep))
         block, dims, outputs = _receiver_stage(p, block, dims, keys, wires)
@@ -528,8 +535,8 @@ def decode_per_key(p: ChannelProtocol, input_ket: Ket, key_index: int) -> Densit
 
 def channel_on_units(p: ChannelProtocol) -> np.ndarray:
     """Table E(|a><b|) over all matrix units of the input space (read-only)."""
-    if p.input_kind == INPUT_CLASSICAL:
-        p = replace(p, input_kind=INPUT_QUANTUM)
+    if p.input_kind == INPUT_CLASSICAL:  # outside the memo, so p's own pass stays held
+        return _verification_pass(p, False)[0]
     return _verified(p)[0]
 
 
@@ -580,11 +587,15 @@ def security_deviations(p: ChannelProtocol) -> dict[str, float]:
     input's wire state to |0...0>'s.  Over every input, ``cross_term`` is
     the largest |entry| of E(|a><b|) over a < b, and ``factorization``
     bounds that distance for every input, reference-entangled ones included.
-    A classical message's wire state is diagonal by construction: the engine
-    copies each of its wires into the environment (:func:`_stage`)."""
+    A classical message's wire state is diagonal by construction: the engine copies each of
+    its wires into the environment (:func:`_stage`).  So its ``state`` is half the L1 distance
+    of the diagonals, summed sorted as ``eigvalsh`` returns them: the eigensolve's, bit for bit."""
     table = _verified(p)[0]
     if table.ndim == 3:  # the basis table, [a, x, y]
-        return {"state": float(trace_distance(table, table[0]).max())}
+        if p.message_kind != INPUT_CLASSICAL:
+            return {"state": float(trace_distance(table, table[0]).max())}
+        diag = np.diagonal(table, axis1=-2, axis2=-1).real
+        return {"state": 0.5 * float(np.abs(np.sort(diag - diag[0])).sum(axis=-1).max())}
     return {"cross_term": max_abs(table[np.triu_indices(len(table), 1)]),
             "factorization": factorization_certificate(table)}
 

@@ -401,7 +401,11 @@ def check_obliviousness(rsp: ObliviousRsp) -> dict[str, tuple[float, int]]:
     (joint state against ψ ⊗ residue) ≤ 2ε + 2ε.  Each is capped at 1, and
     the last two are 0 without residue wires.
     """
-    blocks = _receiver_blocks(rsp)
+    return _obliviousness(rsp, _receiver_blocks(rsp))
+
+
+def _obliviousness(rsp: ObliviousRsp, blocks: np.ndarray) -> dict[str, tuple[float, int]]:
+    """:func:`check_obliviousness` read off the given receiver blocks."""
     gram = np.einsum("mri,mrj->mij", blocks.conj(), blocks)
     eig = np.linalg.eigvalsh(gram)
     ref = gram[:, 0, 0].real
@@ -424,8 +428,8 @@ def rsp_to_pqc(rsp: ObliviousRsp) -> ChannelProtocol:
     wires, applies the inverse correction and ships the receiver-half wires;
     the receiver re-applies the correction and keeps the output wires.
     """
-    checks = check_obliviousness(rsp)
-    for invariant, (deviation, message) in checks.items():
+    blocks = _receiver_blocks(rsp)
+    for invariant, (deviation, message) in _obliviousness(rsp, blocks).items():
         if deviation > ALGEBRA_TOL:
             raise ObliviousnessError(invariant, deviation, message)
 
@@ -438,7 +442,7 @@ def rsp_to_pqc(rsp: ObliviousRsp) -> ChannelProtocol:
     # message probabilities and residues on the reference input |0...0>
     # (input-independent by the checks): the complete rank-1 readout leaves
     # the receiver a pure ψ ⊗ r_m, r_m the factor beside the outputs' |0...0>
-    states = _receiver_blocks(rsp)[:, :, 0].T
+    states = blocks[:, :, 0].T
     probs = np.sum(np.abs(states) ** 2, axis=0)
     live = probs >= RSP_PROB_FLOOR
     keep_keys = np.flatnonzero(live)

@@ -37,9 +37,11 @@ from pqclab.protocols import (
     ChannelProtocol,
     GateList,
     SharedResource,
+    build_classical_otp,
     build_identity_protocol,
     build_named,
     build_quantum_otp,
+    build_teleportation,
     channel_on_units,
     controlled_by_value,
     decode_per_key,
@@ -48,6 +50,7 @@ from pqclab.protocols import (
     resource_report,
     security_deviations,
     verify_correctness,
+    verify_security,
 )
 from pqclab.qmath import (
     Ket,
@@ -469,12 +472,15 @@ def test_audit_reads_the_input_check_from_the_cli_pass(monkeypatch):
 
 def _factor_bytes(run):
     """Bytes of the kept-wire factor each key adds to the key average in
-    ``run``: the run factors the pass, or ``encode``, actually adds, over
-    their keys."""
+    ``run``: the run factors the pass, or ``encode``, actually adds, by
+    ``_add_keys`` or (a classical message's basis table) ``_add_diagonals``,
+    over their keys."""
     sizes = []
-    add = protocols._add_keys
-    with mock.patch.object(protocols, "_add_keys", lambda total, probs, m: sizes.append(
-            m.nbytes // len(probs)) or add(total, probs, m)):
+    with contextlib.ExitStack() as stack:
+        for name in ("_add_keys", "_add_diagonals"):
+            stack.enter_context(mock.patch.object(
+                protocols, name, lambda total, probs, m, add=getattr(protocols, name): (
+                    sizes.append(m.nbytes // len(probs)) or add(total, probs, m))))
         run()
     assert len(set(sizes)) == 1, sizes
     return sizes[0]
@@ -864,8 +870,9 @@ def test_stacked_pass_peak_is_the_per_key_sums_plus_two_stacks(build, basis, sta
     # a key whose factor takes over half of STACK_BYTES, or the only key (the
     # teleportation-2 lifts), runs alone; smaller factors of several keys
     # stack (the quantum-otp 3 lift's, 64 x 64 x 1 once its input wires are
-    # folded), and a run's factor and its weighted conjugate are the only
-    # extra arrays
+    # folded), and a run's factor and its weighted conjugate (for the
+    # teleportation-2 EPR lift's classical message, its squared moduli) are
+    # the only extra arrays
     p = build()
     reference = _traced_peak(lambda: per_key_pass(p, basis))
     peak = _traced_peak(lambda: protocols._verification_pass(p, basis))
@@ -887,18 +894,78 @@ def test_pass_peaks_of_the_benchmark_peak_rows(build, basis, mib):
     assert _traced_peak(lambda: protocols._verification_pass(p, basis)) <= mib * 2 ** 20
 
 
+#: the builders and audit lifts with classical input and a classical message,
+#: at every n the admission check accepts (``bench/workloads.py``): the basis
+#: passes that add only their table's diagonal
+DIAGONAL_PASSES = [build_named(b, n) for b, top in (
+    ("classical-otp", 4), ("epr-otp", 3), ("identity-leaky", 6)) for n in range(1, top + 1)] + [
+    lift_extra_epr(build_named(b, n), check_input=False)
+    for b in ("teleportation", "broken-teleportation") for n in (1, 2)]
+
+
+def _with_diagonal_passes(test):
+    """``test`` with one explicit example per protocol of DIAGONAL_PASSES."""
+    for p in DIAGONAL_PASSES:
+        test = example(p, None)(test)
+    return test
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.one_of(pauli_keyed(), haar_keyed()),
        st.sampled_from((None, INPUT_CLASSICAL, INPUT_QUANTUM)))
+@_with_diagonal_passes
 def test_classical_offdiag_is_exactly_zero(p, input_kind):
     # every classical message wire is copied into an environment wire, so
     # each off-diagonal message entry of the table sums products with an
-    # exact 0.0 amplitude, and the stacked product keeps them exact: the
-    # reason no security part checks a classical message's coherences
+    # exact 0.0 amplitude, and a Gram product keeps them exact: the reason
+    # no security part checks a classical message's coherences, and the
+    # basis pass adds only the diagonal, whose product per_key_pass still
+    # forms.  Over the basis, the state part read off the diagonals is the
+    # eigensolve's: bit for bit on the builders, within 1e-15 on the drawn
+    # protocols
+    tol = 1e-15 if p.name in ("pauli-subset", "haar-keyed") else 0.0
     p = dataclasses.replace(p, message_kind=INPUT_CLASSICAL,
                             input_kind=input_kind or p.input_kind)
     table = protocols._verified(p)[0]
     dm = 2 ** p.message_qubits
+    offdiag = ~np.eye(dm, dtype=bool)
     assert table.shape[-2:] == (dm, dm)
-    assert not table[..., ~np.eye(dm, dtype=bool)].any()
-    assert "classical_offdiag" not in security_deviations(p)
+    assert not table[..., offdiag].any()
+    deviations = security_deviations(p)
+    assert "classical_offdiag" not in deviations
+    if p.input_kind == INPUT_CLASSICAL:
+        assert not per_key_pass(p, True)[0][..., offdiag].any()
+        eigensolved = float(trace_distance(table, table[0]).max())
+        assert abs(deviations["state"] - eigensolved) <= tol, (deviations, eigensolved)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_named("identity-leaky", 6),
+    lambda: lift_extra_epr(build_teleportation(2)),
+], ids=["identity-leaky-6", "lift-epr-teleportation-2"])
+def test_a_classical_message_state_takes_no_eigensolve(build, monkeypatch):
+    # the basis table of a classical message is exactly diagonal, so its
+    # trace distances are read off the diagonals: no eigvalsh call
+    p = build()
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or real(*a, **k))
+    security_deviations(p)
+    assert calls == []
+
+
+def test_channel_on_units_keeps_a_classical_input_protocols_pass(monkeypatch):
+    # the every-input table of a classical-input protocol runs outside the
+    # one-slot memo, so the protocol's own basis pass stays held
+    p = build_classical_otp(2)
+    passes = []
+    real = protocols._verification_pass
+    monkeypatch.setattr(protocols, "_verification_pass",
+                        lambda p, basis: passes.append(basis) or real(p, basis))
+    verify_security(p)
+    held = protocols._verified(p)
+    channel_on_units(p)
+    channel_on_units(p)
+    assert protocols._verified(p) is held
+    verify_security(p)
+    assert passes == [True, False, False]

@@ -468,6 +468,18 @@ def test_rsp_to_pqc_at_four_qubits_stays_small():
     assert peak < 64 << 20
 
 
+def test_rsp_to_pqc_builds_the_receiver_blocks_once(monkeypatch):
+    # the obliviousness checks and the reference input's residues read the
+    # same blocks
+    calls = []
+    real = reductions._receiver_blocks
+    monkeypatch.setattr(reductions, "_receiver_blocks",
+                        lambda rsp: calls.append(rsp) or real(rsp))
+    rsp = teleportation_rsp(2)
+    rsp_to_pqc(rsp)
+    assert calls == [rsp]
+
+
 def test_rsp_to_pqc_at_four_qubits_is_admitted():
     # 256 keys on 4 wires, 4 input qubits, a 4-qubit message: every load at its limit
     require_desk_scale(rsp_to_pqc(teleportation_rsp(4)))
