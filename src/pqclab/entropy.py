@@ -54,7 +54,7 @@ class ProbabilityDist:
     @classmethod
     def uniform(cls, outcomes: Sequence[str]) -> "ProbabilityDist":
         k = len(outcomes)
-        return cls(tuple(outcomes), np.full(k, 1.0 / k))
+        return cls(tuple(outcomes), np.full(k, 1.0) / k)  # k = 0: weights summing to 0, refused
 
     @classmethod
     def point(cls, outcome: str) -> "ProbabilityDist":

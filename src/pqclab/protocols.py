@@ -460,17 +460,19 @@ def _runs(p: ChannelProtocol, shared: int, head: np.ndarray) -> list[range]:
     return runs
 
 
-def _verification_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, float]:
-    """The channel table and the worst per-key :func:`_correctness_bound`,
-    from one sender stage and one receiver stage per run of keys
-    (:func:`_runs`) on the stack of their blocks of all input basis columns.
-    The table is the key-averaged E(|a><b|), indexed [a, b, x, y] and read
-    off the Choi vectors Σ_a V|a>|a>; with ``basis`` only E(|a><a|), indexed
-    [a, x, y] and read off the columns V|a>, so its rows are the basis
-    inputs' wire states, the :func:`_foldable` wires summed out.  Each run
-    adds its keys by :func:`_add_keys` (or :func:`_add_diagonals`), the run axis a rest wire
+def _verification_pass(p: ChannelProtocol) -> tuple[np.ndarray, float]:
+    """The channel table and the worst per-key :func:`_correctness_bound`
+    over the protocol's own inputs, from one sender stage and one receiver
+    stage per run of keys (:func:`_runs`) on the stack of their blocks of all
+    input basis columns.  For quantum input the table is the key-averaged
+    E(|a><b|), indexed [a, b, x, y] and read off the Choi vectors Σ_a V|a>|a>;
+    for classical input only E(|a><a|), indexed [a, x, y] and read off the
+    columns V|a>, so its rows are the basis inputs' wire states, the
+    :func:`_foldable` wires summed out.  Each run adds its keys by
+    :func:`_add_keys` (or :func:`_add_diagonals`), the run axis a rest wire
     of their factor, and bounds its receiver stack at once; runs share a read-only head."""
     d, dm = 2 ** p.input_qubits, 2 ** p.message_qubits
+    basis = p.input_kind == INPUT_CLASSICAL
     shared = _shared_prefix(p.alice_ops)
     early = _foldable(p, shared) if basis else []
     head = _sender_head(p, np.eye(d, dtype=complex), shared, early)
@@ -497,14 +499,13 @@ _last_pass: list = []
 
 
 def _verified(p: ChannelProtocol) -> tuple[np.ndarray, float]:
-    """:func:`_verification_pass` over the protocol's own inputs (the basis
-    states for classical input) through a one-slot memo keyed by the
+    """:func:`_verification_pass` through a one-slot memo keyed by the
     protocol object.  The slot is emptied before a new pass runs, so two
     passes' arrays are never held at once."""
     if _last_pass and _last_pass[0] is p:
         return _last_pass[1]
     _last_pass.clear()
-    result = _verification_pass(p, p.input_kind == INPUT_CLASSICAL)
+    result = _verification_pass(p)
     _last_pass.extend((p, result))
     return result
 
@@ -535,8 +536,9 @@ def decode_per_key(p: ChannelProtocol, input_ket: Ket, key_index: int) -> Densit
 
 def channel_on_units(p: ChannelProtocol) -> np.ndarray:
     """Table E(|a><b|) over all matrix units of the input space (read-only)."""
-    if p.input_kind == INPUT_CLASSICAL:  # outside the memo, so p's own pass stays held
-        return _verification_pass(p, False)[0]
+    if p.input_kind != INPUT_QUANTUM:
+        raise ValueError(f"{p.name} declares classical input; its table of every input "
+                         "is that of dataclasses.replace(p, input_kind=\"quantum\")")
     return _verified(p)[0]
 
 
@@ -668,10 +670,8 @@ def require_lift_scale(p: ChannelProtocol):
     """Reject quantum-input protocols whose audit lifts are beyond desk scale:
     each carries 2n classical bits on 3n more wires than ``p``, on its 2^(2n)
     basis inputs, keys x 2^(engine register + 5n) amplitudes, which must stay
-    within DESK_SCALE_LIMIT^2.  That is the unfolded load: the basis pass
-    folds the 2n input wires out before the shared prefix (:func:`_foldable`);
-    the rule is kept as it is, so the protocols it admits and refuses do not
-    change."""
+    within DESK_SCALE_LIMIT^2.  That load counts the 2n input wires, which
+    the basis pass folds out before the shared prefix (:func:`_foldable`)."""
     require_load(f"{p.name} audit lift", p.key_count,
                  p.engine_qubits + 5 * p.input_qubits, scale=2)
 
@@ -691,6 +691,7 @@ def _pauli_key_table(n: int, alphabet: str) -> tuple[list[str], list[GateList]]:
 def _pad(name: str, kind: str, n: int, alphabet: str) -> ChannelProtocol:
     """A pad on n wires of ``kind``: a uniform key over ``alphabet``, whose
     Pauli string the sender applies and the receiver undoes."""
+    n = _integer(n, "n")
     # 2^n keys on 2n wires or 4^n on n: stated as one key on 3n, unbuilt
     require_load(name, 1, 3 * n)
     keys, ops = _pauli_key_table(n, alphabet)
@@ -716,6 +717,7 @@ def build_quantum_otp(n: int) -> ChannelProtocol:
 def build_superdense(n_bits: int) -> ChannelProtocol:
     """Dense coding: n_bits classical bits through n_bits/2 message qubits and
     n_bits/2 EPR pairs; the wire state is maximally mixed for every input."""
+    n_bits = _integer(n_bits, "n_bits")
     if n_bits < 2 or n_bits % 2:
         raise ValueError("n_bits must be even and >= 2")
     require_load("superdense", 1, 2 * n_bits)
@@ -737,6 +739,7 @@ def build_superdense(n_bits: int) -> ChannelProtocol:
 def build_teleportation(n: int) -> ChannelProtocol:
     """Teleport n qubits: Bell readout on (input_i, A_i) produces 2n uniformly
     distributed classical bits; the receiver applies the matching Pauli."""
+    n = _integer(n, "n")
     require_load("teleportation", 1, 5 * n)
     alice_gates, bob_gates = [], []
     for i in range(n):
@@ -755,6 +758,7 @@ def build_epr_keyed_otp(n: int) -> ChannelProtocol:
     """Classical pad whose key is drawn from EPR halves, realized unitarily:
     CNOTs from the sender's halves into the message register, undone by the
     receiver from the matching halves."""
+    n = _integer(n, "n")
     require_load("epr-otp", 1, 4 * n)
     pad = [(CNOT, (n + i, i)) for i in range(n)]
     wires = tuple(range(n))
@@ -768,6 +772,7 @@ def build_epr_keyed_otp(n: int) -> ChannelProtocol:
 
 def build_identity_protocol(n: int = 1) -> ChannelProtocol:
     """Negative fixture: send the input in the clear (correct, insecure)."""
+    n = _integer(n, "n")
     require_load("identity-leaky", 1, 2 * n)
     wires = tuple(range(n))
     return ChannelProtocol(
@@ -779,7 +784,7 @@ def build_identity_protocol(n: int = 1) -> ChannelProtocol:
 
 def build_broken_otp(n: int = 1) -> ChannelProtocol:
     """Negative fixture: pad truncated to the keys {00, 01} (identity, bit flip)."""
-    if n != 1:
+    if _integer(n, "n") != 1:
         raise ValueError("the truncated-key fixture is defined for n = 1")
     ops = tuple(_pauli_key_table(1, "01")[1])
     return ChannelProtocol(
@@ -792,7 +797,7 @@ def build_broken_otp(n: int = 1) -> ChannelProtocol:
 
 def build_broken_teleportation(n: int = 1) -> ChannelProtocol:
     """Negative fixture: teleportation whose receiver skips the Pauli correction."""
-    require_load("broken-teleportation", 1, 5 * n)
+    require_load("broken-teleportation", 1, 5 * _integer(n, "n"))
     return replace(build_teleportation(n), name="broken-teleportation", bob_ops=((),))
 
 

@@ -8,7 +8,7 @@ measured on a protocol that was actually constructed and re-verified.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -110,9 +110,9 @@ def _retarget(op: GateList, wires: Sequence[int]) -> list:
     return [(g, tuple(wires[t] for t in targets)) for g, targets in op.gates]
 
 
-def lift_extra_comm(p: ChannelProtocol, check_input: bool = True) -> ChannelProtocol:
+def lift_extra_comm(p: ChannelProtocol) -> ChannelProtocol:
     """Convert a quantum-input channel into one for twice as many classical
-    bits, spending n extra qubits of communication.
+    bits, spending n extra qubits of communication; it verifies nothing.
 
     The sender locally prepares n EPR pairs, writes the input into them as a
     Pauli string on the first halves, encrypts the second halves with the
@@ -123,9 +123,6 @@ def lift_extra_comm(p: ChannelProtocol, check_input: bool = True) -> ChannelProt
     if p.input_kind != INPUT_QUANTUM:
         raise ValueError("extra-communication lift needs a quantum-input protocol")
     n = p.input_qubits
-    if check_input:
-        _verify_or_raise(p, ALGEBRA_TOL, "lift_extra_comm")
-
     a = p.alice_ancillas
     m_inner = p.message_qubits
     # the sender keeps one environment copy per inner classical-message wire:
@@ -168,9 +165,9 @@ def lift_extra_comm(p: ChannelProtocol, check_input: bool = True) -> ChannelProt
         message_subsystems=message, output_subsystems=out)
 
 
-def lift_extra_epr(p: ChannelProtocol, check_input: bool = True) -> ChannelProtocol:
+def lift_extra_epr(p: ChannelProtocol) -> ChannelProtocol:
     """Convert a quantum-input channel into one for twice as many classical
-    bits, spending n extra EPR pairs and no extra communication.
+    bits, spending n extra EPR pairs and no extra communication; it verifies nothing.
 
     The sender writes the input as a Pauli string on her halves of the new
     pairs, encrypts those halves with the original encoder, and sends only
@@ -180,9 +177,6 @@ def lift_extra_epr(p: ChannelProtocol, check_input: bool = True) -> ChannelProto
     if p.input_kind != INPUT_QUANTUM:
         raise ValueError("extra-entanglement lift needs a quantum-input protocol")
     n = p.input_qubits
-    if check_input:
-        _verify_or_raise(p, ALGEBRA_TOL, "lift_extra_epr")
-
     ra, rb = p.resource.alice_subsystems, p.resource.bob_qubits
     extra = epr_block(n)
     if p.resource.psi_ab is None:
@@ -255,11 +249,10 @@ def audit_classical_input(p: ChannelProtocol, verify_tol: float = ALGEBRA_TOL,
                           bound_tol: float = ENTROPY_TOL,
                           log: list[str] | None = None) -> list[BoundAudit]:
     """Audit the resource lower bounds (:func:`_bounds`) of a verified
-    classical-input channel.  A quantum-input protocol is accepted too: it
-    is audited through its restriction to basis states."""
+    classical-input channel; a quantum-input one is refused, not restricted."""
+    if p.input_kind != INPUT_CLASSICAL:
+        raise ValueError("classical-input audit needs a classical-input protocol")
     n = p.input_qubits
-    if p.input_kind == INPUT_QUANTUM:
-        p = replace(p, input_kind=INPUT_CLASSICAL)
     sec, corr = _verify_or_raise(p, verify_tol, "audit_classical_input")
     if log is not None:
         log.append(f"verified {p.name} on the {2 ** n}-state classical basis "
@@ -286,7 +279,7 @@ def audit_quantum_input(p: ChannelProtocol, verify_tol: float = ALGEBRA_TOL,
     audits = _bounds(p, n, bound_tol)
     lifts = [lift_extra_comm] + [lift_extra_epr] * (p.resource.kind == RESOURCE_ENTANGLED)
     for i, lift in enumerate(lifts):
-        lifted = lift(p, check_input=False)
+        lifted = lift(p)
         sec, corr = _verify_or_raise(lifted, verify_tol, "audit_quantum_input")
         audits[i] = _bounds(lifted, 2 * n, bound_tol)[i]
         if log is not None:
@@ -357,6 +350,7 @@ class ObliviousRsp:
 def teleportation_rsp(n: int) -> ObliviousRsp:
     """Teleportation as remote state preparation: Bell readout of each
     (input_i, A_i) pair, Pauli corrections, uniform message statistics."""
+    n = _integer(n, "n")
     require_load("teleportation RSP", 1, 3 * n)
     measurement = GateList(2 * n, [(_BELL_READOUT, (i, n + i)) for i in range(n)])
     # readout bits (x, a) of the input and sender wires: pair i read Bell state 2 x_i + a_i

@@ -4,10 +4,12 @@ of the per-probe reference, Haar-random kets and unitaries and random
 density matrices one draw at a time,
 per-probe views of a protocol's sender stage, channel table and key-averaged
 output, the resource report's communication entropy through validated
-states, the verification pass's key average and correctness bound, one key
-at a time, the runs of keys the engine's sender stages take, and the RSP
-negative fixture and message probabilities."""
+states, the verification pass over either kind of input, its key average
+and correctness bound one key at a time, the runs of keys the engine's
+sender stages take, the EPR-keyed quantum pad and its leaking twin, and the
+RSP negative fixture and message probabilities."""
 
+import dataclasses
 import math
 from typing import Callable, Sequence
 from unittest import mock
@@ -18,10 +20,13 @@ from pqclab import protocols
 
 from pqclab.entropy import ProbabilityDist, shannon_entropy, von_neumann
 from pqclab.protocols import (
+    CNOT,
+    CZ,
     INPUT_CLASSICAL,
     INPUT_QUANTUM,
     ChannelProtocol,
     GateList,
+    SharedResource,
     _correctness_bound,
     _receiver_stage,
     _sender_head,
@@ -31,6 +36,7 @@ from pqclab.protocols import (
     channel_on_units,
     decode_per_key,
     encode,
+    epr_block,
 )
 from pqclab.qmath import (
     DensityOp,
@@ -223,6 +229,16 @@ def per_key_bound(block: np.ndarray, dims: list[int], outputs: list[int],
     return min(1.0, float(np.linalg.norm(w.reshape(-1, d), 2)))
 
 
+def verification_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, float]:
+    """The verification pass over the basis inputs (``basis``) or over every
+    input: that of ``p`` if it declares those inputs, else that of its twin
+    ``dataclasses.replace(p, input_kind=...)``, which shares its gates."""
+    kind = INPUT_CLASSICAL if basis else INPUT_QUANTUM
+    if p.input_kind != kind:
+        p = dataclasses.replace(p, input_kind=kind)
+    return protocols._verification_pass(p)
+
+
 def per_key_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, float]:
     """The channel table and correctness bound of the verification pass,
     with each key's reduced state from ``reduced_from_vector`` weighted and
@@ -269,6 +285,32 @@ def run_cut(p: ChannelProtocol, keys: int, run: Callable) -> int:
     keys: four of a key's largest blocks, its sender block with the
     receiver's ancillas attached, per key."""
     return 4 * keys * (stage_runs(run)[2] << p.bob_ancillas)
+
+
+# ---------------------------------------------------------------------------
+# a quantum pad keyed by shared EPR pairs
+
+
+def epr_keyed_quantum_otp(n: int, leaky: bool = False) -> ChannelProtocol:
+    """The quantum one-time pad whose key bits are the sender's halves of 2n
+    shared EPR pairs: input wire i gets a CNOT from sender half 2i and a CZ
+    from half 2i + 1, which the receiver undoes from the matching halves of
+    his own.  Its audit runs the quantum-input cell of an entangled resource
+    and a quantum message.  With ``leaky``, both sides skip the CZ, so only
+    bit flips pad the input and its phases reach the wire."""
+    halves = range(n, 3 * n)
+    alice = [(CNOT, (halves[2 * i], i)) for i in range(n)]
+    bob = list(alice)
+    if not leaky:
+        alice += [(CZ, (halves[2 * i + 1], i)) for i in range(n)]
+        bob = [(CZ, (halves[2 * i + 1], i)) for i in range(n)] + bob
+    wires = tuple(range(n))
+    return ChannelProtocol(
+        name="epr-quantum-otp-leaky" if leaky else "epr-quantum-otp", input_kind=INPUT_QUANTUM,
+        input_qubits=n, message_kind=INPUT_QUANTUM,
+        resource=SharedResource(psi_ab=epr_block(2 * n), alice_subsystems=2 * n),
+        alice_ops=(GateList(3 * n, alice),), bob_ops=(GateList(3 * n, bob),),
+        message_subsystems=wires, output_subsystems=wires)
 
 
 # ---------------------------------------------------------------------------

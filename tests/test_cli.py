@@ -48,7 +48,7 @@ from pqclab.qmath import (
 )
 from pqclab.reductions import lift_extra_epr
 
-from oracles import per_sample_density_matrix
+from oracles import epr_keyed_quantum_otp, per_sample_density_matrix
 
 
 def run_cli(*args):
@@ -134,6 +134,44 @@ def test_audit_teleportation(capsys):
     audits = {a["quantity"]: a for a in report["audits"]}
     assert audits["comm_entropy"]["measured"] == pytest.approx(2.0)
     assert audits["entanglement"]["measured"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_audit_of_the_epr_keyed_quantum_pad(n, tmp_path, capsys):
+    # quantum input, a quantum message and an entangled resource: 2n ebits
+    # against the bound n, n qubits of communication against n
+    path = tmp_path / "pad.json"
+    save_protocol(epr_keyed_quantum_otp(n), str(path))
+    assert main(["audit", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["security_deviation"] == report["correctness_deviation"] == 0.0
+    audits = {a["quantity"]: a for a in report["audits"]}
+    assert audits["entanglement"]["measured"] == pytest.approx(2 * n, abs=1e-9)
+    assert audits["entanglement"]["bound"] == n
+    assert audits["entanglement"]["slack"] == pytest.approx(n, abs=1e-9)
+    assert audits["comm_entropy"]["measured"] == pytest.approx(n, abs=1e-9)
+    assert audits["comm_entropy"]["bound"] == n
+    assert audits["comm_entropy"]["slack"] == pytest.approx(0.0, abs=1e-9)
+    assert len(report["audit_log"]) == 2
+
+
+def test_audit_of_the_leaking_epr_keyed_pad_fails(tmp_path, capsys):
+    # without the CZ the input's phases reach the wire: correct but insecure
+    path = tmp_path / "leaky.json"
+    save_protocol(epr_keyed_quantum_otp(1, leaky=True), str(path))
+    assert main(["audit", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["security_parts"]["cross_term"] == pytest.approx(0.5, abs=1e-9)
+    assert report["security_parts"]["factorization"] == pytest.approx(0.5, abs=1e-9)
+    assert report["correctness_deviation"] == 0.0
+    assert report["audits"] == [] and report["audit_log"] == ["verification failed; audit skipped"]
+
+
+def test_audit_of_the_epr_keyed_pad_refuses_n_3(tmp_path, capsys):
+    path = tmp_path / "pad.json"
+    save_protocol(epr_keyed_quantum_otp(3), str(path))
+    assert main(["audit", str(path)]) == 2
+    assert "load 2^15 exceeds 4096" in capsys.readouterr().err
 
 
 def test_audit_negative_fixture_fails_before_audit(capsys):

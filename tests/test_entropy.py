@@ -69,6 +69,8 @@ def test_probability_dist_validation():
         ProbabilityDist(("a", "b"), np.array([0.7, 0.7]))
     with pytest.raises(ValueError):
         ProbabilityDist(("a",), np.array([-0.2]))
+    with pytest.raises(ValueError, match="sum to 0"):
+        ProbabilityDist.uniform([])
 
 
 def test_von_neumann_values():

@@ -52,7 +52,7 @@ from pqclab.qmath import (
 )
 from pqclab.reductions import lift_extra_comm, lift_extra_epr, rsp_to_pqc, teleportation_rsp
 
-from oracles import dense, haar_unitary, run_cut
+from oracles import dense, haar_unitary, run_cut, verification_pass
 
 TOL = 1e-12
 
@@ -201,10 +201,10 @@ def test_lifted_receiver_runs_one_gate_per_run_on_one_wire_run(monkeypatch, per_
     # gates where they differ, as the Paulis do for K > 1, else the one
     # shared matrix; the runs partition the keys in order, the shared sender
     # prefix runs once per pass, and each run's sender tail once
-    lifted = lift_extra_comm(build_named("quantum-otp", 2), check_input=False)
+    lifted = lift_extra_comm(build_named("quantum-otp", 2))
     shared = _shared_prefix(lifted.alice_ops)
     monkeypatch.setattr(protocols, "STACK_BYTES", run_cut(
-        lifted, per_run, lambda: protocols._verification_pass(lifted, True)))
+        lifted, per_run, lambda: protocols._verification_pass(lifted)))
     calls = _record_runs(monkeypatch)
     verify_correctness(lifted)
 
@@ -232,7 +232,7 @@ def test_fused_gates_never_outsize_their_block(monkeypatch):
     # a time, each as its own 4 x 4 or 8 x 8 matrix; through whole passes,
     # every applied matrix is the size of the list gate it comes from, and
     # no larger than the block it acts on
-    lifted = lift_extra_comm(build_named("quantum-otp", 2), check_input=False)
+    lifted = lift_extra_comm(build_named("quantum-otp", 2))
     shared = _shared_prefix(lifted.alice_ops)
     assert [t for _, t in lifted.alice_ops[0].gates[:shared]] == [
         (4, 6), (5, 7), (0, 1, 4), (2, 3, 5)]
@@ -244,7 +244,7 @@ def test_fused_gates_never_outsize_their_block(monkeypatch):
         ((256, 16), [0, 1, 4], (8, 8)), ((256, 16), [2, 3, 5], (8, 8))]
     for basis in (True, False):
         calls.clear()
-        protocols._verification_pass(lifted, basis)
+        verification_pass(lifted, basis)
         assert calls
         for ops, start, stop, _, applied in calls:
             gates = ops[0].gates[start:stop]
@@ -335,7 +335,7 @@ def _dense_lift_epr(p):
                                        ("teleportation", 1)])
 def test_lifted_operators_equal_dense_construction(lift, composed, builder, n):
     p = build_named(builder, n)
-    lifted = lift(p, check_input=False)
+    lifted = lift(p)
     alice, bob = composed(p)
     for op, want in zip(lifted.alice_ops + lifted.bob_ops, alice + bob):
         assert max_abs(dense(op) - want) <= TOL
@@ -402,7 +402,7 @@ def test_lifts_save_and_verify_from_the_file(n, size, peak_limit, tmp_path, caps
     # the quantum-otp 3 extra-communication lift: 64 keys of 12-wire sender
     # operators, whose dense form (2^30 entries) could not be saved; each
     # key's operators are a few gates over a table of six shared gates
-    lifted = lift_extra_comm(build_named("quantum-otp", n), check_input=False)
+    lifted = lift_extra_comm(build_named("quantum-otp", n))
     path = tmp_path / "lifted.json"
     tracemalloc.start()
     try:
@@ -433,5 +433,5 @@ def test_lifts_save_and_verify_from_the_file(n, size, peak_limit, tmp_path, caps
 
 def test_lift_sender_gates_are_shared_by_every_key():
     # two Bell preparations and two Pauli injections head every key's operation
-    lifted = lift_extra_comm(build_named("quantum-otp", 2), check_input=False)
+    lifted = lift_extra_comm(build_named("quantum-otp", 2))
     assert _shared_prefix(lifted.alice_ops) == 4

@@ -50,7 +50,6 @@ from pqclab.protocols import (
     resource_report,
     security_deviations,
     verify_correctness,
-    verify_security,
 )
 from pqclab.qmath import (
     Ket,
@@ -71,6 +70,7 @@ from oracles import (
     probes,
     run_cut,
     stage_runs,
+    verification_pass,
 )
 
 TOL = 1e-12
@@ -365,7 +365,7 @@ def test_security_and_correctness_run_one_sender_stage_per_run(monkeypatch):
     # report; runs cut at three keys partition the 16 keys in order
     p = build_quantum_otp(2)
     monkeypatch.setattr(protocols, "STACK_BYTES",
-                        run_cut(p, 3, lambda: protocols._verification_pass(p, False)))
+                        run_cut(p, 3, lambda: protocols._verification_pass(p)))
     stages = []
     real = protocols._stage
     monkeypatch.setattr(protocols, "_stage",
@@ -395,13 +395,14 @@ def _restricted(p, input_kind):
 
 
 def _values(p):
-    return security_deviations(p), verify_correctness(p), channel_on_units(p).tobytes()
+    return security_deviations(p), verify_correctness(p), protocols._verified(p)[0].tobytes()
 
 
 def test_interleaved_protocols_and_seeds_never_read_a_stale_pass():
     # interleaved protocols and input kinds; each kind is a kept object, the
     # protocol itself or a restriction that shares its gates, so a memo keyed
-    # by the object must still tell the basis pass from the full one
+    # by the object must still tell the basis pass from the full one; each
+    # object's table is that of its own kind's pass
     builders = {"haar": _haar_protocol, "broken-otp": lambda: build_named("broken-otp", 1)}
     kinds = {"own": None, "quantum": INPUT_QUANTUM, "basis": INPUT_CLASSICAL}
     # each value from a fresh protocol object, which no earlier pass holds
@@ -420,8 +421,8 @@ def test_interleaved_protocols_and_seeds_never_read_a_stale_pass():
         p = kept[(b, k)]
         assert security_deviations(p) == fresh[(b, k)][0], (b, k)
         assert verify_correctness(p) == fresh[(b, k)][1], (b, k)
-    for (b, _), p in kept.items():
-        assert channel_on_units(p).tobytes() == fresh[(b, "quantum")][2]
+    for (b, k), p in kept.items():
+        assert protocols._verified(p)[0].tobytes() == fresh[(b, k)][2], (b, k)
 
 
 def test_pass_tables_are_read_only():
@@ -459,7 +460,7 @@ def test_audit_reads_the_input_check_from_the_cli_pass(monkeypatch):
     passes = []
     real = protocols._verification_pass
     monkeypatch.setattr(protocols, "_verification_pass",
-                        lambda p, basis: passes.append(p.name) or real(p, basis))
+                        lambda p: passes.append(p.name) or real(p))
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["audit", "quantum-otp", "--n", "1"]) == 0
     assert passes.count("quantum-otp") == 1
@@ -500,10 +501,10 @@ def assert_pass_equals_the_per_key_sum(p, basis):
     keys = p.key_count
     reference, ref_correctness = per_key_pass(p, basis)
     for per_run in sorted({1, 2, 3, keys}):
-        cut = run_cut(p, per_run, lambda: protocols._verification_pass(p, basis))
+        cut = run_cut(p, per_run, lambda: verification_pass(p, basis))
         with mock.patch.object(protocols, "STACK_BYTES", cut):
             (table, correctness), runs, _ = stage_runs(
-                lambda: protocols._verification_pass(p, basis))
+                lambda: verification_pass(p, basis))
         assert_runs_cut(runs, keys, per_run)
         assert max_abs(table - reference) <= TOL, (per_run, basis)
         assert abs(correctness - ref_correctness) <= TOL, (per_run, basis)
@@ -537,7 +538,7 @@ def assert_bound_equals_the_per_key_form(p):
         with mock.patch.object(protocols, "STACK_BYTES", 4 * per_run * block_bytes), \
                 mock.patch.object(protocols, "_correctness_bound", lambda block, *args: (
                     sizes.append(len(block)) or bound(block, *args))):
-            correctness = protocols._verification_pass(p, False)[1]
+            correctness = verification_pass(p, False)[1]
         assert sizes == [per_run] * (keys // per_run) + [keys % per_run] * (
             keys % per_run > 0), (per_run, sizes)
         assert correctness == reference, (per_run, correctness, reference)
@@ -617,7 +618,7 @@ def test_run_stacked_pass_equals_the_per_key_pass(drawn):
     # cut at one, two and three keys, both passes still equal the per-key pass
     p, keys = drawn
     for basis in (True, False):
-        runs = stage_runs(lambda: protocols._verification_pass(p, basis))[1]
+        runs = stage_runs(lambda: verification_pass(p, basis))[1]
         assert [[keys[k] for k in run] for run in runs] == [
             list(group) for _, group in itertools.groupby(keys)]
         assert_pass_equals_the_per_key_sum(p, basis)
@@ -633,7 +634,7 @@ def lifted(draw):
     that only the shared Pauli injection reads."""
     p = dataclasses.replace(draw(st.one_of(pauli_keyed(), haar_keyed())),
                             input_kind=INPUT_QUANTUM)
-    return draw(st.sampled_from((lift_extra_comm, lift_extra_epr)))(p, check_input=False)
+    return draw(st.sampled_from((lift_extra_comm, lift_extra_epr)))(p)
 
 
 def _control_prefixed(n, targets, gates, keys, probs, message_kind, bob_ancillas, touch_last):
@@ -689,7 +690,7 @@ def _folded_columns(p):
     foldable = protocols._foldable
     with mock.patch.object(protocols, "_foldable",
                            lambda *args: calls.append(foldable(*args)) or calls[-1]):
-        protocols._verification_pass(p, True)
+        protocols._verification_pass(p)
     early, = calls
     return len(early)
 
@@ -717,7 +718,7 @@ def test_a_controlled_h_onto_an_ancilla_pass_equals_the_per_key_sum():
 
 
 def _lifts(builder, n):
-    return [lambda lift=lift: lift(build_named(builder, n), check_input=False)
+    return [lambda lift=lift: lift(build_named(builder, n))
             for lift in (lift_extra_comm, lift_extra_epr)]
 
 
@@ -819,8 +820,8 @@ def test_only_exactly_block_diagonal_controls_fold_before_the_prefix(drawn):
 def test_the_shared_head_is_read_only(monkeypatch):
     # every run's stage starts from the one head block, so a stage that
     # wrote into it would change the runs after it; runs of one key here
-    p = lift_extra_comm(build_quantum_otp(1), False)
-    cuts = {basis: run_cut(p, 1, lambda: protocols._verification_pass(p, basis))
+    p = lift_extra_comm(build_quantum_otp(1))
+    cuts = {basis: run_cut(p, 1, lambda: verification_pass(p, basis))
             for basis in (True, False)}
     heads = []
     real = protocols._stage
@@ -828,7 +829,7 @@ def test_the_shared_head_is_read_only(monkeypatch):
                         lambda p, head, *args: heads.append(head) or real(p, head, *args))
     for basis in (True, False):
         monkeypatch.setattr(protocols, "STACK_BYTES", cuts[basis])
-        protocols._verification_pass(p, basis)
+        verification_pass(p, basis)
     assert len(heads) == 2 * p.key_count
     assert heads[0] is heads[p.key_count - 1] and heads[p.key_count] is heads[-1]
     assert not any(head.flags.writeable for head in heads)
@@ -848,21 +849,21 @@ def _traced_peak(run):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: lift_extra_comm(build_named("teleportation", 2), check_input=False),
+    lambda: lift_extra_comm(build_named("teleportation", 2)),
     lambda: build_named("superdense", 6),
 ], ids=["lift-comm-teleportation-2", "superdense-6"])
 def test_control_only_inputs_fold_before_the_prefix_allocates(build):
     # their prefix runs on the head without its input wires: 4096 x 16 for
     # the lift and 64 x 64 for superdense 6, not 65,536 x 16 and 4096 x 64
     p = build()
-    assert _traced_peak(lambda: protocols._verification_pass(p, True)) <= 8 * 2 ** 20
+    assert _traced_peak(lambda: protocols._verification_pass(p)) <= 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("build, basis, stacked", [
-    (lambda: lift_extra_comm(build_quantum_otp(3), check_input=False), True, True),
-    (lambda: lift_extra_comm(build_named("teleportation", 2), check_input=False), True, False),
-    (lambda: lift_extra_epr(build_named("teleportation", 2), check_input=False), True, False),
-    (lambda: lift_extra_comm(build_quantum_otp(2), check_input=False), True, True),
+    (lambda: lift_extra_comm(build_quantum_otp(3)), True, True),
+    (lambda: lift_extra_comm(build_named("teleportation", 2)), True, False),
+    (lambda: lift_extra_epr(build_named("teleportation", 2)), True, False),
+    (lambda: lift_extra_comm(build_quantum_otp(2)), True, True),
     (lambda: build_quantum_otp(4), False, True),
 ], ids=["lift-comm-quantum-otp-3", "lift-comm-teleportation-2",
         "lift-epr-teleportation-2", "lift-comm-quantum-otp-2", "quantum-otp-4"])
@@ -875,23 +876,23 @@ def test_stacked_pass_peak_is_the_per_key_sums_plus_two_stacks(build, basis, sta
     # the only extra arrays
     p = build()
     reference = _traced_peak(lambda: per_key_pass(p, basis))
-    peak = _traced_peak(lambda: protocols._verification_pass(p, basis))
+    peak = _traced_peak(lambda: verification_pass(p, basis))
     assert peak <= reference + 2 * protocols.STACK_BYTES, (peak, reference)
-    factor = _factor_bytes(lambda: protocols._verification_pass(p, basis))
+    factor = _factor_bytes(lambda: verification_pass(p, basis))
     assert (2 * factor <= protocols.STACK_BYTES and p.key_count > 1) == stacked, factor
 
 
 @pytest.mark.parametrize("build, basis, mib", [
     (lambda: build_quantum_otp(4), False, 5.25),
-    (lambda: lift_extra_comm(build_quantum_otp(3), check_input=False), True, 12.25),
-    (lambda: lift_extra_epr(build_quantum_otp(3), check_input=False), True, 8.5),
+    (lambda: lift_extra_comm(build_quantum_otp(3)), True, 12.25),
+    (lambda: lift_extra_epr(build_quantum_otp(3)), True, 8.5),
 ], ids=["quantum-otp-4", "lift-comm-quantum-otp-3", "lift-epr-quantum-otp-3"])
 def test_pass_peaks_of_the_benchmark_peak_rows(build, basis, mib):
     # the passes that set the benchmark's peak RSS, pinned at their traced
     # peaks when each key ran alone (5.03, 12.13 and 8.27 MiB), rounded up:
     # runs are cut so that the stage's arrays fit in STACK_BYTES
     p = build()
-    assert _traced_peak(lambda: protocols._verification_pass(p, basis)) <= mib * 2 ** 20
+    assert _traced_peak(lambda: verification_pass(p, basis)) <= mib * 2 ** 20
 
 
 #: the builders and audit lifts with classical input and a classical message,
@@ -899,7 +900,7 @@ def test_pass_peaks_of_the_benchmark_peak_rows(build, basis, mib):
 #: passes that add only their table's diagonal
 DIAGONAL_PASSES = [build_named(b, n) for b, top in (
     ("classical-otp", 4), ("epr-otp", 3), ("identity-leaky", 6)) for n in range(1, top + 1)] + [
-    lift_extra_epr(build_named(b, n), check_input=False)
+    lift_extra_epr(build_named(b, n))
     for b in ("teleportation", "broken-teleportation") for n in (1, 2)]
 
 
@@ -954,18 +955,19 @@ def test_a_classical_message_state_takes_no_eigensolve(build, monkeypatch):
     assert calls == []
 
 
-def test_channel_on_units_keeps_a_classical_input_protocols_pass(monkeypatch):
-    # the every-input table of a classical-input protocol runs outside the
-    # one-slot memo, so the protocol's own basis pass stays held
+def test_channel_on_units_refuses_a_classical_input_protocol(monkeypatch):
+    # the table of every input is a quantum-input protocol's own pass; a
+    # classical-input protocol is refused before any pass runs, and its
+    # quantum twin reads its own pass through the memo
     p = build_classical_otp(2)
     passes = []
     real = protocols._verification_pass
     monkeypatch.setattr(protocols, "_verification_pass",
-                        lambda p, basis: passes.append(basis) or real(p, basis))
-    verify_security(p)
-    held = protocols._verified(p)
-    channel_on_units(p)
-    channel_on_units(p)
-    assert protocols._verified(p) is held
-    verify_security(p)
-    assert passes == [True, False, False]
+                        lambda p: passes.append(p.input_kind) or real(p))
+    with pytest.raises(ValueError, match=r'replace\(p, input_kind="quantum"\)'):
+        channel_on_units(p)
+    assert passes == []
+    twin = dataclasses.replace(p, input_kind=INPUT_QUANTUM)
+    assert channel_on_units(twin) is channel_on_units(twin)
+    assert channel_on_units(twin).tobytes() == verification_pass(p, False)[0].tobytes()
+    assert passes == [INPUT_QUANTUM, INPUT_QUANTUM]

@@ -48,6 +48,7 @@ from pqclab.qmath import (
     partial_trace,
     trace_distance,
 )
+from pqclab.reductions import teleportation_rsp
 
 from oracles import (
     alice_stage,
@@ -630,3 +631,12 @@ def test_channel_protocol_wires_and_counts_are_integers(field, value):
 def test_shared_resource_split_is_an_integer(value):
     with pytest.raises(ValueError, match="alice_subsystems must be an integer"):
         SharedResource(psi_ab=epr_block(1), alice_subsystems=value)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True])
+@pytest.mark.parametrize("build", [*PROTOCOL_BUILDERS.values(), teleportation_rsp],
+                         ids=[*PROTOCOL_BUILDERS, "teleportation-rsp"])
+def test_builders_refuse_a_non_integer_size(build, value):
+    # a float would reach the load rule's shift, and True would read as 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        build(value)

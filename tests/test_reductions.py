@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqclab import reductions
+from pqclab import protocols, reductions
 from pqclab.entropy import ProbabilityDist, entanglement_measure, shannon_entropy
 from pqclab.protocols import (
+    INPUT_CLASSICAL,
     INPUT_QUANTUM,
     PROTOCOL_BUILDERS,
     GateList,
@@ -106,29 +107,48 @@ def _quantum_identity_protocol():
         message_subsystems=(0,), output_subsystems=(0,))
 
 
-def test_lift_of_insecure_protocol_is_flagged():
+def _spy_passes(monkeypatch):
+    """The names of the protocols whose verification pass runs from now on."""
+    passes = []
+    real = protocols._verification_pass
+    monkeypatch.setattr(protocols, "_verification_pass",
+                        lambda p: passes.append(p.name) or real(p))
+    return passes
+
+
+def test_lift_of_insecure_protocol_is_flagged(monkeypatch):
+    # the audit refuses the insecure input before it builds any lift; the
+    # lift itself only builds, and the protocol it builds fails its own check
     insecure = _quantum_identity_protocol()
+    built = []
+    monkeypatch.setattr(reductions, "lift_extra_comm",
+                        lambda p: built.append(p) or lift_extra_comm(p))
     with pytest.raises(ProtocolVerificationError):
-        lift_extra_comm(insecure)
-    # escape hatch: construct anyway, then the output fails its own check
-    lifted = lift_extra_comm(insecure, check_input=False)
+        audit_quantum_input(insecure)
+    assert built == []
+    lifted = lift_extra_comm(insecure)
     assert verify_security(lifted) > 0.2
     assert verify_correctness(lifted) <= 1e-9
 
 
 @pytest.mark.parametrize("lift", [lift_extra_comm, lift_extra_epr])
-def test_lift_input_check_reads_algebra_tol(monkeypatch, lift):
-    # the lifts check their input against reductions.ALGEBRA_TOL as it is
-    # when called: broken-otp's security deviation of 0.5 passes under a
-    # tolerance of 1, and quantum-otp's 0.0 fails under a negative one
-    broken = build_named("broken-otp", 1)
-    with pytest.raises(ProtocolVerificationError):
-        lift(broken)
-    monkeypatch.setattr(reductions, "ALGEBRA_TOL", 1.0)
-    assert lift(broken).input_qubits == 2
-    monkeypatch.setattr(reductions, "ALGEBRA_TOL", -1.0)
-    with pytest.raises(ProtocolVerificationError):
-        lift(build_quantum_otp(1))
+@pytest.mark.parametrize("name", ["quantum-otp", "broken-otp"])
+def test_lifts_only_build(monkeypatch, lift, name):
+    # a lift runs no verification pass, on its input or on its output, so it
+    # builds from a broken protocol as from a verified one
+    passes = _spy_passes(monkeypatch)
+    assert lift(build_named(name, 1)).input_qubits == 2
+    assert passes == []
+
+
+def test_audit_runs_one_pass_per_lift_after_verification(monkeypatch):
+    # the audit's input check reads the pass that verify_security left in
+    # the memo; each lift it builds then runs its own pass, once
+    p = build_teleportation(1)
+    verify_security(p)
+    passes = _spy_passes(monkeypatch)
+    audit_quantum_input(p)
+    assert passes == ["teleportation-lift-extra-comm", "teleportation-lift-extra-epr"]
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +215,8 @@ def test_audit_classical_protocols_saturate():
 def test_audit_classical_input_on_teleportation_restriction():
     # one classical bit through the quantum channel: communication entropy 2
     # against a bound of 1, entanglement 1 against a bound of 1
-    audits = audits_by_name(audit_classical_input(build_teleportation(1)))
+    basis = dataclasses.replace(build_teleportation(1), input_kind=INPUT_CLASSICAL)
+    audits = audits_by_name(audit_classical_input(basis))
     assert audits["comm_entropy"].measured == pytest.approx(2.0, abs=1e-9)
     assert audits["comm_entropy"].bound == 1.0
     assert audits["entanglement"].measured == pytest.approx(1.0, abs=1e-9)
@@ -229,14 +250,20 @@ def test_audit_rejects_unverified_protocol():
         audit_quantum_input(build_named("broken-otp", 1))
 
 
-def test_audit_wrong_input_kind():
-    with pytest.raises(ValueError):
+def test_audit_wrong_input_kind(monkeypatch):
+    # each audit refuses the other input kind before it runs any pass
+    passes = _spy_passes(monkeypatch)
+    with pytest.raises(ValueError, match="quantum-input audit"):
         audit_quantum_input(build_classical_otp(1))
+    with pytest.raises(ValueError, match="classical-input audit"):
+        audit_classical_input(build_quantum_otp(1))
+    assert passes == []
 
 
 def test_audit_classical_input_accepts_quantum_restriction():
     # restricting a quantum-input pad to basis states gives the weaker bounds
-    audits = audits_by_name(audit_classical_input(build_quantum_otp(1)))
+    basis = dataclasses.replace(build_quantum_otp(1), input_kind=INPUT_CLASSICAL)
+    audits = audits_by_name(audit_classical_input(basis))
     assert audits["key_entropy"].bound == 1.0
     assert audits["key_entropy"].measured == pytest.approx(2.0, abs=1e-9)
     assert all(a.satisfied for a in audits.values())
