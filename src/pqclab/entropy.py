@@ -44,8 +44,10 @@ class ProbabilityDist:
             raise ValueError("probabilities must be finite")
         if probs.min(initial=0.0) < -1e-12:
             raise ValueError("probabilities must be nonnegative")
-        if abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {probs.sum()}, expected 1")
+        with np.errstate(over="ignore"):  # huge finite entries sum to inf
+            total = float(probs.sum())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"probabilities sum to {total}, expected 1")
         probs = np.clip(probs, 0.0, None)
         probs.setflags(write=False)
         object.__setattr__(self, "outcomes", outcomes)

@@ -61,7 +61,7 @@ class SystemLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_integer(d, "subsystem dimension") for d in self.dims)
         if not dims:
             raise ValueError("layout needs at least one subsystem")
         if any(d < 2 for d in dims):
@@ -70,7 +70,7 @@ class SystemLayout:
 
     @classmethod
     def qubits(cls, n: int) -> "SystemLayout":
-        if n < 1:
+        if _integer(n, "qubit count") < 1:
             raise ValueError("need at least one qubit")
         return cls((2,) * n)
 
@@ -110,7 +110,8 @@ class Ket:
 
     def __post_init__(self):
         amps = _frozen_array(self.amplitudes, shape=(self.layout.dim,))
-        norm = float(np.linalg.norm(amps))
+        with np.errstate(over="ignore"):  # a huge finite amplitude is refused as norm inf
+            norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > 1e-8:
             raise ValueError(f"ket is not normalized (norm {norm})")
         object.__setattr__(self, "amplitudes", amps)
@@ -183,8 +184,9 @@ class UnitaryOp:
         mat = _frozen_array(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"unitary must be square, got shape {mat.shape}")
-        d = mat.shape[0]
-        if max_abs(mat.conj().T @ mat - np.eye(d)) > UNITARY_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge finite entry reads inf
+            deviation = max_abs(mat.conj().T @ mat - np.eye(mat.shape[0]))
+        if deviation > UNITARY_TOL:
             raise ValueError("matrix is not unitary")
         object.__setattr__(self, "matrix", mat)
 
@@ -291,62 +293,6 @@ def partial_trace(state: DensityOp, keep: Iterable[int]) -> DensityOp:
 
 
 # ---------------------------------------------------------------------------
-# spectral helpers
-
-
-def phase_fix_columns(mat: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first entry of magnitude > 1e-8 is real positive."""
-    out = np.array(mat, dtype=complex)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-8)
-        if nz.size:
-            pivot = col[nz[0]]
-            out[:, j] = col * (pivot.conj() / abs(pivot))
-    return out
-
-
-def eigh_descending(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition, eigenvalues descending, phases canonicalized.
-
-    Deterministic for identical input bits; stable sort keeps LAPACK's
-    ordering inside degenerate clusters.
-    """
-    vals, vecs = np.linalg.eigh(matrix)
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], phase_fix_columns(vecs[:, order])
-
-
-def complete_orthonormal_basis(columns: np.ndarray) -> np.ndarray:
-    """Deterministically extend orthonormal columns to a full unitary."""
-    d, r = columns.shape
-    basis = [columns[:, j] for j in range(r)]
-    for i in range(d):
-        if len(basis) == d:
-            break
-        v = np.eye(1, d, i, dtype=complex)[0]
-        for b in basis:
-            v = v - b * (b.conj() @ v)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-6:
-            basis.append(v / norm)
-    if len(basis) != d:
-        raise ValueError("could not complete basis; input columns not orthonormal?")
-    return np.column_stack(basis)
-
-
-def _orthonormalize(columns: list[np.ndarray]) -> list[np.ndarray]:
-    # modified Gram-Schmidt; inputs are already near-orthonormal
-    out: list[np.ndarray] = []
-    for v in columns:
-        w = np.array(v, dtype=complex)
-        for b in out:
-            w = w - b * (b.conj() @ w)
-        out.append(w / np.linalg.norm(w))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # decomposition and comparison
 
 
@@ -364,8 +310,7 @@ def schmidt_decompose(psi: Ket, cut: Iterable[int]) -> tuple[np.ndarray, list[Ke
     if not left or not right:
         raise ValueError("cut must split the layout into two nonempty groups")
     dims = psi.layout.dims
-    d_l = int(np.prod([dims[i] for i in left]))
-    m = psi.amplitudes.reshape(dims).transpose(left + right).reshape(d_l, -1)
+    m = kept_factor(psi.amplitudes, dims, left)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     keep = s > math.sqrt(EIGENVALUE_CLIP)
     u, s, vh = u[:, keep], s[keep], vh[keep, :]
@@ -379,19 +324,15 @@ def schmidt_decompose(psi: Ket, cut: Iterable[int]) -> tuple[np.ndarray, list[Ke
 def purify(rho: DensityOp) -> Ket:
     """Canonical purification on (reference ⊗ original).
 
-    The reference is a single subsystem of the same dimension; the
-    construction uses the descending eigendecomposition, so the Schmidt
-    coefficients are the square roots of the eigenvalues.
+    The reference is a single subsystem of the same dimension; its basis
+    state i carries the i-th eigenvector of rho, eigenvalues descending, so
+    the Schmidt coefficients are the square roots of the eigenvalues above
+    :data:`EIGENVALUE_CLIP`.  No eigenvector phase is fixed.
     """
-    vals, vecs = eigh_descending(rho.matrix)
-    d = rho.dim
-    amps = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        if vals[i] > EIGENVALUE_CLIP:
-            ref = np.zeros(d, dtype=complex)
-            ref[i] = 1.0
-            amps += math.sqrt(vals[i]) * np.kron(ref, vecs[:, i])
-    layout = SystemLayout((d,) + rho.layout.dims)
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    weights = np.sqrt(np.where(vals > EIGENVALUE_CLIP, vals, 0.0))[::-1]
+    amps = (vecs[:, ::-1] * weights).T.reshape(-1)
+    layout = SystemLayout((rho.dim,) + rho.layout.dims)
     return Ket(layout, amps / np.linalg.norm(amps))
 
 
@@ -400,41 +341,22 @@ def local_transition(phi1: Ket, phi2: Ket, cut: Iterable[int]) -> UnitaryOp:
 
     Both states must reduce to the same operator on the second group, to
     1e-8 entrywise (be purifications of one state); else ValueError is raised.
-    Degenerate spectra are handled by expanding both states over one shared
-    eigenbasis of that reduction.
+    With M the state as a first-group × second-group matrix, U is the
+    orthogonal Procrustes solution: the unitary polar factor W V† of the SVD
+    M2 M1† = W Σ V†.  No Schmidt weight is cut, however small.
     """
     if phi1.layout.dims != phi2.layout.dims:
         raise ValueError("states must share a layout")
     left = list(phi1.layout.check_subsystems(cut))
-    right = [i for i in range(len(phi1.layout)) if i not in left]
-    if not left or not right:
+    if not left or len(left) == len(phi1.layout):
         raise ValueError("cut must split the layout into two nonempty groups")
-    dims = phi1.layout.dims
-    d_l = int(np.prod([dims[i] for i in left]))
-
-    rho1 = reduced_from_vector(phi1.amplitudes, dims, right)
-    rho2 = reduced_from_vector(phi2.amplitudes, dims, right)
-    if max_abs(rho1 - rho2) > 1e-8:
+    m1, m2 = (kept_factor(phi.amplitudes, phi1.layout.dims, left) for phi in (phi1, phi2))
+    if max_abs(m1.T @ m1.conj() - m2.T @ m2.conj()) > 1e-8:
         raise ValueError(
             "reductions over the first group differ; the states do not purify "
             "the same operator")
-
-    vals, vecs = eigh_descending((rho1 + rho2) / 2.0)
-
-    def left_vectors(phi: Ket) -> list[np.ndarray]:
-        m = phi.amplitudes.reshape(dims).transpose(left + right).reshape(d_l, -1)
-        cols = []
-        for j in range(vals.size):
-            if vals[j] > EIGENVALUE_CLIP:
-                g = m @ vecs[:, j].conj()
-                cols.append(g / np.linalg.norm(g))
-        return cols
-
-    h1 = _orthonormalize(left_vectors(phi1))
-    h2 = _orthonormalize(left_vectors(phi2))
-    b1 = complete_orthonormal_basis(np.column_stack(h1))
-    b2 = complete_orthonormal_basis(np.column_stack(h2))
-    return UnitaryOp(b2 @ b1.conj().T)
+    w, _, vh = np.linalg.svd(m2 @ m1.conj().T)
+    return UnitaryOp(w @ vh)
 
 
 def pauli_string(symbols: str) -> UnitaryOp:

@@ -21,7 +21,6 @@ from .qmath import (
     Ket,
     UnitaryOp,
     _integer,
-    complete_orthonormal_basis,
     kept_factor,
 )
 from .protocols import (
@@ -450,7 +449,8 @@ def rsp_to_pqc(rsp: ObliviousRsp) -> ChannelProtocol:
     for r, m in zip(residues, keep_keys):
         gates = []
         if q_r:
-            prep = complete_orthonormal_basis(r[:, None] / np.linalg.norm(r))
+            # Q's first column is the normalised residue up to a sign
+            prep = np.linalg.qr(np.column_stack([r / np.linalg.norm(r), np.eye(r.size)]))[0]
             gates.append((prep, tuple(range(n, a_reg))))
         correction_wires = tuple(pos_to_wire[pos] for pos in range(bob_reg))
         gates.append((rsp.corrections[m].matrix.conj().T, correction_wires))

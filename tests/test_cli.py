@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -611,23 +612,23 @@ def test_verify_deeply_nested_descriptor_refused(tmp_path, capsys):
     assert "nests too deeply" in err
 
 
-def _nan_first(key, *path):
-    """Set the real part of the first [re, im] pair under data[key][path...] to NaN."""
+def _set_first(value, key, *path):
+    """Set the real part of the first [re, im] pair under data[key][path...] to ``value``."""
     def edit(data):
         entry = data[key]
         for step in path:
             entry = entry[step]
         while isinstance(entry[0], list):
             entry = entry[0]
-        entry[0] = math.nan
+        entry[0] = value
         return data
     return edit
 
 
 @pytest.mark.parametrize("build,edit", [
-    (build_quantum_otp, _nan_first("resource", "key_probs")),
-    (build_quantum_otp, _nan_first("gates")),
-    (build_teleportation, _nan_first("resource", "state_amplitudes")),
+    (build_quantum_otp, _set_first(math.nan, "resource", "key_probs")),
+    (build_quantum_otp, _set_first(math.nan, "gates")),
+    (build_teleportation, _set_first(math.nan, "resource", "state_amplitudes")),
 ], ids=["nan-key-prob", "nan-op-entry", "nan-state-amplitude"])
 def test_verify_non_finite_descriptor_refused(tmp_path, capsys, build, edit):
     code = main(["verify", str(_descriptor(tmp_path, edit, build))])
@@ -635,6 +636,25 @@ def test_verify_non_finite_descriptor_refused(tmp_path, capsys, build, edit):
     assert code == 2
     assert out == ""
     assert "error: malformed protocol file" in err
+
+
+@pytest.mark.parametrize("build,edit,message", [
+    (build_quantum_otp, lambda data: {**data, "resource": {
+        **data["resource"], "key_probs": [1.7e308, 1.7e308, 0, 0]}},
+     "probabilities sum to inf, expected 1"),
+    (build_quantum_otp, _set_first(1e308, "gates"), "matrix is not unitary"),
+    (build_teleportation, _set_first(1e308, "resource", "state_amplitudes"),
+     "ket is not normalized (norm inf)"),
+], ids=["huge-key-probs", "huge-op-entry", "huge-state-amplitude"])
+def test_verify_huge_finite_entry_refused_with_one_line(tmp_path, capsys, build, edit, message):
+    # numpy overflows on the way to inf; no RuntimeWarning reaches stderr
+    path = _descriptor(tmp_path, edit, build)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["verify", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out, caught) == (2, "", [])
+    assert err == f"error: malformed protocol file '{path}': {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,24 @@ def test_local_transition_random_purifications():
             assert ray_deviation(apply_to_ket(phi1, u.matrix, [0]), phi2) < 1e-8
 
 
+@pytest.mark.parametrize("weight", [1e-12, 1e-13, 1e-14, 0.0])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_local_transition_keeps_near_zero_schmidt_weights(d, weight):
+    """Purifications a·√Λ·bᵀ and c·√Λ·bᵀ (Haar a, b, c) with one Schmidt
+    weight λ at or near 0: the unitary maps one onto the other within 1e-8.
+    Cutting λ ≤ 1e-12 as zero would miss by up to 2e-6.  Weights near 1e-16
+    are not tested: M2 M1† squares the weights, and the polar factor there
+    reads up to about 2e-8."""
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        lam = np.append(rng.dirichlet(np.ones(d - 1)) * (1 - weight), weight)
+        a, b, c = (haar_unitary(d, rng).matrix for _ in range(3))
+        phi1, phi2 = (Ket(SystemLayout((d, d)), ((x * np.sqrt(lam)) @ b.T).reshape(-1))
+                      for x in (a, c))
+        u = local_transition(phi1, phi2, cut=[0])
+        assert ray_deviation(apply_to_ket(phi1, u.matrix, [0]), phi2) < 1e-8
+
+
 def test_local_transition_rejects_different_reductions():
     rng = np.random.default_rng(23)
     phi1 = haar_ket(SystemLayout.qubits(2), rng)
@@ -500,6 +518,22 @@ def test_value_types_reject_non_finite_entries(bad):
 def test_layout_validation():
     with pytest.raises(ValueError):
         SystemLayout((2, 1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SystemLayout((2.9, 2)),
+    lambda: SystemLayout(("3",)),
+    lambda: SystemLayout((True, 2)),
+    lambda: SystemLayout.qubits(2.0),
+    lambda: SystemLayout.qubits("2"),
+    lambda: SystemLayout.qubits(True),
+], ids=["float-dim", "string-dim", "bool-dim", "float-n", "string-n", "bool-n"])
+def test_layout_counts_are_integers(build):
+    # int() would read 2.9 as 2 and "3" as 3
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+    assert SystemLayout((np.int64(2), 3)).dims == (2, 3)
+    assert SystemLayout.qubits(np.int64(2)).dims == (2, 2)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 12])

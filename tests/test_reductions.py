@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pqclab import protocols, reductions
 from pqclab.entropy import ProbabilityDist, entanglement_measure, shannon_entropy
 from pqclab.protocols import (
+    HADAMARD,
     INPUT_CLASSICAL,
     INPUT_QUANTUM,
     PROTOCOL_BUILDERS,
@@ -431,15 +432,17 @@ def test_rsp_derived_channel_meets_the_paper_bounds(n):
     assert entanglement_measure(rsp.psi_ab, range(n)) == pytest.approx(n, abs=1e-9)
 
 
-def residue_rsp(theta: float) -> ObliviousRsp:
-    """teleportation_rsp(1) with a second shared pair cos θ|00> + sin θ|11>
-    that no gate touches: the sender reads her half out with the rest, and
-    the receiver's half is a residue wire holding the bit she read."""
+def residue_rsp(theta: float, superposed: bool = False) -> ObliviousRsp:
+    """teleportation_rsp(1) with a second shared pair cos θ|00> + sin θ|11>:
+    the sender reads her half out with the rest, and the receiver's half is
+    a residue wire holding the bit she read.  ``superposed``: she applies a
+    Hadamard to her half first, so the residue is cos θ|0> ± sin θ|1>."""
     good = teleportation_rsp(1)
     pair = Ket(SystemLayout.qubits(2), np.array([math.cos(theta), 0, 0, math.sin(theta)]))
+    readout = [*good.measurement.gates, *([(HADAMARD, (2,))] if superposed else [])]
     return ObliviousRsp(
         n=1, psi_ab=good.psi_ab.tensor(pair).permute((0, 2, 1, 3)), alice_subsystems=2,
-        measurement=GateList(3, good.measurement.gates),
+        measurement=GateList(3, readout),
         corrections=tuple(UnitaryOp(np.kron(c.matrix, np.eye(2)))
                           for c in good.corrections for _ in range(2)),
         bob_ancillas=0, output_subsystems=(0,))
@@ -471,6 +474,29 @@ def test_rsp_residue_is_prepared_on_its_own_wires():
     # the residue is pure, so the sender prepares it on its one wire, with
     # no purification reference beside it
     assert rsp_to_pqc(residue_rsp(0.3)).alice_ancillas == 1
+
+
+def test_rsp_with_a_superposed_residue_prepares_it():
+    # the one residue that is not a basis state: on readout bit a of the
+    # pair, cos θ|0> + (-1)^a sin θ|1>, each a with probability 1/2, so the
+    # key is 3 uniform bits and the message carries 1 + h(cos^2 θ)
+    theta = 0.4
+    c2 = math.cos(theta) ** 2
+    h = -c2 * math.log2(c2) - (1 - c2) * math.log2(1 - c2)
+    rsp = residue_rsp(theta, superposed=True)
+    assert [deviation for deviation, _ in check_obliviousness(rsp).values()] == [0.0] * 4
+    pqc = rsp_to_pqc(rsp)
+    assert (pqc.key_count, pqc.alice_ancillas) == (8, 1)
+    assert max(security_deviations(pqc).values()) <= 1e-12
+    assert verify_correctness(pqc) <= 1e-12
+    report = resource_report(pqc)
+    assert report.key_entropy == pytest.approx(3.0, abs=1e-12)
+    assert report.comm == pytest.approx(1 + h, abs=1e-12) and report.comm == pytest.approx(1.6139457)
+    for label, ops in zip(pqc.resource.key_source.outcomes, pqc.alice_ops):
+        prep, wires = ops.gates[0]
+        residue = np.array([math.cos(theta), (-1) ** (int(label) % 2) * math.sin(theta)])
+        # the prep gate's first column is the residue up to a global phase
+        assert wires == (1,) and abs(abs(np.vdot(residue, prep.matrix[:, 0])) - 1) <= 1e-12
 
 
 def test_rsp_output_wires_are_distinct():
