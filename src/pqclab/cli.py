@@ -142,16 +142,14 @@ def cmd_audit(cfg: RunConfig, name_or_path: str, n: int) -> tuple[dict, int]:
 
 
 def _worst_samples(chunks) -> dict[str, tuple[float, int, np.ndarray]]:
-    """Per inequality, the worst slack (the largest chain-rule residual) over
-    the stacked 3-qubit chunks, and the first sample index and matrix with it."""
+    """Per inequality, the least slack over the stacked 3-qubit chunks, and the
+    first sample index and matrix with it."""
     worst: dict[str, tuple[float, int, np.ndarray]] = {}
     start = 0
     for stack in chunks:
         for name, slacks in stack_slacks(stack, [2, 2, 2], (0,), (1,), (2,)).items():
-            residual = name == "chain_rule"
-            i = int(np.argmax(slacks) if residual else np.argmin(slacks))
-            entry = worst.get(name)
-            if entry is None or (slacks[i] > entry[0] if residual else slacks[i] < entry[0]):
+            i = int(np.argmin(slacks))
+            if name not in worst or slacks[i] < worst[name][0]:
                 worst[name] = (float(slacks[i]), start + i, stack[i].copy())
         start += len(stack)
     return worst
@@ -170,17 +168,16 @@ def cmd_inequalities(cfg: RunConfig) -> tuple[dict, int]:
     cross_dev = float(stack_cross_check(random_density_matrix(4, rng, count=cross_samples)).max())
 
     report["inequalities"] = [
-        {("max_residual" if name == "chain_rule" else "min_slack"): slack, "name": name,
-         "witness": {"dims": [2, 2, 2], "matrix": matrix_to_json(matrix)}}
+        {**({"max_residual": -slack} if name == "chain_rule" else {"min_slack": slack}),
+         "name": name, "witness": {"dims": [2, 2, 2], "matrix": matrix_to_json(matrix)}}
         for name, (slack, _, matrix) in sorted(worst.items())]
     report["cross_check"] = {
         "name": "mutual_info_equals_relative_entropy_to_marginals",
         "samples": cross_samples,
         "max_deviation": cross_dev,
     }
-    passed = all(
-        (slack <= cfg.entropy_tol if name == "chain_rule" else slack >= -cfg.entropy_tol)
-        for name, (slack, _, _) in worst.items()) and cross_dev <= cfg.entropy_tol
+    passed = (all(slack >= -cfg.entropy_tol for slack, _, _ in worst.values())
+              and cross_dev <= cfg.entropy_tol)
     report["pass"] = passed
     return report, 0 if passed else 1
 

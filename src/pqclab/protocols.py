@@ -655,8 +655,9 @@ def require_desk_scale(p: ChannelProtocol):
     """Reject protocols whose load on the engine register is beyond desk scale;
     for quantum input, also the eigensolve of its Choi matrix, of side
     N = d x message dimension (d = 2^input); for classical input, its d basis
-    wire states of dm^2 amplitudes (dm the message dimension) and their d
-    decoded outputs of d^2 amplitudes."""
+    wire states of dm^2 amplitudes (dm the message dimension), and d^3, which
+    caps d, the basis pass's column count, at 64: the engine load counts one
+    column per key, so it does not bound d."""
     require_load(p.name, p.key_count, p.engine_qubits)
     n, m = p.input_qubits, p.message_qubits
     if p.input_kind == INPUT_QUANTUM:

@@ -203,7 +203,7 @@ def test_inequalities_sweep(capsys):
 # the stacked sweep against the one-state-at-a-time loop it replaced
 
 
-def per_sample_inequalities_report(seed, samples):
+def per_sample_inequalities_report(seed, samples, entropy_tol=ENTROPY_TOL):
     """The inequalities report minus timestamp, from one check per sample."""
     rng = np.random.default_rng(seed)
     layout = SystemLayout.qubits(3)
@@ -214,11 +214,7 @@ def per_sample_inequalities_report(seed, samples):
         found += check_correlation_bounds(rho, (0,), (1,), (2,))
         for item in found:
             entry = summary.get(item.name)
-            if item.name == "chain_rule":
-                worse = entry is None or item.slack > entry["slack"]
-            else:
-                worse = entry is None or item.slack < entry["slack"]
-            if worse:
+            if entry is None or item.slack < entry["slack"]:
                 summary[item.name] = dataclasses.asdict(item)
     cross_samples = min(samples, 200)
     pair = SystemLayout.qubits(2)
@@ -230,18 +226,19 @@ def per_sample_inequalities_report(seed, samples):
         mi = mutual_information(rho, (0,), (1,))
         cross_dev = max(cross_dev, abs(mi - relative_entropy(rho, DensityOp(pair, product))))
     ordered = sorted(summary)
-    passed = all(
-        (summary[name]["slack"] <= ENTROPY_TOL if name == "chain_rule"
-         else summary[name]["slack"] >= -ENTROPY_TOL)
-        for name in ordered) and cross_dev <= ENTROPY_TOL
+    passed = all(summary[name]["slack"] >= -entropy_tol
+                 for name in ordered) and cross_dev <= entropy_tol
+    lines = []
+    for name in ordered:
+        # the report keeps the chain rule's residual |r|, whose slack is -|r|
+        slack = summary[name]["slack"]
+        line = {"max_residual": -slack} if name == "chain_rule" else {"min_slack": slack}
+        lines.append({**line, "name": name, "witness": summary[name]["witness"]})
     return {
         "schema": 5, "command": "inequalities",
-        "config": {"seed": seed, "algebra_tol": ALGEBRA_TOL, "entropy_tol": ENTROPY_TOL,
+        "config": {"seed": seed, "algebra_tol": ALGEBRA_TOL, "entropy_tol": entropy_tol,
                    "samples": samples},
-        "inequalities": [
-            {("max_residual" if name == "chain_rule" else "min_slack"): summary[name]["slack"],
-             "name": name, "witness": summary[name]["witness"]}
-            for name in ordered],
+        "inequalities": lines,
         "cross_check": {"name": "mutual_info_equals_relative_entropy_to_marginals",
                         "samples": cross_samples, "max_deviation": cross_dev},
         "pass": passed,
@@ -258,6 +255,25 @@ def test_inequalities_report_matches_per_sample_loop(seed, samples, capsys):
     assert code == (0 if expected["pass"] else 1)
     assert (json.dumps(report, sort_keys=True, indent=2)
             == json.dumps(expected, sort_keys=True, indent=2))
+
+
+def test_inequalities_fails_on_a_chain_residual_above_the_tolerance(capsys):
+    argv = ["inequalities", "--samples", "60", "--seed", "9", "--tol-entropy", "1e-300"]
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    del report["timestamp"]
+    chain = next(item for item in report["inequalities"] if item["name"] == "chain_rule")
+    assert chain["max_residual"] > 1e-300
+    assert (code, report["pass"]) == (1, False)
+    assert (json.dumps(report, sort_keys=True, indent=2) == json.dumps(
+        per_sample_inequalities_report(9, 60, entropy_tol=1e-300), sort_keys=True, indent=2))
+    # with the cross-check zeroed, the chain rule's line alone decides the verdict
+    with mock.patch("pqclab.cli.stack_cross_check", return_value=np.zeros(1)):
+        code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert all(item["min_slack"] > 0 for item in report["inequalities"]
+               if item["name"] != "chain_rule")
+    assert (code, report["pass"]) == (1, False)
 
 
 @pytest.mark.parametrize("samples", [1, SWEEP_CHUNK - 1, SWEEP_CHUNK, SWEEP_CHUNK + 1, 500])
@@ -983,7 +999,7 @@ def test_narrow_message_quantum_input_finishes_under_1gib_address_space(builder,
                                        ("wide-message", 11), ("wide-message", 12)])
 def test_wide_classical_input_refused_under_1gib_address_space(builder, n):
     # the engine load is at most 4096, but the basis wire states (d x dm^2
-    # amplitudes) and decoded outputs (d x d^2) are beyond 4096^1.5
+    # amplitudes) and d^3, for the basis pass's d columns, are beyond 4096^1.5
     proc = run_capped(CAPPED_WIDE_CLI, "verify", builder, "--n", str(n))
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""

@@ -243,12 +243,16 @@ def test_inequalities_random_sweep():
         assert got["subadditivity"] >= -1e-8
         assert got["araki_lieb"] >= -1e-8
         assert got["strong_subadditivity"] >= -1e-8
-        assert got["chain_rule"] <= 1e-8
+        assert got["chain_rule"] >= -1e-8
 
 
 def test_classical_marginal_requires_verified_classical_group():
-    with pytest.raises(ValueError, match="classical"):
-        check_entropy_inequalities(EPR.density(), {"A": (0,), "B": (1,)}, a_classical=True)
+    # an EPR pair is coherent on A: the classical bound, which it breaks, is not checked
+    rho = EPR.density()
+    assert not is_classical_on(rho, (0,))
+    got = _slacks(check_entropy_inequalities(rho, {"A": (0,), "B": (1,)}))
+    assert "classical_marginal" not in got
+    assert _reference_inequalities(rho, (0,), (1,), a_classical=True)["classical_marginal"] < 0
 
 
 def test_classical_marginal_bound_holds():
@@ -261,7 +265,7 @@ def test_classical_marginal_bound_holds():
         m[:2, :2] = p[0] * blocks[0]
         m[2:, 2:] = p[1] * blocks[1]
         rho = mixed(m, Q2)
-        got = _slacks(check_entropy_inequalities(rho, {"A": (0,), "B": (1,)}, a_classical=True))
+        got = _slacks(check_entropy_inequalities(rho, {"A": (0,), "B": (1,)}))
         assert got["classical_marginal"] >= -1e-8
 
 
@@ -304,7 +308,7 @@ def test_correlation_bounds_classical_part():
         block = random_density(Q1, rng).matrix
         m[i * 2:(i + 1) * 2, i * 2:(i + 1) * 2] = p[i] * block
     rho = DensityOp(Q3, m)
-    got = _slacks(check_correlation_bounds(rho, (0,), (2,), (1,), ax_classical=True))
+    got = _slacks(check_correlation_bounds(rho, (0,), (2,), (1,)))
     assert got["cond_mutual_info_vs_marginals_classical"] >= -1e-8
 
 
@@ -335,7 +339,7 @@ def _reference_inequalities(rho, a, b, c=(), a_classical=False):
         i_a_b = s(a) + s(b) - s(a, b)
         i_ab_c = s(a, b) + s(c) - s(a, b, c)
         i_b_c = s(b) + s(c) - s(b, c)
-        ref["chain_rule"] = abs(i_a_bc - i_a_b - i_ab_c + i_b_c)
+        ref["chain_rule"] = -abs(i_a_bc - i_a_b - i_ab_c + i_b_c)
     if a_classical:
         ref["classical_marginal"] = s(a, other) - max(s(a), s(other))
     return ref
@@ -376,11 +380,10 @@ def test_checker_slacks_equal_per_term_reference(seed):
 def test_classical_branch_slacks_equal_per_term_reference(seed):
     rho = random_density(Q3, np.random.default_rng(100 + seed))
     cq = _dephase(rho, (0,))
-    got = _slacks(check_entropy_inequalities(cq, {"A": (0,), "B": (1,), "C": (2,)},
-                                             a_classical=True))
+    got = _slacks(check_entropy_inequalities(cq, {"A": (0,), "B": (1,), "C": (2,)}))
     assert got == _reference_inequalities(cq, (0,), (1,), (2,), a_classical=True)
     cqc = _dephase(rho, (0, 2))
-    got = _slacks(check_correlation_bounds(cqc, (0,), (1,), (2,), ax_classical=True))
+    got = _slacks(check_correlation_bounds(cqc, (0,), (1,), (2,)))
     assert got == _reference_correlations(cqc, (0,), (1,), (2,), ax_classical=True)
 
 
@@ -396,13 +399,50 @@ def test_checkers_and_mutual_information_build_no_density_op(monkeypatch):
         validate(self)
 
     monkeypatch.setattr(DensityOp, "__post_init__", counting)
-    check_entropy_inequalities(cq, {"A": (0,), "B": (1,), "C": (2,)}, a_classical=True)
+    check_entropy_inequalities(cq, {"A": (0,), "B": (1,), "C": (2,)})
     check_entropy_inequalities(cq, {"A": (0,), "B": (1, 2)})
-    check_correlation_bounds(cq, (0,), (1,), (2,), ax_classical=True)
+    check_correlation_bounds(cq, (0,), (1,), (2,))
     check_correlation_bounds(cq, (0,), (1,))
     mutual_information(rho, (0,), (2,))
     mutual_information(rho, (0, 1), (2,))
     assert built == []
+
+
+@pytest.mark.parametrize("state", ["cq", "ghz", "epr", "random"])
+def test_classical_bounds_appear_exactly_when_the_state_is_classical(state):
+    rho = {"cq": _dephase(random_density(Q3, np.random.default_rng(3)), (0, 2)),
+           "ghz": GHZ.density(), "epr": EPR.density(),
+           "random": random_density(Q3, np.random.default_rng(4))}[state]
+    a, b, x = (0,), (1,), (2,)[:len(rho.layout) - 2]
+    assert is_classical_on(rho, a) == is_classical_on(rho, a + x) == (state == "cq")
+    entropy = _slacks(check_entropy_inequalities(rho, {"A": a, "B": b + x}))
+    assert ("classical_marginal" in entropy) == is_classical_on(rho, a)
+    corr = _slacks(check_correlation_bounds(rho, a, b, x))
+    assert ("cond_mutual_info_vs_marginals_classical" in corr) == is_classical_on(rho, a + x)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_chain_rule_slack_is_the_smaller_one_sided_slack(seed):
+    # an identity in real arithmetic: rounding leaves a residual on some seeds
+    rho = random_density(Q3, np.random.default_rng(200 + seed))
+    s = lambda *gs: _reference_entropy(rho, *gs)
+    a, b, c = (0,), (1,), (2,)
+    lhs = s(a) + s(b, c) - s(a, b, c)  # I(A:BC)
+    rhs = (s(a) + s(b) - s(a, b)) + (s(a, b) + s(b, c) - s(a, b, c) - s(b))  # I(A:B) + I(A:C|B)
+    got = _slacks(check_entropy_inequalities(rho, {"A": a, "B": b, "C": c}))["chain_rule"]
+    assert got <= 0.0
+    assert got == pytest.approx(-abs(lhs - rhs), abs=1e-12)
+    assert got == pytest.approx(min(lhs - rhs, rhs - lhs), abs=1e-12)
+
+
+@pytest.mark.parametrize("check, flag", [
+    (lambda rho, **kw: check_entropy_inequalities(rho, {"A": (0,), "B": (1,)}, **kw),
+     "a_classical"),
+    (lambda rho, **kw: check_correlation_bounds(rho, (0,), (1,), **kw), "ax_classical"),
+])
+def test_checkers_take_no_classicality_flag(check, flag):
+    with pytest.raises(TypeError, match=flag):
+        check(EPR.density(), **{flag: True})
 
 
 def test_mutual_information_on_subset_matches_reduce_first():

@@ -349,8 +349,8 @@ def test_quantum_input_admission_counts_the_channel_table():
 
 
 def test_classical_input_admission_counts_basis_wire_states_and_outputs():
-    # d basis wire states of dm^2 amplitudes and d outputs of d^2, each within
-    # 4096^1.5 = 2^18, where identity-leaky 6 sits
+    # d basis wire states of dm^2 amplitudes, and d^3 for the basis pass's d
+    # columns, each within 4096^1.5 = 2^18, where identity-leaky 6 sits
     def classical(n, message):
         return dataclasses.replace(_quantum_identity(n, message), input_kind=INPUT_CLASSICAL)
     require_desk_scale(build_named("identity-leaky", 6))
