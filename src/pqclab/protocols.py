@@ -388,7 +388,8 @@ def _correctness_bound(block: np.ndarray, dims: list[int], outputs: list[int],
     Otherwise min(1, ‖W − I ⊗ j‖_op), j the normalized Σ_a (<a| ⊗ I) W|a>
     (1.0 if that is 0), which bounds ½‖Φ − id‖_⋄ over every input
     (Kretschmann, Schlingemann and Werner, 2008); for each block of a stack,
-    by one batched norm.
+    by one batched norm of the blocks whose W − I ⊗ j is not exactly zero
+    (an exactly zero one is exactly 0.0, as in :func:`qmath.trace_distance`).
     """
     d, shape = block.shape[-1], block.shape[:-2]
     rest = [i for i in range(len(dims)) if i not in outputs]
@@ -403,7 +404,10 @@ def _correctness_bound(block: np.ndarray, dims: list[int], outputs: list[int],
     re, im = j.real[..., None, :], j.imag[..., None, :]  # np.linalg.norm's dot products:
     norm = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
     w = w - np.einsum("xa,...r->...xra", np.eye(d), j / np.where(live[..., None], norm, 1.0))
-    bound = np.minimum(1.0, np.linalg.norm(w.reshape(shape + (-1, d)), 2, axis=(-2, -1)))
+    w = w.reshape(shape + (-1, d))
+    nonzero, bound = w.any(axis=(-2, -1)), np.zeros(shape)
+    if nonzero.any():
+        bound[nonzero] = np.minimum(1.0, np.linalg.norm(w[nonzero], 2, axis=(-2, -1)))
     return np.where(live, bound, 1.0)
 
 
@@ -549,10 +553,14 @@ def factorization_certificate(units: np.ndarray) -> float:
     It bounds their diamond distance from above (Watrous, *The Theory of
     Quantum Information*, ch. 3), so it bounds the trace distance between
     (I ⊗ E) sigma and (Tr_input sigma) ⊗ E(|0><0|) for every bipartite sigma.
-    A trace distance is at most 1, and so is the value returned.
+    A trace distance is at most 1, and so is the value returned.  As in
+    :func:`qmath.trace_distance`, a C with no nonzero entry gives exactly 0.0,
+    with no eigensolve; a C of rounding noise is still eigensolved.
     """
     d, dm = units.shape[0], units.shape[-1]
     choi = units.transpose(0, 2, 1, 3).reshape(d * dm, d * dm) - np.kron(np.eye(d), units[0, 0])
+    if not choi.any():
+        return 0.0
     w, v = np.linalg.eigh(choi)
     # Tr_out |C| = Σ_i |w_i| Tr_out(v_i v_i†), without forming |C|
     half = (v * np.sqrt(np.abs(w))).reshape(d, -1)

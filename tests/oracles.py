@@ -5,7 +5,8 @@ density matrices one draw at a time,
 per-probe views of a protocol's sender stage, channel table and key-averaged
 output, the resource report's communication entropy through validated
 states, the verification pass over either kind of input, its key average
-and correctness bound one key at a time, the runs of keys the engine's
+and correctness bound one key at a time, the correctness bound of a stack
+with every block normed, the runs of keys the engine's
 sender stages take, the EPR-keyed quantum pad and its leaking twin, and the
 RSP negative fixture and message probabilities."""
 
@@ -227,6 +228,23 @@ def per_key_bound(block: np.ndarray, dims: list[int], outputs: list[int],
         return 1.0
     w = w - np.einsum("xa,r->xra", np.eye(d), j / np.linalg.norm(j))
     return min(1.0, float(np.linalg.norm(w.reshape(-1, d), 2)))
+
+
+def unmasked_bound(block: np.ndarray, dims: list[int], outputs: list[int]) -> np.ndarray:
+    """``_correctness_bound`` over every input of a stack of receiver blocks,
+    with one batched operator norm over every block of the stack, exactly
+    zero residuals W − I ⊗ j included."""
+    d, shape = block.shape[-1], block.shape[:-2]
+    rest = [i for i in range(len(dims)) if i not in outputs]
+    axes = list(range(len(shape))) + [len(shape) + i for i in outputs + rest + [len(dims)]]
+    w = block.reshape(shape + (*dims, d)).transpose(axes).reshape(shape + (d, -1, d))
+    j = np.einsum("...ara->...r", w)
+    live = j.any(axis=-1)
+    re, im = j.real[..., None, :], j.imag[..., None, :]
+    norm = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+    w = w - np.einsum("xa,...r->...xra", np.eye(d), j / np.where(live[..., None], norm, 1.0))
+    bound = np.minimum(1.0, np.linalg.norm(w.reshape(shape + (-1, d)), 2, axis=(-2, -1)))
+    return np.where(live, bound, 1.0)
 
 
 def verification_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, float]:

@@ -1,6 +1,6 @@
 """Fingerprint the reports the CLI writes on the benchmark's rows.
 
-Usage: python3 tests/report_fingerprint.py
+Usage: python3 tests/report_fingerprint.py [--rows]
 
 Runs in this one process, with a 1 GiB address-space cap and one BLAS thread:
 
@@ -14,7 +14,10 @@ Runs in this one process, with a 1 GiB address-space cap and one BLAS thread:
 Each report's ``timestamp`` field is dropped.  For each set the script prints
 the count of each exit code and one sha256 over every row's argv, exit code,
 stdout and stderr, so two checkouts that print the same lines wrote the same
-reports.  It imports ``pqclab`` from the ``src`` next to this file.
+reports.  With ``--rows`` it prints, after those lines, one line per row:
+its argv, its exit code and the sha256 of its stdout and of its stderr, so
+the outputs of two checkouts can be diffed row by row.  It imports
+``pqclab`` from the ``src`` next to this file.
 """
 
 from __future__ import annotations
@@ -67,6 +70,8 @@ def run(main, argv: list[str]) -> tuple[int, str, str]:
 
 
 def main() -> None:
+    if sys.argv[1:] not in ([], ["--rows"]):
+        sys.exit("usage: python3 tests/report_fingerprint.py [--rows]")
     # before numpy is first imported, through pqclab
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
@@ -74,6 +79,7 @@ def main() -> None:
     sys.path.insert(0, str(ROOT / "src"))
     from pqclab.cli import main as cli_main
 
+    per_row = []
     for name, argvs in rows().items():
         codes, digest = collections.Counter(), hashlib.sha256()
         for argv in argvs:
@@ -81,8 +87,13 @@ def main() -> None:
             codes[code] += 1
             for part in (" ".join(argv), str(code), out, err):
                 digest.update(part.encode() + b"\0")
+            per_row.append(f"{' '.join(argv)}: exit {code}, stdout "
+                           f"{hashlib.sha256(out.encode()).hexdigest()}, stderr "
+                           f"{hashlib.sha256(err.encode()).hexdigest()}")
         counts = ", ".join(f"{n} x exit {c}" for c, n in sorted(codes.items()))
         print(f"{name}: {len(argvs)} rows, {counts}, sha256 {digest.hexdigest()}")
+    if sys.argv[1:]:
+        print("\n".join(per_row))
 
 
 if __name__ == "__main__":

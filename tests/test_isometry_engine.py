@@ -16,6 +16,7 @@ keys cut into runs of one, two and three keys and uncut.
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import itertools
 import math
@@ -70,6 +71,7 @@ from oracles import (
     probes,
     run_cut,
     stage_runs,
+    unmasked_bound,
     verification_pass,
 )
 
@@ -971,3 +973,122 @@ def test_channel_on_units_refuses_a_classical_input_protocol(monkeypatch):
     assert channel_on_units(twin) is channel_on_units(twin)
     assert channel_on_units(twin).tobytes() == verification_pass(p, False)[0].tobytes()
     assert passes == [INPUT_QUANTUM, INPUT_QUANTUM]
+
+
+# ---------------------------------------------------------------------------
+# an exactly zero operand takes no LAPACK solve
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("a LAPACK solve ran")
+
+
+def _without_svd(monkeypatch):
+    """np.linalg.svd patched to raise, also where np.linalg.norm looks it up."""
+    monkeypatch.setattr(np.linalg, "svd", _raise)
+    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", _raise)
+
+
+EXACT = [("quantum-otp", n) for n in (1, 2, 3, 4)] + [("teleportation", n) for n in (1, 2)]
+
+
+@pytest.mark.parametrize("builder", EXACT)
+def test_an_exactly_zero_choi_difference_takes_no_eigensolve(builder, monkeypatch):
+    # a fresh protocol, so the pass runs under the patch too
+    monkeypatch.setattr(np.linalg, "eigh", _raise)
+    assert security_deviations(build_named(*builder))["factorization"] == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exact_pad_keys_take_no_svd(n, monkeypatch):
+    _without_svd(monkeypatch)
+    assert verify_correctness(build_quantum_otp(n)) == 0.0
+
+
+def test_nonzero_operands_still_take_their_solve(monkeypatch):
+    # the patches bite: broken-otp's C and teleportation's residuals of
+    # rounding noise are not exactly zero
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", _raise)
+        with pytest.raises(AssertionError, match="LAPACK"):
+            security_deviations(build_named("broken-otp", 1))
+    _without_svd(monkeypatch)
+    with pytest.raises(AssertionError, match="LAPACK"):
+        verify_correctness(build_teleportation(1))
+
+
+def test_a_choi_difference_of_rounding_noise_is_still_eigensolved(monkeypatch):
+    # the 1-qubit pad conjugated by one fixed Haar unitary is the same
+    # channel, but its C holds rounding noise, not exact zeros
+    u = haar_unitary(2, np.random.default_rng(11)).matrix
+    pad = build_quantum_otp(1)
+    ops = tuple(UnitaryOp(u @ pauli_string(k).matrix @ u.conj().T) for k in "0123")
+    p = dataclasses.replace(pad, alice_ops=ops, bob_ops=ops)
+    units = channel_on_units(p)
+    choi = units.transpose(0, 2, 1, 3).reshape(4, 4) - np.kron(np.eye(2), units[0, 0])
+    assert choi.any() and max_abs(choi) < 1e-15
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    value = security_deviations(p)["factorization"]
+    assert calls == [1]
+    assert abs(value - reference_certificate(units)) <= TOL, value
+
+
+@pytest.mark.parametrize("builder, factorization, correctness", [
+    (("broken-otp", 1), 0.5, 0.0),
+    (("broken-teleportation", 1), 0.0, 1.0),
+    (("broken-teleportation", 2), 0.0, 1.0),
+])
+def test_negative_fixtures_keep_their_figures(builder, factorization, correctness):
+    p = build_named(*builder)
+    assert security_deviations(p)["factorization"] == factorization
+    assert verify_correctness(p) == correctness
+    assert abs(reference_certificate(channel_on_units(p)) - factorization) <= TOL
+
+
+def _receiver_stacks(p):
+    """The (block, dims, outputs) of each receiver stack that the pass over
+    every input bounds, copied."""
+    stacks, bound = [], protocols._correctness_bound
+
+    def spy(block, dims, outputs, basis):
+        stacks.append((block.copy(), dims, outputs))
+        return bound(block, dims, outputs, basis)
+    with mock.patch.object(protocols, "_correctness_bound", spy):
+        verification_pass(p, False)
+    return stacks
+
+
+def assert_masked_bound_is_the_unmasked_one(p):
+    """On each receiver stack of ``p``, the bound that norms only the
+    nonzero residuals is bit for bit the one that norms every block."""
+    bounds = []
+    for block, dims, outputs in _receiver_stacks(p):
+        masked = protocols._correctness_bound(block, dims, outputs, False)
+        assert masked.tobytes() == unmasked_bound(block, dims, outputs).tobytes()
+        bounds.append(masked)
+    return np.concatenate(bounds)
+
+
+def test_masked_correctness_norm_on_a_pad_with_one_key_undone_wrong():
+    # key 5 undone by key 6's Pauli: one nonzero residual among exact ones
+    p = build_quantum_otp(2)
+    bob = list(p.bob_ops)
+    bob[5] = bob[6]
+    bounds = assert_masked_bound_is_the_unmasked_one(dataclasses.replace(p, bob_ops=tuple(bob)))
+    assert bounds[5] == 1.0 and not np.delete(bounds, 5).any(), bounds
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(pauli_keyed(), haar_keyed()))
+def test_masked_correctness_norm_equals_the_unmasked_one(p):
+    assert_masked_bound_is_the_unmasked_one(p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_stack_of_exact_residuals_bounds_to_zeros(n, monkeypatch):
+    stacks = _receiver_stacks(build_quantum_otp(n))
+    _without_svd(monkeypatch)
+    for block, dims, outputs in stacks:
+        bound = protocols._correctness_bound(block, dims, outputs, False)
+        assert bound.shape == (len(block),) and not bound.any(), bound
