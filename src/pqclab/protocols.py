@@ -49,7 +49,7 @@ DESK_SCALE_LIMIT = 4096
 #: largest descriptor file read, in bytes: small enough to parse under 1 GiB
 #: with at most one JSON array per 8 bytes of it (see :func:`load_protocol`)
 DESCRIPTOR_BYTE_LIMIT = 1 << 25
-#: bytes of kept-wire factors or receiver blocks stacked per batched product
+#: bytes of four of a run's largest blocks, an :func:`_add_keys` slice among them
 STACK_BYTES = 1 << 22
 
 RESOURCE_NONE = "none"
@@ -414,10 +414,15 @@ def _correctness_bound(block: np.ndarray, dims: list[int], outputs: list[int],
 def _add_keys(total: np.ndarray, probs: np.ndarray, m: np.ndarray) -> None:
     """Add Σ_k p_k m_k m_k† to ``total``, over the keys' kept-wire factors
     m_k (..., dk, dr) of a run, given as its factor m (..., dk, K·dr), the
-    keys' side by side, with p_k for each of a key's dr columns."""
+    keys' side by side, with p_k for each of a key's dr columns.  It adds the
+    product in slices along ``total``'s leading axis (a basis table's inputs,
+    a 2-D table's rows), each at most m's size and a power of two long, so a
+    2-D table's 2^k rows get no one-row slice (a gemv, rounded unlike gemm)."""
     weighted = m.conj()
     weighted *= np.repeat(probs, m.shape[-1] // len(probs))
-    total += m @ weighted.swapaxes(-1, -2)
+    step = 1 << max(1, m.nbytes // total[0].nbytes).bit_length() - 1
+    for s in (slice(i, i + step) for i in range(0, len(total), step)):
+        total[s] += m[s] @ (weighted[s] if m.ndim > 2 else weighted).swapaxes(-1, -2)
 
 
 def _add_diagonals(total: np.ndarray, probs: np.ndarray, m: np.ndarray) -> None:

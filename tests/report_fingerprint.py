@@ -1,6 +1,6 @@
 """Fingerprint the reports the CLI writes on the benchmark's rows.
 
-Usage: python3 tests/report_fingerprint.py [--rows]
+Usage: python3 tests/report_fingerprint.py [--rows] [--peaks]
 
 Runs in this one process, with a 1 GiB address-space cap and one BLAS thread:
 
@@ -16,8 +16,10 @@ the count of each exit code and one sha256 over every row's argv, exit code,
 stdout and stderr, so two checkouts that print the same lines wrote the same
 reports.  With ``--rows`` it prints, after those lines, one line per row:
 its argv, its exit code and the sha256 of its stdout and of its stderr, so
-the outputs of two checkouts can be diffed row by row.  It imports
-``pqclab`` from the ``src`` next to this file.
+the outputs of two checkouts can be diffed row by row.  With ``--peaks``
+it prints, last, one line per row: its argv and the tracemalloc peak of its
+``main(argv)`` in MiB, so two checkouts' peaks can be diffed the same way.
+It imports ``pqclab`` from the ``src`` next to this file.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import os
 import re
 import resource
 import sys
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,8 +73,9 @@ def run(main, argv: list[str]) -> tuple[int, str, str]:
 
 
 def main() -> None:
-    if sys.argv[1:] not in ([], ["--rows"]):
-        sys.exit("usage: python3 tests/report_fingerprint.py [--rows]")
+    flags = sys.argv[1:]
+    if len(set(flags)) < len(flags) or not set(flags) <= {"--rows", "--peaks"}:
+        sys.exit("usage: python3 tests/report_fingerprint.py [--rows] [--peaks]")
     # before numpy is first imported, through pqclab
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
@@ -79,11 +83,16 @@ def main() -> None:
     sys.path.insert(0, str(ROOT / "src"))
     from pqclab.cli import main as cli_main
 
-    per_row = []
+    per_row, peaks = [], []
     for name, argvs in rows().items():
         codes, digest = collections.Counter(), hashlib.sha256()
         for argv in argvs:
+            if "--peaks" in flags:
+                tracemalloc.start()
             code, out, err = run(cli_main, argv)
+            if "--peaks" in flags:
+                peaks.append(f"{' '.join(argv)}: {tracemalloc.get_traced_memory()[1] / 2 ** 20:.2f} MiB")
+                tracemalloc.stop()
             codes[code] += 1
             for part in (" ".join(argv), str(code), out, err):
                 digest.update(part.encode() + b"\0")
@@ -92,8 +101,9 @@ def main() -> None:
                            f"{hashlib.sha256(err.encode()).hexdigest()}")
         counts = ", ".join(f"{n} x exit {c}" for c, n in sorted(codes.items()))
         print(f"{name}: {len(argvs)} rows, {counts}, sha256 {digest.hexdigest()}")
-    if sys.argv[1:]:
-        print("\n".join(per_row))
+    for flag, lines in (("--rows", per_row), ("--peaks", peaks)):
+        if flag in flags:
+            print("\n".join(lines))
 
 
 if __name__ == "__main__":

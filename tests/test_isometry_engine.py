@@ -886,15 +886,94 @@ def test_stacked_pass_peak_is_the_per_key_sums_plus_two_stacks(build, basis, sta
 
 @pytest.mark.parametrize("build, basis, mib", [
     (lambda: build_quantum_otp(4), False, 5.25),
-    (lambda: lift_extra_comm(build_quantum_otp(3)), True, 12.25),
+    (lambda: lift_extra_comm(build_quantum_otp(3)), True, 8.25),
     (lambda: lift_extra_epr(build_quantum_otp(3)), True, 8.5),
 ], ids=["quantum-otp-4", "lift-comm-quantum-otp-3", "lift-epr-quantum-otp-3"])
 def test_pass_peaks_of_the_benchmark_peak_rows(build, basis, mib):
-    # the passes that set the benchmark's peak RSS, pinned at their traced
-    # peaks when each key ran alone (5.03, 12.13 and 8.27 MiB), rounded up:
-    # runs are cut so that the stage's arrays fit in STACK_BYTES
+    # the passes that set the benchmark's peak RSS, at traced peaks of 5.02,
+    # 8.08 and 4.14 MiB (the first two bounds are those rounded up): runs
+    # are cut so that the stage's arrays fit in STACK_BYTES, and each run's
+    # product is added in slices no larger than its factor
     p = build()
     assert _traced_peak(lambda: verification_pass(p, basis)) <= mib * 2 ** 20
+
+
+def test_add_keys_holds_the_weighted_factor_and_one_product_slice():
+    # a comm-lift run factor of quantum-otp 3 is (64, 64, 16), a quarter of
+    # its (64, 64, 64) table: above its entry, _add_keys holds the weighted
+    # copy and one slice's product, each a factor's size, and the weight
+    # vector (16 KiB of slack), where the whole product took the table's size
+    calls = []
+    with mock.patch.object(protocols, "_add_keys",
+                           lambda total, probs, m: calls.append((total, probs, m))):
+        verification_pass(lift_extra_comm(build_quantum_otp(3)), True)
+    total, probs, m = calls[0]
+    total = np.zeros_like(total)  # the pass leaves its table read-only
+    assert total.nbytes == 4 * m.nbytes
+    peak = _traced_peak(lambda: protocols._add_keys(total, probs, m))
+    assert peak <= 2 * m.nbytes + 2 ** 14, (peak, m.nbytes)
+
+
+def _one_product(total, probs, m):
+    """``total`` plus the run's whole Gram product m (conj(m)·p)ᵀ in one
+    matmul: the sum :func:`protocols._add_keys` adds in slices."""
+    weighted = m.conj()
+    weighted *= np.repeat(probs, m.shape[-1] // len(probs))
+    return total + m @ weighted.swapaxes(-1, -2)
+
+
+def _three_key_haar_pad():
+    """A one-qubit pad of three Haar-random keys: its every-input run factor
+    is (4, 3), narrower than its 4 x 4 table, so the table's rows are sliced."""
+    rng = np.random.default_rng(35)
+    return ChannelProtocol(
+        name="haar-keyed", input_kind=INPUT_QUANTUM, input_qubits=1,
+        message_kind=INPUT_QUANTUM,
+        resource=SharedResource(ProbabilityDist(("0", "1", "2"), np.array([0.5, 0.3, 0.2]))),
+        alice_ancillas=0, bob_ancillas=0,
+        alice_ops=tuple(haar_unitary(2, rng) for _ in range(3)),
+        bob_ops=tuple(haar_unitary(2, rng) for _ in range(3)),
+        message_subsystems=(0,), output_subsystems=(0,))
+
+
+@pytest.mark.parametrize("build, basis, shapes", [
+    (lambda: lift_extra_comm(build_quantum_otp(3)), True, [((64, 64, 64), (64, 64, 16))] * 4),
+    (lambda: build_quantum_otp(4), False, [((256, 256), (256, 256))]),
+    (_three_key_haar_pad, False, [((4, 4), (4, 3))]),
+], ids=["lift-comm-quantum-otp-3", "quantum-otp-4", "three-key-haar-pad"])
+def test_sliced_gram_product_equals_the_one_product(build, basis, shapes):
+    # each slice's entries come from the same gemm on the same operands as
+    # the one product's, so the table is the one product's bit for bit: the
+    # comm lift's four run factors, each a quarter of the table, add four
+    # slices each, the quantum-otp 4 factor one, and the Haar pad's 4 rows
+    # two slices of 2; a one-row slice (after one of 3) would be a gemv,
+    # which rounds otherwise
+    seen = []
+
+    def checked(total, probs, m, add=protocols._add_keys):
+        seen.append((total.shape, m.shape))
+        expected = _one_product(total, probs, m)
+        add(total, probs, m)
+        assert np.array_equal(total, expected)
+
+    with mock.patch.object(protocols, "_add_keys", checked):
+        verification_pass(build(), basis)
+    assert seen == shapes
+
+
+@pytest.mark.parametrize("table, factor, keys", [
+    ((5, 5, 5), (5, 5, 2), 2),  # 5 basis inputs in slices of 2, 2 and 1
+    ((10, 10), (10, 4), 4),  # 10 rows in slices of 4, 4 and 2
+    ((16, 16), (16, 3), 3),  # 16 rows in slices of 2, no one-row slice after slices of 3
+], ids=["basis-remainder", "rows-remainder", "rows-odd-factor"])
+def test_sliced_gram_product_on_drawn_factors_equals_the_one_product(table, factor, keys):
+    rng = np.random.default_rng(35)
+    total, m = (rng.normal(size=s) + 1j * rng.normal(size=s) for s in (table, factor))
+    probs = rng.dirichlet(np.ones(keys))
+    assert 1 < m.nbytes // total[0].nbytes < len(total)
+    expected = _one_product(total, probs, m)
+    protocols._add_keys(total, probs, m)
+    assert np.array_equal(total, expected)
 
 
 #: the builders and audit lifts with classical input and a classical message,
