@@ -426,9 +426,9 @@ def _add_keys(total: np.ndarray, probs: np.ndarray, m: np.ndarray) -> None:
 
 
 def _add_diagonals(total: np.ndarray, probs: np.ndarray, m: np.ndarray) -> None:
-    """:func:`_add_keys` where the sum is diagonal: Σ_k p_k Σ_r |m_k[..., x, r]|² to [..., x, x]."""
-    np.einsum("...xx->...x", total)[...] += np.einsum(  # a writable view of the diagonal
-        "...r,r->...", m.real ** 2 + m.imag ** 2, np.repeat(probs, m.shape[-1] // len(probs)))
+    """:func:`_add_keys`' diagonal alone: Σ_k p_k Σ_r |m_k[..., x, r]|² to total[..., x]."""
+    total += np.einsum("...r,r->...", m.real ** 2 + m.imag ** 2,
+                       np.repeat(probs, m.shape[-1] // len(probs)))
 
 
 def _block_diagonal(gate: np.ndarray, i: int) -> bool:
@@ -475,9 +475,9 @@ def _verification_pass(p: ChannelProtocol) -> tuple[np.ndarray, float]:
     stage per run of keys (:func:`_runs`) on the stack of their blocks of all
     input basis columns.  For quantum input the table is the key-averaged
     E(|a><b|), indexed [a, b, x, y] and read off the Choi vectors Σ_a V|a>|a>;
-    for classical input only E(|a><a|), indexed [a, x, y] and read off the
-    columns V|a>, so its rows are the basis inputs' wire states, the
-    :func:`_foldable` wires summed out.  Each run adds its keys by
+    for classical input only E(|a><a|), read off the columns V|a> with the
+    :func:`_foldable` wires summed out: [a, x, y], or for a classical message
+    only the diagonals, real and indexed [a, x].  Each run adds its keys by
     :func:`_add_keys` (or :func:`_add_diagonals`), the run axis a rest wire
     of their factor, and bounds its receiver stack at once; runs share a read-only head."""
     d, dm = 2 ** p.input_qubits, 2 ** p.message_qubits
@@ -487,8 +487,9 @@ def _verification_pass(p: ChannelProtocol) -> tuple[np.ndarray, float]:
     head = _sender_head(p, np.eye(d, dtype=complex), shared, early)
     head.flags.writeable = False
     wires = [w - sum(e < w for e in early) for w in range(p.engine_qubits)]
-    table, correctness = np.zeros((d, dm, dm) if basis else (d * dm, d * dm), complex), 0.0
     add = _add_diagonals if basis and p.message_kind == INPUT_CLASSICAL else _add_keys
+    shape = (d, dm) if add is _add_diagonals else (d, dm, dm) if basis else (d * dm, d * dm)
+    table, correctness = np.zeros(shape, float if add is _add_diagonals else complex), 0.0
     for keys in _runs(p, shared, head):
         block, dims, keep = _stage(p, head, keys, shared, wires)
         run, keep = [len(keys), *dims], [w + 1 for w in keep]
@@ -603,14 +604,13 @@ def security_deviations(p: ChannelProtocol) -> dict[str, float]:
     the largest |entry| of E(|a><b|) over a < b, and ``factorization``
     bounds that distance for every input, reference-entangled ones included.
     A classical message's wire state is diagonal by construction: the engine copies each of
-    its wires into the environment (:func:`_stage`).  So its ``state`` is half the L1 distance
-    of the diagonals, summed sorted as ``eigvalsh`` returns them: the eigensolve's, bit for bit."""
+    its wires into the environment (:func:`_stage`).  So its basis table holds the diagonals,
+    and ``state`` is half their L1 distance, summed sorted: the eigensolve's, bit for bit."""
     table = _verified(p)[0]
-    if table.ndim == 3:  # the basis table, [a, x, y]
-        if p.message_kind != INPUT_CLASSICAL:
-            return {"state": float(trace_distance(table, table[0]).max())}
-        diag = np.diagonal(table, axis1=-2, axis2=-1).real
-        return {"state": 0.5 * float(np.abs(np.sort(diag - diag[0])).sum(axis=-1).max())}
+    if table.ndim == 2:  # a classical message's basis table, [a, x]
+        return {"state": 0.5 * float(np.abs(np.sort(table - table[0])).sum(axis=-1).max())}
+    if table.ndim == 3:  # a quantum message's basis table, [a, x, y]
+        return {"state": float(trace_distance(table, table[0]).max())}
     return {"cross_term": max_abs(table[np.triu_indices(len(table), 1)]),
             "factorization": factorization_certificate(table)}
 
@@ -629,12 +629,12 @@ def verify_correctness(p: ChannelProtocol) -> float:
 def resource_report(p: ChannelProtocol) -> ResourceReport:
     """Communication entropy of the reference message, read off the channel
     table of the pass over the protocol's own input kind (a classical
-    message's diagonal clipped at 0 and normalised), plus key/entanglement
-    entropies of the shared resource."""
+    message's diagonal, over the basis the table's row 0 itself, clipped at
+    0 and normalised), plus key/entanglement entropies of the shared resource."""
     table = _verified(p)[0]
     ref = table[0] if p.input_kind == INPUT_CLASSICAL else table[0, 0]
     if p.message_kind == INPUT_CLASSICAL:
-        probs = np.clip(np.real(np.diag(ref)), 0.0, None)
+        probs = np.clip(ref if ref.ndim == 1 else np.real(np.diag(ref)), 0.0, None)
         comm = _entropy_of_probs(probs / probs.sum())
     else:
         comm = _entropy_of_probs(np.linalg.eigvalsh(ref))

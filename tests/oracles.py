@@ -88,8 +88,9 @@ def alice_stage(p: ChannelProtocol, input_ket: Ket, key_index: int = 0) -> Ket:
 
 
 def _diagonal_distribution(p: ChannelProtocol, rho: np.ndarray) -> ProbabilityDist:
-    """The classical message's distribution on the diagonal of its wire state."""
-    probs = np.clip(np.real(np.diag(rho)), 0.0, None)
+    """The classical message's distribution on the diagonal of its wire
+    state ``rho``, or on ``rho`` itself if it is that diagonal (1-D)."""
+    probs = np.clip(rho if rho.ndim == 1 else np.real(np.diag(rho)), 0.0, None)
     probs = probs / probs.sum()
     m = p.message_qubits
     outcomes = tuple(format(i, f"0{m}b") for i in range(2 ** m))
@@ -107,7 +108,8 @@ def validated_comm(p: ChannelProtocol) -> float:
     """``resource_report``'s communication entropy through validated states:
     the reference message's wire state, off the same channel table, as a
     :class:`DensityOp` for a quantum message or through
-    :func:`_diagonal_distribution` for a classical one."""
+    :func:`_diagonal_distribution` for a classical one (whose basis table
+    holds only the diagonals)."""
     table = _verified(p)[0]
     ref = table[0] if p.input_kind == INPUT_CLASSICAL else table[0, 0]
     if p.message_kind == INPUT_CLASSICAL:
@@ -257,12 +259,15 @@ def verification_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, floa
     return protocols._verification_pass(p)
 
 
-def per_key_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, float]:
+def per_key_pass(p: ChannelProtocol, basis: bool,
+                 full: bool = False) -> tuple[np.ndarray, float]:
     """The channel table and correctness bound of the verification pass,
     with each key's reduced state from ``reduced_from_vector`` weighted and
     added to the table one key at a time, each key its own run of one, never
     stacked with other keys, and every wire kept in the block's rows: no wire
-    is folded into its columns."""
+    is folded into its columns.  A classical message's basis table is then,
+    in the pass's layout, its diagonals [a, x] (complex, so their imaginary
+    parts are compared too), or with ``full`` every dm x dm sum [a, x, y]."""
     d, dm = 2 ** p.input_qubits, 2 ** p.message_qubits
     shared = _shared_prefix(p.alice_ops)
     head = _sender_head(p, np.eye(d, dtype=complex), shared)
@@ -276,7 +281,11 @@ def per_key_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, float]:
         acc = acc + prob * reduced_from_vector(*columns)
         block, dims, outputs = _receiver_stage(p, block[None], dims, key)
         correctness = max(correctness, per_key_bound(block[0], dims, outputs, basis))
-    return (acc if basis else acc.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)), correctness
+    if not basis:
+        acc = acc.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)
+    elif p.message_kind == INPUT_CLASSICAL and not full:
+        acc = np.diagonal(acc, axis1=-2, axis2=-1)
+    return acc, correctness
 
 
 # ---------------------------------------------------------------------------

@@ -448,12 +448,13 @@ def _held_then_peak(first, second):
 
 
 def test_a_new_pass_frees_the_last_one_before_it_allocates():
-    # identity-leaky 6 holds a 64 x 64 x 64 table after its pass; a pass that
-    # kept it while the next one ran would add it to that pass's peak
+    # the comm lift of quantum-otp 3 holds a 64 x 64 x 64 complex table
+    # (4 MiB) after its pass; a pass that kept it while the next one ran
+    # would add it to that pass's peak
     held_small, after_small = _held_then_peak(build_identity_protocol(1),
-                                              build_identity_protocol(6))
-    held_big, after_big = _held_then_peak(build_identity_protocol(6),
-                                          build_identity_protocol(6))
+                                              lift_extra_comm(build_quantum_otp(3)))
+    held_big, after_big = _held_then_peak(lift_extra_comm(build_quantum_otp(3)),
+                                          lift_extra_comm(build_quantum_otp(3)))
     assert held_big - held_small > 2 ** 21
     assert after_big - after_small < (held_big - held_small) / 2
 
@@ -888,12 +889,17 @@ def test_stacked_pass_peak_is_the_per_key_sums_plus_two_stacks(build, basis, sta
     (lambda: build_quantum_otp(4), False, 5.25),
     (lambda: lift_extra_comm(build_quantum_otp(3)), True, 8.25),
     (lambda: lift_extra_epr(build_quantum_otp(3)), True, 8.5),
-], ids=["quantum-otp-4", "lift-comm-quantum-otp-3", "lift-epr-quantum-otp-3"])
+    (lambda: build_identity_protocol(6), True, 8.25),
+], ids=["quantum-otp-4", "lift-comm-quantum-otp-3", "lift-epr-quantum-otp-3",
+        "identity-leaky-6"])
 def test_pass_peaks_of_the_benchmark_peak_rows(build, basis, mib):
-    # the passes that set the benchmark's peak RSS, at traced peaks of 5.02,
-    # 8.08 and 4.14 MiB (the first two bounds are those rounded up): runs
-    # are cut so that the stage's arrays fit in STACK_BYTES, and each run's
-    # product is added in slices no larger than its factor
+    # the passes of the rows with the largest traced peaks: quantum-otp 4's
+    # (verify), the two lifts of quantum-otp 3 (audit) and identity-leaky 6's
+    # (verify and audit), at traced peaks of 5.02, 8.08, 4.14 and 8.10 MiB
+    # (the first, second and last bounds are those rounded up).  Runs are
+    # cut so that the stage's arrays fit in STACK_BYTES, each run's product
+    # is added in slices no larger than its factor, and a classical
+    # message's basis table holds only its diagonals
     p = build()
     assert _traced_peak(lambda: verification_pass(p, basis)) <= mib * 2 ** 20
 
@@ -978,7 +984,7 @@ def test_sliced_gram_product_on_drawn_factors_equals_the_one_product(table, fact
 
 #: the builders and audit lifts with classical input and a classical message,
 #: at every n the admission check accepts (``bench/workloads.py``): the basis
-#: passes that add only their table's diagonal
+#: passes whose table holds only its diagonals
 DIAGONAL_PASSES = [build_named(b, n) for b, top in (
     ("classical-otp", 4), ("epr-otp", 3), ("identity-leaky", 6)) for n in range(1, top + 1)] + [
     lift_extra_epr(build_named(b, n))
@@ -998,12 +1004,14 @@ def _with_diagonal_passes(test):
 @_with_diagonal_passes
 def test_classical_offdiag_is_exactly_zero(p, input_kind):
     # every classical message wire is copied into an environment wire, so
-    # each off-diagonal message entry of the table sums products with an
-    # exact 0.0 amplitude, and a Gram product keeps them exact: the reason
-    # no security part checks a classical message's coherences, and the
-    # basis pass adds only the diagonal, whose product per_key_pass still
-    # forms.  Over the basis, the state part read off the diagonals is the
-    # eigensolve's: bit for bit on the builders, within 1e-15 on the drawn
+    # each off-diagonal message entry of a key's wire state sums products
+    # with an exact 0.0 amplitude, and a Gram product keeps them exact: the
+    # reason no security part checks a classical message's coherences, and
+    # the basis table holds only the diagonals.  Over the basis, they are
+    # checked on the per-key sum, which still forms every dm x dm state;
+    # over every input, on the pass's own table.  The state part read off
+    # the diagonals is the eigensolve's on those states as diagonal
+    # matrices: bit for bit on the builders, within 1e-15 on the drawn
     # protocols
     tol = 1e-15 if p.name in ("pauli-subset", "haar-keyed") else 0.0
     p = dataclasses.replace(p, message_kind=INPUT_CLASSICAL,
@@ -1011,14 +1019,20 @@ def test_classical_offdiag_is_exactly_zero(p, input_kind):
     table = protocols._verified(p)[0]
     dm = 2 ** p.message_qubits
     offdiag = ~np.eye(dm, dtype=bool)
-    assert table.shape[-2:] == (dm, dm)
-    assert not table[..., offdiag].any()
     deviations = security_deviations(p)
     assert "classical_offdiag" not in deviations
     if p.input_kind == INPUT_CLASSICAL:
-        assert not per_key_pass(p, True)[0][..., offdiag].any()
-        eigensolved = float(trace_distance(table, table[0]).max())
+        full = per_key_pass(p, True, full=True)[0]
+        assert full.shape[-2:] == (dm, dm)
+        assert not full[..., offdiag].any()
+        assert table.shape == (2 ** p.input_qubits, dm)
+        states = np.zeros(table.shape + (dm,), complex)
+        states[..., range(dm), range(dm)] = table
+        eigensolved = float(trace_distance(states, states[0]).max())
         assert abs(deviations["state"] - eigensolved) <= tol, (deviations, eigensolved)
+    else:
+        assert table.shape[-2:] == (dm, dm)
+        assert not table[..., offdiag].any()
 
 
 @pytest.mark.parametrize("build", [

@@ -199,12 +199,17 @@ def test_security_random_probes_no_worse_than_structured():
 
 
 def test_classical_message_states_are_diagonal():
-    # every input's classical wire state, read off the channel table
-    for name, n in (("classical-otp", 2), ("teleportation", 1), ("epr-otp", 2)):
+    # over every input, the classical wire state read off the channel table
+    # has no coherence; over the basis, the table holds only its diagonals,
+    # one real, read-only row [a, x] per basis input
+    p = build_named("teleportation", 1)
+    dm = 2 ** p.message_qubits
+    assert max_abs(_verified(p)[0][..., ~np.eye(dm, dtype=bool)]) <= 1e-10
+    for name, n in (("classical-otp", 2), ("epr-otp", 2)):
         p = build_named(name, n)
         table = _verified(p)[0]
-        dm = 2 ** p.message_qubits
-        assert max_abs(table[..., ~np.eye(dm, dtype=bool)]) <= 1e-10
+        assert table.shape == (2 ** p.input_qubits, 2 ** p.message_qubits), name
+        assert table.dtype == np.float64 and not table.flags.writeable, name
 
 
 def test_teleportation_message_distribution_uniform():
