@@ -158,16 +158,29 @@ class GateList:
     gates: tuple[tuple[UnitaryOp, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", _integer(self.qubits, "qubits"))
-        gates = tuple((g if isinstance(g, UnitaryOp) else UnitaryOp(g),
-                       tuple(_integer(t, "gate targets") for t in targets))
-                      for g, targets in self.gates)
-        for g, targets in gates:
-            if (g.dim != 2 ** len(targets) or len(set(targets)) != len(targets)
-                    or any(not 0 <= t < self.qubits for t in targets)):
-                raise ValueError(f"gate of dimension {g.dim} does not fit wires {targets} "
-                                 f"of a {self.qubits}-qubit register")
-        object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "qubits", qubits := _integer(self.qubits, "qubits"))
+        gates, misfit = [], None
+        for g, targets in self.gates:  # a fitting UnitaryOp on plain ints: one pass
+            if (type(g) is UnitaryOp and type(targets) in (tuple, list)
+                    and len(g.matrix) == 1 << len(targets)):
+                for t in targets:
+                    if type(t) is not int or not 0 <= t < qubits:
+                        break
+                else:
+                    if len(targets) < 2 or len(set(targets)) == len(targets):
+                        gates.append((g, tuple(targets)))
+                        continue
+            # any other gate is normalised; the first misfit is raised once all are
+            g = g if isinstance(g, UnitaryOp) else UnitaryOp(g)
+            targets = tuple(_integer(t, "gate targets") for t in targets)
+            if misfit is None and (g.dim != 2 ** len(targets) or len(set(targets)) != len(targets)
+                                   or any(not 0 <= t < qubits for t in targets)):
+                misfit = g, targets
+            gates.append((g, targets))
+        if misfit is not None:
+            raise ValueError(f"gate of dimension {misfit[0].dim} does not fit wires {misfit[1]} "
+                             f"of a {qubits}-qubit register")
+        object.__setattr__(self, "gates", tuple(gates))
 
 
 def _apply_run(ops: Sequence[GateList], block: np.ndarray, dims: Sequence[int],
@@ -426,9 +439,12 @@ def _add_keys(total: np.ndarray, probs: np.ndarray, m: np.ndarray) -> None:
 
 
 def _add_diagonals(total: np.ndarray, probs: np.ndarray, m: np.ndarray) -> None:
-    """:func:`_add_keys`' diagonal alone: Σ_k p_k Σ_r |m_k[..., x, r]|² to total[..., x]."""
-    total += np.einsum("...r,r->...", m.real ** 2 + m.imag ** 2,
-                       np.repeat(probs, m.shape[-1] // len(probs)))
+    """:func:`_add_keys`' diagonal alone: Σ_k p_k Σ_r |m_k[..., x, r]|² to total[..., x],
+    in slices along ``total``'s leading axis whose squared moduli take at most 1 MiB."""
+    weights = np.repeat(probs, m.shape[-1] // len(probs))
+    step = max(1, (1 << 20) // (m[0].size * 8))
+    for s in (slice(i, i + step) for i in range(0, len(total), step)):
+        total[s] += np.einsum("...r,r->...", m[s].real ** 2 + m[s].imag ** 2, weights)
 
 
 def _block_diagonal(gate: np.ndarray, i: int) -> bool:
@@ -559,14 +575,16 @@ def factorization_certificate(units: np.ndarray) -> float:
     It bounds their diamond distance from above (Watrous, *The Theory of
     Quantum Information*, ch. 3), so it bounds the trace distance between
     (I ⊗ E) sigma and (Tr_input sigma) ⊗ E(|0><0|) for every bipartite sigma.
-    A trace distance is at most 1, and so is the value returned.  As in
-    :func:`qmath.trace_distance`, a C with no nonzero entry gives exactly 0.0,
-    with no eigensolve; a C of rounding noise is still eigensolved.
+    A trace distance is at most 1, and so is the value returned.  A C with no
+    nonzero entry, found reading the table in place one input row at a time,
+    gives exactly 0.0 with no eigensolve; a C of rounding noise is still eigensolved.
     """
     d, dm = units.shape[0], units.shape[-1]
-    choi = units.transpose(0, 2, 1, 3).reshape(d * dm, d * dm) - np.kron(np.eye(d), units[0, 0])
-    if not choi.any():
+    ref = units[0, 0]
+    if not any(units[a, :a].any() or units[a, a + 1:].any() or (units[a, a] != ref).any()
+               for a in range(d)):
         return 0.0
+    choi = units.transpose(0, 2, 1, 3).reshape(d * dm, d * dm) - np.kron(np.eye(d), ref)
     w, v = np.linalg.eigh(choi)
     # Tr_out |C| = Σ_i |w_i| Tr_out(v_i v_i†), without forming |C|
     half = (v * np.sqrt(np.abs(w))).reshape(d, -1)
@@ -699,7 +717,8 @@ def epr_block(n: int) -> Ket:
 def _pauli_key_table(n: int, alphabet: str) -> tuple[list[str], list[GateList]]:
     """Every key over ``alphabet`` (indices into PAULI), one gate per wire."""
     keys = ["".join(t) for t in itertools.product(alphabet, repeat=n)]
-    return keys, [GateList(n, [(PAULI[int(c)], (i,)) for i, c in enumerate(k)]) for k in keys]
+    pairs = [{c: (PAULI[int(c)], (i,)) for c in alphabet} for i in range(n)]
+    return keys, [GateList(n, [pair[c] for pair, c in zip(pairs, k)]) for k in keys]
 
 
 def _pad(name: str, kind: str, n: int, alphabet: str) -> ChannelProtocol:
@@ -841,12 +860,10 @@ def protocol_to_dict(p: ChannelProtocol) -> dict:
     """The schema-2 descriptor of a protocol.  Its gate table lists each
     distinct gate object once, in first-use order over ``alice_ops`` then
     ``bob_ops``, whose keys each hold their operator's gates as
-    [table index, wires]."""
-    table: dict[int, tuple[int, UnitaryOp]] = {}
-
-    def refs(op: GateList) -> list:
-        return [[table.setdefault(id(g), (len(table), g))[0], list(targets)]
-                for g, targets in op.gates]
+    [table index, wires]; keys that share one operator object share its list."""
+    table: dict[UnitaryOp, int] = {}  # each gate's first-use index
+    refs = {op: [[table.setdefault(g, len(table)), list(targets)] for g, targets in op.gates]
+            for op in dict.fromkeys(p.alice_ops + p.bob_ops)}
 
     res = p.resource
     resource = {"kind": res.kind}
@@ -863,9 +880,9 @@ def protocol_to_dict(p: ChannelProtocol) -> dict:
         "alice_ancillas": p.alice_ancillas, "bob_ancillas": p.bob_ancillas,
         "resource": resource, "message_subsystems": list(p.message_subsystems),
         "output_subsystems": list(p.output_subsystems),
-        "alice_ops": [refs(op) for op in p.alice_ops],
-        "bob_ops": [refs(op) for op in p.bob_ops]}
-    data["gates"] = [matrix_to_json(g.matrix) for _, g in table.values()]
+        "alice_ops": [refs[op] for op in p.alice_ops],
+        "bob_ops": [refs[op] for op in p.bob_ops]}
+    data["gates"] = [matrix_to_json(g.matrix) for g in table]
     return data
 
 
@@ -909,17 +926,20 @@ def protocol_from_dict(data: dict) -> ChannelProtocol:
         raise ValueError(f"resource kind {res['kind']!r} does not match its payloads")
     table = [UnitaryOp(matrix_from_json(_numbers(m, "gates"))) for m in data["gates"]]
 
-    def gate(index) -> UnitaryOp:
+    def gate(index) -> UnitaryOp:  # for an index that is no plain int in range
         if not 0 <= _integer(index, "gate index") < len(table):
             raise ValueError(f"gate index {index} outside the table of {len(table)}")
         return table[index]
+
+    def ops(side: str) -> tuple:
+        return tuple(((table[i] if type(i) is int and 0 <= i < len(table) else gate(i), wires)
+                      for i, wires in op) for op in data[side])
 
     p = ChannelProtocol(
         name=data["name"], input_kind=data["input_kind"], input_qubits=data["input_qubits"],
         message_kind=data["message_kind"], resource=resource,
         alice_ancillas=data["alice_ancillas"], bob_ancillas=data["bob_ancillas"],
-        alice_ops=tuple(((gate(i), wires) for i, wires in op) for op in data["alice_ops"]),
-        bob_ops=tuple(((gate(i), wires) for i, wires in op) for op in data["bob_ops"]),
+        alice_ops=ops("alice_ops"), bob_ops=ops("bob_ops"),
         message_subsystems=tuple(data["message_subsystems"]),
         output_subsystems=tuple(data["output_subsystems"]))
     if schema == 1 and any(len(op.gates[0][1]) != op.qubits for op in p.alice_ops + p.bob_ops):

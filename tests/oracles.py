@@ -1,5 +1,6 @@
 """Reference helpers that only the tests use: gates on kets and on the full
-product space, a gate list's dense matrix, ray comparison, the probe inputs
+product space, a gate list's dense matrix and its checks as first written,
+ray comparison, the probe inputs
 of the per-probe reference, Haar-random kets and unitaries and random
 density matrices one draw at a time,
 per-probe views of a protocol's sender stage, channel table and key-averaged
@@ -44,6 +45,7 @@ from pqclab.qmath import (
     Ket,
     SystemLayout,
     UnitaryOp,
+    _integer,
     apply_gate,
     as_complex,
     compose_circuit,
@@ -67,6 +69,22 @@ def embed_operator(gate: np.ndarray, targets: Sequence[int], dims: Sequence[int]
 def dense(op: GateList) -> np.ndarray:
     """The matrix of a gate list, its gates composed one at a time."""
     return compose_circuit([2] * op.qubits, ((g.matrix, t) for g, t in op.gates))
+
+
+def gate_list_pairs(qubits, gates) -> tuple[int, tuple]:
+    """The register size and the normalised (UnitaryOp, wires) pairs of a
+    :class:`GateList`, or its ValueError: its checks as first written, every
+    gate normalised before any is fitted to the register."""
+    qubits = _integer(qubits, "qubits")
+    gates = tuple((g if isinstance(g, UnitaryOp) else UnitaryOp(g),
+                   tuple(_integer(t, "gate targets") for t in targets))
+                  for g, targets in gates)
+    for g, targets in gates:
+        if (g.dim != 2 ** len(targets) or len(set(targets)) != len(targets)
+                or any(not 0 <= t < qubits for t in targets)):
+            raise ValueError(f"gate of dimension {g.dim} does not fit wires {targets} "
+                             f"of a {qubits}-qubit register")
+    return qubits, gates
 
 
 def ray_deviation(a: Ket, b: Ket) -> float:

@@ -1,6 +1,6 @@
 """Fingerprint the reports the CLI writes on the benchmark's rows.
 
-Usage: python3 tests/report_fingerprint.py [--rows] [--peaks]
+Usage: python3 tests/report_fingerprint.py [--rows] [--peaks] [--cpu]
 
 Runs in this one process, with a 1 GiB address-space cap and one BLAS thread:
 
@@ -17,8 +17,11 @@ stdout and stderr, so two checkouts that print the same lines wrote the same
 reports.  With ``--rows`` it prints, after those lines, one line per row:
 its argv, its exit code and the sha256 of its stdout and of its stderr, so
 the outputs of two checkouts can be diffed row by row.  With ``--peaks``
-it prints, last, one line per row: its argv and the tracemalloc peak of its
+it prints, after those, one line per row: its argv and the tracemalloc peak of its
 ``main(argv)`` in MiB, so two checkouts' peaks can be diffed the same way.
+With ``--cpu`` it prints, last, one line per row: its argv and the
+least process CPU time of five more untraced runs of its ``main(argv)`` in
+ms, so two checkouts' per-row times can be diffed on one machine.
 It imports ``pqclab`` from the ``src`` next to this file.
 """
 
@@ -33,12 +36,14 @@ import os
 import re
 import resource
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 SAMPLES = (1, 7, 127, 128, 129, 200, 500)
+CPU_RUNS = 5
 
 
 def _workloads():
@@ -74,8 +79,8 @@ def run(main, argv: list[str]) -> tuple[int, str, str]:
 
 def main() -> None:
     flags = sys.argv[1:]
-    if len(set(flags)) < len(flags) or not set(flags) <= {"--rows", "--peaks"}:
-        sys.exit("usage: python3 tests/report_fingerprint.py [--rows] [--peaks]")
+    if len(set(flags)) < len(flags) or not set(flags) <= {"--rows", "--peaks", "--cpu"}:
+        sys.exit("usage: python3 tests/report_fingerprint.py [--rows] [--peaks] [--cpu]")
     # before numpy is first imported, through pqclab
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
@@ -83,7 +88,7 @@ def main() -> None:
     sys.path.insert(0, str(ROOT / "src"))
     from pqclab.cli import main as cli_main
 
-    per_row, peaks = [], []
+    per_row, peaks, cpu = [], [], []
     for name, argvs in rows().items():
         codes, digest = collections.Counter(), hashlib.sha256()
         for argv in argvs:
@@ -93,6 +98,13 @@ def main() -> None:
             if "--peaks" in flags:
                 peaks.append(f"{' '.join(argv)}: {tracemalloc.get_traced_memory()[1] / 2 ** 20:.2f} MiB")
                 tracemalloc.stop()
+            if "--cpu" in flags:
+                times = []
+                for _ in range(CPU_RUNS):
+                    start = time.process_time()
+                    run(cli_main, argv)
+                    times.append(time.process_time() - start)
+                cpu.append(f"{' '.join(argv)}: {min(times) * 1e3:.2f} ms")
             codes[code] += 1
             for part in (" ".join(argv), str(code), out, err):
                 digest.update(part.encode() + b"\0")
@@ -101,7 +113,7 @@ def main() -> None:
                            f"{hashlib.sha256(err.encode()).hexdigest()}")
         counts = ", ".join(f"{n} x exit {c}" for c, n in sorted(codes.items()))
         print(f"{name}: {len(argvs)} rows, {counts}, sha256 {digest.hexdigest()}")
-    for flag, lines in (("--rows", per_row), ("--peaks", peaks)):
+    for flag, lines in (("--rows", per_row), ("--peaks", peaks), ("--cpu", cpu)):
         if flag in flags:
             print("\n".join(lines))
 

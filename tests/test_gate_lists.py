@@ -21,7 +21,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqclab import protocols
@@ -29,6 +29,8 @@ from pqclab.cli import main
 from pqclab.protocols import (
     CNOT,
     HADAMARD,
+    PAULI,
+    PAULI_BY_PAIR,
     GateList,
     _apply_run,
     _shared_prefix,
@@ -52,7 +54,7 @@ from pqclab.qmath import (
 )
 from pqclab.reductions import lift_extra_comm, lift_extra_epr, rsp_to_pqc, teleportation_rsp
 
-from oracles import dense, haar_unitary, run_cut, verification_pass
+from oracles import dense, gate_list_pairs, haar_unitary, run_cut, verification_pass
 
 TOL = 1e-12
 
@@ -276,6 +278,69 @@ def test_gate_list_rejects_misfit_gates():
         GateList(2, ((2 * CNOT.matrix, (0, 1)),))
 
 
+# wires other than a plain int in range that a caller may hand over: plain
+# and numpy ints out of range and in it, and the bools, floats and strings
+# that must be refused
+_ODD_WIRE = st.sampled_from(
+    [-1, 4, np.int64(-1), np.int64(0), np.int64(3), False, True, 0.0, 1.0, 0.5, "0", "1"])
+# gates of dimension 1 to 8 as UnitaryOps, raw matrices that validate, and
+# raw matrices that do not (not unitary, not square)
+_GATE = st.sampled_from([
+    UnitaryOp(np.eye(1)), PAULI[1], HADAMARD, CNOT, PAULI_BY_PAIR, np.eye(1), SIGMA[2],
+    [[0, 1], [1, 0]], CNOT.matrix, np.eye(8), 2 * np.eye(2), np.ones((2, 4))])
+
+
+@st.composite
+def gate_spec(draw):
+    gate = draw(_GATE)
+    # as many wires as the gate has, often, so that the fit checks decide
+    fits = int(np.shape(gate.matrix if isinstance(gate, UnitaryOp) else gate)[0]).bit_length() - 1
+    size = draw(st.one_of(st.just(fits), st.integers(0, 3)))
+    wires = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    # at most one odd wire, so that a list often fails on that wire alone
+    if wires and draw(st.booleans()):
+        wires[draw(st.integers(0, size - 1))] = draw(_ODD_WIRE)
+    kind = draw(st.sampled_from(["tuple", "list", "array", "range"]))
+    if kind == "range":
+        start = draw(st.integers(-1, 4))
+        return gate, range(start, start + draw(st.integers(0, 3)))
+    if kind == "array":
+        return gate, np.array(wires)
+    return gate, (tuple if kind == "tuple" else list)(wires)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the kind and text are compared
+        return exc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@example(2, [(CNOT, (1, 1))])
+@example(2, [(PAULI[1], [-1])])
+@example(3, [(CNOT, [0, 3]), (HADAMARD, (0.0,))])
+@example(3, [(PAULI[1], [np.int64(2)]), (CNOT, range(2))])
+@example(2, [(PAULI[1], (True,))])
+@given(st.sampled_from([0, 1, 2, 3, 4, np.int64(3), 3.0, True]), st.lists(gate_spec(), max_size=4))
+def test_gate_list_checks_equal_the_first_written_checks(qubits, gates):
+    # the same accept or refuse, with the same message, as the checks first
+    # written (the oracle); an accepted list holds the same gate objects, or
+    # equal validated matrices for raw ones, on tuples of Python ints
+    got, want = _outcome(lambda: GateList(qubits, gates)), _outcome(
+        lambda: gate_list_pairs(qubits, gates))
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert type(got.qubits) is int and got.qubits == want[0]
+    assert len(got.gates) == len(want[1]) == len(gates)
+    for (g, wires), (h, ref), (given_gate, _) in zip(got.gates, want[1], gates):
+        assert type(g) is UnitaryOp and np.array_equal(g.matrix, h.matrix)
+        assert g is h if isinstance(given_gate, UnitaryOp) else g is not given_gate
+        assert type(wires) is tuple and wires == ref
+        assert all(type(t) is int for t in wires)
+
+
 def _dense_lift_comm(p):
     """The extra-communication lift's operators, composed densely from the
     gate sequence the lift was first written with."""
@@ -375,10 +440,25 @@ def test_builder_digests_unchanged(builder, n, digest):
     assert protocol_digest(build_named(builder, n)).startswith(digest)
 
 
+# the lifts' digests: every gate list a lift builds, on tuples of plain ints,
+# serializes to the same text
+LIFT_DIGESTS = {
+    lift_extra_comm: {("quantum-otp", 1): "902291102e02a030", ("quantum-otp", 2): "8f647b4f7218f4e7",
+                      ("quantum-otp", 3): "15afef7074477d32", ("teleportation", 1): "055d73a3ae5fa9dc",
+                      ("teleportation", 2): "1a8fc4c551fe471e",
+                      ("broken-teleportation", 1): "d1df3524cefd2b79",
+                      ("broken-teleportation", 2): "55a75a9e46d59c1d"},
+    lift_extra_epr: {("quantum-otp", 1): "c68d774eae80e899", ("teleportation", 1): "c894de7130a1ba0c",
+                     ("teleportation", 2): "e32fc4b224578044"},
+}
+
+
 @pytest.mark.parametrize("build,digest", [
     (lambda: rsp_to_pqc(teleportation_rsp(4)), "25b93325870a8283"),
-    (lambda: lift_extra_epr(build_named("quantum-otp", 1)), "c68d774eae80e899"),
-], ids=["rsp-teleportation-4", "quantum-otp-1-lift-extra-epr"])
+    *[((lambda lift=lift, b=b, n=n: lift(build_named(b, n))), digest)
+      for lift, by_case in LIFT_DIGESTS.items() for (b, n), digest in by_case.items()],
+], ids=["rsp-teleportation-4", *[f"{b}-{n}-{lift.__name__.replace('_', '-')}"
+                                 for lift, by_case in LIFT_DIGESTS.items() for b, n in by_case]])
 def test_gate_list_protocols_at_desk_scale_serialize(build, digest):
     assert protocol_digest(build()).startswith(digest)
 
