@@ -204,49 +204,62 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(as_complex(a), as_complex(b))
 
 
+def apply_gates(block: np.ndarray, dims: Sequence[int],
+                gates: Iterable[tuple[np.ndarray, Sequence[int]]]) -> np.ndarray:
+    """Apply each (gate, targets) in turn to the listed subsystems (in the
+    given order) of a vector, of the rows of a column block, or of each matrix
+    of a stack (K, rows, cols); a stack of gates (K, g, g) acts matrix by
+    matrix, making one block a stack.  The result is complex; ``block`` is
+    only read.  The wire order drifts: a gate is one product where its targets
+    and the wires after them sit in its own order (an ascending run in place,
+    else the targets first, then every other wire in order), after one copy
+    into that order if they do not: the gate's own BLAS call, bit for bit.
+    Copies and products fill two buffers in turn; a last copy restores the order."""
+    dims, n, stack = list(dims), len(dims), block.shape[:block.ndim // 3]  # a stack's axis
+    cur, order = block, list(range(n))  # the wire on each storage axis
+    bufs = [np.empty(0, complex)] * 2  # ``cur``'s buffer, once written, first
+
+    def take(shape):  # the buffer ``cur`` is not in, as an array of ``shape``
+        bufs.reverse()
+        if bufs[0].size != math.prod(shape):  # it grows once, if the block becomes a stack
+            bufs[0] = np.empty(shape, complex)
+        return bufs[0].reshape(shape)
+
+    def move(new):  # one copy into the wire order ``new``
+        s, src = len(stack), cur.reshape(*stack, *(dims[w] for w in order), -1)
+        out = take(stack + tuple(dims[w] for w in new) + src.shape[-1:])
+        np.copyto(out, src.transpose(*range(s), *(s + order.index(w) for w in new), s + n))
+        return out
+
+    for gate, targets in gates:
+        targets, t0 = list(targets), targets[0] if len(targets) else 0
+        own = (list(range(n)) if targets == list(range(t0, t0 + len(targets)))
+               else targets + [w for w in range(n) if w not in targets])
+        want = own[own.index(t0):]  # the targets and the wires after them
+        if order[n - len(want):] != want:
+            cur, order = move(own), own
+        lead = math.prod(dims[w] for w in order[:n - len(want)])
+        t = cur.reshape(*stack, lead, math.prod(dims[w] for w in targets), -1)
+        gate = gate[:, None] if gate.ndim == 3 else gate
+        cur = take(np.broadcast_shapes(gate.shape[:-2], t.shape[:-2]) + t.shape[-2:])
+        np.matmul(gate, t, out=cur)
+        stack = cur.shape[:-3]
+    cur = move(list(range(n))) if order != list(range(n)) else cur
+    return block if cur is block else cur.reshape(stack + block.shape[block.ndim // 3:])
+
+
 def apply_gate(block: np.ndarray, dims: Sequence[int], gate: np.ndarray,
                targets: Sequence[int]) -> np.ndarray:
-    """Apply ``gate`` to the listed subsystems (in the given order) of a
-    state vector, of the row index of a matrix of column vectors, or of each
-    matrix of a stack (K, rows, cols).  A stack of gates (K, g, g) applies
-    gate k to matrix k, or to the one matrix given, making it a stack."""
-    dims = list(dims)
-    targets = list(targets)
-    t0 = targets[0] if targets else 0
-    if targets == list(range(t0, t0 + len(targets))):
-        # one ascending run of wires is the middle index of a 3-way reshape
-        lead = math.prod(dims[:t0])
-        d_t = math.prod(dims[t0:t0 + len(targets)])
-        s = block.ndim // 3  # a stack's leading axis
-        t = block.reshape(*block.shape[:s], lead, d_t, -1)
-        t = (gate[:, None] if gate.ndim == 3 else gate) @ t
-        return t.reshape(t.shape[:-3] + block.shape[s:])
-    return _apply_gate_transposed(block, dims, gate, targets)
-
-
-def _apply_gate_transposed(block: np.ndarray, dims: list[int], gate: np.ndarray,
-                           targets: list[int]) -> np.ndarray:
-    """:func:`apply_gate` for any target order: move the targets outermost,
-    multiply, move them back."""
-    n, s = len(dims), block.ndim // 3  # a stack's leading axis
-    lead, perm = block.shape[:s], targets + [i for i in range(n) if i not in targets]
-    # a vector is one column
-    t = np.moveaxis(block.reshape(*lead, *dims, -1), [s + i for i in perm], range(s, s + n))
-    t = gate @ t.reshape(*lead, math.prod(dims[i] for i in targets), -1)
-    t = t.reshape(*t.shape[:-2], *[dims[i] for i in perm], -1)  # a stack of gates makes a stack
-    s = t.ndim - n - 1
-    return np.moveaxis(t, range(s, s + n), [s + i for i in perm]).reshape(
-        t.shape[:s] + block.shape[len(lead):])
+    """:func:`apply_gates` of the one gate."""
+    return apply_gates(block, dims, [(gate, targets)])
 
 
 def compose_circuit(dims: Sequence[int], gates: Iterable[tuple[np.ndarray, Sequence[int]]]) -> np.ndarray:
     """Product of embedded gates; the first listed gate acts first.  A stack
     of gates (K, g, g) among them makes the product a stack of K matrices."""
     d = int(np.prod(list(dims)))
-    u = np.eye(d, dtype=complex)
-    for gate, targets in gates:
-        u = apply_gate(u, dims, as_complex(gate), list(targets))
-    return u
+    return apply_gates(np.eye(d, dtype=complex), dims,
+                       ((as_complex(gate), targets) for gate, targets in gates))
 
 
 def reduced_matrix(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:

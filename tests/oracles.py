@@ -1,6 +1,6 @@
 """Reference helpers that only the tests use: gates on kets and on the full
 product space, a gate list's dense matrix and its checks as first written,
-ray comparison, the probe inputs
+one gate applied alone as first written, ray comparison, the probe inputs
 of the per-probe reference, Haar-random kets and unitaries and random
 density matrices one draw at a time,
 per-probe views of a protocol's sender stage, channel table and key-averaged
@@ -85,6 +85,41 @@ def gate_list_pairs(qubits, gates) -> tuple[int, tuple]:
             raise ValueError(f"gate of dimension {g.dim} does not fit wires {targets} "
                              f"of a {qubits}-qubit register")
     return qubits, gates
+
+
+def gate_alone(block: np.ndarray, dims: Sequence[int], gate: np.ndarray,
+               targets: Sequence[int]) -> np.ndarray:
+    """One gate on the listed subsystems of a vector, a column block or a
+    stack (K, rows, cols): ``qmath.apply_gate``'s per-gate path as first
+    written, a 3-way reshape for one ascending run of wires, else
+    :func:`gate_alone_transposed`."""
+    dims = list(dims)
+    targets = list(targets)
+    t0 = targets[0] if targets else 0
+    if targets == list(range(t0, t0 + len(targets))):
+        # one ascending run of wires is the middle index of a 3-way reshape
+        lead = math.prod(dims[:t0])
+        d_t = math.prod(dims[t0:t0 + len(targets)])
+        s = block.ndim // 3  # a stack's leading axis
+        t = block.reshape(*block.shape[:s], lead, d_t, -1)
+        t = (gate[:, None] if gate.ndim == 3 else gate) @ t
+        return t.reshape(t.shape[:-3] + block.shape[s:])
+    return gate_alone_transposed(block, dims, gate, targets)
+
+
+def gate_alone_transposed(block: np.ndarray, dims: list[int], gate: np.ndarray,
+                          targets: list[int]) -> np.ndarray:
+    """:func:`gate_alone` for any target order: move the targets outermost,
+    multiply, move them back."""
+    n, s = len(dims), block.ndim // 3  # a stack's leading axis
+    lead, perm = block.shape[:s], targets + [i for i in range(n) if i not in targets]
+    # a vector is one column
+    t = np.moveaxis(block.reshape(*lead, *dims, -1), [s + i for i in perm], range(s, s + n))
+    t = gate @ t.reshape(*lead, math.prod(dims[i] for i in targets), -1)
+    t = t.reshape(*t.shape[:-2], *[dims[i] for i in perm], -1)  # a stack of gates makes a stack
+    s = t.ndim - n - 1
+    return np.moveaxis(t, range(s, s + n), [s + i for i in perm]).reshape(
+        t.shape[:s] + block.shape[len(lead):])
 
 
 def ray_deviation(a: Ket, b: Ket) -> float:

@@ -1,6 +1,6 @@
 """Fingerprint the reports the CLI writes on the benchmark's rows.
 
-Usage: python3 tests/report_fingerprint.py [--rows] [--peaks] [--cpu]
+Usage: python3 tests/report_fingerprint.py [--rows] [--peaks] [--cpu] [--faults]
 
 Runs in this one process, with a 1 GiB address-space cap and one BLAS thread:
 
@@ -19,9 +19,12 @@ its argv, its exit code and the sha256 of its stdout and of its stderr, so
 the outputs of two checkouts can be diffed row by row.  With ``--peaks``
 it prints, after those, one line per row: its argv and the tracemalloc peak of its
 ``main(argv)`` in MiB, so two checkouts' peaks can be diffed the same way.
-With ``--cpu`` it prints, last, one line per row: its argv and the
+With ``--cpu`` it prints, after those, one line per row: its argv and the
 least process CPU time of five more untraced runs of its ``main(argv)`` in
-ms, so two checkouts' per-row times can be diffed on one machine.
+ms, so two checkouts' per-row times can be diffed on one machine.  With
+``--faults`` it prints, last, one line per row: its argv and the minor page
+faults (the ``ru_minflt`` delta) of one more warm run of its ``main(argv)``,
+so a change's allocator churn can be counted row by row.
 It imports ``pqclab`` from the ``src`` next to this file.
 """
 
@@ -79,8 +82,8 @@ def run(main, argv: list[str]) -> tuple[int, str, str]:
 
 def main() -> None:
     flags = sys.argv[1:]
-    if len(set(flags)) < len(flags) or not set(flags) <= {"--rows", "--peaks", "--cpu"}:
-        sys.exit("usage: python3 tests/report_fingerprint.py [--rows] [--peaks] [--cpu]")
+    if len(set(flags)) < len(flags) or not set(flags) <= {"--rows", "--peaks", "--cpu", "--faults"}:
+        sys.exit("usage: python3 tests/report_fingerprint.py [--rows] [--peaks] [--cpu] [--faults]")
     # before numpy is first imported, through pqclab
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
@@ -88,7 +91,7 @@ def main() -> None:
     sys.path.insert(0, str(ROOT / "src"))
     from pqclab.cli import main as cli_main
 
-    per_row, peaks, cpu = [], [], []
+    per_row, peaks, cpu, faults = [], [], [], []
     for name, argvs in rows().items():
         codes, digest = collections.Counter(), hashlib.sha256()
         for argv in argvs:
@@ -105,6 +108,11 @@ def main() -> None:
                     run(cli_main, argv)
                     times.append(time.process_time() - start)
                 cpu.append(f"{' '.join(argv)}: {min(times) * 1e3:.2f} ms")
+            if "--faults" in flags:
+                start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                run(cli_main, argv)
+                minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+                faults.append(f"{' '.join(argv)}: {minflt} minor faults")
             codes[code] += 1
             for part in (" ".join(argv), str(code), out, err):
                 digest.update(part.encode() + b"\0")
@@ -113,7 +121,8 @@ def main() -> None:
                            f"{hashlib.sha256(err.encode()).hexdigest()}")
         counts = ", ".join(f"{n} x exit {c}" for c, n in sorted(codes.items()))
         print(f"{name}: {len(argvs)} rows, {counts}, sha256 {digest.hexdigest()}")
-    for flag, lines in (("--rows", per_row), ("--peaks", peaks), ("--cpu", cpu)):
+    for flag, lines in (("--rows", per_row), ("--peaks", peaks), ("--cpu", cpu),
+                        ("--faults", faults)):
         if flag in flags:
             print("\n".join(lines))
 

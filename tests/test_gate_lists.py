@@ -2,14 +2,16 @@
 
 Protocol operators are lists of gates that the engine applies one gate
 position at a time, for a run of keys at once.  The checks here:
-``apply_gate``'s reshape path for a run of wires equals its transpose path,
-and on stacks of gates or blocks it equals each matrix alone; a run of gate
-lists equals its gates applied one at a time, each applied matrix is the
-size of the list gate it comes from, and a lift's receiver applies one gate,
-or one stack of the run's keys' gates, per position; every lifted operator's dense
-matrix (``oracles.dense``) equals the dense product the lifts used to build
-gate by gate with ``compose_circuit``, and both give the same verification
-values; builder digests are those of the gate-list descriptors, and lifted
+``apply_gate`` on a run of wires equals the transpose path as first written,
+and on stacks of gates or blocks it equals each matrix alone;
+``apply_gates`` equals each gate applied alone as first written, bit for
+bit; a run of gate lists equals its gates applied one at a time, each
+applied matrix is the size of the list gate it comes from, and a lift's
+receiver applies one gate, or one stack of the run's keys' gates, per
+position, all in one ``apply_gates`` call per run; every lifted operator's
+dense matrix (``oracles.dense``) equals the dense product the lifts used to
+build gate by gate with ``compose_circuit``, and both give the same
+verification values; builder digests are those of the gate-list descriptors, and lifted
 protocols save and verify from their files.
 """
 
@@ -46,15 +48,23 @@ from pqclab.protocols import (
 from pqclab.qmath import (
     SIGMA,
     UnitaryOp,
-    _apply_gate_transposed,
     apply_gate,
+    apply_gates,
     compose_circuit,
     max_abs,
     pauli_string,
 )
 from pqclab.reductions import lift_extra_comm, lift_extra_epr, rsp_to_pqc, teleportation_rsp
 
-from oracles import dense, gate_list_pairs, haar_unitary, run_cut, verification_pass
+from oracles import (
+    dense,
+    gate_alone,
+    gate_alone_transposed,
+    gate_list_pairs,
+    haar_unitary,
+    run_cut,
+    verification_pass,
+)
 
 TOL = 1e-12
 
@@ -88,7 +98,61 @@ def test_run_fast_path_equals_transpose_path(case):
     gate = haar_unitary(d_t, rng).matrix
     fast = apply_gate(block, dims, gate, targets)
     assert fast.shape == block.shape
-    assert max_abs(fast - _apply_gate_transposed(block, dims, gate, targets)) <= 1e-14
+    assert max_abs(fast - gate_alone_transposed(block, dims, gate, targets)) <= 1e-14
+
+
+@st.composite
+def gate_positions(draw):
+    # a register of qubits and qutrits, a vector, a column block or a stack of
+    # them, and up to 6 gate positions of 1-3 wires each: ascending, descending
+    # or scattered wires, or the wires of the position before; a stack of
+    # gates at a position only on a column block or a stack
+    dims = draw(st.lists(st.sampled_from([2, 2, 3]), min_size=1, max_size=5))
+    n = len(dims)
+    shape = draw(st.sampled_from(["vector", "columns", "stack"]))
+    cols = 1 if shape == "vector" else draw(st.integers(1, 4))
+    keys = draw(st.integers(1, 3))
+    positions = []
+    for _ in range(draw(st.integers(1, 6))):
+        order = draw(st.sampled_from(["ascending", "descending", "scattered", "repeated"]))
+        if order == "repeated" and positions:
+            targets = positions[-1][0]
+        elif order in ("ascending", "descending"):
+            k = draw(st.integers(1, min(3, n)))
+            first = draw(st.integers(0, n - k))
+            targets = list(range(first, first + k))[::1 if order == "ascending" else -1]
+        else:
+            targets = draw(st.permutations(range(n)))[:draw(st.integers(1, min(3, n)))]
+        positions.append((targets, shape != "vector" and draw(st.booleans())))
+    return dims, shape, cols, keys, positions, draw(st.booleans()), draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gate_positions())
+def test_apply_gates_equals_each_gate_alone(case):
+    # a run of gate positions in one call equals the gates applied one at a
+    # time as first written, bit for bit, whatever order the wires drift into
+    # between them; the input, read-only or not, is left as it was
+    dims, shape, cols, keys, positions, read_only, seed = case
+    rng = np.random.default_rng(seed)
+    d = math.prod(dims)
+    size = {"vector": (d,), "columns": (d, cols), "stack": (keys, d, cols)}[shape]
+    block = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    block.flags.writeable = not read_only
+    before = block.copy()
+    gates = []
+    for targets, stacked in positions:
+        g = math.prod(dims[t] for t in targets)
+        gate_shape = (keys, g, g) if stacked else (g, g)
+        gates.append((rng.standard_normal(gate_shape) + 1j * rng.standard_normal(gate_shape),
+                      targets))
+    expected = block
+    for gate, targets in gates:
+        expected = gate_alone(expected, dims, gate, targets)
+    out = apply_gates(block, dims, gates)
+    assert out.shape == expected.shape
+    assert np.array_equal(out, expected)
+    assert np.array_equal(block, before)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -178,20 +242,25 @@ def test_fused_apply_equals_gate_by_gate(case, data):
 
 def _record_runs(monkeypatch):
     """Record each ``_apply_run`` call as (ops, start, stop, wires, applied),
-    applied holding each ``apply_gate`` call's (block shape, targets, matrix
-    shape)."""
-    calls, real_run, real_gate = [], protocols._apply_run, protocols.apply_gate
+    applied holding, for each gate position of its one ``apply_gates`` call,
+    (shape of the block the position acts on, targets, matrix shape): the
+    run's block, which a stack of gates makes a stack."""
+    calls, real_run, real_gates = [], protocols._apply_run, protocols.apply_gates
 
     def apply_run(ops, block, dims, wires, start=0, stop=None):
         calls.append((list(ops), start, stop, list(wires), []))
         return real_run(ops, block, dims, wires, start, stop)
 
-    def gate(block, dims, matrix, targets):
-        calls[-1][4].append((block.shape, list(targets), matrix.shape))
-        return real_gate(block, dims, matrix, targets)
+    def gates(block, dims, positions):
+        assert not calls[-1][4], "a run made a second apply_gates call"
+        positions, shape = list(positions), block.shape
+        for matrix, targets in positions:
+            calls[-1][4].append((shape, list(targets), matrix.shape))
+            shape = matrix.shape[:-2] + shape[-2:] if matrix.ndim == 3 else shape
+        return real_gates(block, dims, positions)
 
     monkeypatch.setattr(protocols, "_apply_run", apply_run)
-    monkeypatch.setattr(protocols, "apply_gate", gate)
+    monkeypatch.setattr(protocols, "apply_gates", gates)
     return calls
 
 
