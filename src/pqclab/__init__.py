@@ -14,7 +14,6 @@ from .qmath import (
     pauli_string,
     purify,
     schmidt_decompose,
-    tensor,
     trace_distance,
 )
 from .entropy import (

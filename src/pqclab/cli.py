@@ -58,7 +58,9 @@ class RunConfig:
             raise UsageError("seed must be nonnegative")
 
 
-def _load(name_or_path: str, n: int) -> ChannelProtocol:
+def _load(name_or_path: str, n: int, *rules) -> ChannelProtocol:
+    """The builder's protocol at ``n``, or the file's, once require_desk_scale and
+    then the command's own ``rules`` admit it; any refusal is a UsageError."""
     try:
         if name_or_path in PROTOCOL_BUILDERS:
             protocol = build_named(name_or_path, n)
@@ -73,7 +75,8 @@ def _load(name_or_path: str, n: int) -> ChannelProtocol:
                 raise UsageError(f"cannot read protocol file {name_or_path!r}: {exc}") from exc
             except (ValueError, KeyError, TypeError) as exc:
                 raise UsageError(f"malformed protocol file {name_or_path!r}: {exc}") from exc
-        require_desk_scale(protocol)
+        for rule in (require_desk_scale, *rules):
+            rule(protocol)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return protocol
@@ -115,12 +118,7 @@ def cmd_verify(cfg: RunConfig, name_or_path: str, n: int) -> tuple[dict, int]:
 
 
 def cmd_audit(cfg: RunConfig, name_or_path: str, n: int) -> tuple[dict, int]:
-    protocol = _load(name_or_path, n)
-    if protocol.input_kind != INPUT_CLASSICAL:
-        try:
-            require_lift_scale(protocol)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    protocol = _load(name_or_path, n, require_lift_scale)
     report = _base_report("audit", cfg)
     block, verified = _verification_block(protocol, cfg)
     report.update(block)

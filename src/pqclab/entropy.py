@@ -58,10 +58,6 @@ class ProbabilityDist:
         k = len(outcomes)
         return cls(tuple(outcomes), np.full(k, 1.0) / k)  # k = 0: weights summing to 0, refused
 
-    @classmethod
-    def point(cls, outcome: str) -> "ProbabilityDist":
-        return cls((outcome,), np.array([1.0]))
-
     def __len__(self) -> int:
         return len(self.outcomes)
 

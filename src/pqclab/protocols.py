@@ -389,16 +389,16 @@ def _receiver_stage(p: ChannelProtocol, block: np.ndarray, dims: list[int], keys
 
 
 def _correctness_bound(block: np.ndarray, dims: list[int], outputs: list[int],
-                       basis: bool) -> float | np.ndarray:
+                       basis: bool) -> np.ndarray:
     """How far one key's channel is from the identity, in trace-distance
-    units, read off its receiver block W, indexed [output, rest, input a].
+    units, read off its receiver block W, indexed [output, rest, input a];
+    one value per block of a stack (..., rows, d), on either branch.
 
     With ``basis``, max_a ‖(I − |a><a| ⊗ I) W|a>‖: the root of the output's
     weight off |a>, summed as such, never as 1 − <a|Φ(|a><a|)|a>.  It is at
     least the trace distance (Fuchs and van de Graaf, 1999), and equal for a
-    pure output; the largest over a stack of blocks (..., rows, d).
-    Otherwise min(1, ‖W − I ⊗ j‖_op), j the normalized Σ_a (<a| ⊗ I) W|a>
-    (1.0 if that is 0), which bounds ½‖Φ − id‖_⋄ over every input
+    pure output.  Otherwise min(1, ‖W − I ⊗ j‖_op), j the normalized
+    Σ_a (<a| ⊗ I) W|a> (1.0 if that is 0), which bounds ½‖Φ − id‖_⋄ over every input
     (Kretschmann, Schlingemann and Werner, 2008); for each block of a stack,
     by one batched norm of the blocks whose W − I ⊗ j is not exactly zero
     (an exactly zero one is exactly 0.0, as in :func:`qmath.trace_distance`).
@@ -410,7 +410,7 @@ def _correctness_bound(block: np.ndarray, dims: list[int], outputs: list[int],
     if basis:
         weight = np.sum(np.abs(w) ** 2, axis=-2)
         weight[..., range(d), range(d)] = 0.0
-        return math.sqrt(float(weight.sum(axis=-2).max()))
+        return np.sqrt(weight.sum(axis=-2).max(axis=-1))
     j = np.einsum("...ara->...r", w)
     live = j.any(axis=-1)
     re, im = j.real[..., None, :], j.imag[..., None, :]  # np.linalg.norm's dot products:
@@ -484,9 +484,9 @@ def _runs(p: ChannelProtocol, shared: int, head: np.ndarray) -> list[range]:
     return runs
 
 
-def _verification_pass(p: ChannelProtocol) -> tuple[np.ndarray, float]:
-    """The channel table and the worst per-key :func:`_correctness_bound`
-    over the protocol's own inputs, from one sender stage and one receiver
+def _verification_pass(p: ChannelProtocol) -> tuple[np.ndarray, np.ndarray]:
+    """The channel table and each key's :func:`_correctness_bound`, in key
+    order, over the protocol's own inputs, from one sender and one receiver
     stage per run of keys (:func:`_runs`) on the stack of their blocks of all
     input basis columns.  For quantum input the table is the key-averaged
     E(|a><b|), indexed [a, b, x, y] and read off the Choi vectors Σ_a V|a>|a>;
@@ -504,7 +504,7 @@ def _verification_pass(p: ChannelProtocol) -> tuple[np.ndarray, float]:
     wires = [w - sum(e < w for e in early) for w in range(p.engine_qubits)]
     add = _add_diagonals if basis and p.message_kind == INPUT_CLASSICAL else _add_keys
     shape = (d, dm) if add is _add_diagonals else (d, dm, dm) if basis else (d * dm, d * dm)
-    table, correctness = np.zeros(shape, float if add is _add_diagonals else complex), 0.0
+    table, bounds = np.zeros(shape, float if add is _add_diagonals else complex), []
     for keys in _runs(p, shared, head):
         block, dims, keep = _stage(p, head, keys, shared, wires)
         run, keep = [len(keys), *dims], [w + 1 for w in keep]
@@ -512,18 +512,17 @@ def _verification_pass(p: ChannelProtocol) -> tuple[np.ndarray, float]:
             block.reshape(-1, d), run, keep) if basis else kept_factor(
             block.reshape(-1), run + [d], [len(run)] + keep))
         block, dims, outputs = _receiver_stage(p, block, dims, keys, wires)
-        bound = _correctness_bound(block.reshape(len(keys), -1, d), dims, outputs, basis)
-        correctness = max(correctness, float(np.max(bound)))
+        bounds.append(_correctness_bound(block.reshape(len(keys), -1, d), dims, outputs, basis))
     table = table if basis else table.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)
     table.flags.writeable = False
-    return table, correctness
+    return table, np.concatenate(bounds)
 
 
 #: the last verification pass, as [protocol, pass result]
 _last_pass: list = []
 
 
-def _verified(p: ChannelProtocol) -> tuple[np.ndarray, float]:
+def _verified(p: ChannelProtocol) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_verification_pass` through a one-slot memo keyed by the
     protocol object.  The slot is emptied before a new pass runs, so two
     passes' arrays are never held at once."""
@@ -656,9 +655,9 @@ def verify_security(p: ChannelProtocol) -> float:
 
 
 def verify_correctness(p: ChannelProtocol) -> float:
-    """A bound on every key's trace distance from the identity channel, over
-    the basis inputs or over every input (:func:`_correctness_bound`)."""
-    return _verified(p)[1]
+    """The largest per-key :func:`_correctness_bound` of the pass: a bound on every
+    key's trace distance from the identity, over the basis or over every input."""
+    return float(_verified(p)[1].max())
 
 
 def resource_report(p: ChannelProtocol) -> ResourceReport:
@@ -720,9 +719,11 @@ def require_lift_scale(p: ChannelProtocol):
     each carries 2n classical bits on 3n more wires than ``p``, on its 2^(2n)
     basis inputs, keys x 2^(engine register + 5n) amplitudes, which must stay
     within DESK_SCALE_LIMIT^2.  That load counts the 2n input wires, which
-    the basis pass folds out before the shared prefix (:func:`_foldable`)."""
-    require_load(f"{p.name} audit lift", p.key_count,
-                 p.engine_qubits + 5 * p.input_qubits, scale=2)
+    the basis pass folds out before the shared prefix (:func:`_foldable`).
+    A classical-input protocol is audited without lifts and passes at once."""
+    if p.input_kind == INPUT_QUANTUM:
+        require_load(f"{p.name} audit lift", p.key_count,
+                     p.engine_qubits + 5 * p.input_qubits, scale=2)
 
 
 def epr_block(n: int) -> Ket:

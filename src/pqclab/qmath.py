@@ -128,10 +128,6 @@ class Ket:
         layout = SystemLayout.qubits(len(bits))
         return cls.basis(layout, int(bits, 2))
 
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
-
     def density(self) -> "DensityOp":
         return DensityOp(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
 
@@ -199,11 +195,6 @@ class UnitaryOp:
 # composition and reduction
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with ``a``'s indices outermost."""
-    return np.kron(as_complex(a), as_complex(b))
-
-
 def apply_gates(block: np.ndarray, dims: Sequence[int],
                 gates: Iterable[tuple[np.ndarray, Sequence[int]]]) -> np.ndarray:
     """Apply each (gate, targets) in turn to the listed subsystems (in the
@@ -214,8 +205,11 @@ def apply_gates(block: np.ndarray, dims: Sequence[int],
     and the wires after them sit in its own order (an ascending run in place,
     else the targets first, then every other wire in order), after one copy
     into that order if they do not: the gate's own BLAS call, bit for bit.
-    Copies and products fill two buffers in turn; a last copy restores the order."""
+    Copies and products fill two buffers in turn; a last copy restores the order.
+    ``dims`` must span each matrix's rows, or its rows and columns together."""
     dims, n, stack = list(dims), len(dims), block.shape[:block.ndim // 3]  # a stack's axis
+    if math.prod(dims) not in (block.shape[len(stack)], math.prod(block.shape[len(stack):])):
+        raise ValueError(f"dims {dims} span neither the rows nor the entries of {block.shape}")
     cur, order = block, list(range(n))  # the wire on each storage axis
     bufs = [np.empty(0, complex)] * 2  # ``cur``'s buffer, once written, first
 

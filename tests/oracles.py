@@ -302,7 +302,7 @@ def unmasked_bound(block: np.ndarray, dims: list[int], outputs: list[int]) -> np
     return np.where(live, bound, 1.0)
 
 
-def verification_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, float]:
+def verification_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, np.ndarray]:
     """The verification pass over the basis inputs (``basis``) or over every
     input: that of ``p`` if it declares those inputs, else that of its twin
     ``dataclasses.replace(p, input_kind=...)``, which shares its gates."""
@@ -313,8 +313,9 @@ def verification_pass(p: ChannelProtocol, basis: bool) -> tuple[np.ndarray, floa
 
 
 def per_key_pass(p: ChannelProtocol, basis: bool,
-                 full: bool = False) -> tuple[np.ndarray, float]:
-    """The channel table and correctness bound of the verification pass,
+                 full: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The channel table and each key's correctness bound, in key order, of
+    the verification pass,
     with each key's reduced state from ``reduced_from_vector`` weighted and
     added to the table one key at a time, each key its own run of one, never
     stacked with other keys, and every wire kept in the block's rows: no wire
@@ -324,7 +325,7 @@ def per_key_pass(p: ChannelProtocol, basis: bool,
     d, dm = 2 ** p.input_qubits, 2 ** p.message_qubits
     shared = _shared_prefix(p.alice_ops)
     head = _sender_head(p, np.eye(d, dtype=complex), shared)
-    acc, correctness = 0.0, 0.0
+    acc, bounds = 0.0, []
     for k, prob in enumerate(p.key_probs):
         key = range(k, k + 1)
         block, dims, keep = _stage(p, head, key, shared)
@@ -333,12 +334,12 @@ def per_key_pass(p: ChannelProtocol, basis: bool,
             block.reshape(-1), dims + [d], [len(dims)] + keep)
         acc = acc + prob * reduced_from_vector(*columns)
         block, dims, outputs = _receiver_stage(p, block[None], dims, key)
-        correctness = max(correctness, per_key_bound(block[0], dims, outputs, basis))
+        bounds.append(per_key_bound(block[0], dims, outputs, basis))
     if not basis:
         acc = acc.reshape(d, dm, d, dm).transpose(0, 2, 1, 3)
     elif p.message_kind == INPUT_CLASSICAL and not full:
         acc = np.diagonal(acc, axis1=-2, axis2=-1)
-    return acc, correctness
+    return acc, np.array(bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqclab.cli import SWEEP_CHUNK, _worst_samples, main
+from pqclab import protocols
+from pqclab.cli import SWEEP_CHUNK, _emit, _worst_samples, main
 from pqclab.entropy import (
     check_correlation_bounds,
     check_entropy_inequalities,
@@ -856,13 +857,37 @@ def test_audit_lift_beyond_desk_scale_refused(capsys):
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert "error:" in err and "4096^2" in err
+    assert err == "error: quantum-otp audit lift: load 2^32 exceeds 4096^2\n"
 
 
 @pytest.mark.parametrize("builder,n", [("quantum-otp", 3), ("teleportation", 2),
                                        ("broken-teleportation", 2)])
 def test_audit_lift_at_desk_scale_admitted(builder, n):
     require_lift_scale(build_named(builder, n))  # 2^24, 2^20 and 2^20 amplitudes
+
+
+@pytest.mark.parametrize("builder,n", [("classical-otp", 4), ("superdense", 6), ("epr-otp", 3),
+                                       ("identity-leaky", 6)])
+def test_lift_scale_admits_classical_input_at_once(builder, n):
+    # audited without a lift: counted as a quantum input, each would be refused
+    p = build_named(builder, n)
+    require_lift_scale(p)
+    with pytest.raises(ValueError, match="audit lift: load"):
+        require_lift_scale(dataclasses.replace(p, input_kind="quantum"))
+
+
+def test_name_that_is_no_builder_nor_file_refused(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["verify", missing]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {missing!r} is neither a known protocol name nor a file; "
+                   f"known names: {sorted(PROTOCOL_BUILDERS)}\n")
+
+
+def test_non_finite_report_values_are_written_as_null(capsys):
+    _emit({"a": math.inf, "b": [-math.inf, 1.5], "c": {"d": math.nan}}, None)
+    assert json.loads(capsys.readouterr().out) == {"a": None, "b": [None, 1.5], "c": {"d": None}}
 
 
 # caps its own address space at 1 GiB, then runs the CLI
@@ -1090,6 +1115,26 @@ def test_gate_references_at_the_byte_limit_refused_under_1gib_address_space(tmp_
     assert f"arrays exceed the descriptor limit of {DESCRIPTOR_BYTE_LIMIT // 8}" in proc.stderr
 
 
+def test_descriptor_arrays_over_the_limit_refused_in_process(tmp_path, monkeypatch):
+    # the test above at a limit of 64 bytes, so of 8 arrays
+    monkeypatch.setattr(protocols, "DESCRIPTOR_BYTE_LIMIT", 64)
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 9 + "]" * 9)
+    with pytest.raises(ValueError, match="^9 arrays exceed the descriptor limit of 8$"):
+        load_protocol(str(path))
+
+
+def test_schema_1_operator_narrower_than_its_register_refused(tmp_path, capsys):
+    # teleportation 1's sender register has 2 wires; a 2 x 2 operator acts on 1
+    path = _schema_1_descriptor(tmp_path, _set("alice_ops", [matrix_to_json(np.eye(2))]),
+                                name="teleportation-1")
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: malformed protocol file {str(path)!r}: "
+                   "operation dimension does not match its register\n")
+
+
 @pytest.mark.parametrize("build", [build_quantum_otp, build_classical_otp])
 @pytest.mark.parametrize("command", ["verify", "audit"])
 def test_narrow_output_descriptor_refused_under_1gib_address_space(tmp_path, build, command):
@@ -1191,3 +1236,24 @@ def test_admission_rows_never_compose_a_gate(monkeypatch):
     for command, builder, n in ADMISSION_ROWS:
         main([command, builder, "--n", str(n)])
     assert composed == []
+
+
+@pytest.mark.parametrize("builder", sorted(WORKLOADS.ACCEPTED))
+def test_builders_state_the_load_of_the_protocol_they_return(builder, monkeypatch):
+    # each builder refuses before it builds through require_load(name, 1, k n),
+    # its k worked out by hand: that load must be the engine's, log2 keys + wires
+    real, calls = protocols.require_load, []
+
+    def record(context, keys, qubits, scale=1):
+        calls.append(math.log2(keys) + qubits)
+        return real(context, keys, qubits, scale)
+
+    monkeypatch.setattr(protocols, "require_load", record)
+    for n in WORKLOADS.ACCEPTED[builder]:
+        calls.clear()
+        p = PROTOCOL_BUILDERS[builder](n)
+        if builder == "broken-otp":  # its n is fixed at 1: nothing to refuse
+            assert calls == []
+            continue
+        assert calls, n
+        assert set(calls) == {math.log2(p.key_count) + p.engine_qubits}, (n, calls)

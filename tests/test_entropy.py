@@ -53,7 +53,7 @@ def mixed(matrix, layout=Q1):
 
 def test_shannon_values():
     assert shannon_entropy(ProbabilityDist.uniform(["a", "b", "c", "d"])) == pytest.approx(2.0)
-    assert shannon_entropy(ProbabilityDist.point("a")) == 0.0
+    assert shannon_entropy(ProbabilityDist.uniform(["a"])) == 0.0
     skew = ProbabilityDist(("a", "b", "c"), np.array([0.5, 0.25, 0.25]))
     assert shannon_entropy(skew) == pytest.approx(1.5)
 
@@ -71,6 +71,8 @@ def test_probability_dist_validation():
         ProbabilityDist(("a",), np.array([-0.2]))
     with pytest.raises(ValueError, match="sum to 0"):
         ProbabilityDist.uniform([])
+    with pytest.raises(ValueError, match="need one probability per outcome"):
+        ProbabilityDist(("a", "b"), np.array([1.0]))
 
 
 def test_von_neumann_values():
@@ -210,6 +212,8 @@ def test_classicality_detects_coherence():
     # EPR marginals are diagonal but the joint is not classical on either wire
     assert classicality_deviation(EPR.density(), (0,)) == pytest.approx(0.5)
     assert not is_classical_on(EPR.density(), (0,))
+    # no wire named: nothing can couple, however coherent the state
+    assert classicality_deviation(EPR.density(), ()) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -500,8 +500,8 @@ def assert_runs_cut(runs, keys, per_run):
 def assert_pass_equals_the_per_key_sum(p, basis):
     """Runs cut at one key (each key's own product), two and three keys
     (which divide no key count from 4 keys on, or not both), and every key:
-    table and correctness within TOL of ``per_key_pass``, which folds no
-    wire and runs one key at a time."""
+    table and each key's correctness bound, in key order, within TOL of
+    ``per_key_pass``, which folds no wire and runs one key at a time."""
     keys = p.key_count
     reference, ref_correctness = per_key_pass(p, basis)
     for per_run in sorted({1, 2, 3, keys}):
@@ -511,7 +511,8 @@ def assert_pass_equals_the_per_key_sum(p, basis):
                 lambda: verification_pass(p, basis))
         assert_runs_cut(runs, keys, per_run)
         assert max_abs(table - reference) <= TOL, (per_run, basis)
-        assert abs(correctness - ref_correctness) <= TOL, (per_run, basis)
+        assert correctness.shape == ref_correctness.shape == (keys,), (per_run, basis)
+        assert max_abs(correctness - ref_correctness) <= TOL, (per_run, basis)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -530,8 +531,8 @@ def test_stacked_table_equals_the_per_key_sum(p, seed):
 
 def assert_bound_equals_the_per_key_form(p):
     """Over every input, runs of one key, of keys − 1 keys and of every key,
-    each run's receiver stack bounded at once: the pass's correctness bound
-    is bit for bit the worst per-key bound of ``per_key_pass``, and the
+    each run's receiver stack bounded at once: the pass's correctness bounds
+    are bit for bit the per-key bounds of ``per_key_pass``, key by key, and the
     stacks are the runs asked for, four receiver blocks per key fitting in
     STACK_BYTES."""
     keys, block_bytes = p.key_count, 16 * 2 ** (p.engine_qubits + p.input_qubits)
@@ -545,7 +546,7 @@ def assert_bound_equals_the_per_key_form(p):
             correctness = verification_pass(p, False)[1]
         assert sizes == [per_run] * (keys // per_run) + [keys % per_run] * (
             keys % per_run > 0), (per_run, sizes)
-        assert correctness == reference, (per_run, correctness, reference)
+        assert correctness.tobytes() == reference.tobytes(), (per_run, correctness, reference)
 
 
 @pytest.mark.parametrize("builder", [("quantum-otp", n) for n in (1, 2, 3, 4)]

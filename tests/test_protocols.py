@@ -29,6 +29,7 @@ from pqclab.protocols import (
     decode_per_key,
     encode,
     epr_block,
+    factorization_deviation,
     protocol_digest,
     protocol_from_dict,
     protocol_to_dict,
@@ -428,6 +429,8 @@ def test_shared_resource_payload_consistency():
         SharedResource(psi_ab=epr_block(1), alice_subsystems=2)
     with pytest.raises(ValueError, match="must be 0 without a shared state"):
         SharedResource(key, alice_subsystems=1)
+    with pytest.raises(ValueError, match="shared states must be qubit registers"):
+        SharedResource(psi_ab=Ket(SystemLayout((3, 2)), np.eye(6)[0]), alice_subsystems=1)
     with pytest.raises(TypeError):
         SharedResource("classical_key", key_source=key)
 
@@ -440,6 +443,22 @@ def test_shared_resource_payload_consistency():
 def test_builders_hold_the_resource_kind_of_their_scheme(name, kind):
     p = _smallest_protocol(PROTOCOL_BUILDERS[name])
     assert p.resource.kind == protocol_to_dict(p)["resource"]["kind"] == kind
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param({"alice_ops": (GateList(3, ()),)},
+                 "sender operation dimension does not match its register", id="register"),
+    pytest.param({"message_subsystems": (), "bob_ancillas": 2}, "protocol sends no message",
+                 id="no-message"),
+    pytest.param({"message_subsystems": (1, 1)}, "duplicate message subsystems",
+                 id="duplicate-message"),
+    pytest.param({"output_subsystems": (0, 0)}, "need 2 distinct output subsystems",
+                 id="duplicate-output"),
+])
+def test_protocol_wiring_refusals_name_their_fault(change, message):
+    # the 2-bit identity: 2 sender wires, 2 receiver wires, 2 outputs
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(build_named("identity-leaky", 2), **change)
 
 
 def test_encode_input_dimension_mismatch():
@@ -495,6 +514,22 @@ def test_gate_reference_outside_the_table_refused(index):
     data["alice_ops"][0] = [[index, [0]]]
     with pytest.raises(ValueError, match="gate index"):
         protocol_from_dict(data)
+
+
+def test_numpy_integer_gate_reference_reads_its_table_entry():
+    p = build_quantum_otp(1)
+    data = protocol_to_dict(p)
+    data["alice_ops"] = [[[np.int64(i), wires] for i, wires in op] for op in data["alice_ops"]]
+    clone = protocol_from_dict(data)
+    assert protocol_digest(clone) == protocol_digest(p)
+    # both sides hold the one table entry each reference names
+    assert all(a.gates[0][0] is b.gates[0][0] for a, b in zip(clone.alice_ops, clone.bob_ops))
+
+
+def test_factorization_deviation_reads_the_channel_table_by_default():
+    p = build_quantum_otp(1)
+    units = channel_on_units(p)
+    assert factorization_deviation(p, samples=3) == factorization_deviation(p, 3, units=units)
 
 
 def _smallest_protocol(builder):

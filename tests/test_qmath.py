@@ -11,6 +11,7 @@ from pqclab.qmath import (
     Ket,
     SystemLayout,
     UnitaryOp,
+    apply_gate,
     compose_circuit,
     local_transition,
     matrix_from_json,
@@ -24,7 +25,6 @@ from pqclab.qmath import (
     reduced_from_vector,
     reduced_matrix,
     schmidt_decompose,
-    tensor,
     trace_distance,
 )
 
@@ -45,23 +45,17 @@ def basis(n, bits):
 
 
 # ---------------------------------------------------------------------------
-# tensor
+# tensor products of kets
 
 
-def test_tensor_identity():
-    assert max_abs(tensor(np.eye(2), np.eye(2)) - np.eye(4)) == 0
-
-
-def test_tensor_double_bit_flip():
-    flipped = tensor(SIGMA[1], SIGMA[1]) @ Ket.from_bits("00").amplitudes
-    assert max_abs(flipped - Ket.from_bits("11").amplitudes) < 1e-12
-
-
-def test_tensor_zz_corner_entry():
-    # direct 4x4 expansion of sigma_3 x sigma_3 is diag(1, -1, -1, 1)
-    zz = tensor(SIGMA[3], SIGMA[3])
-    assert max_abs(zz - np.diag([1, -1, -1, 1])) == 0
-    assert zz[3, 3] == 1.0
+def test_ket_tensor_puts_the_first_factor_outermost():
+    psi = Ket.from_bits("0").tensor(Ket.from_bits("1"))
+    assert psi.layout.dims == (2, 2)
+    assert np.array_equal(psi.amplitudes, Ket.from_bits("01").amplitudes)
+    # a qubit before a qutrit: the qubit's index is the slower one, 1 * 3 + 2
+    mixed = Ket.from_bits("1").tensor(Ket.basis(SystemLayout((3,)), 2))
+    assert mixed.layout.dims == (2, 3)
+    assert np.array_equal(mixed.amplitudes, Ket.basis(SystemLayout((2, 3)), 5).amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +355,11 @@ def test_pauli_string_basics():
     assert max_abs(pauli_string("13").matrix - np.kron(SIGMA[1], SIGMA[3])) == 0
     squared = pauli_string("2").matrix @ pauli_string("2").matrix
     assert max_abs(squared - np.eye(2)) < 1e-12
+    # two-factor products, the first factor outermost
+    assert max_abs(pauli_string("00").matrix - np.eye(4)) == 0
+    flipped = pauli_string("11").matrix @ Ket.from_bits("00").amplitudes
+    assert max_abs(flipped - Ket.from_bits("11").amplitudes) < 1e-12
+    assert max_abs(pauli_string("33").matrix - np.diag([1, -1, -1, 1])) == 0
 
 
 def test_pauli_string_invalid_symbol():
@@ -483,6 +482,20 @@ def test_compose_circuit_order():
     assert max_abs(u - SIGMA[3] @ SIGMA[1]) < 1e-12
 
 
+def test_apply_gate_refuses_a_block_its_dims_do_not_span():
+    # a stack of I, X, Z on wire 0 of |00> is a (3, 4) array: three keys' vectors
+    keys = np.array([SIGMA[0], SIGMA[1], SIGMA[3]])
+    stacked = apply_gate(Ket.from_bits("00").amplitudes, [2, 2], keys, [0])
+    assert stacked.shape == (3, 4)
+    # read as a column block, its rows would mix the keys
+    with pytest.raises(ValueError, match="span neither the rows nor the entries"):
+        apply_gate(stacked, [2, 2], SIGMA[1], [1])
+    # as a stack of one-column blocks, each key's vector gets its own X
+    out = apply_gate(stacked.reshape(3, 4, 1), [2, 2], SIGMA[1], [1])[..., 0]
+    want = [Ket.from_bits(bits).amplitudes for bits in ("01", "11", "01")]
+    assert np.array_equal(out, np.array(want))
+
+
 # ---------------------------------------------------------------------------
 # validation and serialization
 
@@ -534,6 +547,30 @@ def test_layout_counts_are_integers(build):
         build()
     assert SystemLayout((np.int64(2), 3)).dims == (2, 3)
     assert SystemLayout.qubits(np.int64(2)).dims == (2, 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: SystemLayout(()), "layout needs at least one subsystem", id="no-dims"),
+    pytest.param(lambda: SystemLayout.qubits(0), "need at least one qubit", id="no-qubits"),
+    pytest.param(lambda: SystemLayout.qubits(2).check_subsystems([1, 1]),
+                 r"duplicate subsystem indices in \(1, 1\)", id="duplicate-index"),
+    pytest.param(lambda: Ket(SystemLayout.qubits(1), np.full(4, 0.5)),
+                 r"expected shape \(2,\), got \(4,\)", id="ket-shape"),
+    pytest.param(lambda: Ket.from_bits("01").permute([0, 0]),
+                 r"\[0, 0\] is not a permutation", id="permute"),
+    pytest.param(lambda: DensityOp(SystemLayout.qubits(1), np.eye(2)),
+                 r"trace is \(2\+0j\), expected 1", id="trace"),
+    pytest.param(lambda: partial_trace(EPR.density(), []), "must keep at least one subsystem",
+                 id="keep-nothing"),
+    pytest.param(lambda: schmidt_decompose(EPR, [0, 1]), "cut must split", id="schmidt-cut"),
+    pytest.param(lambda: local_transition(EPR, EPR, [0, 1]), "cut must split",
+                 id="transition-cut"),
+    pytest.param(lambda: local_transition(EPR, Ket.from_bits("000"), [0]),
+                 "states must share a layout", id="transition-layouts"),
+])
+def test_each_refusal_names_its_fault(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 12])

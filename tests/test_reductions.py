@@ -382,6 +382,15 @@ def test_rsp_completeness_enforced():
                    bob_ancillas=0, output_subsystems=(0,))
 
 
+def test_rsp_registers_must_fit_the_shared_state():
+    good = teleportation_rsp(1)
+    with pytest.raises(ValueError, match="measurement must act on the input and sender wires"):
+        dataclasses.replace(good, measurement=GateList(1, ()))
+    # one receiver wire, so each correction is 2 x 2
+    with pytest.raises(ValueError, match="correction dimension does not match the receiver"):
+        dataclasses.replace(good, corrections=(UnitaryOp(np.eye(4)),) * len(good.corrections))
+
+
 @pytest.mark.parametrize("wire", [0.0, 0.7, False])
 def test_rsp_output_wires_are_integers(wire):
     # int() would read each as wire 0, an RSP the fields do not describe
