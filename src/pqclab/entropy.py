@@ -106,8 +106,8 @@ def _relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 def relative_entropy(rho: DensityOp, sigma: DensityOp) -> float:
     """Tr rho (log2 rho - log2 sigma); +inf iff rho leaves sigma's support."""
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    if rho.layout.dim != sigma.layout.dim:
+        raise ValueError(f"dimension mismatch: {rho.layout.dim} vs {sigma.layout.dim}")
     return float(_relative_entropy(rho.matrix, sigma.matrix))
 
 
@@ -163,7 +163,7 @@ def classicality_deviation(rho: DensityOp, group: Sequence[int]) -> float:
     group = rho.layout.check_subsystems(group)
     if not group:
         return 0.0
-    digits = np.unravel_index(np.arange(rho.dim), rho.layout.dims)
+    digits = np.unravel_index(np.arange(rho.layout.dim), rho.layout.dims)
     sub = np.ravel_multi_index([digits[g] for g in group], [rho.layout.dims[g] for g in group])
     mask = sub[:, None] != sub[None, :]
     return 0.0 if not mask.any() else float(np.max(np.abs(rho.matrix[mask])))

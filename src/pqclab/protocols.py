@@ -90,13 +90,7 @@ def _numbers(data, field: str):
 
 
 class ProtocolVerificationError(RuntimeError):
-    """A protocol failed its security or correctness requirement."""
-
-    def __init__(self, message: str, security: float | None = None,
-                 correctness: float | None = None):
-        super().__init__(message)
-        self.security = security
-        self.correctness = correctness
+    """A protocol failed its security or correctness requirement; its message states both."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,7 +395,7 @@ def _correctness_bound(block: np.ndarray, dims: list[int], outputs: list[int],
     Σ_a (<a| ⊗ I) W|a> (1.0 if that is 0), which bounds ½‖Φ − id‖_⋄ over every input
     (Kretschmann, Schlingemann and Werner, 2008); for each block of a stack,
     by one batched norm of the blocks whose W − I ⊗ j is not exactly zero
-    (an exactly zero one is exactly 0.0, as in :func:`qmath.trace_distance`).
+    (an exactly zero one is exactly 0.0, with no norm computed).
     """
     d, shape = block.shape[-1], block.shape[:-2]
     rest = [i for i in range(len(dims)) if i not in outputs]

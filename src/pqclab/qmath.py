@@ -38,10 +38,6 @@ SIGMA = (
 )
 
 
-def as_complex(m) -> np.ndarray:
-    return np.asarray(m, dtype=complex)
-
-
 def max_abs(m) -> float:
     m = np.asarray(m)
     return 0.0 if m.size == 0 else float(np.max(np.abs(m)))
@@ -165,10 +161,6 @@ class DensityOp:
             raise ValueError(f"density operator trace is {tr}, expected 1")
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
-
 
 @dataclass(frozen=True, eq=False)
 class UnitaryOp:
@@ -253,7 +245,7 @@ def compose_circuit(dims: Sequence[int], gates: Iterable[tuple[np.ndarray, Seque
     of gates (K, g, g) among them makes the product a stack of K matrices."""
     d = int(np.prod(list(dims)))
     return apply_gates(np.eye(d, dtype=complex), dims,
-                       ((as_complex(gate), targets) for gate, targets in gates))
+                       ((np.asarray(gate, dtype=complex), targets) for gate, targets in gates))
 
 
 def reduced_matrix(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -339,7 +331,7 @@ def purify(rho: DensityOp) -> Ket:
     vals, vecs = np.linalg.eigh(rho.matrix)
     weights = np.sqrt(np.where(vals > EIGENVALUE_CLIP, vals, 0.0))[::-1]
     amps = (vecs[:, ::-1] * weights).T.reshape(-1)
-    layout = SystemLayout((rho.dim,) + rho.layout.dims)
+    layout = SystemLayout((rho.layout.dim,) + rho.layout.dims)
     return Ket(layout, amps / np.linalg.norm(amps))
 
 
@@ -377,19 +369,15 @@ def trace_distance(a, b) -> float | np.ndarray:
     """(1/2) Σ |eigenvalues of a - b|; accepts DensityOp or raw matrices.
 
     Stacks of matrices broadcast against each other and give one distance
-    per stacked pair, from one batched eigensolve over the pairs that differ,
-    copied once; a pair with an exactly zero difference is exactly 0.0.
+    per stacked pair, from one batched eigensolve of the one difference
+    stack; a pair with an exactly zero difference is exactly 0.0, since a
+    zero matrix's eigenvalues are exactly zero.
     """
-    am = a.matrix if isinstance(a, DensityOp) else as_complex(a)
-    bm = b.matrix if isinstance(b, DensityOp) else as_complex(b)
+    am = a.matrix if isinstance(a, DensityOp) else np.asarray(a, dtype=complex)
+    bm = b.matrix if isinstance(b, DensityOp) else np.asarray(b, dtype=complex)
     if am.shape[-2:] != bm.shape[-2:]:
         raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    differs = (am != bm).any(axis=(-2, -1))
-    shape = differs.shape + am.shape[-2:]
-    diff = np.broadcast_to(am, shape)[differs]
-    diff -= bm if bm.ndim == 2 else np.broadcast_to(bm, shape)[differs]
-    dist = np.zeros(differs.shape)
-    dist[differs] = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(am - bm)), axis=-1)
     return float(dist) if dist.ndim == 0 else dist
 
 
@@ -426,7 +414,7 @@ def random_density(layout: SystemLayout, rng: np.random.Generator,
 def matrix_to_json(m: np.ndarray) -> list:
     """Nested lists of [re, im] pairs: the encoding of matrices and vectors in
     protocol descriptors and of witnesses in reports."""
-    m = as_complex(m)
+    m = np.asarray(m, dtype=complex)
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 

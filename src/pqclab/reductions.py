@@ -18,7 +18,6 @@ from .entropy import ProbabilityDist
 from .qmath import (
     ALGEBRA_TOL,
     ENTROPY_TOL,
-    Ket,
     UnitaryOp,
     _integer,
     kept_factor,
@@ -86,8 +85,7 @@ def _verify_or_raise(p: ChannelProtocol, tol: float, context: str) -> tuple[floa
     if sec > tol or corr > tol:
         raise ProtocolVerificationError(
             f"{context}: protocol {p.name!r} fails verification "
-            f"(security {sec:.3e}, correctness {corr:.3e})",
-            security=sec, correctness=corr)
+            f"(security {sec:.3e}, correctness {corr:.3e})")
     return sec, corr
 
 
@@ -301,8 +299,10 @@ RSP_PROB_FLOOR = 1e-14
 class ObliviousRsp:
     """One-way remote state preparation with verified obliviousness.
 
-    The sender applies the gate list ``measurement`` to input ⊗ her half of
-    the shared state (input wires first), then reads those wires out in the
+    ``resource`` is the shared state, an ``entangled_state`` resource: the
+    sender holds its first ``alice_subsystems`` qubits, the receiver the
+    rest.  The sender applies the gate list ``measurement`` to input ⊗ her
+    half (input wires first), then reads those wires out in the
     computational basis: the readout value m is the message, so a unitary
     followed by the full readout is a complete rank-1 measurement by
     construction.  On message m the receiver attaches ancillas and applies
@@ -312,23 +312,22 @@ class ObliviousRsp:
     """
 
     n: int
-    psi_ab: Ket
-    alice_subsystems: int
+    resource: SharedResource
     measurement: GateList
     corrections: tuple[UnitaryOp, ...]
     bob_ancillas: int
     output_subsystems: tuple[int, ...]
 
     def __post_init__(self):
-        if SharedResource(None, self.psi_ab, self.alice_subsystems).kind != RESOURCE_ENTANGLED:
+        if self.resource.kind != RESOURCE_ENTANGLED:
             raise ValueError("remote state preparation needs a shared state")
         for field in ("n", "bob_ancillas"):
             object.__setattr__(self, field, _integer(getattr(self, field), field))
-        if self.measurement.qubits != self.n + self.alice_subsystems:
+        if self.measurement.qubits != self.n + self.resource.alice_subsystems:
             raise ValueError("measurement must act on the input and sender wires")
         if len(self.corrections) != self.message_count:
             raise ValueError("need one correction per readout value")
-        bob_reg = self.bob_qubits + self.bob_ancillas
+        bob_reg = self.resource.bob_qubits + self.bob_ancillas
         for u in self.corrections:
             if u.dim != 2 ** bob_reg:
                 raise ValueError("correction dimension does not match the receiver register")
@@ -336,10 +335,6 @@ class ObliviousRsp:
         if not len(set(out)) == len(out) == self.n or any(not 0 <= i < bob_reg for i in out):
             raise ValueError("output subsystems must name n distinct receiver wires")
         object.__setattr__(self, "output_subsystems", out)
-
-    @property
-    def bob_qubits(self) -> int:
-        return len(self.psi_ab.layout) - self.alice_subsystems
 
     @property
     def message_count(self) -> int:
@@ -357,21 +352,22 @@ def teleportation_rsp(n: int) -> ObliviousRsp:
         qmath.pauli_string("".join(str(2 * x + a) for x, a in zip(bits[:n], bits[n:])))
         for bits in itertools.product((0, 1), repeat=2 * n))
     return ObliviousRsp(
-        n=n, psi_ab=epr_block(n), alice_subsystems=n, measurement=measurement,
-        corrections=corrections, bob_ancillas=0, output_subsystems=tuple(range(n)))
+        n=n, resource=SharedResource(psi_ab=epr_block(n), alice_subsystems=n),
+        measurement=measurement, corrections=corrections, bob_ancillas=0,
+        output_subsystems=tuple(range(n)))
 
 
 def _receiver_blocks(rsp: ObliviousRsp) -> np.ndarray:
     """Every message's receiver isometry block W_m, indexed [m, receiver
     register, input].  The measurement runs once on the basis block
-    I ⊗ psi_ab and the readout value is read as the leading block axis; the
-    receiver's ancillas and ``corrections[m]`` follow.  On a probe, message
-    m's unnormalized receiver state is W_m @ probe."""
-    d = 2 ** rsp.n
-    block = np.kron(np.eye(d, dtype=complex), rsp.psi_ab.amplitudes[:, None])
-    dims = [2] * (rsp.n + len(rsp.psi_ab.layout))
+    I ⊗ rsp.resource.psi_ab and the readout value is read as the leading
+    block axis; the receiver's ancillas and ``corrections[m]`` follow.  On a
+    probe, message m's unnormalized receiver state is W_m @ probe."""
+    d, psi = 2 ** rsp.n, rsp.resource.psi_ab
+    block = np.kron(np.eye(d, dtype=complex), psi.amplitudes[:, None])
+    dims = [2] * (rsp.n + len(psi.layout))
     block = _apply_run((rsp.measurement,), block, dims, range(rsp.measurement.qubits))
-    block = _zero_tail(block.reshape(rsp.message_count, 2 ** rsp.bob_qubits, d),
+    block = _zero_tail(block.reshape(rsp.message_count, 2 ** rsp.resource.bob_qubits, d),
                        rsp.bob_ancillas)
     return np.stack([u.matrix for u in rsp.corrections]) @ block
 
@@ -402,7 +398,7 @@ def _obliviousness(rsp: ObliviousRsp, blocks: np.ndarray) -> dict[str, tuple[flo
     gram = np.einsum("mri,mrj->mij", blocks.conj(), blocks)
     eig = np.linalg.eigvalsh(gram)
     ref = gram[:, 0, 0].real
-    dims = [2] * (rsp.bob_qubits + rsp.bob_ancillas)
+    dims = [2] * (rsp.resource.bob_qubits + rsp.bob_ancillas)
     eps, live = np.zeros(len(blocks)), eig[:, -1] >= RSP_PROB_FLOOR
     eps[live] = _correctness_bound(blocks[live] / np.sqrt(eig[live, -1])[:, None, None], dims,
                                    list(rsp.output_subsystems), basis=False)
@@ -427,7 +423,7 @@ def rsp_to_pqc(rsp: ObliviousRsp) -> ChannelProtocol:
             raise ObliviousnessError(invariant, deviation, message)
 
     n = rsp.n
-    rb = rsp.bob_qubits
+    rb = rsp.resource.bob_qubits
     bob_reg = rb + rsp.bob_ancillas
     residue_positions = [i for i in range(bob_reg) if i not in rsp.output_subsystems]
     q_r = len(residue_positions)

@@ -47,7 +47,6 @@ from pqclab.qmath import (
     UnitaryOp,
     _integer,
     apply_gate,
-    as_complex,
     compose_circuit,
     reduced_from_vector,
     trace_distance,
@@ -57,13 +56,14 @@ from pqclab.reductions import ObliviousRsp, _receiver_blocks, teleportation_rsp
 
 def apply_to_ket(psi: Ket, gate: np.ndarray, targets: Sequence[int]) -> Ket:
     targets = psi.layout.check_subsystems(targets)
-    return Ket(psi.layout, apply_gate(psi.amplitudes, psi.layout.dims, as_complex(gate), targets))
+    gate = np.asarray(gate, dtype=complex)
+    return Ket(psi.layout, apply_gate(psi.amplitudes, psi.layout.dims, gate, targets))
 
 
 def embed_operator(gate: np.ndarray, targets: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     """Expand a gate on selected subsystems to the full product space."""
     d = int(np.prod(list(dims)))
-    return apply_gate(np.eye(d, dtype=complex), dims, as_complex(gate), targets)
+    return apply_gate(np.eye(d, dtype=complex), dims, np.asarray(gate, dtype=complex), targets)
 
 
 def dense(op: GateList) -> np.ndarray:
@@ -409,7 +409,6 @@ def non_oblivious_rsp(n: int = 1) -> ObliviousRsp:
     good = teleportation_rsp(n)
     eye = UnitaryOp(np.eye(2 ** n, dtype=complex))
     return ObliviousRsp(
-        n=good.n, psi_ab=good.psi_ab, alice_subsystems=good.alice_subsystems,
-        measurement=good.measurement,
+        n=good.n, resource=good.resource, measurement=good.measurement,
         corrections=tuple(eye for _ in good.corrections),
         bob_ancillas=good.bob_ancillas, output_subsystems=good.output_subsystems)

@@ -406,6 +406,8 @@ def _full_trace_distance(a, b):
 
 
 def test_trace_distance_skips_only_exactly_equal_pairs():
+    # every pair, equal or not, goes through the one eigensolve; an equal
+    # pair reads exactly 0.0 because a zero matrix's eigenvalues are exactly 0
     rng = np.random.default_rng(41)
     rhos = np.stack([random_density_matrix(4, rng) for _ in range(7)])
     ref = rhos[2]
@@ -425,8 +427,7 @@ def test_trace_distance_skips_only_exactly_equal_pairs():
 
 def test_trace_distance_copies_the_differing_pairs_once():
     # a basis table against its first row, as security_deviations reads it:
-    # the pairs that differ are copied once and their difference taken in
-    # place, not a whole difference stack and then its differing pairs
+    # one difference stack is allocated, with no second copy of its pairs
     rng = np.random.default_rng(43)
     table = np.stack([random_density_matrix(32, rng) for _ in range(64)])
     tracemalloc.start()

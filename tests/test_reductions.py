@@ -16,6 +16,7 @@ from pqclab.protocols import (
     PROTOCOL_BUILDERS,
     GateList,
     ProtocolVerificationError,
+    SharedResource,
     build_classical_otp,
     build_named,
     build_quantum_otp,
@@ -124,7 +125,8 @@ def test_lift_of_insecure_protocol_is_flagged(monkeypatch):
     built = []
     monkeypatch.setattr(reductions, "lift_extra_comm",
                         lambda p: built.append(p) or lift_extra_comm(p))
-    with pytest.raises(ProtocolVerificationError):
+    with pytest.raises(ProtocolVerificationError,
+                       match=r"security 1\.000e\+00, correctness 0\.000e\+00\)$"):
         audit_quantum_input(insecure)
     assert built == []
     lifted = lift_extra_comm(insecure)
@@ -245,9 +247,12 @@ def test_audit_teleportation():
 
 
 def test_audit_rejects_unverified_protocol():
-    with pytest.raises(ProtocolVerificationError):
+    # the message is the only carrier of both figures
+    with pytest.raises(ProtocolVerificationError,
+                       match=r"security 1\.000e\+00, correctness 0\.000e\+00\)$"):
         audit_classical_input(build_named("identity-leaky", 1))
-    with pytest.raises(ProtocolVerificationError):
+    with pytest.raises(ProtocolVerificationError,
+                       match=r"security 5\.000e-01, correctness 0\.000e\+00\)$"):
         audit_quantum_input(build_named("broken-otp", 1))
 
 
@@ -273,9 +278,21 @@ def test_audit_classical_input_accepts_quantum_restriction():
 @pytest.mark.parametrize("kind", [bool, float])
 @pytest.mark.parametrize("field", ["n", "alice_subsystems", "bob_ancillas"])
 def test_oblivious_rsp_counts_are_integers(field, kind):
+    # the sender's share of the shared state is a field of the resource the RSP takes
     rsp = teleportation_rsp(1)
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
-        dataclasses.replace(rsp, **{field: kind(getattr(rsp, field))})
+        if field == "alice_subsystems":
+            dataclasses.replace(rsp, resource=SharedResource(
+                psi_ab=rsp.resource.psi_ab, alice_subsystems=kind(1)))
+        else:
+            dataclasses.replace(rsp, **{field: kind(getattr(rsp, field))})
+
+
+def test_oblivious_rsp_counts_are_plain_ints():
+    rsp = teleportation_rsp(1)
+    rsp = dataclasses.replace(rsp, n=np.int64(1), resource=SharedResource(
+        psi_ab=rsp.resource.psi_ab, alice_subsystems=np.int64(1)))
+    assert type(rsp.n) is int and type(rsp.resource.alice_subsystems) is int
 
 
 def _admitted(up_to: int):
@@ -376,7 +393,7 @@ def test_rsp_completeness_enforced():
     # a 2-wire readout has 4 values, so 3 corrections leave one message uncorrected
     good = teleportation_rsp(1)
     with pytest.raises(ValueError, match="one correction per readout value"):
-        type(good)(n=1, psi_ab=good.psi_ab, alice_subsystems=1,
+        type(good)(n=1, resource=good.resource,
                    measurement=good.measurement,
                    corrections=good.corrections[:3],
                    bob_ancillas=0, output_subsystems=(0,))
@@ -414,7 +431,7 @@ def computational_readout_rsp(bob_ancillas: int = 1) -> ObliviousRsp:
     good = teleportation_rsp(1)
     eye = UnitaryOp(np.eye(2 ** (1 + bob_ancillas), dtype=complex))
     return ObliviousRsp(
-        n=1, psi_ab=good.psi_ab, alice_subsystems=1, measurement=GateList(2, ()),
+        n=1, resource=good.resource, measurement=GateList(2, ()),
         corrections=(eye,) * 4, bob_ancillas=bob_ancillas, output_subsystems=(0,))
 
 
@@ -438,7 +455,7 @@ def test_rsp_derived_channel_meets_the_paper_bounds(n):
     assert audits and all(a.satisfied for a in audits)
     assert audits_by_name(audits)["key_entropy"].measured == pytest.approx(2 * n, abs=1e-9)
     assert shannon_entropy(pqc.resource.key_source) == pytest.approx(2 * n, abs=1e-9)
-    assert entanglement_measure(rsp.psi_ab, range(n)) == pytest.approx(n, abs=1e-9)
+    assert entanglement_measure(rsp.resource.psi_ab, range(n)) == pytest.approx(n, abs=1e-9)
 
 
 def residue_rsp(theta: float, superposed: bool = False) -> ObliviousRsp:
@@ -450,7 +467,8 @@ def residue_rsp(theta: float, superposed: bool = False) -> ObliviousRsp:
     pair = Ket(SystemLayout.qubits(2), np.array([math.cos(theta), 0, 0, math.sin(theta)]))
     readout = [*good.measurement.gates, *([(HADAMARD, (2,))] if superposed else [])]
     return ObliviousRsp(
-        n=1, psi_ab=good.psi_ab.tensor(pair).permute((0, 2, 1, 3)), alice_subsystems=2,
+        n=1, resource=SharedResource(
+            psi_ab=good.resource.psi_ab.tensor(pair).permute((0, 2, 1, 3)), alice_subsystems=2),
         measurement=GateList(3, readout),
         corrections=tuple(UnitaryOp(np.kron(c.matrix, np.eye(2)))
                           for c in good.corrections for _ in range(2)),
@@ -515,8 +533,13 @@ def test_rsp_output_wires_are_distinct():
 
 
 def test_oblivious_rsp_needs_a_shared_state():
-    with pytest.raises(ValueError, match="needs a shared state"):
-        dataclasses.replace(teleportation_rsp(1), psi_ab=None, alice_subsystems=0)
+    good = teleportation_rsp(1)
+    key = ProbabilityDist(("0", "1"), np.array([0.5, 0.5]))
+    # no resource, a key alone, and a key beside the shared state are each refused
+    for resource in (SharedResource(), SharedResource(key),
+                     SharedResource(key, good.resource.psi_ab, 1)):
+        with pytest.raises(ValueError, match="needs a shared state"):
+            dataclasses.replace(good, resource=resource)
 
 
 def test_rsp_to_pqc_at_four_qubits_stays_small():
@@ -556,9 +579,9 @@ def dense_branches(rsp, probe):
     """Every message's probability, the messages whose probability reaches
     1e-14, and their post-correction receiver density matrices, stacked."""
     u = dense(rsp.measurement)
-    ra, rb = rsp.alice_subsystems, rsp.bob_qubits
+    ra, rb = rsp.resource.alice_subsystems, rsp.resource.bob_qubits
     # rows: the input and sender wires; columns: the receiver's half
-    vec = np.kron(probe.amplitudes, rsp.psi_ab.amplitudes).reshape(len(u), 2 ** rb)
+    vec = np.kron(probe.amplitudes, rsp.resource.psi_ab.amplitudes).reshape(len(u), 2 ** rb)
     # message m's branch: the projector onto row m of u, applied to vec
     w = np.einsum("mi,mk->mik", u.conj(), u) @ vec
     probs = np.sum(np.abs(w) ** 2, axis=(1, 2))
@@ -574,7 +597,7 @@ def dense_branches(rsp, probe):
 
 
 def dense_obliviousness(rsp, random_probes):
-    bob_dims = [2] * (rsp.bob_qubits + rsp.bob_ancillas)
+    bob_dims = [2] * (rsp.resource.bob_qubits + rsp.bob_ancillas)
     out = list(rsp.output_subsystems)
     residue = [i for i in range(len(bob_dims)) if i not in out]
     worst = dict.fromkeys(("message_probs", "output_state", "residue_drift", "factorization"), 0.0)
@@ -632,7 +655,8 @@ def test_obliviousness_with_a_message_never_possible_matches_oracle():
     # those messages reach check_obliviousness as blocks with no live column
     eye = UnitaryOp(np.eye(4, dtype=complex))
     rsp = ObliviousRsp(
-        n=1, psi_ab=Ket.from_bits("00"), alice_subsystems=1, measurement=GateList(2, ()),
+        n=1, resource=SharedResource(psi_ab=Ket.from_bits("00"), alice_subsystems=1),
+        measurement=GateList(2, ()),
         corrections=(eye,) * 4, bob_ancillas=1, output_subsystems=(0,))
     assert not rsp_message_probs(rsp, haar_ket(Q1, np.random.default_rng(3)))[1::2].any()
     assert_certificate_bounds_oracle(rsp)
@@ -662,7 +686,7 @@ def test_obliviousness_certificate_bounds_oracle_on_random_rsps(
     # each optionally replaced or perturbed, and its output wires permuted
     rng = np.random.default_rng(seed)
     good = teleportation_rsp(n)
-    psi = haar_ket(SystemLayout.qubits(2 * n), rng) if haar_shared else good.psi_ab
+    psi = haar_ket(SystemLayout.qubits(2 * n), rng) if haar_shared else good.resource.psi_ab
     gates = list(good.measurement.gates)
     for _ in range(extra_gates):
         wires = tuple(int(w) for w in rng.choice(2 * n, size=2, replace=False))
@@ -676,7 +700,8 @@ def test_obliviousness_certificate_bounds_oracle_on_random_rsps(
             @ np.kron(c.matrix, np.eye(2 ** ancillas)))
         for c in good.corrections)
     rsp = ObliviousRsp(
-        n=n, psi_ab=psi, alice_subsystems=n, measurement=GateList(2 * n, gates),
+        n=n, resource=SharedResource(psi_ab=psi, alice_subsystems=n),
+        measurement=GateList(2 * n, gates),
         corrections=corrections, bob_ancillas=ancillas,
         output_subsystems=tuple(int(w) for w in perm[:n]))
     assert_certificate_bounds_oracle(rsp, random_probes=0)
@@ -699,7 +724,7 @@ def test_certificate_bounds_every_live_message_as_the_per_key_form(build, n):
     rsp = build(n)
     blocks = _receiver_blocks(rsp)
     top = np.linalg.eigvalsh(np.einsum("mri,mrj->mij", blocks.conj(), blocks))[:, -1]
-    dims = [2] * (rsp.bob_qubits + rsp.bob_ancillas)
+    dims = [2] * (rsp.resource.bob_qubits + rsp.bob_ancillas)
     eps = np.array([per_key_bound(w / np.sqrt(lam), dims, list(rsp.output_subsystems), False)
                     if lam >= RSP_PROB_FLOOR else 0.0 for w, lam in zip(blocks, top)])
     checks = check_obliviousness(rsp)
