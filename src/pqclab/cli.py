@@ -26,7 +26,6 @@ from .protocols import (
     load_protocol,
     protocol_digest,
     require_desk_scale,
-    require_lift_scale,
     resource_report,
     security_deviations,
     verify_correctness,
@@ -91,37 +90,30 @@ def _base_report(command: str, cfg: RunConfig) -> dict:
     }
 
 
-def _verification_block(protocol: ChannelProtocol, cfg: RunConfig) -> tuple[dict, bool]:
+def _verification_report(command: str, cfg: RunConfig,
+                         protocol: ChannelProtocol) -> tuple[dict, bool]:
+    """The report that ``verify`` and ``audit`` share, all but its ``pass``, and
+    whether the security and correctness deviations are within ``cfg.algebra_tol``."""
+    report = _base_report(command, cfg)
     parts = security_deviations(protocol)
-    security = max(parts.values())
-    correctness = verify_correctness(protocol)
-    report = resource_report(protocol)
-    passed = security <= cfg.algebra_tol and correctness <= cfg.algebra_tol
-    block = {
-        "protocol": {"name": protocol.name, "n": protocol.input_qubits,
-                     "hash": protocol_digest(protocol)},
-        "security_deviation": security,
-        "security_parts": parts,
-        "correctness_deviation": correctness,
-        "resources": asdict(report),
-    }
-    return block, passed
+    security, correctness = max(parts.values()), verify_correctness(protocol)
+    report.update(security_deviation=security, security_parts=parts,
+                  correctness_deviation=correctness,
+                  resources=asdict(resource_report(protocol)),
+                  protocol={"name": protocol.name, "n": protocol.input_qubits,
+                            "hash": protocol_digest(protocol)})
+    return report, security <= cfg.algebra_tol and correctness <= cfg.algebra_tol
 
 
-def cmd_verify(cfg: RunConfig, name_or_path: str, n: int) -> tuple[dict, int]:
-    protocol = _load(name_or_path, n)
-    report = _base_report("verify", cfg)
-    block, passed = _verification_block(protocol, cfg)
-    report.update(block)
+def cmd_verify(cfg: RunConfig, name_or_path: str, n: int) -> dict:
+    report, passed = _verification_report("verify", cfg, _load(name_or_path, n))
     report["pass"] = passed
-    return report, 0 if passed else 1
+    return report
 
 
-def cmd_audit(cfg: RunConfig, name_or_path: str, n: int) -> tuple[dict, int]:
-    protocol = _load(name_or_path, n, require_lift_scale)
-    report = _base_report("audit", cfg)
-    block, verified = _verification_block(protocol, cfg)
-    report.update(block)
+def cmd_audit(cfg: RunConfig, name_or_path: str, n: int) -> dict:
+    protocol = _load(name_or_path, n, reductions.require_lift_scale)
+    report, verified = _verification_report("audit", cfg, protocol)
     audits, log = [], []
     if not verified:
         log.append("verification failed; audit skipped")
@@ -135,8 +127,8 @@ def cmd_audit(cfg: RunConfig, name_or_path: str, n: int) -> tuple[dict, int]:
             log.append(f"audit aborted: {exc}")
     report["audits"] = [asdict(a) for a in audits]
     report["audit_log"] = log
-    report["pass"] = passed = bool(audits) and all(a.satisfied for a in audits)
-    return report, 0 if passed else 1
+    report["pass"] = bool(audits) and all(a.satisfied for a in audits)
+    return report
 
 
 def _worst_samples(chunks) -> dict[str, tuple[float, int, np.ndarray]]:
@@ -153,7 +145,7 @@ def _worst_samples(chunks) -> dict[str, tuple[float, int, np.ndarray]]:
     return worst
 
 
-def cmd_inequalities(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_inequalities(cfg: RunConfig) -> dict:
     if cfg.samples < 1:
         raise UsageError("--samples must be >= 1")
     report = _base_report("inequalities", cfg)
@@ -174,10 +166,9 @@ def cmd_inequalities(cfg: RunConfig) -> tuple[dict, int]:
         "samples": cross_samples,
         "max_deviation": cross_dev,
     }
-    passed = (all(slack >= -cfg.entropy_tol for slack, _, _ in worst.values())
-              and cross_dev <= cfg.entropy_tol)
-    report["pass"] = passed
-    return report, 0 if passed else 1
+    report["pass"] = (all(slack >= -cfg.entropy_tol for slack, _, _ in worst.values())
+                      and cross_dev <= cfg.entropy_tol)
+    return report
 
 
 USAGE = f"""usage: pqclab verify|audit PROTOCOL [--n N] [OPTIONS]
@@ -260,12 +251,12 @@ def main(argv=None) -> int:
             print(USAGE)
             return 0
         handler, cfg, args, json_path = parsed
-        report, code = handler(cfg, *args)
+        report = handler(cfg, *args)
         _emit(report, json_path)
     except UsageError as exc:
         print("error:", "\n".join(exc.args), file=sys.stderr)
         return 2
-    return code
+    return 0 if report["pass"] else 1
 
 
 if __name__ == "__main__":

@@ -708,18 +708,6 @@ def require_desk_scale(p: ChannelProtocol):
         require_load(f"{p.name} basis outputs", 1, 3 * n, scale=1.5)
 
 
-def require_lift_scale(p: ChannelProtocol):
-    """Reject quantum-input protocols whose audit lifts are beyond desk scale:
-    each carries 2n classical bits on 3n more wires than ``p``, on its 2^(2n)
-    basis inputs, keys x 2^(engine register + 5n) amplitudes, which must stay
-    within DESK_SCALE_LIMIT^2.  That load counts the 2n input wires, which
-    the basis pass folds out before the shared prefix (:func:`_foldable`).
-    A classical-input protocol is audited without lifts and passes at once."""
-    if p.input_kind == INPUT_QUANTUM:
-        require_load(f"{p.name} audit lift", p.key_count,
-                     p.engine_qubits + 5 * p.input_qubits, scale=2)
-
-
 def epr_block(n: int) -> Ket:
     """n EPR pairs grouped side by side: sum_x |x>|x> / 2^(n/2) on [A | B]."""
     d = 2 ** n

@@ -302,8 +302,6 @@ def schmidt_decompose(psi: Ket, cut: Iterable[int]) -> tuple[np.ndarray, list[Ke
     complement in original order.  Returns descending coefficients and the
     matching orthonormal local bases, with all zero coefficients dropped.
     """
-    if len(psi.layout) < 2:
-        raise ValueError("schmidt decomposition needs at least two subsystems")
     left = list(psi.layout.check_subsystems(cut))
     right = [i for i in range(len(psi.layout)) if i not in left]
     if not left or not right:

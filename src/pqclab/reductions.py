@@ -82,7 +82,7 @@ class ObliviousnessError(ValueError):
 def _verify_or_raise(p: ChannelProtocol, tol: float, context: str) -> tuple[float, float]:
     sec = verify_security(p)
     corr = verify_correctness(p)
-    if sec > tol or corr > tol:
+    if not (sec <= tol and corr <= tol):
         raise ProtocolVerificationError(
             f"{context}: protocol {p.name!r} fails verification "
             f"(security {sec:.3e}, correctness {corr:.3e})")
@@ -96,10 +96,10 @@ _BELL_PREP = UnitaryOp(CNOT.matrix @ np.kron(HADAMARD.matrix, np.eye(2)))
 _BELL_READOUT = UnitaryOp(CNOT.matrix @ np.kron(HADAMARD.matrix, np.eye(2)) @ CNOT.matrix)
 
 
-def _pauli_injection(input_offset: int, targets: Sequence[int]) -> list:
-    """One controlled Pauli per pair of input bits, on the matching target wire."""
-    return [(PAULI_BY_PAIR, (input_offset + 2 * i, input_offset + 2 * i + 1, t))
-            for i, t in enumerate(targets)]
+def _pauli_injection(targets: Sequence[int]) -> list:
+    """One controlled Pauli per pair of input bits, on the matching target wire:
+    bits 2i and 2i + 1, a lift's first 2n wires, write Pauli i onto ``targets[i]``."""
+    return [(PAULI_BY_PAIR, (2 * i, 2 * i + 1, t)) for i, t in enumerate(targets)]
 
 
 def _retarget(op: GateList, wires: Sequence[int]) -> list:
@@ -134,7 +134,7 @@ def lift_extra_comm(p: ChannelProtocol) -> ChannelProtocol:
     # every key's operation starts with these same gate objects, which lets
     # the engine run them once for all keys
     prep = [(_BELL_PREP, (f0 + i, g0 + i)) for i in range(n)]
-    prep += _pauli_injection(0, [f0 + i for i in range(n)])
+    prep += _pauli_injection([f0 + i for i in range(n)])
     inner_alice_targets = tuple(
         list(range(g0, g0 + n)) + list(range(anc0, anc0 + a))
         + list(range(res0, res0 + p.resource.alice_subsystems)))
@@ -189,7 +189,7 @@ def lift_extra_epr(p: ChannelProtocol) -> ChannelProtocol:
     a = p.alice_ancillas
     e0 = 2 * n + a + ra
     a_reg = e0 + n
-    prep = _pauli_injection(0, [e0 + i for i in range(n)])
+    prep = _pauli_injection([e0 + i for i in range(n)])
     # the inner input moves to the new halves; its ancillas and resource half stay
     inner_alice_targets = tuple(range(e0, e0 + n)) + tuple(range(2 * n, e0))
     alice_ops = tuple(GateList(a_reg, prep + _retarget(op, inner_alice_targets))
@@ -210,6 +210,19 @@ def lift_extra_epr(p: ChannelProtocol) -> ChannelProtocol:
         alice_ancillas=a, bob_ancillas=p.bob_ancillas,
         alice_ops=alice_ops, bob_ops=bob_ops,
         message_subsystems=message, output_subsystems=out)
+
+
+def require_lift_scale(p: ChannelProtocol):
+    """Reject quantum-input protocols whose audit lifts are beyond desk scale.
+    Each lift (:func:`lift_extra_comm`, :func:`lift_extra_epr`) carries the
+    2n input bits of its 2^(2n) basis inputs on 3n more wires than ``p``, so
+    its load is keys x 2^(engine register + 5n) amplitudes, which must stay
+    within DESK_SCALE_LIMIT^2.  That load counts the 2n input wires, which
+    the basis pass folds out before the shared prefix (``protocols._foldable``).
+    A classical-input protocol is audited without lifts and passes at once."""
+    if p.input_kind == INPUT_QUANTUM:
+        require_load(f"{p.name} audit lift", p.key_count,
+                     p.engine_qubits + 5 * p.input_qubits, scale=2)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +432,7 @@ def rsp_to_pqc(rsp: ObliviousRsp) -> ChannelProtocol:
     """
     blocks = _receiver_blocks(rsp)
     for invariant, (deviation, message) in _obliviousness(rsp, blocks).items():
-        if deviation > ALGEBRA_TOL:
+        if not deviation <= ALGEBRA_TOL:
             raise ObliviousnessError(invariant, deviation, message)
 
     n = rsp.n
@@ -441,6 +454,7 @@ def rsp_to_pqc(rsp: ObliviousRsp) -> ChannelProtocol:
     # the output positions become wires 0..n-1, the residue positions the next q_r
     pos_to_wire = {pos: i for i, pos in enumerate([*rsp.output_subsystems, *residue_positions])}
 
+    correction_wires = tuple(pos_to_wire[pos] for pos in range(bob_reg))
     alice_ops, bob_ops, outcomes = [], [], []
     for r, m in zip(residues, keep_keys):
         gates = []
@@ -448,13 +462,12 @@ def rsp_to_pqc(rsp: ObliviousRsp) -> ChannelProtocol:
             # Q's first column is the normalised residue up to a sign
             prep = np.linalg.qr(np.column_stack([r / np.linalg.norm(r), np.eye(r.size)]))[0]
             gates.append((prep, tuple(range(n, a_reg))))
-        correction_wires = tuple(pos_to_wire[pos] for pos in range(bob_reg))
         gates.append((rsp.corrections[m].matrix.conj().T, correction_wires))
         alice_ops.append(GateList(a_reg, gates))
         bob_ops.append(rsp.corrections[m])
         outcomes.append(str(m))
 
-    message = tuple(pos_to_wire[pos] for pos in range(rb))
+    message = correction_wires[:rb]
     dist = ProbabilityDist(tuple(outcomes), probs[live] / probs[live].sum())
     return ChannelProtocol(
         name="rsp-derived-pqc", input_kind=INPUT_QUANTUM, input_qubits=n,

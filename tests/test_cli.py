@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqclab import protocols
+from pqclab import protocols, reductions
 from pqclab.cli import SWEEP_CHUNK, _emit, _worst_samples, main
 from pqclab.entropy import (
     check_correlation_bounds,
@@ -36,7 +36,6 @@ from pqclab.protocols import (
     build_teleportation,
     load_protocol,
     protocol_to_dict,
-    require_lift_scale,
     save_protocol,
 )
 from pqclab.qmath import (
@@ -48,7 +47,7 @@ from pqclab.qmath import (
     random_density_matrix,
     reduced_matrix,
 )
-from pqclab.reductions import lift_extra_epr
+from pqclab.reductions import lift_extra_comm, lift_extra_epr, require_lift_scale
 
 from oracles import epr_keyed_quantum_otp, per_sample_density_matrix
 
@@ -1257,3 +1256,21 @@ def test_builders_state_the_load_of_the_protocol_they_return(builder, monkeypatc
             continue
         assert calls, n
         assert set(calls) == {math.log2(p.key_count) + p.engine_qubits}, (n, calls)
+
+
+@pytest.mark.parametrize("builder", WORKLOADS.QUANTUM_INPUT)
+def test_lift_scale_states_the_load_of_the_lifts(builder, monkeypatch):
+    # require_lift_scale counts the engine register plus 5n wires: that must be
+    # each lift's log2 keys + engine wires + 2n input bits (its 2^(2n) inputs)
+    calls = []
+    monkeypatch.setattr(reductions, "require_load",
+                        lambda context, keys, qubits, scale=1: calls.append(
+                            math.log2(keys) + qubits))
+    for n in WORKLOADS.ACCEPTED[builder]:
+        p = PROTOCOL_BUILDERS[builder](n)
+        calls.clear()
+        require_lift_scale(p)
+        for lift in (lift_extra_comm, lift_extra_epr):
+            lifted = lift(p)
+            assert calls == [math.log2(lifted.key_count) + lifted.engine_qubits
+                             + lifted.input_qubits], (n, lift.__name__, calls)

@@ -247,7 +247,7 @@ def test_schmidt_noncontiguous_cut():
 
 
 def test_schmidt_single_subsystem_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cut must split"):
         schmidt_decompose(Ket.from_bits("0"), cut=[0])
 
 

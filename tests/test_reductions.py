@@ -256,6 +256,14 @@ def test_audit_rejects_unverified_protocol():
         audit_quantum_input(build_named("broken-otp", 1))
 
 
+def test_audit_refuses_a_nan_deviation(monkeypatch):
+    # the CLI's verdict passes a protocol only on security <= tol and
+    # correctness <= tol; a NaN figure fails that, so the audit refuses it too
+    monkeypatch.setattr(protocols, "security_deviations", lambda p: {"state": math.nan})
+    with pytest.raises(ProtocolVerificationError, match=r"security nan, correctness"):
+        audit_classical_input(build_classical_otp(1))
+
+
 def test_audit_wrong_input_kind(monkeypatch):
     # each audit refuses the other input kind before it runs any pass
     passes = _spy_passes(monkeypatch)
@@ -387,6 +395,22 @@ def test_non_oblivious_rsp_rejected():
         rsp_to_pqc(non_oblivious_rsp(1))
     assert err.value.invariant == "output_state"
     assert err.value.deviation > 0.2
+
+
+def test_nan_obliviousness_deviation_rejected(monkeypatch):
+    # an invariant passes only when its deviation is <= the tolerance
+    real = reductions._obliviousness
+
+    def nan_output(rsp, blocks):
+        checks = real(rsp, blocks)
+        checks["output_state"] = (math.nan, 0)
+        return checks
+
+    monkeypatch.setattr(reductions, "_obliviousness", nan_output)
+    with pytest.raises(ObliviousnessError) as err:
+        rsp_to_pqc(teleportation_rsp(1))
+    assert err.value.invariant == "output_state"
+    assert math.isnan(err.value.deviation)
 
 
 def test_rsp_completeness_enforced():
