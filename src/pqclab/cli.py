@@ -1,17 +1,19 @@
 """Batch command-line interface emitting machine-readable JSON reports.
 
-Exit status: 0 on pass, 1 on a property failure, 2 on usage or input errors.
+Exit status: 0 on pass, 1 on a property failure, 2 on usage or input errors
+and on a report that cannot be written, to the --json path or to stdout.
 Reports for identical (seed, config, command) triples are byte-identical
 apart from the ``timestamp`` field.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -221,27 +223,44 @@ def parse_args(argv: list[str]):
     return handler, RunConfig(**values), args + [n] if takes_protocol else args, json_path
 
 
-def _finite(value):
-    # keep reports valid JSON even if a degenerate sample produced inf/nan
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` in one pass, with a
+    non-finite float written as null, so a degenerate sample still leaves a
+    valid report; ``indent`` is the newline and indent of ``value``'s line."""
+    if isinstance(value, float):  # the most common value, tested first
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        parts = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + indent + "]" if parts else "[]"
     if isinstance(value, dict):
-        return {k: _finite(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_finite(v) for v in value]
-    return value
+        parts = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(parts) + indent + "}" if parts else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(report: dict, json_path: str | None):
     # the file first, so a report that cannot be written never reaches stdout
-    text = json.dumps(_finite(report), sort_keys=True, indent=2)
+    text = _json_text(report)
     if json_path is not None:
         try:
             with open(json_path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
             raise UsageError(f"cannot write report to {json_path!r}: {exc}") from exc
-    print(text)
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        # a closed reader: nothing more reaches fd 1, not even the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write report to stdout: {exc}") from exc
 
 
 def main(argv=None) -> int:

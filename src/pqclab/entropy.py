@@ -18,9 +18,9 @@ from .qmath import (
     EIGENVALUE_CLIP,
     DensityOp,
     Ket,
+    _schmidt_svd,
     matrix_to_json,
     reduced_matrix,
-    schmidt_decompose,
 )
 
 
@@ -90,18 +90,20 @@ def von_neumann(rho: DensityOp) -> float:
     return _entropy_of_probs(np.linalg.eigvalsh(rho.matrix))
 
 
-def _relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _relative_entropy(rho: np.ndarray, sigma: np.ndarray, rho_entropy=None) -> np.ndarray:
     """Tr rho (log2 rho - log2 sigma) of raw matrices, or of each pair of rows
     of stacks (..., d, d): +inf where rho leaves sigma's support.  Both sums
     are masked, a kernel term of the cross sum being diag · log2 1 = 0, so a
-    row sums exact zeros in place of the terms it leaves out."""
+    row sums exact zeros in place of the terms it leaves out.  A caller that
+    holds S(rho) passes it as ``rho_entropy`` and saves its eigensolve."""
     svals, svecs = np.linalg.eigh(sigma)
     diag = np.real(np.einsum("...ji,...jk,...ki->...i", svecs.conj(), rho, svecs))
     support = svals > EIGENVALUE_CLIP
     kernel_weight = np.sum(np.where(support, 0.0, diag), axis=-1)
     cross = np.sum(diag * np.log2(np.where(support, svals, 1.0)), axis=-1)
-    value = -_entropy_of_probs(np.linalg.eigvalsh(rho)) - cross
-    return np.where(kernel_weight > EIGENVALUE_CLIP, math.inf, value)
+    if rho_entropy is None:
+        rho_entropy = _entropy_of_probs(np.linalg.eigvalsh(rho))
+    return np.where(kernel_weight > EIGENVALUE_CLIP, math.inf, -rho_entropy - cross)
 
 
 def relative_entropy(rho: DensityOp, sigma: DensityOp) -> float:
@@ -150,8 +152,7 @@ def mutual_information(rho: DensityOp, group_a: Sequence[int],
 
 def entanglement_measure(psi: Ket, cut: Iterable[int]) -> float:
     """Entropy of the squared Schmidt coefficients across the cut, in ebits."""
-    coeffs, _, _ = schmidt_decompose(psi, cut)
-    return _entropy_of_probs(coeffs ** 2)
+    return _entropy_of_probs(_schmidt_svd(psi, cut)[0] ** 2)
 
 
 def classicality_deviation(rho: DensityOp, group: Sequence[int]) -> float:
@@ -213,12 +214,13 @@ def stack_slacks(matrices: np.ndarray, dims: Sequence[int], a: Sequence[int],
 def stack_cross_check(matrices: np.ndarray) -> np.ndarray:
     """|I(A:B) − S(ρ ‖ ρ_A ⊗ ρ_B)| for each two-qubit state of a stack
     (k, 4, 4), taken as valid; the relative entropy reads the eigensolve of
-    the product itself, never the additivity of its logarithm."""
-    s = _group_entropies(matrices, [2, 2])
+    the product itself, never the additivity of its logarithm.  Each state
+    and marginal is eigensolved once, S(AB) serving both terms."""
     rho_a, rho_b = (reduced_matrix(matrices, [2, 2], [i]) for i in (0, 1))
+    s_a, s_b, s_ab = (_entropy_of_probs(np.linalg.eigvalsh(m)) for m in (rho_a, rho_b, matrices))
     product = rho_a[..., :, None, :, None] * rho_b[..., None, :, None, :]
-    return np.abs(s((0,)) + s((1,)) - s((0,), (1,))
-                  - _relative_entropy(matrices, product.reshape(matrices.shape)))
+    return np.abs(s_a + s_b - s_ab
+                  - _relative_entropy(matrices, product.reshape(matrices.shape), s_ab))
 
 
 def _reports(rho: DensityOp, slacks, *args) -> list[InequalityReport]:

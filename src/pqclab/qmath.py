@@ -295,6 +295,19 @@ def partial_trace(state: DensityOp, keep: Iterable[int]) -> DensityOp:
 # decomposition and comparison
 
 
+def _schmidt_svd(psi: Ket, cut: Iterable[int]):
+    """``(s, u, vh, left, right)``: the thin SVD of the state's factor across
+    the cut, its zero coefficients dropped, and the left and right groups."""
+    left = list(psi.layout.check_subsystems(cut))
+    right = [i for i in range(len(psi.layout)) if i not in left]
+    if not left or not right:
+        raise ValueError("cut must split the layout into two nonempty groups")
+    m = kept_factor(psi.amplitudes, psi.layout.dims, left)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    keep = s > math.sqrt(EIGENVALUE_CLIP)
+    return s[keep], u[:, keep], vh[keep, :], left, right
+
+
 def schmidt_decompose(psi: Ket, cut: Iterable[int]) -> tuple[np.ndarray, list[Ket], list[Ket]]:
     """Schmidt form of a bipartite pure state.
 
@@ -302,20 +315,11 @@ def schmidt_decompose(psi: Ket, cut: Iterable[int]) -> tuple[np.ndarray, list[Ke
     complement in original order.  Returns descending coefficients and the
     matching orthonormal local bases, with all zero coefficients dropped.
     """
-    left = list(psi.layout.check_subsystems(cut))
-    right = [i for i in range(len(psi.layout)) if i not in left]
-    if not left or not right:
-        raise ValueError("cut must split the layout into two nonempty groups")
+    s, u, vh, left, right = _schmidt_svd(psi, cut)
     dims = psi.layout.dims
-    m = kept_factor(psi.amplitudes, dims, left)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    keep = s > math.sqrt(EIGENVALUE_CLIP)
-    u, s, vh = u[:, keep], s[keep], vh[keep, :]
-    left_layout = SystemLayout(tuple(dims[i] for i in left))
-    right_layout = SystemLayout(tuple(dims[i] for i in right))
-    left_basis = [Ket(left_layout, u[:, k]) for k in range(s.size)]
-    right_basis = [Ket(right_layout, vh[k, :]) for k in range(s.size)]
-    return s, left_basis, right_basis
+    left_layout, right_layout = (SystemLayout(tuple(dims[i] for i in g)) for g in (left, right))
+    return (s, [Ket(left_layout, u[:, k]) for k in range(s.size)],
+            [Ket(right_layout, vh[k, :]) for k in range(s.size)])
 
 
 def purify(rho: DensityOp) -> Ket:

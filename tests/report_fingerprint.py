@@ -26,6 +26,11 @@ ms, so two checkouts' per-row times can be diffed on one machine.  With
 faults (the ``ru_minflt`` delta) of one more warm run of its ``main(argv)``,
 so a change's allocator churn can be counted row by row.
 It imports ``pqclab`` from the ``src`` next to this file.
+
+The script exits 1, naming each such row on stderr, when a row that exits 0
+or 1 prints anything but its report as ``json.dumps(report, sort_keys=True,
+indent=2)`` writes it plus one newline, or a row that exits 2 prints anything
+on stdout.  Unlike the hashes, that check holds on any BLAS build.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import os
 import re
 import resource
@@ -80,6 +86,17 @@ def run(main, argv: list[str]) -> tuple[int, str, str]:
     return code, TIMESTAMP.sub('"timestamp": null', out.getvalue()), err.getvalue()
 
 
+def canonical(code: int, out: str) -> bool:
+    """Whether ``out`` is what a row of exit ``code`` may print: nothing on a
+    refusal, else one report in the text of the indented, sorted json.dumps."""
+    if code == 2:
+        return out == ""
+    try:
+        return out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    except ValueError:
+        return False
+
+
 def main() -> None:
     flags = sys.argv[1:]
     if len(set(flags)) < len(flags) or not set(flags) <= {"--rows", "--peaks", "--cpu", "--faults"}:
@@ -91,7 +108,7 @@ def main() -> None:
     sys.path.insert(0, str(ROOT / "src"))
     from pqclab.cli import main as cli_main
 
-    per_row, peaks, cpu, faults = [], [], [], []
+    per_row, peaks, cpu, faults, malformed = [], [], [], [], []
     for name, argvs in rows().items():
         codes, digest = collections.Counter(), hashlib.sha256()
         for argv in argvs:
@@ -114,6 +131,8 @@ def main() -> None:
                 minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
                 faults.append(f"{' '.join(argv)}: {minflt} minor faults")
             codes[code] += 1
+            if not canonical(code, out):
+                malformed.append(" ".join(argv))
             for part in (" ".join(argv), str(code), out, err):
                 digest.update(part.encode() + b"\0")
             per_row.append(f"{' '.join(argv)}: exit {code}, stdout "
@@ -125,6 +144,8 @@ def main() -> None:
                         ("--faults", faults)):
         if flag in flags:
             print("\n".join(lines))
+    if malformed:
+        sys.exit("stdout is not the canonical report text on: " + "; ".join(malformed))
 
 
 if __name__ == "__main__":

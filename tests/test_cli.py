@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqclab import protocols, reductions
-from pqclab.cli import SWEEP_CHUNK, _emit, _worst_samples, main
+from pqclab.cli import SWEEP_CHUNK, _emit, _json_text, _worst_samples, main
 from pqclab.entropy import (
     check_correlation_bounds,
     check_entropy_inequalities,
@@ -363,10 +363,13 @@ def test_reports_deterministic_modulo_timestamp(capsys):
 def test_json_output_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["verify", "classical-otp", "--n", "2", "--json", str(out)])
-    capsys.readouterr()
+    printed = capsys.readouterr().out
     assert code == 0
     on_disk = json.loads(out.read_text())
     assert on_disk["pass"] is True
+    # the file holds the stdout text: the indented, sorted report and one newline
+    assert out.read_text(encoding="utf-8") == printed
+    assert printed == json.dumps(on_disk, sort_keys=True, indent=2) + "\n"
 
 
 def test_config_echo_and_flags(capsys):
@@ -887,6 +890,75 @@ def test_name_that_is_no_builder_nor_file_refused(tmp_path, capsys):
 def test_non_finite_report_values_are_written_as_null(capsys):
     _emit({"a": math.inf, "b": [-math.inf, 1.5], "c": {"d": math.nan}}, None)
     assert json.loads(capsys.readouterr().out) == {"a": None, "b": [None, 1.5], "c": {"d": None}}
+
+
+def _as_json_dumps_reads_it(value):
+    """``value`` with non-finite floats as None and tuples as lists."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _as_json_dumps_reads_it(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_json_dumps_reads_it(v) for v in value]
+    return value
+
+
+REPORT_SCALARS = st.one_of(
+    st.text(), st.sampled_from(["", "\x00\x1f\x7f\n\t", "é∀😀", '"\\/']),
+    st.integers(), st.booleans(), st.none(), st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan]))
+REPORT_VALUES = st.recursive(
+    REPORT_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(REPORT_VALUES)
+def test_report_writer_writes_the_text_of_indented_sorted_json_dumps(value):
+    expected = json.dumps(_as_json_dumps_reads_it(value), sort_keys=True, indent=2)
+    assert _json_text(value) == expected
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, np.int64(1), b"bytes", 1j])
+def test_report_writer_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        _json_text({"a": [value]})
+
+
+def test_closed_stdout_is_an_output_error_in_process(monkeypatch, capsys):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        code = main(["verify", "quantum-otp", "--n", "1"])
+        monkeypatch.undo()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write report to stdout: [Errno 32] Broken pipe\n")
+        closed.write("x")
+        closed.flush()  # the file's descriptor now leads to os.devnull
+
+
+@pytest.mark.parametrize("argv", [("inequalities", "--samples", "500"),
+                                  ("verify", "quantum-otp", "--n", "1")])
+def test_closed_stdout_is_an_output_error(argv):
+    # the reading end is closed before the child starts, so its report meets
+    # a broken pipe; with stdout block-buffered, as it is by default on a pipe,
+    # a report left in the buffer would fail again at interpreter exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pqclab.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: cannot write report to stdout: [Errno 32] Broken pipe"]
 
 
 # caps its own address space at 1 GiB, then runs the CLI
