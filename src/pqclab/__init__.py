@@ -17,7 +17,6 @@ from .qmath import (
     trace_distance,
 )
 from .entropy import (
-    InequalityReport,
     ProbabilityDist,
     check_correlation_bounds,
     check_entropy_inequalities,

@@ -59,12 +59,16 @@ class RunConfig:
             raise UsageError("seed must be nonnegative")
 
 
-def _load(name_or_path: str, n: int, *rules) -> ChannelProtocol:
-    """The builder's protocol at ``n``, or the file's, once require_desk_scale and
-    then the command's own ``rules`` admit it; any refusal is a UsageError."""
+def _load(name_or_path: str, n: int | None, *rules) -> ChannelProtocol:
+    """The builder's protocol at ``n`` (1 if None), or the file's, which takes no
+    ``n``, once require_desk_scale and then the command's own ``rules`` admit it;
+    any refusal is a UsageError."""
     try:
         if name_or_path in PROTOCOL_BUILDERS:
-            protocol = build_named(name_or_path, n)
+            protocol = build_named(name_or_path, 1 if n is None else n)
+        elif n is not None:
+            raise UsageError(f"--n sizes builder names only, not the file {name_or_path!r}",
+                             USAGE)
         else:
             try:
                 protocol = load_protocol(name_or_path)
@@ -92,10 +96,9 @@ def _base_report(command: str, cfg: RunConfig) -> dict:
     }
 
 
-def _verification_report(command: str, cfg: RunConfig,
-                         protocol: ChannelProtocol) -> tuple[dict, bool]:
-    """The report that ``verify`` and ``audit`` share, all but its ``pass``, and
-    whether the security and correctness deviations are within ``cfg.algebra_tol``."""
+def _verification_report(command: str, cfg: RunConfig, protocol: ChannelProtocol) -> dict:
+    """The report that ``verify`` and ``audit`` share, its ``pass`` whether the
+    security and correctness deviations are within ``cfg.algebra_tol``."""
     report = _base_report(command, cfg)
     parts = security_deviations(protocol)
     security, correctness = max(parts.values()), verify_correctness(protocol)
@@ -104,20 +107,19 @@ def _verification_report(command: str, cfg: RunConfig,
                   resources=asdict(resource_report(protocol)),
                   protocol={"name": protocol.name, "n": protocol.input_qubits,
                             "hash": protocol_digest(protocol)})
-    return report, security <= cfg.algebra_tol and correctness <= cfg.algebra_tol
-
-
-def cmd_verify(cfg: RunConfig, name_or_path: str, n: int) -> dict:
-    report, passed = _verification_report("verify", cfg, _load(name_or_path, n))
-    report["pass"] = passed
+    report["pass"] = security <= cfg.algebra_tol and correctness <= cfg.algebra_tol
     return report
 
 
-def cmd_audit(cfg: RunConfig, name_or_path: str, n: int) -> dict:
+def cmd_verify(cfg: RunConfig, name_or_path: str, n: int | None) -> dict:
+    return _verification_report("verify", cfg, _load(name_or_path, n))
+
+
+def cmd_audit(cfg: RunConfig, name_or_path: str, n: int | None) -> dict:
     protocol = _load(name_or_path, n, reductions.require_lift_scale)
-    report, verified = _verification_report("audit", cfg, protocol)
+    report = _verification_report("audit", cfg, protocol)
     audits, log = [], []
-    if not verified:
+    if not report["pass"]:
         log.append("verification failed; audit skipped")
     else:
         audit = (reductions.audit_classical_input if protocol.input_kind == INPUT_CLASSICAL
@@ -219,7 +221,7 @@ def parse_args(argv: list[str]):
         raise UsageError(f"{command} takes {int(takes_protocol)} PROTOCOL, got {args}", USAGE)
     if "n" in values and not takes_protocol:
         raise UsageError(f"{command} takes no --n", USAGE)
-    json_path, n = values.pop("json", None), values.pop("n", 1)
+    json_path, n = values.pop("json", None), values.pop("n", None)
     return handler, RunConfig(**values), args + [n] if takes_protocol else args, json_path
 
 

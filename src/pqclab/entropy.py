@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .qmath import (
     DensityOp,
     Ket,
     _schmidt_svd,
-    matrix_to_json,
     reduced_matrix,
 )
 
@@ -60,16 +59,6 @@ class ProbabilityDist:
 
     def __len__(self) -> int:
         return len(self.outcomes)
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    """One checked inequality: slack >= 0 means it holds.  An identity is two
-    inequalities, so its slack is the smaller of theirs: -|residual|."""
-
-    name: str
-    slack: float
-    witness: dict | None = None
 
 
 def _entropy_of_probs(p: np.ndarray) -> float | np.ndarray:
@@ -223,34 +212,32 @@ def stack_cross_check(matrices: np.ndarray) -> np.ndarray:
                   - _relative_entropy(matrices, product.reshape(matrices.shape), s_ab))
 
 
-def _reports(rho: DensityOp, slacks, *args) -> list[InequalityReport]:
-    """One report per slack that ``slacks(s, *args)`` gives on the state ``rho``."""
+def _slacks(rho: DensityOp, slacks, *args) -> dict[str, float]:
+    """``slacks(s, *args)`` on the state ``rho``, by name.  A slack >= 0 means
+    the inequality holds; an identity is two inequalities, so its slack is the
+    smaller of theirs: -|residual|."""
     s = _group_entropies(rho.matrix, rho.layout.dims)
-    witness = {"dims": list(rho.layout.dims), "matrix": matrix_to_json(rho.matrix)}
-    return [InequalityReport(name, float(v), witness) for name, v in slacks(s, *args).items()]
+    return {name: float(v) for name, v in slacks(s, *args).items()}
 
 
-def check_entropy_inequalities(rho: DensityOp,
-                               groups: Mapping[str, Sequence[int]]) -> list[InequalityReport]:
-    """Check the standard entropy inequalities on 2 or 3 labelled groups.
+def check_entropy_inequalities(rho: DensityOp, group_a: Sequence[int], group_b: Sequence[int],
+                               group_c: Sequence[int] = ()) -> dict[str, float]:
+    """The slack of each standard entropy inequality on groups A, B and C, by name.
 
-    With groups A, B: subadditivity and Araki-Lieb on (A, B).  With groups
+    With C empty: subadditivity and Araki-Lieb on (A, B).  With groups
     A, B, C: subadditivity and Araki-Lieb on the cut A | BC, plus strong
     subadditivity and the mutual-information chain-rule identity.  The
     classical-marginal bound S(AB) >= max(S(A), S(B)) is checked when the
     state is classical on A (:func:`is_classical_on`).
     """
-    labels = set(groups)
-    if labels not in ({"A", "B"}, {"A", "B", "C"}):
-        raise ValueError(f"groups must be labelled A, B and optionally C, got {sorted(labels)}")
-    a, b, c = _disjoint_groups(rho, groups["A"], groups["B"], groups.get("C", ()))
-    return _reports(rho, _entropy_slacks, a, b, c, is_classical_on(rho, a))
+    a, b, c = _disjoint_groups(rho, group_a, group_b, group_c)
+    return _slacks(rho, _entropy_slacks, a, b, c, is_classical_on(rho, a))
 
 
 def check_correlation_bounds(rho: DensityOp, group_a: Sequence[int],
                              group_b: Sequence[int],
-                             group_x: Sequence[int] = ()) -> list[InequalityReport]:
-    """Bound conditional and plain mutual information by marginal entropies.
+                             group_x: Sequence[int] = ()) -> dict[str, float]:
+    """The slack of each bound of mutual information by marginal entropies, by name.
 
     Checks I(A:B|X) <= min(2 S(A), 2 S(B)) and I(A:B) <= min(2 S(A), 2 S(B));
     when the state is classical on A and X (:func:`is_classical_on`) also the
@@ -258,4 +245,4 @@ def check_correlation_bounds(rho: DensityOp, group_a: Sequence[int],
     case X is the trivial system.
     """
     a, b, x = _disjoint_groups(rho, group_a, group_b, group_x)
-    return _reports(rho, _correlation_slacks, a, b, x, is_classical_on(rho, a + x))
+    return _slacks(rho, _correlation_slacks, a, b, x, is_classical_on(rho, a + x))

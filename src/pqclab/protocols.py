@@ -583,12 +583,10 @@ def factorization_certificate(units: np.ndarray) -> float:
     return min(1.0, 0.5 * float(np.linalg.eigvalsh(half @ half.conj().T)[-1]))
 
 
-def factorization_deviation(p: ChannelProtocol, samples: int = 20, seed: int = 0,
-                            units: np.ndarray | None = None) -> float:
+def factorization_deviation(p: ChannelProtocol, samples: int = 20, seed: int = 0) -> float:
     """How far (I ⊗ E) sigma strays from (Tr_input sigma) ⊗ rho_ref on random
     bipartite inputs; a sampled lower estimate of factorization_certificate."""
-    if units is None:
-        units = channel_on_units(p)
+    units = channel_on_units(p)
     d_in, dm = units.shape[0], units.shape[-1]
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -387,30 +387,26 @@ def trace_distance(a, b) -> float | np.ndarray:
 # sampling and serialization
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None,
+def random_density_matrix(dim: int, rng: np.random.Generator,
                           count: int | None = None) -> np.ndarray:
     """Random mixed-state matrix: partial trace of a Haar pure state on a
-    doubled system, of ``rank`` (full by default).
+    doubled system.
 
     With ``count`` k, a (k, dim, dim) stack from one draw: bit for bit the k
     matrices that k calls without ``count`` return, leaving ``rng`` in the
     same state; without it, one (dim, dim) matrix.
     """
-    r = dim if rank is None else int(rank)
-    if not 1 <= r <= dim:
-        raise ValueError(f"rank must be in [1, {dim}]")
-    z = rng.standard_normal((1 if count is None else count, 2, dim * r))
+    z = rng.standard_normal((1 if count is None else count, 2, dim * dim))
     v = (z[:, 0] + 1j * z[:, 1])[:, None, :]
     re, im = v.real, v.imag  # np.linalg.norm's dot products, one per vector
-    m = (v / np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))).reshape(-1, dim, r)
+    m = (v / np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))).reshape(-1, dim, dim)
     rho = m @ m.conj().swapaxes(-1, -2)
     return rho[0] if count is None else rho
 
 
-def random_density(layout: SystemLayout, rng: np.random.Generator,
-                   rank: int | None = None) -> DensityOp:
+def random_density(layout: SystemLayout, rng: np.random.Generator) -> DensityOp:
     """:func:`random_density_matrix` on the layout, as a validated state."""
-    return DensityOp(layout, random_density_matrix(layout.dim, rng, rank))
+    return DensityOp(layout, random_density_matrix(layout.dim, rng))
 
 
 def matrix_to_json(m: np.ndarray) -> list:

@@ -65,11 +65,9 @@ class BoundAudit:
 class ObliviousnessError(ValueError):
     """A remote-state-preparation protocol violated an obliviousness invariant."""
 
-    def __init__(self, invariant: str, deviation: float, message: int | None = None):
-        super().__init__(
-            f"obliviousness invariant {invariant!r} violated "
-            f"(deviation {deviation:.3e}"
-            + (f", message {message}" if message is not None else "") + ")")
+    def __init__(self, invariant: str, deviation: float, message: int):
+        super().__init__(f"obliviousness invariant {invariant!r} violated "
+                         f"(deviation {deviation:.3e}, message {message})")
         self.invariant = invariant
         self.deviation = deviation
         self.message = message

@@ -240,16 +240,12 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryOp:
     return UnitaryOp(q * (np.diag(r) / np.abs(np.diag(r))))
 
 
-def per_sample_density_matrix(dim: int, rng: np.random.Generator,
-                              rank: int | None = None) -> np.ndarray:
+def per_sample_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     """One random mixed-state matrix, the reference for random_density_matrix
     and its stacked draw: the partial trace of a Haar pure state on a doubled
     system, its real then its imaginary parts drawn by two calls."""
-    r = dim if rank is None else int(rank)
-    if not 1 <= r <= dim:
-        raise ValueError(f"rank must be in [1, {dim}]")
-    v = rng.standard_normal(dim * r) + 1j * rng.standard_normal(dim * r)
-    m = (v / np.linalg.norm(v)).reshape(dim, r)
+    v = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
+    m = (v / np.linalg.norm(v)).reshape(dim, dim)
     return m @ m.conj().T
 
 

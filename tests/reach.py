@@ -1,4 +1,5 @@
-"""List the statements of ``src/pqclab`` that the CLI rows and Tier-1 never reach.
+"""List the statements of ``src/pqclab`` that the CLI rows and Tier-1 never reach,
+and fail unless Tier-1 passes and reaches every one.
 
 Usage: python3 tests/reach.py
 
@@ -13,10 +14,10 @@ the files of ``src/pqclab``:
 Then, for each module and each run, it prints the statements inside
 functions that the run never reached, by line, with the statement's first
 line: a compound statement counts by its header, a docstring or a nested
-``def`` not at all.  Read it before deleting code as unused: what neither
-run reaches, nothing the CLI or the tests do uses, and a ``raise`` that
-Tier-1 never reaches is a refusal that no in-process test pins.  It needs
-no package beyond the test dependencies.
+``def`` not at all.  What neither run reaches, nothing the CLI or the tests
+do uses.  It exits 1 when Tier-1 fails or misses any statement, so every
+statement, each ``raise`` included, is pinned by an in-process test, and 0
+otherwise.  It needs no package beyond the test dependencies.
 """
 
 from __future__ import annotations
@@ -117,6 +118,7 @@ def main() -> None:
         runs[name] = hits
         if name == "Tier-1":
             print(f"Tier-1 exit code {result}")
+            failed = result != 0
     for path in sorted(SOURCE.glob("*.py")):
         spans, source = statements(path), path.read_text(encoding="utf-8").splitlines()
         for name, hits in runs.items():
@@ -125,6 +127,8 @@ def main() -> None:
             print(f"{path.relative_to(ROOT)}: {name} misses {len(missed)} of {len(spans)}")
             for first in missed:
                 print(f"  {first}: {source[first - 1].strip()}")
+            failed |= name == "Tier-1" and bool(missed)
+    sys.exit(1 if failed else 0)
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from pqclab.protocols import (
     decode_per_key,
     encode,
     epr_block,
-    factorization_deviation,
     protocol_digest,
     protocol_from_dict,
     protocol_to_dict,
@@ -253,7 +252,7 @@ def test_superdense_joint_state_correlation_bound_is_tight():
     p = build_superdense(2)
     joint = alice_stage(p, Ket.from_bits("00"))
     pair = partial_trace(joint.density(), [2, 3])  # message qubit, receiver half
-    slacks = {r.name: r.slack for r in check_correlation_bounds(pair, (0,), (1,))}
+    slacks = check_correlation_bounds(pair, (0,), (1,))
     assert slacks["mutual_info_vs_marginals"] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -524,12 +523,6 @@ def test_numpy_integer_gate_reference_reads_its_table_entry():
     assert protocol_digest(clone) == protocol_digest(p)
     # both sides hold the one table entry each reference names
     assert all(a.gates[0][0] is b.gates[0][0] for a, b in zip(clone.alice_ops, clone.bob_ops))
-
-
-def test_factorization_deviation_reads_the_channel_table_by_default():
-    p = build_quantum_otp(1)
-    units = channel_on_units(p)
-    assert factorization_deviation(p, samples=3) == factorization_deviation(p, 3, units=units)
 
 
 def _smallest_protocol(builder):

@@ -575,27 +575,16 @@ def test_each_refusal_names_its_fault(build, message):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 12])
-@pytest.mark.parametrize("rank", [None, 1, "half"])
-def test_stacked_draw_is_the_per_sample_draws_bit_for_bit(dim, rank):
-    rank = max(1, dim // 2) if rank == "half" else rank
+def test_stacked_draw_is_the_per_sample_draws_bit_for_bit(dim):
     for seed in range(3):
         for count in (None, 1, 127, 128, 129):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = random_density_matrix(dim, rng, rank, count=count)
-            want = [per_sample_density_matrix(dim, ref, rank) for _ in range(count or 1)]
+            got = random_density_matrix(dim, rng, count=count)
+            want = [per_sample_density_matrix(dim, ref) for _ in range(count or 1)]
             want = want[0] if count is None else np.stack(want)
             # tobytes, so that a -0.0 for a 0.0 counts too
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert rng.bit_generator.state == ref.bit_generator.state
-
-
-def test_draw_refuses_a_rank_out_of_range_before_drawing():
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    for rank in (0, 5):
-        with pytest.raises(ValueError, match="rank"):
-            random_density_matrix(4, rng, rank, count=3)
-    assert rng.bit_generator.state == state
 
 
 def test_matrix_json_round_trip():
