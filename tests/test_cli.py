@@ -397,10 +397,6 @@ PROTOCOL_FILE = os.path.join(os.path.dirname(__file__), "schema1", "quantum-otp-
     (["verify", "quantum-otp", "--n", "x"], "'x'"),
     (["verify", "quantum-otp", "--tol-algebra", "x"], "'x'"),
     (["inequalities", "--n", "2"], "--n"),
-    (["verify", PROTOCOL_FILE, "--n", "3"], "--n"),
-    (["verify", PROTOCOL_FILE, "--n=-7"], "--n"),
-    (["audit", PROTOCOL_FILE, "--n", "3"], "--n"),
-    (["audit", PROTOCOL_FILE, "--n=-7"], "--n"),
     (["inequalities", "extra-arg"], "extra-arg"),
     (["verify"], "PROTOCOL"),
     (["verify", "quantum-otp", "extra-arg"], "extra-arg"),
@@ -408,6 +404,10 @@ PROTOCOL_FILE = os.path.join(os.path.dirname(__file__), "schema1", "quantum-otp-
     (["frobnicate", "quantum-otp"], "frobnicate"),
     (["verify", "quantum-otp", "--tol-a", "1e-8"], "--tol-a"),
     (["verify", "quantum-otp", "--tol-a=1e-8"], "--tol-a"),
+    (["verify", PROTOCOL_FILE, "--n", "3"], "--n"),
+    (["verify", PROTOCOL_FILE, "--n=-7"], "--n"),
+    (["audit", PROTOCOL_FILE, "--n", "3"], "--n"),
+    (["audit", PROTOCOL_FILE, "--n=-7"], "--n"),
 ])
 def test_argv_fault_refused_with_usage(argv, token, capsys):
     code = main(argv)

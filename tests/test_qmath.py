@@ -574,17 +574,17 @@ def test_each_refusal_names_its_fault(build, message):
         build()
 
 
+@pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 12])
-def test_stacked_draw_is_the_per_sample_draws_bit_for_bit(dim):
-    for seed in range(3):
-        for count in (None, 1, 127, 128, 129):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = random_density_matrix(dim, rng, count=count)
-            want = [per_sample_density_matrix(dim, ref) for _ in range(count or 1)]
-            want = want[0] if count is None else np.stack(want)
-            # tobytes, so that a -0.0 for a 0.0 counts too
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert rng.bit_generator.state == ref.bit_generator.state
+def test_stacked_draw_is_the_per_sample_draws_bit_for_bit(dim, seed):
+    for count in (None, 1, 127, 128, 129):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_density_matrix(dim, rng, count=count)
+        want = [per_sample_density_matrix(dim, ref) for _ in range(count or 1)]
+        want = want[0] if count is None else np.stack(want)
+        # tobytes, so that a -0.0 for a 0.0 counts too
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_matrix_json_round_trip():
