@@ -53,8 +53,8 @@ class RunConfig:
     def __post_init__(self):
         if not all(0 < tol < math.inf for tol in (self.algebra_tol, self.entropy_tol)):
             raise UsageError("tolerances must be positive and finite")
-        if self.samples < 0:
-            raise UsageError("counts must be nonnegative")
+        if self.samples < 1:
+            raise UsageError("--samples must be >= 1")
         if self.seed < 0:
             raise UsageError("seed must be nonnegative")
 
@@ -150,8 +150,6 @@ def _worst_samples(chunks) -> dict[str, tuple[float, int, np.ndarray]]:
 
 
 def cmd_inequalities(cfg: RunConfig) -> dict:
-    if cfg.samples < 1:
-        raise UsageError("--samples must be >= 1")
     report = _base_report("inequalities", cfg)
     rng = np.random.default_rng(cfg.seed)
     worst = _worst_samples(

@@ -18,6 +18,7 @@ from .qmath import (
     EIGENVALUE_CLIP,
     DensityOp,
     Ket,
+    _number_array,
     _schmidt_svd,
     reduced_matrix,
 )
@@ -36,11 +37,9 @@ class ProbabilityDist:
             raise ValueError("outcome labels must be strings")
         if len(set(outcomes)) != len(outcomes):
             raise ValueError("outcome labels must be distinct")
-        probs = np.asarray(self.probs, dtype=float)
+        probs = _number_array(self.probs, float)
         if probs.ndim != 1 or probs.size != len(outcomes):
             raise ValueError("need one probability per outcome")
-        if not np.isfinite(probs).all():
-            raise ValueError("probabilities must be finite")
         if probs.min(initial=0.0) < -1e-12:
             raise ValueError("probabilities must be nonnegative")
         with np.errstate(over="ignore"):  # huge finite entries sum to inf

@@ -81,14 +81,6 @@ CZ = UnitaryOp(np.diag([1, 1, 1, -1]))
 PAULI_BY_PAIR = UnitaryOp(controlled_by_value(SIGMA))
 
 
-def _numbers(data, field: str):
-    """``data`` once every entry of it is a JSON number, an int or a float:
-    never a bool or a string, which numpy would read as 0 or 1 or parse."""
-    if not set(map(type, np.asarray(data, dtype=object).ravel())) <= {int, float}:
-        raise ValueError(f"{field} must hold numbers only")
-    return data
-
-
 class ProtocolVerificationError(RuntimeError):
     """A protocol failed its security or correctness requirement; its message states both."""
 
@@ -153,7 +145,7 @@ class GateList:
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", qubits := _integer(self.qubits, "qubits"))
-        gates, misfit = [], None
+        gates = []
         for g, targets in self.gates:  # a fitting UnitaryOp on plain ints: one pass
             if (type(g) is UnitaryOp and type(targets) in (tuple, list)
                     and len(g.matrix) == 1 << len(targets)):
@@ -164,16 +156,14 @@ class GateList:
                     if len(targets) < 2 or len(set(targets)) == len(targets):
                         gates.append((g, tuple(targets)))
                         continue
-            # any other gate is normalised; the first misfit is raised once all are
+            # any other gate is normalised and fitted to the register as it is read
             g = g if isinstance(g, UnitaryOp) else UnitaryOp(g)
             targets = tuple(_integer(t, "gate targets") for t in targets)
-            if misfit is None and (g.dim != 2 ** len(targets) or len(set(targets)) != len(targets)
-                                   or any(not 0 <= t < qubits for t in targets)):
-                misfit = g, targets
+            if (g.dim != 2 ** len(targets) or len(set(targets)) != len(targets)
+                    or any(not 0 <= t < qubits for t in targets)):
+                raise ValueError(f"gate of dimension {g.dim} does not fit wires {targets} "
+                                 f"of a {qubits}-qubit register")
             gates.append((g, targets))
-        if misfit is not None:
-            raise ValueError(f"gate of dimension {misfit[0].dim} does not fit wires {misfit[1]} "
-                             f"of a {qubits}-qubit register")
         object.__setattr__(self, "gates", tuple(gates))
 
 
@@ -913,16 +903,14 @@ def protocol_from_dict(data: dict) -> ChannelProtocol:
     if "key_outcomes" in res:
         if not isinstance(res["key_outcomes"], list):
             raise ValueError("key_outcomes must be an array of strings")
-        dist = ProbabilityDist(tuple(res["key_outcomes"]),
-                               np.asarray(_numbers(res["key_probs"], "key_probs")))
+        dist = ProbabilityDist(tuple(res["key_outcomes"]), res["key_probs"])
     if "state_amplitudes" in res:
         layout = SystemLayout(tuple(_integer(d, "state_dims") for d in res["state_dims"]))
-        psi = Ket(layout, matrix_from_json(_numbers(res["state_amplitudes"],
-                                                    "state_amplitudes")))
+        psi = Ket(layout, matrix_from_json(res["state_amplitudes"]))
     resource = SharedResource(dist, psi, 0 if psi is None else res["alice_subsystems"])
     if res["kind"] != resource.kind:
         raise ValueError(f"resource kind {res['kind']!r} does not match its payloads")
-    table = [UnitaryOp(matrix_from_json(_numbers(m, "gates"))) for m in data["gates"]]
+    table = [UnitaryOp(matrix_from_json(m)) for m in data["gates"]]
 
     def gate(index) -> UnitaryOp:  # for an index that is no plain int in range
         if not 0 <= _integer(index, "gate index") < len(table):

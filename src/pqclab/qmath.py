@@ -66,9 +66,7 @@ class SystemLayout:
 
     @classmethod
     def qubits(cls, n: int) -> "SystemLayout":
-        if _integer(n, "qubit count") < 1:
-            raise ValueError("need at least one qubit")
-        return cls((2,) * n)
+        return cls((2,) * _integer(n, "qubit count"))
 
     @property
     def dim(self) -> int:
@@ -87,12 +85,24 @@ class SystemLayout:
         return idx
 
 
-def _frozen_array(values, shape=None) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
+def _number_array(values, dtype=complex, shape=None) -> np.ndarray:
+    """A read-only copy of ``values``, an array or nested lists, as ``dtype``
+    once every entry is a finite Python or numpy number, a real one for a real
+    ``dtype``; a bool, a string or an integer past the float range is refused."""
+    real = (int, float, np.integer, np.floating)  # not bool: numpy would read it as 0 or 1
+    kinds = real + (complex, np.complexfloating) if dtype is complex else real
+    if not (isinstance(values, np.ndarray) and issubclass(values.dtype.type, kinds)):
+        types = set(map(type, np.asarray(values, dtype=object).ravel()))
+        if bool in types or not all(issubclass(t, kinds) for t in types):
+            raise ValueError("entries must be finite numbers")
+    try:
+        arr = np.array(values, dtype=dtype)
+    except OverflowError:  # an integer past the float range
+        raise ValueError("entries must be finite numbers") from None
     if shape is not None and arr.shape != shape:
         raise ValueError(f"expected shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError("entries must be finite")
+        raise ValueError("entries must be finite numbers")
     arr.setflags(write=False)
     return arr
 
@@ -105,7 +115,7 @@ class Ket:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _frozen_array(self.amplitudes, shape=(self.layout.dim,))
+        amps = _number_array(self.amplitudes, shape=(self.layout.dim,))
         with np.errstate(over="ignore"):  # a huge finite amplitude is refused as norm inf
             norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > 1e-8:
@@ -150,7 +160,7 @@ class DensityOp:
 
     def __post_init__(self):
         d = self.layout.dim
-        mat = _frozen_array(self.matrix, shape=(d, d))
+        mat = _number_array(self.matrix, shape=(d, d))
         if max_abs(mat - mat.conj().T) > 1e-8:
             raise ValueError("density operator is not Hermitian")
         eigmin = float(np.linalg.eigvalsh(mat)[0])
@@ -169,7 +179,7 @@ class UnitaryOp:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _frozen_array(self.matrix)
+        mat = _number_array(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"unitary must be square, got shape {mat.shape}")
         with np.errstate(over="ignore", invalid="ignore"):  # a huge finite entry reads inf
@@ -418,8 +428,8 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 def matrix_from_json(data: list) -> np.ndarray:
     """Inverse of :func:`matrix_to_json` for a vector or a matrix, bit for bit
-    (a -0.0 stays -0.0)."""
-    arr = np.asarray(data, dtype=float)
+    (a -0.0 stays -0.0), of finite real entries only (see :func:`_number_array`)."""
+    arr = _number_array(data, float)
     if arr.ndim not in (2, 3) or arr.shape[-1] != 2:
         raise ValueError(f"expected a vector or matrix of [re, im] pairs, got shape {arr.shape}")
     return np.ascontiguousarray(arr).view(complex)[..., 0]

@@ -1,5 +1,5 @@
 """Reference helpers that only the tests use: gates on kets and on the full
-product space, a gate list's dense matrix and its checks as first written,
+product space, a gate list's dense matrix and its checks written plainly,
 one gate applied alone as first written, ray comparison, the probe inputs
 of the per-probe reference, Haar-random kets and unitaries and random
 density matrices one draw at a time,
@@ -73,18 +73,19 @@ def dense(op: GateList) -> np.ndarray:
 
 def gate_list_pairs(qubits, gates) -> tuple[int, tuple]:
     """The register size and the normalised (UnitaryOp, wires) pairs of a
-    :class:`GateList`, or its ValueError: its checks as first written, every
-    gate normalised before any is fitted to the register."""
-    qubits = _integer(qubits, "qubits")
-    gates = tuple((g if isinstance(g, UnitaryOp) else UnitaryOp(g),
-                   tuple(_integer(t, "gate targets") for t in targets))
-                  for g, targets in gates)
+    :class:`GateList`, or its ValueError: its checks written plainly, each
+    gate normalised and fitted to the register as it is read, so the first
+    fault in list order is raised."""
+    qubits, pairs = _integer(qubits, "qubits"), []
     for g, targets in gates:
+        g = g if isinstance(g, UnitaryOp) else UnitaryOp(g)
+        targets = tuple(_integer(t, "gate targets") for t in targets)
         if (g.dim != 2 ** len(targets) or len(set(targets)) != len(targets)
                 or any(not 0 <= t < qubits for t in targets)):
             raise ValueError(f"gate of dimension {g.dim} does not fit wires {targets} "
                              f"of a {qubits}-qubit register")
-    return qubits, gates
+        pairs.append((g, targets))
+    return qubits, tuple(pairs)
 
 
 def gate_alone(block: np.ndarray, dims: Sequence[int], gate: np.ndarray,

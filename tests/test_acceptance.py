@@ -7,7 +7,6 @@ criterion lines even on success).
 import math
 
 import numpy as np
-import pytest
 
 from pqclab.entropy import (
     check_correlation_bounds,
@@ -21,7 +20,6 @@ from pqclab.protocols import (
     build_broken_teleportation,
     build_classical_otp,
     build_epr_keyed_otp,
-    build_named,
     build_quantum_otp,
     build_superdense,
     build_teleportation,

@@ -468,9 +468,11 @@ def test_verify_identity_leaky_bad_size_refused(n, capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["verify", "quantum-otp", "--samples", "-1"], "counts must be nonnegative"),
+    (["verify", "quantum-otp", "--samples", "-1"], "--samples must be >= 1"),
     (["inequalities", "--seed", "-3"], "seed must be nonnegative"),
-    (["inequalities", "--samples", "0"], "--samples must be >= 1")])
+    (["inequalities", "--samples", "0"], "--samples must be >= 1"),
+    (["verify", "quantum-otp", "--samples", "0"], "--samples must be >= 1"),
+    (["audit", "quantum-otp", "--samples", "0"], "--samples must be >= 1")])
 def test_config_value_refused_without_usage(argv, message, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -671,16 +673,24 @@ def test_verify_non_finite_descriptor_refused(tmp_path, capsys, build, edit):
     (build_quantum_otp, _set_first(1e308, "gates"), "matrix is not unitary"),
     (build_teleportation, _set_first(1e308, "resource", "state_amplitudes"),
      "ket is not normalized (norm inf)"),
-], ids=["huge-key-probs", "huge-op-entry", "huge-state-amplitude"])
+    *((build, _set_first(sign * 10 ** 400, *where), "entries must be finite numbers")
+      for sign in (1, -1) for build, where in (
+          (build_quantum_otp, ("resource", "key_probs")), (build_quantum_otp, ("gates",)),
+          (build_teleportation, ("resource", "state_amplitudes")))),
+], ids=["huge-key-probs", "huge-op-entry", "huge-state-amplitude",
+        *(f"{sign}int-past-float-{where}" for sign in ("", "minus-")
+          for where in ("key-prob", "op-entry", "state-amplitude"))])
 def test_verify_huge_finite_entry_refused_with_one_line(tmp_path, capsys, build, edit, message):
-    # numpy overflows on the way to inf; no RuntimeWarning reaches stderr
+    # numpy overflows on the way to inf, or an integer does not fit a float;
+    # verify and audit each refuse the file, and no RuntimeWarning reaches stderr
     path = _descriptor(tmp_path, edit, build)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["verify", str(path)])
-    out, err = capsys.readouterr()
-    assert (code, out, caught) == (2, "", [])
-    assert err == f"error: malformed protocol file '{path}': {message}\n"
+    for command in ("verify", "audit"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out, caught) == (2, "", [])
+        assert err == f"error: malformed protocol file '{path}': {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +772,7 @@ def _mutate(data, draw):
     elif kind == "negative":
         parent[key] = -value - 1 if number else -1
     elif kind == "huge":
-        parent[key] = draw(st.sampled_from([10 ** 30, 2 ** 63, 1e300]))
+        parent[key] = draw(st.sampled_from([10 ** 30, 2 ** 63, 1e300, 10 ** 400]))
     elif kind == "non-finite":
         parent[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     elif kind == "string":

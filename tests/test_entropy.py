@@ -56,10 +56,13 @@ def test_shannon_values():
     assert shannon_entropy(skew) == pytest.approx(1.5)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "0.5", 10 ** 400],
+                         ids=["nan", "inf", "-inf", "bool", "string", "huge-int"])
 def test_probability_dist_rejects_non_finite(bad):
-    with pytest.raises(ValueError, match="finite"):
-        ProbabilityDist(("a", "b"), np.array([1.0, bad]))
+    # as a list, and as numpy's array of it where numpy keeps the entry (it reads True as 1.0)
+    for form in (list, np.array)[:1 if bad is True else 2]:
+        with pytest.raises(ValueError, match="finite"):
+            ProbabilityDist(("a", "b"), form([1.0, bad]))
 
 
 def test_probability_dist_validation():

@@ -393,8 +393,9 @@ def _outcome(call):
 @example(2, [(PAULI[1], (True,))])
 @given(st.sampled_from([0, 1, 2, 3, 4, np.int64(3), 3.0, True]), st.lists(gate_spec(), max_size=4))
 def test_gate_list_checks_equal_the_first_written_checks(qubits, gates):
-    # the same accept or refuse, with the same message, as the checks first
-    # written (the oracle); an accepted list holds the same gate objects, or
+    # the same accept or refuse, with the same message, as the plain checks
+    # (the oracle), each gate fitted as it is read, so the first fault in list
+    # order is raised; an accepted list holds the same gate objects, or
     # equal validated matrices for raw ones, on tuples of Python ints
     got, want = _outcome(lambda: GateList(qubits, gates)), _outcome(
         lambda: gate_list_pairs(qubits, gates))

@@ -20,7 +20,6 @@ from pqclab.protocols import (
     build_broken_otp,
     build_broken_teleportation,
     build_classical_otp,
-    build_epr_keyed_otp,
     build_named,
     build_quantum_otp,
     build_superdense,
@@ -451,8 +450,12 @@ def test_builders_hold_the_resource_kind_of_their_scheme(name, kind):
                  id="no-message"),
     pytest.param({"message_subsystems": (1, 1)}, "duplicate message subsystems",
                  id="duplicate-message"),
+    pytest.param({"message_subsystems": (0, 2)}, "message subsystems outside the sender register",
+                 id="message-out-of-range"),
     pytest.param({"output_subsystems": (0, 0)}, "need 2 distinct output subsystems",
                  id="duplicate-output"),
+    pytest.param({"output_subsystems": (0, 2)}, "output subsystems outside the receiver register",
+                 id="output-out-of-range"),
 ])
 def test_protocol_wiring_refusals_name_their_fault(change, message):
     # the 2-bit identity: 2 sender wires, 2 receiver wires, 2 outputs

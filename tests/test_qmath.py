@@ -518,15 +518,20 @@ def test_unitary_validation():
         UnitaryOp(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)],
-                         ids=["nan", "inf", "-inf", "imag-nan"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan),
+                                 True, "0.5", 10 ** 400],
+                         ids=["nan", "inf", "-inf", "imag-nan", "bool", "string", "huge-int"])
 def test_value_types_reject_non_finite_entries(bad):
-    with pytest.raises(ValueError, match="finite"):
-        Ket(SystemLayout.qubits(1), np.array([1.0, bad]))
-    with pytest.raises(ValueError, match="finite"):
-        DensityOp(SystemLayout.qubits(1), np.diag([1.0, bad]))
-    with pytest.raises(ValueError, match="finite"):
-        UnitaryOp(np.diag([1.0, bad]))
+    # as lists, and as numpy's array of them where numpy keeps the entry (it reads True as 1.0)
+    for form in (list, np.array)[:1 if bad is True else 2]:
+        with pytest.raises(ValueError, match="finite"):
+            Ket(SystemLayout.qubits(1), form([1.0, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            DensityOp(SystemLayout.qubits(1), form([[1.0, 0.0], [0.0, bad]]))
+        with pytest.raises(ValueError, match="finite"):
+            UnitaryOp(form([[1.0, 0.0], [0.0, bad]]))
+        with pytest.raises(ValueError, match="finite"):
+            matrix_from_json(form([[1.0, 0.0], [bad, 0.0]]))
 
 
 def test_layout_validation():
@@ -552,7 +557,8 @@ def test_layout_counts_are_integers(build):
 
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: SystemLayout(()), "layout needs at least one subsystem", id="no-dims"),
-    pytest.param(lambda: SystemLayout.qubits(0), "need at least one qubit", id="no-qubits"),
+    pytest.param(lambda: SystemLayout.qubits(0), "layout needs at least one subsystem",
+                 id="no-qubits"),
     pytest.param(lambda: SystemLayout.qubits(2).check_subsystems([1, 1]),
                  r"duplicate subsystem indices in \(1, 1\)", id="duplicate-index"),
     pytest.param(lambda: Ket(SystemLayout.qubits(1), np.full(4, 0.5)),
@@ -593,3 +599,6 @@ def test_matrix_json_round_trip():
     assert max_abs(matrix_from_json(matrix_to_json(m)) - m) == 0
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     assert max_abs(matrix_from_json(matrix_to_json(v)) - v) == 0
+    # lists holding numpy scalars read as the numbers they hold
+    assert matrix_from_json([[np.float64(1.0), np.int64(0)], [0, np.float32(0.5)]]).tolist() == [
+        1, 0.5j]

@@ -22,7 +22,6 @@ from pqclab.protocols import (
     build_quantum_otp,
     build_superdense,
     build_teleportation,
-    decode_per_key,
     encode,
     require_desk_scale,
     resource_report,
